@@ -137,9 +137,6 @@ class TBTrajectoryState:
         self.model = model
         self.trajectory = trajectory
         self.system = system
-        import scipy.linalg as sla
-
-        self._lu = sla.lu_factor(model.overlap_matrix())
 
     def _c(self, z: float) -> np.ndarray:
         zs = self.trajectory.z
@@ -149,9 +146,7 @@ class TBTrajectoryState:
         return self.trajectory.c[i]
 
     def _generator(self, c: np.ndarray, z: float) -> np.ndarray:
-        import scipy.linalg as sla
-
-        return sla.lu_solve(self._lu, self.model.hamiltonian_matrix(z) @ c)
+        return self.model.overlap_inverse() @ (self.model.hamiltonian_matrix(z) @ c)
 
     def __call__(self, x, z: float):
         return assemble_state(self.model, self._c(z), x)

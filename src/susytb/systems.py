@@ -23,7 +23,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional
+from typing import NamedTuple, Optional
 
 import numpy as np
 
@@ -48,6 +48,11 @@ __all__ = [
 ]
 
 MODE_KINDS = ("ground", "excited", "floquet1", "floquet2", "left", "right")
+
+# Node sets whose dynamic x-factors a system keeps: the TB quadrature, the
+# observable grid and a BPM or dump grid interleave; a one-shot grid (such
+# as the calibration target) must not stay resident for the whole run.
+X_PARTS_CACHE = 4
 
 
 class ParameterError(ValueError):
@@ -126,8 +131,33 @@ def potential_pt_static(p: PTStaticParams, x):
     return 2 * (k1**2 - k2**2) / w**2 * (k2**2 * v1**2 + k1**2 * (1 + a**2) * np.sinh(k2 * x) ** 2)
 
 
-def _h_functions(p: PTDynamicParams, x):
-    k1, k2, k3 = p.k1, p.k2, p.k3
+class _DynamicXParts(NamedTuple):
+    """x-only factors of the modulated pair's closed forms on one node set.
+
+    z enters the potential and both Floquet modes only through the phases
+    e^{+-i(k1^2-k3^2)z}, so everything here is computed once per node set
+    and combined with those phases per z.
+    """
+
+    h1: np.ndarray
+    h2: np.ndarray
+    h1_sq: np.ndarray     # h1^2
+    a2_h2_sq: np.ndarray  # alpha^2 h2^2
+    cross: np.ndarray     # 2i alpha h1 h2
+    guard: np.ndarray     # 1e-10 (|h1| + |alpha| |h2|), the Wronskian-node threshold
+    h3: np.ndarray
+    a2_h4: np.ndarray     # alpha^2 h4
+    ia_h8: np.ndarray     # i alpha h8
+    c1: np.ndarray        # cosh k1 x
+    s3: np.ndarray        # sinh k3 x
+    s2: np.ndarray        # sinh k2 x
+    kx: np.ndarray        # K(x) of the odd-like mode
+
+
+def _dynamic_x_parts(p: PTDynamicParams, x) -> _DynamicXParts:
+    """The auxiliary functions h1..h8 and K(x) with their alpha weights."""
+    x = np.asarray(x, dtype=float)
+    k1, k2, k3, a = p.k1, p.k2, p.k3, p.alpha
     c1, s1 = np.cosh(k1 * x), np.sinh(k1 * x)
     c2, s2 = np.cosh(k2 * x), np.sinh(k2 * x)
     c3, s3 = np.cosh(k3 * x), np.sinh(k3 * x)
@@ -139,29 +169,27 @@ def _h_functions(p: PTDynamicParams, x):
     h6 = (4 * k2**4 - 4 * k1**2 * k3**2 * s2**2 + k2**2 * (k1**2 + k3**2) * (np.cosh(2 * k2 * x) - 3)) * c1 * s3
     h7 = k2 * (k1**2 - k3**2) * (k3 * c1 * c3 - k1 * s1 * s3) * np.sinh(2 * k2 * x)
     h8 = h5 + h6 + h7
-    return h1, h2, h3, h4, h8
+    kx = (k2 * (k1**2 - k3**2) * c2 * np.cosh((k1 - k3) * x)
+          + (k1 + k3) * (k1 * k3 - k2**2) * s2 * np.sinh((k1 - k3) * x))
+    return _DynamicXParts(
+        h1=h1, h2=h2, h1_sq=h1**2, a2_h2_sq=a**2 * h2**2, cross=2j * a * h1 * h2,
+        guard=1e-10 * (np.abs(h1) + abs(a) * np.abs(h2)),
+        h3=h3, a2_h4=a**2 * h4, ia_h8=1j * a * h8, c1=c1, s3=s3, s2=s2, kx=kx)
 
 
-def _w_dynamic(p: PTDynamicParams, x, z: float):
-    """Full Wronskian W(u1,u2) = e^{i(k1^2+k2^2)z} (h1 + i a h2 e^{-i D z})."""
-    h1, h2, _, _, _ = _h_functions(p, x)
+def _potential_dynamic_at(p: PTDynamicParams, xp: _DynamicXParts, z: float):
     delta = p.k1**2 - p.k3**2
-    return np.exp(1j * (p.k1**2 + p.k2**2) * z) * (h1 + 1j * p.alpha * h2 * np.exp(-1j * delta * z)), h1, h2
+    ep = np.exp(1j * delta * z)
+    em = np.exp(-1j * delta * z)
+    den = xp.h1_sq * ep - xp.a2_h2_sq * em + xp.cross
+    if np.any(np.sqrt(np.abs(den)) < xp.guard):
+        raise SingularPointError("dynamic potential evaluated at a Wronskian node")
+    return (xp.h3 * ep + xp.a2_h4 * em - xp.ia_h8) / den
 
 
 def potential_pt_dynamic(p: PTDynamicParams, x, z: float):
     """z-periodic complex double well; V(-x,-z) = conj V(x,z)."""
-    x = np.asarray(x, dtype=float)
-    h1, h2, h3, h4, h8 = _h_functions(p, x)
-    a = p.alpha
-    delta = p.k1**2 - p.k3**2
-    ep = np.exp(1j * delta * z)
-    em = np.exp(-1j * delta * z)
-    den = h1**2 * ep - a**2 * h2**2 * em + 2j * a * h1 * h2
-    scale = np.abs(h1) + abs(a) * np.abs(h2)
-    if np.any(np.sqrt(np.abs(den)) < 1e-10 * scale):
-        raise SingularPointError("dynamic potential evaluated at a Wronskian node")
-    return (h3 * ep + a**2 * h4 * em - 1j * a * h8) / den
+    return _potential_dynamic_at(p, _dynamic_x_parts(p, x), z)
 
 
 # ---------------------------------------------------------------------------
@@ -191,11 +219,34 @@ def raw_mode_pt_static(p: PTStaticParams, kind: str, x):
     raise ValueError(kind)
 
 
-def _kx_aux(p: PTDynamicParams, x):
-    """K(x) entering the odd-like dynamic mode."""
-    k1, k2, k3 = p.k1, p.k2, p.k3
-    return (k2 * (k1**2 - k3**2) * np.cosh(k2 * x) * np.cosh((k1 - k3) * x)
-            + (k1 + k3) * (k1 * k3 - k2**2) * np.sinh(k2 * x) * np.sinh((k1 - k3) * x))
+def _mode_dynamic_at(p: PTDynamicParams, xp: _DynamicXParts, kind: str, z: float, dz: bool):
+    k1, k2, k3, a = p.k1, p.k2, p.k3, p.alpha
+    b1, b2, b3 = k1**2, k2**2, k3**2
+    delta = b1 - b3
+    # full Wronskian W(u1,u2) = e^{i(b1+b2)z} (h1 + i alpha h2 e^{-i delta z})
+    w = np.exp(1j * (b1 + b2) * z) * (xp.h1 + 1j * a * xp.h2 * np.exp(-1j * delta * z))
+    # dW/dz = i(b1+b2) W + alpha * delta * h2 * e^{i(b1+b2)z} e^{-i delta z}
+    wz = 1j * (b1 + b2) * w + a * delta * xp.h2 * np.exp(1j * (b1 + b2) * z) * np.exp(-1j * delta * z)
+    if kind == "floquet1":
+        pre = k2 * np.exp(2j * b2 * z)
+        pre_z = 2j * b2 * pre
+        A = (np.exp(1j * b1 * z) * (b2 - b1) * xp.c1
+             + 1j * a * np.exp(1j * b3 * z) * (b2 - b3) * xp.s3)
+        A_z = (1j * b1 * np.exp(1j * b1 * z) * (b2 - b1) * xp.c1
+               + 1j * a * 1j * b3 * np.exp(1j * b3 * z) * (b2 - b3) * xp.s3)
+    elif kind == "floquet2":
+        pre = np.exp(1j * (b1 + b2 + b3) * z)
+        pre_z = 1j * (b1 + b2 + b3) * pre
+        A = (np.exp(1j * delta * z) * k1 * (b1 - b2) * xp.s2
+             + np.exp(-1j * delta * z) * a**2 * k3 * (b3 - b2) * xp.s2
+             - 1j * a * xp.kx)
+        A_z = (1j * delta * np.exp(1j * delta * z) * k1 * (b1 - b2) * xp.s2
+               - 1j * delta * np.exp(-1j * delta * z) * a**2 * k3 * (b3 - b2) * xp.s2)
+    else:
+        raise ValueError(kind)
+    if not dz:
+        return pre * A / w
+    return (pre_z * A + pre * A_z) / w - pre * A * wz / (w * w)
 
 
 def raw_mode_pt_dynamic(p: PTDynamicParams, kind: str, x, z: float, *, dz: bool = False):
@@ -206,34 +257,7 @@ def raw_mode_pt_dynamic(p: PTDynamicParams, kind: str, x, z: float, *, dz: bool 
     psi_1 = L12 f2, psi_2 = L12 f1 for the seeds in `make_system().seeds()`.
     With dz=True the exact z-derivative is returned instead.
     """
-    x = np.asarray(x, dtype=float)
-    k1, k2, k3, a = p.k1, p.k2, p.k3, p.alpha
-    b1, b2, b3 = k1**2, k2**2, k3**2
-    delta = b1 - b3
-    w, h1, h2 = _w_dynamic(p, x, z)
-    # dW/dz = i(b1+b2) W + alpha * delta * h2 * e^{i(b1+b2)z} e^{-i delta z}
-    wz = 1j * (b1 + b2) * w + a * delta * h2 * np.exp(1j * (b1 + b2) * z) * np.exp(-1j * delta * z)
-    if kind == "floquet1":
-        pre = k2 * np.exp(2j * b2 * z)
-        pre_z = 2j * b2 * pre
-        A = (np.exp(1j * b1 * z) * (b2 - b1) * np.cosh(k1 * x)
-             + 1j * a * np.exp(1j * b3 * z) * (b2 - b3) * np.sinh(k3 * x))
-        A_z = (1j * b1 * np.exp(1j * b1 * z) * (b2 - b1) * np.cosh(k1 * x)
-               + 1j * a * 1j * b3 * np.exp(1j * b3 * z) * (b2 - b3) * np.sinh(k3 * x))
-    elif kind == "floquet2":
-        pre = np.exp(1j * (b1 + b2 + b3) * z)
-        pre_z = 1j * (b1 + b2 + b3) * pre
-        s2 = np.sinh(k2 * x)
-        A = (np.exp(1j * delta * z) * k1 * (b1 - b2) * s2
-             + np.exp(-1j * delta * z) * a**2 * k3 * (b3 - b2) * s2
-             - 1j * a * _kx_aux(p, x))
-        A_z = (1j * delta * np.exp(1j * delta * z) * k1 * (b1 - b2) * s2
-               - 1j * delta * np.exp(-1j * delta * z) * a**2 * k3 * (b3 - b2) * s2)
-    else:
-        raise ValueError(kind)
-    if not dz:
-        return pre * A / w
-    return (pre_z * A + pre * A_z) / w - pre * A * wz / (w * w)
+    return _mode_dynamic_at(p, _dynamic_x_parts(p, x), kind, z, dz)
 
 
 # ---------------------------------------------------------------------------
@@ -306,7 +330,7 @@ class WaveguideSystem:
             ks = (params.k1, params.k2, params.k3)
         else:
             raise TypeError(f"unsupported parameter record {type(params)!r}")
-        self.min_k = min(abs(k) for k in ks)
+        self.min_k = min(abs(k) for k in ks if k != 0)  # k3 = 0 sets no decay length
         if quad is None:
             quad = QuadratureSpec(half_width=12.0 / self.min_k, nodes=2048,
                                   rule="gauss_legendre_composite")
@@ -315,6 +339,8 @@ class WaveguideSystem:
         self._norm: dict[str, float] = {}
         self._pseudo_sign: dict[str, int] = {}
         self._label_sign: dict[str, int] = {}
+        # dynamic x-only factors, least recently used first, keyed by node values
+        self._x_parts: dict[tuple, _DynamicXParts] = {}
 
     # -- basic facts -------------------------------------------------------
 
@@ -336,7 +362,19 @@ class WaveguideSystem:
             return potential_hermitian_static(self.params, x)
         if self.kind == "pt_static":
             return potential_pt_static(self.params, x)
-        return potential_pt_dynamic(self.params, x, z)
+        return _potential_dynamic_at(self.params, self._dynamic_parts(x), z)
+
+    def _dynamic_parts(self, x) -> _DynamicXParts:
+        """x-only factors on node set x, from an LRU of X_PARTS_CACHE node sets."""
+        x = np.asarray(x, dtype=float)
+        key = (x.shape, x.tobytes())
+        parts = self._x_parts.pop(key, None)
+        if parts is None:
+            parts = _dynamic_x_parts(self.params, x)
+            if len(self._x_parts) >= X_PARTS_CACHE:
+                del self._x_parts[next(iter(self._x_parts))]
+        self._x_parts[key] = parts
+        return parts
 
     def seeds(self):
         """Transformation/solution seeds reproducing this system generically.
@@ -363,7 +401,7 @@ class WaveguideSystem:
 
     def _raw_profile(self, kind: str, x, z: float = 0.0, *, dz: bool = False):
         if self.is_dynamic:
-            return raw_mode_pt_dynamic(self.params, kind, x, z, dz=dz)
+            return _mode_dynamic_at(self.params, self._dynamic_parts(x), kind, z, dz)
         # stationary: profile only; phases handled by callers
         if dz:
             raise ValueError("stationary raw profiles carry no z-dependence")

@@ -206,39 +206,48 @@ class TBModel:
         self._phi = np.stack([single_well_mode(b, x) for b in self.wells])
         self._phi_s = np.stack([single_well_mode(b, self._xs) for b in self.wells])
         self._v0_s = np.stack([single_well_potential(b, self._xs) for b in self.wells])
+        self._s_inv: Optional[np.ndarray] = None
+        if hamiltonian_source == "system":
+            # H(z) = C + A V(xs, z): with -phi_j'' = beta_j phi_j - V0_j phi_j,
+            # C_ij = sum w conj(phi_i) (beta_j - V0_j) phi_j(xs) and
+            # A_ij(x) = w conj(phi_i) phi_j(xs) do not depend on z.
+            beta = np.array([b.beta for b in self.wells])
+            wphi = w * np.conj(self._phi)
+            self._h_const = wphi @ ((beta[:, None] - self._v0_s) * self._phi_s).T
+            self._h_lin = (wphi[:, None, :] * self._phi_s[None, :, :]).reshape(self.n**2, -1)
 
     @property
     def n(self) -> int:
         return len(self.wells)
 
-    def well_sum_potential(self, x, z: float = 0.0):
-        return sum(single_well_potential(b, x) for b in self.wells)
-
     def overlap_matrix(self) -> np.ndarray:
         w, phi, phi_s = self._w, self._phi, self._phi_s
         return np.conj(phi) @ (w[:, None] * phi_s.T)
 
-    def _h_applied(self, z: float) -> np.ndarray:
-        """(H phi_j) sampled on the (possibly parity-flipped) node set.
+    def overlap_inverse(self) -> np.ndarray:
+        """S^-1, computed once per model and shared by every z-march."""
+        if self._s_inv is None:
+            self._s_inv = np.linalg.inv(self.overlap_matrix())
+        return self._s_inv
+
+    def _h_applied_well_sum(self) -> np.ndarray:
+        """(H phi_j) of the well-sum Hamiltonian on the (possibly parity-flipped) nodes.
 
         Uses the exact identity -phi_j'' = beta_j phi_j - V0_j phi_j, so no
         numerical differentiation enters the matrix elements.
         """
-        if self.hamiltonian_source == "system":
-            v = np.asarray(self.potential(self._xs, z))
         out = np.empty(self._phi_s.shape, dtype=complex)
         for j, b in enumerate(self.wells):
-            if self.hamiltonian_source == "well_sum":
-                v_other = sum(self._v0_s[m] for m in range(self.n) if m != j)
-                out[j] = (b.beta + v_other) * self._phi_s[j]
-            else:
-                out[j] = (b.beta + v - self._v0_s[j]) * self._phi_s[j]
+            v_other = sum(self._v0_s[m] for m in range(self.n) if m != j)
+            out[j] = (b.beta + v_other) * self._phi_s[j]
         return out
 
     def hamiltonian_matrix(self, z: float = 0.0) -> np.ndarray:
+        if self.hamiltonian_source == "system":
+            v = np.asarray(self.potential(self._xs, z))
+            return self._h_const + (self._h_lin @ v).reshape(self.n, self.n)
         w, phi = self._w, self._phi
-        hphi = self._h_applied(z)
-        return np.conj(phi) @ (w[:, None] * hphi.T)
+        return np.conj(phi) @ (w[:, None] * self._h_applied_well_sum().T)
 
     def normalized_overlap(self) -> tuple[np.ndarray, np.ndarray]:
         """Rescaled overlap with unit diagonal, plus the applied scales."""
@@ -246,27 +255,6 @@ class TBModel:
         scales = np.sqrt(np.array([complex(s[i, i]) for i in range(self.n)]))
         shat = s / np.outer(np.conj(scales), scales)
         return shat, scales
-
-    def apply_hamiltonian(self, c: np.ndarray, x, z: float = 0.0,
-                          potential: Optional[Callable] = None):
-        """(H psi)(x) for psi = sum_j c_j phi_j, H = -d_x^2 + V.
-
-        V defaults to the bound system potential (falling back to the well
-        sum); the second derivative is eliminated analytically through the
-        single-well eigenvalue relation.
-        """
-        x = np.asarray(x, dtype=float)
-        if potential is None:
-            if self.potential is not None:
-                v = np.asarray(self.potential(x, z))
-            else:
-                v = np.asarray(self.well_sum_potential(x))
-        else:
-            v = np.asarray(potential(x, z))
-        out = np.zeros(x.shape, dtype=complex)
-        for j, b in enumerate(self.wells):
-            out += c[j] * ((b.beta + v - single_well_potential(b, x)) * single_well_mode(b, x))
-        return out
 
 
 def two_well_model(
@@ -384,19 +372,15 @@ class CoefficientTrajectory:
 
 
 class _CoupledSystem:
-    """i S c' = H(z) c, prefactorized S, cached H evaluations."""
+    """i S c' = H(z) c, marched as c' = G(z) c with G = -i S^-1 H(z) per H sample."""
 
     def __init__(self, model: TBModel, control: StepControl):
         self.model = model
-        s = model.overlap_matrix()
-        cond = np.linalg.cond(s)
+        cond = np.linalg.cond(model.overlap_matrix())
         if cond > control.cond_limit:
             raise IllConditionedOverlap(f"cond(S) = {cond:.3e}")
-        self._lu = sla.lu_factor(s)
+        self._s_inv = model.overlap_inverse()
         self.control = control
-
-    def rhs(self, h: np.ndarray, c: np.ndarray) -> np.ndarray:
-        return -1j * sla.lu_solve(self._lu, h @ c)
 
     def march(self, c: np.ndarray, z0: float, z1: float) -> np.ndarray:
         """Classic RK4 with uniform substeps of at most dz_max."""
@@ -404,13 +388,14 @@ class _CoupledSystem:
             return c
         n = max(1, math.ceil(abs(z1 - z0) / self.control.dz_max))
         h_step = (z1 - z0) / n
-        hs = [self.model.hamiltonian_matrix(z0 + 0.5 * j * h_step) for j in range(2 * n + 1)]
+        gs = [-1j * (self._s_inv @ self.model.hamiltonian_matrix(z0 + 0.5 * j * h_step))
+              for j in range(2 * n + 1)]
         for j in range(n):
-            h0, hm, h1 = hs[2 * j], hs[2 * j + 1], hs[2 * j + 2]
-            k1 = self.rhs(h0, c)
-            k2 = self.rhs(hm, c + 0.5 * h_step * k1)
-            k3 = self.rhs(hm, c + 0.5 * h_step * k2)
-            k4 = self.rhs(h1, c + h_step * k3)
+            g0, gm, g1 = gs[2 * j], gs[2 * j + 1], gs[2 * j + 2]
+            k1 = g0 @ c
+            k2 = gm @ (c + 0.5 * h_step * k1)
+            k3 = gm @ (c + 0.5 * h_step * k2)
+            k4 = g1 @ (c + h_step * k3)
             c = c + (h_step / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
         return c
 

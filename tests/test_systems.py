@@ -3,15 +3,19 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from susytb.bpm import PropagationGrid, eigen_residual, pde_residual
 from susytb.darboux import apply_L12, second_order_potential
 from susytb.quadrature import QuadratureSpec, quad_nodes
 from susytb.systems import (
+    X_PARTS_CACHE,
     HermitianStaticParams,
     ParameterError,
     PTDynamicParams,
     PTStaticParams,
+    WaveguideSystem,
     make_system,
     periods,
     potential_hermitian_static,
@@ -43,6 +47,12 @@ def test_certified_bound():
     assert PTDynamicParams(1.0, 2.0, 0.5, 0.2).certified
     assert not PTD.certified  # alpha=0.1 exceeds the sufficient bound
     assert not PTD_STRONG.certified
+
+
+def test_zero_k3_is_a_valid_dynamic_system():
+    system = make_system(PTDynamicParams(k1=1.0, k2=1.1, k3=0.0, alpha=0.1))
+    assert system.min_k == 1.0  # the quadrature window follows the nonzero wavenumbers
+    assert np.all(np.isfinite(system.mode("left", np.linspace(-8.0, 8.0, 33), 1.0)))
 
 
 def test_uncertified_but_scan_regular_accepted(dyn_system):
@@ -268,6 +278,71 @@ def test_mode_dz_matches_finite_difference(dyn_system, pt_system):
         num = (system.mode(kind, x, 1.0 + h) - system.mode(kind, x, 1.0 - h)) / (2 * h)
         ana = system.mode_dz(kind, x, 1.0)
         assert np.max(np.abs(num - ana)) < 1e-8
+
+
+# ---------------------------------------------------------------------------
+# per-node-set memo of the modulated pair's x-factors
+# ---------------------------------------------------------------------------
+
+def test_dynamic_memo_matches_fresh_closed_forms(dyn_system, dyn_strong_system):
+    """Interleaved node sets and systems never see each other's cached factors."""
+    grids = (np.linspace(-9.0, 9.0, 301), np.linspace(-6.0, 7.0, 257))
+    for z in (0.0, 1.7, -4.2):
+        for system in (dyn_system, dyn_strong_system):
+            for x in grids:
+                assert np.array_equal(system.potential(x, z), potential_pt_dynamic(system.params, x, z))
+                for kind in ("floquet1", "floquet2", "left", "right"):
+                    # a new system has no entry for x yet, so it evaluates the closed forms anew
+                    fresh = WaveguideSystem(system.params)
+                    assert np.array_equal(system.mode(kind, x, z), fresh.mode(kind, x, z))
+                    fresh = WaveguideSystem(system.params)
+                    assert np.array_equal(system.mode_dz(kind, x, z), fresh.mode_dz(kind, x, z))
+
+
+def test_dynamic_memo_keys_on_node_values(dyn_system):
+    x = np.linspace(-5.0, 5.0, 129)
+    dyn_system.potential(x, 0.4)
+    x += 0.25  # same array object, new nodes
+    assert np.array_equal(dyn_system.potential(x, 0.4), potential_pt_dynamic(PTD, x, 0.4))
+
+
+def test_dynamic_memo_stays_bounded_after_one_shot_grid():
+    system = make_system(PTD)
+    big = np.linspace(-30.0, 30.0, 16001)
+    system.potential(big, 0.0)
+    for n in range(X_PARTS_CACHE):
+        x = np.linspace(-8.0, 8.0, 101 + n)
+        system.potential(x, 0.5)
+        system.mode("left", x, 0.5)
+        assert len(system._x_parts) <= X_PARTS_CACHE
+    assert all(key[0] != big.shape for key in system._x_parts)
+
+
+@st.composite
+def certified_dynamic_params(draw):
+    """|k3| < |k1| < |k2| with alpha inside the sufficient nodelessness bound."""
+    k2 = draw(st.floats(0.5, 2.0)) * draw(st.sampled_from((1.0, -1.0)))
+    k1 = k2 * draw(st.floats(0.2, 0.95)) * draw(st.sampled_from((1.0, -1.0)))
+    k3 = k1 * draw(st.floats(-0.95, 0.95))
+    bound = (1.0 - abs(k1 / k2)) / (1.0 + abs(k3 / k2))
+    p = PTDynamicParams(k1=k1, k2=k2, k3=k3, alpha=bound * draw(st.floats(-0.95, 0.95)))
+    assert p.certified
+    return p
+
+
+@settings(max_examples=60, deadline=None)
+@given(p=certified_dynamic_params(), half_width=st.floats(1.0, 12.0),
+       nodes=st.integers(2, 400), z=st.floats(-100.0, 100.0), z_other=st.floats(-100.0, 100.0))
+def test_dynamic_potential_memo_and_pt_symmetry_property(p, half_width, nodes, z, z_other):
+    system = WaveguideSystem(p)
+    x = np.linspace(-half_width, half_width, nodes)
+    other = np.linspace(-half_width, 0.5 * half_width, nodes + 1)
+    v = system.potential(x, z)
+    system.potential(other, z_other)
+    assert np.array_equal(system.potential(x, z), v)
+    assert np.array_equal(v, potential_pt_dynamic(p, x, z))
+    mirrored = np.conj(system.potential(-x, -z))
+    assert np.max(np.abs(v - mirrored)) <= 1e-12 * max(1.0, float(np.max(np.abs(v))))
 
 
 # ---------------------------------------------------------------------------

@@ -2,9 +2,11 @@ import math
 
 import numpy as np
 import pytest
+import scipy.linalg as sla
 
 from susytb.bpm import eigen_residual
 from susytb.quadrature import QuadratureSpec, quad_nodes
+from susytb.systems import potential_pt_dynamic
 from susytb.tightbinding import (
     CoefficientTrajectory,
     StepControl,
@@ -181,6 +183,56 @@ def test_dynamic_hamiltonian_periodicity(dyn_system):
     h0 = model.hamiltonian_matrix(1.3)
     h1 = model.hamiltonian_matrix(1.3 + t_v)
     assert np.max(np.abs(h1 - h0)) < 1e-12
+
+
+@pytest.mark.parametrize("fixture", ["dyn_system", "dyn_strong_system"])
+@pytest.mark.parametrize("kind", ["hermitian", "pt"])
+def test_dynamic_hamiltonian_matches_direct_quadrature(fixture, kind, request):
+    """The precomputed C + A V(z) form equals the quadrature of (beta + V - V0) phi."""
+    system = request.getfixturevalue(fixture)
+    at = CAL_PT["alpha_tilde"] if kind == "pt" else 0.0
+    model = two_well_model(kind, CAL_DYN["k"], CAL_DYN["x0"], at, potential=system.potential,
+                           hamiltonian_source="system", dynamic=True)
+    x, w = quad_nodes(model.quad)
+    xs = -x if model.metric == "pt" else x
+    phi = np.stack([single_well_mode(b, x) for b in model.wells])
+    phi_s = np.stack([single_well_mode(b, xs) for b in model.wells])
+    v0_s = np.stack([single_well_potential(b, xs) for b in model.wells])
+    beta = np.array([b.beta for b in model.wells])
+    for z in (0.0, 0.9, 3.7, 41.3):
+        v = potential_pt_dynamic(system.params, xs, z)
+        ref = np.conj(phi) @ (w[:, None] * ((beta[:, None] + v - v0_s) * phi_s).T)
+        h = model.hamiltonian_matrix(z)
+        assert np.max(np.abs(h - ref)) <= 1e-13 * np.max(np.abs(ref))
+
+
+def _rk4_lu_solve_reference(model, c, z0, z1, dz_max):
+    """RK4 of i S c' = H(z) c solving with the LU factors of S at every stage."""
+    lu = sla.lu_factor(model.overlap_matrix())
+    n = max(1, math.ceil(abs(z1 - z0) / dz_max))
+    h = (z1 - z0) / n
+
+    def rhs(m, c):
+        return -1j * sla.lu_solve(lu, model.hamiltonian_matrix(z0 + 0.5 * m * h) @ c)
+
+    for j in range(n):
+        k1 = rhs(2 * j, c)
+        k2 = rhs(2 * j + 1, c + 0.5 * h * k1)
+        k3 = rhs(2 * j + 1, c + 0.5 * h * k2)
+        k4 = rhs(2 * j + 2, c + h * k3)
+        c = c + (h / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
+    return c
+
+
+def test_monodromy_matches_lu_solve_reference(dyn_system):
+    model = two_well_model("hermitian", CAL_DYN["k"], CAL_DYN["x0"],
+                           potential=dyn_system.potential,
+                           hamiltonian_source="system", dynamic=True)
+    t_v = dyn_system.periods().fundamental
+    flq = floquet_monodromy(model, t_v, StepControl(dz_max=0.02),
+                            targets=sorted(dyn_system.energies().values()))
+    ref = _rk4_lu_solve_reference(model, np.eye(2, dtype=complex), 0.0, t_v, 0.02)
+    assert np.max(np.abs(flq.monodromy - ref)) <= 1e-12 * np.max(np.abs(ref))
 
 
 def test_normalized_overlap_unit_diagonal():
