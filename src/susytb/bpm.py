@@ -3,7 +3,9 @@
 This module is deliberately independent of the analytic machinery: it
 discretizes i d_z psi = (-d_x^2 + V) psi on a uniform grid and checks the
 closed-form solutions from the outside. Nothing here touches seed
-derivatives or mode decompositions.
+derivatives or mode decompositions; the residual oracles take their
+4th-order stencils from `quadrature` and discard the two edge nodes per
+side that the stencils cannot reach.
 """
 
 from __future__ import annotations
@@ -13,6 +15,8 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 from scipy.linalg import solve_banded
+
+from .quadrature import d1_fourth, d2_fourth
 
 __all__ = [
     "PropagationGrid",
@@ -160,20 +164,6 @@ def propagate(
 # residual oracles (4th-order central stencils)
 # ---------------------------------------------------------------------------
 
-def _d1_fourth(f: np.ndarray, h: float, axis: int = 0) -> np.ndarray:
-    f = np.moveaxis(f, axis, 0)
-    out = np.full_like(f, np.nan)
-    out[2:-2] = (f[:-4] - 8 * f[1:-3] + 8 * f[3:-1] - f[4:]) / (12 * h)
-    return np.moveaxis(out, 0, axis)
-
-
-def _d2_fourth(f: np.ndarray, h: float, axis: int = 0) -> np.ndarray:
-    f = np.moveaxis(f, axis, 0)
-    out = np.full_like(f, np.nan)
-    out[2:-2] = (-f[:-4] + 16 * f[1:-3] - 30 * f[2:-2] + 16 * f[3:-1] - f[4:]) / (12 * h * h)
-    return np.moveaxis(out, 0, axis)
-
-
 def pde_residual(
     state: Callable[[np.ndarray, float], np.ndarray],
     potential: Callable[[np.ndarray, float], np.ndarray],
@@ -191,8 +181,8 @@ def pde_residual(
     hz = zs[1] - zs[0]
     psi = np.stack([np.asarray(state(x, float(z))) for z in zs])  # (nz, nx)
     v = np.stack([np.asarray(potential(x, float(z))) for z in zs])
-    dzpsi = _d1_fourth(psi, hz, axis=0)
-    dxx = _d2_fourth(psi, grid.dx, axis=1)
+    dzpsi = d1_fourth(psi, hz, axis=0)
+    dxx = d2_fourth(psi, grid.dx, axis=1)
     res = 1j * dzpsi + dxx - v * psi
     core = res[2:-2, 2:-2]
     return float(np.max(np.abs(core)))
@@ -208,6 +198,6 @@ def eigen_residual(
     x = np.asarray(x, dtype=float)
     h = x[1] - x[0]
     f = np.asarray(mode(x))
-    d2 = _d2_fourth(f, h)
+    d2 = d2_fourth(f, h)
     res = -d2 + (np.asarray(potential(x)) - energy) * f
     return float(np.max(np.abs(res[2:-2])))

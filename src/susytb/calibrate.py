@@ -297,11 +297,3 @@ def profile_match(problem: CalibrationProblem) -> CalibrationResult:
     return CalibrationResult(parameters={"k": float(res.x[0]), "x0": float(res.x[1])},
                              objective_value=res.fun, trace=trace,
                              achieved_profile_error=res.fun)
-
-
-def calibrate(system: WaveguideSystem, *, seeds: Optional[tuple[int, ...]] = None) -> CalibrationResult:
-    """Dispatch to the matching mode appropriate for the system."""
-    problem = default_problem(system, seeds=seeds)
-    if problem.mode == "profile_dynamic":
-        return profile_match(problem)
-    return spectral_match(problem)

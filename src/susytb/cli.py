@@ -141,21 +141,25 @@ def emit_csv(series: Sequence[ObservableSeries], path) -> None:
     path.write_text("\n".join(lines) + "\n", encoding="utf-8", newline="\n")
 
 
+def _emit_field_csv(field, xs, zs, name: str, path) -> None:
+    """x, z, <name>_re, <name>_im rows (z-major) of field(xs, z)."""
+    lines = [f"x,z,{name}_re,{name}_im"]
+    for z in zs:
+        v = np.asarray(field(xs, float(z)), dtype=complex)
+        for x, val in zip(xs, v):
+            lines.append(",".join([_fmt(float(x)), _fmt(float(z)), _fmt(val.real), _fmt(val.imag)]))
+    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8", newline="\n")
+
+
 def emit_potential_csv(system: WaveguideSystem, dump: dict, path) -> None:
     """x, z, V_re, V_im rows (z-major) over the requested window."""
-    path = Path(path)
     xs = np.linspace(-dump["x_half_width"], dump["x_half_width"], dump["nx"])
     if system.is_dynamic:
         z_end = dump["periods"] * system.periods().fundamental
         zs = np.linspace(0.0, z_end, dump["nz"])
     else:
         zs = np.array([0.0])
-    lines = ["x,z,V_re,V_im"]
-    for z in zs:
-        v = np.asarray(system.potential(xs, float(z)), dtype=complex)
-        for x, val in zip(xs, v):
-            lines.append(",".join([_fmt(float(x)), _fmt(float(z)), _fmt(val.real), _fmt(val.imag)]))
-    path.write_text("\n".join(lines) + "\n", encoding="utf-8", newline="\n")
+    _emit_field_csv(system.potential, xs, zs, "V", path)
 
 
 def _sidecar(path: Path, cfg: ScenarioConfig, series: Sequence[ObservableSeries], extra: dict) -> None:
@@ -374,14 +378,9 @@ def _cmd_modes(args) -> int:
     system = cfg.system
     xs = np.linspace(-cfg.quad.half_width, cfg.quad.half_width, 801)
     zs = cfg.z_values[:: max(1, len(cfg.z_values) // 8)]
-    lines = ["x,z,psi_re,psi_im"]
-    for z in zs:
-        v = np.asarray(system.mode(cfg.mode_kind, xs, float(z)), dtype=complex)
-        for x, val in zip(xs, v):
-            lines.append(",".join([_fmt(float(x)), _fmt(float(z)), _fmt(val.real), _fmt(val.imag)]))
     Path(args.out).mkdir(parents=True, exist_ok=True)
     out = Path(args.out) / f"{cfg.basename}.modes.csv"
-    out.write_text("\n".join(lines) + "\n", encoding="utf-8", newline="\n")
+    _emit_field_csv(lambda x, z: system.mode(cfg.mode_kind, x, z), xs, zs, "psi", out)
     print(out)
     return 0
 

@@ -29,11 +29,11 @@ semantics) are enforced here so a validated config is a runnable plan.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 from .observables import OBSERVABLES
-from .quadrature import QuadratureSpec
+from .quadrature import QuadratureSpec, default_spec
 from .systems import (
     HermitianStaticParams,
     ParameterError,
@@ -226,9 +226,8 @@ def validate_config(text: str) -> ScenarioConfig:
     q_nodes = _get(qd, "nodes", int, errors, "quadrature", default=4097)
     q_rule = _get(qd, "rule", str, errors, "quadrature", default="simpson")
     q_tail = _get(qd, "tail_tol", float, errors, "quadrature", default=1e-9)
-    q_half = _get(qd, "half_width", float, errors, "quadrature", default=None)
-    if q_half is None:
-        q_half = 12.0 / system.min_k
+    q_half = _get(qd, "half_width", float, errors, "quadrature",
+                  default=default_spec(system.min_k).half_width)
     quad = None
     try:
         quad = QuadratureSpec(half_width=q_half, nodes=q_nodes, rule=q_rule, tail_tol=q_tail)

@@ -4,8 +4,12 @@ Moments are sesquilinear sandwiches (psi, A psi) under the Dirac or PT
 inner product, divided by a recorded normalization (instantaneous power
 for beam moments, initial power for the PT Hamiltonian moments). States
 are adapters exposing psi(x, z) plus, when available, an exact
-application of the Hamiltonian; otherwise 4th-order finite differences on
-the uniform quadrature grid fill in.
+application of the Hamiltonian: the exact states use the closed-form
+d/dz, the tight-binding states stay inside the model (energy-weighted or
+generator-applied coefficients). Momentum moments, and H for a state
+without h_apply, use the 4th-order stencils of `quadrature` on the
+uniform quadrature grid, once `_resolution_guard` has checked that halving
+the grid resolution moves the first derivative by at most 1e-5 of its scale.
 """
 
 from __future__ import annotations
@@ -16,7 +20,7 @@ from typing import Optional
 
 import numpy as np
 
-from .quadrature import QuadratureSpec, quad_nodes
+from .quadrature import QuadratureSpec, d1_fourth, d2_fourth, quad_nodes
 from .systems import WaveguideSystem
 from .tightbinding import TBGuidedModes, TBModel, CoefficientTrajectory, assemble_state
 
@@ -98,27 +102,14 @@ class TBStaticState:
         self.kind = kind
         self.system = system
 
-    def _c(self, z: float) -> np.ndarray:
-        return self.guided.coefficients(self.kind, z)
-
-    def _c_weighted(self, z: float, power: int) -> np.ndarray:
-        e = self.guided.energies
-        g = self.guided
-        if self.kind in ("ground", "excited", "floquet1", "floquet2"):
-            j = 0 if self.kind in ("ground", "floquet1") else 1
-            return e[j] ** power * np.exp(-1j * e[j] * z) * g.vectors[:, j]
-        sign, inv_n = g.combos[self.kind]
-        return inv_n * (e[0] ** power * np.exp(-1j * e[0] * z) * g.vectors[:, 0]
-                        + sign * e[1] ** power * np.exp(-1j * e[1] * z) * g.vectors[:, 1])
-
     def __call__(self, x, z: float):
-        return assemble_state(self.model, self._c(z), x)
+        return assemble_state(self.model, self.guided.coefficients(self.kind, z), x)
 
     def h_apply(self, x, z: float):
-        return assemble_state(self.model, self._c_weighted(z, 1), x)
+        return assemble_state(self.model, self.guided.coefficients(self.kind, z, 1), x)
 
     def h2_apply(self, x, z: float):
-        return assemble_state(self.model, self._c_weighted(z, 2), x)
+        return assemble_state(self.model, self.guided.coefficients(self.kind, z, 2), x)
 
     def potential(self, x, z: float):
         return self.system.potential(x, z)
@@ -166,18 +157,6 @@ class TBTrajectoryState:
 # moments
 # ---------------------------------------------------------------------------
 
-def _d1(f: np.ndarray, h: float) -> np.ndarray:
-    out = np.zeros_like(f)
-    out[2:-2] = (f[:-4] - 8 * f[1:-3] + 8 * f[3:-1] - f[4:]) / (12 * h)
-    return out
-
-
-def _d2(f: np.ndarray, h: float) -> np.ndarray:
-    out = np.zeros_like(f)
-    out[2:-2] = (-f[:-4] + 16 * f[1:-3] - 30 * f[2:-2] + 16 * f[3:-1] - f[4:]) / (12 * h * h)
-    return out
-
-
 def power(state, z: float, quad: QuadratureSpec) -> float:
     x, w = quad_nodes(quad)
     f = np.asarray(state(x, z))
@@ -201,7 +180,6 @@ def moment_series(
     *,
     normalization: Optional[str] = None,
     engine: str = "",
-    check_resolution: bool = True,
 ) -> ObservableSeries:
     """Sampled z-series of one observable for one state.
 
@@ -226,7 +204,7 @@ def moment_series(
 
     needs_fd = observable in ("p_mean", "p_std") or (
         observable in ("H_mean", "H_std") and getattr(state, "h_apply", None) is None)
-    if needs_fd and check_resolution:
+    if needs_fd:
         _resolution_guard(state, x, h, float(z_grid[0]))
 
     p_initial = None
@@ -253,54 +231,45 @@ def moment_series(
             norm = p_initial
         else:
             norm = 1.0
+        # first moment (A f), then for the spreads the second (A^2 f)
         if observable in ("x_mean", "x_std"):
-            m1 = sandwich(f, x * f) / norm
-            if observable == "x_mean":
-                values[i] = m1
-            else:
-                m2 = sandwich(f, x * x * f) / norm
-                values[i] = np.sqrt(m2 - m1 * m1)
+            af = x * f
         elif observable in ("p_mean", "p_std"):
-            pf = -1j * _d1(f, h)
-            m1 = sandwich(f, pf) / norm
-            if observable == "p_mean":
-                values[i] = m1
-            else:
-                p2f = -_d2(f, h)
-                m2 = sandwich(f, p2f) / norm
-                values[i] = np.sqrt(m2 - m1 * m1)
+            af = -1j * d1_fourth(f, h)
         else:  # H_mean / H_std
-            hf = _apply_h(state, f, x, h, z)
-            m1 = sandwich(f, hf) / norm
-            if observable == "H_mean":
-                values[i] = m1
-            else:
-                h2f = None
-                if getattr(state, "h2_apply", None) is not None:
-                    h2f = state.h2_apply(x, z)
-                if h2f is None:
-                    v = np.asarray(state.potential(x, z))
-                    h2f = -_d2(hf, h) + v * hf
-                m2 = sandwich(f, h2f) / norm
-                values[i] = np.sqrt(m2 - m1 * m1)
+            af = _apply_h(state, "h_apply", f, x, h, z)
+        m1 = sandwich(f, af) / norm
+        if observable.endswith("_mean"):
+            values[i] = m1
+            continue
+        if observable == "x_std":
+            a2f = x * x * f
+        elif observable == "p_std":
+            a2f = -d2_fourth(f, h)
+        else:
+            a2f = _apply_h(state, "h2_apply", af, x, h, z)
+        values[i] = np.sqrt(sandwich(f, a2f) / norm - m1 * m1)
     return ObservableSeries(z=z_grid, values=values, observable=observable,
                             metric=metric, normalization=normalization, engine=engine)
 
 
-def _apply_h(state, f: np.ndarray, x: np.ndarray, h: float, z: float) -> np.ndarray:
-    if getattr(state, "h_apply", None) is not None:
-        return np.asarray(state.h_apply(x, z))
+def _apply_h(state, method: str, f: np.ndarray, x: np.ndarray, h: float, z: float) -> np.ndarray:
+    """H f by the state's exact `method` (h_apply/h2_apply) when it gives one, else -f'' + V f."""
+    apply = getattr(state, method, None)
+    out = apply(x, z) if apply is not None else None
+    if out is not None:
+        return np.asarray(out)
     v = np.asarray(state.potential(x, z))
-    return -_d2(f, h) + v * f
+    return -d2_fourth(f, h) + v * f
 
 
 def _resolution_guard(state, x: np.ndarray, h: float, z: float, tol: float = 1e-5) -> None:
     """Fail fast when halving the grid resolution moves a derivative moment."""
     f = np.asarray(state(x, z))
-    d_full = _d1(f, h)
+    d_full = d1_fourth(f, h)
     d_half = np.zeros_like(f)
     fh = f[::2]
-    d_half[::2] = _d1(fh, 2 * h)
+    d_half[::2] = d1_fourth(fh, 2 * h)
     scale = float(np.max(np.abs(d_full))) or 1.0
     diff = float(np.max(np.abs(d_full[::2][3:-3] - d_half[::2][3:-3]))) / scale
     if diff > tol:

@@ -74,41 +74,19 @@ class DerivativeBundle:
     value: np.ndarray | complex
     d1x: np.ndarray | complex
     d2x: np.ndarray | complex
-    d3x: np.ndarray | complex
     d1z: np.ndarray | complex
 
 
-def x_derivatives(u: SeedSuperposition, x, z: float, order: int) -> np.ndarray:
-    """Stack d[m] = d^m u / dx^m for m = 0..order, exactly, term by term.
+def _derivatives(u: SeedSuperposition, x, z: float, order: int, *, dz: bool):
+    """(d, d_z d) with d[m] = d^m u / dx^m for m = 0..order, exactly, term by term.
 
     cosh/sinh cycle under differentiation with a factor k per order; the
-    common phase exp(i k^2 z) rides along unchanged.
+    common phase exp(i k^2 z) rides along unchanged, and d_z acts term-wise
+    as multiplication by i k^2. The second stack is None unless dz is set.
     """
     x = np.asarray(x, dtype=float)
     d = np.zeros((order + 1,) + x.shape, dtype=complex)
-    for t in u.terms:
-        phase = np.exp(1j * t.k * t.k * z)
-        ch, sh = np.cosh(t.k * x), np.sinh(t.k * x)
-        for m in range(order + 1):
-            if t.parity == "even":
-                base = ch if m % 2 == 0 else sh
-                coeff = t.amplitude
-            else:
-                base = sh if m % 2 == 0 else ch
-                coeff = 1j * t.amplitude
-            d[m] += coeff * (t.k ** m) * base * phase
-    return d
-
-
-def xz_derivatives(u: SeedSuperposition, x, z: float, order: int) -> tuple[np.ndarray, np.ndarray]:
-    """Return (d, dz) where d[m] = d^m_x u and dz[m] = d_z d^m_x u.
-
-    d_z acts term-wise as multiplication by i k^2, so the z-partials of all
-    x-derivatives come for free.
-    """
-    x = np.asarray(x, dtype=float)
-    d = np.zeros((order + 1,) + x.shape, dtype=complex)
-    dz = np.zeros_like(d)
+    d_z = np.zeros_like(d) if dz else None
     for t in u.terms:
         phase = np.exp(1j * t.k * t.k * z)
         ch, sh = np.cosh(t.k * x), np.sinh(t.k * x)
@@ -121,14 +99,20 @@ def xz_derivatives(u: SeedSuperposition, x, z: float, order: int) -> tuple[np.nd
                 coeff = 1j * t.amplitude
             val = coeff * (t.k ** m) * base * phase
             d[m] += val
-            dz[m] += 1j * t.k * t.k * val
-    return d, dz
+            if dz:
+                d_z[m] += 1j * t.k * t.k * val
+    return d, d_z
+
+
+def x_derivatives(u: SeedSuperposition, x, z: float, order: int) -> np.ndarray:
+    """Stack d[m] = d^m u / dx^m for m = 0..order, exactly, term by term."""
+    return _derivatives(u, x, z, order, dz=False)[0]
 
 
 def eval_seed(u: SeedSuperposition, x, z: float) -> DerivativeBundle:
-    """Evaluate u with exact partials d_x..d_x^3 and d_z."""
-    d, dz = xz_derivatives(u, x, z, 3)
-    return DerivativeBundle(value=d[0], d1x=d[1], d2x=d[2], d3x=d[3], d1z=dz[0])
+    """Evaluate u with exact partials d_x, d_x^2 and d_z."""
+    d, d_z = _derivatives(u, x, z, 2, dz=True)
+    return DerivativeBundle(value=d[0], d1x=d[1], d2x=d[2], d1z=d_z[0])
 
 
 def wronskian_bundle(u1: SeedSuperposition, u2: SeedSuperposition, x, z: float) -> DerivativeBundle:
@@ -137,16 +121,14 @@ def wronskian_bundle(u1: SeedSuperposition, u2: SeedSuperposition, x, z: float) 
     The x-partials collapse because the cross terms cancel:
         W'   = u1 u2'' - u1'' u2
         W''  = u1' u2'' + u1 u2''' - u1''' u2 - u1'' u2'
-        W''' = u1 u2'''' - u1'''' u2 + 2 (u1' u2''' - u1''' u2')
     """
-    d1, z1 = xz_derivatives(u1, x, z, 4)
-    d2, z2 = xz_derivatives(u2, x, z, 4)
+    d1, z1 = _derivatives(u1, x, z, 3, dz=True)
+    d2, z2 = _derivatives(u2, x, z, 3, dz=True)
     w = d1[0] * d2[1] - d1[1] * d2[0]
     wx = d1[0] * d2[2] - d1[2] * d2[0]
     wxx = d1[1] * d2[2] + d1[0] * d2[3] - d1[3] * d2[0] - d1[2] * d2[1]
-    wxxx = d1[0] * d2[4] - d1[4] * d2[0] + 2.0 * (d1[1] * d2[3] - d1[3] * d2[1])
     wz = z1[0] * d2[1] + d1[0] * z2[1] - z1[1] * d2[0] - d1[1] * z2[0]
-    return DerivativeBundle(value=w, d1x=wx, d2x=wxx, d3x=wxxx, d1z=wz)
+    return DerivativeBundle(value=w, d1x=wx, d2x=wxx, d1z=wz)
 
 
 def derivative_wronskian(u1: SeedSuperposition, u2: SeedSuperposition, x, z: float):

@@ -21,6 +21,7 @@ normalized to unit Dirac power at z=0 and labeled by the sign of <x>.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import NamedTuple, Optional
@@ -28,7 +29,7 @@ from typing import NamedTuple, Optional
 import numpy as np
 
 from .darboux import SingularPointError
-from .quadrature import QuadratureSpec, quad_nodes
+from .quadrature import QuadratureSpec, default_spec, localized_combos, quad_nodes
 from .seeds import SeedSuperposition
 
 __all__ = [
@@ -53,6 +54,10 @@ MODE_KINDS = ("ground", "excited", "floquet1", "floquet2", "left", "right")
 # observable grid and a BPM or dump grid interleave; a one-shot grid (such
 # as the calibration target) must not stay resident for the whole run.
 X_PARTS_CACHE = 4
+
+# Largest exponent a float64 holds: the closed-form denominators grow like
+# e^{2(|k1|+|k2|)|x|} and must stay finite across the quadrature window.
+LOG_FLOAT_MAX = math.log(sys.float_info.max)
 
 
 class ParameterError(ValueError):
@@ -94,6 +99,9 @@ class PTDynamicParams:
             raise ParameterError("k2 must be nonzero")
         if not (abs(self.k3) < abs(self.k1) < abs(self.k2)):
             raise ParameterError("need |k3| < |k1| < |k2|")
+        if self.k3 == 0 and self.alpha != 0:
+            # the -i alpha K(x) term of floquet2 decays like e^{-|k3| |x|}
+            raise ParameterError("k3 = 0 with alpha != 0 leaves the floquet2 mode unguided")
 
     @property
     def certified(self) -> bool:
@@ -220,6 +228,12 @@ def raw_mode_pt_static(p: PTStaticParams, kind: str, x):
 
 
 def _mode_dynamic_at(p: PTDynamicParams, xp: _DynamicXParts, kind: str, z: float, dz: bool):
+    """Floquet modes psi_1 (quasi-energy -k2^2) and psi_2 (-k1^2), or their d/dz.
+
+    psi_2 carries the phase e^{-i(k1^2-k3^2)z} on its alpha^2 term; with
+    that phase both modes satisfy the paraxial equation identically and
+    psi_1 = L12 f2, psi_2 = L12 f1 for the seeds in `make_system().seeds()`.
+    """
     k1, k2, k3, a = p.k1, p.k2, p.k3, p.alpha
     b1, b2, b3 = k1**2, k2**2, k3**2
     delta = b1 - b3
@@ -247,17 +261,6 @@ def _mode_dynamic_at(p: PTDynamicParams, xp: _DynamicXParts, kind: str, z: float
     if not dz:
         return pre * A / w
     return (pre_z * A + pre * A_z) / w - pre * A * wz / (w * w)
-
-
-def raw_mode_pt_dynamic(p: PTDynamicParams, kind: str, x, z: float, *, dz: bool = False):
-    """Floquet modes psi_1 (quasi-energy -k2^2) and psi_2 (-k1^2).
-
-    psi_2 carries the phase e^{-i(k1^2-k3^2)z} on its alpha^2 term; with
-    that phase both modes satisfy the paraxial equation identically and
-    psi_1 = L12 f2, psi_2 = L12 f1 for the seeds in `make_system().seeds()`.
-    With dz=True the exact z-derivative is returned instead.
-    """
-    return _mode_dynamic_at(p, _dynamic_x_parts(p, x), kind, z, dz)
 
 
 # ---------------------------------------------------------------------------
@@ -331,14 +334,17 @@ class WaveguideSystem:
         else:
             raise TypeError(f"unsupported parameter record {type(params)!r}")
         self.min_k = min(abs(k) for k in ks if k != 0)  # k3 = 0 sets no decay length
+        limit = LOG_FLOAT_MAX / (2 * (abs(params.k1) + abs(params.k2)))
+        if default_spec(self.min_k).half_width > limit:
+            raise ParameterError(f"the quadrature window 12/min|k| runs past |x| = {limit:.4g}, "
+                                 f"where the closed forms overflow")
         if quad is None:
-            quad = QuadratureSpec(half_width=12.0 / self.min_k, nodes=2048,
-                                  rule="gauss_legendre_composite")
+            quad = default_spec(self.min_k, nodes=2048, rule="gauss_legendre_composite")
         self.quad = quad
         self._nodes, self._weights = quad_nodes(quad)
         self._norm: dict[str, float] = {}
         self._pseudo_sign: dict[str, int] = {}
-        self._label_sign: dict[str, int] = {}
+        self._combos: dict[str, tuple[int, float]] = {}
         # dynamic x-only factors, least recently used first, keyed by node values
         self._x_parts: dict[tuple, _DynamicXParts] = {}
 
@@ -399,12 +405,10 @@ class WaveguideSystem:
 
     # -- internals ---------------------------------------------------------
 
-    def _raw_profile(self, kind: str, x, z: float = 0.0, *, dz: bool = False):
+    def _raw_profile(self, kind: str, x, z: float = 0.0):
         if self.is_dynamic:
-            return _mode_dynamic_at(self.params, self._dynamic_parts(x), kind, z, dz)
+            return _mode_dynamic_at(self.params, self._dynamic_parts(x), kind, z, False)
         # stationary: profile only; phases handled by callers
-        if dz:
-            raise ValueError("stationary raw profiles carry no z-dependence")
         if self.kind == "hermitian_static":
             return raw_mode_hermitian(self.params, kind, x)
         return raw_mode_pt_static(self.params, kind, x)
@@ -413,7 +417,7 @@ class WaveguideSystem:
         return ("floquet1", "floquet2") if self.is_dynamic else ("ground", "excited")
 
     def _ensure_norms(self) -> None:
-        if self._norm:
+        if self._combos:
             return
         x, w = self._nodes, self._weights
         k_even, k_odd = self._stationary_kinds()
@@ -434,29 +438,20 @@ class WaveguideSystem:
         # localized combinations: unit Dirac power at z=0, labels by <x>
         e = self._norm[k_even] * self._raw_profile(k_even, x, 0.0)
         o = self._norm[k_odd] * self._raw_profile(k_odd, x, 0.0)
-        for sign, tag in ((+1, "plus"), (-1, "minus")):
-            c = e + sign * o
-            power = float(np.sum(w * np.abs(c) ** 2).real)
-            xmean = float(np.sum(w * x * np.abs(c) ** 2).real) / power
-            self._norm[tag] = 1.0 / math.sqrt(power)
-            self._label_sign[tag] = +1 if xmean > 0 else -1
-        if self._label_sign["plus"] == self._label_sign["minus"]:
-            raise RuntimeError("could not label left/right modes by <x>")
-        self._label_sign["left"] = -1
-        self._label_sign["right"] = +1
+        self._combos = localized_combos(lambda sign: e + sign * o, x, w)
 
     def pseudo_norm_sign(self, kind: str) -> int:
         self._ensure_norms()
         return self._pseudo_sign[kind]
 
-    def _combo_sign(self, label: str) -> int:
-        """+1/-1 for the odd-mode coefficient of the left/right combination."""
+    def _pair(self, kind: str, field):
+        """field(k) for a stationary kind k, or the normalized left/right superposition."""
         self._ensure_norms()
-        want = -1 if label == "left" else +1
-        for sign, tag in ((+1, "plus"), (-1, "minus")):
-            if self._label_sign[tag] == want:
-                return sign
-        raise RuntimeError("unreachable")
+        if kind in ("left", "right"):
+            sign, inv_n = self._combos[kind]
+            k_even, k_odd = self._stationary_kinds()
+            return inv_n * (field(k_even) + sign * field(k_odd))
+        return field(kind)
 
     # -- public evaluators ---------------------------------------------------
 
@@ -464,13 +459,7 @@ class WaveguideSystem:
         """Normalized mode field at (x, z)."""
         if kind not in MODE_KINDS:
             raise ValueError(f"unknown mode kind {kind!r}")
-        self._ensure_norms()
-        k_even, k_odd = self._stationary_kinds()
-        if kind in ("left", "right"):
-            sign = self._combo_sign(kind)
-            tag = "plus" if sign > 0 else "minus"
-            return self._norm[tag] * (self._evolved(k_even, x, z) + sign * self._evolved(k_odd, x, z))
-        return self._evolved(kind, x, z)
+        return self._pair(kind, lambda k: self._evolved(k, x, z))
 
     def _evolved(self, kind: str, x, z: float):
         if kind not in self._stationary_kinds():
@@ -482,17 +471,11 @@ class WaveguideSystem:
 
     def mode_dz(self, kind: str, x, z: float = 0.0):
         """Exact d(mode)/dz; i * mode_dz is the Hamiltonian applied to the mode."""
-        self._ensure_norms()
-        k_even, k_odd = self._stationary_kinds()
-        if kind in ("left", "right"):
-            sign = self._combo_sign(kind)
-            tag = "plus" if sign > 0 else "minus"
-            return self._norm[tag] * (self._evolved_dz(k_even, x, z) + sign * self._evolved_dz(k_odd, x, z))
-        return self._evolved_dz(kind, x, z)
+        return self._pair(kind, lambda k: self._evolved_dz(k, x, z))
 
     def _evolved_dz(self, kind: str, x, z: float):
         if self.is_dynamic:
-            return self._norm[kind] * self._raw_profile(kind, x, z, dz=True)
+            return self._norm[kind] * _mode_dynamic_at(self.params, self._dynamic_parts(x), kind, z, True)
         e = self.energies()[kind]
         return -1j * e * self._norm[kind] * np.exp(-1j * e * z) * self._raw_profile(kind, x)
 
@@ -500,14 +483,8 @@ class WaveguideSystem:
         """H^2 applied to a stationary-system mode (exact, E^2 weights)."""
         if self.is_dynamic:
             raise ValueError("exact H^2 application is only available for static systems")
-        self._ensure_norms()
-        k_even, k_odd = self._stationary_kinds()
-        eg, ee = self.energies()[k_even], self.energies()[k_odd]
-        if kind in ("left", "right"):
-            sign = self._combo_sign(kind)
-            tag = "plus" if sign > 0 else "minus"
-            return self._norm[tag] * (eg**2 * self._evolved(k_even, x, z) + sign * ee**2 * self._evolved(k_odd, x, z))
-        return self.energies()[kind] ** 2 * self._evolved(kind, x, z)
+        energies = self.energies()
+        return self._pair(kind, lambda k: energies[k] ** 2 * self._evolved(k, x, z))
 
 
 def make_system(params, *, quad: Optional[QuadratureSpec] = None,

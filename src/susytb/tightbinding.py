@@ -22,7 +22,7 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 import scipy.linalg as sla
 
-from .quadrature import QuadratureSpec, quad_nodes
+from .quadrature import QuadratureSpec, certify_tail, integrate, localized_combos, quad_nodes
 
 __all__ = [
     "WellBasis",
@@ -140,22 +140,22 @@ class TailNotConverged(RuntimeError):
 
 def inner_product(f: Callable, g: Callable, metric: str, quad: QuadratureSpec,
                   *, check_tail: bool = False) -> complex:
-    """(f,g) = int conj(f(x)) g(x) dx  (dirac)  or  int conj(f(x)) g(-x) dx  (pt)."""
+    """(f,g) = int conj(f(x)) g(x) dx  (dirac)  or  int conj(f(x)) g(-x) dx  (pt).
+
+    check_tail refuses a window whose doubling moves the integral by more
+    than quad.tail_tol (`quadrature.certify_tail`).
+    """
     if metric not in ("dirac", "pt"):
         raise ValueError(f"metric must be 'dirac' or 'pt', got {metric!r}")
-    x, w = quad_nodes(quad)
-    gx = g(-x) if metric == "pt" else g(x)
-    val = complex(np.sum(w * np.conj(f(x)) * gx))
-    if check_tail:
-        from dataclasses import replace
 
-        wide = replace(quad, half_width=2 * quad.half_width)
-        xw, ww = quad_nodes(wide)
-        gxw = g(-xw) if metric == "pt" else g(xw)
-        tail = abs(complex(np.sum(ww * np.conj(f(xw)) * gxw)) - val)
-        if tail > quad.tail_tol:
+    def integrand(x):
+        return np.conj(f(x)) * (g(-x) if metric == "pt" else g(x))
+
+    if check_tail:
+        ok, tail = certify_tail(integrand, quad)
+        if not ok:
             raise TailNotConverged(f"tail contribution {tail:.3e} exceeds {quad.tail_tol:.3e}")
-    return val
+    return integrate(integrand, quad)
 
 
 class TBModel:
@@ -490,8 +490,8 @@ def floquet_monodromy(
         vec_out[:, i] = vecs[:, j]
         shifts[i] = shift
         lam_out[i] = lam[j]
-    mono_ordered = mono  # monodromy itself is basis-ordered, not target-ordered
-    return FloquetResult(monodromy=mono_ordered, quasi_energies=eps_out,
+    # the monodromy itself stays basis-ordered, not target-ordered
+    return FloquetResult(monodromy=mono, quasi_energies=eps_out,
                          vectors=vec_out, targets=targets, branch_shifts=shifts)
 
 
@@ -516,57 +516,58 @@ def _fix_gauge(c: np.ndarray, combo: np.ndarray) -> np.ndarray:
     return c * (np.conj(s) / abs(s))
 
 
+def _even_odd(vectors: np.ndarray, e: np.ndarray):
+    """Order the two columns of a two-well model as (even-like, odd-like), gauge-fixed.
+
+    Even-like is the vector with the larger share in c_right + c_left; it
+    is rotated so that share is real positive, the odd-like one so that
+    c_right - c_left is real positive. The energies e follow the order.
+    """
+    if vectors.shape != (2, 2):
+        raise ValueError("guided-mode reconstruction expects a two-well model")
+
+    def evenness(c):
+        return abs(c[0] + c[1]) / (abs(c[0] + c[1]) + abs(c[0] - c[1]))
+
+    v0, v1 = vectors[:, 0], vectors[:, 1]
+    if evenness(v0) < evenness(v1):
+        v0, v1 = v1, v0
+        e = e[::-1]
+    return _fix_gauge(v0, np.array([1.0, 1.0])), _fix_gauge(v1, np.array([1.0, -1.0])), e
+
+
 @dataclass
 class TBGuidedModes:
     """Gauge-fixed even/odd mode pair and their localized combinations.
 
     vectors columns are coefficient vectors of the even-like and odd-like
-    modes, scaled to unit pseudo-norm magnitude of the assembled function;
-    combos map 'left'/'right' to (sign, 1/N) with N the Dirac power
+    modes; combos map 'left'/'right' to (sign, 1/N) with N the Dirac power
     normalization of (even + sign * odd) at z=0.
     """
 
-    model: TBModel
     energies: np.ndarray
     vectors: np.ndarray
-    pseudo_signs: np.ndarray
     combos: dict
 
-    def coefficients(self, kind: str, z: float = 0.0) -> np.ndarray:
-        """Coefficient vector of the requested mode at propagation z (static)."""
+    def coefficients(self, kind: str, z: float = 0.0, power: int = 0) -> np.ndarray:
+        """Coefficients of H^power applied to the requested mode at propagation z (static)."""
         e = self.energies
         if kind in ("ground", "excited", "floquet1", "floquet2"):
             j = 0 if kind in ("ground", "floquet1") else 1
-            return np.exp(-1j * e[j] * z) * self.vectors[:, j]
+            return e[j] ** power * np.exp(-1j * e[j] * z) * self.vectors[:, j]
         sign, inv_n = self.combos[kind]
-        return inv_n * (np.exp(-1j * e[0] * z) * self.vectors[:, 0]
-                        + sign * np.exp(-1j * e[1] * z) * self.vectors[:, 1])
+        return inv_n * (e[0] ** power * np.exp(-1j * e[0] * z) * self.vectors[:, 0]
+                        + sign * e[1] ** power * np.exp(-1j * e[1] * z) * self.vectors[:, 1])
 
 
-def _normalize_and_combos(model: TBModel, energies, c_even: np.ndarray, c_odd: np.ndarray) -> TBGuidedModes:
+def _guided_modes(model: TBModel, energies, c_even: np.ndarray, c_odd: np.ndarray,
+                  norm2: Callable) -> TBGuidedModes:
+    """Scale both vectors by 1/sqrt(norm2(c, x, w)), then label their localized combinations."""
     x, w = quad_nodes(model.quad)
-    vecs = []
-    signs = []
-    for c in (c_even, c_odd):
-        f = assemble_state(model, c, x)
-        ps = complex(np.sum(w * np.conj(f) * assemble_state(model, c, -x)))
-        vecs.append(c / math.sqrt(abs(ps)))
-        signs.append(1 if ps.real >= 0 else -1)
-    c_even, c_odd = vecs
-    combos = {}
-    label = {}
-    for sign, tag in ((+1, "plus"), (-1, "minus")):
-        f = assemble_state(model, c_even + sign * c_odd, x)
-        power = float(np.sum(w * np.abs(f) ** 2).real)
-        xmean = float(np.sum(w * x * np.abs(f) ** 2).real) / power
-        combos[tag] = (sign, 1.0 / math.sqrt(power))
-        label[tag] = "right" if xmean > 0 else "left"
-    out = {label[tag]: combos[tag] for tag in ("plus", "minus")}
-    if len(out) != 2:
-        raise RuntimeError("left/right labeling by <x> failed")
-    return TBGuidedModes(model=model, energies=np.asarray(energies),
-                         vectors=np.column_stack([c_even, c_odd]),
-                         pseudo_signs=np.array(signs), combos=out)
+    c_even, c_odd = (c / math.sqrt(norm2(c, x, w)) for c in (c_even, c_odd))
+    combos = localized_combos(lambda sign: assemble_state(model, c_even + sign * c_odd, x), x, w)
+    return TBGuidedModes(energies=np.asarray(energies), vectors=np.column_stack([c_even, c_odd]),
+                         combos=combos)
 
 
 def static_guided_modes(model: TBModel) -> TBGuidedModes:
@@ -574,21 +575,15 @@ def static_guided_modes(model: TBModel) -> TBGuidedModes:
 
     Gauge: even mode has c_right + c_left real positive; odd mode has
     c_right - c_left real positive (the exact excited profile ~ +sinh).
+    Both are scaled to unit pseudo-norm magnitude of the assembled function.
     """
-    if model.n != 2:
-        raise ValueError("guided-mode reconstruction expects a two-well model")
     spec = solve_spectrum(model)
-    e = spec.energies
-    c0, c1 = spec.vectors[:, 0].copy(), spec.vectors[:, 1].copy()
-    # identify even-like vs odd-like by the dominant projection
-    def evenness(c):
-        return abs(c[0] + c[1]) / (abs(c[0] + c[1]) + abs(c[0] - c[1]))
-    if evenness(c0) < evenness(c1):
-        c0, c1 = c1, c0
-        e = e[::-1]
-    c_even = _fix_gauge(c0, np.array([1.0, 1.0]))
-    c_odd = _fix_gauge(c1, np.array([1.0, -1.0]))
-    return _normalize_and_combos(model, e, c_even, c_odd)
+    c_even, c_odd, e = _even_odd(spec.vectors, spec.energies)
+
+    def pseudo_norm(c, x, w):
+        return abs(complex(np.sum(w * np.conj(assemble_state(model, c, x)) * assemble_state(model, c, -x))))
+
+    return _guided_modes(model, e, c_even, c_odd, pseudo_norm)
 
 
 def floquet_guided_modes(model: TBModel, flq: FloquetResult) -> TBGuidedModes:
@@ -600,32 +595,9 @@ def floquet_guided_modes(model: TBModel, flq: FloquetResult) -> TBGuidedModes:
     lobe); both are scaled to unit Dirac power, then superposed with unit
     Dirac power and labeled by the sign of <x>.
     """
-    if model.n != 2:
-        raise ValueError("guided-mode reconstruction expects a two-well model")
-    v0, v1 = flq.vectors[:, 0].copy(), flq.vectors[:, 1].copy()
+    c_even, c_odd, e = _even_odd(flq.vectors, flq.quasi_energies.real)
 
-    def evenness(c):
-        return abs(c[0] + c[1]) / (abs(c[0] + c[1]) + abs(c[0] - c[1]))
+    def dirac_power(c, x, w):
+        return float(np.sum(w * np.abs(assemble_state(model, c, x)) ** 2).real)
 
-    e = flq.quasi_energies.real.copy()
-    if evenness(v0) < evenness(v1):
-        v0, v1 = v1, v0
-        e = e[::-1]
-    c_even = _fix_gauge(v0, np.array([1.0, 1.0]))
-    c_odd = -_fix_gauge(v1, np.array([1.0, -1.0]))
-    x, w = quad_nodes(model.quad)
-    vecs = []
-    for c in (c_even, c_odd):
-        f = assemble_state(model, c, x)
-        vecs.append(c / math.sqrt(float(np.sum(w * np.abs(f) ** 2).real)))
-    c_even, c_odd = vecs
-    combos = {}
-    for sign in (+1, -1):
-        f = assemble_state(model, c_even + sign * c_odd, x)
-        power = float(np.sum(w * np.abs(f) ** 2).real)
-        xmean = float(np.sum(w * x * np.abs(f) ** 2).real) / power
-        combos["right" if xmean > 0 else "left"] = (sign, 1.0 / math.sqrt(power))
-    if len(combos) != 2:
-        raise RuntimeError("left/right labeling by <x> failed")
-    return TBGuidedModes(model=model, energies=e, vectors=np.column_stack([c_even, c_odd]),
-                         pseudo_signs=np.array([0, 0]), combos=combos)
+    return _guided_modes(model, e, c_even, -c_odd, dirac_power)

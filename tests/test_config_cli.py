@@ -180,6 +180,16 @@ def test_cli_validate_exit_codes(tmp_path, capsys):
     assert "error:" in err
 
 
+@pytest.mark.parametrize("k3", [0.0, 0.01])
+def test_cli_refuses_unguided_or_overflowing_pair(tmp_path, capsys, k3):
+    """k3 = 0 with alpha != 0 is not guided; k3 = 0.01 widens the window past float range."""
+    cfg = tmp_path / "pair.json"
+    cfg.write_text(json.dumps(_cfg(system={"kind": "pt_dynamic", "k1": 1.0, "k2": 1.1,
+                                           "k3": k3, "alpha": 0.1})))
+    assert main(["validate", str(cfg)]) == 1
+    assert "error: system:" in capsys.readouterr().err
+
+
 def test_cli_missing_file_is_runtime_error(tmp_path):
     assert main(["compare", str(tmp_path / "nope.json")]) == 2
 

@@ -3,7 +3,14 @@ import math
 import numpy as np
 import pytest
 
-from susytb.quadrature import QuadratureSpec, certify_tail, default_spec, integrate, quad_nodes
+from susytb.quadrature import (
+    QuadratureSpec,
+    certify_tail,
+    default_spec,
+    integrate,
+    localized_combos,
+    quad_nodes,
+)
 
 
 @pytest.mark.parametrize("rule", ["trapezoid", "simpson", "gauss_legendre_composite"])
@@ -71,3 +78,31 @@ def test_default_spec_window():
     assert spec.half_width == pytest.approx(12.0 / 0.645)
     spec2 = default_spec(0.645, nodes=512, rule="trapezoid")
     assert spec2.nodes == 512 and spec2.rule == "trapezoid"
+
+
+def _two_lobes():
+    x, w = quad_nodes(QuadratureSpec(half_width=12.0, nodes=2049))
+    right, left = 1 / np.cosh(x - 2.0), 1 / np.cosh(x + 2.0)
+    return x, w, right, left
+
+
+@pytest.mark.parametrize("odd_sign", [+1, -1])
+def test_localized_combos_label_by_mean_position(odd_sign):
+    x, w, right, left = _two_lobes()
+    even, odd = 0.3 * (right + left), 0.7 * odd_sign * (right - left)
+    combos = localized_combos(lambda s: even + s * odd, x, w)
+    assert set(combos) == {"left", "right"}
+    for label, (sign, inv_n) in combos.items():
+        f = inv_n * (even + sign * odd)
+        assert np.sum(w * np.abs(f) ** 2) == pytest.approx(1.0, rel=1e-12)
+        xmean = np.sum(w * x * np.abs(f) ** 2)
+        assert (xmean > 0) == (label == "right")
+    # the odd member's right lobe carries odd_sign, so "right" adds it with that sign
+    assert combos["right"][0] == odd_sign
+    assert combos["left"][0] == -odd_sign
+
+
+def test_localized_combos_refuse_one_sided_pair():
+    x, w, right, _ = _two_lobes()
+    with pytest.raises(RuntimeError, match="could not label"):
+        localized_combos(lambda s: right + s * 0.1 * right, x, w)

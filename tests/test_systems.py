@@ -3,13 +3,14 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from susytb.bpm import PropagationGrid, eigen_residual, pde_residual
 from susytb.darboux import apply_L12, second_order_potential
-from susytb.quadrature import QuadratureSpec, quad_nodes
+from susytb.quadrature import QuadratureSpec, default_spec, quad_nodes
 from susytb.systems import (
+    LOG_FLOAT_MAX,
     X_PARTS_CACHE,
     HermitianStaticParams,
     ParameterError,
@@ -50,9 +51,35 @@ def test_certified_bound():
 
 
 def test_zero_k3_is_a_valid_dynamic_system():
-    system = make_system(PTDynamicParams(k1=1.0, k2=1.1, k3=0.0, alpha=0.1))
+    system = make_system(PTDynamicParams(k1=1.0, k2=1.1, k3=0.0, alpha=0.0))
     assert system.min_k == 1.0  # the quadrature window follows the nonzero wavenumbers
     assert np.all(np.isfinite(system.mode("left", np.linspace(-8.0, 8.0, 33), 1.0)))
+
+
+def test_zero_k3_with_gain_loss_is_refused():
+    # floquet2's -i alpha K(x)/W term tends to a constant: the mode is not guided
+    with pytest.raises(ParameterError, match="unguided"):
+        PTDynamicParams(k1=1.0, k2=1.1, k3=0.0, alpha=0.1)
+
+
+@pytest.mark.parametrize("params", [
+    PTDynamicParams(k1=1.0, k2=1.1, k3=0.05, alpha=0.1),
+    PTDynamicParams(k1=1.0, k2=1.1, k3=0.01, alpha=0.1),
+    PTDynamicParams(k1=1.0, k2=1.1, k3=1.1e-309, alpha=0.1),
+    HermitianStaticParams(k1=0.1, k2=3.0),
+])
+def test_window_past_float_range_is_refused(params):
+    # the window 12/min|k| runs past the |x| where e^{2(|k1|+|k2|)|x|} overflows
+    with pytest.raises(ParameterError, match="overflow"):
+        WaveguideSystem(params)
+
+
+def test_widest_accepted_window_stays_finite():
+    system = WaveguideSystem(PTDynamicParams(k1=1.0, k2=1.1, k3=0.072, alpha=0.1))
+    assert 2 * 2.1 * system.quad.half_width < LOG_FLOAT_MAX
+    x = np.linspace(-system.quad.half_width, system.quad.half_width, 101)
+    assert np.all(np.isfinite(system.mode("left", x, 1.0)))
+    assert np.all(np.isfinite(system.potential(x, 1.0)))
 
 
 def test_uncertified_but_scan_regular_accepted(dyn_system):
@@ -324,6 +351,8 @@ def certified_dynamic_params(draw):
     k2 = draw(st.floats(0.5, 2.0)) * draw(st.sampled_from((1.0, -1.0)))
     k1 = k2 * draw(st.floats(0.2, 0.95)) * draw(st.sampled_from((1.0, -1.0)))
     k3 = k1 * draw(st.floats(-0.95, 0.95))
+    # refused: k3 = 0 leaves floquet2 unguided, small |k3| widens the window past float range
+    assume(k3 != 0 and default_spec(k3).half_width <= LOG_FLOAT_MAX / (2 * (abs(k1) + abs(k2))))
     bound = (1.0 - abs(k1 / k2)) / (1.0 + abs(k3 / k2))
     p = PTDynamicParams(k1=k1, k2=k2, k3=k3, alpha=bound * draw(st.floats(-0.95, 0.95)))
     assert p.certified
