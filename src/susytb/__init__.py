@@ -43,6 +43,7 @@ from .observables import (
     TBStaticState,
     TBTrajectoryState,
     moment_series,
+    moment_table,
     power,
     comparison_metrics,
 )

@@ -30,7 +30,7 @@ from .observables import (
     TBStaticState,
     TBTrajectoryState,
     comparison_metrics,
-    moment_series,
+    moment_table,
 )
 from .presets import PRESETS, preset_config
 from .quadrature import QuadratureSpec
@@ -281,14 +281,12 @@ def run(cfg: ScenarioConfig, outdir) -> tuple[ComparisonReport, list[Path]]:
     kappa = {"value": complex(kap), "well_kind": well_kind}
 
     # 4./5. observable series for both engines
-    exact_state = ExactState(system, cfg.mode_kind)
+    exact_table = moment_table(ExactState(system, cfg.mode_kind), cfg.observables, cfg.z_values,
+                               cfg.quad, engine="exact")
+    tb_table = moment_table(tb_state, cfg.observables, cfg.z_values, cfg.quad, engine="tb")
     all_series: list[ObservableSeries] = []
     metrics: dict = {}
-    for req in cfg.observables:
-        ex = moment_series(exact_state, req.name, req.metric, cfg.z_values, cfg.quad,
-                           normalization=req.normalization, engine="exact")
-        tb = moment_series(tb_state, req.name, req.metric, cfg.z_values, cfg.quad,
-                           normalization=req.normalization, engine="tb")
+    for ex, tb in zip(exact_table, tb_table):
         all_series += [ex, tb]
         m = comparison_metrics(ex, tb)
         metrics[_column_name(ex)] = {

@@ -32,7 +32,7 @@ import json
 from dataclasses import dataclass
 from typing import Optional
 
-from .observables import OBSERVABLES
+from .observables import OBSERVABLES, ObservableRequest
 from .quadrature import QuadratureSpec, default_spec
 from .systems import (
     HermitianStaticParams,
@@ -50,13 +50,6 @@ class ConfigError(ValueError):
     def __init__(self, errors: list[str]):
         super().__init__("; ".join(errors))
         self.errors = errors
-
-
-@dataclass(frozen=True)
-class ObservableRequest:
-    name: str
-    metric: str
-    normalization: Optional[str] = None
 
 
 @dataclass
@@ -226,8 +219,9 @@ def validate_config(text: str) -> ScenarioConfig:
     q_nodes = _get(qd, "nodes", int, errors, "quadrature", default=4097)
     q_rule = _get(qd, "rule", str, errors, "quadrature", default="simpson")
     q_tail = _get(qd, "tail_tol", float, errors, "quadrature", default=1e-9)
-    q_half = _get(qd, "half_width", float, errors, "quadrature",
-                  default=default_spec(system.min_k).half_width)
+    q_half = default_spec(system.min_k).half_width
+    if qd.get("half_width") is not None:  # null selects the default window, as an omitted key does
+        q_half = _get(qd, "half_width", float, errors, "quadrature", default=q_half)
     quad = None
     try:
         quad = QuadratureSpec(half_width=q_half, nodes=q_nodes, rule=q_rule, tail_tol=q_tail)

@@ -10,13 +10,22 @@ generator-applied coefficients). Momentum moments, and H for a state
 without h_apply, use the 4th-order stencils of `quadrature` on the
 uniform quadrature grid, once `_resolution_guard` has checked that halving
 the grid resolution moves the first derivative by at most 1e-5 of its scale.
+
+`moment_table` makes one pass over z for all requested observables of a
+state: at each z it evaluates psi, its power, x psi, the two stencils,
+h_apply and h2_apply at most once each and shares them, and it runs the
+resolution guard and the initial power once per state. `moment_series`
+is the one-observable case. The field values themselves come from the
+node-set caches of the states' engines (`WaveguideSystem` profiles and
+x-factors, `TBModel.basis_values`).
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional
+from functools import cached_property
+from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -32,6 +41,8 @@ __all__ = [
     "TBStaticState",
     "TBTrajectoryState",
     "power",
+    "ObservableRequest",
+    "moment_table",
     "moment_series",
     "comparison_metrics",
     "DerivativeResolutionError",
@@ -42,6 +53,14 @@ OBSERVABLES = ("x_mean", "p_mean", "x_std", "p_std", "power", "H_mean", "H_std")
 
 class DerivativeResolutionError(RuntimeError):
     pass
+
+
+class ObservableRequest(NamedTuple):
+    """One requested series; normalization None takes the observable's default."""
+
+    name: str
+    metric: str
+    normalization: Optional[str] = None
 
 
 @dataclass(frozen=True)
@@ -181,86 +200,140 @@ def moment_series(
     normalization: Optional[str] = None,
     engine: str = "",
 ) -> ObservableSeries:
-    """Sampled z-series of one observable for one state.
+    """Sampled z-series of one observable for one state (see `moment_table`)."""
+    return moment_table(state, [ObservableRequest(observable, metric, normalization)], z_grid, quad,
+                        engine=engine)[0]
+
+
+def moment_table(
+    state,
+    requests: Sequence[ObservableRequest],
+    z_grid,
+    quad: QuadratureSpec,
+    *,
+    engine: str = "",
+) -> list[ObservableSeries]:
+    """Sampled z-series of every requested observable for one state, in request order.
 
     p = -i d_x and H = -d_x^2 + V; H applications use the state's exact
     h_apply when present, else finite differences against the state's
     bound potential. For the PT metric the integrand pairs conj(f(x)) with
     (A g)(-x); the quadrature grid must be uniform (simpson/trapezoid).
+    Every request is validated before any field is evaluated.
     """
-    if observable not in OBSERVABLES:
-        raise ValueError(f"unknown observable {observable!r}")
-    if metric not in ("dirac", "pt"):
-        raise ValueError(f"unknown metric {metric!r}")
+    plans = []
+    for observable, metric, normalization in requests:
+        if observable not in OBSERVABLES:
+            raise ValueError(f"unknown observable {observable!r}")
+        if metric not in ("dirac", "pt"):
+            raise ValueError(f"unknown metric {metric!r}")
+        normalization = normalization or _default_normalization(observable, metric)
+        if normalization not in ("instantaneous_power", "initial_power", "none"):
+            raise ValueError(f"unknown normalization {normalization!r}")
+        plans.append((observable, metric, normalization))
     if quad.rule == "gauss_legendre_composite":
-        raise ValueError("moment_series needs a uniform quadrature rule")
-    normalization = normalization or _default_normalization(observable, metric)
-    if normalization not in ("instantaneous_power", "initial_power", "none"):
-        raise ValueError(f"unknown normalization {normalization!r}")
+        raise ValueError("observable series need a uniform quadrature rule")
 
     x, w = quad_nodes(quad)
     h = x[1] - x[0]
     z_grid = np.asarray(z_grid, dtype=float)
 
-    needs_fd = observable in ("p_mean", "p_std") or (
-        observable in ("H_mean", "H_std") and getattr(state, "h_apply", None) is None)
-    if needs_fd:
+    if any(observable in ("p_mean", "p_std") or (
+            observable in ("H_mean", "H_std") and getattr(state, "h_apply", None) is None)
+           for observable, _, _ in plans):
         _resolution_guard(state, x, h, float(z_grid[0]))
 
     p_initial = None
-    if normalization == "initial_power":
+    if any(normalization == "initial_power" for _, _, normalization in plans):
         f0 = np.asarray(state(x, 0.0))
         p_initial = float(np.sum(w * np.abs(f0) ** 2).real)
 
-    def sandwich(f: np.ndarray, g: np.ndarray) -> complex:
-        """(f, g-field)_metric with g sampled on x; PT flips the second slot."""
-        gs = g[::-1] if metric == "pt" else g
-        return complex(np.sum(w * np.conj(f) * gs))
-
-    values = np.empty(len(z_grid), dtype=complex)
+    values = np.empty((len(plans), len(z_grid)), dtype=complex)
     for i, z in enumerate(z_grid):
-        z = float(z)
-        f = np.asarray(state(x, z))
-        pw = float(np.sum(w * np.abs(f) ** 2).real)
-        if observable == "power":
-            values[i] = pw
-            continue
-        if normalization == "instantaneous_power":
-            norm = pw
-        elif normalization == "initial_power":
-            norm = p_initial
-        else:
-            norm = 1.0
-        # first moment (A f), then for the spreads the second (A^2 f)
-        if observable in ("x_mean", "x_std"):
-            af = x * f
-        elif observable in ("p_mean", "p_std"):
-            af = -1j * d1_fourth(f, h)
-        else:  # H_mean / H_std
-            af = _apply_h(state, "h_apply", f, x, h, z)
-        m1 = sandwich(f, af) / norm
-        if observable.endswith("_mean"):
-            values[i] = m1
-            continue
-        if observable == "x_std":
-            a2f = x * x * f
-        elif observable == "p_std":
-            a2f = -d2_fourth(f, h)
-        else:
-            a2f = _apply_h(state, "h2_apply", af, x, h, z)
-        values[i] = np.sqrt(sandwich(f, a2f) / norm - m1 * m1)
-    return ObservableSeries(z=z_grid, values=values, observable=observable,
-                            metric=metric, normalization=normalization, engine=engine)
+        at = _Fields(state, x, w, h, float(z))
+        for row, (observable, metric, normalization) in zip(values, plans):
+            if observable == "power":
+                row[i] = at.power
+                continue
+            if normalization == "instantaneous_power":
+                norm = at.power
+            elif normalization == "initial_power":
+                norm = p_initial
+            else:
+                norm = 1.0
+            # first moment (A f), then for the spreads the second (A^2 f)
+            family = observable.split("_")[0]
+            m1 = at.sandwich(1, family, metric) / norm
+            if observable.endswith("_mean"):
+                row[i] = m1
+                continue
+            row[i] = np.sqrt(at.sandwich(2, family, metric) / norm - m1 * m1)
+    return [ObservableSeries(z=z_grid, values=row, observable=observable, metric=metric,
+                             normalization=normalization, engine=engine)
+            for row, (observable, metric, normalization) in zip(values, plans)]
 
 
-def _apply_h(state, method: str, f: np.ndarray, x: np.ndarray, h: float, z: float) -> np.ndarray:
-    """H f by the state's exact `method` (h_apply/h2_apply) when it gives one, else -f'' + V f."""
-    apply = getattr(state, method, None)
-    out = apply(x, z) if apply is not None else None
-    if out is not None:
-        return np.asarray(out)
-    v = np.asarray(state.potential(x, z))
-    return -d2_fourth(f, h) + v * f
+class _Fields:
+    """psi at one z and the operator images the moments need, each evaluated on first use."""
+
+    def __init__(self, state, x: np.ndarray, w: np.ndarray, h: float, z: float):
+        self.state, self.x, self.w, self.h, self.z = state, x, w, h, z
+        self.f = np.asarray(state(x, z))
+        self.power = float(np.sum(w * np.abs(self.f) ** 2).real)
+        self._sandwiches: dict[tuple, complex] = {}
+
+    def sandwich(self, order: int, family: str, metric: str) -> complex:
+        """(f, A^order f) for A in {x, p, H}, from the image `<family><order>`; PT flips slot two."""
+        key = (order, family, metric)
+        if key not in self._sandwiches:
+            g = getattr(self, f"{family}{order}")
+            gs = g[::-1] if metric == "pt" else g
+            self._sandwiches[key] = complex(np.sum(self._wcf * gs))
+        return self._sandwiches[key]
+
+    @cached_property
+    def _wcf(self) -> np.ndarray:
+        return self.w * np.conj(self.f)
+
+    @cached_property
+    def _d2(self) -> np.ndarray:
+        return d2_fourth(self.f, self.h)
+
+    @cached_property
+    def _v(self) -> np.ndarray:
+        return np.asarray(self.state.potential(self.x, self.z))
+
+    @cached_property
+    def x1(self) -> np.ndarray:
+        return self.x * self.f
+
+    @cached_property
+    def x2(self) -> np.ndarray:
+        return self.x * self.x * self.f
+
+    @cached_property
+    def p1(self) -> np.ndarray:
+        return -1j * d1_fourth(self.f, self.h)
+
+    @cached_property
+    def p2(self) -> np.ndarray:
+        return -self._d2
+
+    @cached_property
+    def H1(self) -> np.ndarray:
+        return self._apply_h("h_apply", self.f, lambda: self._d2)
+
+    @cached_property
+    def H2(self) -> np.ndarray:
+        return self._apply_h("h2_apply", self.H1, lambda: d2_fourth(self.H1, self.h))
+
+    def _apply_h(self, method: str, g: np.ndarray, d2g) -> np.ndarray:
+        """H g by the state's exact `method` (h_apply/h2_apply) when it gives one, else -g'' + V g."""
+        apply = getattr(self.state, method, None)
+        out = apply(self.x, self.z) if apply is not None else None
+        if out is not None:
+            return np.asarray(out)
+        return -d2g() + self._v * g
 
 
 def _resolution_guard(state, x: np.ndarray, h: float, z: float, tol: float = 1e-5) -> None:

@@ -7,11 +7,13 @@ workhorse (uniform grid, reused for the 4th-order finite-difference
 stencils below); composite Gauss-Legendre is available where spectral
 accuracy pays off (overlap integrals, matrix elements). Both the exact and
 the tight-binding engines build their localized left/right modes with
-`localized_combos`, so the two are labelled the same way.
+`localized_combos`, so the two are labelled the same way, and both keep
+x-only functions per node set in a `NodeCache`.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, replace
 from typing import Callable
@@ -19,9 +21,14 @@ from typing import Callable
 import numpy as np
 
 __all__ = ["QuadratureSpec", "quad_nodes", "integrate", "certify_tail", "default_spec",
-           "localized_combos", "d1_fourth", "d2_fourth"]
+           "localized_combos", "d1_fourth", "d2_fourth", "NodeCache", "X_PARTS_CACHE"]
 
 RULES = ("trapezoid", "simpson", "gauss_legendre_composite")
+
+# Node sets a NodeCache keeps: the TB quadrature, the observable grid and a
+# BPM, oracle or dump grid interleave; a one-shot grid (such as the
+# calibration target) must not stay resident for the whole run.
+X_PARTS_CACHE = 4
 
 
 @dataclass(frozen=True)
@@ -66,13 +73,49 @@ def quad_nodes(spec: QuadratureSpec) -> tuple[np.ndarray, np.ndarray]:
         return x, w
     # composite Gauss-Legendre: ~16 points per panel, even panel count
     panels = max(2, 2 * (spec.nodes // 32))
-    order = 16
-    xs, ws = np.polynomial.legendre.leggauss(order)
+    xs, ws = _legendre_rule(16)
     edges = np.linspace(-L, L, panels + 1)
     a, b = edges[:-1], edges[1:]
     x = (0.5 * (b - a)[:, None] * xs[None, :] + 0.5 * (a + b)[:, None]).ravel()
     w = (0.5 * (b - a)[:, None] * ws[None, :]).ravel()
     return x, w
+
+
+@functools.lru_cache(maxsize=None)
+def _legendre_rule(order: int) -> tuple[np.ndarray, np.ndarray]:
+    """Gauss-Legendre nodes and weights on [-1, 1], computed once per order, read-only."""
+    xs, ws = np.polynomial.legendre.leggauss(order)
+    xs.flags.writeable = ws.flags.writeable = False
+    return xs, ws
+
+
+class NodeCache:
+    """compute(x) for the X_PARTS_CACHE node sets used last, least recently used evicted first.
+
+    Keyed by the node values (shape and bytes), never by the array object,
+    so an array changed in place is computed anew.
+    """
+
+    def __init__(self, compute: Callable[[np.ndarray], object]):
+        self._compute = compute
+        self._entries: dict[tuple, object] = {}
+
+    def __call__(self, x):
+        x = np.asarray(x, dtype=float)
+        key = (x.shape, x.tobytes())
+        value = self._entries.pop(key, None)
+        if value is None:
+            value = self._compute(x)
+            if len(self._entries) >= X_PARTS_CACHE:
+                del self._entries[next(iter(self._entries))]
+        self._entries[key] = value
+        return value
+
+    def __len__(self) -> int:
+        return len(self._entries)
+
+    def __iter__(self):
+        return iter(self._entries)
 
 
 def integrate(f: Callable[[np.ndarray], np.ndarray], spec: QuadratureSpec) -> complex:

@@ -20,6 +20,7 @@ normalized to unit Dirac power at z=0 and labeled by the sign of <x>.
 
 from __future__ import annotations
 
+import functools
 import math
 import sys
 from dataclasses import dataclass
@@ -29,7 +30,7 @@ from typing import NamedTuple, Optional
 import numpy as np
 
 from .darboux import SingularPointError
-from .quadrature import QuadratureSpec, default_spec, localized_combos, quad_nodes
+from .quadrature import NodeCache, QuadratureSpec, default_spec, localized_combos, quad_nodes
 from .seeds import SeedSuperposition
 
 __all__ = [
@@ -49,11 +50,6 @@ __all__ = [
 ]
 
 MODE_KINDS = ("ground", "excited", "floquet1", "floquet2", "left", "right")
-
-# Node sets whose dynamic x-factors a system keeps: the TB quadrature, the
-# observable grid and a BPM or dump grid interleave; a one-shot grid (such
-# as the calibration target) must not stay resident for the whole run.
-X_PARTS_CACHE = 4
 
 # Largest exponent a float64 holds: the closed-form denominators grow like
 # e^{2(|k1|+|k2|)|x|} and must stay finite across the quadrature window.
@@ -227,6 +223,12 @@ def raw_mode_pt_static(p: PTStaticParams, kind: str, x):
     raise ValueError(kind)
 
 
+def _static_profiles(p, x) -> dict[str, np.ndarray]:
+    """Raw ground and excited profiles of a static pair on one node set."""
+    raw = raw_mode_hermitian if isinstance(p, HermitianStaticParams) else raw_mode_pt_static
+    return {kind: raw(p, kind, x) for kind in ("ground", "excited")}
+
+
 def _mode_dynamic_at(p: PTDynamicParams, xp: _DynamicXParts, kind: str, z: float, dz: bool):
     """Floquet modes psi_1 (quasi-energy -k2^2) and psi_2 (-k1^2), or their d/dz.
 
@@ -345,8 +347,9 @@ class WaveguideSystem:
         self._norm: dict[str, float] = {}
         self._pseudo_sign: dict[str, int] = {}
         self._combos: dict[str, tuple[int, float]] = {}
-        # dynamic x-only factors, least recently used first, keyed by node values
-        self._x_parts: dict[tuple, _DynamicXParts] = {}
+        # x-only factors per node set: the dynamic h1..h8, or the static raw profiles
+        self._x_parts = NodeCache(functools.partial(
+            _dynamic_x_parts if self.is_dynamic else _static_profiles, params))
 
     # -- basic facts -------------------------------------------------------
 
@@ -368,19 +371,7 @@ class WaveguideSystem:
             return potential_hermitian_static(self.params, x)
         if self.kind == "pt_static":
             return potential_pt_static(self.params, x)
-        return _potential_dynamic_at(self.params, self._dynamic_parts(x), z)
-
-    def _dynamic_parts(self, x) -> _DynamicXParts:
-        """x-only factors on node set x, from an LRU of X_PARTS_CACHE node sets."""
-        x = np.asarray(x, dtype=float)
-        key = (x.shape, x.tobytes())
-        parts = self._x_parts.pop(key, None)
-        if parts is None:
-            parts = _dynamic_x_parts(self.params, x)
-            if len(self._x_parts) >= X_PARTS_CACHE:
-                del self._x_parts[next(iter(self._x_parts))]
-        self._x_parts[key] = parts
-        return parts
+        return _potential_dynamic_at(self.params, self._x_parts(x), z)
 
     def seeds(self):
         """Transformation/solution seeds reproducing this system generically.
@@ -407,11 +398,9 @@ class WaveguideSystem:
 
     def _raw_profile(self, kind: str, x, z: float = 0.0):
         if self.is_dynamic:
-            return _mode_dynamic_at(self.params, self._dynamic_parts(x), kind, z, False)
+            return _mode_dynamic_at(self.params, self._x_parts(x), kind, z, False)
         # stationary: profile only; phases handled by callers
-        if self.kind == "hermitian_static":
-            return raw_mode_hermitian(self.params, kind, x)
-        return raw_mode_pt_static(self.params, kind, x)
+        return self._x_parts(x)[kind]
 
     def _stationary_kinds(self) -> tuple[str, str]:
         return ("floquet1", "floquet2") if self.is_dynamic else ("ground", "excited")
@@ -475,7 +464,7 @@ class WaveguideSystem:
 
     def _evolved_dz(self, kind: str, x, z: float):
         if self.is_dynamic:
-            return self._norm[kind] * _mode_dynamic_at(self.params, self._dynamic_parts(x), kind, z, True)
+            return self._norm[kind] * _mode_dynamic_at(self.params, self._x_parts(x), kind, z, True)
         e = self.energies()[kind]
         return -1j * e * self._norm[kind] * np.exp(-1j * e * z) * self._raw_profile(kind, x)
 

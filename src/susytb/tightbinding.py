@@ -15,6 +15,7 @@ potential, which is the only z-dependent object available.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
@@ -22,7 +23,7 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 import scipy.linalg as sla
 
-from .quadrature import QuadratureSpec, certify_tail, integrate, localized_combos, quad_nodes
+from .quadrature import NodeCache, QuadratureSpec, certify_tail, integrate, localized_combos, quad_nodes
 
 __all__ = [
     "WellBasis",
@@ -112,6 +113,11 @@ def single_well_mode(b: WellBasis, x):
     return c * b.k / (np.cosh(b.k * xi) + 1j * b.alpha_tilde * np.sinh(b.k * xi))
 
 
+def _well_modes(wells: Sequence[WellBasis], x: np.ndarray) -> tuple[np.ndarray, ...]:
+    """phi_j(x) of every well on one node set."""
+    return tuple(single_well_mode(b, x) for b in wells)
+
+
 def kappa_hermitian_closed_form(k: float, x0: float) -> float:
     """Overlap of displaced normalized sech modes: 2a/sinh(2a), a = |k| x0."""
     a = abs(k) * x0
@@ -164,7 +170,8 @@ class TBModel:
     hamiltonian_source selects what enters H_ij: "well_sum" uses the
     superposed single-well potential (the stationary TB pencil used for
     spectra and calibration), "system" uses the bound exact potential
-    (required for the z-dependent coupled equations).
+    (required for the z-dependent coupled equations). `basis_values(x)`
+    gives the well modes phi_j on a node set, cached per node set.
     """
 
     def __init__(
@@ -207,6 +214,7 @@ class TBModel:
         self._phi_s = np.stack([single_well_mode(b, self._xs) for b in self.wells])
         self._v0_s = np.stack([single_well_potential(b, self._xs) for b in self.wells])
         self._s_inv: Optional[np.ndarray] = None
+        self.basis_values = NodeCache(functools.partial(_well_modes, self.wells))
         if hamiltonian_source == "system":
             # H(z) = C + A V(xs, z): with -phi_j'' = beta_j phi_j - V0_j phi_j,
             # C_ij = sum w conj(phi_i) (beta_j - V0_j) phi_j(xs) and
@@ -496,11 +504,11 @@ def floquet_monodromy(
 
 
 def assemble_state(model: TBModel, c: Sequence[complex], x):
-    """psi(x) = sum_j c_j phi_j(x)."""
+    """psi(x) = sum_j c_j phi_j(x), with the phi_j from the model's per-node-set cache."""
     x = np.asarray(x, dtype=float)
     out = np.zeros(x.shape, dtype=complex)
-    for cj, b in zip(c, model.wells):
-        out += cj * single_well_mode(b, x)
+    for cj, phi in zip(c, model.basis_values(x)):
+        out += cj * phi
     return out
 
 

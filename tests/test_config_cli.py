@@ -96,6 +96,18 @@ def test_gl_rule_rejected_for_series():
     assert any("uniform" in e for e in exc.value.errors)
 
 
+def test_null_half_width_selects_the_default_window(tmp_path):
+    omitted = validate_config(json.dumps(_cfg(quadrature={"nodes": 1025})))
+    null = validate_config(json.dumps(_cfg(quadrature={"nodes": 1025, "half_width": None})))
+    assert null.quad == omitted.quad
+    path = tmp_path / "null.json"
+    path.write_text(json.dumps(_cfg(quadrature={"half_width": None})))
+    assert main(["validate", str(path)]) == 0
+    with pytest.raises(ConfigError) as exc:
+        validate_config(json.dumps(_cfg(quadrature={"half_width": "wide"})))
+    assert any(e.startswith("quadrature.half_width:") for e in exc.value.errors)
+
+
 def test_config_digest_is_order_insensitive():
     a = config_digest({"b": 1, "a": [1, 2]})
     b = config_digest({"a": [1, 2], "b": 1})
@@ -272,3 +284,32 @@ def test_run_pipeline_with_bpm_check(tmp_path):
     cfg = validate_config(json.dumps(raw))
     report, _ = run(cfg, tmp_path)
     assert report.oracle_residuals["bpm"]["l2_error"] < 5e-3
+
+
+WARM_CASES = {
+    "pt-static": _cfg(system={"kind": "pt_static", "k1": 1.1, "k2": 1.2, "alpha": 0.2},
+                      tb={"mode": "explicit", "k": 1.1468, "x0": 1.6579, "alpha_tilde": 0.21},
+                      observables=PRESETS["pt-static-fig3-4"]["observables"],
+                      output={"basename": "warm"}),
+    "pt-dynamic": _cfg(system={"kind": "pt_dynamic", "k1": 1.0, "k2": 1.1, "k3": 0.95, "alpha": 0.1},
+                       tb={"mode": "explicit", "k": 1.045, "x0": 1.77114},
+                       observables=PRESETS["pt-dynamic-fig1-5-6"]["observables"],
+                       z_grid={"periods": 0.1, "num": 9},
+                       potential_dump={"enabled": True, "nx": 21, "nz": 5, "x_half_width": 5.0,
+                                       "periods": 1.0},
+                       output={"basename": "warm"}),
+}
+
+
+@pytest.mark.parametrize("case", sorted(WARM_CASES))
+def test_warm_caches_leave_outputs_byte_identical(tmp_path, case):
+    """Two runs on one config (caches warm the second time), then a fresh config: same bytes."""
+    text = json.dumps(WARM_CASES[case])
+    cfg = validate_config(text)
+    outs = [tmp_path / name for name in ("first", "warm", "fresh")]
+    run(cfg, outs[0])
+    run(cfg, outs[1])
+    run(validate_config(text), outs[2])
+    contents = [{p.name: p.read_bytes() for p in sorted(out.iterdir())} for out in outs]
+    assert len(contents[0]) >= 3
+    assert contents[0] == contents[1] == contents[2]

@@ -1,20 +1,25 @@
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
 
 from susytb.calibrate import default_problem, spectral_match
 from susytb.observables import (
+    OBSERVABLES,
     DerivativeResolutionError,
     ExactState,
+    ObservableRequest,
     ObservableSeries,
     TBStaticState,
+    TBTrajectoryState,
     comparison_metrics,
     moment_series,
+    moment_table,
     power,
 )
 from susytb.quadrature import QuadratureSpec, quad_nodes
-from susytb.tightbinding import static_guided_modes, two_well_model
+from susytb.tightbinding import propagate_coefficients, static_guided_modes, two_well_model
 
 from conftest import HERM, PTS
 
@@ -201,6 +206,105 @@ def test_resolution_guard_triggers():
     coarse = QuadratureSpec(half_width=12.0, nodes=65)
     with pytest.raises(DerivativeResolutionError):
         moment_series(Chirpy(), "p_mean", "dirac", [0.0], coarse)
+
+
+# ---------------------------------------------------------------------------
+# one pass over z for all observables
+# ---------------------------------------------------------------------------
+
+ALL_REQUESTS = [ObservableRequest(o, m) for o in OBSERVABLES for m in ("dirac", "pt")] + [
+    ObservableRequest("x_mean", "dirac", "none"), ObservableRequest("H_mean", "pt", "instantaneous_power")]
+
+
+class CountingState:
+    """Forwards to a state and counts the calls of each of its methods."""
+
+    def __init__(self, state):
+        self._state = state
+        self.calls = Counter()
+
+    def __call__(self, x, z):
+        self.calls["psi"] += 1
+        return self._state(x, z)
+
+    def __getattr__(self, name):
+        method = getattr(self._state, name)  # AttributeError when the state has no such method
+
+        def counted(*args):
+            self.calls[name] += 1
+            return method(*args)
+        return counted
+
+
+@pytest.fixture(scope="module")
+def dyn_quad(dyn_system):
+    return QuadratureSpec(half_width=12.0 / dyn_system.min_k, nodes=4097)
+
+
+@pytest.fixture(scope="module")
+def dyn_tb_state(dyn_system):
+    model = two_well_model("hermitian", 1.045, 1.77114, potential=dyn_system.potential,
+                           hamiltonian_source="system", dynamic=True)
+    traj = propagate_coefficients(model, [0.7, -0.7], [0.0, 0.5, 1.0, 1.5])
+    return TBTrajectoryState(model, traj, dyn_system)
+
+
+STATES = {
+    "exact-hermitian": lambda r: (ExactState(r.getfixturevalue("herm_system"), "left"),
+                                  r.getfixturevalue("herm_quad")),
+    "exact-pt-static": lambda r: (ExactState(r.getfixturevalue("pt_system"), "right"),
+                                  r.getfixturevalue("pt_quad")),
+    "exact-dynamic": lambda r: (ExactState(r.getfixturevalue("dyn_system"), "left"),
+                                r.getfixturevalue("dyn_quad")),
+    "tb-static": lambda r: (r.getfixturevalue("pt_tb_state"), r.getfixturevalue("pt_quad")),
+    "tb-trajectory": lambda r: (r.getfixturevalue("dyn_tb_state"), r.getfixturevalue("dyn_quad")),
+    "finite-difference": lambda r: (GaussianState(), QuadratureSpec(half_width=12.0, nodes=2049)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(STATES))
+def test_moment_table_equals_separate_series(name, request):
+    state, quad = STATES[name](request)
+    z = [0.0, 0.5, 1.0, 1.5]
+    table = moment_table(state, ALL_REQUESTS, z, quad, engine="tb")
+    assert len(table) == len(ALL_REQUESTS)
+    for series, (observable, metric, normalization) in zip(table, ALL_REQUESTS):
+        alone = moment_series(state, observable, metric, z, quad, normalization=normalization,
+                              engine="tb")
+        assert np.array_equal(series.values, alone.values)
+        assert np.array_equal(series.z, alone.z)
+        assert (series.observable, series.metric, series.normalization, series.engine) == (
+            alone.observable, alone.metric, alone.normalization, alone.engine)
+
+
+@pytest.mark.parametrize("name, has_h2", [("exact-pt-static", True), ("exact-dynamic", False),
+                                          ("tb-static", True), ("finite-difference", None)])
+def test_moment_table_evaluates_each_field_once(name, has_h2, request):
+    state, quad = STATES[name](request)
+    counted = CountingState(state)
+    z = [0.0, 0.5, 1.0, 1.5]
+    moment_table(counted, ALL_REQUESTS, z, quad)
+    n = len(z)
+    # psi once per z, plus the resolution guard and the initial power once per state
+    expected = {"psi": n + 2}
+    if has_h2 is not None:
+        expected.update(h_apply=n, h2_apply=n)
+    if has_h2 is not True:
+        expected["potential"] = n  # shared by the H and H^2 finite differences
+    assert dict(counted.calls) == expected
+
+
+@pytest.mark.parametrize("bad", [ObservableRequest("charge", "dirac"),
+                                 ObservableRequest("x_mean", "euclid"),
+                                 ObservableRequest("x_mean", "dirac", "unit")])
+def test_moment_table_validates_before_evaluating(bad, herm_system, herm_quad):
+    counted = CountingState(ExactState(herm_system, "left"))
+    with pytest.raises(ValueError):
+        moment_table(counted, [ObservableRequest("power", "dirac"), bad], [0.0, 1.0], herm_quad)
+    gl = QuadratureSpec(half_width=10.0, nodes=1024, rule="gauss_legendre_composite")
+    with pytest.raises(ValueError):
+        moment_table(counted, [ObservableRequest("power", "dirac")], [0.0], gl)
+    assert not counted.calls
 
 
 # ---------------------------------------------------------------------------

@@ -3,7 +3,10 @@ import math
 import numpy as np
 import pytest
 
+from susytb import quadrature
 from susytb.quadrature import (
+    X_PARTS_CACHE,
+    NodeCache,
     QuadratureSpec,
     certify_tail,
     default_spec,
@@ -106,3 +109,47 @@ def test_localized_combos_refuse_one_sided_pair():
     x, w, right, _ = _two_lobes()
     with pytest.raises(RuntimeError, match="could not label"):
         localized_combos(lambda s: right + s * 0.1 * right, x, w)
+
+
+# ---------------------------------------------------------------------------
+# cached rules and node-set caches
+# ---------------------------------------------------------------------------
+
+def test_gauss_legendre_nodes_unchanged_and_panel_rule_read_only():
+    spec = QuadratureSpec(half_width=7.5, nodes=1024, rule="gauss_legendre_composite")
+    xs, ws = np.polynomial.legendre.leggauss(16)
+    edges = np.linspace(-7.5, 7.5, 2 * (1024 // 32) + 1)
+    a, b = edges[:-1], edges[1:]
+    x_ref = (0.5 * (b - a)[:, None] * xs[None, :] + 0.5 * (a + b)[:, None]).ravel()
+    w_ref = (0.5 * (b - a)[:, None] * ws[None, :]).ravel()
+    x, w = quad_nodes(spec)
+    assert np.array_equal(x, x_ref) and np.array_equal(w, w_ref)
+    x[:] = 0.0  # each caller owns its nodes and weights
+    w[:] = 0.0
+    x, w = quad_nodes(spec)
+    assert np.array_equal(x, x_ref) and np.array_equal(w, w_ref)
+    for cached in quadrature._legendre_rule(16):
+        with pytest.raises(ValueError):
+            cached[0] = 0.0
+
+
+def test_node_cache_keys_on_values_and_evicts_least_recently_used():
+    calls = []
+
+    def compute(x):
+        calls.append(x.copy())
+        return 2.0 * x
+
+    cache = NodeCache(compute)
+    a, *others = (np.linspace(0.0, 1.0, 5 + n) for n in range(X_PARTS_CACHE + 1))
+    assert np.array_equal(cache(a), 2.0 * a)
+    assert np.array_equal(cache(a.copy()), 2.0 * a)  # equal values, another array: a hit
+    for x in others[:-1]:
+        cache(x)
+    cache(a)  # a is now the most recently used
+    cache(others[-1])  # evicts others[0], the least recently used
+    assert len(calls) == X_PARTS_CACHE + 1 and len(cache) == X_PARTS_CACHE
+    assert {key[0] for key in cache} == {x.shape for x in [a] + others[1:]}
+    a += 1.0  # changed in place: computed anew
+    assert np.array_equal(cache(a), 2.0 * a)
+    assert len(calls) == X_PARTS_CACHE + 2 and len(cache) == X_PARTS_CACHE

@@ -8,10 +8,9 @@ from hypothesis import strategies as st
 
 from susytb.bpm import PropagationGrid, eigen_residual, pde_residual
 from susytb.darboux import apply_L12, second_order_potential
-from susytb.quadrature import QuadratureSpec, default_spec, quad_nodes
+from susytb.quadrature import X_PARTS_CACHE, QuadratureSpec, default_spec, quad_nodes
 from susytb.systems import (
     LOG_FLOAT_MAX,
-    X_PARTS_CACHE,
     HermitianStaticParams,
     ParameterError,
     PTDynamicParams,
@@ -22,6 +21,8 @@ from susytb.systems import (
     potential_hermitian_static,
     potential_pt_dynamic,
     potential_pt_static,
+    raw_mode_hermitian,
+    raw_mode_pt_static,
 )
 
 from conftest import HERM, PTD, PTD_STRONG, PTS
@@ -372,6 +373,85 @@ def test_dynamic_potential_memo_and_pt_symmetry_property(p, half_width, nodes, z
     assert np.array_equal(v, potential_pt_dynamic(p, x, z))
     mirrored = np.conj(system.potential(-x, -z))
     assert np.max(np.abs(v - mirrored)) <= 1e-12 * max(1.0, float(np.max(np.abs(v))))
+
+
+# ---------------------------------------------------------------------------
+# per-node-set memo of the static pairs' raw profiles
+# ---------------------------------------------------------------------------
+
+def _stationary_closed_form(system, kind, x, z, pre=1):
+    """pre times the normalized stationary mode from the closed-form profile, bypassing the memo."""
+    raw = raw_mode_hermitian if system.kind == "hermitian_static" else raw_mode_pt_static
+    e = system.energies()[kind]
+    return pre * system._norm[kind] * np.exp(-1j * e * z) * raw(system.params, kind, x)
+
+
+def test_static_memo_matches_fresh_closed_forms(herm_system, pt_system):
+    """Interleaved node sets and systems never see each other's cached profiles."""
+    grids = (np.linspace(-9.0, 9.0, 301), np.linspace(-6.0, 7.0, 257))
+    for z in (0.0, 1.7, -4.2):
+        for system in (herm_system, pt_system):
+            system.pseudo_norm_sign("ground")
+            for x in grids:
+                for kind in ("ground", "excited"):
+                    e = system.energies()[kind]
+                    closed = _stationary_closed_form(system, kind, x, z)
+                    assert np.array_equal(system.mode(kind, x, z), closed)
+                    assert np.array_equal(system.mode_h2(kind, x, z), e**2 * closed)
+                    assert np.array_equal(system.mode_dz(kind, x, z),
+                                          _stationary_closed_form(system, kind, x, z, pre=-1j * e))
+                for kind in ("left", "right"):
+                    fresh = WaveguideSystem(system.params)
+                    assert np.array_equal(system.mode(kind, x, z), fresh.mode(kind, x, z))
+                    assert np.array_equal(system.mode_dz(kind, x, z), fresh.mode_dz(kind, x, z))
+                    assert np.array_equal(system.mode_h2(kind, x, z), fresh.mode_h2(kind, x, z))
+
+
+def test_static_memo_keys_on_node_values(pt_system):
+    x = np.linspace(-5.0, 5.0, 129)
+    pt_system.mode("ground", x, 0.4)
+    x += 0.25  # same array object, new nodes
+    assert np.array_equal(pt_system.mode("ground", x, 0.4),
+                          _stationary_closed_form(pt_system, "ground", x, 0.4))
+
+
+def test_static_memo_stays_bounded_after_many_grids():
+    system = make_system(PTS)
+    big = np.linspace(-30.0, 30.0, 16001)
+    system.mode("excited", big, 0.0)
+    for n in range(3 * X_PARTS_CACHE):
+        x = np.linspace(-8.0, 8.0, 101 + n)
+        system.mode("left", x, 0.5)
+        system.mode_dz("right", -x, 0.5)
+        assert len(system._x_parts) <= X_PARTS_CACHE
+    assert all(key[0] != big.shape for key in system._x_parts)
+
+
+@st.composite
+def static_params(draw):
+    """Hermitian or PT static pairs with |k2| > |k1| > 0, inside the float-range window."""
+    k1 = draw(st.floats(0.2, 2.0)) * draw(st.sampled_from((1.0, -1.0)))
+    k2 = k1 * draw(st.floats(1.05, 3.0)) * draw(st.sampled_from((1.0, -1.0)))
+    if draw(st.booleans()):
+        return HermitianStaticParams(k1=k1, k2=k2)
+    return PTStaticParams(k1=k1, k2=k2, alpha=draw(st.floats(-0.5, 0.5)))
+
+
+@settings(max_examples=40, deadline=None)
+@given(p=static_params(), half_width=st.floats(1.0, 12.0), nodes=st.integers(2, 400),
+       z=st.floats(-100.0, 100.0))
+def test_static_profile_memo_property(p, half_width, nodes, z):
+    system = WaveguideSystem(p)
+    x = np.linspace(-half_width, half_width, nodes)
+    other = np.linspace(-half_width, 0.5 * half_width, nodes + 1)
+    first = {kind: system.mode(kind, x, z) for kind in ("ground", "excited", "left", "right")}
+    system.mode("left", other, z)
+    fresh = WaveguideSystem(p)
+    for kind, f in first.items():
+        assert np.array_equal(system.mode(kind, x, z), f)
+        assert np.array_equal(fresh.mode(kind, x, z), f)
+    for kind in ("ground", "excited"):
+        assert np.array_equal(first[kind], _stationary_closed_form(system, kind, x, z))
 
 
 # ---------------------------------------------------------------------------

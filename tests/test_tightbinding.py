@@ -5,7 +5,7 @@ import pytest
 import scipy.linalg as sla
 
 from susytb.bpm import eigen_residual
-from susytb.quadrature import QuadratureSpec, quad_nodes
+from susytb.quadrature import X_PARTS_CACHE, QuadratureSpec, quad_nodes
 from susytb.systems import potential_pt_dynamic
 from susytb.tightbinding import (
     CoefficientTrajectory,
@@ -442,6 +442,42 @@ def test_assemble_state_parity():
     odd = assemble_state(model, [1.0, -1.0], x)
     assert np.max(np.abs(even - even[::-1])) < 1e-12
     assert np.max(np.abs(odd + odd[::-1])) < 1e-12
+
+
+def _fresh_state(model, c, x):
+    out = np.zeros(x.shape, dtype=complex)
+    for cj, b in zip(c, model.wells):
+        out += cj * single_well_mode(b, x)
+    return out
+
+
+def test_basis_memo_matches_fresh_well_modes():
+    """Interleaved node sets and models never see each other's cached phi_j."""
+    models = (two_well_model("hermitian", **CAL_HERM), two_well_model("pt", **CAL_PT))
+    grids = (np.linspace(-9.0, 9.0, 301), np.linspace(-6.0, 7.0, 257))
+    for _ in range(2):
+        for model in models:
+            for x in grids:
+                for c in ([1.0, 0.0], [0.3 - 0.2j, 1.1 + 0.4j]):
+                    assert np.array_equal(assemble_state(model, c, x), _fresh_state(model, c, x))
+
+
+def test_basis_memo_keys_on_node_values():
+    model = two_well_model("pt", **CAL_PT)
+    x = np.linspace(-5.0, 5.0, 129)
+    assemble_state(model, [1.0, 0.5], x)
+    x += 0.25  # same array object, new nodes
+    assert np.array_equal(assemble_state(model, [1.0, 0.5], x), _fresh_state(model, [1.0, 0.5], x))
+
+
+def test_basis_memo_stays_bounded_after_many_grids():
+    model = two_well_model("hermitian", **CAL_HERM)
+    big = np.linspace(-30.0, 30.0, 16001)
+    assemble_state(model, [1.0, 1.0], big)
+    for n in range(3 * X_PARTS_CACHE):
+        assemble_state(model, [1.0, -1.0], np.linspace(-8.0, 8.0, 101 + n))
+        assert len(model.basis_values) <= X_PARTS_CACHE
+    assert all(key[0] != big.shape for key in model.basis_values)
 
 
 def test_static_guided_modes_structure():
