@@ -40,7 +40,6 @@ from .tightbinding import (
     floquet_guided_modes,
     floquet_monodromy,
     overlap_kappa,
-    propagate_coefficients,
     static_guided_modes,
     two_well_model,
     WellBasis,
@@ -200,11 +199,10 @@ def _build_tb(cfg: ScenarioConfig, tb_params: dict):
                                hamiltonian_source="system", dynamic=True)
         targets = sorted(system.energies().values())
         flq = floquet_monodromy(model, system.periods().fundamental,
-                                StepControl(dz_max=0.02), targets=targets)
+                                StepControl(dz_max=0.02), targets=targets, z_grid=cfg.z_values)
         guided = floquet_guided_modes(model, flq)
-        c0 = guided.coefficients(cfg.mode_kind, 0.0)
-        traj = propagate_coefficients(model, c0, cfg.z_values, StepControl(dz_max=0.02))
-        state = TBTrajectoryState(model, traj, system)
+        state = TBTrajectoryState(model, flq.trajectory(guided.coefficients(cfg.mode_kind, 0.0)),
+                                  system)
         spectrum = {"quasi_energies": [complex(e) for e in flq.quasi_energies],
                     "targets": list(flq.targets), "branch_shifts": flq.branch_shifts.tolist()}
         return model, guided, state, spectrum

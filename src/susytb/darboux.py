@@ -49,6 +49,16 @@ class SingularPointError(ValueError):
     """Evaluation hit a node of the transformation seed / Wronskian."""
 
 
+def _seed_scale(v: SeedSuperposition, x):
+    """sum |a| cosh(k x): the magnitude of the terms that form the seed."""
+    return sum(abs(t.amplitude) * np.cosh(t.k * np.asarray(x, float)) for t in v.terms)
+
+
+def _wronskian_scale(d1, d2):
+    """|u1 u2'| + |u1' u2|: the magnitude of the two products that form W(u1, u2)."""
+    return np.abs(d1[0] * d2[1]) + np.abs(d1[1] * d2[0])
+
+
 def _check_nodes(value, scale, what: str) -> None:
     bad = np.abs(value) < NODE_RTOL * np.abs(scale)
     if np.any(bad):
@@ -58,8 +68,7 @@ def _check_nodes(value, scale, what: str) -> None:
 def first_order_potential(v: SeedSuperposition, x, *, z: float = 0.0):
     """V1 = -2 d_x^2 ln v = -2 (v''/v - (v'/v)^2); V0 = 0 background."""
     d = x_derivatives(v, x, z, 2)
-    scale = sum(abs(t.amplitude) * np.cosh(t.k * np.asarray(x, float)) for t in v.terms)
-    _check_nodes(d[0], scale, "seed")
+    _check_nodes(d[0], _seed_scale(v, x), "seed")
     r1 = d[1] / d[0]
     return -2.0 * (d[2] / d[0] - r1 * r1)
 
@@ -69,8 +78,7 @@ def second_order_potential(u1: SeedSuperposition, u2: SeedSuperposition, x, z: f
     wb = wronskian_bundle(u1, u2, x, z)
     d1 = x_derivatives(u1, x, z, 1)
     d2 = x_derivatives(u2, x, z, 1)
-    scale = np.abs(d1[0] * d2[1]) + np.abs(d1[1] * d2[0])
-    _check_nodes(wb.value, scale, "Wronskian")
+    _check_nodes(wb.value, _wronskian_scale(d1, d2), "Wronskian")
     r1 = wb.d1x / wb.value
     return -2.0 * (wb.d2x / wb.value - r1 * r1)
 
@@ -79,8 +87,7 @@ def apply_A1(v: SeedSuperposition, f: SeedSuperposition, x, *, z: float = 0.0):
     """First-order intertwiner: (A1 f)(x) = f' - (v'/v) f."""
     dv = x_derivatives(v, x, z, 1)
     df = x_derivatives(f, x, z, 1)
-    scale = sum(abs(t.amplitude) * np.cosh(t.k * np.asarray(x, float)) for t in v.terms)
-    _check_nodes(dv[0], scale, "seed")
+    _check_nodes(dv[0], _seed_scale(v, x), "seed")
     return df[1] - (dv[1] / dv[0]) * df[0]
 
 
@@ -91,8 +98,7 @@ def apply_L12(u1: SeedSuperposition, u2: SeedSuperposition, f: SeedSuperposition
     df = x_derivatives(f, x, z, 2)
     d1 = x_derivatives(u1, x, z, 1)
     d2 = x_derivatives(u2, x, z, 1)
-    scale = np.abs(d1[0] * d2[1]) + np.abs(d1[1] * d2[0])
-    _check_nodes(wb.value, scale, "Wronskian")
+    _check_nodes(wb.value, _wronskian_scale(d1, d2), "Wronskian")
     return (wb.value * df[2] - wb.d1x * df[1] + wp * df[0]) / wb.value
 
 
@@ -197,8 +203,7 @@ def regularity_scan(
         d1 = x_derivatives(u1, xv, zv, 1)
         d2 = x_derivatives(u2, xv, zv, 1)
         w = d1[0] * d2[1] - d1[1] * d2[0]
-        scale = np.abs(d1[0] * d2[1]) + np.abs(d1[1] * d2[0])
-        return np.abs(w), np.abs(w) / scale
+        return np.abs(w), np.abs(w) / _wronskian_scale(d1, d2)
 
     xs = np.linspace(x_range[0], x_range[1], n_points)
     single_z = z_range[0] == z_range[1]

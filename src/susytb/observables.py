@@ -139,7 +139,8 @@ class TBTrajectoryState:
 
     As for the static case, H applications stay inside the model:
     H psi := i d_z psi = sum_j (S^-1 H(z) c)_j phi_j, and H^2 applies the
-    matrix generator twice.
+    matrix generator twice. H(z) is built once per z and kept for the
+    next application at the same z.
     """
 
     def __init__(self, model: TBModel, trajectory: CoefficientTrajectory,
@@ -147,6 +148,7 @@ class TBTrajectoryState:
         self.model = model
         self.trajectory = trajectory
         self.system = system
+        self._h_at: Optional[tuple[float, np.ndarray]] = None
 
     def _c(self, z: float) -> np.ndarray:
         zs = self.trajectory.z
@@ -156,7 +158,9 @@ class TBTrajectoryState:
         return self.trajectory.c[i]
 
     def _generator(self, c: np.ndarray, z: float) -> np.ndarray:
-        return self.model.overlap_inverse() @ (self.model.hamiltonian_matrix(z) @ c)
+        if self._h_at is None or self._h_at[0] != z:
+            self._h_at = (z, self.model.hamiltonian_matrix(z))
+        return self.model.overlap_inverse() @ (self._h_at[1] @ c)
 
     def __call__(self, x, z: float):
         return assemble_state(self.model, self._c(z), x)

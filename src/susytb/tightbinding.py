@@ -11,6 +11,13 @@ The centered mode is normalized under the model's metric (Dirac for
 hermitian, PT inner product for pt). Stationary spectra use the well-sum
 Hamiltonian; the z-dependent coupled equations use the bound exact
 potential, which is the only z-dependent object available.
+
+For a z-periodic H(z) one RK4 march over one period serves both the
+monodromy and the trajectory: `floquet_monodromy` marches the propagator
+U(r) from 0 through every phase r = z mod T of the requested z grid on to
+M = U(T), and `FloquetResult.trajectory` gives c(nT + r) = U(r) M^n c0
+(Floquet theorem). `propagate_coefficients` is the general step-by-step
+integrator.
 """
 
 from __future__ import annotations
@@ -408,6 +415,22 @@ class _CoupledSystem:
         return c
 
 
+def _z_grid(z_grid: Sequence[float]) -> np.ndarray:
+    """The z samples as a 1-D array; ValueError unless finite, z >= 0 and strictly increasing."""
+    z = np.asarray(z_grid, dtype=float)
+    if (z.ndim != 1 or not np.all(np.isfinite(z)) or np.any(z < 0)
+            or np.any(np.diff(z) <= 0)):
+        raise ValueError("z_grid must be strictly increasing from z >= 0")
+    return z
+
+
+def _initial_coefficients(n: int, c0: Sequence[complex]) -> np.ndarray:
+    c = np.asarray(c0, dtype=complex)
+    if c.shape != (n,):
+        raise ValueError("c0 length must match the number of wells")
+    return c
+
+
 def propagate_coefficients(
     model: TBModel,
     c0: Sequence[complex],
@@ -416,12 +439,10 @@ def propagate_coefficients(
 ) -> CoefficientTrajectory:
     """Integrate i S c' = H(z) c, sampling on the requested grid."""
     control = control or StepControl()
-    z = np.asarray(z_grid, dtype=float)
-    if z.ndim != 1 or len(z) < 1 or np.any(np.diff(z) <= 0):
-        raise ValueError("z_grid must be strictly increasing")
-    c = np.asarray(c0, dtype=complex)
-    if c.shape != (model.n,):
-        raise ValueError("c0 length must match the number of wells")
+    z = _z_grid(z_grid)
+    if len(z) < 1:
+        raise ValueError("z_grid must not be empty")
+    c = _initial_coefficients(model.n, c0)
     sysm = _CoupledSystem(model, control)
     out = np.empty((len(z), model.n), dtype=complex)
     cur = c.copy()
@@ -440,13 +461,59 @@ def propagate_coefficients(
 # Floquet
 # ---------------------------------------------------------------------------
 
+# Phases (z mod T) closer than this fraction of the period are one phase.
+PHASE_TOL = 1e-9
+
+
 @dataclass(frozen=True)
 class FloquetResult:
+    """Monodromy eigensystem, plus the propagator at every z of the marched grid.
+
+    z = turns * T + phases elementwise, and propagators[i] = U(phases[i]).
+    """
+
     monodromy: np.ndarray
     quasi_energies: np.ndarray
     vectors: np.ndarray
     targets: np.ndarray
     branch_shifts: np.ndarray
+    z: np.ndarray
+    turns: np.ndarray
+    phases: np.ndarray
+    propagators: np.ndarray
+
+    def trajectory(self, c0: Sequence[complex]) -> CoefficientTrajectory:
+        """c(z) = U(r) M^n c0 on the marched grid, z = n T + r (Floquet theorem)."""
+        if len(self.z) == 0:
+            raise ValueError("the monodromy was marched without a z_grid")
+        c = _initial_coefficients(len(self.monodromy), c0)
+        powers = [c]  # M^n c0
+        for _ in range(int(self.turns.max())):
+            powers.append(self.monodromy @ powers[-1])
+        out = np.stack([u @ powers[n] for u, n in zip(self.propagators, self.turns)])
+        return CoefficientTrajectory(z=self.z, c=out)
+
+
+def _fold(z: np.ndarray, period: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Split each z into n T + r: (n per z, index of its phase, the sorted distinct phases).
+
+    A z within PHASE_TOL * T of k T folds to (k, 0), and phases that agree
+    within PHASE_TOL * T are one phase (the smallest of them), so a grid
+    aligned to T marches each phase once despite rounding in z.
+    """
+    tol = PHASE_TOL * period
+    turns = np.floor(z / period)
+    r = z - turns * period
+    up = r > period - tol
+    turns[up] += 1
+    r[up | (r < tol)] = 0.0
+    phases: list[float] = []
+    which = np.empty(len(z), dtype=int)
+    for i in np.argsort(r, kind="stable"):
+        if not phases or r[i] - phases[-1] > tol:
+            phases.append(float(r[i]))
+        which[i] = len(phases) - 1
+    return turns.astype(int), which, np.array(phases)
 
 
 def floquet_monodromy(
@@ -454,8 +521,15 @@ def floquet_monodromy(
     period: float,
     control: Optional[StepControl] = None,
     targets: Optional[Sequence[float]] = None,
+    *,
+    z_grid: Sequence[float] = (),
 ) -> FloquetResult:
     """One-period propagator of the coupled equations and its eigensystem.
+
+    The propagator U is marched once from 0 through the distinct phases
+    z mod T of z_grid (see `_fold`) on to the monodromy M = U(T), keeping
+    U at each phase for `FloquetResult.trajectory`; an empty z_grid is
+    the single march from 0 to T.
 
     Quasi-energies come from eps = i ln(lambda) / T on the principal
     branch, then are shifted by multiples of 2 pi / T to the representative
@@ -463,9 +537,18 @@ def floquet_monodromy(
     pencil). Results are ordered to match the targets.
     """
     control = control or StepControl()
+    z = _z_grid(z_grid)
     sysm = _CoupledSystem(model, control)
     n = model.n
-    mono = sysm.march(np.eye(n, dtype=complex), 0.0, period)
+    turns, which, phases = _fold(z, period)
+    u = np.eye(n, dtype=complex)
+    at_phase = []
+    r_prev = 0.0
+    for r in phases:
+        u = sysm.march(u, r_prev, r)
+        at_phase.append(u)
+        r_prev = r
+    mono = sysm.march(u, r_prev, period)
     lam, vecs = np.linalg.eig(mono)
     if np.linalg.cond(vecs) > 1e8:
         raise DefectiveMonodromy("monodromy eigenvector matrix is near-defective")
@@ -481,7 +564,6 @@ def floquet_monodromy(
     eps_out = np.empty(n, dtype=complex)
     vec_out = np.empty_like(vecs)
     shifts = np.empty(n, dtype=int)
-    lam_out = np.empty(n, dtype=complex)
     for i, t in enumerate(targets):
         best = None
         for j in range(n):
@@ -497,10 +579,11 @@ def floquet_monodromy(
         eps_out[i] = cand + 1j * eps_pb[j].imag
         vec_out[:, i] = vecs[:, j]
         shifts[i] = shift
-        lam_out[i] = lam[j]
     # the monodromy itself stays basis-ordered, not target-ordered
     return FloquetResult(monodromy=mono, quasi_energies=eps_out,
-                         vectors=vec_out, targets=targets, branch_shifts=shifts)
+                         vectors=vec_out, targets=targets, branch_shifts=shifts,
+                         z=z, turns=turns, phases=phases[which],
+                         propagators=np.array(at_phase).reshape(-1, n, n)[which])
 
 
 def assemble_state(model: TBModel, c: Sequence[complex], x):

@@ -19,7 +19,12 @@ from susytb.observables import (
     power,
 )
 from susytb.quadrature import QuadratureSpec, quad_nodes
-from susytb.tightbinding import propagate_coefficients, static_guided_modes, two_well_model
+from susytb.tightbinding import (
+    assemble_state,
+    propagate_coefficients,
+    static_guided_modes,
+    two_well_model,
+)
 
 from conftest import HERM, PTS
 
@@ -292,6 +297,39 @@ def test_moment_table_evaluates_each_field_once(name, has_h2, request):
     if has_h2 is not True:
         expected["potential"] = n  # shared by the H and H^2 finite differences
     assert dict(counted.calls) == expected
+
+
+class _OneHamiltonianPerApplication(TBTrajectoryState):
+    """H psi = S^-1 (H(z) c) and H^2 psi = S^-1 (H(z) S^-1 (H(z) c)), building H(z) each time."""
+
+    def h_apply(self, x, z):
+        s_inv, c = self.model.overlap_inverse(), self._c(z)
+        return assemble_state(self.model, s_inv @ (self.model.hamiltonian_matrix(z) @ c), x)
+
+    def h2_apply(self, x, z):
+        s_inv, c = self.model.overlap_inverse(), self._c(z)
+        g = s_inv @ (self.model.hamiltonian_matrix(z) @ c)
+        return assemble_state(self.model, s_inv @ (self.model.hamiltonian_matrix(z) @ g), x)
+
+
+def test_trajectory_state_builds_each_hamiltonian_once(dyn_tb_state, dyn_quad, monkeypatch):
+    model, traj, system = dyn_tb_state.model, dyn_tb_state.trajectory, dyn_tb_state.system
+    z = [0.0, 0.5, 1.0, 1.5]
+    requests = [ObservableRequest("H_mean", "pt"), ObservableRequest("H_std", "pt")]
+    reference = moment_table(_OneHamiltonianPerApplication(model, traj, system), requests, z,
+                             dyn_quad)
+    built = []
+    build = model.hamiltonian_matrix
+
+    def counted(zz):
+        built.append(zz)
+        return build(zz)
+
+    monkeypatch.setattr(model, "hamiltonian_matrix", counted)
+    table = moment_table(TBTrajectoryState(model, traj, system), requests, z, dyn_quad)
+    assert built == z
+    for got, ref in zip(table, reference):
+        assert np.array_equal(got.values, ref.values)
 
 
 @pytest.mark.parametrize("bad", [ObservableRequest("charge", "dirac"),

@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -5,6 +6,8 @@ import pytest
 import scipy.linalg as sla
 
 from susytb.bpm import eigen_residual
+from susytb.config import validate_config
+from susytb.presets import preset_config
 from susytb.quadrature import X_PARTS_CACHE, QuadratureSpec, quad_nodes
 from susytb.systems import potential_pt_dynamic
 from susytb.tightbinding import (
@@ -26,6 +29,7 @@ from susytb.tightbinding import (
     solve_spectrum,
     static_guided_modes,
     two_well_model,
+    _CoupledSystem,
 )
 
 from conftest import HERM, PTD, PTS
@@ -233,6 +237,12 @@ def test_monodromy_matches_lu_solve_reference(dyn_system):
                             targets=sorted(dyn_system.energies().values()))
     ref = _rk4_lu_solve_reference(model, np.eye(2, dtype=complex), 0.0, t_v, 0.02)
     assert np.max(np.abs(flq.monodromy - ref)) <= 1e-12 * np.max(np.abs(ref))
+    # without a z grid the monodromy is the single march over [0, T_V]
+    single = _CoupledSystem(model, StepControl(dz_max=0.02)).march(np.eye(2, dtype=complex), 0.0, t_v)
+    assert np.array_equal(flq.monodromy, single)
+    assert len(flq.z) == 0
+    with pytest.raises(ValueError):
+        flq.trajectory([0.7, -0.7])
 
 
 def test_normalized_overlap_unit_diagonal():
@@ -427,6 +437,82 @@ def test_dynamic_quasi_energy_difference_matches_exact(dyn_system):
     diff = flq.quasi_energies[1].real - flq.quasi_energies[0].real
     exact = -PTD.k1**2 - (-PTD.k2**2)
     assert abs(diff - exact) * t_v < 1e-3  # phase radians over one period
+
+
+def _dyn_model(system):
+    return two_well_model("hermitian", CAL_DYN["k"], CAL_DYN["x0"], potential=system.potential,
+                          hamiltonian_source="system", dynamic=True)
+
+
+@pytest.mark.parametrize("fixture", ["dyn_system", "dyn_strong_system"])
+def test_floquet_trajectory_matches_step_by_step_march(fixture, request):
+    """U(r) M^n c0 on a grid off the period multiples equals the RK4 march sample by sample.
+
+    The two partition [0, z] into different substeps, so they differ at RK4
+    truncation level: ~2e-8 at dz_max 0.02 (each ~4e-7 from the converged
+    solution), ~1e-9 at 0.0125.
+    """
+    system = request.getfixturevalue(fixture)
+    model = _dyn_model(system)
+    t_v = system.periods().fundamental
+    control = StepControl(dz_max=0.0125)
+    z = np.linspace(0.3, 2.5 * t_v, 97)
+    assert np.min(np.abs(z / t_v - np.round(z / t_v))) > 1e-3
+    c0 = np.array([0.7, -0.7j])
+    flq = floquet_monodromy(model, t_v, control, targets=sorted(system.energies().values()),
+                            z_grid=z)
+    got = flq.trajectory(c0)
+    ref = propagate_coefficients(model, c0, z, control)
+    assert np.array_equal(got.z, z)
+    assert np.max(np.abs(got.c - ref.c)) <= 1e-8 * np.max(np.abs(ref.c))
+
+
+def test_grid_folds_whole_periods_to_phase_zero():
+    model = two_well_model("hermitian", CAL_HERM["k"], CAL_HERM["x0"])
+    t = 1.7
+    z = [0.0, 0.25 * t, np.nextafter(t, 0.0), t, np.nextafter(t, 9.0),
+         1.25 * t, np.nextafter(2 * t, 0.0), 2 * t, np.nextafter(2 * t, 9.0)]
+    flq = floquet_monodromy(model, t, StepControl(dz_max=0.05), targets=[-1.0, 0.0], z_grid=z)
+    assert flq.turns.tolist() == [0, 0, 1, 1, 1, 1, 2, 2, 2]
+    assert flq.phases[[0, 2, 3, 4, 6, 7, 8]].tolist() == [0.0] * 7
+    # 0.25 t and 1.25 t - t agree to rounding: one phase, one propagator
+    assert flq.phases[5] == flq.phases[1] == pytest.approx(0.25 * t, rel=1e-12)
+    assert np.array_equal(flq.propagators[5], flq.propagators[1])
+    assert np.array_equal(flq.propagators[3], np.eye(2))
+    c = flq.trajectory([1.0, 0.0]).c
+    assert np.array_equal(c[2], c[4]) and np.array_equal(c[6], c[8])
+    assert np.array_equal(c[7], flq.monodromy @ (flq.monodromy @ np.array([1.0, 0.0])))
+
+
+@pytest.mark.parametrize("grid", [[-1.0, 0.0, 1.0], [0.0, 1.0, 1.0], [0.0, 2.0, 1.0],
+                                  [0.0, float("nan")], [[0.0, 1.0]]])
+def test_floquet_grid_validation(grid):
+    model = two_well_model("hermitian", CAL_HERM["k"], CAL_HERM["x0"])
+    with pytest.raises(ValueError):
+        floquet_monodromy(model, 1.0, targets=[-1.0, 0.0], z_grid=grid)
+    with pytest.raises(ValueError):
+        propagate_coefficients(model, [1.0, 0.0], grid)
+
+
+def test_preset_grid_marches_each_phase_once(dyn_system, monkeypatch):
+    cfg = validate_config(json.dumps(preset_config("pt-dynamic-fig1-5-6")))
+    t_v = dyn_system.periods().fundamental
+    assert cfg.system.periods().fundamental == t_v
+    substeps = []
+    march = _CoupledSystem.march
+
+    def counted(self, c, z0, z1):
+        if z1 != z0:
+            substeps.append(max(1, math.ceil(abs(z1 - z0) / self.control.dz_max)))
+        return march(self, c, z0, z1)
+
+    monkeypatch.setattr(_CoupledSystem, "march", counted)
+    flq = floquet_monodromy(_dyn_model(dyn_system), t_v, StepControl(dz_max=0.02),
+                            targets=sorted(dyn_system.energies().values()), z_grid=cfg.z_values)
+    # 160 phases per period, 21 substeps between neighbours
+    assert sum(substeps) == 3360
+    assert len(substeps) == 160
+    assert sorted(set(flq.turns.tolist())) == [0, 1, 2]
 
 
 # ---------------------------------------------------------------------------
