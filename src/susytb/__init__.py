@@ -44,7 +44,6 @@ from .observables import (
     TBTrajectoryState,
     moment_series,
     moment_table,
-    power,
     comparison_metrics,
 )
 from .bpm import PropagationGrid, propagate, pde_residual, eigen_residual

@@ -11,7 +11,7 @@ side that the stencils cannot reach.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Optional, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 from scipy.linalg import solve_banded
@@ -36,29 +36,17 @@ class PropagationUnstable(RuntimeError):
 
 
 @dataclass(frozen=True)
-class AbsorbingLayer:
-    width: float
-    strength: float
-
-
-@dataclass(frozen=True)
 class PropagationGrid:
     half_width: float
     nx: int = 2048
     dz: float = 0.01
     z_end: float = 1.0
-    boundary: str = "dirichlet_zero"  # or "transparent_absorbing_layer"
-    absorber: Optional[AbsorbingLayer] = None
 
     def __post_init__(self) -> None:
         if self.nx < 256:
             raise ValueError("need nx >= 256")
-        if self.dz <= 0:
+        if not self.dz > 0:  # NaN included
             raise ValueError("dz must be positive")
-        if self.boundary not in ("dirichlet_zero", "transparent_absorbing_layer"):
-            raise ValueError(f"unknown boundary {self.boundary!r}")
-        if self.boundary == "transparent_absorbing_layer" and self.absorber is None:
-            raise ValueError("absorbing boundary needs an AbsorbingLayer")
 
     @property
     def x(self) -> np.ndarray:
@@ -76,17 +64,6 @@ class PropagationGrid:
 class FieldSnapshot:
     z: float
     samples: np.ndarray
-
-
-def _absorber_potential(grid: PropagationGrid) -> np.ndarray:
-    """Quartic-ramp imaginary potential switched on near the walls."""
-    if grid.boundary != "transparent_absorbing_layer":
-        return np.zeros(grid.nx)
-    x = grid.x
-    layer = grid.absorber
-    xa = grid.half_width - layer.width
-    ramp = np.clip((np.abs(x) - xa) / layer.width, 0.0, 1.0)
-    return -1j * layer.strength * ramp**4
 
 
 def step(field: np.ndarray, v_now: np.ndarray, v_next: np.ndarray, dx: float, dz: float) -> np.ndarray:
@@ -135,7 +112,6 @@ def propagate(
     psi = np.asarray(initial(x) if callable(initial) else initial, dtype=complex).copy()
     if psi.shape != x.shape:
         raise ValueError("initial field does not match the grid")
-    absorb = _absorber_potential(grid)
     p0 = float(np.trapezoid(np.abs(psi) ** 2, x))
     targets = sorted(float(zz) for zz in snapshot_zs)
     out: list[FieldSnapshot] = []
@@ -144,10 +120,10 @@ def propagate(
     while ti < len(targets) and targets[ti] <= z + grid.dz * 1e-9:
         out.append(FieldSnapshot(z=targets[ti], samples=psi.copy()))
         ti += 1
-    v_now = np.asarray(potential(x, z)) + absorb
+    v_now = np.asarray(potential(x, z))
     while ti < len(targets):
         dz = min(grid.dz, targets[ti] - z)
-        v_next = np.asarray(potential(x, z + dz)) + absorb
+        v_next = np.asarray(potential(x, z + dz))
         psi = step(psi, v_now, v_next, grid.dx, dz)
         z += dz
         v_now = v_next

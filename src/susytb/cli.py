@@ -23,7 +23,6 @@ from . import __version__
 from .bpm import PropagationGrid, eigen_residual, pde_residual, propagate
 from .calibrate import CalibrationResult, default_problem, profile_match, spectral_match
 from .config import ConfigError, ScenarioConfig, config_digest, validate_config
-from .darboux import regularity_scan
 from .observables import (
     ExactState,
     ObservableSeries,
@@ -33,7 +32,6 @@ from .observables import (
     moment_table,
 )
 from .presets import PRESETS, preset_config
-from .quadrature import QuadratureSpec
 from .systems import WaveguideSystem
 from .tightbinding import (
     StepControl,
@@ -257,11 +255,7 @@ def run(cfg: ScenarioConfig, outdir) -> tuple[ComparisonReport, list[Path]]:
     files: list[Path] = []
 
     # 1. regularity
-    u1, u2, _, _ = system.seeds()
-    if system.is_dynamic:
-        scan = regularity_scan(u1, u2, (-10.0, 10.0), (0.0, 2 * system.periods().fundamental), 241)
-    else:
-        scan = regularity_scan(u1, u2, (-10.0, 10.0), (0.0, 0.0), 2001)
+    scan = system.regularity
     regularity = {"nodeless": scan.nodeless, "min_abs_w": scan.min_abs_w,
                   "argmin": list(scan.argmin), "certified": cfg.certified}
 
@@ -334,16 +328,7 @@ def run(cfg: ScenarioConfig, outdir) -> tuple[ComparisonReport, list[Path]]:
 # ---------------------------------------------------------------------------
 
 def _load_config(args) -> ScenarioConfig:
-    text = Path(args.config).read_text(encoding="utf-8")
-    cfg = validate_config(text)
-    if getattr(args, "nodes", None):
-        cfg.quad = QuadratureSpec(half_width=cfg.quad.half_width, nodes=args.nodes,
-                                  rule=cfg.quad.rule, tail_tol=cfg.quad.tail_tol)
-    if getattr(args, "z_samples", None):
-        stop = cfg.z_values[-1]
-        n = args.z_samples
-        cfg.z_values = [stop * i / (n - 1) for i in range(n)]
-    return cfg
+    return validate_config(Path(args.config).read_text(encoding="utf-8"))
 
 
 def _cmd_validate(args) -> int:
@@ -437,19 +422,13 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         description="Exact PT-symmetric coupled waveguides vs tight-binding models")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p, config=True):
-        if config:
-            p.add_argument("config", help="path to a scenario JSON file")
-        p.add_argument("--out", default=".", help="output directory")
-        p.add_argument("--nodes", type=int, default=None, help="override quadrature nodes")
-        p.add_argument("--z-samples", type=int, default=None, help="override z sample count")
-
     for name, fn in [("validate", _cmd_validate), ("potential", _cmd_potential),
                      ("modes", _cmd_modes), ("calibrate", _cmd_calibrate),
                      ("spectrum", _cmd_spectrum), ("propagate", _cmd_propagate),
                      ("compare", _cmd_compare)]:
         p = sub.add_parser(name)
-        add_common(p)
+        p.add_argument("config", help="path to a scenario JSON file")
+        p.add_argument("--out", default=".", help="output directory")
         p.set_defaults(fn=fn)
 
     p = sub.add_parser("preset")

@@ -12,18 +12,17 @@ lengths in inverse-wavenumber units):
       "z_grid": {"periods": 2.0, "num": 361}               # or "stop": <z>
       "mode_kind": "left",
       "observables": ["x_mean", {"name": "H_mean", "metric": "pt"}, ...],
-      "quadrature": {"nodes": 4097, "rule": "simpson",
-                     "half_width": null, "tail_tol": 1e-9},
+      "quadrature": {"nodes": 4097, "rule": "simpson", "half_width": null},
       "bpm": {"enabled": false, "nx": 2048, "dz": 0.01},
       "potential_dump": {"enabled": false, "nx": 201, "nz": 129,
                          "x_half_width": 6.0, "periods": 2.0},
-      "output": {"basename": "run"},
-      "seed": 0
+      "output": {"basename": "run"}
     }
 
 Validation is aggregated and field-addressed; physics constraints
 (parameter orderings, the dynamic regularity bound with its `certified`
-semantics) are enforced here so a validated config is a runnable plan.
+semantics, the BPM grid rules of `bpm.PropagationGrid`) are enforced here
+so a validated config is a runnable plan. Other keys are ignored.
 """
 
 from __future__ import annotations
@@ -32,6 +31,7 @@ import json
 from dataclasses import dataclass
 from typing import Optional
 
+from .bpm import PropagationGrid
 from .observables import OBSERVABLES, ObservableRequest
 from .quadrature import QuadratureSpec, default_spec
 from .systems import (
@@ -218,13 +218,12 @@ def validate_config(text: str) -> ScenarioConfig:
     qd = _get(raw, "quadrature", dict, errors, "config", default={}) or {}
     q_nodes = _get(qd, "nodes", int, errors, "quadrature", default=4097)
     q_rule = _get(qd, "rule", str, errors, "quadrature", default="simpson")
-    q_tail = _get(qd, "tail_tol", float, errors, "quadrature", default=1e-9)
     q_half = default_spec(system.min_k).half_width
     if qd.get("half_width") is not None:  # null selects the default window, as an omitted key does
         q_half = _get(qd, "half_width", float, errors, "quadrature", default=q_half)
     quad = None
     try:
-        quad = QuadratureSpec(half_width=q_half, nodes=q_nodes, rule=q_rule, tail_tol=q_tail)
+        quad = QuadratureSpec(half_width=q_half, nodes=q_nodes, rule=q_rule)
     except ValueError as exc:
         errors.append(f"quadrature: {exc}")
     if quad is not None and quad.rule == "gauss_legendre_composite":
@@ -236,6 +235,11 @@ def validate_config(text: str) -> ScenarioConfig:
         "nx": _get(bd, "nx", int, errors, "bpm", default=2048),
         "dz": _get(bd, "dz", float, errors, "bpm", default=0.01),
     }
+    for key, value in bpm_options.items():  # `propagate` builds this grid even when disabled
+        try:
+            PropagationGrid(half_width=1.0, **{key: value})
+        except ValueError as exc:
+            errors.append(f"bpm.{key}: {exc}")
 
     pd_cfg = _get(raw, "potential_dump", dict, errors, "config", default={}) or {}
     potential_dump = None
@@ -246,6 +250,9 @@ def validate_config(text: str) -> ScenarioConfig:
             "x_half_width": _get(pd_cfg, "x_half_width", float, errors, "potential_dump", default=6.0),
             "periods": _get(pd_cfg, "periods", float, errors, "potential_dump", default=2.0),
         }
+        for key in ("nx", "nz"):
+            if potential_dump[key] < 1:
+                errors.append(f"potential_dump.{key}: need at least 1 sample")
 
     outd = _get(raw, "output", dict, errors, "config", default={}) or {}
     basename = _get(outd, "basename", str, errors, "output", default="run")

@@ -40,7 +40,6 @@ __all__ = [
     "ExactState",
     "TBStaticState",
     "TBTrajectoryState",
-    "power",
     "ObservableRequest",
     "moment_table",
     "moment_series",
@@ -130,9 +129,6 @@ class TBStaticState:
     def h2_apply(self, x, z: float):
         return assemble_state(self.model, self.guided.coefficients(self.kind, z, 2), x)
 
-    def potential(self, x, z: float):
-        return self.system.potential(x, z)
-
 
 class TBTrajectoryState:
     """Dynamic-model state riding a precomputed coefficient trajectory.
@@ -172,19 +168,10 @@ class TBTrajectoryState:
         c = self._c(z)
         return assemble_state(self.model, self._generator(self._generator(c, z), z), x)
 
-    def potential(self, x, z: float):
-        return self.system.potential(x, z)
-
 
 # ---------------------------------------------------------------------------
 # moments
 # ---------------------------------------------------------------------------
-
-def power(state, z: float, quad: QuadratureSpec) -> float:
-    x, w = quad_nodes(quad)
-    f = np.asarray(state(x, z))
-    return float(np.sum(w * np.abs(f) ** 2).real)
-
 
 def _default_normalization(observable: str, metric: str) -> str:
     if observable == "power":

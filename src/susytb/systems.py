@@ -23,14 +23,15 @@ from __future__ import annotations
 import functools
 import math
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from fractions import Fraction
 from typing import NamedTuple, Optional
 
 import numpy as np
 
+from . import darboux
 from .darboux import SingularPointError
-from .quadrature import NodeCache, QuadratureSpec, default_spec, localized_combos, quad_nodes
+from .quadrature import NodeCache, default_spec, localized_combos, quad_nodes
 from .seeds import SeedSuperposition
 
 __all__ = [
@@ -60,12 +61,19 @@ class ParameterError(ValueError):
     """System parameters violate a regularity/ordering requirement."""
 
 
+def _require_finite(p) -> None:
+    for f in fields(p):
+        if not math.isfinite(getattr(p, f.name)):
+            raise ParameterError(f"{f.name} must be finite, got {getattr(p, f.name)!r}")
+
+
 @dataclass(frozen=True)
 class HermitianStaticParams:
     k1: float
     k2: float
 
     def __post_init__(self) -> None:
+        _require_finite(self)
         if not (abs(self.k2) > abs(self.k1) > 0):
             raise ParameterError("need |k2| > |k1| > 0 for a nodeless Wronskian")
 
@@ -77,6 +85,7 @@ class PTStaticParams:
     alpha: float
 
     def __post_init__(self) -> None:
+        _require_finite(self)
         if self.k1 == 0:
             raise ParameterError("k1 must be nonzero")
         if not (abs(self.k2) > abs(self.k1)):
@@ -91,6 +100,7 @@ class PTDynamicParams:
     alpha: float
 
     def __post_init__(self) -> None:
+        _require_finite(self)
         if self.k2 == 0:
             raise ParameterError("k2 must be nonzero")
         if not (abs(self.k3) < abs(self.k1) < abs(self.k2)):
@@ -322,7 +332,7 @@ class WaveguideSystem:
     unit Dirac power at z=0, labeled by the sign of <x> there.
     """
 
-    def __init__(self, params, quad: Optional[QuadratureSpec] = None):
+    def __init__(self, params):
         self.params = params
         if isinstance(params, HermitianStaticParams):
             self.kind = "hermitian_static"
@@ -340,10 +350,8 @@ class WaveguideSystem:
         if default_spec(self.min_k).half_width > limit:
             raise ParameterError(f"the quadrature window 12/min|k| runs past |x| = {limit:.4g}, "
                                  f"where the closed forms overflow")
-        if quad is None:
-            quad = default_spec(self.min_k, nodes=2048, rule="gauss_legendre_composite")
-        self.quad = quad
-        self._nodes, self._weights = quad_nodes(quad)
+        self.quad = default_spec(self.min_k, nodes=2048, rule="gauss_legendre_composite")
+        self._nodes, self._weights = quad_nodes(self.quad)
         self._norm: dict[str, float] = {}
         self._pseudo_sign: dict[str, int] = {}
         self._combos: dict[str, tuple[int, float]] = {}
@@ -356,6 +364,16 @@ class WaveguideSystem:
     @property
     def is_dynamic(self) -> bool:
         return self.kind == "pt_dynamic"
+
+    @functools.cached_property
+    def regularity(self) -> darboux.RegularityScan:
+        """Wronskian node scan on x in [-10, 10] (z in [0, 2 T_V] if modulated); run once per system."""
+        u1, u2, _, _ = self.seeds()
+        if self.is_dynamic:
+            z_end, n_points = 2 * self.periods().fundamental, 241
+        else:
+            z_end, n_points = 0.0, 2001
+        return darboux.regularity_scan(u1, u2, (-10.0, 10.0), (0.0, z_end), n_points)
 
     def energies(self) -> dict[str, float]:
         p = self.params
@@ -476,16 +494,11 @@ class WaveguideSystem:
         return self._pair(kind, lambda k: energies[k] ** 2 * self._evolved(k, x, z))
 
 
-def make_system(params, *, quad: Optional[QuadratureSpec] = None,
-                verify_regularity: bool = True) -> WaveguideSystem:
+def make_system(params, *, verify_regularity: bool = True) -> WaveguideSystem:
     """Validate parameters, optionally scan-verify an uncertified dynamic case."""
-    system = WaveguideSystem(params, quad=quad)
+    system = WaveguideSystem(params)
     if isinstance(params, PTDynamicParams) and verify_regularity and not params.certified:
-        from .darboux import regularity_scan
-
-        u1, u2, _, _ = system.seeds()
-        t_v = system.periods().fundamental
-        scan = regularity_scan(u1, u2, (-10.0, 10.0), (0.0, 2 * t_v), n_points=241)
+        scan = system.regularity
         if not scan.nodeless:
             raise ParameterError(
                 f"dynamic parameters fail the sufficient bound and the regularity scan "

@@ -30,7 +30,7 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 import scipy.linalg as sla
 
-from .quadrature import NodeCache, QuadratureSpec, certify_tail, integrate, localized_combos, quad_nodes
+from .quadrature import NodeCache, QuadratureSpec, integrate, localized_combos, quad_nodes
 
 __all__ = [
     "WellBasis",
@@ -133,47 +133,29 @@ def kappa_hermitian_closed_form(k: float, x0: float) -> float:
     return 2 * a / math.sinh(2 * a)
 
 
-def overlap_kappa(b: WellBasis, x0: float, quad: Optional[QuadratureSpec] = None):
+def overlap_kappa(b: WellBasis, x0: float):
     """Dirac overlap of the two metric-normalized modes displaced to +-x0."""
     if x0 <= 0:
         raise ValueError("x0 must be positive")
-    if quad is None:
-        quad = QuadratureSpec(half_width=x0 + 14.0 / abs(b.k), nodes=2048,
-                              rule="gauss_legendre_composite")
-    x, w = quad_nodes(quad)
+    x, w = quad_nodes(QuadratureSpec(half_width=x0 + 14.0 / abs(b.k), nodes=2048,
+                                     rule="gauss_legendre_composite"))
     left = single_well_mode(WellBasis(b.kind, b.k, b.alpha_tilde, 0.0), x + x0)
     right = single_well_mode(WellBasis(b.kind, b.k, b.alpha_tilde, 0.0), x - x0)
     val = complex(np.sum(w * np.conj(left) * right))
     return float(val.real) if b.kind == "hermitian" else val
 
 
-class TailNotConverged(RuntimeError):
-    pass
-
-
-def inner_product(f: Callable, g: Callable, metric: str, quad: QuadratureSpec,
-                  *, check_tail: bool = False) -> complex:
-    """(f,g) = int conj(f(x)) g(x) dx  (dirac)  or  int conj(f(x)) g(-x) dx  (pt).
-
-    check_tail refuses a window whose doubling moves the integral by more
-    than quad.tail_tol (`quadrature.certify_tail`).
-    """
+def inner_product(f: Callable, g: Callable, metric: str, quad: QuadratureSpec) -> complex:
+    """(f,g) = int conj(f(x)) g(x) dx  (dirac)  or  int conj(f(x)) g(-x) dx  (pt)."""
     if metric not in ("dirac", "pt"):
         raise ValueError(f"metric must be 'dirac' or 'pt', got {metric!r}")
-
-    def integrand(x):
-        return np.conj(f(x)) * (g(-x) if metric == "pt" else g(x))
-
-    if check_tail:
-        ok, tail = certify_tail(integrand, quad)
-        if not ok:
-            raise TailNotConverged(f"tail contribution {tail:.3e} exceeds {quad.tail_tol:.3e}")
-    return integrate(integrand, quad)
+    return integrate(lambda x: np.conj(f(x)) * (g(-x) if metric == "pt" else g(x)), quad)
 
 
 class TBModel:
     """Well list + metric + optional exact-potential binding.
 
+    The metric is PT when any well is a PT well, Dirac otherwise.
     hamiltonian_source selects what enters H_ij: "well_sum" uses the
     superposed single-well potential (the stationary TB pencil used for
     spectra and calibration), "system" uses the bound exact potential
@@ -185,8 +167,6 @@ class TBModel:
         self,
         wells: Sequence[WellBasis],
         *,
-        metric: Optional[str] = None,
-        quad: Optional[QuadratureSpec] = None,
         potential: Optional[Callable] = None,
         hamiltonian_source: str = "well_sum",
         dynamic: bool = False,
@@ -194,29 +174,23 @@ class TBModel:
         self.wells = tuple(wells)
         if not self.wells:
             raise ValueError("need at least one well")
-        if metric is None:
-            metric = "pt" if any(w.kind == "pt" for w in self.wells) else "dirac"
-        if metric not in ("dirac", "pt"):
-            raise ValueError(f"metric must be 'dirac' or 'pt', got {metric!r}")
         if hamiltonian_source not in ("well_sum", "system"):
             raise ValueError("hamiltonian_source must be 'well_sum' or 'system'")
         if hamiltonian_source == "system" and potential is None:
             raise ValueError("a system potential binding is required for hamiltonian_source='system'")
         if dynamic and hamiltonian_source != "system":
             raise ValueError("a dynamic model needs the exact potential inside H")
-        self.metric = metric
+        self.metric = "pt" if any(w.kind == "pt" for w in self.wells) else "dirac"
         self.potential = potential
         self.hamiltonian_source = hamiltonian_source
         self.dynamic = dynamic
-        if quad is None:
-            span = max(abs(w.center) for w in self.wells)
-            kmin = min(abs(w.k) for w in self.wells)
-            quad = QuadratureSpec(half_width=span + 13.0 / kmin, nodes=2048,
-                                  rule="gauss_legendre_composite")
-        self.quad = quad
-        x, w = quad_nodes(quad)
+        span = max(abs(w.center) for w in self.wells)
+        kmin = min(abs(w.k) for w in self.wells)
+        self.quad = QuadratureSpec(half_width=span + 13.0 / kmin, nodes=2048,
+                                   rule="gauss_legendre_composite")
+        x, w = quad_nodes(self.quad)
         self._x, self._w = x, w
-        self._xs = -x if metric == "pt" else x
+        self._xs = -x if self.metric == "pt" else x
         self._phi = np.stack([single_well_mode(b, x) for b in self.wells])
         self._phi_s = np.stack([single_well_mode(b, self._xs) for b in self.wells])
         self._v0_s = np.stack([single_well_potential(b, self._xs) for b in self.wells])
@@ -264,13 +238,6 @@ class TBModel:
         w, phi = self._w, self._phi
         return np.conj(phi) @ (w[:, None] * self._h_applied_well_sum().T)
 
-    def normalized_overlap(self) -> tuple[np.ndarray, np.ndarray]:
-        """Rescaled overlap with unit diagonal, plus the applied scales."""
-        s = self.overlap_matrix()
-        scales = np.sqrt(np.array([complex(s[i, i]) for i in range(self.n)]))
-        shat = s / np.outer(np.conj(scales), scales)
-        return shat, scales
-
 
 def two_well_model(
     kind: str,
@@ -278,16 +245,14 @@ def two_well_model(
     x0: float,
     alpha_tilde: float = 0.0,
     *,
-    metric: Optional[str] = None,
-    quad: Optional[QuadratureSpec] = None,
     potential: Optional[Callable] = None,
     hamiltonian_source: str = "well_sum",
     dynamic: bool = False,
 ) -> TBModel:
     """Symmetric pair of wells at +-x0; wells ordered [right, left]."""
     wells = (WellBasis(kind, k, alpha_tilde, +x0), WellBasis(kind, k, alpha_tilde, -x0))
-    return TBModel(wells, metric=metric, quad=quad, potential=potential,
-                   hamiltonian_source=hamiltonian_source, dynamic=dynamic)
+    return TBModel(wells, potential=potential, hamiltonian_source=hamiltonian_source,
+                   dynamic=dynamic)
 
 
 # ---------------------------------------------------------------------------
@@ -370,10 +335,13 @@ def generalized_energies_2x2(h: np.ndarray, s: np.ndarray) -> np.ndarray:
 # z-dependent coupled equations
 # ---------------------------------------------------------------------------
 
+# Largest cond(S) the coupled-mode march accepts.
+COND_LIMIT = 1e12
+
+
 @dataclass(frozen=True)
 class StepControl:
     dz_max: float = 0.02
-    cond_limit: float = 1e12
 
     def __post_init__(self) -> None:
         if self.dz_max <= 0:
@@ -392,7 +360,7 @@ class _CoupledSystem:
     def __init__(self, model: TBModel, control: StepControl):
         self.model = model
         cond = np.linalg.cond(model.overlap_matrix())
-        if cond > control.cond_limit:
+        if cond > COND_LIMIT:
             raise IllConditionedOverlap(f"cond(S) = {cond:.3e}")
         self._s_inv = model.overlap_inverse()
         self.control = control
@@ -520,8 +488,8 @@ def floquet_monodromy(
     model: TBModel,
     period: float,
     control: Optional[StepControl] = None,
-    targets: Optional[Sequence[float]] = None,
     *,
+    targets: Sequence[float],
     z_grid: Sequence[float] = (),
 ) -> FloquetResult:
     """One-period propagator of the coupled equations and its eigensystem.
@@ -533,8 +501,7 @@ def floquet_monodromy(
 
     Quasi-energies come from eps = i ln(lambda) / T on the principal
     branch, then are shifted by multiples of 2 pi / T to the representative
-    nearest the given targets (default: the spectrum of the period-averaged
-    pencil). Results are ordered to match the targets.
+    nearest the given targets. Results are ordered to match the targets.
     """
     control = control or StepControl()
     z = _z_grid(z_grid)
@@ -553,10 +520,6 @@ def floquet_monodromy(
     if np.linalg.cond(vecs) > 1e8:
         raise DefectiveMonodromy("monodromy eigenvector matrix is near-defective")
     omega = 2 * math.pi / period
-    if targets is None:
-        n_avg = 64
-        h_bar = sum(model.hamiltonian_matrix(period * j / n_avg) for j in range(n_avg)) / n_avg
-        targets = np.sort(sla.eig(h_bar, model.overlap_matrix())[0].real)
     targets = np.asarray(targets, dtype=float)
     eps_pb = (1j * np.log(lam) / period)
     # assign each target its closest eigenvalue branch

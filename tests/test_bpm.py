@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from susytb.bpm import (
-    AbsorbingLayer,
     FieldSnapshot,
     PropagationGrid,
     PropagationUnstable,
@@ -26,14 +25,10 @@ def _grid(**kw):
 def test_grid_validation():
     with pytest.raises(ValueError):
         _grid(nx=64)
-    with pytest.raises(ValueError):
-        _grid(dz=0.0)
-    with pytest.raises(ValueError):
-        _grid(boundary="open")
-    with pytest.raises(ValueError):
-        _grid(boundary="transparent_absorbing_layer")
-    g = _grid(boundary="transparent_absorbing_layer", absorber=AbsorbingLayer(2.0, 1.0))
-    assert g.cfl_ok()
+    for dz in (0.0, -0.01, math.nan):
+        with pytest.raises(ValueError):
+            _grid(dz=dz)
+    assert _grid().cfl_ok()
     assert not _grid(dz=1.0).cfl_ok()
 
 
@@ -121,18 +116,6 @@ def test_instability_detector():
     gain = lambda xx, zz: 5j * np.ones_like(xx)
     with pytest.raises(PropagationUnstable):
         propagate(lambda xx: np.exp(-xx**2) + 0j, gain, grid, [3.0])
-
-
-def test_absorbing_layer_damps_outgoing_wave():
-    grid = _grid(boundary="transparent_absorbing_layer",
-                 absorber=AbsorbingLayer(width=4.0, strength=2.0), z_end=4.0)
-    x = grid.x
-    mover = np.exp(-((x + 6) ** 2) / 2) * np.exp(2j * x)  # drifts right
-    free = lambda xx, zz: np.zeros_like(xx)
-    snaps = propagate(mover.astype(complex), free, grid, [4.0])
-    p_end = float(np.trapezoid(np.abs(snaps[-1].samples) ** 2, x))
-    p_start = float(np.trapezoid(np.abs(mover) ** 2, x))
-    assert p_end < 0.9 * p_start  # some power left through the sponge
 
 
 def test_pde_residual_negative_control(dyn_system):

@@ -1,9 +1,14 @@
 import json
+import math
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
+import susytb.cli as cli
+import susytb.darboux as darboux
 from susytb.cli import emit_csv, main, run
 from susytb.config import ConfigError, config_digest, validate_config
 from susytb.observables import ObservableSeries
@@ -106,6 +111,108 @@ def test_null_half_width_selects_the_default_window(tmp_path):
     with pytest.raises(ConfigError) as exc:
         validate_config(json.dumps(_cfg(quadrature={"half_width": "wide"})))
     assert any(e.startswith("quadrature.half_width:") for e in exc.value.errors)
+
+
+@pytest.mark.parametrize("block, key, value, message", [
+    ("bpm", "nx", 255, "need nx >= 256"),
+    ("bpm", "dz", 0.0, "dz must be positive"),
+    ("potential_dump", "nx", 0, "need at least 1 sample"),
+    ("potential_dump", "nz", 0, "need at least 1 sample"),
+])
+def test_grid_sizes_a_run_refuses_are_field_addressed(tmp_path, capsys, block, key, value, message):
+    raw = _cfg(**{block: {"enabled": True, key: value}})
+    with pytest.raises(ConfigError) as exc:
+        validate_config(json.dumps(raw))
+    assert exc.value.errors == [f"{block}.{key}: {message}"]
+    path = tmp_path / "c.json"
+    path.write_text(json.dumps(raw))
+    assert main(["validate", str(path)]) == 1
+    assert f"error: {block}.{key}: {message}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("preset, key, value", [
+    ("pt-dynamic-fig1-5-6", "alpha", math.nan),  # the regularity scan used to raise on it
+    ("pt-static-fig3-4", "alpha", math.nan),
+    ("hermitian-fig2", "k2", math.inf),
+])
+def test_non_finite_system_parameters_exit_1(tmp_path, capsys, preset, key, value):
+    raw = preset_config(preset)
+    raw["system"][key] = value
+    path = tmp_path / "c.json"
+    path.write_text(json.dumps(raw))
+    assert main(["validate", str(path)]) == 1
+    assert f"error: system: {key} must be finite" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("flag", ["--nodes", "--z-samples"])
+def test_config_overrides_are_not_options(tmp_path, flag):
+    path = tmp_path / "c.json"
+    path.write_text(json.dumps(BASE))
+    with pytest.raises(SystemExit) as exc:
+        main(["validate", str(path), flag, "64"])
+    assert exc.value.code == 2  # argparse: unrecognized arguments
+
+
+def test_pt_dynamic_preset_scans_regularity_once(tmp_path, monkeypatch):
+    """validate_config and run share the system's one Wronskian scan."""
+    calls = []
+    scan = darboux.regularity_scan
+    for owner in (darboux, cli):  # count the scan wherever a caller has bound it
+        if hasattr(owner, "regularity_scan"):
+            monkeypatch.setattr(owner, "regularity_scan",
+                                lambda *a, **k: calls.append(a) or scan(*a, **k))
+    raw = preset_config("pt-dynamic-fig1-5-6")
+    raw["z_grid"] = {"periods": 0.1, "num": 5}  # the scan covers two periods whatever the grid
+    report, _ = run(validate_config(json.dumps(raw)), tmp_path)
+    assert len(calls) == 1
+    assert report.regularity["nodeless"] is True and report.regularity["certified"] is False
+
+
+# Config mutations: a leaf replaced by a value of the wrong type, a non-finite
+# number or a zero/negative count, or a whole block removed.
+BAD_VALUES = st.sampled_from([math.nan, math.inf, -math.inf, 0, -1, -2.5, 0.0, "x", None, [],
+                              {}, True])
+LEAVES = st.sampled_from([
+    ("system",), ("tb",), ("z_grid",), ("quadrature",), ("bpm",), ("potential_dump",), ("output",),
+    ("system", "k1"), ("system", "k2"), ("system", "k3"), ("system", "alpha"), ("system", "kind"),
+    ("tb", "mode"), ("tb", "seeds"), ("z_grid", "num"), ("z_grid", "periods"), ("z_grid", "stop"),
+    ("mode_kind",), ("observables",), ("observables", 0), ("quadrature", "nodes"),
+    ("quadrature", "rule"), ("quadrature", "half_width"), ("bpm", "enabled"), ("bpm", "nx"),
+    ("bpm", "dz"), ("potential_dump", "nx"), ("potential_dump", "nz"),
+    ("potential_dump", "x_half_width"), ("potential_dump", "periods"), ("output", "basename"),
+])
+BLOCKS = st.sampled_from(["system", "tb", "z_grid", "observables", "quadrature", "bpm",
+                          "potential_dump", "output"])
+MUTATIONS = st.lists(st.one_of(st.tuples(st.just("set"), LEAVES, BAD_VALUES),
+                               st.tuples(st.just("drop"), BLOCKS)), min_size=1, max_size=3)
+
+
+def _mutate(raw: dict, mutations) -> dict:
+    for kind, *args in mutations:
+        if kind == "drop":
+            raw.pop(args[0], None)
+            continue
+        (*parents, last), value = args
+        owner = raw
+        for key in parents:
+            owner = owner.get(key) if isinstance(owner, dict) else None
+        if isinstance(owner, dict) or (isinstance(owner, list) and last == 0 and owner):
+            owner[last] = value
+    return raw
+
+
+@settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(preset=st.sampled_from(sorted(PRESETS)), mutations=MUTATIONS)
+def test_mutated_presets_fail_only_as_config_errors(tmp_path, capsys, preset, mutations):
+    text = json.dumps(_mutate(preset_config(preset), mutations))
+    try:
+        validate_config(text)
+    except ConfigError:
+        pass
+    path = tmp_path / "mutated.json"
+    path.write_text(text)
+    assert main(["validate", str(path)]) in (0, 1)
+    assert "runtime error" not in capsys.readouterr().err
 
 
 def test_config_digest_is_order_insensitive():

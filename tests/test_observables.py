@@ -16,7 +16,6 @@ from susytb.observables import (
     comparison_metrics,
     moment_series,
     moment_table,
-    power,
 )
 from susytb.quadrature import QuadratureSpec, quad_nodes
 from susytb.tightbinding import (
@@ -64,7 +63,7 @@ class GaussianState:
 
 def test_power_of_unit_modes(herm_system, herm_quad):
     st = ExactState(herm_system, "left")
-    assert power(st, 0.0, herm_quad) == pytest.approx(1.0, abs=1e-9)
+    assert moment_series(st, "power", "dirac", [0.0], herm_quad).values[0] == pytest.approx(1.0, abs=1e-9)
 
 
 def test_hermitian_power_constant(herm_system, herm_quad):

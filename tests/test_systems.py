@@ -45,6 +45,33 @@ def test_parameter_orderings():
         PTDynamicParams(k1=1.2, k2=1.1, k3=0.9, alpha=0.1)
 
 
+@pytest.mark.parametrize("make, field", [
+    (lambda v: HermitianStaticParams(k1=0.645, k2=v), "k2"),
+    (lambda v: PTStaticParams(k1=1.1, k2=1.2, alpha=v), "alpha"),
+    (lambda v: PTDynamicParams(k1=v, k2=1.1, k3=0.95, alpha=0.1), "k1"),
+    (lambda v: PTDynamicParams(k1=1.0, k2=1.1, k3=0.95, alpha=v), "alpha"),
+])
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+def test_non_finite_parameters_are_refused(make, field, value):
+    with pytest.raises(ParameterError, match=f"{field} must be finite"):
+        make(value)
+
+
+def test_regularity_scan_runs_once_per_system(monkeypatch):
+    import susytb.darboux as darboux
+
+    calls = []
+    scan = darboux.regularity_scan
+    monkeypatch.setattr(darboux, "regularity_scan", lambda *a, **k: calls.append(a) or scan(*a, **k))
+    system = make_system(PTD)  # uncertified: construction scans
+    assert system.regularity.nodeless and system.regularity is system.regularity
+    assert len(calls) == 1 and calls[0][2:] == ((-10.0, 10.0), (0.0, 2 * system.periods().fundamental), 241)
+    static = make_system(HERM)  # static pairs scan on first use, in one z
+    assert len(calls) == 1
+    assert static.regularity.nodeless and static.regularity is static.regularity
+    assert len(calls) == 2 and calls[1][2:] == ((-10.0, 10.0), (0.0, 0.0), 2001)
+
+
 def test_certified_bound():
     assert PTDynamicParams(1.0, 2.0, 0.5, 0.2).certified
     assert not PTD.certified  # alpha=0.1 exceeds the sufficient bound

@@ -104,19 +104,6 @@ def test_pt_mode_metric_normalization():
     assert dirac.real > 0.9  # finite, nonzero
 
 
-def test_inner_product_tail_check():
-    from susytb.tightbinding import TailNotConverged
-
-    slow = lambda x: 1.0 / (1.0 + x * x)  # Lorentzian tails are not contained
-    tight = QuadratureSpec(half_width=4.0, nodes=512,
-                           rule="gauss_legendre_composite", tail_tol=1e-9)
-    with pytest.raises(TailNotConverged):
-        inner_product(slow, slow, "dirac", tight, check_tail=True)
-    ok = lambda x: np.exp(-x * x)
-    val = inner_product(ok, ok, "dirac", tight, check_tail=True)
-    assert abs(val - math.sqrt(math.pi / 2)) < 1e-10
-
-
 def test_inner_product_parity_rules():
     spec = QuadratureSpec(half_width=10.0, nodes=2048, rule="gauss_legendre_composite")
     even = lambda x: np.exp(-x * x)
@@ -243,13 +230,6 @@ def test_monodromy_matches_lu_solve_reference(dyn_system):
     assert len(flq.z) == 0
     with pytest.raises(ValueError):
         flq.trajectory([0.7, -0.7])
-
-
-def test_normalized_overlap_unit_diagonal():
-    model = two_well_model("pt", CAL_PT["k"], CAL_PT["x0"], CAL_PT["alpha_tilde"])
-    shat, scales = model.normalized_overlap()
-    assert np.allclose(np.diag(shat), 1.0, atol=1e-12)
-    assert scales.shape == (2,)
 
 
 def test_model_construction_errors(dyn_system):
