@@ -28,7 +28,8 @@ so a validated config is a runnable plan. Other keys are ignored.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+import math
+from dataclasses import dataclass, fields
 from typing import Optional
 
 from .bpm import PropagationGrid
@@ -44,6 +45,9 @@ from .systems import (
 )
 
 __all__ = ["ScenarioConfig", "ConfigError", "validate_config", "config_digest"]
+
+_PARAMS = {"hermitian_static": HermitianStaticParams, "pt_static": PTStaticParams,
+           "pt_dynamic": PTDynamicParams}
 
 
 class ConfigError(ValueError):
@@ -78,6 +82,9 @@ def _get(d: dict, key: str, typ, errors: list[str], where: str, default=None, re
         return default
     v = d[key]
     if typ is float and isinstance(v, (int, float)) and not isinstance(v, bool):
+        if not math.isfinite(v):
+            errors.append(f"{where}: {key} must be finite, got {float(v)!r}")
+            return default
         return float(v)
     if typ is int and isinstance(v, int) and not isinstance(v, bool):
         return v
@@ -101,27 +108,16 @@ def validate_config(text: str) -> ScenarioConfig:
     sysd = _get(raw, "system", dict, errors, "config", required=True) or {}
     kind = _get(sysd, "kind", str, errors, "system", required=True)
     params = None
-    if kind is not None:
-        try:
-            if kind == "hermitian_static":
-                params = HermitianStaticParams(
-                    k1=_get(sysd, "k1", float, errors, "system", required=True) or 0.0,
-                    k2=_get(sysd, "k2", float, errors, "system", required=True) or 0.0)
-            elif kind == "pt_static":
-                params = PTStaticParams(
-                    k1=_get(sysd, "k1", float, errors, "system", required=True) or 0.0,
-                    k2=_get(sysd, "k2", float, errors, "system", required=True) or 0.0,
-                    alpha=_get(sysd, "alpha", float, errors, "system", required=True) or 0.0)
-            elif kind == "pt_dynamic":
-                params = PTDynamicParams(
-                    k1=_get(sysd, "k1", float, errors, "system", required=True) or 0.0,
-                    k2=_get(sysd, "k2", float, errors, "system", required=True) or 0.0,
-                    k3=_get(sysd, "k3", float, errors, "system", required=True) or 0.0,
-                    alpha=_get(sysd, "alpha", float, errors, "system", required=True) or 0.0)
-            else:
-                errors.append(f"system.kind: unknown kind {kind!r}")
-        except ParameterError as exc:
-            errors.append(f"system: {exc}")
+    if kind is not None and kind not in _PARAMS:
+        errors.append(f"system.kind: unknown kind {kind!r}")
+    elif kind is not None:
+        values = {f.name: _get(sysd, f.name, float, errors, "system", required=True)
+                  for f in fields(_PARAMS[kind])}
+        if not errors:
+            try:
+                params = _PARAMS[kind](**values)
+            except ParameterError as exc:
+                errors.append(f"system: {exc}")
     if errors:
         raise ConfigError(errors)
 
@@ -155,6 +151,9 @@ def validate_config(text: str) -> ScenarioConfig:
             if x0 is not None and x0 <= 0:
                 errors.append("tb.x0: must be positive")
             tb_explicit = {"k": k, "x0": x0, "alpha_tilde": at}
+        if at and system.kind != "pt_static":
+            errors.append("tb.alpha_tilde: must be 0 for the Hermitian wells of a "
+                          f"{system.kind} system")
     tb_seeds = None
     if "seeds" in tbd:
         seeds = tbd["seeds"]

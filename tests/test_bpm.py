@@ -2,6 +2,9 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.linalg import solve_banded
 
 from susytb.bpm import (
     FieldSnapshot,
@@ -108,6 +111,75 @@ def test_dynamic_floquet_recurrence(dyn_system):
     num = np.abs(snaps[-1].samples)
     ana = np.abs(dyn_system.mode("floquet1", x, 0.0))  # intensity recurs after T_V
     assert math.sqrt(float(np.trapezoid((num - ana) ** 2, x))) < 5e-3
+
+
+def _step_banded(field, v_now, v_next, dx, dz):
+    """The CN step as it was written on `solve_banded`: the bit-level reference."""
+    v_half = 0.5 * (np.asarray(v_now) + np.asarray(v_next))[1:-1]
+    inner = field[1:-1]
+    n = inner.shape[0]
+    lam = 1j * dz / 2.0
+    off = -lam / dx**2
+    diag = 1.0 + lam * (2.0 / dx**2 + v_half)
+    rhs = (1.0 - lam * (2.0 / dx**2 + v_half)) * inner
+    rhs[1:] += lam / dx**2 * inner[:-1]
+    rhs[:-1] += lam / dx**2 * inner[1:]
+    ab = np.zeros((3, n), dtype=complex)
+    ab[0, 1:] = off
+    ab[1, :] = diag
+    ab[2, :-1] = off
+    out = np.zeros_like(field, dtype=complex)
+    out[1:-1] = solve_banded((1, 1), ab, rhs)
+    return out
+
+
+def test_step_is_bit_identical_to_the_banded_solve(dyn_system, rng):
+    t_v = dyn_system.periods().fundamental
+    grid = _grid(half_width=12.0 / dyn_system.min_k, z_end=t_v)
+    x = grid.x
+    field = rng.standard_normal(x.size) + 1j * rng.standard_normal(x.size)
+    field[0] = field[-1] = 0.0
+    z = 1.234
+    for dz in (grid.dz, t_v % grid.dz):  # a regular step and a shortened final one
+        v_now, v_next = dyn_system.potential(x, z), dyn_system.potential(x, z + dz)
+        new = step(field, v_now, v_next, grid.dx, dz)
+        assert np.array_equal(new, _step_banded(field, v_now, v_next, grid.dx, dz))
+        assert new[0] == new[-1] == 0.0
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), nx=st.integers(256, 1024),
+       half_width=st.floats(2.0, 20.0), dz=st.floats(1e-3, 0.1), depth=st.floats(0.0, 5.0))
+def test_cn_conserves_power_for_a_real_potential(seed, nx, half_width, dz, depth):
+    gen = np.random.default_rng(seed)
+    grid = PropagationGrid(half_width=half_width, nx=nx, dz=dz)
+    v = -depth * gen.random(nx)
+    f = gen.standard_normal(nx) + 1j * gen.standard_normal(nx)
+    f[0] = f[-1] = 0.0
+    p0 = grid.dx * float(np.sum(np.abs(f) ** 2))
+    for _ in range(20):
+        f = step(f, v, v, grid.dx, grid.dz)
+    assert abs(grid.dx * float(np.sum(np.abs(f) ** 2)) / p0 - 1.0) < 1e-12
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+def test_non_finite_potential_is_refused(bad):
+    grid = _grid(z_end=0.05)
+    x = grid.x
+    v = np.zeros_like(x)
+    v[x.size // 3] = bad
+    with pytest.raises(ValueError, match="infs or NaNs"):
+        step(np.exp(-x**2) + 0j, v, np.zeros_like(x), grid.dx, grid.dz)
+    with pytest.raises(ValueError, match="infs or NaNs"):
+        propagate(lambda xx: np.exp(-xx**2) + 0j, lambda xx, zz: v, grid, [0.05])
+
+
+def test_non_finite_initial_field_is_refused():
+    grid = _grid(z_end=0.05)
+    init = np.exp(-grid.x**2) + 0j
+    init[100] = math.nan
+    with pytest.raises(ValueError, match="initial field must be finite"):
+        propagate(init, lambda xx, zz: np.zeros_like(xx), grid, [0.05])
 
 
 def test_instability_detector():

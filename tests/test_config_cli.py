@@ -144,6 +144,33 @@ def test_non_finite_system_parameters_exit_1(tmp_path, capsys, preset, key, valu
     assert f"error: system: {key} must be finite" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("block, key, value, message", [
+    ("quadrature", "half_width", math.nan, "quadrature: half_width must be finite, got nan"),
+    ("z_grid", "periods", math.nan, "z_grid: periods must be finite, got nan"),
+    ("tb", "x0", math.nan, "tb: x0 must be finite, got nan"),
+    ("tb", "k", math.inf, "tb: k must be finite, got inf"),
+    ("tb", "alpha_tilde", 0.2, "tb.alpha_tilde: must be 0 for the Hermitian wells"),
+])
+def test_bad_numbers_outside_the_system_block_exit_1(tmp_path, capsys, block, key, value, message):
+    path = tmp_path / "c.json"
+    path.write_text(json.dumps(_cfg(**{block: {key: value}})))
+    for argv in (["validate", str(path)], ["compare", str(path), "--out", str(tmp_path / "out")]):
+        assert main(argv) == 1
+        assert f"error: {message}" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+def test_alpha_tilde_is_refused_on_the_dynamic_system_too():
+    raw = preset_config("pt-dynamic-fig1-5-6")
+    raw["tb"] = {"mode": "explicit", "k": 1.0, "x0": 1.8, "alpha_tilde": 0.1}
+    with pytest.raises(ConfigError) as exc:
+        validate_config(json.dumps(raw))
+    assert exc.value.errors == ["tb.alpha_tilde: must be 0 for the Hermitian wells of a "
+                                "pt_dynamic system"]
+    raw["tb"]["alpha_tilde"] = 0.0
+    validate_config(json.dumps(raw))
+
+
 @pytest.mark.parametrize("flag", ["--nodes", "--z-samples"])
 def test_config_overrides_are_not_options(tmp_path, flag):
     path = tmp_path / "c.json"
