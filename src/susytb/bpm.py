@@ -85,10 +85,11 @@ def step(field: np.ndarray, v_now: np.ndarray, v_next: np.ndarray, dx: float, dz
     lam = 1j * dz / 2.0
     a = lam * (2.0 / dx**2 + v_half)
     diag = 1.0 + a
+    c = lam / dx**2
     rhs = (1.0 - a) * inner
-    rhs[1:] += lam / dx**2 * inner[:-1]
-    rhs[:-1] += lam / dx**2 * inner[1:]
-    off = np.full(inner.shape[0] - 1, -lam / dx**2)
+    rhs[1:] += c * inner[:-1]
+    rhs[:-1] += c * inner[1:]
+    off = np.full(inner.shape[0] - 1, -c)
     *_, sol, info = _GTSV(off, diag, off, rhs)  # copies its inputs before factorising
     if info > 0:
         raise LinAlgError("singular matrix")
