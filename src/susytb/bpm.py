@@ -18,7 +18,7 @@ from typing import Callable, Sequence
 import numpy as np
 from scipy.linalg import LinAlgError, get_lapack_funcs
 
-from .quadrature import d1_fourth, d2_fourth
+from .quadrature import d1_fourth, d2_fourth, read_only
 
 __all__ = [
     "PropagationGrid",
@@ -54,7 +54,8 @@ class PropagationGrid:
 
     @property
     def x(self) -> np.ndarray:
-        return np.linspace(-self.half_width, self.half_width, self.nx)
+        """The nodes, frozen (`quadrature.read_only`): a march samples V on them at every step."""
+        return read_only(np.linspace(-self.half_width, self.half_width, self.nx))
 
     @property
     def dx(self) -> float:

@@ -32,6 +32,7 @@ from .observables import (
     moment_table,
 )
 from .presets import PRESETS, preset_config
+from .quadrature import read_only
 from .systems import WaveguideSystem
 from .tightbinding import (
     StepControl,
@@ -99,7 +100,7 @@ def emit_csv(series: Sequence[ObservableSeries], path) -> None:
         if all(name != c for c, _ in columns):
             columns.append((name, seen[name]))
     by_key: dict[tuple[float, str], dict[str, complex]] = {}
-    zs: list[float] = []
+    zs: set[float] = set()
     for s in series:
         engine = s.engine or "exact"
         name = _column_name(s)
@@ -108,9 +109,7 @@ def emit_csv(series: Sequence[ObservableSeries], path) -> None:
             if key not in by_key:
                 by_key[key] = {}
             by_key[key][name] = complex(v)
-            if float(z) not in zs:
-                zs.append(float(z))
-    zs.sort()
+            zs.add(key[0])
     header = ["z"]
     for name, is_c in columns:
         if is_c:
@@ -119,7 +118,7 @@ def emit_csv(series: Sequence[ObservableSeries], path) -> None:
             header.append(name)
     header.append("engine")
     lines = [",".join(header)]
-    for z in zs:
+    for z in sorted(zs):
         for engine in ENGINE_ORDER:
             row_vals = by_key.get((z, engine))
             if row_vals is None:
@@ -141,16 +140,18 @@ def emit_csv(series: Sequence[ObservableSeries], path) -> None:
 def _emit_field_csv(field, xs, zs, name: str, path) -> None:
     """x, z, <name>_re, <name>_im rows (z-major) of field(xs, z)."""
     lines = [f"x,z,{name}_re,{name}_im"]
+    x_cells = [_fmt(float(x)) for x in xs]
     for z in zs:
-        v = np.asarray(field(xs, float(z)), dtype=complex)
-        for x, val in zip(xs, v):
-            lines.append(",".join([_fmt(float(x)), _fmt(float(z)), _fmt(val.real), _fmt(val.imag)]))
+        z = float(z)
+        z_cell = _fmt(z)
+        v = np.asarray(field(xs, z), dtype=complex).tolist()
+        lines += [f"{x},{z_cell},{val.real:.17g},{val.imag:.17g}" for x, val in zip(x_cells, v)]
     Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8", newline="\n")
 
 
 def emit_potential_csv(system: WaveguideSystem, dump: dict, path) -> None:
     """x, z, V_re, V_im rows (z-major) over the requested window."""
-    xs = np.linspace(-dump["x_half_width"], dump["x_half_width"], dump["nx"])
+    xs = read_only(np.linspace(-dump["x_half_width"], dump["x_half_width"], dump["nx"]))
     if system.is_dynamic:
         z_end = dump["periods"] * system.periods().fundamental
         zs = np.linspace(0.0, z_end, dump["nz"])

@@ -29,7 +29,7 @@ from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
 
-from .quadrature import QuadratureSpec, d1_fourth, d2_fourth, quad_nodes
+from .quadrature import QuadratureSpec, d1_fourth, d2_fourth, quad_nodes, read_only
 from .systems import WaveguideSystem
 from .tightbinding import TBGuidedModes, TBModel, CoefficientTrajectory, assemble_state
 
@@ -226,6 +226,7 @@ def moment_table(
         raise ValueError("observable series need a uniform quadrature rule")
 
     x, w = quad_nodes(quad)
+    x = read_only(x)  # the engines' node-set caches then find it without hashing at every z
     h = x[1] - x[0]
     z_grid = np.asarray(z_grid, dtype=float)
 

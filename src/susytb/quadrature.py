@@ -8,7 +8,10 @@ stencils below); composite Gauss-Legendre is available where spectral
 accuracy pays off (overlap integrals, matrix elements). Both the exact and
 the tight-binding engines build their localized left/right modes with
 `localized_combos`, so the two are labelled the same way, and both keep
-x-only functions per node set in a `NodeCache`.
+x-only functions per node set in a `NodeCache`. A caller that evaluates
+on one node set many times freezes it (`read_only`): a `NodeCache` handed
+the same frozen array again returns its last value without hashing the
+nodes.
 """
 
 from __future__ import annotations
@@ -16,12 +19,13 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass, replace
-from typing import Callable
+from typing import Callable, Optional
 
 import numpy as np
 
 __all__ = ["QuadratureSpec", "quad_nodes", "integrate", "certify_tail", "default_spec",
-           "localized_combos", "d1_fourth", "d2_fourth", "NodeCache", "X_PARTS_CACHE"]
+           "localized_combos", "d1_fourth", "d2_fourth", "NodeCache", "X_PARTS_CACHE",
+           "read_only"]
 
 RULES = ("trapezoid", "simpson", "gauss_legendre_composite")
 
@@ -54,7 +58,7 @@ def default_spec(min_k: float, **overrides) -> QuadratureSpec:
 
 
 def quad_nodes(spec: QuadratureSpec) -> tuple[np.ndarray, np.ndarray]:
-    """Nodes and weights; symmetric about 0 for every rule."""
+    """Nodes and weights, new arrays the caller owns; symmetric about 0 for every rule."""
     L = spec.half_width
     if spec.rule in ("trapezoid", "simpson"):
         n = spec.nodes
@@ -89,18 +93,43 @@ def _legendre_rule(order: int) -> tuple[np.ndarray, np.ndarray]:
     return xs, ws
 
 
+def read_only(a: np.ndarray) -> np.ndarray:
+    """a frozen: read-only and owning its data (a view is copied first), so nothing can write it."""
+    if a.base is not None:
+        a = a.copy()
+    a.flags.writeable = False
+    return a
+
+
+def _frozen(x: np.ndarray) -> bool:
+    """Nothing can write x's data: x is read-only and owns it, or views a read-only array that does."""
+    base = x.base
+    return not x.flags.writeable and (
+        base is None or (isinstance(base, np.ndarray) and base.base is None and not base.flags.writeable))
+
+
 class NodeCache:
     """compute(x) for the X_PARTS_CACHE node sets used last, least recently used evicted first.
 
     Keyed by the node values (shape and bytes), never by the array object,
-    so an array changed in place is computed anew.
+    so an array changed in place is computed anew. The one exception is a
+    frozen array (see `_frozen`): handed the same one as the call before,
+    the cache returns that call's value without hashing the nodes. That
+    slot always names the most recently used entry, so the eviction order
+    is the one the value keys give. (An owner that makes a frozen array
+    writeable, changes it and freezes it again between two calls defeats
+    the slot; nothing in this package does.)
     """
 
     def __init__(self, compute: Callable[[np.ndarray], object]):
         self._compute = compute
         self._entries: dict[tuple, object] = {}
+        self._last: Optional[tuple[np.ndarray, object]] = None
 
     def __call__(self, x):
+        last = self._last
+        if last is not None and x is last[0] and _frozen(x):
+            return last[1]
         x = np.asarray(x, dtype=float)
         key = (x.shape, x.tobytes())
         value = self._entries.pop(key, None)
@@ -109,6 +138,7 @@ class NodeCache:
             if len(self._entries) >= X_PARTS_CACHE:
                 del self._entries[next(iter(self._entries))]
         self._entries[key] = value
+        self._last = (x, value) if _frozen(x) else None
         return value
 
     def __len__(self) -> int:
@@ -151,15 +181,17 @@ def localized_combos(superpose: Callable[[int], np.ndarray], x: np.ndarray,
 
 def d1_fourth(f: np.ndarray, h: float, axis: int = 0) -> np.ndarray:
     """4th-order central d/dx along `axis` of a uniform grid; two edge nodes per side are 0."""
-    f = np.moveaxis(f, axis, 0)
+    if axis:
+        return np.moveaxis(d1_fourth(np.moveaxis(f, axis, 0), h), 0, axis)
     out = np.zeros_like(f)
     out[2:-2] = (f[:-4] - 8 * f[1:-3] + 8 * f[3:-1] - f[4:]) / (12 * h)
-    return np.moveaxis(out, 0, axis)
+    return out
 
 
 def d2_fourth(f: np.ndarray, h: float, axis: int = 0) -> np.ndarray:
     """4th-order central d^2/dx^2 along `axis` of a uniform grid; two edge nodes per side are 0."""
-    f = np.moveaxis(f, axis, 0)
+    if axis:
+        return np.moveaxis(d2_fourth(np.moveaxis(f, axis, 0), h), 0, axis)
     out = np.zeros_like(f)
     out[2:-2] = (-f[:-4] + 16 * f[1:-3] - 30 * f[2:-2] + 16 * f[3:-1] - f[4:]) / (12 * h * h)
-    return np.moveaxis(out, 0, axis)
+    return out

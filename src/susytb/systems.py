@@ -10,7 +10,11 @@ generic Darboux machinery so the two routes can cross-check each other:
 * PT-symmetric longitudinally modulated pair, periodic in z with
   T_V = 2 pi / (k1^2 - k3^2); V(-x,-z) = conj V(x,z). The potential and
   the two Floquet modes are assembled from the auxiliary hyperbolic
-  functions h1..h8 and K below.
+  functions h1..h8 and K below, kept per node set. One closed-form pass
+  (`_DynamicPass`) evaluates both Floquet modes and their z-derivatives
+  on one node set at one z, and each system keeps its last pass, so the
+  mode and mode_dz calls of one z share the Wronskian, the phases and
+  each mode's numerator.
 
 Stationary modes are normalized to unit pseudo-norm magnitude (the sign
 of the PT self-product is recorded; for the Hermitian system this is
@@ -239,40 +243,79 @@ def _static_profiles(p, x) -> dict[str, np.ndarray]:
     return {kind: raw(p, kind, x) for kind in ("ground", "excited")}
 
 
-def _mode_dynamic_at(p: PTDynamicParams, xp: _DynamicXParts, kind: str, z: float, dz: bool):
-    """Floquet modes psi_1 (quasi-energy -k2^2) and psi_2 (-k1^2), or their d/dz.
+class _DynamicPass:
+    """Floquet modes psi_1 (quasi-energy -k2^2) and psi_2 (-k1^2) on one node set at one z.
+
+    Each mode is pre * A / W with the full Wronskian W shared by both;
+    W and its phases are computed once per pass, pre and A once per mode,
+    and dW/dz, dpre/dz, dA/dz only when a derivative is asked for. Every
+    expression is the closed form's own, term by term, so a value is
+    bitwise the same however the pass is shared.
 
     psi_2 carries the phase e^{-i(k1^2-k3^2)z} on its alpha^2 term; with
     that phase both modes satisfy the paraxial equation identically and
     psi_1 = L12 f2, psi_2 = L12 f1 for the seeds in `make_system().seeds()`.
     """
-    k1, k2, k3, a = p.k1, p.k2, p.k3, p.alpha
-    b1, b2, b3 = k1**2, k2**2, k3**2
-    delta = b1 - b3
-    # full Wronskian W(u1,u2) = e^{i(b1+b2)z} (h1 + i alpha h2 e^{-i delta z})
-    w = np.exp(1j * (b1 + b2) * z) * (xp.h1 + 1j * a * xp.h2 * np.exp(-1j * delta * z))
-    # dW/dz = i(b1+b2) W + alpha * delta * h2 * e^{i(b1+b2)z} e^{-i delta z}
-    wz = 1j * (b1 + b2) * w + a * delta * xp.h2 * np.exp(1j * (b1 + b2) * z) * np.exp(-1j * delta * z)
-    if kind == "floquet1":
-        pre = k2 * np.exp(2j * b2 * z)
-        pre_z = 2j * b2 * pre
-        A = (np.exp(1j * b1 * z) * (b2 - b1) * xp.c1
-             + 1j * a * np.exp(1j * b3 * z) * (b2 - b3) * xp.s3)
-        A_z = (1j * b1 * np.exp(1j * b1 * z) * (b2 - b1) * xp.c1
-               + 1j * a * 1j * b3 * np.exp(1j * b3 * z) * (b2 - b3) * xp.s3)
-    elif kind == "floquet2":
-        pre = np.exp(1j * (b1 + b2 + b3) * z)
-        pre_z = 1j * (b1 + b2 + b3) * pre
-        A = (np.exp(1j * delta * z) * k1 * (b1 - b2) * xp.s2
-             + np.exp(-1j * delta * z) * a**2 * k3 * (b3 - b2) * xp.s2
-             - 1j * a * xp.kx)
-        A_z = (1j * delta * np.exp(1j * delta * z) * k1 * (b1 - b2) * xp.s2
-               - 1j * delta * np.exp(-1j * delta * z) * a**2 * k3 * (b3 - b2) * xp.s2)
-    else:
-        raise ValueError(kind)
-    if not dz:
-        return pre * A / w
-    return (pre_z * A + pre * A_z) / w - pre * A * wz / (w * w)
+
+    def __init__(self, p: PTDynamicParams, xp: _DynamicXParts, z: float):
+        self.p, self.xp, self.z = p, xp, z
+        b1, b2, b3 = p.k1**2, p.k2**2, p.k3**2
+        self._e_w = np.exp(1j * (b1 + b2) * z)
+        self._e_minus = np.exp(-1j * (b1 - b3) * z)  # e^{-i delta z}
+        # full Wronskian W(u1,u2) = e^{i(b1+b2)z} (h1 + i alpha h2 e^{-i delta z})
+        self.w = self._e_w * (xp.h1 + 1j * p.alpha * xp.h2 * self._e_minus)
+        self._terms: dict[str, tuple] = {}
+
+    def _numerator(self, kind: str) -> tuple:
+        """(pre, A, pre * A) of one mode, computed once per pass."""
+        if kind not in self._terms:
+            p, xp, z = self.p, self.xp, self.z
+            k1, k2, k3, a = p.k1, p.k2, p.k3, p.alpha
+            b1, b2, b3 = k1**2, k2**2, k3**2
+            if kind == "floquet1":
+                pre = k2 * np.exp(2j * b2 * z)
+                A = (np.exp(1j * b1 * z) * (b2 - b1) * xp.c1
+                     + 1j * a * np.exp(1j * b3 * z) * (b2 - b3) * xp.s3)
+            elif kind == "floquet2":
+                delta = b1 - b3
+                pre = np.exp(1j * (b1 + b2 + b3) * z)
+                A = (np.exp(1j * delta * z) * k1 * (b1 - b2) * xp.s2
+                     + self._e_minus * a**2 * k3 * (b3 - b2) * xp.s2
+                     - 1j * a * xp.kx)
+            else:
+                raise ValueError(kind)
+            self._terms[kind] = (pre, A, pre * A)
+        return self._terms[kind]
+
+    def mode(self, kind: str) -> np.ndarray:
+        return self._numerator(kind)[2] / self.w
+
+    @functools.cached_property
+    def _wz_and_w_sq(self) -> tuple[np.ndarray, np.ndarray]:
+        """dW/dz and W^2."""
+        p, w = self.p, self.w
+        b1, b2 = p.k1**2, p.k2**2
+        delta = b1 - p.k3**2
+        # dW/dz = i(b1+b2) W + alpha * delta * h2 * e^{i(b1+b2)z} e^{-i delta z}
+        wz = 1j * (b1 + b2) * w + p.alpha * delta * self.xp.h2 * self._e_w * self._e_minus
+        return wz, w * w
+
+    def mode_dz(self, kind: str) -> np.ndarray:
+        p, xp, z = self.p, self.xp, self.z
+        k1, k3, a = p.k1, p.k3, p.alpha
+        b1, b2, b3 = k1**2, p.k2**2, k3**2
+        pre, A, pre_a = self._numerator(kind)
+        if kind == "floquet1":
+            pre_z = 2j * b2 * pre
+            A_z = (1j * b1 * np.exp(1j * b1 * z) * (b2 - b1) * xp.c1
+                   + 1j * a * 1j * b3 * np.exp(1j * b3 * z) * (b2 - b3) * xp.s3)
+        else:
+            delta = b1 - b3
+            pre_z = 1j * (b1 + b2 + b3) * pre
+            A_z = (1j * delta * np.exp(1j * delta * z) * k1 * (b1 - b2) * xp.s2
+                   - 1j * delta * self._e_minus * a**2 * k3 * (b3 - b2) * xp.s2)
+        wz, w_sq = self._wz_and_w_sq
+        return (pre_z * A + pre * A_z) / self.w - pre_a * wz / w_sq
 
 
 # ---------------------------------------------------------------------------
@@ -358,6 +401,8 @@ class WaveguideSystem:
         # x-only factors per node set: the dynamic h1..h8, or the static raw profiles
         self._x_parts = NodeCache(functools.partial(
             _dynamic_x_parts if self.is_dynamic else _static_profiles, params))
+        # the modulated pair's last closed-form pass, shared by mode and mode_dz at one z
+        self._pass: Optional[_DynamicPass] = None
 
     # -- basic facts -------------------------------------------------------
 
@@ -414,9 +459,17 @@ class WaveguideSystem:
 
     # -- internals ---------------------------------------------------------
 
+    def _dynamic_pass(self, x, z: float) -> _DynamicPass:
+        """The closed-form pass on x at z, kept for the next call on the same node set and z."""
+        xp = self._x_parts(x)
+        last = self._pass
+        if last is None or last.xp is not xp or last.z != z:
+            last = self._pass = _DynamicPass(self.params, xp, z)
+        return last
+
     def _raw_profile(self, kind: str, x, z: float = 0.0):
         if self.is_dynamic:
-            return _mode_dynamic_at(self.params, self._x_parts(x), kind, z, False)
+            return self._dynamic_pass(x, z).mode(kind)
         # stationary: profile only; phases handled by callers
         return self._x_parts(x)[kind]
 
@@ -482,7 +535,7 @@ class WaveguideSystem:
 
     def _evolved_dz(self, kind: str, x, z: float):
         if self.is_dynamic:
-            return self._norm[kind] * _mode_dynamic_at(self.params, self._x_parts(x), kind, z, True)
+            return self._norm[kind] * self._dynamic_pass(x, z).mode_dz(kind)
         e = self.energies()[kind]
         return -1j * e * self._norm[kind] * np.exp(-1j * e * z) * self._raw_profile(kind, x)
 

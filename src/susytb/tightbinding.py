@@ -30,7 +30,7 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 import scipy.linalg as sla
 
-from .quadrature import NodeCache, QuadratureSpec, integrate, localized_combos, quad_nodes
+from .quadrature import NodeCache, QuadratureSpec, integrate, localized_combos, quad_nodes, read_only
 
 __all__ = [
     "WellBasis",
@@ -190,7 +190,8 @@ class TBModel:
                                    rule="gauss_legendre_composite")
         x, w = quad_nodes(self.quad)
         self._x, self._w = x, w
-        self._xs = -x if self.metric == "pt" else x
+        # frozen: every H(z) build samples the bound potential on these nodes
+        self._xs = read_only(-x if self.metric == "pt" else x)
         self._phi = np.stack([single_well_mode(b, x) for b in self.wells])
         self._phi_s = np.stack([single_well_mode(b, self._xs) for b in self.wells])
         self._v0_s = np.stack([single_well_potential(b, self._xs) for b in self.wells])

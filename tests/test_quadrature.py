@@ -9,10 +9,13 @@ from susytb.quadrature import (
     NodeCache,
     QuadratureSpec,
     certify_tail,
+    d1_fourth,
+    d2_fourth,
     default_spec,
     integrate,
     localized_combos,
     quad_nodes,
+    read_only,
 )
 
 
@@ -111,6 +114,17 @@ def test_localized_combos_refuse_one_sided_pair():
         localized_combos(lambda s: right + s * 0.1 * right, x, w)
 
 
+@pytest.mark.parametrize("stencil", [d1_fourth, d2_fourth])
+def test_stencils_along_any_axis_are_the_line_stencil(stencil):
+    """Along axis 1 (or -1) the stencil is the axis-0 stencil of each line, bit for bit."""
+    f = np.random.default_rng(3).standard_normal((7, 40)) + 1j
+    per_line = np.stack([stencil(row, 0.05) for row in f])
+    for axis in (1, -1):
+        assert np.array_equal(stencil(f, 0.05, axis=axis), per_line)
+    assert np.array_equal(stencil(f.T, 0.05), per_line.T)
+    assert np.all(per_line[:, :2] == 0) and np.all(per_line[:, -2:] == 0)
+
+
 # ---------------------------------------------------------------------------
 # cached rules and node-set caches
 # ---------------------------------------------------------------------------
@@ -153,3 +167,50 @@ def test_node_cache_keys_on_values_and_evicts_least_recently_used():
     a += 1.0  # changed in place: computed anew
     assert np.array_equal(cache(a), 2.0 * a)
     assert len(calls) == X_PARTS_CACHE + 2 and len(cache) == X_PARTS_CACHE
+
+    # a frozen array handed again: the last value, found without the value-keyed entries
+    frozen = read_only(np.linspace(2.0, 3.0, 20))
+    value = cache(frozen)
+    entries, cache._entries = cache._entries, None
+    assert cache(frozen) is value and cache(frozen) is value
+    cache._entries = entries
+    assert len(calls) == X_PARTS_CACHE + 3
+
+    # the identity hits kept frozen the most recently used: X_PARTS_CACHE - 1 new node
+    # sets leave it resident, one more evicts it first
+    fresh = [np.linspace(0.0, 1.0, 21 + n) for n in range(X_PARTS_CACHE)]
+    for x in fresh[:-1]:
+        cache(x)
+    assert frozen.shape in {key[0] for key in cache}
+    cache(fresh[-1])
+    assert {key[0] for key in cache} == {x.shape for x in fresh} and len(cache) == X_PARTS_CACHE
+    assert np.array_equal(cache(frozen), 2.0 * frozen) and len(calls) == 2 * X_PARTS_CACHE + 4
+
+    # a writeable array changed in place between two calls is computed anew
+    b = np.linspace(0.0, 1.0, 30)
+    cache(b)
+    b *= 3.0
+    assert np.array_equal(cache(b), 2.0 * b) and len(calls) == 2 * X_PARTS_CACHE + 6
+
+    # a read-only view of a writeable base is not trusted: the base can still change it
+    base = np.linspace(0.0, 1.0, 31).copy()
+    view = base[:]
+    view.flags.writeable = False
+    cache(view)
+    base += 1.0
+    assert np.array_equal(cache(view), 2.0 * view) and len(calls) == 2 * X_PARTS_CACHE + 8
+
+    # nor is a frozen array its owner made writeable again
+    owned = read_only(np.linspace(0.0, 1.0, 32))
+    cache(owned)
+    owned.flags.writeable = True
+    owned += 1.0
+    assert np.array_equal(cache(owned), 2.0 * owned) and len(calls) == 2 * X_PARTS_CACHE + 10
+
+    # nor one changed while writeable and frozen only afterwards
+    late = np.linspace(0.0, 1.0, 33).copy()  # owns its data
+    cache(late)
+    late += 1.0
+    late.flags.writeable = False
+    assert np.array_equal(cache(late), 2.0 * late) and len(calls) == 2 * X_PARTS_CACHE + 12
+    assert len(cache) == X_PARTS_CACHE

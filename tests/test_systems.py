@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from susytb.bpm import PropagationGrid, eigen_residual, pde_residual
 from susytb.darboux import apply_L12, second_order_potential
-from susytb.quadrature import X_PARTS_CACHE, QuadratureSpec, default_spec, quad_nodes
+from susytb.quadrature import X_PARTS_CACHE, QuadratureSpec, default_spec, quad_nodes, read_only
 from susytb.systems import (
     LOG_FLOAT_MAX,
     HermitianStaticParams,
@@ -513,29 +513,41 @@ def test_irrational_ratio_reports_no_repetition():
     assert per.repetition is None
 
 
-def test_cross_implementation_random_parameters(rng):
-    """The closed forms track the generic machinery across parameter space."""
-    x = np.linspace(-5, 5, 101)
-    for _ in range(6):
-        k1 = float(rng.uniform(0.5, 1.2))
-        k2 = k1 + float(rng.uniform(0.05, 0.6))
-        k3 = k1 * float(rng.uniform(0.5, 0.95))
-        alpha = float(rng.uniform(0.0, 0.3))
-        p = PTDynamicParams(k1=k1, k2=k2, k3=k3, alpha=alpha)
-        system = make_system(p, verify_regularity=False)
-        u1, u2, f1, f2 = system.seeds()
-        z = float(rng.uniform(0.0, 20.0))
-        dv = np.max(np.abs(system.potential(x, z) - second_order_potential(u1, u2, x, z)))
-        assert dv < 1e-9
-        for kind, f in (("floquet1", f1), ("floquet2", f2)):
-            via = apply_L12(u1, u2, f, x, z)
-            closed = system.mode(kind, x, z)
-            i = int(np.argmax(np.abs(closed)))
-            lam = via[i] / closed[i]
-            assert np.max(np.abs(lam * closed - via)) < 1e-9 * max(1.0, abs(lam))
+_FIELD_CALLS = [(method, kind) for kind in ("floquet1", "floquet2", "left", "right")
+                for method in ("mode", "mode_dz")]
 
-        ps = PTStaticParams(k1=k1, k2=k2, alpha=alpha)
-        ss = make_system(ps)
-        su1, su2, _, _ = ss.seeds()
-        dvs = np.max(np.abs(ss.potential(x) - second_order_potential(su1, su2, x, 0.0)))
-        assert dvs < 1e-9
+
+@settings(max_examples=25, deadline=None)
+@given(p=certified_dynamic_params(), zs=st.lists(st.floats(-20.0, 20.0), min_size=2, max_size=3),
+       calls=st.permutations(_FIELD_CALLS))
+def test_cross_implementation_random_parameters(p, zs, calls):
+    """Closed form vs Darboux over the certified domain, and the per-z pass vs fresh systems."""
+    x = np.linspace(-5, 5, 101)
+    z = zs[0]
+    system = make_system(p, verify_regularity=False)
+    u1, u2, f1, f2 = system.seeds()
+    assert np.max(np.abs(system.potential(x, z) - second_order_potential(u1, u2, x, z))) < 1e-9
+    for kind, f in (("floquet1", f1), ("floquet2", f2)):
+        via = apply_L12(u1, u2, f, x, z)
+        closed = system.mode(kind, x, z)
+        i = int(np.argmax(np.abs(closed)))
+        lam = via[i] / closed[i]
+        assert np.max(np.abs(lam * closed - via)) < 1e-9 * max(1.0, abs(lam))
+    h = 1e-5  # truncation h^2 |d_z^3 psi| / 6 and rounding eps |z d_z psi| / h both stay below 1e-7
+    for kind in ("floquet1", "floquet2", "left", "right"):
+        num = (system.mode(kind, x, z + h) - system.mode(kind, x, z - h)) / (2 * h)
+        ana = system.mode_dz(kind, x, z)
+        assert np.max(np.abs(num - ana)) < 1e-7 * np.max(np.abs(ana))
+
+    ps = PTStaticParams(k1=p.k1, k2=p.k2, alpha=p.alpha)
+    ss = make_system(ps)
+    su1, su2, _, _ = ss.seeds()
+    assert np.max(np.abs(ss.potential(x) - second_order_potential(su1, su2, x, 0.0))) < 1e-9
+
+    # interleaved calls on a frozen and a writeable node set, forward through zs and back
+    for zz in zs + zs[::-1]:
+        for nodes in (read_only(np.linspace(-6.0, 6.0, 97)), np.linspace(-4.0, 7.0, 64)):
+            assert np.array_equal(system.potential(nodes, zz), WaveguideSystem(p).potential(nodes, zz))
+            for method, kind in calls:
+                fresh = getattr(WaveguideSystem(p), method)(kind, nodes, zz)
+                assert np.array_equal(getattr(system, method)(kind, nodes, zz), fresh)
