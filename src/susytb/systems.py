@@ -163,6 +163,7 @@ class _DynamicXParts(NamedTuple):
     a2_h2_sq: np.ndarray  # alpha^2 h2^2
     cross: np.ndarray     # 2i alpha h1 h2
     guard: np.ndarray     # 1e-10 (|h1| + |alpha| |h2|), the Wronskian-node threshold
+    guard_sq_hi: np.ndarray  # bound above guard^2, see _guard_sq_hi
     h3: np.ndarray
     a2_h4: np.ndarray     # alpha^2 h4
     ia_h8: np.ndarray     # i alpha h8
@@ -170,6 +171,11 @@ class _DynamicXParts(NamedTuple):
     s3: np.ndarray        # sinh k3 x
     s2: np.ndarray        # sinh k2 x
     kx: np.ndarray        # K(x) of the odd-like mode
+
+
+def _guard_sq_hi(guard: np.ndarray) -> np.ndarray:
+    """Above the real guard^2: a 1e-12 margin over its rounding, and tiny where it underflows."""
+    return np.maximum(guard * guard * (1 + 1e-12), np.finfo(float).tiny)
 
 
 def _dynamic_x_parts(p: PTDynamicParams, x) -> _DynamicXParts:
@@ -189,9 +195,10 @@ def _dynamic_x_parts(p: PTDynamicParams, x) -> _DynamicXParts:
     h8 = h5 + h6 + h7
     kx = (k2 * (k1**2 - k3**2) * c2 * np.cosh((k1 - k3) * x)
           + (k1 + k3) * (k1 * k3 - k2**2) * s2 * np.sinh((k1 - k3) * x))
+    guard = 1e-10 * (np.abs(h1) + abs(a) * np.abs(h2))
     return _DynamicXParts(
         h1=h1, h2=h2, h1_sq=h1**2, a2_h2_sq=a**2 * h2**2, cross=2j * a * h1 * h2,
-        guard=1e-10 * (np.abs(h1) + abs(a) * np.abs(h2)),
+        guard=guard, guard_sq_hi=_guard_sq_hi(guard),
         h3=h3, a2_h4=a**2 * h4, ia_h8=1j * a * h8, c1=c1, s3=s3, s2=s2, kx=kx)
 
 
@@ -200,7 +207,8 @@ def _potential_dynamic_at(p: PTDynamicParams, xp: _DynamicXParts, z: float):
     ep = np.exp(1j * delta * z)
     em = np.exp(-1j * delta * z)
     den = xp.h1_sq * ep - xp.a2_h2_sq * em + xp.cross
-    if np.any(np.sqrt(np.abs(den)) < xp.guard):
+    near = np.abs(den) < xp.guard_sq_hi  # holds wherever sqrt(|den|) < guard does
+    if near.any() and np.any(np.sqrt(np.abs(den[near])) < xp.guard[near]):
         raise SingularPointError("dynamic potential evaluated at a Wronskian node")
     return (xp.h3 * ep + xp.a2_h4 * em - xp.ia_h8) / den
 

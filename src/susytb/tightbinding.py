@@ -16,8 +16,10 @@ For a z-periodic H(z) one RK4 march over one period serves both the
 monodromy and the trajectory: `floquet_monodromy` marches the propagator
 U(r) from 0 through every phase r = z mod T of the requested z grid on to
 M = U(T), and `FloquetResult.trajectory` gives c(nT + r) = U(r) M^n c0
-(Floquet theorem). `propagate_coefficients` is the general step-by-step
-integrator.
+(Floquet theorem). That march reads H(z) from its harmonic series, sampled
+at M = 32, 64, ... z per period until every |H_p|, |p| >= M/4, is within
+SERIES_TOL of the largest (past 512 samples, or those of a direct march, it
+builds H(z) directly, as the step-by-step `propagate_coefficients` does).
 """
 
 from __future__ import annotations
@@ -356,15 +358,16 @@ class CoefficientTrajectory:
 
 
 class _CoupledSystem:
-    """i S c' = H(z) c, marched as c' = G(z) c with G = -i S^-1 H(z) per H sample."""
+    """i S c' = H(z) c, marched as c' = -i S^-1 H(z) c; h(zs) stacks H(z) (direct by default)."""
 
-    def __init__(self, model: TBModel, control: StepControl):
+    def __init__(self, model: TBModel, control: StepControl, h: Optional[Callable] = None):
         self.model = model
         cond = np.linalg.cond(model.overlap_matrix())
         if cond > COND_LIMIT:
             raise IllConditionedOverlap(f"cond(S) = {cond:.3e}")
         self._s_inv = model.overlap_inverse()
         self.control = control
+        self._h = h or (lambda zs: np.stack([model.hamiltonian_matrix(z) for z in zs]))
 
     def march(self, c: np.ndarray, z0: float, z1: float) -> np.ndarray:
         """Classic RK4 with uniform substeps of at most dz_max."""
@@ -372,8 +375,7 @@ class _CoupledSystem:
             return c
         n = max(1, math.ceil(abs(z1 - z0) / self.control.dz_max))
         h_step = (z1 - z0) / n
-        gs = [-1j * (self._s_inv @ self.model.hamiltonian_matrix(z0 + 0.5 * j * h_step))
-              for j in range(2 * n + 1)]
+        gs = -1j * (self._s_inv @ self._h([z0 + 0.5 * j * h_step for j in range(2 * n + 1)]))
         for j in range(n):
             g0, gm, g1 = gs[2 * j], gs[2 * j + 1], gs[2 * j + 2]
             k1 = g0 @ c
@@ -432,6 +434,36 @@ def propagate_coefficients(
 
 # Phases (z mod T) closer than this fraction of the period are one phase.
 PHASE_TOL = 1e-9
+# Largest harmonic |H_p|, |p| >= M/4, relative to the largest, that the sampled series drops.
+SERIES_TOL = 1e-15
+SERIES_MAX_SAMPLES = 512  # at M = 1024 the per-z series sum costs more than building H(z) directly
+
+
+def _hamiltonian_series(model: TBModel, period: float, budget: int):
+    """H(z) = sum_{|p| < M/4} H_p e^{i p w z}, w = 2 pi/T, from M equispaced samples of a period.
+
+    M doubles from 32 (old samples stay as even points) until tail, the largest |H_p|, |p| >= M/4,
+    over the largest harmonic, is <= SERIES_TOL. Returns (h, M, tail), h(zs) the stack of H(z),
+    or (None, 0, tail) if that takes more than `budget` or SERIES_MAX_SAMPLES samples."""
+    n, m, tail, cap = model.n, 32, math.inf, min(budget, SERIES_MAX_SAMPLES)
+    if m > cap:
+        return None, 0, tail
+    samples = np.stack([model.hamiltonian_matrix(j * period / m) for j in range(m)])
+    while True:
+        harm = np.fft.fft(samples, axis=0) / m
+        p = np.fft.fftfreq(m, 1.0 / m)
+        size = np.abs(harm).max(axis=(1, 2))
+        keep = np.abs(p) < m / 4
+        tail = float(size[~keep].max() / size.max())
+        if tail <= SERIES_TOL:
+            break
+        if 2 * m > cap:
+            return None, 0, tail
+        odd = np.stack([model.hamiltonian_matrix((2 * j + 1) * period / (2 * m)) for j in range(m)])
+        samples = np.stack([samples, odd], axis=1).reshape(2 * m, n, n)
+        m *= 2
+    wp, h_p = 2 * math.pi / period * p[keep], harm[keep].reshape(-1, n * n)
+    return lambda zs: (np.exp(1j * np.outer(zs, wp)) @ h_p).reshape(-1, n, n), m, tail
 
 
 @dataclass(frozen=True)
@@ -439,6 +471,7 @@ class FloquetResult:
     """Monodromy eigensystem, plus the propagator at every z of the marched grid.
 
     z = turns * T + phases elementwise, and propagators[i] = U(phases[i]).
+    harmonics, harmonic_tail: M and tail of `_hamiltonian_series` (M 0: H(z) built directly).
     """
 
     monodromy: np.ndarray
@@ -450,6 +483,8 @@ class FloquetResult:
     turns: np.ndarray
     phases: np.ndarray
     propagators: np.ndarray
+    harmonics: int
+    harmonic_tail: float
 
     def trajectory(self, c0: Sequence[complex]) -> CoefficientTrajectory:
         """c(z) = U(r) M^n c0 on the marched grid, z = n T + r (Floquet theorem)."""
@@ -498,7 +533,7 @@ def floquet_monodromy(
     The propagator U is marched once from 0 through the distinct phases
     z mod T of z_grid (see `_fold`) on to the monodromy M = U(T), keeping
     U at each phase for `FloquetResult.trajectory`; an empty z_grid is
-    the single march from 0 to T.
+    the single march from 0 to T, on H(z) from `_hamiltonian_series` if it converges.
 
     Quasi-energies come from eps = i ln(lambda) / T on the principal
     branch, then are shifted by multiples of 2 pi / T to the representative
@@ -506,7 +541,8 @@ def floquet_monodromy(
     """
     control = control or StepControl()
     z = _z_grid(z_grid)
-    sysm = _CoupledSystem(model, control)
+    h, m, tail = _hamiltonian_series(model, period, 2 * math.ceil(period / control.dz_max) + 1)
+    sysm = _CoupledSystem(model, control, h)
     n = model.n
     turns, which, phases = _fold(z, period)
     u = np.eye(n, dtype=complex)
@@ -547,7 +583,8 @@ def floquet_monodromy(
     return FloquetResult(monodromy=mono, quasi_energies=eps_out,
                          vectors=vec_out, targets=targets, branch_shifts=shifts,
                          z=z, turns=turns, phases=phases[which],
-                         propagators=np.array(at_phase).reshape(-1, n, n)[which])
+                         propagators=np.array(at_phase).reshape(-1, n, n)[which],
+                         harmonics=m, harmonic_tail=tail)
 
 
 def assemble_state(model: TBModel, c: Sequence[complex], x):

@@ -7,7 +7,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from susytb.bpm import PropagationGrid, eigen_residual, pde_residual
-from susytb.darboux import apply_L12, second_order_potential
+from susytb.darboux import SingularPointError, apply_L12, second_order_potential
 from susytb.quadrature import X_PARTS_CACHE, QuadratureSpec, default_spec, quad_nodes, read_only
 from susytb.systems import (
     LOG_FLOAT_MAX,
@@ -16,6 +16,9 @@ from susytb.systems import (
     PTDynamicParams,
     PTStaticParams,
     WaveguideSystem,
+    _dynamic_x_parts,
+    _guard_sq_hi,
+    _potential_dynamic_at,
     make_system,
     periods,
     potential_hermitian_static,
@@ -168,6 +171,40 @@ def test_dynamic_potential_alpha_zero_is_static_hermitian():
     herm = potential_hermitian_static(HermitianStaticParams(1.0, 1.1), x)
     for z in (0.0, 5.0, 40.0):
         assert np.max(np.abs(potential_pt_dynamic(p, x, z) - herm)) < 1e-10
+
+
+@pytest.mark.parametrize("guard", [0.7, 1e-10, 1e-150, 1.5e-154, 1e-160, 1e-170, 1e-200])
+def test_wronskian_guard_raises_where_the_sqrt_test_does(guard):
+    """|den| a few ulps either side of guard^2, also where guard^2 is subnormal or underflows.
+
+    The squared prefilter must flag every node that sqrt(|den|) < guard
+    flags, so the guard raises on exactly the inputs it raised on before.
+    """
+    xp0 = _dynamic_x_parts(PTD, np.zeros(1))
+    g = np.array([guard])
+    mags = [0.0, 5e-324, np.finfo(float).tiny]
+    for start in (guard * guard, np.finfo(float).tiny):
+        lo = hi = start
+        for _ in range(6):
+            lo, hi = np.nextafter(lo, 0.0), np.nextafter(hi, 1.0)
+            mags += [lo, hi]
+    raised = set()
+    for m in mags + [guard * guard]:
+        # at z = 0 both phases are 1, so den = h1_sq - a2_h2_sq + cross = m
+        xp = xp0._replace(h1_sq=np.array([m]), a2_h2_sq=np.zeros(1), cross=np.zeros(1, complex),
+                          guard=g, guard_sq_hi=_guard_sq_hi(g))
+        den = np.array([m + 0j])
+        old = bool(np.any(np.sqrt(np.abs(den)) < xp.guard))
+        assert not old or np.abs(den)[0] < xp.guard_sq_hi[0]
+        with np.errstate(all="ignore"):
+            try:
+                _potential_dynamic_at(PTD, xp, 0.0)
+                new = False
+            except SingularPointError:
+                new = True
+        assert new == old, m
+        raised.add(new)
+    assert raised == {True, False}
 
 
 def test_dynamic_potential_p2t_symmetry(dyn_strong_system):

@@ -9,8 +9,9 @@ from susytb.bpm import eigen_residual
 from susytb.config import validate_config
 from susytb.presets import preset_config
 from susytb.quadrature import X_PARTS_CACHE, QuadratureSpec, quad_nodes
-from susytb.systems import potential_pt_dynamic
+from susytb.systems import PTDynamicParams, make_system, potential_pt_dynamic
 from susytb.tightbinding import (
+    SERIES_TOL,
     CoefficientTrajectory,
     StepControl,
     TBModel,
@@ -30,9 +31,10 @@ from susytb.tightbinding import (
     static_guided_modes,
     two_well_model,
     _CoupledSystem,
+    _hamiltonian_series,
 )
 
-from conftest import HERM, PTD, PTS
+from conftest import HERM, PTD, PTD_STRONG, PTS
 
 CAL_HERM = {"k": 0.7454, "x0": 1.66214}
 CAL_PT = {"k": 1.14, "x0": 1.65, "alpha_tilde": 0.21}
@@ -224,8 +226,10 @@ def test_monodromy_matches_lu_solve_reference(dyn_system):
                             targets=sorted(dyn_system.energies().values()))
     ref = _rk4_lu_solve_reference(model, np.eye(2, dtype=complex), 0.0, t_v, 0.02)
     assert np.max(np.abs(flq.monodromy - ref)) <= 1e-12 * np.max(np.abs(ref))
-    # without a z grid the monodromy is the single march over [0, T_V]
-    single = _CoupledSystem(model, StepControl(dz_max=0.02)).march(np.eye(2, dtype=complex), 0.0, t_v)
+    # without a z grid the monodromy is the single march over [0, T_V] on the same H(z) series
+    series, _, _ = _hamiltonian_series(model, t_v, 2 * math.ceil(t_v / 0.02) + 1)
+    single = _CoupledSystem(model, StepControl(dz_max=0.02), series).march(
+        np.eye(2, dtype=complex), 0.0, t_v)
     assert np.array_equal(flq.monodromy, single)
     assert len(flq.z) == 0
     with pytest.raises(ValueError):
@@ -445,6 +449,65 @@ def test_floquet_trajectory_matches_step_by_step_march(fixture, request):
     ref = propagate_coefficients(model, c0, z, control)
     assert np.array_equal(got.z, z)
     assert np.max(np.abs(got.c - ref.c)) <= 1e-8 * np.max(np.abs(ref.c))
+
+
+@pytest.mark.parametrize("fixture", ["dyn_system", "dyn_strong_system"])
+def test_hamiltonian_series_matches_direct_evaluation(fixture, request, rng):
+    system = request.getfixturevalue(fixture)
+    model = _dyn_model(system)
+    t_v = system.periods().fundamental
+    series, m, tail = _hamiltonian_series(model, t_v, 10_000)
+    assert m > 0 and tail <= SERIES_TOL
+    z = rng.uniform(0.0, 3 * t_v, 60)
+    got = series(z)
+    for zi, h in zip(z, got):
+        ref = model.hamiltonian_matrix(zi)
+        assert np.max(np.abs(h - ref)) <= 1e-14 * np.max(np.abs(ref))
+
+
+def test_hamiltonian_series_doubling_reuses_samples(dyn_system, monkeypatch):
+    model = _dyn_model(dyn_system)
+    t_v = dyn_system.periods().fundamental
+    sampled = []
+    build = TBModel.hamiltonian_matrix
+
+    def counted(self, z=0.0):
+        sampled.append(z)
+        return build(self, z)
+
+    monkeypatch.setattr(TBModel, "hamiltonian_matrix", counted)
+    _, m, _ = _hamiltonian_series(model, t_v, 2 * math.ceil(t_v / 0.02) + 1)
+    # M = 32 is not converged on the preset model, M = 64 is: 64 builds, each z once
+    assert m == 64
+    assert sorted(sampled) == (np.arange(64) * t_v / 64).tolist()
+    flq = floquet_monodromy(model, t_v, StepControl(dz_max=0.02),
+                            targets=sorted(dyn_system.energies().values()))
+    assert flq.harmonics == 64 and flq.harmonic_tail <= SERIES_TOL
+
+
+@pytest.mark.parametrize("params, periods_per_dz", [(PTD, 14.5), (PTD_STRONG, 50.5),
+                                                    (PTDynamicParams(1.0, 1.1, 0.95, 0.8), 2100.5)])
+def test_monodromy_past_the_sample_budget_marches_direct_samples(params, periods_per_dz):
+    """Budget 2 ceil(T/dz_max) + 1: 31 (< 32, nothing sampled), 103 (alpha 0.5 needs M = 256)
+    or 4203, where alpha 0.8 needs M = 4096 but the series stops at SERIES_MAX_SAMPLES."""
+    system = make_system(params)
+    model = _dyn_model(system)
+    t_v = system.periods().fundamental
+    control = StepControl(dz_max=t_v / periods_per_dz)
+    flq = floquet_monodromy(model, t_v, control, targets=sorted(system.energies().values()))
+    direct = _CoupledSystem(model, control).march(np.eye(2, dtype=complex), 0.0, t_v)
+    assert np.array_equal(flq.monodromy, direct)
+    assert flq.harmonics == 0
+    assert flq.harmonic_tail > SERIES_TOL
+
+
+def test_constant_hamiltonian_series_accepted_at_32():
+    model = two_well_model("hermitian", CAL_HERM["k"], CAL_HERM["x0"])
+    series, m, tail = _hamiltonian_series(model, 7.0, 701)
+    assert m == 32 and tail <= SERIES_TOL
+    ref = model.hamiltonian_matrix()
+    for h in series(np.linspace(0.0, 21.0, 50)):
+        assert np.max(np.abs(h - ref)) <= 1e-14 * np.max(np.abs(ref))
 
 
 def test_grid_folds_whole_periods_to_phase_zero():
