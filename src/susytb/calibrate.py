@@ -44,6 +44,12 @@ class CalibrationFailed(RuntimeError):
     pass
 
 
+DIAM_TOL = 1e-6  # Nelder-Mead stops once the simplex diameter drops below this
+TIE_TOL = 1e-9  # a later multistart point must beat the running best by more than this
+WINDOW_POINTS = 2001  # samples of the profile-matching window
+SEPARATION_SPAN, SEPARATION_POINTS = 8.0, 16001  # well_separation's scan of (0.05, span]
+
+
 # ---------------------------------------------------------------------------
 # Nelder-Mead (standard coefficients, diameter convergence)
 # ---------------------------------------------------------------------------
@@ -62,12 +68,11 @@ def nelder_mead(
     x0: Sequence[float],
     steps: Sequence[float],
     *,
-    diam_tol: float = 1e-6,
     max_iter: int = 500,
 ) -> NelderMeadResult:
     """Simplex minimization: reflection 1, expansion 2, contraction 0.5, shrink 0.5.
 
-    Stops when the simplex diameter drops below diam_tol or after max_iter
+    Stops when the simplex diameter drops below DIAM_TOL or after max_iter
     iterations. The best vertex never worsens, so the result is no worse
     than f(x0).
     """
@@ -88,7 +93,7 @@ def nelder_mead(
         pts = [pts[i] for i in order]
         vals = [vals[i] for i in order]
         diam = max(np.max(np.abs(p - pts[0])) for p in pts[1:])
-        if diam < diam_tol:
+        if diam < DIAM_TOL:
             converged = True
             break
         it += 1
@@ -134,7 +139,6 @@ class CalibrationProblem:
     box: dict  # name -> (lo, hi); names: x0, k[, alpha_tilde]
     seeds: tuple[int, ...]  # multistart grid shape per parameter
     window: Optional[tuple[float, float]] = None  # profile window (dynamic)
-    n_window: int = 2001
 
     def __post_init__(self) -> None:
         if self.mode not in ("spectral_hermitian", "spectral_pt", "profile_dynamic"):
@@ -150,12 +154,11 @@ class CalibrationResult:
     objective_value: float
     trace: dict
     achieved_energies: Optional[np.ndarray] = None
-    achieved_profile_error: Optional[float] = None
 
 
-def well_separation(system: WaveguideSystem, *, span: float = 8.0, n: int = 16001) -> float:
+def well_separation(system: WaveguideSystem) -> float:
     """Location of the Re V minimum for x > 0, by dense scan."""
-    xs = np.linspace(0.05, span, n)
+    xs = np.linspace(0.05, SEPARATION_SPAN, SEPARATION_POINTS)
     v = np.real(system.potential(xs, 0.0))
     return float(xs[np.argmin(v)])
 
@@ -188,8 +191,6 @@ def _multistart_then_refine(
     names: Sequence[str],
     grids: Sequence[np.ndarray],
     box: dict,
-    *,
-    tie_tol: float = 1e-9,
 ) -> tuple[NelderMeadResult, dict]:
     lows = np.array([box[n][0] for n in names])
     highs = np.array([box[n][1] for n in names])
@@ -207,7 +208,7 @@ def _multistart_then_refine(
         v = boxed(x)
         if math.isfinite(v):
             n_ok += 1
-        if v < best_val - tie_tol:
+        if v < best_val - TIE_TOL:
             best_val, best_x = v, x
     if best_x is None:
         raise CalibrationFailed("objective failed at every multistart point")
@@ -280,7 +281,7 @@ def profile_match(problem: CalibrationProblem) -> CalibrationResult:
         raise ValueError("profile_match needs a profile problem")
     system = problem.system
     lo, hi = problem.window
-    xs = np.linspace(lo, hi, problem.n_window)
+    xs = np.linspace(lo, hi, WINDOW_POINTS)
     target = np.real(system.potential(xs, 0.0))
 
     def objective(x: np.ndarray) -> float:
@@ -295,5 +296,4 @@ def profile_match(problem: CalibrationProblem) -> CalibrationResult:
     grids = [np.linspace(*problem.box[n], s) for n, s in zip(["k", "x0"], problem.seeds)]
     res, trace = _multistart_then_refine(objective, ["k", "x0"], grids, problem.box)
     return CalibrationResult(parameters={"k": float(res.x[0]), "x0": float(res.x[1])},
-                             objective_value=res.fun, trace=trace,
-                             achieved_profile_error=res.fun)
+                             objective_value=res.fun, trace=trace)

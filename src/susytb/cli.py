@@ -358,7 +358,7 @@ def _cmd_potential(args) -> int:
 def _cmd_modes(args) -> int:
     cfg = _load_config(args)
     system = cfg.system
-    xs = np.linspace(-cfg.quad.half_width, cfg.quad.half_width, 801)
+    xs = read_only(np.linspace(-cfg.quad.half_width, cfg.quad.half_width, 801))
     zs = cfg.z_values[:: max(1, len(cfg.z_values) // 8)]
     Path(args.out).mkdir(parents=True, exist_ok=True)
     out = Path(args.out) / f"{cfg.basename}.modes.csv"

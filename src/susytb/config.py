@@ -249,9 +249,10 @@ def validate_config(text: str) -> ScenarioConfig:
             "x_half_width": _get(pd_cfg, "x_half_width", float, errors, "potential_dump", default=6.0),
             "periods": _get(pd_cfg, "periods", float, errors, "potential_dump", default=2.0),
         }
-        for key in ("nx", "nz"):
-            if potential_dump[key] < 1:
-                errors.append(f"potential_dump.{key}: need at least 1 sample")
+        for key, message in (("nx", "need at least 1 sample"), ("nz", "need at least 1 sample"),
+                             ("x_half_width", "must be positive"), ("periods", "must be positive")):
+            if potential_dump[key] <= 0:
+                errors.append(f"potential_dump.{key}: {message}")
 
     outd = _get(raw, "output", dict, errors, "config", default={}) or {}
     basename = _get(outd, "basename", str, errors, "output", default="run")

@@ -44,6 +44,8 @@ __all__ = [
 # survives only through catastrophic cancellation.
 NODE_RTOL = 1e-10
 
+REFINE_LEVELS = 12  # zoom levels (factor 8 each) of regularity_scan's argmin refinement
+
 
 class SingularPointError(ValueError):
     """Evaluation hit a node of the transformation seed / Wronskian."""
@@ -180,9 +182,6 @@ def regularity_scan(
     x_range: tuple[float, float],
     z_range: tuple[float, float],
     n_points: int = 801,
-    *,
-    rel_floor: float = NODE_RTOL,
-    refine_levels: int = 12,
 ) -> RegularityScan:
     """Scan the Wronskian for nodes; verdict against a pointwise scale.
 
@@ -221,7 +220,7 @@ def regularity_scan(
     hx = xs[1] - xs[0]
     hz = 0.0 if single_z else zs[1] - zs[0]
 
-    for _ in range(refine_levels):
+    for _ in range(REFINE_LEVELS):
         lxs = np.clip(np.linspace(bx - hx, bx + hx, 17), x_range[0], x_range[1])
         lzs = np.array([bz]) if single_z else np.clip(
             np.linspace(bz - hz, bz + hz, 17), z_range[0], z_range[1])
@@ -235,6 +234,6 @@ def regularity_scan(
         hz /= 8.0
 
     return RegularityScan(min_abs_w=best_w, argmin=(bx, bz),
-                          nodeless=bool(best_r >= rel_floor),
+                          nodeless=bool(best_r >= NODE_RTOL),
                           scale=best_w / best_r if best_r > 0 else math.inf,
-                          floor=rel_floor)
+                          floor=NODE_RTOL)

@@ -49,6 +49,8 @@ __all__ = [
 
 OBSERVABLES = ("x_mean", "p_mean", "x_std", "p_std", "power", "H_mean", "H_std")
 
+RESOLUTION_TOL = 1e-5  # largest derivative change under coarsening that `_resolution_guard` passes
+
 
 class DerivativeResolutionError(RuntimeError):
     pass
@@ -226,7 +228,7 @@ def moment_table(
         raise ValueError("observable series need a uniform quadrature rule")
 
     x, w = quad_nodes(quad)
-    x = read_only(x)  # the engines' node-set caches then find it without hashing at every z
+    x = read_only(x)  # frozen, so the engines' node-set caches keep its values across z
     h = x[1] - x[0]
     z_grid = np.asarray(z_grid, dtype=float)
 
@@ -328,7 +330,7 @@ class _Fields:
         return -d2g() + self._v * g
 
 
-def _resolution_guard(state, x: np.ndarray, h: float, z: float, tol: float = 1e-5) -> None:
+def _resolution_guard(state, x: np.ndarray, h: float, z: float) -> None:
     """Fail fast when halving the grid resolution moves a derivative moment."""
     f = np.asarray(state(x, z))
     d_full = d1_fourth(f, h)
@@ -337,7 +339,7 @@ def _resolution_guard(state, x: np.ndarray, h: float, z: float, tol: float = 1e-
     d_half[::2] = d1_fourth(fh, 2 * h)
     scale = float(np.max(np.abs(d_full))) or 1.0
     diff = float(np.max(np.abs(d_full[::2][3:-3] - d_half[::2][3:-3]))) / scale
-    if diff > tol:
+    if diff > RESOLUTION_TOL:
         raise DerivativeResolutionError(
             f"finite-difference derivatives change by {diff:.2e} under coarsening; refine the grid")
 

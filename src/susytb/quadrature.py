@@ -8,10 +8,8 @@ stencils below); composite Gauss-Legendre is available where spectral
 accuracy pays off (overlap integrals, matrix elements). Both the exact and
 the tight-binding engines build their localized left/right modes with
 `localized_combos`, so the two are labelled the same way, and both keep
-x-only functions per node set in a `NodeCache`. A caller that evaluates
-on one node set many times freezes it (`read_only`): a `NodeCache` handed
-the same frozen array again returns its last value without hashing the
-nodes.
+x-only functions in a `NodeCache`: the last frozen node set (`read_only`)
+keeps its value, any other array is computed afresh at every call.
 """
 
 from __future__ import annotations
@@ -24,15 +22,9 @@ from typing import Callable, Optional
 import numpy as np
 
 __all__ = ["QuadratureSpec", "quad_nodes", "integrate", "certify_tail", "default_spec",
-           "localized_combos", "d1_fourth", "d2_fourth", "NodeCache", "X_PARTS_CACHE",
-           "read_only"]
+           "localized_combos", "d1_fourth", "d2_fourth", "NodeCache", "read_only"]
 
 RULES = ("trapezoid", "simpson", "gauss_legendre_composite")
-
-# Node sets a NodeCache keeps: the TB quadrature, the observable grid and a
-# BPM, oracle or dump grid interleave; a one-shot grid (such as the
-# calibration target) must not stay resident for the whole run.
-X_PARTS_CACHE = 4
 
 
 @dataclass(frozen=True)
@@ -109,21 +101,16 @@ def _frozen(x: np.ndarray) -> bool:
 
 
 class NodeCache:
-    """compute(x) for the X_PARTS_CACHE node sets used last, least recently used evicted first.
+    """compute(x), kept for the last frozen (`_frozen`) array only; any other is computed afresh.
 
-    Keyed by the node values (shape and bytes), never by the array object,
-    so an array changed in place is computed anew. The one exception is a
-    frozen array (see `_frozen`): handed the same one as the call before,
-    the cache returns that call's value without hashing the nodes. That
-    slot always names the most recently used entry, so the eviction order
-    is the one the value keys give. (An owner that makes a frozen array
-    writeable, changes it and freezes it again between two calls defeats
-    the slot; nothing in this package does.)
+    The slot holds the array itself, so its id cannot be reused while it is
+    kept. (An owner that makes a frozen array writeable, changes it and
+    freezes it again between two calls defeats the slot; nothing in this
+    package does.)
     """
 
     def __init__(self, compute: Callable[[np.ndarray], object]):
         self._compute = compute
-        self._entries: dict[tuple, object] = {}
         self._last: Optional[tuple[np.ndarray, object]] = None
 
     def __call__(self, x):
@@ -131,21 +118,10 @@ class NodeCache:
         if last is not None and x is last[0] and _frozen(x):
             return last[1]
         x = np.asarray(x, dtype=float)
-        key = (x.shape, x.tobytes())
-        value = self._entries.pop(key, None)
-        if value is None:
-            value = self._compute(x)
-            if len(self._entries) >= X_PARTS_CACHE:
-                del self._entries[next(iter(self._entries))]
-        self._entries[key] = value
-        self._last = (x, value) if _frozen(x) else None
+        value = self._compute(x)
+        if _frozen(x):
+            self._last = (x, value)
         return value
-
-    def __len__(self) -> int:
-        return len(self._entries)
-
-    def __iter__(self):
-        return iter(self._entries)
 
 
 def integrate(f: Callable[[np.ndarray], np.ndarray], spec: QuadratureSpec) -> complex:

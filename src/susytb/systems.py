@@ -10,11 +10,11 @@ generic Darboux machinery so the two routes can cross-check each other:
 * PT-symmetric longitudinally modulated pair, periodic in z with
   T_V = 2 pi / (k1^2 - k3^2); V(-x,-z) = conj V(x,z). The potential and
   the two Floquet modes are assembled from the auxiliary hyperbolic
-  functions h1..h8 and K below, kept per node set. One closed-form pass
-  (`_DynamicPass`) evaluates both Floquet modes and their z-derivatives
-  on one node set at one z, and each system keeps its last pass, so the
-  mode and mode_dz calls of one z share the Wronskian, the phases and
-  each mode's numerator.
+  functions h1..h8 and K below, kept for the last frozen node set. One
+  closed-form pass (`_DynamicPass`) evaluates both Floquet modes and their
+  z-derivatives on one node set at one z, and each system keeps its last
+  pass, so mode and mode_dz at one z on a frozen node set share the
+  Wronskian, the phases and each mode's numerator.
 
 Stationary modes are normalized to unit pseudo-norm magnitude (the sign
 of the PT self-product is recorded; for the Hermitian system this is
@@ -59,6 +59,8 @@ MODE_KINDS = ("ground", "excited", "floquet1", "floquet2", "left", "right")
 # Largest exponent a float64 holds: the closed-form denominators grow like
 # e^{2(|k1|+|k2|)|x|} and must stay finite across the quadrature window.
 LOG_FLOAT_MAX = math.log(sys.float_info.max)
+
+PERIOD_TOL, PERIOD_MAX_DENOMINATOR = 1e-9, 10**6  # the rational repetition search of periods()
 
 
 class ParameterError(ValueError):
@@ -344,12 +346,12 @@ class Periods:
     repetition: Optional[Repetition] = None
 
 
-def periods(p, *, tol: float = 1e-9, max_denominator: int = 10**6) -> Periods:
+def periods(p) -> Periods:
     """Beat length (static) or modulation period plus rational repetition.
 
     For the dynamic system the guided modes repeat after lcm(n,m) * T_V
     when k2^2/(k1^2-k3^2) = n/q and k1^2/(k1^2-k3^2) = m/q with a common
-    integer q; the rational approximations are accepted only within `tol`.
+    integer q; the rational approximations are accepted only within PERIOD_TOL.
     """
     if isinstance(p, (HermitianStaticParams, PTStaticParams)):
         return Periods(fundamental=2 * math.pi / (p.k2**2 - p.k1**2))
@@ -359,12 +361,12 @@ def periods(p, *, tol: float = 1e-9, max_denominator: int = 10**6) -> Periods:
     t_v = 2 * math.pi / delta
     rn = p.k2**2 / delta
     rm = p.k1**2 / delta
-    fn = Fraction(rn).limit_denominator(max_denominator)
-    fm = Fraction(rm).limit_denominator(max_denominator)
-    if abs(rn - fn) > tol or abs(rm - fm) > tol:
+    fn = Fraction(rn).limit_denominator(PERIOD_MAX_DENOMINATOR)
+    fm = Fraction(rm).limit_denominator(PERIOD_MAX_DENOMINATOR)
+    if abs(rn - fn) > PERIOD_TOL or abs(rm - fm) > PERIOD_TOL:
         return Periods(fundamental=t_v)
     q = math.lcm(fn.denominator, fm.denominator)
-    if q > max_denominator:
+    if q > PERIOD_MAX_DENOMINATOR:
         return Periods(fundamental=t_v)
     n = fn.numerator * (q // fn.denominator)
     m = fm.numerator * (q // fm.denominator)
@@ -406,7 +408,7 @@ class WaveguideSystem:
         self._norm: dict[str, float] = {}
         self._pseudo_sign: dict[str, int] = {}
         self._combos: dict[str, tuple[int, float]] = {}
-        # x-only factors per node set: the dynamic h1..h8, or the static raw profiles
+        # x-only factors (the dynamic h1..h8, or the static raw profiles) of the last frozen node set
         self._x_parts = NodeCache(functools.partial(
             _dynamic_x_parts if self.is_dynamic else _static_profiles, params))
         # the modulated pair's last closed-form pass, shared by mode and mode_dz at one z

@@ -162,7 +162,7 @@ class TBModel:
     superposed single-well potential (the stationary TB pencil used for
     spectra and calibration), "system" uses the bound exact potential
     (required for the z-dependent coupled equations). `basis_values(x)`
-    gives the well modes phi_j on a node set, cached per node set.
+    gives the well modes phi_j on a node set, kept for the last frozen one.
     """
 
     def __init__(
@@ -588,7 +588,7 @@ def floquet_monodromy(
 
 
 def assemble_state(model: TBModel, c: Sequence[complex], x):
-    """psi(x) = sum_j c_j phi_j(x), with the phi_j from the model's per-node-set cache."""
+    """psi(x) = sum_j c_j phi_j(x), with the phi_j from the model's node-set cache."""
     x = np.asarray(x, dtype=float)
     out = np.zeros(x.shape, dtype=complex)
     for cj, phi in zip(c, model.basis_values(x)):

@@ -1,5 +1,6 @@
 import json
 import math
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
@@ -9,6 +10,8 @@ from hypothesis import strategies as st
 
 import susytb.cli as cli
 import susytb.darboux as darboux
+import susytb.systems as systems
+import susytb.tightbinding as tightbinding
 from susytb.cli import emit_csv, main, run
 from susytb.config import ConfigError, config_digest, validate_config
 from susytb.observables import ObservableSeries
@@ -118,6 +121,8 @@ def test_null_half_width_selects_the_default_window(tmp_path):
     ("bpm", "dz", 0.0, "dz must be positive"),
     ("potential_dump", "nx", 0, "need at least 1 sample"),
     ("potential_dump", "nz", 0, "need at least 1 sample"),
+    ("potential_dump", "x_half_width", -5.0, "must be positive"),
+    ("potential_dump", "periods", 0.0, "must be positive"),
 ])
 def test_grid_sizes_a_run_refuses_are_field_addressed(tmp_path, capsys, block, key, value, message):
     raw = _cfg(**{block: {"enabled": True, key: value}})
@@ -447,3 +452,29 @@ def test_warm_caches_leave_outputs_byte_identical(tmp_path, case):
     contents = [{p.name: p.read_bytes() for p in sorted(out.iterdir())} for out in outs]
     assert len(contents[0]) >= 3
     assert contents[0] == contents[1] == contents[2]
+
+
+@pytest.mark.parametrize("case", sorted(WARM_CASES))
+def test_x_only_computes_do_not_grow_with_the_z_grid(tmp_path, monkeypatch, case):
+    """Every loop over z samples frozen node sets, so each x-only factor is computed per grid, not per z."""
+    counts = Counter()
+
+    def counted(name, fn):
+        def wrapper(*args):
+            counts[name] += 1
+            return fn(*args)
+        return wrapper
+
+    for module, name in ((systems, "_dynamic_x_parts"), (systems, "_static_profiles"),
+                         (tightbinding, "_well_modes")):
+        monkeypatch.setattr(module, name, counted(name, getattr(module, name)))
+    per_num = {}
+    for num in (9, 17):
+        raw = json.loads(json.dumps(WARM_CASES[case]))
+        raw["z_grid"]["num"] = num
+        counts.clear()
+        run(validate_config(json.dumps(raw)), tmp_path / str(num))
+        per_num[num] = dict(counts)
+    x_parts = "_dynamic_x_parts" if case == "pt-dynamic" else "_static_profiles"
+    assert per_num[9][x_parts] > 0 and per_num[9]["_well_modes"] > 0
+    assert per_num[9] == per_num[17]

@@ -5,7 +5,6 @@ import pytest
 
 from susytb import quadrature
 from susytb.quadrature import (
-    X_PARTS_CACHE,
     NodeCache,
     QuadratureSpec,
     certify_tail,
@@ -147,7 +146,7 @@ def test_gauss_legendre_nodes_unchanged_and_panel_rule_read_only():
             cached[0] = 0.0
 
 
-def test_node_cache_keys_on_values_and_evicts_least_recently_used():
+def test_node_cache_keeps_only_the_last_frozen_node_set():
     calls = []
 
     def compute(x):
@@ -155,42 +154,33 @@ def test_node_cache_keys_on_values_and_evicts_least_recently_used():
         return 2.0 * x
 
     cache = NodeCache(compute)
-    a, *others = (np.linspace(0.0, 1.0, 5 + n) for n in range(X_PARTS_CACHE + 1))
-    assert np.array_equal(cache(a), 2.0 * a)
-    assert np.array_equal(cache(a.copy()), 2.0 * a)  # equal values, another array: a hit
-    for x in others[:-1]:
-        cache(x)
-    cache(a)  # a is now the most recently used
-    cache(others[-1])  # evicts others[0], the least recently used
-    assert len(calls) == X_PARTS_CACHE + 1 and len(cache) == X_PARTS_CACHE
-    assert {key[0] for key in cache} == {x.shape for x in [a] + others[1:]}
-    a += 1.0  # changed in place: computed anew
-    assert np.array_equal(cache(a), 2.0 * a)
-    assert len(calls) == X_PARTS_CACHE + 2 and len(cache) == X_PARTS_CACHE
 
-    # a frozen array handed again: the last value, found without the value-keyed entries
+    # equal-valued writeable arrays are computed every time and never kept
+    a = np.linspace(0.0, 1.0, 5)
+    for x in (a, a, a.copy(), a.tolist()):
+        assert np.array_equal(cache(x), 2.0 * a)
+    assert len(calls) == 4 and cache._last is None
+
+    # a frozen array handed again: the kept value, not computed again; a
+    # writeable array in between is computed and leaves the slot alone
     frozen = read_only(np.linspace(2.0, 3.0, 20))
     value = cache(frozen)
-    entries, cache._entries = cache._entries, None
-    assert cache(frozen) is value and cache(frozen) is value
-    cache._entries = entries
-    assert len(calls) == X_PARTS_CACHE + 3
+    assert cache(frozen) is value
+    assert np.array_equal(cache(a), 2.0 * a)
+    assert cache(frozen) is value and len(calls) == 6
 
-    # the identity hits kept frozen the most recently used: X_PARTS_CACHE - 1 new node
-    # sets leave it resident, one more evicts it first
-    fresh = [np.linspace(0.0, 1.0, 21 + n) for n in range(X_PARTS_CACHE)]
-    for x in fresh[:-1]:
-        cache(x)
-    assert frozen.shape in {key[0] for key in cache}
-    cache(fresh[-1])
-    assert {key[0] for key in cache} == {x.shape for x in fresh} and len(cache) == X_PARTS_CACHE
-    assert np.array_equal(cache(frozen), 2.0 * frozen) and len(calls) == 2 * X_PARTS_CACHE + 4
+    # a second frozen array replaces the first, even with equal values
+    twin = read_only(frozen.copy())
+    kept = cache(twin)
+    assert kept is not value and cache(twin) is kept and len(calls) == 7
+    assert cache(frozen) is not value and np.array_equal(cache(frozen), 2.0 * frozen)
+    assert len(calls) == 8 and cache._last[0] is frozen
 
     # a writeable array changed in place between two calls is computed anew
     b = np.linspace(0.0, 1.0, 30)
     cache(b)
     b *= 3.0
-    assert np.array_equal(cache(b), 2.0 * b) and len(calls) == 2 * X_PARTS_CACHE + 6
+    assert np.array_equal(cache(b), 2.0 * b) and len(calls) == 10
 
     # a read-only view of a writeable base is not trusted: the base can still change it
     base = np.linspace(0.0, 1.0, 31).copy()
@@ -198,19 +188,20 @@ def test_node_cache_keys_on_values_and_evicts_least_recently_used():
     view.flags.writeable = False
     cache(view)
     base += 1.0
-    assert np.array_equal(cache(view), 2.0 * view) and len(calls) == 2 * X_PARTS_CACHE + 8
+    assert np.array_equal(cache(view), 2.0 * view) and len(calls) == 12
+    assert cache._last[0] is frozen
 
     # nor is a frozen array its owner made writeable again
     owned = read_only(np.linspace(0.0, 1.0, 32))
     cache(owned)
     owned.flags.writeable = True
     owned += 1.0
-    assert np.array_equal(cache(owned), 2.0 * owned) and len(calls) == 2 * X_PARTS_CACHE + 10
+    assert np.array_equal(cache(owned), 2.0 * owned) and len(calls) == 14
 
-    # nor one changed while writeable and frozen only afterwards
+    # nor one changed while writeable and frozen only afterwards; once frozen it is kept
     late = np.linspace(0.0, 1.0, 33).copy()  # owns its data
     cache(late)
     late += 1.0
     late.flags.writeable = False
-    assert np.array_equal(cache(late), 2.0 * late) and len(calls) == 2 * X_PARTS_CACHE + 12
-    assert len(cache) == X_PARTS_CACHE
+    assert np.array_equal(cache(late), 2.0 * late) and len(calls) == 16
+    assert np.array_equal(cache(late), 2.0 * late) and len(calls) == 16

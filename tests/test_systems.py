@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from susytb.bpm import PropagationGrid, eigen_residual, pde_residual
 from susytb.darboux import SingularPointError, apply_L12, second_order_potential
-from susytb.quadrature import X_PARTS_CACHE, QuadratureSpec, default_spec, quad_nodes, read_only
+from susytb.quadrature import QuadratureSpec, default_spec, quad_nodes, read_only
 from susytb.systems import (
     LOG_FLOAT_MAX,
     HermitianStaticParams,
@@ -398,16 +398,18 @@ def test_dynamic_memo_keys_on_node_values(dyn_system):
     assert np.array_equal(dyn_system.potential(x, 0.4), potential_pt_dynamic(PTD, x, 0.4))
 
 
-def test_dynamic_memo_stays_bounded_after_one_shot_grid():
+def test_dynamic_memo_keeps_no_writeable_grid():
+    """A writeable one-shot grid is not kept; a frozen grid stays kept across writeable ones."""
     system = make_system(PTD)
     big = np.linspace(-30.0, 30.0, 16001)
     system.potential(big, 0.0)
-    for n in range(X_PARTS_CACHE):
-        x = np.linspace(-8.0, 8.0, 101 + n)
-        system.potential(x, 0.5)
-        system.mode("left", x, 0.5)
-        assert len(system._x_parts) <= X_PARTS_CACHE
-    assert all(key[0] != big.shape for key in system._x_parts)
+    assert system._x_parts._last is None
+    frozen = read_only(np.linspace(-8.0, 8.0, 101))
+    for n in range(3):
+        for x in (frozen, np.linspace(-8.0, 8.0, 102 + n)):
+            assert np.array_equal(system.potential(x, 0.5), potential_pt_dynamic(PTD, x, 0.5))
+            assert np.array_equal(system.mode("left", x, 0.5), WaveguideSystem(PTD).mode("left", x, 0.5))
+        assert system._x_parts._last[0] is frozen
 
 
 @st.composite
@@ -479,16 +481,21 @@ def test_static_memo_keys_on_node_values(pt_system):
                           _stationary_closed_form(pt_system, "ground", x, 0.4))
 
 
-def test_static_memo_stays_bounded_after_many_grids():
+def test_static_memo_keeps_no_writeable_grid():
+    """A writeable one-shot grid is not kept; a frozen grid stays kept across writeable ones."""
     system = make_system(PTS)
     big = np.linspace(-30.0, 30.0, 16001)
     system.mode("excited", big, 0.0)
-    for n in range(3 * X_PARTS_CACHE):
-        x = np.linspace(-8.0, 8.0, 101 + n)
-        system.mode("left", x, 0.5)
-        system.mode_dz("right", -x, 0.5)
-        assert len(system._x_parts) <= X_PARTS_CACHE
-    assert all(key[0] != big.shape for key in system._x_parts)
+    assert system._x_parts._last is None
+    frozen = read_only(np.linspace(-8.0, 8.0, 101))
+    for n in range(3):
+        for x in (frozen, np.linspace(-8.0, 8.0, 102 + n)):
+            for kind in ("ground", "excited"):
+                assert np.array_equal(system.mode(kind, x, 0.5),
+                                      _stationary_closed_form(system, kind, x, 0.5))
+            assert np.array_equal(system.mode_dz("right", -x, 0.5),
+                                  WaveguideSystem(PTS).mode_dz("right", -x, 0.5))
+        assert system._x_parts._last[0] is frozen
 
 
 @st.composite

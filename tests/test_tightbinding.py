@@ -8,7 +8,7 @@ import scipy.linalg as sla
 from susytb.bpm import eigen_residual
 from susytb.config import validate_config
 from susytb.presets import preset_config
-from susytb.quadrature import X_PARTS_CACHE, QuadratureSpec, quad_nodes
+from susytb.quadrature import QuadratureSpec, quad_nodes, read_only
 from susytb.systems import PTDynamicParams, make_system, potential_pt_dynamic
 from susytb.tightbinding import (
     SERIES_TOL,
@@ -599,14 +599,17 @@ def test_basis_memo_keys_on_node_values():
     assert np.array_equal(assemble_state(model, [1.0, 0.5], x), _fresh_state(model, [1.0, 0.5], x))
 
 
-def test_basis_memo_stays_bounded_after_many_grids():
+def test_basis_memo_keeps_no_writeable_grid():
+    """A writeable one-shot grid is not kept; a frozen grid stays kept across writeable ones."""
     model = two_well_model("hermitian", **CAL_HERM)
     big = np.linspace(-30.0, 30.0, 16001)
     assemble_state(model, [1.0, 1.0], big)
-    for n in range(3 * X_PARTS_CACHE):
-        assemble_state(model, [1.0, -1.0], np.linspace(-8.0, 8.0, 101 + n))
-        assert len(model.basis_values) <= X_PARTS_CACHE
-    assert all(key[0] != big.shape for key in model.basis_values)
+    assert model.basis_values._last is None
+    frozen = read_only(np.linspace(-8.0, 8.0, 101))
+    for n in range(3):
+        for x in (frozen, np.linspace(-8.0, 8.0, 102 + n)):
+            assert np.array_equal(assemble_state(model, [1.0, -1.0], x), _fresh_state(model, [1.0, -1.0], x))
+        assert model.basis_values._last[0] is frozen
 
 
 def test_static_guided_modes_structure():
