@@ -134,15 +134,12 @@ def nelder_mead(
 
 @dataclass(frozen=True)
 class CalibrationProblem:
-    system: WaveguideSystem
-    mode: str  # spectral_hermitian | spectral_pt | profile_dynamic
+    system: WaveguideSystem  # its kind picks the route: spectral if static, profile if modulated
     box: dict  # name -> (lo, hi); names: x0, k[, alpha_tilde]
     seeds: tuple[int, ...]  # multistart grid shape per parameter
     window: Optional[tuple[float, float]] = None  # profile window (dynamic)
 
     def __post_init__(self) -> None:
-        if self.mode not in ("spectral_hermitian", "spectral_pt", "profile_dynamic"):
-            raise ValueError(f"unknown calibration mode {self.mode!r}")
         for name, (lo, hi) in self.box.items():
             if not (math.isfinite(lo) and math.isfinite(hi) and lo < hi):
                 raise ValueError(f"search interval for {name} must be finite and ordered")
@@ -173,13 +170,12 @@ def default_problem(system: WaveguideSystem, *, seeds: Optional[tuple[int, ...]]
         "k": (0.6 * k_ref, 1.4 * k_ref),
     }
     if system.kind == "hermitian_static":
-        return CalibrationProblem(system, "spectral_hermitian", box, seeds or (9, 9))
+        return CalibrationProblem(system, box, seeds or (9, 9))
     if system.kind == "pt_static":
         box["alpha_tilde"] = (0.0, min(0.45, 2 * abs(p.alpha) + 0.1))
-        return CalibrationProblem(system, "spectral_pt", box, seeds or (9, 9, 5))
+        return CalibrationProblem(system, box, seeds or (9, 9, 5))
     d = x_d + 3.0 / abs(p.k1)
-    return CalibrationProblem(system, "profile_dynamic", box, seeds or (9, 9),
-                              window=(-d, 0.0))
+    return CalibrationProblem(system, box, seeds or (9, 9), window=(-d, 0.0))
 
 
 # ---------------------------------------------------------------------------
@@ -223,11 +219,11 @@ def _multistart_then_refine(
 def spectral_match(problem: CalibrationProblem) -> CalibrationResult:
     """Fit (k, x0[, alpha_tilde]) so the TB spectrum hits the exact energies."""
     system = problem.system
-    if problem.mode not in ("spectral_hermitian", "spectral_pt"):
-        raise ValueError("spectral_match needs a spectral problem")
+    if system.is_dynamic:
+        raise ValueError("spectral_match needs a static system")
     energies = system.energies()
     e_targets = np.array([energies["ground"], energies["excited"]])
-    is_pt = problem.mode == "spectral_pt"
+    is_pt = system.kind == "pt_static"
     kind = "pt" if is_pt else "hermitian"
 
     def tb_energies(x: np.ndarray) -> np.ndarray:
@@ -277,8 +273,8 @@ def spectral_match(problem: CalibrationProblem) -> CalibrationResult:
 
 def profile_match(problem: CalibrationProblem) -> CalibrationResult:
     """Fit (k, x0) to the real part of the exact potential at the input facet."""
-    if problem.mode != "profile_dynamic":
-        raise ValueError("profile_match needs a profile problem")
+    if problem.window is None:
+        raise ValueError("profile_match needs a profile window")
     system = problem.system
     lo, hi = problem.window
     xs = np.linspace(lo, hi, WINDOW_POINTS)

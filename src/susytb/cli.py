@@ -41,7 +41,6 @@ from .tightbinding import (
     overlap_kappa,
     static_guided_modes,
     two_well_model,
-    WellBasis,
 )
 
 ENGINE_ORDER = ("exact", "tb", "bpm")
@@ -89,16 +88,11 @@ def emit_csv(series: Sequence[ObservableSeries], path) -> None:
     """Wide CSV: z column, one (or _re/_im pair of) column(s) per observable,
     engine column; rows z-ascending with engines ordered exact, tb, bpm."""
     path = Path(path)
-    columns: list[tuple[str, bool]] = []  # (name, is_complex)
-    seen: dict[str, bool] = {}
+    columns: dict[str, bool] = {}  # name -> is_complex, in first-seen order
     for s in series:
         name = _column_name(s)
         is_c = bool(np.max(np.abs(s.values.imag)) > 1e-15 * max(1.0, float(np.max(np.abs(s.values.real)))))
-        seen[name] = seen.get(name, False) or is_c
-    for s in series:
-        name = _column_name(s)
-        if all(name != c for c, _ in columns):
-            columns.append((name, seen[name]))
+        columns[name] = columns.get(name, False) or is_c
     by_key: dict[tuple[float, str], dict[str, complex]] = {}
     zs: set[float] = set()
     for s in series:
@@ -111,7 +105,7 @@ def emit_csv(series: Sequence[ObservableSeries], path) -> None:
             by_key[key][name] = complex(v)
             zs.add(key[0])
     header = ["z"]
-    for name, is_c in columns:
+    for name, is_c in columns.items():
         if is_c:
             header += [f"{name}_re", f"{name}_im"]
         else:
@@ -124,7 +118,7 @@ def emit_csv(series: Sequence[ObservableSeries], path) -> None:
             if row_vals is None:
                 continue
             row = [_fmt(z)]
-            for name, is_c in columns:
+            for name, is_c in columns.items():
                 v = row_vals.get(name)
                 if v is None:
                     row += ["", ""] if is_c else [""]
@@ -183,7 +177,7 @@ def _calibrate(cfg: ScenarioConfig) -> tuple[dict, Optional[CalibrationResult]]:
     if cfg.tb_mode == "explicit":
         return dict(cfg.tb_explicit), None
     problem = default_problem(cfg.system, seeds=cfg.tb_seeds)
-    result = profile_match(problem) if problem.mode == "profile_dynamic" else spectral_match(problem)
+    result = profile_match(problem) if cfg.system.is_dynamic else spectral_match(problem)
     params = dict(result.parameters)
     params.setdefault("alpha_tilde", 0.0)
     return params, result
@@ -204,14 +198,14 @@ def _build_tb(cfg: ScenarioConfig, tb_params: dict):
                                   system)
         spectrum = {"quasi_energies": [complex(e) for e in flq.quasi_energies],
                     "targets": list(flq.targets), "branch_shifts": flq.branch_shifts.tolist()}
-        return model, guided, state, spectrum
+        return model, state, spectrum
     kind = "pt" if system.kind == "pt_static" else "hermitian"
     model = two_well_model(kind, k, x0, at)
     guided = static_guided_modes(model)
     state = TBStaticState(model, guided, cfg.mode_kind, system)
     spectrum = {"energies": [complex(e) for e in guided.energies],
                 "exact": sorted(system.energies().values())}
-    return model, guided, state, spectrum
+    return model, state, spectrum
 
 
 def _oracle_residuals(cfg: ScenarioConfig) -> dict:
@@ -262,16 +256,14 @@ def run(cfg: ScenarioConfig, outdir) -> tuple[ComparisonReport, list[Path]]:
 
     # 2./3. calibration and TB construction
     tb_params, cal_result = _calibrate(cfg)
-    model, guided, tb_state, tb_spectrum = _build_tb(cfg, tb_params)
+    model, tb_state, tb_spectrum = _build_tb(cfg, tb_params)
     calibration = {"mode": cfg.tb_mode, "parameters": tb_params}
     if cal_result is not None:
         calibration.update({"objective_value": cal_result.objective_value,
                             "trace": cal_result.trace})
 
-    well_kind = "pt" if system.kind == "pt_static" else "hermitian"
-    kap = overlap_kappa(WellBasis(well_kind, tb_params["k"], tb_params.get("alpha_tilde", 0.0), 0.0),
-                        tb_params["x0"])
-    kappa = {"value": complex(kap), "well_kind": well_kind}
+    well = model.wells[0]
+    kappa = {"value": complex(overlap_kappa(well, tb_params["x0"])), "well_kind": well.kind}
 
     # 4./5. observable series for both engines
     exact_table = moment_table(ExactState(system, cfg.mode_kind), cfg.observables, cfg.z_values,
@@ -328,47 +320,34 @@ def run(cfg: ScenarioConfig, outdir) -> tuple[ComparisonReport, list[Path]]:
 # subcommands
 # ---------------------------------------------------------------------------
 
-def _load_config(args) -> ScenarioConfig:
-    return validate_config(Path(args.config).read_text(encoding="utf-8"))
-
-
-def _cmd_validate(args) -> int:
-    try:
-        cfg = _load_config(args)
-    except ConfigError as exc:
-        for e in exc.errors:
-            print(f"error: {e}", file=sys.stderr)
-        return 1
+def _cmd_validate(cfg: ScenarioConfig, out: Path) -> int:
     for w in cfg.warnings:
         print(f"warning: {w}")
     print("OK")
     return 0
 
 
-def _cmd_potential(args) -> int:
-    cfg = _load_config(args)
+def _cmd_potential(cfg: ScenarioConfig, out: Path) -> int:
     dump = cfg.potential_dump or {"nx": 401, "nz": 129, "x_half_width": 8.0, "periods": 2.0}
-    out = Path(args.out) / f"{cfg.basename}.potential.csv"
-    Path(args.out).mkdir(parents=True, exist_ok=True)
-    emit_potential_csv(cfg.system, dump, out)
-    print(out)
+    path = out / f"{cfg.basename}.potential.csv"
+    out.mkdir(parents=True, exist_ok=True)
+    emit_potential_csv(cfg.system, dump, path)
+    print(path)
     return 0
 
 
-def _cmd_modes(args) -> int:
-    cfg = _load_config(args)
+def _cmd_modes(cfg: ScenarioConfig, out: Path) -> int:
     system = cfg.system
     xs = read_only(np.linspace(-cfg.quad.half_width, cfg.quad.half_width, 801))
     zs = cfg.z_values[:: max(1, len(cfg.z_values) // 8)]
-    Path(args.out).mkdir(parents=True, exist_ok=True)
-    out = Path(args.out) / f"{cfg.basename}.modes.csv"
-    _emit_field_csv(lambda x, z: system.mode(cfg.mode_kind, x, z), xs, zs, "psi", out)
-    print(out)
+    out.mkdir(parents=True, exist_ok=True)
+    path = out / f"{cfg.basename}.modes.csv"
+    _emit_field_csv(lambda x, z: system.mode(cfg.mode_kind, x, z), xs, zs, "psi", path)
+    print(path)
     return 0
 
 
-def _cmd_calibrate(args) -> int:
-    cfg = _load_config(args)
+def _cmd_calibrate(cfg: ScenarioConfig, out: Path) -> int:
     params, result = _calibrate(cfg)
     payload = {"parameters": params}
     if result is not None:
@@ -380,44 +359,29 @@ def _cmd_calibrate(args) -> int:
     return 0
 
 
-def _cmd_spectrum(args) -> int:
-    cfg = _load_config(args)
+def _cmd_spectrum(cfg: ScenarioConfig, out: Path) -> int:
     tb_params, _ = _calibrate(cfg)
-    _, _, _, spectrum = _build_tb(cfg, tb_params)
+    _, _, spectrum = _build_tb(cfg, tb_params)
     print(json.dumps({"tb_parameters": tb_params, "spectrum": spectrum},
                      sort_keys=True, indent=2, default=_json_default))
     return 0
 
 
-def _cmd_propagate(args) -> int:
-    cfg = _load_config(args)
-    check = _bpm_check(cfg)
-    print(json.dumps({"bpm": check}, sort_keys=True, indent=2, default=_json_default))
+def _cmd_propagate(cfg: ScenarioConfig, out: Path) -> int:
+    print(json.dumps({"bpm": _bpm_check(cfg)}, sort_keys=True, indent=2, default=_json_default))
     return 0
 
 
-def _cmd_compare(args) -> int:
-    cfg = _load_config(args)
-    report, files = run(cfg, args.out)
-    for f in files:
-        print(f)
-    return 0
-
-
-def _cmd_preset(args) -> int:
-    if args.action == "list":
-        for name in sorted(PRESETS):
-            print(name)
-        return 0
-    raw = preset_config(args.name)
-    cfg = validate_config(json.dumps(raw))
-    report, files = run(cfg, args.out)
+def _cmd_compare(cfg: ScenarioConfig, out: Path) -> int:
+    _, files = run(cfg, out)
     for f in files:
         print(f)
     return 0
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
+    """Load and validate the scenario once, then run the subcommand on it; `preset run NAME`
+    is `compare` on the bundled scenario. Exit 1 on a refused config, 2 on a runtime failure."""
     parser = argparse.ArgumentParser(
         prog="susytb",
         description="Exact PT-symmetric coupled waveguides vs tight-binding models")
@@ -434,16 +398,22 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
 
     p = sub.add_parser("preset")
     psub = p.add_subparsers(dest="action", required=True)
-    pl = psub.add_parser("list")
-    pl.set_defaults(fn=_cmd_preset, action="list")
+    psub.add_parser("list")
     pr = psub.add_parser("run")
     pr.add_argument("name")
     pr.add_argument("--out", default=".")
-    pr.set_defaults(fn=_cmd_preset, action="run")
+    pr.set_defaults(fn=_cmd_compare)
 
     args = parser.parse_args(argv)
+    if args.command == "preset" and args.action == "list":
+        print("\n".join(sorted(PRESETS)))
+        return 0
     try:
-        return args.fn(args)
+        if args.command == "preset":
+            text = json.dumps(preset_config(args.name))
+        else:
+            text = Path(args.config).read_text(encoding="utf-8")
+        return args.fn(validate_config(text), Path(args.out))
     except ConfigError as exc:
         for e in exc.errors:
             print(f"error: {e}", file=sys.stderr)

@@ -361,7 +361,7 @@ def comparison_metrics(exact: ObservableSeries, approx: ObservableSeries) -> Com
 
     The phase shift is the lag maximizing the cross-correlation of the
     mean-removed real parts, converted to radians of the dominant
-    oscillation of the exact series and wrapped to (-pi, pi]; positive
+    oscillation of the exact series and wrapped to [-pi, pi); positive
     means the approximate series lags the exact one. None when either
     series is flat.
     """

@@ -35,7 +35,7 @@ import numpy as np
 
 from . import darboux
 from .darboux import SingularPointError
-from .quadrature import NodeCache, default_spec, localized_combos, quad_nodes
+from .quadrature import NodeCache, default_spec, localized_combos, quad_nodes, read_only
 from .seeds import SeedSuperposition
 
 __all__ = [
@@ -404,7 +404,8 @@ class WaveguideSystem:
             raise ParameterError(f"the quadrature window 12/min|k| runs past |x| = {limit:.4g}, "
                                  f"where the closed forms overflow")
         self.quad = default_spec(self.min_k, nodes=2048, rule="gauss_legendre_composite")
-        self._nodes, self._weights = quad_nodes(self.quad)
+        x, self._weights = quad_nodes(self.quad)
+        self._nodes = read_only(x)  # frozen, so the norms' repeated samples share one x-only pass
         self._norm: dict[str, float] = {}
         self._pseudo_sign: dict[str, int] = {}
         self._combos: dict[str, tuple[int, float]] = {}

@@ -62,9 +62,7 @@ def test_well_separation_near_paper_values(herm_system, pt_system, dyn_system):
 
 def test_problem_validation(herm_system):
     with pytest.raises(ValueError):
-        CalibrationProblem(herm_system, "spectral_banana", {"k": (0.5, 1.0)}, (3,))
-    with pytest.raises(ValueError):
-        CalibrationProblem(herm_system, "spectral_hermitian", {"k": (1.0, 0.5)}, (3,))
+        CalibrationProblem(herm_system, {"k": (1.0, 0.5)}, (3,))
 
 
 def test_degenerate_target_rejected():
@@ -134,7 +132,7 @@ def test_profile_match_self_target_is_exact():
 
     stub = SimpleNamespace(potential=vtb)
     problem = CalibrationProblem(
-        system=stub, mode="profile_dynamic",
+        system=stub,
         box={"k": (0.7, 1.4), "x0": (1.2, 2.4)}, seeds=(9, 9),
         window=(-1.8 - 3.0 / 1.05, 0.0))
     res = profile_match(problem)
@@ -151,14 +149,14 @@ def test_profile_window_shrink_degrades_fit(dyn_system):
     the window shrinks below one well width.
     """
     full = profile_match(CalibrationProblem(
-        system=dyn_system, mode="profile_dynamic",
+        system=dyn_system,
         box={"k": (0.63, 1.47), "x0": (1.08, 2.48)}, seeds=(9, 9),
         window=(-4.775, 0.0)))
     k_ref = full.parameters["k"]
     errors = []
     for d in (1.2, 0.8, 0.6, 0.4):
         res = profile_match(CalibrationProblem(
-            system=dyn_system, mode="profile_dynamic",
+            system=dyn_system,
             box={"k": (0.63, 1.47), "x0": (1.08, 2.48)}, seeds=(9, 9),
             window=(-d, 0.0)))
         errors.append(abs(res.parameters["k"] - k_ref))

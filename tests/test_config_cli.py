@@ -12,10 +12,12 @@ import susytb.cli as cli
 import susytb.darboux as darboux
 import susytb.systems as systems
 import susytb.tightbinding as tightbinding
+from susytb.calibrate import default_problem, spectral_match
 from susytb.cli import emit_csv, main, run
 from susytb.config import ConfigError, config_digest, validate_config
 from susytb.observables import ObservableSeries
 from susytb.presets import PRESETS, preset_config
+from susytb.quadrature import read_only
 
 BASE = {
     "system": {"kind": "hermitian_static", "k1": 0.645, "k2": 0.865},
@@ -163,6 +165,33 @@ def test_bad_numbers_outside_the_system_block_exit_1(tmp_path, capsys, block, ke
         assert main(argv) == 1
         assert f"error: {message}" in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("z_grid, message", [
+    ({"stop": 0.0, "num": 17}, "z_grid.stop: must be positive"),
+    ({"stop": -2.5, "num": 17}, "z_grid.stop: must be positive"),
+    ({"stop": 3.0, "periods": 1.0, "num": 17}, "z_grid: give either 'stop' or 'periods', not both"),
+])
+def test_z_grid_stop_is_refused_unless_positive_and_alone(z_grid, message):
+    raw = _cfg()
+    raw["z_grid"] = z_grid
+    with pytest.raises(ConfigError) as exc:
+        validate_config(json.dumps(raw))
+    assert exc.value.errors == [message]
+
+
+def test_z_grid_stop_ends_the_grid_at_that_stop():
+    raw = _cfg()
+    raw["z_grid"] = {"stop": 3.0, "num": 7}
+    cfg = validate_config(json.dumps(raw))
+    assert cfg.z_values == [0.0, 0.5, 1.0, 1.5, 2.0, 2.5, 3.0]
+
+
+@pytest.mark.parametrize("seeds", [9, "9,9", [], [9, 0], [9, -1], [9, 2.5]])
+def test_tb_seeds_must_be_a_list_of_positive_integers(seeds):
+    with pytest.raises(ConfigError) as exc:
+        validate_config(json.dumps(_cfg(tb={"mode": "spectral", "seeds": seeds})))
+    assert exc.value.errors == ["tb.seeds: expected a list of positive integers"]
 
 
 def test_alpha_tilde_is_refused_on_the_dynamic_system_too():
@@ -478,3 +507,67 @@ def test_x_only_computes_do_not_grow_with_the_z_grid(tmp_path, monkeypatch, case
     x_parts = "_dynamic_x_parts" if case == "pt-dynamic" else "_static_profiles"
     assert per_num[9][x_parts] > 0 and per_num[9]["_well_modes"] > 0
     assert per_num[9] == per_num[17]
+
+
+@pytest.mark.parametrize("case", sorted(WARM_CASES))
+def test_cli_potential_dumps_the_system_potential(tmp_path, capsys, case):
+    """`potential` writes nx*nz rows (one z for a static pair), the same bytes each run."""
+    path = tmp_path / "c.json"
+    path.write_text(json.dumps(WARM_CASES[case]))
+    cfg = validate_config(path.read_text())
+    dump = cfg.potential_dump or {"nx": 401, "nz": 129, "x_half_width": 8.0, "periods": 2.0}
+    outs = []
+    for out in (tmp_path / "a", tmp_path / "b"):
+        assert main(["potential", str(path), "--out", str(out)]) == 0
+        assert capsys.readouterr().out == f"{out / 'warm.potential.csv'}\n"
+        outs.append((out / "warm.potential.csv").read_bytes())
+    assert outs[0] == outs[1]
+    lines = outs[0].decode().splitlines()
+    assert lines[0] == "x,z,V_re,V_im"
+    assert len(lines) == 1 + dump["nx"] * (dump["nz"] if cfg.system.is_dynamic else 1)
+    xs = read_only(np.linspace(-dump["x_half_width"], dump["x_half_width"], dump["nx"]))
+    v = complex(cfg.system.potential(xs, 0.0)[0])
+    assert [float(c) for c in lines[1].split(",")] == [xs[0], 0.0, v.real, v.imag]
+
+
+@pytest.mark.parametrize("case", sorted(WARM_CASES))
+def test_cli_modes_dumps_the_configured_mode(tmp_path, capsys, case):
+    """`modes` writes 801 x per sampled z of the configured mode, the same bytes each run."""
+    path = tmp_path / "c.json"
+    path.write_text(json.dumps(WARM_CASES[case]))
+    cfg = validate_config(path.read_text())
+    zs = cfg.z_values[:: max(1, len(cfg.z_values) // 8)]
+    outs = []
+    for out in (tmp_path / "a", tmp_path / "b"):
+        assert main(["modes", str(path), "--out", str(out)]) == 0
+        assert capsys.readouterr().out == f"{out / 'warm.modes.csv'}\n"
+        outs.append((out / "warm.modes.csv").read_bytes())
+    assert outs[0] == outs[1]
+    lines = outs[0].decode().splitlines()
+    assert lines[0] == "x,z,psi_re,psi_im"
+    assert len(lines) == 1 + 801 * len(zs)
+    half = cfg.quad.half_width
+    xs = read_only(np.linspace(-half, half, 801))
+    psi = complex(cfg.system.mode(cfg.mode_kind, xs, zs[0])[0])
+    assert [float(c) for c in lines[1].split(",")] == [xs[0], zs[0], psi.real, psi.imag]
+
+
+def test_cli_calibrate_spectral(tmp_path, capsys):
+    """A calibrated config prints the fit, its objective, its trace and the energies it reached."""
+    raw = _cfg()
+    raw["tb"] = {"mode": "spectral", "seeds": [5, 5]}
+    path = tmp_path / "c.json"
+    path.write_text(json.dumps(raw))
+    assert main(["calibrate", str(path)]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    system = validate_config(json.dumps(raw)).system
+    direct = spectral_match(default_problem(system, seeds=(5, 5)))
+    assert payload["parameters"] == dict(direct.parameters, alpha_tilde=0.0)
+    assert payload["objective_value"] == direct.objective_value < 1e-3
+    assert payload["trace"]["nm_converged"] is True
+    assert payload["trace"]["nm_evaluations"] == direct.trace["nm_evaluations"]
+    achieved = [complex(e["re"], e["im"]) for e in payload["achieved_energies"]]
+    assert achieved == [complex(e) for e in direct.achieved_energies]
+    targets = sorted(system.energies().values())
+    assert sum(abs(t - e) for t, e in zip(targets, achieved)) == pytest.approx(
+        payload["objective_value"], rel=1e-12)

@@ -486,7 +486,7 @@ def test_static_memo_keeps_no_writeable_grid():
     system = make_system(PTS)
     big = np.linspace(-30.0, 30.0, 16001)
     system.mode("excited", big, 0.0)
-    assert system._x_parts._last is None
+    assert system._x_parts._last is None or system._x_parts._last[0] is not big
     frozen = read_only(np.linspace(-8.0, 8.0, 101))
     for n in range(3):
         for x in (frozen, np.linspace(-8.0, 8.0, 102 + n)):
@@ -496,6 +496,23 @@ def test_static_memo_keeps_no_writeable_grid():
             assert np.array_equal(system.mode_dz("right", -x, 0.5),
                                   WaveguideSystem(PTS).mode_dz("right", -x, 0.5))
         assert system._x_parts._last[0] is frozen
+
+
+@pytest.mark.parametrize("params, x_parts", [(PTD, "_dynamic_x_parts"), (PTS, "_static_profiles"),
+                                             (HERM, "_static_profiles")])
+def test_norms_compute_the_x_only_factors_once_on_the_system_nodes(monkeypatch, params, x_parts):
+    """The system's own quadrature nodes are frozen, so its norms share one x-only pass there."""
+    import susytb.systems as systems
+
+    calls = []
+    compute = getattr(systems, x_parts)
+    monkeypatch.setattr(systems, x_parts, lambda p, x: calls.append(x) or compute(p, x))
+    system = WaveguideSystem(params)
+    calls.clear()  # construction may scan or sample; count the norms only
+    system.pseudo_norm_sign(next(iter(system.energies())))
+    assert sum(x is system._nodes for x in calls) == 1
+    if system.is_dynamic:
+        assert len(calls) == 1
 
 
 @st.composite
