@@ -22,7 +22,9 @@ lengths in inverse-wavenumber units):
 Validation is aggregated and field-addressed; physics constraints
 (parameter orderings, the dynamic regularity bound with its `certified`
 semantics, the BPM grid rules of `bpm.PropagationGrid`) are enforced here
-so a validated config is a runnable plan. Other keys are ignored.
+so a validated config is a runnable plan. An observable object takes only
+"name" and "metric" (its normalization is fixed by the observable and
+metric), and any other key in it is refused; other keys elsewhere are ignored.
 """
 
 from __future__ import annotations
@@ -202,17 +204,15 @@ def validate_config(text: str) -> ScenarioConfig:
             continue
         name = entry.get("name")
         metric = entry.get("metric", "dirac")
-        normalization = entry.get("normalization")
+        errors.extend(f"observables[{i}]: unknown key {key!r}" for key in entry
+                      if key not in ("name", "metric"))
         if name not in OBSERVABLES:
             errors.append(f"observables[{i}].name: unknown observable {name!r}")
             continue
         if metric not in ("dirac", "pt"):
             errors.append(f"observables[{i}].metric: unknown metric {metric!r}")
             continue
-        if normalization not in (None, "instantaneous_power", "initial_power", "none"):
-            errors.append(f"observables[{i}].normalization: unknown normalization {normalization!r}")
-            continue
-        observables.append(ObservableRequest(name=name, metric=metric, normalization=normalization))
+        observables.append(ObservableRequest(name=name, metric=metric))
 
     qd = _get(raw, "quadrature", dict, errors, "config", default={}) or {}
     q_nodes = _get(qd, "nodes", int, errors, "quadrature", default=4097)

@@ -172,8 +172,6 @@ class RegularityScan:
     min_abs_w: float
     argmin: tuple[float, float]
     nodeless: bool
-    scale: float
-    floor: float
 
 
 def regularity_scan(
@@ -234,6 +232,4 @@ def regularity_scan(
         hz /= 8.0
 
     return RegularityScan(min_abs_w=best_w, argmin=(bx, bz),
-                          nodeless=bool(best_r >= NODE_RTOL),
-                          scale=best_w / best_r if best_r > 0 else math.inf,
-                          floor=NODE_RTOL)
+                          nodeless=bool(best_r >= NODE_RTOL))

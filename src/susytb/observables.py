@@ -57,11 +57,10 @@ class DerivativeResolutionError(RuntimeError):
 
 
 class ObservableRequest(NamedTuple):
-    """One requested series; normalization None takes the observable's default."""
+    """One requested series; its normalization is `_default_normalization`'s."""
 
     name: str
     metric: str
-    normalization: Optional[str] = None
 
 
 @dataclass(frozen=True)
@@ -176,6 +175,7 @@ class TBTrajectoryState:
 # ---------------------------------------------------------------------------
 
 def _default_normalization(observable: str, metric: str) -> str:
+    """The one normalization rule: power raw, PT H moments by the initial power, the rest by P(z)."""
     if observable == "power":
         return "none"
     if observable in ("H_mean", "H_std") and metric == "pt":
@@ -190,12 +190,10 @@ def moment_series(
     z_grid,
     quad: QuadratureSpec,
     *,
-    normalization: Optional[str] = None,
     engine: str = "",
 ) -> ObservableSeries:
     """Sampled z-series of one observable for one state (see `moment_table`)."""
-    return moment_table(state, [ObservableRequest(observable, metric, normalization)], z_grid, quad,
-                        engine=engine)[0]
+    return moment_table(state, [ObservableRequest(observable, metric)], z_grid, quad, engine=engine)[0]
 
 
 def moment_table(
@@ -215,15 +213,12 @@ def moment_table(
     Every request is validated before any field is evaluated.
     """
     plans = []
-    for observable, metric, normalization in requests:
+    for observable, metric in requests:
         if observable not in OBSERVABLES:
             raise ValueError(f"unknown observable {observable!r}")
         if metric not in ("dirac", "pt"):
             raise ValueError(f"unknown metric {metric!r}")
-        normalization = normalization or _default_normalization(observable, metric)
-        if normalization not in ("instantaneous_power", "initial_power", "none"):
-            raise ValueError(f"unknown normalization {normalization!r}")
-        plans.append((observable, metric, normalization))
+        plans.append((observable, metric, _default_normalization(observable, metric)))
     if quad.rule == "gauss_legendre_composite":
         raise ValueError("observable series need a uniform quadrature rule")
 
@@ -249,12 +244,7 @@ def moment_table(
             if observable == "power":
                 row[i] = at.power
                 continue
-            if normalization == "instantaneous_power":
-                norm = at.power
-            elif normalization == "initial_power":
-                norm = p_initial
-            else:
-                norm = 1.0
+            norm = at.power if normalization == "instantaneous_power" else p_initial
             # first moment (A f), then for the spreads the second (A^2 f)
             family = observable.split("_")[0]
             m1 = at.sandwich(1, family, metric) / norm

@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import copy
 
+from .config import ConfigError
+
 __all__ = ["PRESETS", "preset_config"]
 
 PRESETS: dict[str, dict] = {
@@ -63,5 +65,6 @@ PRESETS: dict[str, dict] = {
 
 def preset_config(name: str) -> dict:
     if name not in PRESETS:
-        raise KeyError(f"unknown preset {name!r}; available: {', '.join(sorted(PRESETS))}")
+        raise ConfigError([f"preset: unknown preset {name!r}; "
+                           f"available: {', '.join(sorted(PRESETS))}"])
     return copy.deepcopy(PRESETS[name])

@@ -5,7 +5,8 @@ sech-type decay; the window half-width defaults to 12 / min|k| which puts
 the truncated tails below 1e-12 of the integrand scale. Simpson is the
 workhorse (uniform grid, reused for the 4th-order finite-difference
 stencils below); composite Gauss-Legendre is available where spectral
-accuracy pays off (overlap integrals, matrix elements). Both the exact and
+accuracy pays off (overlap integrals, matrix elements). Every integral is
+`np.sum(w * f(x))` on the nodes and weights of `quad_nodes`. Both the exact and
 the tight-binding engines build their localized left/right modes with
 `localized_combos`, so the two are labelled the same way, and both keep
 x-only functions in a `NodeCache`: the last frozen node set (`read_only`)
@@ -21,8 +22,8 @@ from typing import Callable, Optional
 
 import numpy as np
 
-__all__ = ["QuadratureSpec", "quad_nodes", "integrate", "certify_tail", "default_spec",
-           "localized_combos", "d1_fourth", "d2_fourth", "NodeCache", "read_only"]
+__all__ = ["QuadratureSpec", "quad_nodes", "default_spec", "localized_combos", "d1_fourth",
+           "d2_fourth", "NodeCache", "read_only"]
 
 RULES = ("trapezoid", "simpson", "gauss_legendre_composite")
 
@@ -32,7 +33,6 @@ class QuadratureSpec:
     half_width: float
     nodes: int = 4096
     rule: str = "simpson"
-    tail_tol: float = 1e-9
 
     def __post_init__(self) -> None:
         if self.half_width <= 0:
@@ -122,18 +122,6 @@ class NodeCache:
         if _frozen(x):
             self._last = (x, value)
         return value
-
-
-def integrate(f: Callable[[np.ndarray], np.ndarray], spec: QuadratureSpec) -> complex:
-    x, w = quad_nodes(spec)
-    return complex(np.sum(w * np.asarray(f(x))))
-
-
-def certify_tail(f: Callable[[np.ndarray], np.ndarray], spec: QuadratureSpec) -> tuple[bool, float]:
-    """Estimate |integral over L < |x| < 2L| by doubling the window."""
-    wide = replace(spec, half_width=2 * spec.half_width)
-    tail = abs(integrate(f, wide) - integrate(f, spec))
-    return tail <= spec.tail_tol, float(tail)
 
 
 def localized_combos(superpose: Callable[[int], np.ndarray], x: np.ndarray,

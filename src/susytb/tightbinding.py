@@ -32,7 +32,7 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 import scipy.linalg as sla
 
-from .quadrature import NodeCache, QuadratureSpec, integrate, localized_combos, quad_nodes, read_only
+from .quadrature import NodeCache, QuadratureSpec, localized_combos, quad_nodes, read_only
 
 __all__ = [
     "WellBasis",
@@ -40,10 +40,8 @@ __all__ = [
     "two_well_model",
     "single_well_potential",
     "single_well_mode",
-    "inner_product",
     "overlap_kappa",
     "kappa_hermitian_closed_form",
-    "gram_schmidt",
     "solve_spectrum",
     "generalized_energies_2x2",
     "SpectrumResult",
@@ -56,14 +54,9 @@ __all__ = [
     "static_guided_modes",
     "floquet_guided_modes",
     "TBGuidedModes",
-    "GramSchmidtBreakdown",
     "IllConditionedOverlap",
     "DefectiveMonodromy",
 ]
-
-
-class GramSchmidtBreakdown(RuntimeError):
-    pass
 
 
 class IllConditionedOverlap(RuntimeError):
@@ -145,13 +138,6 @@ def overlap_kappa(b: WellBasis, x0: float):
     right = single_well_mode(WellBasis(b.kind, b.k, b.alpha_tilde, 0.0), x - x0)
     val = complex(np.sum(w * np.conj(left) * right))
     return float(val.real) if b.kind == "hermitian" else val
-
-
-def inner_product(f: Callable, g: Callable, metric: str, quad: QuadratureSpec) -> complex:
-    """(f,g) = int conj(f(x)) g(x) dx  (dirac)  or  int conj(f(x)) g(-x) dx  (pt)."""
-    if metric not in ("dirac", "pt"):
-        raise ValueError(f"metric must be 'dirac' or 'pt', got {metric!r}")
-    return integrate(lambda x: np.conj(f(x)) * (g(-x) if metric == "pt" else g(x)), quad)
 
 
 class TBModel:
@@ -262,65 +248,19 @@ def two_well_model(
 # spectra
 # ---------------------------------------------------------------------------
 
-def gram_schmidt(s: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Orthonormalize the basis against the (pseudo) Gram matrix s.
-
-    Returns (r, signs): columns of r express the orthonormal functions in
-    the original basis, with r^H s r = diag(signs), signs in {+1, -1}.
-    Pseudo-norms may be negative under the PT metric; the principal square
-    root is taken and the sign recorded.
-    """
-    n = s.shape[0]
-    r = np.zeros((n, n), dtype=complex)
-    signs = np.zeros(n)
-    scale = float(np.max(np.abs(s)))
-    for j in range(n):
-        v = np.zeros(n, dtype=complex)
-        v[j] = 1.0
-        for mu in range(j):
-            proj = signs[mu] * (np.conj(r[:, mu]) @ (s @ v))
-            v = v - proj * r[:, mu]
-        nrm = complex(np.conj(v) @ (s @ v))
-        if abs(nrm) < 1e-12 * scale:
-            raise GramSchmidtBreakdown(f"pseudo-norm magnitude {abs(nrm):.3e} below threshold")
-        root = np.sqrt(nrm)  # principal branch
-        r[:, j] = v / root
-        signs[j] = 1.0 if nrm.real >= 0 else -1.0
-    return r, signs
-
-
 @dataclass(frozen=True)
 class SpectrumResult:
     energies: np.ndarray
     vectors: np.ndarray
-    method: str
-    gs_signs: Optional[np.ndarray] = None
 
 
-def _sorted_eig(h: np.ndarray, s: Optional[np.ndarray] = None) -> tuple[np.ndarray, np.ndarray]:
-    if s is None:
-        vals, vecs = sla.eig(h)
-    else:
-        vals, vecs = sla.eig(h, s)
-    order = np.lexsort((vals.imag, vals.real))
-    return vals[order], vecs[:, order]
-
-
-def solve_spectrum(model: TBModel, *, method: str = "generalized") -> SpectrumResult:
-    """Eigenpairs of H c = E S c for a static model, sorted by Re E."""
+def solve_spectrum(model: TBModel) -> SpectrumResult:
+    """Eigenpairs of H c = E S c for a static model, sorted by Re E (then Im E)."""
     if model.dynamic:
         raise ValueError("solve_spectrum needs a static model")
-    s = model.overlap_matrix()
-    h = model.hamiltonian_matrix()
-    if method == "generalized":
-        vals, vecs = _sorted_eig(h, s)
-        return SpectrumResult(energies=vals, vectors=vecs, method=method)
-    if method != "gram_schmidt":
-        raise ValueError(f"unknown method {method!r}")
-    r, signs = gram_schmidt(s)
-    ht = np.conj(r.T) @ h @ r
-    vals, vecs_t = _sorted_eig(np.diag(signs) @ ht)
-    return SpectrumResult(energies=vals, vectors=r @ vecs_t, method=method, gs_signs=signs)
+    vals, vecs = sla.eig(model.hamiltonian_matrix(), model.overlap_matrix())
+    order = np.lexsort((vals.imag, vals.real))
+    return SpectrumResult(energies=vals[order], vectors=vecs[:, order])
 
 
 def generalized_energies_2x2(h: np.ndarray, s: np.ndarray) -> np.ndarray:

@@ -380,6 +380,24 @@ def test_cli_preset_list(capsys):
     assert sorted(PRESETS) == out
 
 
+def test_cli_unknown_preset_is_a_config_error(tmp_path, capsys):
+    assert main(["preset", "run", "nope", "--out", str(tmp_path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: preset: unknown preset 'nope'; available: ")
+    assert "runtime error" not in err and not any(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize("command", ["validate", "compare"])
+def test_cli_refuses_an_unknown_observable_key(tmp_path, capsys, command):
+    """The normalization follows from name and metric; a key that tries to set it is refused."""
+    path = tmp_path / "extra-key.json"
+    path.write_text(json.dumps(_cfg(observables=[{"name": "x_mean", "normalization": "none"}])))
+    out = tmp_path / "out"
+    assert main([command, str(path), "--out", str(out)]) == 1
+    assert capsys.readouterr().err == "error: observables[0]: unknown key 'normalization'\n"
+    assert not out.exists()
+
+
 def test_cli_calibrate_explicit(tmp_path, capsys):
     cfgp = tmp_path / "c.json"
     cfgp.write_text(json.dumps(BASE))

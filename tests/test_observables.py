@@ -107,8 +107,6 @@ def test_series_metadata_and_validation(herm_system, herm_quad):
         moment_series(st, "charge", "dirac", [0.0], herm_quad)
     with pytest.raises(ValueError):
         moment_series(st, "x_mean", "euclid", [0.0], herm_quad)
-    with pytest.raises(ValueError):
-        moment_series(st, "x_mean", "dirac", [0.0], herm_quad, normalization="unit")
     gl = QuadratureSpec(half_width=10.0, nodes=1024, rule="gauss_legendre_composite")
     with pytest.raises(ValueError):
         moment_series(st, "x_mean", "dirac", [0.0], gl)
@@ -216,8 +214,7 @@ def test_resolution_guard_triggers():
 # one pass over z for all observables
 # ---------------------------------------------------------------------------
 
-ALL_REQUESTS = [ObservableRequest(o, m) for o in OBSERVABLES for m in ("dirac", "pt")] + [
-    ObservableRequest("x_mean", "dirac", "none"), ObservableRequest("H_mean", "pt", "instantaneous_power")]
+ALL_REQUESTS = [ObservableRequest(o, m) for o in OBSERVABLES for m in ("dirac", "pt")]
 
 
 class CountingState:
@@ -272,9 +269,8 @@ def test_moment_table_equals_separate_series(name, request):
     z = [0.0, 0.5, 1.0, 1.5]
     table = moment_table(state, ALL_REQUESTS, z, quad, engine="tb")
     assert len(table) == len(ALL_REQUESTS)
-    for series, (observable, metric, normalization) in zip(table, ALL_REQUESTS):
-        alone = moment_series(state, observable, metric, z, quad, normalization=normalization,
-                              engine="tb")
+    for series, (observable, metric) in zip(table, ALL_REQUESTS):
+        alone = moment_series(state, observable, metric, z, quad, engine="tb")
         assert np.array_equal(series.values, alone.values)
         assert np.array_equal(series.z, alone.z)
         assert (series.observable, series.metric, series.normalization, series.engine) == (
@@ -333,7 +329,7 @@ def test_trajectory_state_builds_each_hamiltonian_once(dyn_tb_state, dyn_quad, m
 
 @pytest.mark.parametrize("bad", [ObservableRequest("charge", "dirac"),
                                  ObservableRequest("x_mean", "euclid"),
-                                 ObservableRequest("x_mean", "dirac", "unit")])
+                                 ObservableRequest("power", "euclid")])
 def test_moment_table_validates_before_evaluating(bad, herm_system, herm_quad):
     counted = CountingState(ExactState(herm_system, "left"))
     with pytest.raises(ValueError):
