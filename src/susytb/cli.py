@@ -132,15 +132,16 @@ def emit_csv(series: Sequence[ObservableSeries], path) -> None:
 
 
 def _emit_field_csv(field, xs, zs, name: str, path) -> None:
-    """x, z, <name>_re, <name>_im rows (z-major) of field(xs, z)."""
-    lines = [f"x,z,{name}_re,{name}_im"]
+    """x, z, <name>_re, <name>_im rows (z-major) of field(xs, z), written one z at a time."""
     x_cells = [_fmt(float(x)) for x in xs]
-    for z in zs:
-        z = float(z)
-        z_cell = _fmt(z)
-        v = np.asarray(field(xs, z), dtype=complex).tolist()
-        lines += [f"{x},{z_cell},{val.real:.17g},{val.imag:.17g}" for x, val in zip(x_cells, v)]
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8", newline="\n")
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        fh.write(f"x,z,{name}_re,{name}_im\n")
+        for z in zs:
+            z = float(z)
+            z_cell = _fmt(z)
+            v = np.asarray(field(xs, z), dtype=complex).tolist()
+            fh.writelines(f"{x},{z_cell},{val.real:.17g},{val.imag:.17g}\n"
+                          for x, val in zip(x_cells, v))
 
 
 def emit_potential_csv(system: WaveguideSystem, dump: dict, path) -> None:

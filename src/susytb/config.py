@@ -229,7 +229,7 @@ def validate_config(text: str) -> ScenarioConfig:
         errors.append("quadrature.rule: observable series need a uniform rule")
 
     bd = _get(raw, "bpm", dict, errors, "config", default={}) or {}
-    bpm_enabled = bool(bd.get("enabled", False))
+    bpm_enabled = _get(bd, "enabled", bool, errors, "bpm", default=False)
     bpm_options = {
         "nx": _get(bd, "nx", int, errors, "bpm", default=2048),
         "dz": _get(bd, "dz", float, errors, "bpm", default=0.01),
@@ -242,7 +242,7 @@ def validate_config(text: str) -> ScenarioConfig:
 
     pd_cfg = _get(raw, "potential_dump", dict, errors, "config", default={}) or {}
     potential_dump = None
-    if pd_cfg.get("enabled", False):
+    if _get(pd_cfg, "enabled", bool, errors, "potential_dump", default=False):
         potential_dump = {
             "nx": _get(pd_cfg, "nx", int, errors, "potential_dump", default=201),
             "nz": _get(pd_cfg, "nz", int, errors, "potential_dump", default=129),

@@ -310,20 +310,25 @@ class _CoupledSystem:
         self._h = h or (lambda zs: np.stack([model.hamiltonian_matrix(z) for z in zs]))
 
     def march(self, c: np.ndarray, z0: float, z1: float) -> np.ndarray:
-        """Classic RK4 with uniform substeps of at most dz_max."""
+        """Classic RK4 with uniform substeps of at most dz_max. The ODE is linear, so substep j
+        is c -> P_j c with P_j = I + h/6 (K1 + 2 K2 + 2 K3 + K4), K1 = g0, K2 = gm (I + h/2 K1),
+        K3 = gm (I + h/2 K2), K4 = g1 (I + h K3); every P_j comes from stacked products, and
+        P_{n-1} ... P_0 is multiplied out pairwise, neighbours first."""
         if z1 == z0:
             return c
         n = max(1, math.ceil(abs(z1 - z0) / self.control.dz_max))
         h_step = (z1 - z0) / n
         gs = -1j * (self._s_inv @ self._h([z0 + 0.5 * j * h_step for j in range(2 * n + 1)]))
-        for j in range(n):
-            g0, gm, g1 = gs[2 * j], gs[2 * j + 1], gs[2 * j + 2]
-            k1 = g0 @ c
-            k2 = gm @ (c + 0.5 * h_step * k1)
-            k3 = gm @ (c + 0.5 * h_step * k2)
-            k4 = g1 @ (c + h_step * k3)
-            c = c + (h_step / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
-        return c
+        eye = np.eye(self.model.n)
+        g0, gm, g1 = gs[0:-1:2], gs[1::2], gs[2::2]
+        k2 = gm @ (eye + 0.5 * h_step * g0)
+        k3 = gm @ (eye + 0.5 * h_step * k2)
+        k4 = g1 @ (eye + h_step * k3)
+        props = eye + (h_step / 6.0) * (g0 + 2 * k2 + 2 * k3 + k4)
+        while len(props) > 1:  # (P_1 P_0), (P_3 P_2), ...; an odd last P_j waits a round
+            pairs = props[1::2] @ props[0:-1:2]
+            props = np.concatenate([pairs, props[-1:]]) if len(props) % 2 else pairs
+        return props[0] @ c
 
 
 def _z_grid(z_grid: Sequence[float]) -> np.ndarray:

@@ -15,6 +15,7 @@ from susytb.bpm import (
     propagate,
     step,
 )
+from susytb.quadrature import d1_fourth, d2_fourth
 
 from conftest import HERM, PTS
 
@@ -207,6 +208,31 @@ def test_pde_residual_refinement(dyn_system):
     r_coarse = pde_residual(state, dyn_system.potential, coarse, nz=65)
     r_fine = pde_residual(state, dyn_system.potential, fine, nz=129)
     assert r_coarse / r_fine >= 10.0
+
+
+def test_pde_residual_streams_the_full_grid_residual(dyn_system):
+    grid = PropagationGrid(half_width=10.0, nx=257, dz=0.01, z_end=2.0)
+    state = lambda x, z: dyn_system.mode("left", x, z)
+    v_zs = []
+
+    def potential(x, z):
+        v_zs.append(z)
+        return dyn_system.potential(x, z)
+
+    streamed = pde_residual(state, potential, grid, nz=33)
+    x, zs = grid.x, np.linspace(0.0, grid.z_end, 33)
+    psi = np.stack([state(x, float(z)) for z in zs])
+    v = np.stack([dyn_system.potential(x, float(z)) for z in zs])
+    res = 1j * d1_fourth(psi, zs[1] - zs[0], axis=0) + d2_fourth(psi, grid.dx, axis=1) - v * psi
+    assert streamed == pytest.approx(float(np.max(np.abs(res[2:-2, 2:-2]))), rel=1e-13, abs=0)
+    assert v_zs == [float(z) for z in zs[2:-2]]  # V only where the z stencil reaches
+
+
+@pytest.mark.parametrize("nz", [0, 1, 4])
+def test_pde_residual_refuses_fewer_than_five_z(dyn_system, nz):
+    grid = PropagationGrid(half_width=10.0, nx=257, dz=0.01, z_end=2.0)
+    with pytest.raises(ValueError, match="nz"):
+        pde_residual(lambda x, z: dyn_system.mode("left", x, z), dyn_system.potential, grid, nz=nz)
 
 
 def test_eigen_residual_negative_control(herm_system):

@@ -137,6 +137,19 @@ def test_grid_sizes_a_run_refuses_are_field_addressed(tmp_path, capsys, block, k
     assert f"error: {block}.{key}: {message}" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("block", ["bpm", "potential_dump"])
+@pytest.mark.parametrize("value, got", [("false", "str"), ("no", "str"), (1, "int")])
+def test_enabled_flags_must_be_booleans(tmp_path, capsys, block, value, got):
+    raw = _cfg(**{block: {"enabled": value}})
+    with pytest.raises(ConfigError) as exc:
+        validate_config(json.dumps(raw))
+    assert exc.value.errors == [f"{block}.enabled: expected bool, got {got}"]
+    path = tmp_path / "c.json"
+    path.write_text(json.dumps(raw))
+    assert main(["validate", str(path)]) == 1
+    assert f"error: {block}.enabled: expected bool, got {got}" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("preset, key, value", [
     ("pt-dynamic-fig1-5-6", "alpha", math.nan),  # the regularity scan used to raise on it
     ("pt-static-fig3-4", "alpha", math.nan),

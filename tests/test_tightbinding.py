@@ -222,6 +222,14 @@ def test_monodromy_matches_lu_solve_reference(dyn_system):
     assert len(flq.z) == 0
     with pytest.raises(ValueError):
         flq.trajectory([0.7, -0.7])
+    # the vector path: a step-by-step march over uneven samples (1 to 35 substeps each)
+    z = np.array([0.0, 0.013, 0.05, 0.31, 0.75, 1.2, 1.9])
+    c0 = np.array([0.7, -0.7j])
+    traj = propagate_coefficients(model, c0, z, StepControl(dz_max=0.02))
+    c = c0
+    for i in range(1, len(z)):
+        c = _rk4_lu_solve_reference(model, c, z[i - 1], z[i], 0.02)
+        assert np.max(np.abs(traj.c[i] - c)) <= 1e-12 * np.max(np.abs(c))
 
 
 def test_model_construction_errors(dyn_system):
