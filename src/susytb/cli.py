@@ -174,12 +174,14 @@ def _sidecar(path: Path, cfg: ScenarioConfig, series: Sequence[ObservableSeries]
 # pipeline
 # ---------------------------------------------------------------------------
 
-def _calibrate(cfg: ScenarioConfig) -> tuple[dict, Optional[CalibrationResult]]:
-    if cfg.tb_mode == "explicit":
-        return dict(cfg.tb_explicit), None
+def _calibrate(cfg: ScenarioConfig) -> tuple[str, dict, Optional[CalibrationResult]]:
+    """The route that ran ("explicit", "spectral" or "profile"), the TB parameters and the fit."""
+    if cfg.tb_explicit is not None:
+        return "explicit", dict(cfg.tb_explicit), None
     problem = default_problem(cfg.system, seeds=cfg.tb_seeds)
-    result = profile_match(problem) if cfg.system.is_dynamic else spectral_match(problem)
-    return dict(result.parameters), result
+    route, match = ("profile", profile_match) if cfg.system.is_dynamic else ("spectral", spectral_match)
+    result = match(problem)
+    return route, dict(result.parameters), result
 
 
 def _build_tb(cfg: ScenarioConfig, tb_params: dict):
@@ -189,7 +191,7 @@ def _build_tb(cfg: ScenarioConfig, tb_params: dict):
                                hamiltonian_source="system", dynamic=True)
         targets = sorted(system.energies().values())
         flq = floquet_monodromy(model, system.periods().fundamental,
-                                StepControl(dz_max=0.02), targets=targets, z_grid=cfg.z_values)
+                                StepControl(), targets=targets, z_grid=cfg.z_values)
         guided = floquet_guided_modes(model, flq)
         state = TBTrajectoryState(model, flq.trajectory(guided.coefficients(cfg.mode_kind, 0.0)),
                                   system)
@@ -248,9 +250,9 @@ def run(cfg: ScenarioConfig, outdir) -> tuple[ComparisonReport, list[Path]]:
                   "argmin": list(scan.argmin), "certified": cfg.certified}
 
     # 2./3. calibration and TB construction
-    tb_params, cal_result = _calibrate(cfg)
+    route, tb_params, cal_result = _calibrate(cfg)
     model, tb_state, tb_spectrum = _build_tb(cfg, tb_params)
-    calibration = {"mode": cfg.tb_mode, "parameters": tb_params}
+    calibration = {"mode": route, "parameters": tb_params}
     if cal_result is not None:
         calibration.update({"objective_value": cal_result.objective_value,
                             "trace": cal_result.trace})
@@ -302,7 +304,7 @@ def run(cfg: ScenarioConfig, outdir) -> tuple[ComparisonReport, list[Path]]:
     report_path = outdir / f"{cfg.basename}.report.json"
     report_path.write_text(report.to_json() + "\n", encoding="utf-8")
     files.append(report_path)
-    if cfg.potential_dump is not None:
+    if cfg.potential_dump_enabled:
         pot_path = outdir / f"{cfg.basename}.potential.csv"
         emit_potential_csv(system, cfg.potential_dump, pot_path)
         files.append(pot_path)
@@ -321,10 +323,9 @@ def _cmd_validate(cfg: ScenarioConfig, out: Path) -> int:
 
 
 def _cmd_potential(cfg: ScenarioConfig, out: Path) -> int:
-    dump = cfg.potential_dump or {"nx": 401, "nz": 129, "x_half_width": 8.0, "periods": 2.0}
     path = out / f"{cfg.basename}.potential.csv"
     out.mkdir(parents=True, exist_ok=True)
-    emit_potential_csv(cfg.system, dump, path)
+    emit_potential_csv(cfg.system, cfg.potential_dump, path)
     print(path)
     return 0
 
@@ -341,7 +342,7 @@ def _cmd_modes(cfg: ScenarioConfig, out: Path) -> int:
 
 
 def _cmd_calibrate(cfg: ScenarioConfig, out: Path) -> int:
-    params, result = _calibrate(cfg)
+    _, params, result = _calibrate(cfg)
     payload = {"parameters": params}
     if result is not None:
         payload["objective_value"] = result.objective_value
@@ -353,7 +354,7 @@ def _cmd_calibrate(cfg: ScenarioConfig, out: Path) -> int:
 
 
 def _cmd_spectrum(cfg: ScenarioConfig, out: Path) -> int:
-    tb_params, _ = _calibrate(cfg)
+    _, tb_params, _ = _calibrate(cfg)
     _, _, spectrum = _build_tb(cfg, tb_params)
     print(json.dumps({"tb_parameters": tb_params, "spectrum": spectrum},
                      sort_keys=True, indent=2, default=_json_default))

@@ -6,18 +6,23 @@ lengths in inverse-wavenumber units):
     {
       "system": {"kind": "hermitian_static" | "pt_static" | "pt_dynamic",
                  "k1": ..., "k2": ..., "k3": ..., "alpha": ...},
-      "tb": {"mode": "auto" | "spectral" | "profile" | "explicit",
-             "k": ..., "x0": ..., "alpha_tilde": ...,      # explicit mode
-             "seeds": [9, 9]},       # multistart grid: one size per fitted parameter
+      "tb": {"seeds": [9, 9]},  # calibrated; optional grid, one size per fitted parameter
+         # or {"k": ..., "x0": ..., "alpha_tilde": ...}, the explicit model
       "z_grid": {"periods": 2.0, "num": 361}               # or "stop": <z>
       "mode_kind": "left",
       "observables": ["x_mean", {"name": "H_mean", "metric": "pt"}, ...],
-      "quadrature": {"nodes": 4097, "rule": "simpson", "half_width": null},
+      "quadrature": {"nodes": 4097, "half_width": null},     # uniform Simpson grid
       "bpm": {"enabled": false, "nx": 2048, "dz": 0.01},
       "potential_dump": {"enabled": false, "nx": 201, "nz": 129,
                          "x_half_width": 6.0, "periods": 2.0},
       "output": {"basename": "run"}
     }
+
+A `tb` block giving any of k, x0, alpha_tilde is the explicit model (k and
+x0 required); else the system kind picks spectral or profile calibration.
+The removed `tb.mode` and `quadrature.rule`, and seeds next to explicit
+parameters, are refused: ignoring them would change what runs. The dump
+sizes are always validated; `enabled` only decides whether `compare` writes it.
 
 Validation is aggregated and field-addressed; physics constraints
 (parameter orderings, the dynamic regularity bound with its `certified`
@@ -26,7 +31,7 @@ overflow window, and the kind's mode kinds and fitted TB parameters from
 `systems.KINDS`) are enforced here so a validated config is a runnable
 plan. An observable object takes only "name" and "metric" (its
 normalization is fixed by the observable and metric), and any other key
-in it is refused; other keys elsewhere are ignored.
+in it is refused; other unknown keys are ignored.
 """
 
 from __future__ import annotations
@@ -55,7 +60,6 @@ class ScenarioConfig:
     raw: dict
     system: WaveguideSystem
     certified: Optional[bool]  # None for static systems
-    tb_mode: str
     tb_explicit: Optional[dict]
     tb_seeds: Optional[tuple[int, ...]]
     z_values: "list[float]"
@@ -64,7 +68,8 @@ class ScenarioConfig:
     quad: QuadratureSpec
     bpm_enabled: bool
     bpm_options: dict
-    potential_dump: Optional[dict]
+    potential_dump_enabled: bool
+    potential_dump: dict
     basename: str
     warnings: list[str]
 
@@ -80,9 +85,7 @@ def _get(d: dict, key: str, typ, errors: list[str], where: str, default=None, re
             errors.append(f"{where}: {key} must be finite, got {float(v)!r}")
             return default
         return float(v)
-    if typ is int and isinstance(v, int) and not isinstance(v, bool):
-        return v
-    if not isinstance(v, typ):
+    if not isinstance(v, typ) or (typ is int and isinstance(v, bool)):
         errors.append(f"{where}.{key}: expected {getattr(typ, '__name__', typ)}, got {type(v).__name__}")
         return default
     return v
@@ -129,32 +132,32 @@ def validate_config(text: str) -> ScenarioConfig:
                         "(certified=false); nodelessness established by scan")
 
     tbd = _get(raw, "tb", dict, errors, "config", default={}) or {}
-    tb_mode = _get(tbd, "mode", str, errors, "tb", default="auto")
-    if tb_mode not in ("auto", "spectral", "profile", "explicit"):
-        errors.append(f"tb.mode: unknown mode {tb_mode!r}")
-    if tb_mode == "spectral" and system.is_dynamic:
-        errors.append("tb.mode: spectral matching needs a static system")
-    if tb_mode == "profile" and not system.is_dynamic:
-        errors.append("tb.mode: profile matching needs the dynamic system")
+    if "mode" in tbd:
+        errors.append("tb.mode: removed; the system kind picks the calibration, "
+                      "and giving k and x0 selects the explicit model")
     tb_explicit = None
-    if tb_mode == "explicit":
+    tb_seeds = None
+    if any(key in tbd for key in ("k", "x0", "alpha_tilde")):
         k = _get(tbd, "k", float, errors, "tb", required=True)
         x0 = _get(tbd, "x0", float, errors, "tb", required=True)
         at = _get(tbd, "alpha_tilde", float, errors, "tb", default=0.0)
         if None not in (k, x0):
             if k == 0:
                 errors.append("tb.k: must be nonzero")
-            if x0 is not None and x0 <= 0:
+            if x0 <= 0:
                 errors.append("tb.x0: must be positive")
             tb_explicit = {"k": k, "x0": x0, "alpha_tilde": at}
         if at and system.facts.wells == "hermitian":
             errors.append("tb.alpha_tilde: must be 0 for the Hermitian wells of a "
                           f"{system.kind} system")
-    tb_seeds = None
-    if "seeds" in tbd:
+        if "seeds" in tbd:
+            errors.append("tb.seeds: explicit TB parameters are not calibrated, so take no seeds")
+    elif "seeds" in tbd:
         seeds = tbd["seeds"]
         fit = list(system.facts.fit)
-        if (not isinstance(seeds, list) or not seeds
+        if isinstance(seeds, list) and any(isinstance(s, bool) for s in seeds):
+            errors.append("tb.seeds: expected int, got bool")
+        elif (not isinstance(seeds, list) or not seeds
                 or any(not isinstance(s, int) or s < 1 for s in seeds)):
             errors.append("tb.seeds: expected a list of positive integers")
         elif len(seeds) != len(fit):
@@ -211,17 +214,16 @@ def validate_config(text: str) -> ScenarioConfig:
 
     qd = _get(raw, "quadrature", dict, errors, "config", default={}) or {}
     q_nodes = _get(qd, "nodes", int, errors, "quadrature", default=4097)
-    q_rule = _get(qd, "rule", str, errors, "quadrature", default="simpson")
+    if "rule" in qd:
+        errors.append("quadrature.rule: removed; observables always use the uniform Simpson grid")
     q_half = default_spec(system.min_k).half_width
     if qd.get("half_width") is not None:  # null selects the default window, as an omitted key does
         q_half = _get(qd, "half_width", float, errors, "quadrature", default=q_half)
     quad = None
     try:
-        quad = QuadratureSpec(half_width=q_half, nodes=q_nodes, rule=q_rule)
+        quad = QuadratureSpec(half_width=q_half, nodes=q_nodes)
     except ValueError as exc:
         errors.append(f"quadrature: {exc}")
-    if quad is not None and quad.rule == "gauss_legendre_composite":
-        errors.append("quadrature.rule: observable series need a uniform rule")
     if quad is not None and quad.half_width > system.x_limit:
         errors.append(_past_limit("quadrature.half_width", quad.half_width, system))
 
@@ -238,20 +240,19 @@ def validate_config(text: str) -> ScenarioConfig:
             errors.append(f"bpm.{key}: {exc}")
 
     pd_cfg = _get(raw, "potential_dump", dict, errors, "config", default={}) or {}
-    potential_dump = None
-    if _get(pd_cfg, "enabled", bool, errors, "potential_dump", default=False):
-        potential_dump = {
-            "nx": _get(pd_cfg, "nx", int, errors, "potential_dump", default=201),
-            "nz": _get(pd_cfg, "nz", int, errors, "potential_dump", default=129),
-            "x_half_width": _get(pd_cfg, "x_half_width", float, errors, "potential_dump", default=6.0),
-            "periods": _get(pd_cfg, "periods", float, errors, "potential_dump", default=2.0),
-        }
-        for key, message in (("nx", "need at least 1 sample"), ("nz", "need at least 1 sample"),
-                             ("x_half_width", "must be positive"), ("periods", "must be positive")):
-            if potential_dump[key] <= 0:
-                errors.append(f"potential_dump.{key}: {message}")
-        if potential_dump["x_half_width"] > system.x_limit:
-            errors.append(_past_limit("potential_dump.x_half_width", potential_dump["x_half_width"], system))
+    potential_dump_enabled = _get(pd_cfg, "enabled", bool, errors, "potential_dump", default=False)
+    potential_dump = {
+        "nx": _get(pd_cfg, "nx", int, errors, "potential_dump", default=201),
+        "nz": _get(pd_cfg, "nz", int, errors, "potential_dump", default=129),
+        "x_half_width": _get(pd_cfg, "x_half_width", float, errors, "potential_dump", default=6.0),
+        "periods": _get(pd_cfg, "periods", float, errors, "potential_dump", default=2.0),
+    }
+    for key, message in (("nx", "need at least 1 sample"), ("nz", "need at least 1 sample"),
+                         ("x_half_width", "must be positive"), ("periods", "must be positive")):
+        if potential_dump[key] <= 0:
+            errors.append(f"potential_dump.{key}: {message}")
+    if potential_dump["x_half_width"] > system.x_limit:
+        errors.append(_past_limit("potential_dump.x_half_width", potential_dump["x_half_width"], system))
 
     outd = _get(raw, "output", dict, errors, "config", default={}) or {}
     basename = _get(outd, "basename", str, errors, "output", default="run")
@@ -261,11 +262,11 @@ def validate_config(text: str) -> ScenarioConfig:
 
     z_values = [stop * i / (num - 1) for i in range(num)]
     return ScenarioConfig(
-        raw=raw, system=system, certified=certified, tb_mode=tb_mode,
-        tb_explicit=tb_explicit, tb_seeds=tb_seeds, z_values=z_values,
-        mode_kind=mode_kind, observables=observables, quad=quad,
+        raw=raw, system=system, certified=certified, tb_explicit=tb_explicit,
+        tb_seeds=tb_seeds, z_values=z_values, mode_kind=mode_kind, observables=observables, quad=quad,
         bpm_enabled=bpm_enabled, bpm_options=bpm_options,
-        potential_dump=potential_dump, basename=basename, warnings=warnings)
+        potential_dump_enabled=potential_dump_enabled, potential_dump=potential_dump,
+        basename=basename, warnings=warnings)
 
 
 def config_digest(raw: dict) -> str:

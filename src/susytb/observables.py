@@ -209,7 +209,7 @@ def moment_table(
     p = -i d_x and H = -d_x^2 + V; H applications use the state's exact
     h_apply when present, else finite differences against the state's
     bound potential. For the PT metric the integrand pairs conj(f(x)) with
-    (A g)(-x); the quadrature grid must be uniform (simpson/trapezoid).
+    (A g)(-x); the quadrature grid must be uniform (simpson).
     Every request is validated before any field is evaluated.
     """
     plans = []

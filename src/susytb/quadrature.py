@@ -2,11 +2,12 @@
 
 All integrals in the artifact run over the real line against fields with
 sech-type decay; the window half-width defaults to 12 / min|k| which puts
-the truncated tails below 1e-12 of the integrand scale. Simpson is the
-workhorse (uniform grid, reused for the 4th-order finite-difference
-stencils below); composite Gauss-Legendre is available where spectral
-accuracy pays off (overlap integrals, matrix elements). Every integral is
-`np.sum(w * f(x))` on the nodes and weights of `quad_nodes`. Both the exact and
+the truncated tails below 1e-12 of the integrand scale. There are two
+rules. Simpson's uniform grid carries every observable series and the
+4th-order finite-difference stencils below; a scenario sets only its node
+count and window. Composite Gauss-Legendre is internal, used where
+spectral accuracy pays off (overlap integrals, matrix elements). Every
+integral is `np.sum(w * f(x))` on the nodes and weights of `quad_nodes`. Both the exact and
 the tight-binding engines build their localized left/right modes with
 `localized_combos`, so the two are labelled the same way, and both keep
 x-only functions in a `NodeCache`: the last frozen node set (`read_only`)
@@ -25,7 +26,7 @@ import numpy as np
 __all__ = ["QuadratureSpec", "quad_nodes", "default_spec", "localized_combos", "d1_fourth",
            "d2_fourth", "NodeCache", "read_only"]
 
-RULES = ("trapezoid", "simpson", "gauss_legendre_composite")
+RULES = ("simpson", "gauss_legendre_composite")
 
 
 @dataclass(frozen=True)
@@ -52,20 +53,14 @@ def default_spec(min_k: float, **overrides) -> QuadratureSpec:
 def quad_nodes(spec: QuadratureSpec) -> tuple[np.ndarray, np.ndarray]:
     """Nodes and weights, new arrays the caller owns; symmetric about 0 for every rule."""
     L = spec.half_width
-    if spec.rule in ("trapezoid", "simpson"):
-        n = spec.nodes
-        if spec.rule == "simpson" and n % 2 == 0:
-            n += 1  # Simpson needs an even interval count
+    if spec.rule == "simpson":
+        n = spec.nodes + 1 - spec.nodes % 2  # Simpson needs an even interval count
         x = np.linspace(-L, L, n)
         h = x[1] - x[0]
-        w = np.full(n, h)
-        if spec.rule == "trapezoid":
-            w[0] = w[-1] = h / 2
-        else:
-            w[:] = 0.0
-            w[0] = w[-1] = h / 3
-            w[1:-1:2] = 4 * h / 3
-            w[2:-1:2] = 2 * h / 3
+        w = np.zeros(n)
+        w[0] = w[-1] = h / 3
+        w[1:-1:2] = 4 * h / 3
+        w[2:-1:2] = 2 * h / 3
         return x, w
     # composite Gauss-Legendre: ~16 points per panel, even panel count
     panels = max(2, 2 * (spec.nodes // 32))

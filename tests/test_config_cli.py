@@ -21,7 +21,7 @@ from susytb.quadrature import read_only
 
 BASE = {
     "system": {"kind": "hermitian_static", "k1": 0.645, "k2": 0.865},
-    "tb": {"mode": "explicit", "k": 0.7454, "x0": 1.66214},
+    "tb": {"k": 0.7454, "x0": 1.66214},
     "z_grid": {"periods": 0.5, "num": 17},
     "mode_kind": "left",
     "observables": ["x_mean", "power"],
@@ -80,7 +80,7 @@ def test_error_aggregation():
 
 def test_uncertified_dynamic_accepted_with_warning():
     raw = _cfg(system={"kind": "pt_dynamic", "k1": 1.0, "k2": 1.1, "k3": 0.95, "alpha": 0.1},
-               tb={"mode": "explicit", "k": 1.045, "x0": 1.77114})
+               tb={"k": 1.045, "x0": 1.77114})
     cfg = validate_config(json.dumps(raw))
     assert cfg.certified is False
     assert any("certified=false" in w for w in cfg.warnings)
@@ -103,7 +103,8 @@ def test_gl_rule_rejected_for_series():
     raw = _cfg(quadrature={"nodes": 1024, "rule": "gauss_legendre_composite"})
     with pytest.raises(ConfigError) as exc:
         validate_config(json.dumps(raw))
-    assert any("uniform" in e for e in exc.value.errors)
+    assert exc.value.errors == [
+        "quadrature.rule: removed; observables always use the uniform Simpson grid"]
 
 
 def test_null_half_width_selects_the_default_window(tmp_path):
@@ -203,7 +204,7 @@ def test_z_grid_stop_ends_the_grid_at_that_stop():
 @pytest.mark.parametrize("seeds", [9, "9,9", [], [9, 0], [9, -1], [9, 2.5]])
 def test_tb_seeds_must_be_a_list_of_positive_integers(seeds):
     with pytest.raises(ConfigError) as exc:
-        validate_config(json.dumps(_cfg(tb={"mode": "spectral", "seeds": seeds})))
+        validate_config(json.dumps(dict(BASE, tb={"seeds": seeds})))
     assert exc.value.errors == ["tb.seeds: expected a list of positive integers"]
 
 
@@ -273,7 +274,7 @@ def test_a_mode_kind_the_system_lacks_is_refused(tmp_path, capsys, preset, mode_
        seeds=st.lists(st.integers(min_value=1, max_value=12), min_size=1, max_size=5))
 def test_seeds_are_accepted_exactly_when_one_per_fitted_parameter(preset, seeds):
     raw = preset_config(preset)
-    raw["tb"]["seeds"] = seeds
+    raw.setdefault("tb", {})["seeds"] = seeds
     try:
         cfg = validate_config(json.dumps(raw))
     except ConfigError as exc:
@@ -287,13 +288,88 @@ def test_seeds_are_accepted_exactly_when_one_per_fitted_parameter(preset, seeds)
 
 def test_alpha_tilde_is_refused_on_the_dynamic_system_too():
     raw = preset_config("pt-dynamic-fig1-5-6")
-    raw["tb"] = {"mode": "explicit", "k": 1.0, "x0": 1.8, "alpha_tilde": 0.1}
+    raw["tb"] = {"k": 1.0, "x0": 1.8, "alpha_tilde": 0.1}
     with pytest.raises(ConfigError) as exc:
         validate_config(json.dumps(raw))
     assert exc.value.errors == ["tb.alpha_tilde: must be 0 for the Hermitian wells of a "
                                 "pt_dynamic system"]
     raw["tb"]["alpha_tilde"] = 0.0
     validate_config(json.dumps(raw))
+
+
+TB_MODE = ("tb.mode: removed; the system kind picks the calibration, "
+           "and giving k and x0 selects the explicit model")
+RULE = "quadrature.rule: removed; observables always use the uniform Simpson grid"
+EXPLICIT = {"k": 0.7, "x0": 1.5, "alpha_tilde": 0.0}
+
+
+@pytest.mark.parametrize("blocks, explicit, errors", [
+    # the inference rule: any of k, x0, alpha_tilde is the explicit model, else calibration
+    ({"tb": {}}, None, []),
+    ({"tb": {"seeds": [5, 5]}}, None, []),
+    ({"tb": {"k": 0.7, "x0": 1.5}}, EXPLICIT, []),
+    ({"tb": dict(EXPLICIT)}, EXPLICIT, []),
+    ({"tb": {"k": 0.7}}, None, ["tb.x0: missing required field"]),
+    ({"tb": {"x0": 1.5}}, None, ["tb.k: missing required field"]),
+    ({"tb": {"alpha_tilde": 0.0}}, None,
+     ["tb.k: missing required field", "tb.x0: missing required field"]),
+    # removed keys and seeds next to explicit parameters are refused, not ignored
+    ({"tb": {"mode": "auto"}}, None, [TB_MODE]),
+    ({"tb": {"mode": "spectral", "k": 1.0, "x0": 1.5}}, None, [TB_MODE]),
+    ({"tb": {"k": 0.7, "x0": 1.5, "seeds": [5, 5]}}, None,
+     ["tb.seeds: explicit TB parameters are not calibrated, so take no seeds"]),
+    ({"quadrature": {"rule": "simpson"}}, None, [RULE]),
+    # JSON true is not the integer 1
+    ({"tb": {"seeds": [True, 9]}}, None, ["tb.seeds: expected int, got bool"]),
+    ({"z_grid": {"periods": 0.5, "num": True}}, None, ["z_grid.num: expected int, got bool"]),
+    ({"quadrature": {"nodes": True}}, None, ["quadrature.nodes: expected int, got bool"]),
+    ({"bpm": {"nx": True}}, None, ["bpm.nx: expected int, got bool"]),
+    ({"potential_dump": {"nx": True}}, None, ["potential_dump.nx: expected int, got bool"]),
+    # the dump's sizes are validated whether or not compare writes it
+    ({"potential_dump": {"enabled": False, "nz": 0}}, None,
+     ["potential_dump.nz: need at least 1 sample"]),
+])
+def test_validate_infers_the_tb_route_and_refuses_what_it_would_ignore(tmp_path, capsys, blocks,
+                                                                        explicit, errors):
+    raw = dict(BASE, **blocks)
+    path = tmp_path / "c.json"
+    path.write_text(json.dumps(raw))
+    assert main(["validate", str(path)]) == (1 if errors else 0)
+    assert capsys.readouterr().err == "".join(f"error: {e}\n" for e in errors)
+    if not errors:
+        assert validate_config(json.dumps(raw)).tb_explicit == explicit
+
+
+@pytest.mark.parametrize("preset", ["hermitian-fig2", "pt-static-fig3-4"])
+def test_explicit_parameters_from_calibrate_reproduce_the_calibrated_run(tmp_path, capsys, preset):
+    """`calibrate` JSON fed back as the tb block gives the calibrated run's TB columns exactly."""
+    raw = preset_config(preset)
+    raw["z_grid"]["num"] = 41
+    calibrated = tmp_path / "calibrated.json"
+    calibrated.write_text(json.dumps(raw))
+    assert main(["calibrate", str(calibrated)]) == 0
+    raw["tb"] = json.loads(capsys.readouterr().out)["parameters"]
+    explicit = tmp_path / "explicit.json"
+    explicit.write_text(json.dumps(raw))
+    for path, out in ((calibrated, "a"), (explicit, "b")):
+        assert main(["compare", str(path), "--out", str(tmp_path / out)]) == 0
+    capsys.readouterr()
+    csvs = [(tmp_path / out / f"{preset}.csv").read_text() for out in "ab"]
+    tb_rows = [[line for line in text.splitlines() if line.endswith(",tb")] for text in csvs]
+    assert len(tb_rows[0]) == 41 and tb_rows[0] == tb_rows[1]
+    assert csvs[0] == csvs[1]
+    reports = [json.loads((tmp_path / out / f"{preset}.report.json").read_text()) for out in "ab"]
+    assert [r["calibration"]["mode"] for r in reports] == ["spectral", "explicit"]
+    assert reports[0]["calibration"]["parameters"] == reports[1]["calibration"]["parameters"]
+    for key in ("kappa", "tb_spectrum", "metrics"):
+        assert reports[0][key] == reports[1][key]
+
+
+def test_the_modulated_pair_is_calibrated_by_profile_matching():
+    cfg = validate_config(json.dumps(preset_config("pt-dynamic-fig1-5-6")))
+    route, params, result = cli._calibrate(cfg)
+    assert route == "profile" and cfg.tb_explicit is None
+    assert params == result.parameters and set(params) == {"k", "x0", "alpha_tilde"}
 
 
 @pytest.mark.parametrize("flag", ["--nodes", "--z-samples"])
@@ -327,9 +403,9 @@ BAD_VALUES = st.sampled_from([math.nan, math.inf, -math.inf, 0, -1, -2.5, 0.0, "
 LEAVES = st.sampled_from([
     ("system",), ("tb",), ("z_grid",), ("quadrature",), ("bpm",), ("potential_dump",), ("output",),
     ("system", "k1"), ("system", "k2"), ("system", "k3"), ("system", "alpha"), ("system", "kind"),
-    ("tb", "mode"), ("tb", "seeds"), ("z_grid", "num"), ("z_grid", "periods"), ("z_grid", "stop"),
+    ("tb", "seeds"), ("z_grid", "num"), ("z_grid", "periods"), ("z_grid", "stop"),
     ("mode_kind",), ("observables",), ("observables", 0), ("quadrature", "nodes"),
-    ("quadrature", "rule"), ("quadrature", "half_width"), ("bpm", "enabled"), ("bpm", "nx"),
+    ("quadrature", "half_width"), ("bpm", "enabled"), ("bpm", "nx"),
     ("bpm", "dz"), ("potential_dump", "nx"), ("potential_dump", "nz"),
     ("potential_dump", "x_half_width"), ("potential_dump", "periods"), ("output", "basename"),
 ])
@@ -521,7 +597,7 @@ def test_preset_configs_validate():
 
 def test_run_pipeline_pt_static(tmp_path):
     raw = _cfg(system={"kind": "pt_static", "k1": 1.1, "k2": 1.2, "alpha": 0.2},
-               tb={"mode": "explicit", "k": 1.1468, "x0": 1.6579, "alpha_tilde": 0.21},
+               tb={"k": 1.1468, "x0": 1.6579, "alpha_tilde": 0.21},
                observables=["power", {"name": "H_mean", "metric": "pt"}],
                output={"basename": "ptsmoke"})
     cfg = validate_config(json.dumps(raw))
@@ -535,7 +611,7 @@ def test_run_pipeline_pt_static(tmp_path):
 
 def test_run_pipeline_dynamic(tmp_path):
     raw = _cfg(system={"kind": "pt_dynamic", "k1": 1.0, "k2": 1.1, "k3": 0.95, "alpha": 0.1},
-               tb={"mode": "explicit", "k": 1.045, "x0": 1.77114},
+               tb={"k": 1.045, "x0": 1.77114},
                observables=["x_mean", "power"],
                output={"basename": "dynsmoke"})
     raw["z_grid"] = {"periods": 0.25, "num": 17}
@@ -565,11 +641,11 @@ def test_run_pipeline_with_bpm_check(tmp_path):
 
 WARM_CASES = {
     "pt-static": _cfg(system={"kind": "pt_static", "k1": 1.1, "k2": 1.2, "alpha": 0.2},
-                      tb={"mode": "explicit", "k": 1.1468, "x0": 1.6579, "alpha_tilde": 0.21},
+                      tb={"k": 1.1468, "x0": 1.6579, "alpha_tilde": 0.21},
                       observables=PRESETS["pt-static-fig3-4"]["observables"],
                       output={"basename": "warm"}),
     "pt-dynamic": _cfg(system={"kind": "pt_dynamic", "k1": 1.0, "k2": 1.1, "k3": 0.95, "alpha": 0.1},
-                       tb={"mode": "explicit", "k": 1.045, "x0": 1.77114},
+                       tb={"k": 1.045, "x0": 1.77114},
                        observables=PRESETS["pt-dynamic-fig1-5-6"]["observables"],
                        z_grid={"periods": 0.1, "num": 9},
                        potential_dump={"enabled": True, "nx": 21, "nz": 5, "x_half_width": 5.0,
@@ -624,7 +700,7 @@ def test_cli_potential_dumps_the_system_potential(tmp_path, capsys, case):
     path = tmp_path / "c.json"
     path.write_text(json.dumps(WARM_CASES[case]))
     cfg = validate_config(path.read_text())
-    dump = cfg.potential_dump or {"nx": 401, "nz": 129, "x_half_width": 8.0, "periods": 2.0}
+    dump = cfg.potential_dump
     outs = []
     for out in (tmp_path / "a", tmp_path / "b"):
         assert main(["potential", str(path), "--out", str(out)]) == 0
@@ -664,7 +740,7 @@ def test_cli_modes_dumps_the_configured_mode(tmp_path, capsys, case):
 def test_cli_calibrate_spectral(tmp_path, capsys):
     """A calibrated config prints the fit, its objective, its trace and the energies it reached."""
     raw = _cfg()
-    raw["tb"] = {"mode": "spectral", "seeds": [5, 5]}
+    raw["tb"] = {"seeds": [5, 5]}
     path = tmp_path / "c.json"
     path.write_text(json.dumps(raw))
     assert main(["calibrate", str(path)]) == 0

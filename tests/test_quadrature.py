@@ -16,7 +16,7 @@ from susytb.quadrature import (
 )
 
 
-@pytest.mark.parametrize("rule", ["trapezoid", "simpson", "gauss_legendre_composite"])
+@pytest.mark.parametrize("rule", ["simpson", "gauss_legendre_composite"])
 def test_nodes_symmetric_and_weights_positive(rule):
     spec = QuadratureSpec(half_width=5.0, nodes=256, rule=rule)
     x, w = quad_nodes(spec)
@@ -36,8 +36,9 @@ def test_validation():
         QuadratureSpec(half_width=-1.0)
     with pytest.raises(ValueError):
         QuadratureSpec(half_width=1.0, nodes=8)
-    with pytest.raises(ValueError):
-        QuadratureSpec(half_width=1.0, rule="monte_carlo")
+    for rule in ("monte_carlo", "trapezoid"):
+        with pytest.raises(ValueError):
+            QuadratureSpec(half_width=1.0, rule=rule)
 
 
 def _integral(f, spec):
@@ -61,21 +62,11 @@ def test_sech_squared_closed_form():
     assert abs(got - 2.0 / k) < 1e-12
 
 
-def test_trapezoid_second_order():
-    spec_a = QuadratureSpec(half_width=1.0, nodes=128, rule="trapezoid")
-    spec_b = QuadratureSpec(half_width=1.0, nodes=256, rule="trapezoid")
-    f = lambda x: np.cos(x)
-    exact = 2 * math.sin(1.0)
-    e_a = abs(_integral(f, spec_a) - exact)
-    e_b = abs(_integral(f, spec_b) - exact)
-    assert 3.0 < e_a / e_b < 5.0
-
-
 def test_default_spec_window():
     spec = default_spec(0.645)
     assert spec.half_width == pytest.approx(12.0 / 0.645)
-    spec2 = default_spec(0.645, nodes=512, rule="trapezoid")
-    assert spec2.nodes == 512 and spec2.rule == "trapezoid"
+    spec2 = default_spec(0.645, nodes=512, rule="gauss_legendre_composite")
+    assert spec2.nodes == 512 and spec2.rule == "gauss_legendre_composite"
 
 
 def _two_lobes():
