@@ -175,7 +175,7 @@ def pde_residual(
         window = window[-4:] + [np.asarray(state(x, float(z)))]
         if i < 4:
             continue
-        dzpsi = d1_fourth(np.stack(window), hz)[2]
+        dzpsi = d1_fourth(np.stack(window, axis=-1), hz)[..., 2]
         v = np.asarray(potential(x, float(zs[i - 2])))
         res = 1j * dzpsi + d2_fourth(window[2], grid.dx) - v * window[2]
         worst = np.maximum(worst, np.max(np.abs(res[2:-2])))  # a NaN row stays NaN

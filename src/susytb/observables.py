@@ -2,34 +2,31 @@
 
 Moments are sesquilinear sandwiches (psi, A psi) under the Dirac or PT
 inner product, divided by a recorded normalization (instantaneous power
-for beam moments, initial power for the PT Hamiltonian moments). States
-are adapters exposing psi(x, z) plus, when available, an exact
-application of the Hamiltonian: the exact states use the closed-form
-d/dz, the tight-binding states stay inside the model (energy-weighted or
-generator-applied coefficients). Momentum moments, and H for a state
-without h_apply, use the 4th-order stencils of `quadrature` on the
-uniform quadrature grid, once `_resolution_guard` has checked that halving
-the grid resolution moves the first derivative by at most 1e-5 of its scale.
+for beam moments, initial power for the PT Hamiltonian moments). p and,
+without an exact H, H use the 4th-order stencils of `quadrature` on the
+uniform grid, once `_resolution_guard` has checked that halving the grid
+resolution moves the first derivative by at most 1e-5 of its scale.
 
-`moment_table` makes one pass over z for all requested observables of a
-state: at each z it evaluates psi, its power, x psi, the two stencils,
-h_apply and h2_apply at most once each and shares them, and it runs the
-resolution guard and the initial power once per state. `moment_series`
-is the one-observable case. The field values themselves come from the
-node-set caches of the states' engines (`WaveguideSystem` profiles and
-x-factors, `TBModel.basis_values`).
+`moment_table` makes one pass for all requested observables of a state and
+evaluates each image at most once. The modulated pair's states are two-mode
+superpositions psi = sum_j a_j(z) u_j(x, z mod T_V) (Floquet's theorem), so
+their moments are quadratic forms a^H G a in 2x2 Gram matrices G built once
+per distinct phase (`quadrature.fold_phases`), streamed phase by phase.
+Static states are still taken field by field at each z with unchanged sums:
+their comparison metrics' sub-resolution `phase_shift` fields move with any
+new summation order. `moment_series` is the one-observable case.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
-from functools import cached_property
-from typing import NamedTuple, Optional, Sequence
+from typing import Callable, NamedTuple, Optional, Sequence
 
 import numpy as np
 
-from .quadrature import QuadratureSpec, d1_fourth, d2_fourth, quad_nodes, read_only
+from .quadrature import QuadratureSpec, d1_fourth, d2_fourth, fold_phases, quad_nodes, read_only
 from .systems import WaveguideSystem
 from .tightbinding import TBGuidedModes, TBModel, CoefficientTrajectory, assemble_state
 
@@ -82,7 +79,11 @@ class ObservableSeries:
 # ---------------------------------------------------------------------------
 
 class ExactState:
-    """Closed-form mode of a WaveguideSystem as an observable state."""
+    """Closed-form mode of a WaveguideSystem as an observable state.
+
+    On a modulated pair psi(x, n T_V + r) = sum_j w_j e^{-i E_j n T_V} u_j(x, r) over
+    the normalized Floquet modes u_j, w the left/right weights (or the one mode itself).
+    """
 
     def __init__(self, system: WaveguideSystem, kind: str):
         self.system = system
@@ -96,12 +97,31 @@ class ExactState:
         return 1j * self.system.mode_dz(self.kind, x, z)
 
     def h2_apply(self, x, z: float):
-        if self.system.is_dynamic:
-            return None
         return self.system.mode_h2(self.kind, x, z)
 
-    def potential(self, x, z: float):
-        return self.system.potential(x, z)
+    def forms(self, x, w, h, z_grid):
+        """(index, moments) per z: one basis per distinct phase; a phase of one z is that z's field."""
+        system, period = self.system, self.system.periods().fundamental
+        if self.kind in ("left", "right"):
+            sign, inv_n = system.combination(self.kind)
+            kinds, weights = system.facts.stationary, np.array([inv_n, sign * inv_n])
+        else:
+            kinds, weights = (self.kind,), np.ones(1)
+        energies = np.array([system.energies()[k] for k in kinds])
+        turns, which, phases = fold_phases(z_grid, period)
+        for k, r in enumerate(phases.tolist()):
+            members = np.flatnonzero(which == k)
+            if len(members) == 1:
+                z = float(z_grid[members[0]])
+                yield members[0], _Fields(self(x, z), x, w, h, hf=functools.partial(self.h_apply, x, z),
+                                          v=functools.partial(system.potential, x, z))
+                continue
+            # H u = i d_z u, and H^2 u by finite differences against V(r)
+            rows = _Fields(np.stack([system.mode(k, x, r) for k in kinds]), x, w, h,
+                           hf=lambda r=r: 1j * np.stack([system.mode_dz(k, x, r) for k in kinds]),
+                           v=functools.partial(system.potential, x, r))
+            for i in members:
+                yield i, _Form(rows, weights * np.exp(-1j * energies * turns[i] * period))
 
 
 class TBStaticState:
@@ -132,12 +152,9 @@ class TBStaticState:
 
 
 class TBTrajectoryState:
-    """Dynamic-model state riding a precomputed coefficient trajectory.
+    """Dynamic-model state psi = sum_j c_j(z) phi_j on a precomputed coefficient trajectory.
 
-    As for the static case, H applications stay inside the model:
-    H psi := i d_z psi = sum_j (S^-1 H(z) c)_j phi_j, and H^2 applies the
-    matrix generator twice. H(z) is built once per z and kept for the
-    next application at the same z.
+    As for the static case, H stays inside the model: H psi := i d_z psi = sum_j (S^-1 H(z) c)_j phi_j.
     """
 
     def __init__(self, model: TBModel, trajectory: CoefficientTrajectory,
@@ -145,29 +162,19 @@ class TBTrajectoryState:
         self.model = model
         self.trajectory = trajectory
         self.system = system
-        self._h_at: Optional[tuple[float, np.ndarray]] = None
 
-    def _c(self, z: float) -> np.ndarray:
-        zs = self.trajectory.z
-        i = int(np.argmin(np.abs(zs - z)))
-        if abs(zs[i] - z) > 1e-9 * max(1.0, abs(z)):
-            raise ValueError(f"z={z} not on the integrated trajectory grid")
-        return self.trajectory.c[i]
-
-    def _generator(self, c: np.ndarray, z: float) -> np.ndarray:
-        if self._h_at is None or self._h_at[0] != z:
-            self._h_at = (z, self.model.hamiltonian_matrix(z))
-        return self.model.overlap_inverse() @ (self._h_at[1] @ c)
-
-    def __call__(self, x, z: float):
-        return assemble_state(self.model, self._c(z), x)
-
-    def h_apply(self, x, z: float):
-        return assemble_state(self.model, self._generator(self._c(z), z), x)
-
-    def h2_apply(self, x, z: float):
-        c = self._c(z)
-        return assemble_state(self.model, self._generator(self._generator(c, z), z), x)
+    def forms(self, x, w, h, z_grid):
+        """(index, moments) per z: one basis for every z, and H(r) built once per distinct phase r."""
+        model, zs, tol = self.model, self.trajectory.z, 1e-9 * np.maximum(1.0, np.abs(z_grid))
+        at = np.minimum(np.searchsorted(zs, z_grid - tol), len(zs) - 1)
+        if np.any(np.abs(zs[at] - z_grid) > tol):
+            raise ValueError("z grid is not on the integrated trajectory grid")
+        _, which, phases = fold_phases(z_grid, self.system.periods().fundamental)
+        basis = _Fields(np.stack(model.basis_values(x)), x, w, h)
+        for k, r in enumerate(phases.tolist()):
+            gen = functools.cache(lambda r=r: model.overlap_inverse() @ model.hamiltonian_matrix(r))
+            for i in np.flatnonzero(which == k):
+                yield i, _Form(basis, self.trajectory.c[at[i]], gen)
 
 
 # ---------------------------------------------------------------------------
@@ -206,10 +213,9 @@ def moment_table(
 ) -> list[ObservableSeries]:
     """Sampled z-series of every requested observable for one state, in request order.
 
-    p = -i d_x and H = -d_x^2 + V; H applications use the state's exact
-    h_apply when present, else finite differences against the state's
-    bound potential. For the PT metric the integrand pairs conj(f(x)) with
-    (A g)(-x); the quadrature grid must be uniform (simpson).
+    p = -i d_x and H = -d_x^2 + V, applied exactly where the state can (h_apply, the modulated
+    pair's i d_z, the TB generator), else by finite differences against the state's potential.
+    For the PT metric the integrand pairs conj(f(x)) with (A g)(-x); the grid must be uniform.
     Every request is validated before any field is evaluated.
     """
     plans = []
@@ -226,107 +232,127 @@ def moment_table(
     x = read_only(x)  # frozen, so the engines' node-set caches keep its values across z
     h = x[1] - x[0]
     z_grid = np.asarray(z_grid, dtype=float)
+    two_mode = isinstance(state, TBTrajectoryState) or (
+        isinstance(state, ExactState) and state.system.is_dynamic)
+    forms = state.forms if two_mode else functools.partial(_per_z_forms, state)
+
+    def at(z: float):
+        return next(forms(x, w, h, np.array([z])))[1]
 
     if any(observable in ("p_mean", "p_std") or (
-            observable in ("H_mean", "H_std") and getattr(state, "h_apply", None) is None)
+            observable in ("H_mean", "H_std") and not two_mode
+            and getattr(state, "h_apply", None) is None)
            for observable, _, _ in plans):
-        _resolution_guard(state, x, h, float(z_grid[0]))
+        _resolution_guard(at(float(z_grid[0])).f, h)
 
     p_initial = None
     if any(normalization == "initial_power" for _, _, normalization in plans):
-        f0 = np.asarray(state(x, 0.0))
-        p_initial = float(np.sum(w * np.abs(f0) ** 2).real)
+        p_initial = at(0.0).power
 
     values = np.empty((len(plans), len(z_grid)), dtype=complex)
-    for i, z in enumerate(z_grid):
-        at = _Fields(state, x, w, h, float(z))
+    for i, at_z in forms(x, w, h, z_grid):
         for row, (observable, metric, normalization) in zip(values, plans):
             if observable == "power":
-                row[i] = at.power
+                row[i] = at_z.power
                 continue
-            norm = at.power if normalization == "instantaneous_power" else p_initial
+            norm = at_z.power if normalization == "instantaneous_power" else p_initial
             # first moment (A f), then for the spreads the second (A^2 f)
             family = observable.split("_")[0]
-            m1 = at.sandwich(1, family, metric) / norm
+            m1 = at_z.sandwich(1, family, metric) / norm
             if observable.endswith("_mean"):
                 row[i] = m1
                 continue
-            row[i] = np.sqrt(at.sandwich(2, family, metric) / norm - m1 * m1)
+            row[i] = np.sqrt(at_z.sandwich(2, family, metric) / norm - m1 * m1)
     return [ObservableSeries(z=z_grid, values=row, observable=observable, metric=metric,
                              normalization=normalization, engine=engine)
             for row, (observable, metric, normalization) in zip(values, plans)]
 
 
+def _per_z_forms(state, x, w, h, z_grid):
+    """(index, moments) per z of a state taken field by field; H by its h_apply/h2_apply if any."""
+    h_apply, h2_apply = getattr(state, "h_apply", None), getattr(state, "h2_apply", None)
+    for i, z in enumerate(z_grid.tolist()):
+        yield i, _Fields(np.asarray(state(x, z)), x, w, h,
+                         hf=h_apply and functools.partial(h_apply, x, z),
+                         h2f=h2_apply and functools.partial(h2_apply, x, z),
+                         v=lambda z=z: state.potential(x, z))
+
+
 class _Fields:
-    """psi at one z and the operator images the moments need, each evaluated on first use."""
+    """f, one field or rows stacked along axis 0, and its images, each evaluated on first use.
 
-    def __init__(self, state, x: np.ndarray, w: np.ndarray, h: float, z: float):
-        self.state, self.x, self.w, self.h, self.z = state, x, w, h, z
-        self.f = np.asarray(state(x, z))
-        self.power = float(np.sum(w * np.abs(self.f) ** 2).real)
-        self._sandwiches: dict[tuple, complex] = {}
+    Images act along the last axis: x1 = x f, x2 = x^2 f, p1 = -i f', p2 = -f'' by the
+    stencils; H1 and H2 are the exact `hf()`/`h2f()` when given, else H g = -g'' + V g by
+    finite differences with V = `v()`. `sandwich` is (f, A^order f) for one field, summed on
+    the nodes, or the Gram matrix G_ij = (f_i, A^order f_j) of rows; PT flips slot two.
+    """
 
-    def sandwich(self, order: int, family: str, metric: str) -> complex:
-        """(f, A^order f) for A in {x, p, H}, from the image `<family><order>`; PT flips slot two."""
-        key = (order, family, metric)
+    def __init__(self, f, x, w, h: float, *, hf=None, h2f=None, v=None):
+        self.f, self.w = f, w
+        image = self.image
+
+        def fd(g, d2g):  # H g = -g'' + V g
+            return -d2g + image("v") * g
+
+        self._rules = {
+            "x1": lambda: x * f, "x2": lambda: x * x * f,
+            "p1": lambda: -1j * d1_fourth(f, h), "p2": lambda: -image("d2"),
+            "H1": hf or (lambda: fd(f, image("d2"))),
+            "H2": h2f or (lambda: fd(image("H1"), d2_fourth(image("H1"), h))),
+            "d2": lambda: d2_fourth(f, h), "v": v, "wcf": lambda: w * np.conj(f),
+            "wcf_pt": lambda: np.ascontiguousarray(image("wcf")[..., ::-1]),
+        }
+        self._images, self._sandwiches = {}, {}
+
+    def image(self, name: str) -> np.ndarray:
+        if name not in self._images:
+            self._images[name] = np.asarray(self._rules[name]())
+        return self._images[name]
+
+    @functools.cached_property
+    def power(self) -> float:
+        return float(np.sum(self.w * np.abs(self.f) ** 2).real)
+
+    def sandwich(self, order: int, family: str, metric: str):
+        """(f, A^order f) for A in {x, p, H}; order 0 is the identity."""
+        key = (order, family if order else "", metric)
         if key not in self._sandwiches:
-            g = getattr(self, f"{family}{order}")
-            gs = g[::-1] if metric == "pt" else g
-            self._sandwiches[key] = complex(np.sum(self._wcf * gs))
+            g = self.f if order == 0 else self.image(f"{family}{order}")
+            if self.f.ndim == 1:
+                gs = g[::-1] if metric == "pt" else g
+                self._sandwiches[key] = complex(np.sum(self.image("wcf") * gs))
+            else:  # the grid and w are even, so PT flips the rows w conj(f_i) instead of g
+                wcf = self.image("wcf_pt" if metric == "pt" else "wcf")
+                self._sandwiches[key] = np.matmul(g, wcf[..., None])[..., 0]  # row i: g @ wcf_i
         return self._sandwiches[key]
 
-    @cached_property
-    def _wcf(self) -> np.ndarray:
-        return self.w * np.conj(self.f)
 
-    @cached_property
-    def _d2(self) -> np.ndarray:
-        return d2_fourth(self.f, self.h)
+class _Form:
+    """Moments at one z of psi = sum_j a_j f_j as a^H G a; with `gen`, H psi = sum_j (gen() a)_j f_j."""
 
-    @cached_property
-    def _v(self) -> np.ndarray:
-        return np.asarray(self.state.potential(self.x, self.z))
+    def __init__(self, rows: _Fields, a: np.ndarray, gen: Optional[Callable] = None):
+        self.rows, self.a, self._gen = rows, a, gen
 
-    @cached_property
-    def x1(self) -> np.ndarray:
-        return self.x * self.f
+    @property
+    def f(self) -> np.ndarray:
+        return self.a @ self.rows.f
 
-    @cached_property
-    def x2(self) -> np.ndarray:
-        return self.x * self.x * self.f
+    @functools.cached_property
+    def power(self) -> float:
+        return self.sandwich(0, "", "dirac").real
 
-    @cached_property
-    def p1(self) -> np.ndarray:
-        return -1j * d1_fourth(self.f, self.h)
-
-    @cached_property
-    def p2(self) -> np.ndarray:
-        return -self._d2
-
-    @cached_property
-    def H1(self) -> np.ndarray:
-        return self._apply_h("h_apply", self.f, lambda: self._d2)
-
-    @cached_property
-    def H2(self) -> np.ndarray:
-        return self._apply_h("h2_apply", self.H1, lambda: d2_fourth(self.H1, self.h))
-
-    def _apply_h(self, method: str, g: np.ndarray, d2g) -> np.ndarray:
-        """H g by the state's exact `method` (h_apply/h2_apply) when it gives one, else -g'' + V g."""
-        apply = getattr(self.state, method, None)
-        out = apply(self.x, self.z) if apply is not None else None
-        if out is not None:
-            return np.asarray(out)
-        return -d2g() + self._v * g
+    def sandwich(self, order: int, family: str, metric: str) -> complex:
+        b = self.a
+        if family == "H" and self._gen is not None:
+            b, order = np.linalg.matrix_power(self._gen(), order) @ b, 0
+        return complex(np.vdot(self.a, self.rows.sandwich(order, family, metric) @ b))
 
 
-def _resolution_guard(state, x: np.ndarray, h: float, z: float) -> None:
-    """Fail fast when halving the grid resolution moves a derivative moment."""
-    f = np.asarray(state(x, z))
+def _resolution_guard(f: np.ndarray, h: float) -> None:
+    """Fail fast when halving the grid resolution moves a derivative moment of the field f."""
     d_full = d1_fourth(f, h)
     d_half = np.zeros_like(f)
-    fh = f[::2]
-    d_half[::2] = d1_fourth(fh, 2 * h)
+    d_half[::2] = d1_fourth(f[::2], 2 * h)
     scale = float(np.max(np.abs(d_full))) or 1.0
     diff = float(np.max(np.abs(d_full[::2][3:-3] - d_half[::2][3:-3]))) / scale
     if diff > RESOLUTION_TOL:

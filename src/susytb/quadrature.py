@@ -24,9 +24,10 @@ from typing import Callable, Optional
 import numpy as np
 
 __all__ = ["QuadratureSpec", "quad_nodes", "default_spec", "localized_combos", "d1_fourth",
-           "d2_fourth", "NodeCache", "read_only"]
+           "d2_fourth", "fold_phases", "NodeCache", "read_only"]
 
 RULES = ("simpson", "gauss_legendre_composite")
+PHASE_TOL = 1e-9  # phases (z mod T) closer than this fraction of the period are one phase
 
 
 @dataclass(frozen=True)
@@ -139,14 +140,48 @@ def localized_combos(superpose: Callable[[int], np.ndarray], x: np.ndarray,
 
 
 def d1_fourth(f: np.ndarray, h: float) -> np.ndarray:
-    """4th-order central d/dx along axis 0 of a uniform grid; two edge nodes per side are 0."""
-    out = np.zeros_like(f)
-    out[2:-2] = (f[:-4] - 8 * f[1:-3] + 8 * f[3:-1] - f[4:]) / (12 * h)
+    """4th-order central d/dx along the last axis of a uniform grid; two edge nodes per side are 0."""
+    out = np.zeros_like(f)  # (f0 - 8 f1 + 8 f3 - f4) / 12h, term by term, summed in place
+    acc = out[..., 2:-2]
+    np.multiply(f[..., 1:-3], 8, out=acc)
+    np.subtract(f[..., :-4], acc, out=acc)
+    acc += f[..., 3:-1] * 8
+    acc -= f[..., 4:]
+    acc /= 12 * h
     return out
 
 
 def d2_fourth(f: np.ndarray, h: float) -> np.ndarray:
-    """4th-order central d^2/dx^2 along axis 0 of a uniform grid; two edge nodes per side are 0."""
-    out = np.zeros_like(f)
-    out[2:-2] = (-f[:-4] + 16 * f[1:-3] - 30 * f[2:-2] + 16 * f[3:-1] - f[4:]) / (12 * h * h)
+    """4th-order central d^2/dx^2 along the last axis of a uniform grid; two edge nodes per side are 0."""
+    out = np.zeros_like(f)  # (-f0 + 16 f1 - 30 f2 + 16 f3 - f4) / 12h^2, term by term, in place
+    acc = out[..., 2:-2]
+    np.multiply(f[..., 1:-3], 16, out=acc)
+    acc -= f[..., :-4]
+    term = f[..., 2:-2] * 30
+    acc -= term
+    np.multiply(f[..., 3:-1], 16, out=term)
+    acc += term
+    acc -= f[..., 4:]
+    acc /= 12 * h * h
     return out
+
+
+def fold_phases(z: np.ndarray, period: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Split each z into n T + r: (n per z, index of its phase, the sorted distinct phases).
+
+    A z within PHASE_TOL * T of k T folds to (k, 0), and phases within PHASE_TOL * T of the
+    smallest of them are that phase, so a grid aligned to T meets each phase once despite rounding.
+    """
+    tol = PHASE_TOL * period
+    turns = np.floor(z / period)
+    r = z - turns * period
+    up = r > period - tol
+    turns[up] += 1
+    r[up | (r < tol)] = 0.0
+    phases: list[float] = []
+    which = np.empty(len(z), dtype=int)
+    for i in np.argsort(r, kind="stable"):
+        if not phases or r[i] - phases[-1] > tol:
+            phases.append(float(r[i]))
+        which[i] = len(phases) - 1
+    return turns.astype(int), which, np.array(phases)

@@ -524,11 +524,16 @@ class WaveguideSystem:
         self._ensure_norms()
         return self._pseudo_sign[kind]
 
+    def combination(self, kind: str) -> tuple[int, float]:
+        """(sign, 1/N) of the left/right mode 1/N (even + sign * odd), N its Dirac power at z=0."""
+        self._ensure_norms()
+        return self._combos[kind]
+
     def _pair(self, kind: str, field):
         """field(k) for a stationary kind k, or the normalized left/right superposition."""
         self._ensure_norms()
         if kind in ("left", "right"):
-            sign, inv_n = self._combos[kind]
+            sign, inv_n = self.combination(kind)
             k_even, k_odd = self.facts.stationary
             return inv_n * (field(k_even) + sign * field(k_odd))
         return field(kind)

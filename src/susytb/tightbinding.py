@@ -32,7 +32,7 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 import scipy.linalg as sla
 
-from .quadrature import NodeCache, QuadratureSpec, localized_combos, quad_nodes, read_only
+from .quadrature import NodeCache, QuadratureSpec, fold_phases, localized_combos, quad_nodes, read_only
 
 __all__ = [
     "WellBasis",
@@ -377,8 +377,6 @@ def propagate_coefficients(
 # Floquet
 # ---------------------------------------------------------------------------
 
-# Phases (z mod T) closer than this fraction of the period are one phase.
-PHASE_TOL = 1e-9
 # Largest harmonic |H_p|, |p| >= M/4, relative to the largest, that the sampled series drops.
 SERIES_TOL = 1e-15
 SERIES_MAX_SAMPLES = 512  # at M = 1024 the per-z series sum costs more than building H(z) directly
@@ -443,28 +441,6 @@ class FloquetResult:
         return CoefficientTrajectory(z=self.z, c=out)
 
 
-def _fold(z: np.ndarray, period: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Split each z into n T + r: (n per z, index of its phase, the sorted distinct phases).
-
-    A z within PHASE_TOL * T of k T folds to (k, 0), and phases that agree
-    within PHASE_TOL * T are one phase (the smallest of them), so a grid
-    aligned to T marches each phase once despite rounding in z.
-    """
-    tol = PHASE_TOL * period
-    turns = np.floor(z / period)
-    r = z - turns * period
-    up = r > period - tol
-    turns[up] += 1
-    r[up | (r < tol)] = 0.0
-    phases: list[float] = []
-    which = np.empty(len(z), dtype=int)
-    for i in np.argsort(r, kind="stable"):
-        if not phases or r[i] - phases[-1] > tol:
-            phases.append(float(r[i]))
-        which[i] = len(phases) - 1
-    return turns.astype(int), which, np.array(phases)
-
-
 def floquet_monodromy(
     model: TBModel,
     period: float,
@@ -476,7 +452,7 @@ def floquet_monodromy(
     """One-period propagator of the coupled equations and its eigensystem.
 
     The propagator U is marched once from 0 through the distinct phases
-    z mod T of z_grid (see `_fold`) on to the monodromy M = U(T), keeping
+    z mod T of z_grid (see `quadrature.fold_phases`) on to the monodromy M = U(T), keeping
     U at each phase for `FloquetResult.trajectory`; an empty z_grid is
     the single march from 0 to T, on H(z) from `_hamiltonian_series` if it converges.
 
@@ -489,7 +465,7 @@ def floquet_monodromy(
     h, m, tail = _hamiltonian_series(model, period, 2 * math.ceil(period / control.dz_max) + 1)
     sysm = _CoupledSystem(model, control, h)
     n = model.n
-    turns, which, phases = _fold(z, period)
+    turns, which, phases = fold_phases(z, period)
     u = np.eye(n, dtype=complex)
     at_phase = []
     r_prev = 0.0

@@ -223,7 +223,7 @@ def test_pde_residual_streams_the_full_grid_residual(dyn_system):
     x, zs = grid.x, np.linspace(0.0, grid.z_end, 33)
     psi = np.stack([state(x, float(z)) for z in zs])
     v = np.stack([dyn_system.potential(x, float(z)) for z in zs])
-    res = 1j * d1_fourth(psi, zs[1] - zs[0]) + d2_fourth(psi.T, grid.dx).T - v * psi
+    res = 1j * d1_fourth(psi.T, zs[1] - zs[0]).T + d2_fourth(psi, grid.dx) - v * psi
     assert streamed == pytest.approx(float(np.max(np.abs(res[2:-2, 2:-2]))), rel=1e-13, abs=0)
     assert v_zs == [float(z) for z in zs[2:-2]]  # V only where the z stencil reaches
 

@@ -1,10 +1,13 @@
+import json
 import math
 from collections import Counter
 
 import numpy as np
 import pytest
 
+from susytb import cli
 from susytb.calibrate import default_problem, spectral_match
+from susytb.config import validate_config
 from susytb.observables import (
     OBSERVABLES,
     DerivativeResolutionError,
@@ -17,9 +20,11 @@ from susytb.observables import (
     moment_series,
     moment_table,
 )
-from susytb.quadrature import QuadratureSpec, quad_nodes
+from susytb.presets import preset_config
+from susytb.quadrature import QuadratureSpec, d1_fourth, d2_fourth, quad_nodes
 from susytb.tightbinding import (
     assemble_state,
+    floquet_monodromy,
     propagate_coefficients,
     static_guided_modes,
     two_well_model,
@@ -277,8 +282,8 @@ def test_moment_table_equals_separate_series(name, request):
             alone.observable, alone.metric, alone.normalization, alone.engine)
 
 
-@pytest.mark.parametrize("name, has_h2", [("exact-pt-static", True), ("exact-dynamic", False),
-                                          ("tb-static", True), ("finite-difference", None)])
+@pytest.mark.parametrize("name, has_h2", [("exact-pt-static", True), ("tb-static", True),
+                                          ("finite-difference", None)])
 def test_moment_table_evaluates_each_field_once(name, has_h2, request):
     state, quad = STATES[name](request)
     counted = CountingState(state)
@@ -294,37 +299,148 @@ def test_moment_table_evaluates_each_field_once(name, has_h2, request):
     assert dict(counted.calls) == expected
 
 
-class _OneHamiltonianPerApplication(TBTrajectoryState):
-    """H psi = S^-1 (H(z) c) and H^2 psi = S^-1 (H(z) S^-1 (H(z) c)), building H(z) each time."""
-
-    def h_apply(self, x, z):
-        s_inv, c = self.model.overlap_inverse(), self._c(z)
-        return assemble_state(self.model, s_inv @ (self.model.hamiltonian_matrix(z) @ c), x)
-
-    def h2_apply(self, x, z):
-        s_inv, c = self.model.overlap_inverse(), self._c(z)
-        g = s_inv @ (self.model.hamiltonian_matrix(z) @ c)
-        return assemble_state(self.model, s_inv @ (self.model.hamiltonian_matrix(z) @ g), x)
+def _repeated_phases(system):
+    """A grid over two modulation periods with two distinct phases, 0 and 0.5."""
+    t = system.periods().fundamental
+    return [0.0, 0.5, t, t + 0.5, 2 * t]
 
 
-def test_trajectory_state_builds_each_hamiltonian_once(dyn_tb_state, dyn_quad, monkeypatch):
-    model, traj, system = dyn_tb_state.model, dyn_tb_state.trajectory, dyn_tb_state.system
-    z = [0.0, 0.5, 1.0, 1.5]
-    requests = [ObservableRequest("H_mean", "pt"), ObservableRequest("H_std", "pt")]
-    reference = moment_table(_OneHamiltonianPerApplication(model, traj, system), requests, z,
-                             dyn_quad)
-    built = []
-    build = model.hamiltonian_matrix
+def _dyn_trajectory_state(system, z):
+    model = two_well_model("hermitian", 1.045, 1.77114, potential=system.potential,
+                           hamiltonian_source="system", dynamic=True)
+    flq = floquet_monodromy(model, system.periods().fundamental,
+                            targets=sorted(system.energies().values()), z_grid=z)
+    return TBTrajectoryState(model, flq.trajectory([0.7, -0.7]), system)
 
-    def counted(zz):
+
+def test_exact_modulated_table_evaluates_each_phase_once(dyn_system, dyn_quad, monkeypatch):
+    calls = Counter()
+    for method in ("mode", "mode_dz", "potential"):
+        def counted(*args, method=method, original=getattr(dyn_system, method)):
+            calls[method] += 1
+            return original(*args)
+        monkeypatch.setattr(dyn_system, method, counted)
+    moment_table(ExactState(dyn_system, "left"), ALL_REQUESTS, _repeated_phases(dyn_system), dyn_quad)
+    # the resolution guard and the initial power take the left mode at one z each; then
+    # each of the two phases evaluates both Floquet modes, their d/dz and V once
+    assert dict(calls) == {"mode": 2 + 2 * 2, "mode_dz": 2 * 2, "potential": 2}
+
+
+def test_trajectory_state_builds_each_hamiltonian_once(dyn_system, dyn_quad, monkeypatch):
+    z = _repeated_phases(dyn_system)
+    state = _dyn_trajectory_state(dyn_system, z)
+    model = state.model
+    built, bases = [], []
+    build, basis = model.hamiltonian_matrix, model.basis_values
+
+    def counted_build(zz):
         built.append(zz)
         return build(zz)
 
-    monkeypatch.setattr(model, "hamiltonian_matrix", counted)
-    table = moment_table(TBTrajectoryState(model, traj, system), requests, z, dyn_quad)
-    assert built == z
-    for got, ref in zip(table, reference):
-        assert np.array_equal(got.values, ref.values)
+    def counted_basis(x):
+        bases.append(x)
+        return basis(x)
+
+    monkeypatch.setattr(model, "hamiltonian_matrix", counted_build)
+    monkeypatch.setattr(model, "basis_values", counted_basis)
+    moment_table(state, ALL_REQUESTS, z, dyn_quad)
+    # H(r) once per distinct phase r = z mod T_V, in phase order
+    assert built == [0.0, pytest.approx(0.5, abs=1e-12)]
+    # one basis per pass: the resolution guard, the initial power and the table
+    assert len(bases) == 3
+
+
+def _per_z_table(fields, requests, z_grid, quad):
+    """moment_table's sums taken z by z; fields(i, z) gives psi, H psi and H^2 psi there."""
+    x, w = quad_nodes(quad)
+    h = x[1] - x[0]
+    out = np.empty((len(requests), len(z_grid)), dtype=complex)
+    assert z_grid[0] == 0.0
+    for i, z in enumerate(z_grid):
+        f, hf, h2f = fields(i, z)
+        power = float(np.sum(w * np.abs(f) ** 2).real)
+        p0 = power if i == 0 else p0
+        images = {"x": (x * f, x * x * f), "p": (-1j * d1_fourth(f, h), -d2_fourth(f, h)),
+                  "H": (hf, h2f)}
+        for row, (observable, metric) in zip(out, requests):
+            if observable == "power":
+                row[i] = power
+                continue
+            family = observable.split("_")[0]
+            norm = p0 if family == "H" and metric == "pt" else power
+            m1, m2 = (np.sum(w * np.conj(f) * (g[::-1] if metric == "pt" else g)) / norm
+                      for g in images[family])
+            row[i] = m1 if observable.endswith("_mean") else np.sqrt(m2 - m1 * m1)
+    return out
+
+
+def _exact_fields(system, kind, x, h):
+    def fields(i, z):
+        hf = 1j * system.mode_dz(kind, x, z)
+        return system.mode(kind, x, z), hf, -d2_fourth(hf, h) + system.potential(x, z) * hf
+    return fields
+
+
+def _tb_fields(state, x):
+    model = state.model
+
+    def fields(i, z):
+        c = state.trajectory.c[i]
+        gen = model.overlap_inverse() @ model.hamiltonian_matrix(z)
+        return tuple(assemble_state(model, a, x) for a in (c, gen @ c, gen @ (gen @ c)))
+    return fields
+
+
+@pytest.fixture(scope="module", params=[(None, None), (3.3, 100), (3.3, 101)],
+                ids=["preset", "3.3-periods", "3.3-periods-distinct"])
+def dyn_pipeline(request):
+    """The pt-dynamic preset's system, grid and TB state (explicit TB parameters), on the preset
+    grid (160 phases), 3.3 periods at T_V/30 (phases met 3 or 4 times), or 3.3 periods with no
+    two z at one phase."""
+    raw = preset_config("pt-dynamic-fig1-5-6")
+    raw["tb"] = {"k": 1.045, "x0": 1.77114}
+    periods, num = request.param
+    if periods is not None:
+        raw["z_grid"] = {"periods": periods, "num": num}
+    cfg = validate_config(json.dumps(raw))
+    _, tb_state, _ = cli._build_tb(cfg, dict(cfg.tb_explicit))
+    return cfg, tb_state
+
+
+@pytest.mark.parametrize("engine", ["exact-left", "exact-floquet1", "tb"])
+def test_two_mode_tables_match_the_per_z_reference(dyn_pipeline, engine):
+    cfg, tb_state = dyn_pipeline
+    x, _ = quad_nodes(cfg.quad)
+    h = x[1] - x[0]
+    z = np.asarray(cfg.z_values)
+    if engine == "tb":
+        state, fields = tb_state, _tb_fields(tb_state, x)
+    else:
+        kind = engine.split("-")[1]
+        state, fields = ExactState(cfg.system, kind), _exact_fields(cfg.system, kind, x, h)
+    # every mean and power, and the pipeline's own spreads; the other spreads are set by
+    # cancellation (<A^2> - <A>^2 of a near-eigenstate, or a PT variance on the negative real
+    # axis, where rounding picks sqrt's sign), so two summation orders part by more than 1e-10
+    requests = [r for r in ALL_REQUESTS if not r.name.endswith("_std")]
+    requests += [r for r in cfg.observables if r.name.endswith("_std")]
+    table = moment_table(state, requests, z, cfg.quad)
+    reference = _per_z_table(fields, requests, z, cfg.quad)
+    for series, ref in zip(table, reference):
+        scale = np.max(np.abs(ref))
+        assert np.max(np.abs(series.values - ref)) <= 1e-10 * scale, (series.observable, series.metric)
+
+
+def test_floquet_modes_repeat_with_their_multipliers(dyn_system):
+    """The fold's premise: mode(k, x, r + n T_V) = e^{-i E_k n T_V} mode(k, x, r)."""
+    t = dyn_system.periods().fundamental
+    x = np.linspace(-10.0, 10.0, 801)
+    for kind, energy in dyn_system.energies().items():
+        for r in (0.0, 0.37 * t, 0.81 * t):
+            base = dyn_system.mode(kind, x, r)
+            for n in range(1, 5):
+                moved = dyn_system.mode(kind, x, r + n * t)
+                err = np.max(np.abs(moved - np.exp(-1j * energy * n * t) * base))
+                assert err <= 1e-12 * np.max(np.abs(base)), (kind, r, n)
 
 
 @pytest.mark.parametrize("bad", [ObservableRequest("charge", "dirac"),

@@ -99,11 +99,23 @@ def test_localized_combos_refuse_one_sided_pair():
 
 @pytest.mark.parametrize("stencil", [d1_fourth, d2_fourth])
 def test_stencils_along_any_axis_are_the_line_stencil(stencil):
-    """On a 2-D array the stencil acts along axis 0: the line stencil of each column, bit for bit."""
+    """On a 2-D array the stencil acts along the last axis: the line stencil of each row, bit for bit."""
     f = np.random.default_rng(3).standard_normal((7, 40)) + 1j
     per_line = np.stack([stencil(row, 0.05) for row in f])
-    assert np.array_equal(stencil(f.T, 0.05), per_line.T)
+    assert np.array_equal(stencil(f, 0.05), per_line)
     assert np.all(per_line[:, :2] == 0) and np.all(per_line[:, -2:] == 0)
+
+
+def test_line_stencils_keep_their_arithmetic():
+    """On one line the stencils give, bit for bit, the slices of the plain 1-D formulas."""
+    f = np.random.default_rng(4).standard_normal(40) + 1j * np.random.default_rng(5).standard_normal(40)
+    h = 0.05
+    d1 = np.zeros_like(f)
+    d1[2:-2] = (f[:-4] - 8 * f[1:-3] + 8 * f[3:-1] - f[4:]) / (12 * h)
+    d2 = np.zeros_like(f)
+    d2[2:-2] = (-f[:-4] + 16 * f[1:-3] - 30 * f[2:-2] + 16 * f[3:-1] - f[4:]) / (12 * h * h)
+    assert np.array_equal(d1_fourth(f, h), d1)
+    assert np.array_equal(d2_fourth(f, h), d2)
 
 
 # ---------------------------------------------------------------------------
