@@ -288,25 +288,25 @@ class _Fields:
     """
 
     def __init__(self, f, x, w, h: float, *, hf=None, h2f=None, v=None):
-        self.f, self.w = f, w
-        image = self.image
-
-        def fd(g, d2g):  # H g = -g'' + V g
-            return -d2g + image("v") * g
-
-        self._rules = {
-            "x1": lambda: x * f, "x2": lambda: x * x * f,
-            "p1": lambda: -1j * d1_fourth(f, h), "p2": lambda: -image("d2"),
-            "H1": hf or (lambda: fd(f, image("d2"))),
-            "H2": h2f or (lambda: fd(image("H1"), d2_fourth(image("H1"), h))),
-            "d2": lambda: d2_fourth(f, h), "v": v, "wcf": lambda: w * np.conj(f),
-            "wcf_pt": lambda: np.ascontiguousarray(image("wcf")[..., ::-1]),
-        }
+        self.f, self.x, self.w, self.h = f, x, w, h
+        self._hf, self._h2f, self._v = hf, h2f, v
         self._images, self._sandwiches = {}, {}
+
+    def _fd(self, g, d2g):  # H g = -g'' + V g
+        return -d2g + self.image("v") * g
+
+    _RULES = {  # per class, not per instance: closures over self would keep every z's arrays in a cycle
+        "x1": lambda s: s.x * s.f, "x2": lambda s: s.x * s.x * s.f,
+        "p1": lambda s: -1j * d1_fourth(s.f, s.h), "p2": lambda s: -s.image("d2"),
+        "H1": lambda s: s._hf() if s._hf else s._fd(s.f, s.image("d2")),
+        "H2": lambda s: s._h2f() if s._h2f else s._fd(s.image("H1"), d2_fourth(s.image("H1"), s.h)),
+        "d2": lambda s: d2_fourth(s.f, s.h), "v": lambda s: s._v(), "wcf": lambda s: s.w * np.conj(s.f),
+        "wcf_pt": lambda s: np.ascontiguousarray(s.image("wcf")[..., ::-1]),
+    }
 
     def image(self, name: str) -> np.ndarray:
         if name not in self._images:
-            self._images[name] = np.asarray(self._rules[name]())
+            self._images[name] = np.asarray(self._RULES[name](self))
         return self._images[name]
 
     @functools.cached_property
