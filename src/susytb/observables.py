@@ -109,8 +109,8 @@ class ExactState:
             kinds, weights = (self.kind,), np.ones(1)
         energies = np.array([system.energies()[k] for k in kinds])
         turns, which, phases = fold_phases(z_grid, period)
-        for k, r in enumerate(phases.tolist()):
-            members = np.flatnonzero(which == k)
+        for p, r in enumerate(phases.tolist()):
+            members = np.flatnonzero(which == p)
             if len(members) == 1:
                 z = float(z_grid[members[0]])
                 yield members[0], _Fields(self(x, z), x, w, h, hf=functools.partial(self.h_apply, x, z),
@@ -171,9 +171,9 @@ class TBTrajectoryState:
             raise ValueError("z grid is not on the integrated trajectory grid")
         _, which, phases = fold_phases(z_grid, self.system.periods().fundamental)
         basis = _Fields(np.stack(model.basis_values(x)), x, w, h)
-        for k, r in enumerate(phases.tolist()):
+        for p, r in enumerate(phases.tolist()):
             gen = functools.cache(lambda r=r: model.overlap_inverse() @ model.hamiltonian_matrix(r))
-            for i in np.flatnonzero(which == k):
+            for i in np.flatnonzero(which == p):
                 yield i, _Form(basis, self.trajectory.c[at[i]], gen)
 
 
