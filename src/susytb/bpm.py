@@ -42,8 +42,8 @@ class PropagationUnstable(RuntimeError):
 @dataclass(frozen=True)
 class PropagationGrid:
     half_width: float
-    nx: int = 2048
-    dz: float = 0.01
+    nx: int
+    dz: float
     z_end: float = 1.0
 
     def __post_init__(self) -> None:

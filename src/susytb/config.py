@@ -1,37 +1,18 @@
-"""Scenario configuration: JSON schema, validation, resolved run plans.
+"""Scenario configuration: the key table, validation, resolved run plans.
 
-A scenario file is a single JSON object in natural units (hbar = 1,
-lengths in inverse-wavenumber units):
+A scenario file is one JSON object in natural units (hbar = 1, lengths in
+inverse-wavenumber units). `SCHEMA` is its schema: every key with its type,
+default and check, a block's keys as a nested table, `system`'s from
+`system_keys` and an observable object's from `OBSERVABLE`. `validate_config`
+walks it and refuses a key it does not list, at any level: ignoring it would
+run something other than what the file asks. Each default lives only there.
 
-    {
-      "system": {"kind": "hermitian_static" | "pt_static" | "pt_dynamic",
-                 "k1": ..., "k2": ..., "k3": ..., "alpha": ...},
-      "tb": {"seeds": [9, 9]},  # calibrated; optional grid, one size per fitted parameter
-         # or {"k": ..., "x0": ..., "alpha_tilde": ...}, the explicit model
-      "z_grid": {"periods": 2.0, "num": 361}               # or "stop": <z>
-      "mode_kind": "left",
-      "observables": ["x_mean", {"name": "H_mean", "metric": "pt"}, ...],
-      "quadrature": {"nodes": 4097, "half_width": null},     # uniform Simpson grid
-      "bpm": {"enabled": false, "nx": 2048, "dz": 0.01},
-      "potential_dump": {"enabled": false, "nx": 201, "nz": 129,
-                         "x_half_width": 6.0, "periods": 2.0},
-      "output": {"basename": "run"}
-    }
-
-A `tb` block giving any of k, x0, alpha_tilde is the explicit model (k and
-x0 required); else the system kind picks spectral or profile calibration.
-The removed `tb.mode` and `quadrature.rule`, and seeds next to explicit
-parameters, are refused: ignoring them would change what runs. The dump
-sizes are always validated; `enabled` only decides whether `compare` writes it.
-
-Validation is aggregated and field-addressed; physics constraints
-(parameter orderings, the dynamic regularity bound with its `certified`
-semantics, the BPM grid rules of `bpm.PropagationGrid`, the closed forms'
-overflow window, and the kind's mode kinds and fitted TB parameters from
-`systems.KINDS`) are enforced here so a validated config is a runnable
-plan. An observable object takes only "name" and "metric" (its
-normalization is fixed by the observable and metric), and any other key
-in it is refused; other unknown keys are ignored.
+After the walk come the rules across keys: the `tb` route (any of k, x0,
+alpha_tilde is the explicit model, else the kind picks the calibration and
+`seeds` gives one grid size per fitted parameter), `z_grid`'s `stop` or
+`periods`, and the physics (orderings, the regularity bound and `certified`,
+the kind's mode kinds and wells, the closed forms' overflow window), so a
+validated config is a runnable plan. Findings are aggregated and field-addressed.
 """
 
 from __future__ import annotations
@@ -39,14 +20,14 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, fields
-from typing import Optional
+from typing import Any, Callable, NamedTuple, Optional
 
 from .bpm import PropagationGrid
 from .observables import OBSERVABLES, ObservableRequest
-from .quadrature import QuadratureSpec, default_spec
+from .quadrature import QuadratureSpec, default_half_width
 from .systems import KINDS, ParameterError, WaveguideSystem, make_system
 
-__all__ = ["ScenarioConfig", "ConfigError", "validate_config", "config_digest"]
+__all__ = ["ScenarioConfig", "ConfigError", "validate_config", "config_digest", "SCHEMA", "system_keys"]
 
 
 class ConfigError(ValueError):
@@ -74,21 +55,104 @@ class ScenarioConfig:
     warnings: list[str]
 
 
-def _get(d: dict, key: str, typ, errors: list[str], where: str, default=None, required=False):
-    if key not in d:
-        if required:
-            errors.append(f"{where}.{key}: missing required field")
-        return default
-    v = d[key]
-    if typ is float and isinstance(v, (int, float)) and not isinstance(v, bool):
-        if not math.isfinite(v):
-            errors.append(f"{where}: {key} must be finite, got {float(v)!r}")
-            return default
-        return float(v)
-    if not isinstance(v, typ) or (typ is int and isinstance(v, bool)):
-        errors.append(f"{where}.{key}: expected {getattr(typ, '__name__', typ)}, got {type(v).__name__}")
-        return default
-    return v
+REQUIRED, OPTIONAL = object(), object()  # no default: the key must be given / may be left out
+
+
+class Key(NamedTuple):
+    """One key: its type (a nested table for a block), default and check (raises ValueError)."""
+
+    type: Any
+    default: Any = REQUIRED
+    check: Optional[Callable] = None
+
+
+def _need(ok: Callable, message: str) -> Callable:
+    def check(value):
+        if not ok(value):
+            raise ValueError(message.format(value))
+    return check
+
+
+POSITIVE = _need(lambda v: v > 0, "must be positive")
+SAMPLES = _need(lambda v: v > 0, "need at least 1 sample")
+OBSERVABLE = {"name": Key(str, check=_need(OBSERVABLES.__contains__, "unknown observable {!r}")),
+              "metric": Key(str, "dirac", _need(("dirac", "pt").__contains__, "unknown metric {!r}"))}
+SCHEMA = {
+    "system": Key(dict),  # keys: `system_keys`
+    "tb": Key({"k": Key(float, OPTIONAL, _need(lambda v: v != 0, "must be nonzero")),
+               "x0": Key(float, OPTIONAL, POSITIVE),
+               "alpha_tilde": Key(float, 0.0),
+               "seeds": Key(object, OPTIONAL)}, {}),  # checked against the kind's fitted parameters
+    "z_grid": Key({"num": Key(int, check=_need(lambda v: v >= 2, "need at least 2 samples")),
+                   "periods": Key(float, OPTIONAL, POSITIVE),
+                   "stop": Key(float, OPTIONAL, POSITIVE)}),
+    "mode_kind": Key(str, "left"),
+    "observables": Key(list),  # each a name or an OBSERVABLE object
+    "quadrature": Key({"nodes": Key(int, 4097, lambda v: QuadratureSpec(half_width=1.0, nodes=v)),
+                       "half_width": Key(float, None, lambda v: QuadratureSpec(half_width=v, nodes=64))},
+                      {}),  # half_width null: `default_half_width`
+    "bpm": Key({"enabled": Key(bool, False),  # `propagate` builds the grid even when disabled
+                "nx": Key(int, 2048, lambda v: PropagationGrid(half_width=1.0, nx=v, dz=1.0)),
+                "dz": Key(float, 0.01, lambda v: PropagationGrid(half_width=1.0, nx=256, dz=v))}, {}),
+    "potential_dump": Key({"enabled": Key(bool, False),
+                           "nx": Key(int, 201, SAMPLES), "nz": Key(int, 129, SAMPLES),
+                           "x_half_width": Key(float, 6.0, POSITIVE),
+                           "periods": Key(float, 2.0, POSITIVE)}, {}),
+    "output": Key({"basename": Key(str, "run")}, {}),
+}
+
+
+def system_keys(kind) -> dict:
+    """The `system` block's table: its kind, then the fields of that kind's parameter record."""
+    keys = {"kind": Key(str, check=_need(KINDS.__contains__, "unknown kind {!r}"))}
+    if isinstance(kind, str) and kind in KINDS:
+        keys.update((f.name, Key(float)) for f in fields(KINDS[kind].params))
+    return keys
+
+
+def _typed(value, key: Key):
+    """`value` checked against `key`'s type and check: floats finite, booleans no integers,
+    and null only where the default is null."""
+    typ = dict if isinstance(key.type, dict) else key.type
+    if value is None and key.default is None:
+        return None
+    if typ is float and isinstance(value, (int, float)) and not isinstance(value, bool):
+        if not math.isfinite(value):
+            raise ValueError(f"must be finite, got {float(value)!r}")
+        value = float(value)
+    elif not isinstance(value, typ) or (typ is int and isinstance(value, bool)):
+        raise ValueError(f"expected {typ.__name__}, got {type(value).__name__}")
+    if key.check is not None:
+        key.check(value)
+    return value
+
+
+def _walk(d: dict, table: dict, path: str, errors: list[str]) -> dict:
+    """`d` read by `table`, each unknown, missing or bad key one error addressed `path + key`.
+
+    Absent keys take their defaults (one without a default stays absent), nested tables are
+    walked in turn, and a bad value reads as its default, or None where there is none.
+    """
+    errors.extend(f"{path}{key}: unknown key; expected one of {', '.join(sorted(table))}"
+                  for key in d if key not in table)
+    out = {}
+    for name, key in table.items():
+        value = key.default
+        if name in d:
+            try:
+                value = _typed(d[name], key)
+            except ValueError as exc:
+                errors.append(f"{path}{name}: {exc}")
+        elif value is REQUIRED:
+            errors.append(f"{path}{name}: missing required field")
+        if value is REQUIRED or value is OPTIONAL:
+            if name in d:
+                out[name] = None
+        elif isinstance(key.type, dict):
+            out[name] = _walk(value, key.type, f"{path}{name}.", errors)
+        else:
+            out[name] = value
+    return out
 
 
 def _past_limit(field: str, half_width: float, system: WaveguideSystem) -> str:
@@ -106,54 +170,39 @@ def validate_config(text: str) -> ScenarioConfig:
     if not isinstance(raw, dict):
         raise ConfigError(["config: top level must be an object"])
 
-    sysd = _get(raw, "system", dict, errors, "config", required=True) or {}
-    kind = _get(sysd, "kind", str, errors, "system", required=True)
-    params = None
-    if kind is not None and kind not in KINDS:
-        errors.append(f"system.kind: unknown kind {kind!r}")
-    elif kind is not None:
-        values = {f.name: _get(sysd, f.name, float, errors, "system", required=True)
-                  for f in fields(KINDS[kind].params)}
-        if not errors:
-            try:
-                params = KINDS[kind].params(**values)
-            except ParameterError as exc:
-                errors.append(f"system: {exc}")
-    if errors:
-        raise ConfigError(errors)
-
-    try:
-        system = make_system(params)
-    except ParameterError as exc:
-        raise ConfigError([f"system: {exc}"])
-    certified = params.certified if system.is_dynamic else None
+    top = _walk(raw, SCHEMA, "", errors)
+    sysd = top.get("system") or {}
+    kind = sysd.get("kind")
+    keys = system_keys(kind)
+    if keys.keys() == {"kind"}:  # an unknown kind: its other keys cannot be judged
+        sysd = {key: sysd[key] for key in keys if key in sysd}
+    system_errors: list[str] = []
+    values = _walk(sysd, keys, "system.", system_errors)
+    if not system_errors:
+        try:
+            system = make_system(KINDS[values.pop("kind")].params(**values))
+        except ParameterError as exc:
+            system_errors.append(f"system: {exc}")
+    if system_errors:
+        raise ConfigError(errors + system_errors)
+    certified = system.params.certified if system.is_dynamic else None
     if certified is False:
         warnings.append("system: alpha exceeds the sufficient regularity bound "
                         "(certified=false); nodelessness established by scan")
 
-    tbd = _get(raw, "tb", dict, errors, "config", default={}) or {}
-    if "mode" in tbd:
-        errors.append("tb.mode: removed; the system kind picks the calibration, "
-                      "and giving k and x0 selects the explicit model")
-    tb_explicit = None
-    tb_seeds = None
-    if any(key in tbd for key in ("k", "x0", "alpha_tilde")):
-        k = _get(tbd, "k", float, errors, "tb", required=True)
-        x0 = _get(tbd, "x0", float, errors, "tb", required=True)
-        at = _get(tbd, "alpha_tilde", float, errors, "tb", default=0.0)
-        if None not in (k, x0):
-            if k == 0:
-                errors.append("tb.k: must be nonzero")
-            if x0 <= 0:
-                errors.append("tb.x0: must be positive")
-            tb_explicit = {"k": k, "x0": x0, "alpha_tilde": at}
-        if at and system.facts.wells == "hermitian":
+    tb, given = top["tb"], raw["tb"] if isinstance(raw.get("tb"), dict) else {}
+    tb_explicit = tb_seeds = None
+    if any(key in given for key in ("k", "x0", "alpha_tilde")):
+        errors.extend(f"tb.{key}: missing required field" for key in ("k", "x0") if key not in given)
+        if tb.get("k") is not None and tb.get("x0") is not None:
+            tb_explicit = {key: tb[key] for key in ("k", "x0", "alpha_tilde")}
+        if tb["alpha_tilde"] and system.facts.wells == "hermitian":
             errors.append("tb.alpha_tilde: must be 0 for the Hermitian wells of a "
                           f"{system.kind} system")
-        if "seeds" in tbd:
+        if "seeds" in given:
             errors.append("tb.seeds: explicit TB parameters are not calibrated, so take no seeds")
-    elif "seeds" in tbd:
-        seeds = tbd["seeds"]
+    elif "seeds" in given:
+        seeds = given["seeds"]
         fit = list(system.facts.fit)
         if isinstance(seeds, list) and any(isinstance(s, bool) for s in seeds):
             errors.append("tb.seeds: expected int, got bool")
@@ -166,107 +215,51 @@ def validate_config(text: str) -> ScenarioConfig:
         else:
             tb_seeds = tuple(seeds)
 
-    zd = _get(raw, "z_grid", dict, errors, "config", required=True) or {}
-    num = _get(zd, "num", int, errors, "z_grid", required=True)
-    if num is not None and num < 2:
-        errors.append("z_grid.num: need at least 2 samples")
-    stop = None
+    zd = top.get("z_grid") or {}
+    periods = zd.get("periods")
+    stop = zd.get("stop") if periods is None else periods * system.periods().fundamental
     if "stop" in zd and "periods" in zd:
         errors.append("z_grid: give either 'stop' or 'periods', not both")
-    elif "stop" in zd:
-        stop = _get(zd, "stop", float, errors, "z_grid")
-        if stop is not None and stop <= 0:
-            errors.append("z_grid.stop: must be positive")
-    elif "periods" in zd:
-        per = _get(zd, "periods", float, errors, "z_grid")
-        if per is not None and per <= 0:
-            errors.append("z_grid.periods: must be positive")
-        elif per is not None:
-            base = system.periods().fundamental
-            stop = per * base
-    else:
+    elif "stop" not in zd and "periods" not in zd:
         errors.append("z_grid: missing 'stop' or 'periods'")
 
-    mode_kind = _get(raw, "mode_kind", str, errors, "config", default="left")
+    mode_kind = top["mode_kind"]
     if mode_kind not in system.mode_kinds:
         errors.append(f"mode_kind: a {system.kind} system has no mode {mode_kind!r}; "
                       f"expected one of {list(system.mode_kinds)}")
 
-    obs_raw = _get(raw, "observables", list, errors, "config", required=True) or []
     observables: list[ObservableRequest] = []
-    for i, entry in enumerate(obs_raw):
+    for i, entry in enumerate(top.get("observables") or []):
         if isinstance(entry, str):
             entry = {"name": entry}
         if not isinstance(entry, dict):
             errors.append(f"observables[{i}]: expected name or object")
             continue
-        name = entry.get("name")
-        metric = entry.get("metric", "dirac")
-        errors.extend(f"observables[{i}]: unknown key {key!r}" for key in entry
-                      if key not in ("name", "metric"))
-        if name not in OBSERVABLES:
-            errors.append(f"observables[{i}].name: unknown observable {name!r}")
-            continue
-        if metric not in ("dirac", "pt"):
-            errors.append(f"observables[{i}].metric: unknown metric {metric!r}")
-            continue
-        observables.append(ObservableRequest(name=name, metric=metric))
+        request = _walk(entry, OBSERVABLE, f"observables[{i}].", errors)
+        observables.append(ObservableRequest(request.get("name"), request["metric"]))
 
-    qd = _get(raw, "quadrature", dict, errors, "config", default={}) or {}
-    q_nodes = _get(qd, "nodes", int, errors, "quadrature", default=4097)
-    if "rule" in qd:
-        errors.append("quadrature.rule: removed; observables always use the uniform Simpson grid")
-    q_half = default_spec(system.min_k).half_width
-    if qd.get("half_width") is not None:  # null selects the default window, as an omitted key does
-        q_half = _get(qd, "half_width", float, errors, "quadrature", default=q_half)
-    quad = None
-    try:
-        quad = QuadratureSpec(half_width=q_half, nodes=q_nodes)
-    except ValueError as exc:
-        errors.append(f"quadrature: {exc}")
-    if quad is not None and quad.half_width > system.x_limit:
+    qd = top["quadrature"]
+    quad = QuadratureSpec(half_width=default_half_width(system.min_k) if qd["half_width"] is None
+                          else qd["half_width"], nodes=qd["nodes"])
+    if quad.half_width > system.x_limit:
         errors.append(_past_limit("quadrature.half_width", quad.half_width, system))
 
-    bd = _get(raw, "bpm", dict, errors, "config", default={}) or {}
-    bpm_enabled = _get(bd, "enabled", bool, errors, "bpm", default=False)
-    bpm_options = {
-        "nx": _get(bd, "nx", int, errors, "bpm", default=2048),
-        "dz": _get(bd, "dz", float, errors, "bpm", default=0.01),
-    }
-    for key, value in bpm_options.items():  # `propagate` builds this grid even when disabled
-        try:
-            PropagationGrid(half_width=1.0, **{key: value})
-        except ValueError as exc:
-            errors.append(f"bpm.{key}: {exc}")
-
-    pd_cfg = _get(raw, "potential_dump", dict, errors, "config", default={}) or {}
-    potential_dump_enabled = _get(pd_cfg, "enabled", bool, errors, "potential_dump", default=False)
-    potential_dump = {
-        "nx": _get(pd_cfg, "nx", int, errors, "potential_dump", default=201),
-        "nz": _get(pd_cfg, "nz", int, errors, "potential_dump", default=129),
-        "x_half_width": _get(pd_cfg, "x_half_width", float, errors, "potential_dump", default=6.0),
-        "periods": _get(pd_cfg, "periods", float, errors, "potential_dump", default=2.0),
-    }
-    for key, message in (("nx", "need at least 1 sample"), ("nz", "need at least 1 sample"),
-                         ("x_half_width", "must be positive"), ("periods", "must be positive")):
-        if potential_dump[key] <= 0:
-            errors.append(f"potential_dump.{key}: {message}")
+    bpm_options, potential_dump = dict(top["bpm"]), dict(top["potential_dump"])
+    bpm_enabled, potential_dump_enabled = bpm_options.pop("enabled"), potential_dump.pop("enabled")
     if potential_dump["x_half_width"] > system.x_limit:
         errors.append(_past_limit("potential_dump.x_half_width", potential_dump["x_half_width"], system))
-
-    outd = _get(raw, "output", dict, errors, "config", default={}) or {}
-    basename = _get(outd, "basename", str, errors, "output", default="run")
 
     if errors:
         raise ConfigError(errors)
 
+    num = zd["num"]
     z_values = [stop * i / (num - 1) for i in range(num)]
     return ScenarioConfig(
         raw=raw, system=system, certified=certified, tb_explicit=tb_explicit,
         tb_seeds=tb_seeds, z_values=z_values, mode_kind=mode_kind, observables=observables, quad=quad,
         bpm_enabled=bpm_enabled, bpm_options=bpm_options,
         potential_dump_enabled=potential_dump_enabled, potential_dump=potential_dump,
-        basename=basename, warnings=warnings)
+        basename=top["output"]["basename"], warnings=warnings)
 
 
 def config_digest(raw: dict) -> str:

@@ -46,6 +46,7 @@ __all__ = [
 
 OBSERVABLES = ("x_mean", "p_mean", "x_std", "p_std", "power", "H_mean", "H_std")
 
+SPREAD_TOL = 1e-8  # |Im|/|Re| up to which a negative variance is real; modulated-preset PT p_std: 3.4e-10
 RESOLUTION_TOL = 1e-5  # largest derivative change under coarsening that `_resolution_guard` passes
 
 
@@ -262,7 +263,10 @@ def moment_table(
             if observable.endswith("_mean"):
                 row[i] = m1
                 continue
-            row[i] = np.sqrt(at_z.sandwich(2, family, metric) / norm - m1 * m1)
+            variance = at_z.sandwich(2, family, metric) / norm - m1 * m1
+            if variance.real < 0 and abs(variance.imag) <= SPREAD_TOL * -variance.real:
+                variance = complex(variance.real, 0.0)  # the +i branch, not the noise's sign
+            row[i] = np.sqrt(variance)
     return [ObservableSeries(z=z_grid, values=row, observable=observable, metric=metric,
                              normalization=normalization, engine=engine)
             for row, (observable, metric, normalization) in zip(values, plans)]

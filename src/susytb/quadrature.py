@@ -18,12 +18,12 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
 
-__all__ = ["QuadratureSpec", "quad_nodes", "default_spec", "localized_combos", "d1_fourth",
+__all__ = ["QuadratureSpec", "quad_nodes", "default_half_width", "localized_combos", "d1_fourth",
            "d2_fourth", "fold_phases", "NodeCache", "read_only"]
 
 RULES = ("simpson", "gauss_legendre_composite")
@@ -33,7 +33,7 @@ PHASE_TOL = 1e-9  # phases (z mod T) closer than this fraction of the period are
 @dataclass(frozen=True)
 class QuadratureSpec:
     half_width: float
-    nodes: int = 4096
+    nodes: int
     rule: str = "simpson"
 
     def __post_init__(self) -> None:
@@ -45,10 +45,9 @@ class QuadratureSpec:
             raise ValueError(f"rule must be one of {RULES}")
 
 
-def default_spec(min_k: float, **overrides) -> QuadratureSpec:
+def default_half_width(min_k: float) -> float:
     """The window rule: half-width 12 / |min_k|, min_k the slowest decay rate."""
-    spec = QuadratureSpec(half_width=12.0 / abs(min_k))
-    return replace(spec, **overrides) if overrides else spec
+    return 12.0 / abs(min_k)
 
 
 def quad_nodes(spec: QuadratureSpec) -> tuple[np.ndarray, np.ndarray]:

@@ -35,7 +35,7 @@ import numpy as np
 
 from . import darboux
 from .darboux import SingularPointError
-from .quadrature import NodeCache, default_spec, localized_combos, quad_nodes, read_only
+from .quadrature import NodeCache, QuadratureSpec, default_half_width, localized_combos, quad_nodes, read_only
 from .seeds import SeedSuperposition
 
 __all__ = [
@@ -413,10 +413,10 @@ class WaveguideSystem:
         ks = [abs(getattr(params, name, 0.0)) for name in ("k1", "k2", "k3")]
         self.min_k = min(k for k in ks if k != 0)  # k3 = 0 (or none) sets no decay length
         self.x_limit = LOG_FLOAT_MAX / (2 * (abs(params.k1) + abs(params.k2)))
-        if default_spec(self.min_k).half_width > self.x_limit:
+        if default_half_width(self.min_k) > self.x_limit:
             raise ParameterError(f"the quadrature window 12/min|k| runs past |x| = {self.x_limit:.4g}, "
                                  f"where the closed forms overflow")
-        self.quad = default_spec(self.min_k, nodes=2048, rule="gauss_legendre_composite")
+        self.quad = QuadratureSpec(default_half_width(self.min_k), nodes=2048, rule="gauss_legendre_composite")
         x, self._weights = quad_nodes(self.quad)
         self._nodes = read_only(x)  # frozen, so the norms' repeated samples share one x-only pass
         self._norm: dict[str, float] = {}

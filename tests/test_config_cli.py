@@ -14,10 +14,11 @@ import susytb.systems as systems
 import susytb.tightbinding as tightbinding
 from susytb.calibrate import default_problem, spectral_match
 from susytb.cli import emit_csv, main, run
-from susytb.config import ConfigError, config_digest, validate_config
+from susytb.config import OBSERVABLE, SCHEMA, ConfigError, config_digest, system_keys, validate_config
 from susytb.observables import ObservableSeries
 from susytb.presets import PRESETS, preset_config
 from susytb.quadrature import read_only
+from susytb.systems import KINDS
 
 BASE = {
     "system": {"kind": "hermitian_static", "k1": 0.645, "k2": 0.865},
@@ -103,8 +104,7 @@ def test_gl_rule_rejected_for_series():
     raw = _cfg(quadrature={"nodes": 1024, "rule": "gauss_legendre_composite"})
     with pytest.raises(ConfigError) as exc:
         validate_config(json.dumps(raw))
-    assert exc.value.errors == [
-        "quadrature.rule: removed; observables always use the uniform Simpson grid"]
+    assert exc.value.errors == ["quadrature.rule: unknown key; expected one of half_width, nodes"]
 
 
 def test_null_half_width_selects_the_default_window(tmp_path):
@@ -162,14 +162,16 @@ def test_non_finite_system_parameters_exit_1(tmp_path, capsys, preset, key, valu
     path = tmp_path / "c.json"
     path.write_text(json.dumps(raw))
     assert main(["validate", str(path)]) == 1
-    assert f"error: system: {key} must be finite" in capsys.readouterr().err
+    assert f"error: system.{key}: must be finite" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("block, key, value, message", [
-    ("quadrature", "half_width", math.nan, "quadrature: half_width must be finite, got nan"),
-    ("z_grid", "periods", math.nan, "z_grid: periods must be finite, got nan"),
-    ("tb", "x0", math.nan, "tb: x0 must be finite, got nan"),
-    ("tb", "k", math.inf, "tb: k must be finite, got inf"),
+    ("quadrature", "half_width", math.nan, "quadrature.half_width: must be finite, got nan"),
+    ("z_grid", "periods", math.nan, "z_grid.periods: must be finite, got nan"),
+    ("tb", "x0", math.nan, "tb.x0: must be finite, got nan"),
+    ("tb", "k", math.inf, "tb.k: must be finite, got inf"),
+    ("quadrature", "nodes", 8, "quadrature.nodes: need at least 64 quadrature nodes"),
+    ("quadrature", "half_width", -5.0, "quadrature.half_width: half_width must be positive"),
     ("tb", "alpha_tilde", 0.2, "tb.alpha_tilde: must be 0 for the Hermitian wells"),
 ])
 def test_bad_numbers_outside_the_system_block_exit_1(tmp_path, capsys, block, key, value, message):
@@ -297,9 +299,8 @@ def test_alpha_tilde_is_refused_on_the_dynamic_system_too():
     validate_config(json.dumps(raw))
 
 
-TB_MODE = ("tb.mode: removed; the system kind picks the calibration, "
-           "and giving k and x0 selects the explicit model")
-RULE = "quadrature.rule: removed; observables always use the uniform Simpson grid"
+TB_MODE = "tb.mode: unknown key; expected one of alpha_tilde, k, seeds, x0"
+RULE = "quadrature.rule: unknown key; expected one of half_width, nodes"
 EXPLICIT = {"k": 0.7, "x0": 1.5, "alpha_tilde": 0.0}
 
 
@@ -313,7 +314,8 @@ EXPLICIT = {"k": 0.7, "x0": 1.5, "alpha_tilde": 0.0}
     ({"tb": {"x0": 1.5}}, None, ["tb.k: missing required field"]),
     ({"tb": {"alpha_tilde": 0.0}}, None,
      ["tb.k: missing required field", "tb.x0: missing required field"]),
-    # removed keys and seeds next to explicit parameters are refused, not ignored
+    # unknown keys (the removed mode and rule too) and seeds next to explicit parameters are
+    # refused, not ignored
     ({"tb": {"mode": "auto"}}, None, [TB_MODE]),
     ({"tb": {"mode": "spectral", "k": 1.0, "x0": 1.5}}, None, [TB_MODE]),
     ({"tb": {"k": 0.7, "x0": 1.5, "seeds": [5, 5]}}, None,
@@ -396,23 +398,39 @@ def test_pt_dynamic_preset_scans_regularity_once(tmp_path, monkeypatch):
     assert report.regularity["nodeless"] is True and report.regularity["certified"] is False
 
 
-# Config mutations: a leaf replaced by a value of the wrong type, a non-finite
-# number or a zero/negative count, or a whole block removed.
+def _table_paths(table: dict, path: tuple = ()):
+    for name, key in table.items():
+        yield path + (name,)
+        if isinstance(key.type, dict):
+            yield from _table_paths(key.type, path + (name,))
+
+
+# Config mutations: a leaf of the key table replaced by a value of the wrong type, a non-finite
+# number or a zero/negative count, a whole block removed, or an unknown key inserted in an object.
+TABLE_PATHS = sorted(_table_paths(SCHEMA))
+SYSTEM_PATHS = sorted({("system", name) for kind in KINDS for name in system_keys(kind)})
+OBSERVABLE_PATHS = [("observables", -1)] + [("observables", -1, name) for name in OBSERVABLE]
+OBJECTS = [(), ("system",), ("observables", -1)] + [
+    (name,) for name, key in SCHEMA.items() if isinstance(key.type, dict)]
+UNKNOWN = "unknown_key"
 BAD_VALUES = st.sampled_from([math.nan, math.inf, -math.inf, 0, -1, -2.5, 0.0, "x", None, [],
                               {}, True])
-LEAVES = st.sampled_from([
-    ("system",), ("tb",), ("z_grid",), ("quadrature",), ("bpm",), ("potential_dump",), ("output",),
-    ("system", "k1"), ("system", "k2"), ("system", "k3"), ("system", "alpha"), ("system", "kind"),
-    ("tb", "seeds"), ("z_grid", "num"), ("z_grid", "periods"), ("z_grid", "stop"),
-    ("mode_kind",), ("observables",), ("observables", 0), ("quadrature", "nodes"),
-    ("quadrature", "half_width"), ("bpm", "enabled"), ("bpm", "nx"),
-    ("bpm", "dz"), ("potential_dump", "nx"), ("potential_dump", "nz"),
-    ("potential_dump", "x_half_width"), ("potential_dump", "periods"), ("output", "basename"),
-])
-BLOCKS = st.sampled_from(["system", "tb", "z_grid", "observables", "quadrature", "bpm",
-                          "potential_dump", "output"])
+LEAVES = st.sampled_from(TABLE_PATHS + SYSTEM_PATHS + OBSERVABLE_PATHS)
+BLOCKS = st.sampled_from(sorted(SCHEMA))
 MUTATIONS = st.lists(st.one_of(st.tuples(st.just("set"), LEAVES, BAD_VALUES),
-                               st.tuples(st.just("drop"), BLOCKS)), min_size=1, max_size=3)
+                               st.tuples(st.just("drop"), BLOCKS),
+                               st.tuples(st.just("add"), st.sampled_from(OBJECTS))),
+                     min_size=1, max_size=3)
+
+
+def _owner(raw, parents):
+    owner = raw
+    for key in parents:
+        try:
+            owner = owner[key]
+        except (KeyError, IndexError, TypeError):
+            return None
+    return owner if isinstance(owner, (dict, list)) else None
 
 
 def _mutate(raw: dict, mutations) -> dict:
@@ -420,27 +438,71 @@ def _mutate(raw: dict, mutations) -> dict:
         if kind == "drop":
             raw.pop(args[0], None)
             continue
+        if kind == "add":
+            owner = _owner(raw, args[0])
+            if isinstance(owner, dict):
+                owner[UNKNOWN] = 1
+            continue
         (*parents, last), value = args
-        owner = raw
-        for key in parents:
-            owner = owner.get(key) if isinstance(owner, dict) else None
-        if isinstance(owner, dict) or (isinstance(owner, list) and last == 0 and owner):
+        owner = _owner(raw, parents)
+        if isinstance(owner, dict) or (isinstance(owner, list) and isinstance(last, int) and owner):
             owner[last] = value
     return raw
+
+
+def _holds(obj, key: str) -> bool:
+    if isinstance(obj, dict):
+        return key in obj or any(_holds(v, key) for v in obj.values())
+    return isinstance(obj, list) and any(_holds(v, key) for v in obj)
 
 
 @settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(preset=st.sampled_from(sorted(PRESETS)), mutations=MUTATIONS)
 def test_mutated_presets_fail_only_as_config_errors(tmp_path, capsys, preset, mutations):
-    text = json.dumps(_mutate(preset_config(preset), mutations))
+    raw = _mutate(preset_config(preset), mutations)
+    text = json.dumps(raw)
     try:
         validate_config(text)
     except ConfigError:
         pass
     path = tmp_path / "mutated.json"
     path.write_text(text)
-    assert main(["validate", str(path)]) in (0, 1)
+    code = main(["validate", str(path)])
+    assert code in (0, 1)
     assert "runtime error" not in capsys.readouterr().err
+    if _holds(raw, UNKNOWN):  # an unknown key left anywhere is refused, never ignored
+        assert code == 1
+
+
+MISSPELT = "unknown key; expected one of "
+
+
+@pytest.mark.parametrize("path, value, expected", [
+    ("bpm.enabeld", True, "dz, enabled, nx"),
+    ("potential_dump.enable", True, "enabled, nx, nz, periods, x_half_width"),
+    ("quadrature.node", 8193, "half_width, nodes"),
+    ("tb.seed", [3, 3], "alpha_tilde, k, seeds, x0"),
+    ("mode_knd", "right",
+     "bpm, mode_kind, observables, output, potential_dump, quadrature, system, tb, z_grid"),
+    ("system.alpah", 0.1, "k1, k2, kind"),
+    ("output.basenme", "other", "basename"),
+    ("z_grid.nmu", 9, "num, periods, stop"),
+    ("system.alpha", 0.1, "k1, k2, kind"),  # a hermitian_static system has no alpha
+])
+def test_misspelt_keys_are_refused_not_ignored(tmp_path, capsys, path, value, expected):
+    """Each of these used to validate, and compare then ran hermitian-fig2 at its defaults."""
+    raw = preset_config("hermitian-fig2")
+    *blocks, key = path.split(".")
+    owner = raw
+    for block in blocks:
+        owner = owner.setdefault(block, {})
+    owner[key] = value
+    cfg = tmp_path / "c.json"
+    cfg.write_text(json.dumps(raw))
+    for command in ("validate", "compare"):
+        assert main([command, str(cfg), "--out", str(tmp_path / "out")]) == 1
+        assert capsys.readouterr().err == f"error: {path}: {MISSPELT}{expected}\n"
+    assert not (tmp_path / "out").exists()
 
 
 def test_config_digest_is_order_insensitive():
@@ -561,7 +623,8 @@ def test_cli_refuses_an_unknown_observable_key(tmp_path, capsys, command):
     path.write_text(json.dumps(_cfg(observables=[{"name": "x_mean", "normalization": "none"}])))
     out = tmp_path / "out"
     assert main([command, str(path), "--out", str(out)]) == 1
-    assert capsys.readouterr().err == "error: observables[0]: unknown key 'normalization'\n"
+    assert capsys.readouterr().err == ("error: observables[0].normalization: unknown key; "
+                                       "expected one of metric, name\n")
     assert not out.exists()
 
 

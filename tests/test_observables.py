@@ -370,7 +370,9 @@ def _per_z_table(fields, requests, z_grid, quad):
             norm = p0 if family == "H" and metric == "pt" else power
             m1, m2 = (np.sum(w * np.conj(f) * (g[::-1] if metric == "pt" else g)) / norm
                       for g in images[family])
-            row[i] = m1 if observable.endswith("_mean") else np.sqrt(m2 - m1 * m1)
+            variance = m2 - m1 * m1  # a negative one is real: its +i root
+            row[i] = m1 if observable.endswith("_mean") else np.sqrt(
+                complex(variance.real, 0.0) if variance.real < 0 else variance)
     return out
 
 
@@ -418,11 +420,14 @@ def test_two_mode_tables_match_the_per_z_reference(dyn_pipeline, engine):
     else:
         kind = engine.split("-")[1]
         state, fields = ExactState(cfg.system, kind), _exact_fields(cfg.system, kind, x, h)
-    # every mean and power, and the pipeline's own spreads; the other spreads are set by
-    # cancellation (<A^2> - <A>^2 of a near-eigenstate, or a PT variance on the negative real
-    # axis, where rounding picks sqrt's sign), so two summation orders part by more than 1e-10
+    # every mean and power, the pipeline's own spreads and the PT-metric x and p spreads, whose
+    # variance can sit on the negative real axis (moment_table then takes the +i root, whatever
+    # the sign of its rounding-level imaginary part); the Dirac-metric spreads of a
+    # floquet mode are set by cancellation (<A^2> - <A>^2 of a near-eigenstate), so two
+    # summation orders part by more than 1e-10 there
     requests = [r for r in ALL_REQUESTS if not r.name.endswith("_std")]
     requests += [r for r in cfg.observables if r.name.endswith("_std")]
+    requests += [ObservableRequest(name, "pt") for name in ("x_std", "p_std")]
     table = moment_table(state, requests, z, cfg.quad)
     reference = _per_z_table(fields, requests, z, cfg.quad)
     for series, ref in zip(table, reference):

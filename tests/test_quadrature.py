@@ -9,7 +9,7 @@ from susytb.quadrature import (
     QuadratureSpec,
     d1_fourth,
     d2_fourth,
-    default_spec,
+    default_half_width,
     localized_combos,
     quad_nodes,
     read_only,
@@ -33,12 +33,12 @@ def test_simpson_forces_odd_point_count():
 
 def test_validation():
     with pytest.raises(ValueError):
-        QuadratureSpec(half_width=-1.0)
+        QuadratureSpec(half_width=-1.0, nodes=64)
     with pytest.raises(ValueError):
         QuadratureSpec(half_width=1.0, nodes=8)
     for rule in ("monte_carlo", "trapezoid"):
         with pytest.raises(ValueError):
-            QuadratureSpec(half_width=1.0, rule=rule)
+            QuadratureSpec(half_width=1.0, nodes=64, rule=rule)
 
 
 def _integral(f, spec):
@@ -63,10 +63,8 @@ def test_sech_squared_closed_form():
 
 
 def test_default_spec_window():
-    spec = default_spec(0.645)
-    assert spec.half_width == pytest.approx(12.0 / 0.645)
-    spec2 = default_spec(0.645, nodes=512, rule="gauss_legendre_composite")
-    assert spec2.nodes == 512 and spec2.rule == "gauss_legendre_composite"
+    assert default_half_width(0.645) == pytest.approx(12.0 / 0.645)
+    assert default_half_width(-0.645) == default_half_width(0.645)
 
 
 def _two_lobes():

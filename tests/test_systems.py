@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from susytb.bpm import PropagationGrid, eigen_residual, pde_residual
 from susytb.darboux import SingularPointError, apply_L12, second_order_potential
-from susytb.quadrature import QuadratureSpec, default_spec, quad_nodes, read_only
+from susytb.quadrature import QuadratureSpec, default_half_width, quad_nodes, read_only
 from susytb.systems import (
     LOG_FLOAT_MAX,
     HermitianStaticParams,
@@ -419,7 +419,7 @@ def certified_dynamic_params(draw):
     k1 = k2 * draw(st.floats(0.2, 0.95)) * draw(st.sampled_from((1.0, -1.0)))
     k3 = k1 * draw(st.floats(-0.95, 0.95))
     # refused: k3 = 0 leaves floquet2 unguided, small |k3| widens the window past float range
-    assume(k3 != 0 and default_spec(k3).half_width <= LOG_FLOAT_MAX / (2 * (abs(k1) + abs(k2))))
+    assume(k3 != 0 and default_half_width(k3) <= LOG_FLOAT_MAX / (2 * (abs(k1) + abs(k2))))
     bound = (1.0 - abs(k1 / k2)) / (1.0 + abs(k3 / k2))
     p = PTDynamicParams(k1=k1, k2=k2, k3=k3, alpha=bound * draw(st.floats(-0.95, 0.95)))
     assert p.certified
