@@ -164,8 +164,9 @@ def well_separation(system: WaveguideSystem) -> float:
     return float(xs[np.argmin(v)])
 
 
-def default_problem(system: WaveguideSystem, *, seeds: Optional[tuple[int, ...]] = None) -> CalibrationProblem:
-    """Search boxes for the fitted parameters, anchored at the exact well separation and energy scale."""
+def default_problem(system: WaveguideSystem) -> CalibrationProblem:
+    """Search boxes and multistart grid sizes for the fitted parameters (`SystemKind.fit`), the
+    boxes anchored at the exact well separation and energy scale."""
     p = system.params
     fit = system.facts.fit
     x_d = well_separation(system)
@@ -174,7 +175,7 @@ def default_problem(system: WaveguideSystem, *, seeds: Optional[tuple[int, ...]]
               "alpha_tilde": (0.0, min(0.45, 2 * abs(getattr(p, "alpha", 0.0)) + 0.1))}
     window = (-(x_d + 3.0 / abs(p.k1)), 0.0) if system.is_dynamic else None
     return CalibrationProblem(system, {name: bounds[name] for name in fit},
-                              seeds or tuple(fit.values()), window)
+                              tuple(fit.values()), window)
 
 
 def _parameters(names: Sequence[str], x: np.ndarray) -> dict:

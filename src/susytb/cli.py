@@ -178,7 +178,7 @@ def _calibrate(cfg: ScenarioConfig) -> tuple[str, dict, Optional[CalibrationResu
     """The route that ran ("explicit", "spectral" or "profile"), the TB parameters and the fit."""
     if cfg.tb_explicit is not None:
         return "explicit", dict(cfg.tb_explicit), None
-    problem = default_problem(cfg.system, seeds=cfg.tb_seeds)
+    problem = default_problem(cfg.system)
     route, match = ("profile", profile_match) if cfg.system.is_dynamic else ("spectral", spectral_match)
     result = match(problem)
     return route, dict(result.parameters), result

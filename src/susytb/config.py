@@ -9,10 +9,11 @@ run something other than what the file asks. Each default lives only there.
 
 After the walk come the rules across keys: the `tb` route (any of k, x0,
 alpha_tilde is the explicit model, else the kind picks the calibration and
-`seeds` gives one grid size per fitted parameter), `z_grid`'s `stop` or
-`periods`, and the physics (orderings, the regularity bound and `certified`,
-the kind's mode kinds and wells, the closed forms' overflow window), so a
-validated config is a runnable plan. Findings are aggregated and field-addressed.
+`SystemKind.fit` its multistart grid) and the physics (orderings, the
+regularity bound and `certified`, the kind's mode kinds and wells, the closed
+forms' overflow window), so a validated config is a runnable plan. The z grid
+is `z_grid.num` samples over `z_grid.periods` fundamental periods. Findings
+are aggregated and field-addressed.
 """
 
 from __future__ import annotations
@@ -42,7 +43,6 @@ class ScenarioConfig:
     system: WaveguideSystem
     certified: Optional[bool]  # None for static systems
     tb_explicit: Optional[dict]
-    tb_seeds: Optional[tuple[int, ...]]
     z_values: "list[float]"
     mode_kind: str
     observables: list[ObservableRequest]
@@ -75,17 +75,17 @@ def _need(ok: Callable, message: str) -> Callable:
 
 POSITIVE = _need(lambda v: v > 0, "must be positive")
 SAMPLES = _need(lambda v: v > 0, "need at least 1 sample")
+FILE_NAME = _need(lambda v: v not in ("", ".", "..") and not set(v) & set("/\\\0"),
+                  "must be a plain file name, got {!r}")  # outputs land in --out, not beside it or below
 OBSERVABLE = {"name": Key(str, check=_need(OBSERVABLES.__contains__, "unknown observable {!r}")),
               "metric": Key(str, "dirac", _need(("dirac", "pt").__contains__, "unknown metric {!r}"))}
 SCHEMA = {
     "system": Key(dict),  # keys: `system_keys`
     "tb": Key({"k": Key(float, OPTIONAL, _need(lambda v: v != 0, "must be nonzero")),
                "x0": Key(float, OPTIONAL, POSITIVE),
-               "alpha_tilde": Key(float, 0.0),
-               "seeds": Key(object, OPTIONAL)}, {}),  # checked against the kind's fitted parameters
+               "alpha_tilde": Key(float, 0.0)}, {}),
     "z_grid": Key({"num": Key(int, check=_need(lambda v: v >= 2, "need at least 2 samples")),
-                   "periods": Key(float, OPTIONAL, POSITIVE),
-                   "stop": Key(float, OPTIONAL, POSITIVE)}),
+                   "periods": Key(float, check=POSITIVE)}),
     "mode_kind": Key(str, "left"),
     "observables": Key(list),  # each a name or an OBSERVABLE object
     "quadrature": Key({"nodes": Key(int, 4097, lambda v: QuadratureSpec(half_width=1.0, nodes=v)),
@@ -98,7 +98,7 @@ SCHEMA = {
                            "nx": Key(int, 201, SAMPLES), "nz": Key(int, 129, SAMPLES),
                            "x_half_width": Key(float, 6.0, POSITIVE),
                            "periods": Key(float, 2.0, POSITIVE)}, {}),
-    "output": Key({"basename": Key(str, "run")}, {}),
+    "output": Key({"basename": Key(str, "run", FILE_NAME)}, {}),
 }
 
 
@@ -191,7 +191,7 @@ def validate_config(text: str) -> ScenarioConfig:
                         "(certified=false); nodelessness established by scan")
 
     tb, given = top["tb"], raw["tb"] if isinstance(raw.get("tb"), dict) else {}
-    tb_explicit = tb_seeds = None
+    tb_explicit = None
     if any(key in given for key in ("k", "x0", "alpha_tilde")):
         errors.extend(f"tb.{key}: missing required field" for key in ("k", "x0") if key not in given)
         if tb.get("k") is not None and tb.get("x0") is not None:
@@ -199,29 +199,6 @@ def validate_config(text: str) -> ScenarioConfig:
         if tb["alpha_tilde"] and system.facts.wells == "hermitian":
             errors.append("tb.alpha_tilde: must be 0 for the Hermitian wells of a "
                           f"{system.kind} system")
-        if "seeds" in given:
-            errors.append("tb.seeds: explicit TB parameters are not calibrated, so take no seeds")
-    elif "seeds" in given:
-        seeds = given["seeds"]
-        fit = list(system.facts.fit)
-        if isinstance(seeds, list) and any(isinstance(s, bool) for s in seeds):
-            errors.append("tb.seeds: expected int, got bool")
-        elif (not isinstance(seeds, list) or not seeds
-                or any(not isinstance(s, int) or s < 1 for s in seeds)):
-            errors.append("tb.seeds: expected a list of positive integers")
-        elif len(seeds) != len(fit):
-            errors.append(f"tb.seeds: expected one grid size per fitted parameter {fit}, "
-                          f"got {len(seeds)}")
-        else:
-            tb_seeds = tuple(seeds)
-
-    zd = top.get("z_grid") or {}
-    periods = zd.get("periods")
-    stop = zd.get("stop") if periods is None else periods * system.periods().fundamental
-    if "stop" in zd and "periods" in zd:
-        errors.append("z_grid: give either 'stop' or 'periods', not both")
-    elif "stop" not in zd and "periods" not in zd:
-        errors.append("z_grid: missing 'stop' or 'periods'")
 
     mode_kind = top["mode_kind"]
     if mode_kind not in system.mode_kinds:
@@ -252,11 +229,12 @@ def validate_config(text: str) -> ScenarioConfig:
     if errors:
         raise ConfigError(errors)
 
-    num = zd["num"]
-    z_values = [stop * i / (num - 1) for i in range(num)]
+    zd = top["z_grid"]
+    stop = zd["periods"] * system.periods().fundamental
+    z_values = [stop * i / (zd["num"] - 1) for i in range(zd["num"])]
     return ScenarioConfig(
         raw=raw, system=system, certified=certified, tb_explicit=tb_explicit,
-        tb_seeds=tb_seeds, z_values=z_values, mode_kind=mode_kind, observables=observables, quad=quad,
+        z_values=z_values, mode_kind=mode_kind, observables=observables, quad=quad,
         bpm_enabled=bpm_enabled, bpm_options=bpm_options,
         potential_dump_enabled=potential_dump_enabled, potential_dump=potential_dump,
         basename=top["output"]["basename"], warnings=warnings)

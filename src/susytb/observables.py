@@ -2,8 +2,8 @@
 
 Moments are sesquilinear sandwiches (psi, A psi) under the Dirac or PT
 inner product, divided by a recorded normalization (instantaneous power
-for beam moments, initial power for the PT Hamiltonian moments). p and,
-without an exact H, H use the 4th-order stencils of `quadrature` on the
+for beam moments, initial power for the PT Hamiltonian moments). H comes
+from the state itself; p uses the 4th-order stencils of `quadrature` on the
 uniform grid, once `_resolution_guard` has checked that halving the grid
 resolution moves the first derivative by at most 1e-5 of its scale.
 
@@ -214,9 +214,9 @@ def moment_table(
 ) -> list[ObservableSeries]:
     """Sampled z-series of every requested observable for one state, in request order.
 
-    p = -i d_x and H = -d_x^2 + V, applied exactly where the state can (h_apply, the modulated
-    pair's i d_z, the TB generator), else by finite differences against the state's potential.
-    For the PT metric the integrand pairs conj(f(x)) with (A g)(-x); the grid must be uniform.
+    p = -i d_x by the stencils, and H as the state applies it: a per-z state by its own h_apply
+    and h2_apply, a two-mode state by the modulated pair's i d_z or the TB generator. For the PT
+    metric the integrand pairs conj(f(x)) with (A g)(-x); the grid must be uniform.
     Every request is validated before any field is evaluated.
     """
     plans = []
@@ -240,10 +240,7 @@ def moment_table(
     def at(z: float):
         return next(forms(x, w, h, np.array([z])))[1]
 
-    if any(observable in ("p_mean", "p_std") or (
-            observable in ("H_mean", "H_std") and not two_mode
-            and getattr(state, "h_apply", None) is None)
-           for observable, _, _ in plans):
+    if any(observable in ("p_mean", "p_std") for observable, _, _ in plans):
         _resolution_guard(at(float(z_grid[0])).f, h)
 
     p_initial = None
@@ -273,22 +270,19 @@ def moment_table(
 
 
 def _per_z_forms(state, x, w, h, z_grid):
-    """(index, moments) per z of a state taken field by field; H by its h_apply/h2_apply if any."""
-    h_apply, h2_apply = getattr(state, "h_apply", None), getattr(state, "h2_apply", None)
+    """(index, moments) per z of a state taken field by field; H by its h_apply/h2_apply, if asked."""
     for i, z in enumerate(z_grid.tolist()):
-        yield i, _Fields(np.asarray(state(x, z)), x, w, h,
-                         hf=h_apply and functools.partial(h_apply, x, z),
-                         h2f=h2_apply and functools.partial(h2_apply, x, z),
-                         v=lambda z=z: state.potential(x, z))
+        yield i, _Fields(np.asarray(state(x, z)), x, w, h, hf=lambda z=z: state.h_apply(x, z),
+                         h2f=lambda z=z: state.h2_apply(x, z))
 
 
 class _Fields:
     """f, one field or rows stacked along axis 0, and its images, each evaluated on first use.
 
     Images act along the last axis: x1 = x f, x2 = x^2 f, p1 = -i f', p2 = -f'' by the
-    stencils; H1 and H2 are the exact `hf()`/`h2f()` when given, else H g = -g'' + V g by
-    finite differences with V = `v()`. `sandwich` is (f, A^order f) for one field, summed on
-    the nodes, or the Gram matrix G_ij = (f_i, A^order f_j) of rows; PT flips slot two.
+    stencils; H1 is `hf()`, and H2 is `h2f()` when given, else -H1'' + V H1 by the stencils with
+    V = `v()`. `sandwich` is (f, A^order f) for one field, summed on the nodes, or the Gram
+    matrix G_ij = (f_i, A^order f_j) of rows; PT flips slot two.
     """
 
     def __init__(self, f, x, w, h: float, *, hf=None, h2f=None, v=None):
@@ -296,14 +290,11 @@ class _Fields:
         self._hf, self._h2f, self._v = hf, h2f, v
         self._images, self._sandwiches = {}, {}
 
-    def _fd(self, g, d2g):  # H g = -g'' + V g
-        return -d2g + self.image("v") * g
-
     _RULES = {  # per class, not per instance: closures over self would keep every z's arrays in a cycle
         "x1": lambda s: s.x * s.f, "x2": lambda s: s.x * s.x * s.f,
         "p1": lambda s: -1j * d1_fourth(s.f, s.h), "p2": lambda s: -s.image("d2"),
-        "H1": lambda s: s._hf() if s._hf else s._fd(s.f, s.image("d2")),
-        "H2": lambda s: s._h2f() if s._h2f else s._fd(s.image("H1"), d2_fourth(s.image("H1"), s.h)),
+        "H1": lambda s: s._hf(),
+        "H2": lambda s: s._h2f() if s._h2f else -d2_fourth(s.image("H1"), s.h) + s.image("v") * s.image("H1"),
         "d2": lambda s: d2_fourth(s.f, s.h), "v": lambda s: s._v(), "wcf": lambda s: s.w * np.conj(s.f),
         "wcf_pt": lambda s: np.ascontiguousarray(s.image("wcf")[..., ::-1]),
     }

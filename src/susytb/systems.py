@@ -127,7 +127,7 @@ class SystemKind(NamedTuple):
     params: type  # the parameter record
     stationary: tuple[str, str]  # the stationary mode kinds, even-like first; "left"/"right" combine them
     wells: str  # the TB well family that models the pair
-    fit: dict  # TB parameter -> default multistart grid size, in the order calibration fits them
+    fit: dict  # TB parameter -> multistart grid size, in the order calibration fits them
 
 
 KINDS = {

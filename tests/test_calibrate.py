@@ -70,8 +70,9 @@ def test_problem_needs_one_grid_size_per_searched_parameter(herm_system, pt_syst
     with pytest.raises(ValueError, match="one multistart grid size per searched parameter"):
         CalibrationProblem(herm_system, box, (9, 9, 9))
     with pytest.raises(ValueError, match="got 2 for 3"):
-        default_problem(pt_system, seeds=(9, 9))
-    assert list(default_problem(pt_system).box) == ["k", "x0", "alpha_tilde"]
+        CalibrationProblem(pt_system, dict(box, alpha_tilde=(0.0, 0.3)), (9, 9))
+    problem = default_problem(pt_system)
+    assert list(problem.box) == ["k", "x0", "alpha_tilde"] and problem.seeds == (9, 9, 5)
 
 
 def test_degenerate_target_rejected():

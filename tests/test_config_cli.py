@@ -76,7 +76,7 @@ def test_error_aggregation():
     msgs = "\n".join(exc.value.errors)
     assert "observables[1].name" in msgs
     assert "mode_kind" in msgs
-    assert "z_grid.num" in msgs and "z_grid:" in msgs
+    assert "z_grid.num" in msgs and "z_grid.periods: missing required field" in msgs
 
 
 def test_uncertified_dynamic_accepted_with_warning():
@@ -183,44 +183,10 @@ def test_bad_numbers_outside_the_system_block_exit_1(tmp_path, capsys, block, ke
     assert not (tmp_path / "out").exists()
 
 
-@pytest.mark.parametrize("z_grid, message", [
-    ({"stop": 0.0, "num": 17}, "z_grid.stop: must be positive"),
-    ({"stop": -2.5, "num": 17}, "z_grid.stop: must be positive"),
-    ({"stop": 3.0, "periods": 1.0, "num": 17}, "z_grid: give either 'stop' or 'periods', not both"),
-])
-def test_z_grid_stop_is_refused_unless_positive_and_alone(z_grid, message):
-    raw = _cfg()
-    raw["z_grid"] = z_grid
-    with pytest.raises(ConfigError) as exc:
-        validate_config(json.dumps(raw))
-    assert exc.value.errors == [message]
-
-
-def test_z_grid_stop_ends_the_grid_at_that_stop():
-    raw = _cfg()
-    raw["z_grid"] = {"stop": 3.0, "num": 7}
-    cfg = validate_config(json.dumps(raw))
-    assert cfg.z_values == [0.0, 0.5, 1.0, 1.5, 2.0, 2.5, 3.0]
-
-
-@pytest.mark.parametrize("seeds", [9, "9,9", [], [9, 0], [9, -1], [9, 2.5]])
-def test_tb_seeds_must_be_a_list_of_positive_integers(seeds):
-    with pytest.raises(ConfigError) as exc:
-        validate_config(json.dumps(dict(BASE, tb={"seeds": seeds})))
-    assert exc.value.errors == ["tb.seeds: expected a list of positive integers"]
-
-
-FIT_LENGTH = {"hermitian-fig2": 2, "pt-static-fig3-4": 3, "pt-dynamic-fig1-5-6": 2}
 CONFIG_COMMANDS = ("validate", "potential", "modes", "calibrate", "spectrum", "propagate", "compare")
 
 
 @pytest.mark.parametrize("preset, block, value, message", [
-    ("hermitian-fig2", "tb", {"seeds": [9, 9, 9]},
-     "tb.seeds: expected one grid size per fitted parameter ['k', 'x0'], got 3"),
-    ("pt-static-fig3-4", "tb", {"seeds": [9, 9]},
-     "tb.seeds: expected one grid size per fitted parameter ['k', 'x0', 'alpha_tilde'], got 2"),
-    ("pt-dynamic-fig1-5-6", "tb", {"seeds": [3]},
-     "tb.seeds: expected one grid size per fitted parameter ['k', 'x0'], got 1"),
     ("hermitian-fig2", "quadrature", {"half_width": 300},
      "quadrature.half_width: 300 runs past |x| = 235, where the closed forms overflow"),
     ("hermitian-fig2", "quadrature", {"half_width": 700, "nodes": 400001},
@@ -232,7 +198,7 @@ CONFIG_COMMANDS = ("validate", "potential", "modes", "calibrate", "spectrum", "p
 ])
 def test_what_calibration_or_the_closed_forms_cannot_run_exits_1(tmp_path, capsys, preset, block,
                                                                   value, message):
-    """Wrong-length seeds used to exit 2 or drop a grid; a window past the overflow limit gave NaNs."""
+    """A window past the overflow limit gave NaNs."""
     raw = preset_config(preset)
     raw.setdefault(block, {}).update(value)
     path = tmp_path / "c.json"
@@ -271,23 +237,6 @@ def test_a_mode_kind_the_system_lacks_is_refused(tmp_path, capsys, preset, mode_
     assert capsys.readouterr().err == f"error: {message}\n"
 
 
-@settings(max_examples=60, deadline=None)
-@given(preset=st.sampled_from(sorted(PRESETS)),
-       seeds=st.lists(st.integers(min_value=1, max_value=12), min_size=1, max_size=5))
-def test_seeds_are_accepted_exactly_when_one_per_fitted_parameter(preset, seeds):
-    raw = preset_config(preset)
-    raw.setdefault("tb", {})["seeds"] = seeds
-    try:
-        cfg = validate_config(json.dumps(raw))
-    except ConfigError as exc:
-        assert len(seeds) != FIT_LENGTH[preset]
-        assert len(exc.errors) == 1 and exc.errors[0].startswith("tb.seeds: expected one grid size")
-        return
-    assert len(seeds) == FIT_LENGTH[preset]
-    problem = default_problem(cfg.system, seeds=cfg.tb_seeds)
-    assert problem.seeds == tuple(seeds) and len(problem.box) == len(seeds)
-
-
 def test_alpha_tilde_is_refused_on_the_dynamic_system_too():
     raw = preset_config("pt-dynamic-fig1-5-6")
     raw["tb"] = {"k": 1.0, "x0": 1.8, "alpha_tilde": 0.1}
@@ -299,7 +248,8 @@ def test_alpha_tilde_is_refused_on_the_dynamic_system_too():
     validate_config(json.dumps(raw))
 
 
-TB_MODE = "tb.mode: unknown key; expected one of alpha_tilde, k, seeds, x0"
+TB_MODE = "tb.mode: unknown key; expected one of alpha_tilde, k, x0"
+TB_SEEDS = "tb.seeds: unknown key; expected one of alpha_tilde, k, x0"
 RULE = "quadrature.rule: unknown key; expected one of half_width, nodes"
 EXPLICIT = {"k": 0.7, "x0": 1.5, "alpha_tilde": 0.0}
 
@@ -307,22 +257,20 @@ EXPLICIT = {"k": 0.7, "x0": 1.5, "alpha_tilde": 0.0}
 @pytest.mark.parametrize("blocks, explicit, errors", [
     # the inference rule: any of k, x0, alpha_tilde is the explicit model, else calibration
     ({"tb": {}}, None, []),
-    ({"tb": {"seeds": [5, 5]}}, None, []),
+    ({"tb": {"seeds": [5, 5]}}, None, [TB_SEEDS]),  # the multistart grid is the kind's
     ({"tb": {"k": 0.7, "x0": 1.5}}, EXPLICIT, []),
     ({"tb": dict(EXPLICIT)}, EXPLICIT, []),
     ({"tb": {"k": 0.7}}, None, ["tb.x0: missing required field"]),
     ({"tb": {"x0": 1.5}}, None, ["tb.k: missing required field"]),
     ({"tb": {"alpha_tilde": 0.0}}, None,
      ["tb.k: missing required field", "tb.x0: missing required field"]),
-    # unknown keys (the removed mode and rule too) and seeds next to explicit parameters are
-    # refused, not ignored
+    # unknown keys (the removed mode, seeds and rule too) are refused, not ignored
     ({"tb": {"mode": "auto"}}, None, [TB_MODE]),
     ({"tb": {"mode": "spectral", "k": 1.0, "x0": 1.5}}, None, [TB_MODE]),
-    ({"tb": {"k": 0.7, "x0": 1.5, "seeds": [5, 5]}}, None,
-     ["tb.seeds: explicit TB parameters are not calibrated, so take no seeds"]),
+    ({"tb": {"k": 0.7, "x0": 1.5, "seeds": [5, 5]}}, None, [TB_SEEDS]),
     ({"quadrature": {"rule": "simpson"}}, None, [RULE]),
-    # JSON true is not the integer 1
-    ({"tb": {"seeds": [True, 9]}}, None, ["tb.seeds: expected int, got bool"]),
+    # JSON true is not a number: neither 1.0 nor the integer 1
+    ({"z_grid": {"periods": True, "num": 17}}, None, ["z_grid.periods: expected float, got bool"]),
     ({"z_grid": {"periods": 0.5, "num": True}}, None, ["z_grid.num: expected int, got bool"]),
     ({"quadrature": {"nodes": True}}, None, ["quadrature.nodes: expected int, got bool"]),
     ({"bpm": {"nx": True}}, None, ["bpm.nx: expected int, got bool"]),
@@ -481,12 +429,12 @@ MISSPELT = "unknown key; expected one of "
     ("bpm.enabeld", True, "dz, enabled, nx"),
     ("potential_dump.enable", True, "enabled, nx, nz, periods, x_half_width"),
     ("quadrature.node", 8193, "half_width, nodes"),
-    ("tb.seed", [3, 3], "alpha_tilde, k, seeds, x0"),
+    ("tb.seed", [3, 3], "alpha_tilde, k, x0"),
     ("mode_knd", "right",
      "bpm, mode_kind, observables, output, potential_dump, quadrature, system, tb, z_grid"),
     ("system.alpah", 0.1, "k1, k2, kind"),
     ("output.basenme", "other", "basename"),
-    ("z_grid.nmu", 9, "num, periods, stop"),
+    ("z_grid.nmu", 9, "num, periods"),
     ("system.alpha", 0.1, "k1, k2, kind"),  # a hermitian_static system has no alpha
 ])
 def test_misspelt_keys_are_refused_not_ignored(tmp_path, capsys, path, value, expected):
@@ -503,6 +451,37 @@ def test_misspelt_keys_are_refused_not_ignored(tmp_path, capsys, path, value, ex
         assert main([command, str(cfg), "--out", str(tmp_path / "out")]) == 1
         assert capsys.readouterr().err == f"error: {path}: {MISSPELT}{expected}\n"
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("preset", sorted(PRESETS))
+@pytest.mark.parametrize("block, key, value, expected", [
+    ("z_grid", "stop", 3.0, "num, periods"),  # the grid spans z_grid.periods alone
+    ("tb", "seeds", [9, 9], "alpha_tilde, k, x0"),  # the multistart grid is the kind's
+])
+def test_removed_keys_are_refused_by_every_command(tmp_path, capsys, preset, block, key, value,
+                                                   expected):
+    raw = preset_config(preset)
+    raw.setdefault(block, {})[key] = value
+    cfg = tmp_path / "c.json"
+    cfg.write_text(json.dumps(raw))
+    for command in CONFIG_COMMANDS:
+        assert main([command, str(cfg), "--out", str(tmp_path / "out")]) == 1
+        assert capsys.readouterr().err == f"error: {block}.{key}: {MISSPELT}{expected}\n"
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("basename", ["sub/dir/x", "../x", "a\\b", "a\0b", "", ".", ".."])
+def test_output_basename_must_be_a_plain_file_name(tmp_path, capsys, basename):
+    """A path used to fail after the run (exit 2) or write beside --out; "" wrote hidden files."""
+    raw = _cfg(output={"basename": basename})
+    out = tmp_path / "run" / "out"
+    cfg = tmp_path / "c.json"
+    cfg.write_text(json.dumps(raw))
+    for command in ("validate", "compare"):
+        assert main([command, str(cfg), "--out", str(out)]) == 1
+        assert capsys.readouterr().err == (
+            f"error: output.basename: must be a plain file name, got {basename!r}\n")
+    assert sorted(p.name for p in tmp_path.rglob("*")) == ["c.json"]
 
 
 def test_config_digest_is_order_insensitive():
@@ -803,13 +782,13 @@ def test_cli_modes_dumps_the_configured_mode(tmp_path, capsys, case):
 def test_cli_calibrate_spectral(tmp_path, capsys):
     """A calibrated config prints the fit, its objective, its trace and the energies it reached."""
     raw = _cfg()
-    raw["tb"] = {"seeds": [5, 5]}
+    del raw["tb"]
     path = tmp_path / "c.json"
     path.write_text(json.dumps(raw))
     assert main(["calibrate", str(path)]) == 0
     payload = json.loads(capsys.readouterr().out)
     system = validate_config(json.dumps(raw)).system
-    direct = spectral_match(default_problem(system, seeds=(5, 5)))
+    direct = spectral_match(default_problem(system))
     assert payload["parameters"] == dict(direct.parameters, alpha_tilde=0.0)
     assert payload["objective_value"] == direct.objective_value < 1e-3
     assert payload["trace"]["nm_converged"] is True
