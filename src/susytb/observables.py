@@ -11,7 +11,8 @@ resolution moves the first derivative by at most 1e-5 of its scale.
 evaluates each image at most once. The modulated pair's states are two-mode
 superpositions psi = sum_j a_j(z) u_j(x, z mod T_V) (Floquet's theorem), so
 their moments are quadratic forms a^H G a in 2x2 Gram matrices G built once
-per distinct phase (`quadrature.fold_phases`), streamed phase by phase.
+per distinct phase (`quadrature.fold_phases`), streamed phase by phase. The exact
+pair is PT-symmetric, so phases r and T_V - r met by several z share one evaluation.
 Static states are still taken field by field at each z with unchanged sums:
 their comparison metrics' sub-resolution `phase_shift` fields move with any
 new summation order. `moment_series` is the one-observable case.
@@ -26,7 +27,7 @@ from typing import Callable, NamedTuple, Optional, Sequence
 
 import numpy as np
 
-from .quadrature import QuadratureSpec, d1_fourth, d2_fourth, fold_phases, quad_nodes, read_only
+from .quadrature import PHASE_TOL, QuadratureSpec, d1_fourth, d2_fourth, fold_phases, quad_nodes, read_only
 from .systems import WaveguideSystem
 from .tightbinding import TBGuidedModes, TBModel, CoefficientTrajectory, assemble_state
 
@@ -101,7 +102,7 @@ class ExactState:
         return self.system.mode_h2(self.kind, x, z)
 
     def forms(self, x, w, h, z_grid):
-        """(index, moments) per z: one basis per distinct phase; a phase of one z is that z's field."""
+        """(index, moments) per z: one basis per phase r, or per mirrored pair r, T_V - r (`_Mirror`)."""
         system, period = self.system, self.system.periods().fundamental
         if self.kind in ("left", "right"):
             sign, inv_n = system.combination(self.kind)
@@ -109,20 +110,33 @@ class ExactState:
         else:
             kinds, weights = (self.kind,), np.ones(1)
         energies = np.array([system.energies()[k] for k in kinds])
+        # PT symmetry: u_j(x, T_V - r) = kappa_j conj u_j(-x, r), c_j = +1 even-like, -1 odd-like
+        kappa = np.exp(-1j * energies * period) * [1 - 2 * system.facts.stationary.index(k) for k in kinds]
         turns, which, phases = fold_phases(z_grid, period)
+        a = weights * np.exp(-1j * energies * turns[:, None] * period)  # psi = a_j u_j(r) at each z
+        members = [np.flatnonzero(which == p) for p in range(len(phases))]
+        tol, served = PHASE_TOL * period, set()
         for p, r in enumerate(phases.tolist()):
-            members = np.flatnonzero(which == p)
-            if len(members) == 1:
-                z = float(z_grid[members[0]])
-                yield members[0], _Fields(self(x, z), x, w, h, hf=functools.partial(self.h_apply, x, z),
-                                          v=functools.partial(system.potential, x, z))
+            if p in served:
+                continue
+            if len(members[p]) == 1:
+                z = float(z_grid[members[p][0]])
+                yield members[p][0], _Fields(self(x, z), x, w, h, hf=functools.partial(self.h_apply, x, z),
+                                             v=functools.partial(system.potential, x, z))
                 continue
             # H u = i d_z u, and H^2 u by finite differences against V(r)
             rows = _Fields(np.stack([system.mode(k, x, r) for k in kinds]), x, w, h,
                            hf=lambda r=r: 1j * np.stack([system.mode_dz(k, x, r) for k in kinds]),
                            v=functools.partial(system.potential, x, r))
-            for i in members:
-                yield i, _Form(rows, weights * np.exp(-1j * energies * turns[i] * period))
+            for i in members[p]:
+                yield i, _Form(rows, a[i])
+            q = np.searchsorted(phases, period - r - tol)
+            if p < q < len(phases) and phases[q] <= period - r + tol and len(members[q]) > 1:
+                served.add(q)  # every z at r has been taken, so its Gram matrices are all there
+                rows = _Mirror(rows, kappa)  # and the rows themselves, images and all, can go
+                for i in members[q]:
+                    yield i, _Form(rows, a[i])
+            del rows  # before the next phase's rows are built
 
 
 class TBStaticState:
@@ -341,6 +355,20 @@ class _Form:
         if family == "H" and self._gen is not None:
             b, order = np.linalg.matrix_power(self._gen(), order) @ b, 0
         return complex(np.vdot(self.a, self.rows.sandwich(order, family, metric) @ b))
+
+
+class _Mirror:
+    """Gram matrices at T_V - r from those asked of the rows at r: u_j(x, T_V - r) = kappa_j conj u_j(-x, r),
+    and the grid, w and the stencils are reflection-symmetric, so G'_ij = s conj(kappa_i) kappa_j conj(G_ij)
+    for every image and both metrics, s = -1 for x^1 and +1 otherwise."""
+
+    def __init__(self, rows: _Fields, kappa: np.ndarray):
+        kk = np.conj(kappa)[:, None] * kappa
+        self._sandwiches = {key: (-kk if key[:2] == (1, "x") else kk) * np.conj(g)
+                            for key, g in rows._sandwiches.items()}
+
+    def sandwich(self, order: int, family: str, metric: str) -> np.ndarray:
+        return self._sandwiches[(order, family if order else "", metric)]
 
 
 def _resolution_guard(f: np.ndarray, h: float) -> None:

@@ -484,6 +484,32 @@ def test_output_basename_must_be_a_plain_file_name(tmp_path, capsys, basename):
     assert sorted(p.name for p in tmp_path.rglob("*")) == ["c.json"]
 
 
+@pytest.mark.parametrize("basename, expected", [
+    ("x" * 300, "must be at most 241 bytes in UTF-8"),
+    ("x" * 242, "must be at most 241 bytes in UTF-8"),
+    ("é" * 121, "must be at most 241 bytes in UTF-8"),  # 121 characters, 242 bytes
+    ("\ud800", "'utf-8' codec can't encode character '\\ud800' in position 0: surrogates not allowed"),
+], ids=["300-bytes", "242-bytes", "242-bytes-in-121-characters", "lone-surrogate"])
+def test_output_basename_must_fit_a_file_name(tmp_path, capsys, basename, expected):
+    """A name past 255 bytes with its longest suffix (.csv.meta.json) used to run, then exit 2."""
+    cfg = tmp_path / "c.json"
+    cfg.write_text(json.dumps(_cfg(output={"basename": basename})))
+    for command in ("validate", "compare"):
+        assert main([command, str(cfg), "--out", str(tmp_path / "out")]) == 1
+        assert capsys.readouterr().err == f"error: output.basename: {expected}\n"
+    assert sorted(p.name for p in tmp_path.rglob("*")) == ["c.json"]
+
+
+def test_output_basename_of_the_longest_length_is_written(tmp_path):
+    basename = "é" * 120 + "x"  # 241 bytes: every output file name is at most 255
+    cfg = tmp_path / "c.json"
+    cfg.write_text(json.dumps(_cfg(output={"basename": basename})))
+    assert main(["compare", str(cfg), "--out", str(tmp_path / "out")]) == 0
+    written = sorted(p.name for p in (tmp_path / "out").iterdir())
+    assert written == [basename + suffix for suffix in (".csv", ".csv.meta.json", ".report.json")]
+    assert max(len(name.encode()) for name in written) == 255
+
+
 def test_config_digest_is_order_insensitive():
     a = config_digest({"b": 1, "a": [1, 2]})
     b = config_digest({"a": [1, 2], "b": 1})

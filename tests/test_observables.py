@@ -1,3 +1,4 @@
+import itertools
 import json
 import math
 from collections import Counter
@@ -12,6 +13,8 @@ from susytb.observables import (
     OBSERVABLES,
     DerivativeResolutionError,
     ExactState,
+    _Fields,
+    _Mirror,
     ObservableRequest,
     ObservableSeries,
     TBStaticState,
@@ -21,7 +24,7 @@ from susytb.observables import (
     moment_table,
 )
 from susytb.presets import preset_config
-from susytb.quadrature import QuadratureSpec, d1_fourth, d2_fourth, quad_nodes
+from susytb.quadrature import QuadratureSpec, d1_fourth, d2_fourth, fold_phases, quad_nodes
 from susytb.tightbinding import (
     assemble_state,
     floquet_monodromy,
@@ -328,6 +331,73 @@ def test_exact_modulated_table_evaluates_each_phase_once(dyn_system, dyn_quad, m
     assert dict(calls) == {"mode": 2 + 2 * 2, "mode_dz": 2 * 2, "potential": 2}
 
 
+def _preset_dynamic():
+    return validate_config(json.dumps(preset_config("pt-dynamic-fig1-5-6")))
+
+
+@pytest.mark.parametrize("grid, phases, expected", [
+    # 160 phases r = i T_V / 160, each met twice or more: r and T_V - r share one evaluation
+    # (i = 1..79 with 159..81), and 0 and T_V / 2 are their own mirrors, so 81 phases are evaluated
+    (lambda cfg, t: cfg.z_values, 160, {"mode": 2 + 2 * 81, "mode_dz": 2 * 81, "potential": 81}),
+    # T_V / 20 over 1.8 periods: i = 0..16 met twice, 17..19 once; 4..9 share with 16..11, and
+    # 1..3 do not, their mirrors being single z, each taken as its own field: 11 bases and 3 fields
+    (lambda cfg, t: np.arange(37) * t / 20, 20, {"mode": 2 + 2 * 11 + 3, "mode_dz": 2 * 11 + 3,
+                                                 "potential": 11 + 3}),
+    # 0.5 and T_V - 0.3, each met twice, are not each other's mirror
+    (lambda cfg, t: [0.5, t - 0.3, t + 0.5, 2 * t - 0.3], 2, {"mode": 2 + 2 * 2, "mode_dz": 2 * 2,
+                                                              "potential": 2}),
+], ids=["preset", "1.8-periods", "no-mirror"])
+def test_exact_modulated_table_evaluates_each_mirrored_pair_once(monkeypatch, grid, phases, expected):
+    cfg = _preset_dynamic()
+    system = cfg.system
+    z = np.asarray(grid(cfg, system.periods().fundamental))
+    assert len(fold_phases(z, system.periods().fundamental)[2]) == phases
+    calls = Counter()
+    for method in ("mode", "mode_dz", "potential"):
+        def counted(*args, method=method, original=getattr(system, method)):
+            calls[method] += 1
+            return original(*args)
+        monkeypatch.setattr(system, method, counted)
+    moment_table(ExactState(system, "left"), ALL_REQUESTS, z, cfg.quad)
+    # beyond the phases, the resolution guard and the initial power take the left mode once each
+    assert dict(calls) == expected
+
+
+def test_mirrored_gram_matrices_match_the_mirror_phase():
+    """G(T_V - r)_ij = s conj(kappa_i) kappa_j conj(G(r)_ij), kappa_j = c_j e^{-i E_j T_V}, for every
+    image and both metrics at every mirrored pair of the preset grid; s = -1 for x only.
+
+    Within 1e-12 of each Gram matrix's scale, but 1e-11 for p^2 and H^2: the d2 stencil turns the
+    fields' rounding into noise of eps / h^2 per node, so even one phase taken twice, r and r + T_V
+    scaled back by the multipliers, parts by 1.7e-12 there (the mirror: 1.8e-12)."""
+    cfg = _preset_dynamic()
+    system, period = cfg.system, cfg.system.periods().fundamental
+    x, w = quad_nodes(cfg.quad)
+    h = x[1] - x[0]
+    kinds = system.facts.stationary
+    kappa = np.array([1.0, -1.0]) * np.exp(-1j * np.array([system.energies()[k] for k in kinds]) * period)
+    keys = [(0, "")] + [(order, family) for order in (1, 2) for family in ("x", "p", "H")]
+
+    def rows(r):
+        fields = _Fields(np.stack([system.mode(k, x, r) for k in kinds]), x, w, h,
+                         hf=lambda: 1j * np.stack([system.mode_dz(k, x, r) for k in kinds]),
+                         v=lambda: system.potential(x, r))
+        for (order, family), metric in itertools.product(keys, ("dirac", "pt")):
+            fields.sandwich(order, family, metric)
+        return fields
+
+    _, _, phases = fold_phases(np.asarray(cfg.z_values), period)
+    pairs = [(r, phases[np.argmin(np.abs(phases - (period - r)))]) for r in phases[1:80]]
+    assert len(pairs) == 79 and all(abs(m - (period - r)) < 1e-9 * period for r, m in pairs)
+    for r, m in pairs:
+        mirrored, direct = _Mirror(rows(r), kappa), rows(m)
+        for (order, family), metric in itertools.product(keys, ("dirac", "pt")):
+            want = direct.sandwich(order, family, metric)
+            got = mirrored.sandwich(order, family, metric)
+            tol = 1e-11 if order == 2 and family in ("p", "H") else 1e-12
+            assert np.max(np.abs(got - want)) <= tol * np.max(np.abs(want)), (r, order, family, metric)
+
+
 def test_trajectory_state_builds_each_hamiltonian_once(dyn_system, dyn_quad, monkeypatch):
     z = _repeated_phases(dyn_system)
     state = _dyn_trajectory_state(dyn_system, z)
@@ -395,12 +465,13 @@ def _tb_fields(state, x):
     return fields
 
 
-@pytest.fixture(scope="module", params=[(None, None), (3.3, 100), (3.3, 101)],
-                ids=["preset", "3.3-periods", "3.3-periods-distinct"])
+@pytest.fixture(scope="module", params=[(None, None), (3.3, 100), (3.3, 101), (1.8, 37)],
+                ids=["preset", "3.3-periods", "3.3-periods-distinct", "1.8-periods"])
 def dyn_pipeline(request):
     """The pt-dynamic preset's system, grid and TB state (explicit TB parameters), on the preset
-    grid (160 phases), 3.3 periods at T_V/30 (phases met 3 or 4 times), or 3.3 periods with no
-    two z at one phase."""
+    grid (160 phases, 79 pairs r and T_V - r), 3.3 periods at T_V/30 (phases met 3 or 4 times),
+    3.3 periods with no two z at one phase, or 1.8 periods at T_V/20, where phases 1-3 T_V/20 are
+    met twice but their mirrors once, so only phases 4-9 T_V/20 share their Gram matrices."""
     raw = preset_config("pt-dynamic-fig1-5-6")
     raw["tb"] = {"k": 1.045, "x0": 1.77114}
     periods, num = request.param

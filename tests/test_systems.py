@@ -441,6 +441,19 @@ def test_dynamic_potential_memo_and_pt_symmetry_property(p, half_width, nodes, z
     assert np.max(np.abs(v - mirrored)) <= 1e-12 * max(1.0, float(np.max(np.abs(v))))
 
 
+@settings(max_examples=60, deadline=None)
+@given(p=certified_dynamic_params(), z=st.floats(-100.0, 100.0))
+def test_floquet_modes_are_pt_symmetric_property(p, z):
+    """conj u_k(-x, -z) = c_k u_k(x, z), c = +1 for the even-like and -1 for the odd-like mode: the
+    premise of the modulated pair's mirrored Gram matrices in `observables`."""
+    system = WaveguideSystem(p)
+    x = np.linspace(-8.0, 8.0, 161)
+    for c, kind in zip((1, -1), system.facts.stationary):
+        u = system.mode(kind, x, z)
+        err = np.max(np.abs(np.conj(system.mode(kind, -x, -z)) - c * u))
+        assert err <= 1e-12 * np.max(np.abs(u)), (kind, err)
+
+
 # ---------------------------------------------------------------------------
 # per-node-set memo of the static pairs' raw profiles
 # ---------------------------------------------------------------------------
