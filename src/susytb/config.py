@@ -75,9 +75,9 @@ def _need(ok: Callable, message: str) -> Callable:
 
 POSITIVE = _need(lambda v: v > 0, "must be positive")
 SAMPLES = _need(lambda v: v > 0, "need at least 1 sample")
-NAME_BYTES = 255 - len(".csv.meta.json")  # the file system's name limit less the longest output suffix
 PLAIN_NAME = _need(lambda v: v not in ("", ".", "..") and not set(v) & set("/\\\0"),
                    "must be a plain file name, got {!r}")  # outputs land in --out, not beside it or below
+NAME_BYTES = 255 - len(".csv.meta.json")  # the file system's name limit less the longest output suffix
 SHORT_NAME = _need(lambda v: len(v.encode()) <= NAME_BYTES, f"must be at most {NAME_BYTES} bytes in UTF-8")
 OBSERVABLE = {"name": Key(str, check=_need(OBSERVABLES.__contains__, "unknown observable {!r}")),
               "metric": Key(str, "dirac", _need(("dirac", "pt").__contains__, "unknown metric {!r}"))}

@@ -102,7 +102,7 @@ class ExactState:
         return self.system.mode_h2(self.kind, x, z)
 
     def forms(self, x, w, h, z_grid):
-        """(index, moments) per z: one basis per phase r, or per mirrored pair r, T_V - r (`_Mirror`)."""
+        """(index, moments) per z: one basis per phase r, or per pair r and T_V - r met by several z."""
         system, period = self.system, self.system.periods().fundamental
         if self.kind in ("left", "right"):
             sign, inv_n = system.combination(self.kind)
@@ -113,7 +113,6 @@ class ExactState:
         # PT symmetry: u_j(x, T_V - r) = kappa_j conj u_j(-x, r), c_j = +1 even-like, -1 odd-like
         kappa = np.exp(-1j * energies * period) * [1 - 2 * system.facts.stationary.index(k) for k in kinds]
         turns, which, phases = fold_phases(z_grid, period)
-        a = weights * np.exp(-1j * energies * turns[:, None] * period)  # psi = a_j u_j(r) at each z
         members = [np.flatnonzero(which == p) for p in range(len(phases))]
         tol, served = PHASE_TOL * period, set()
         for p, r in enumerate(phases.tolist()):
@@ -128,15 +127,12 @@ class ExactState:
             rows = _Fields(np.stack([system.mode(k, x, r) for k in kinds]), x, w, h,
                            hf=lambda r=r: 1j * np.stack([system.mode_dz(k, x, r) for k in kinds]),
                            v=functools.partial(system.potential, x, r))
-            for i in members[p]:
-                yield i, _Form(rows, a[i])
-            q = np.searchsorted(phases, period - r - tol)
-            if p < q < len(phases) and phases[q] <= period - r + tol and len(members[q]) > 1:
-                served.add(q)  # every z at r has been taken, so its Gram matrices are all there
-                rows = _Mirror(rows, kappa)  # and the rows themselves, images and all, can go
-                for i in members[q]:
-                    yield i, _Form(rows, a[i])
-            del rows  # before the next phase's rows are built
+            q = int(np.searchsorted(phases, period - r - tol))
+            mirrored = p < q < len(phases) and phases[q] <= period - r + tol and len(members[q]) > 1
+            for phase, kk in [(p, None), (q, np.conj(kappa)[:, None] * kappa)][:1 + mirrored]:
+                served.add(phase)
+                for i in members[phase]:
+                    yield i, _Form(rows, weights * np.exp(-1j * energies * turns[i] * period), kk=kk)
 
 
 class TBStaticState:
@@ -261,8 +257,11 @@ def moment_table(
     if any(normalization == "initial_power" for _, _, normalization in plans):
         p_initial = at(0.0).power
 
+    items = forms(x, w, h, z_grid)
+    if two_mode:  # every sandwich at every z first, then each moment at all z at once
+        items = [(slice(None), _Stack(items, len(z_grid), plans))]
     values = np.empty((len(plans), len(z_grid)), dtype=complex)
-    for i, at_z in forms(x, w, h, z_grid):
+    for i, at_z in items:
         for row, (observable, metric, normalization) in zip(values, plans):
             if observable == "power":
                 row[i] = at_z.power
@@ -275,9 +274,8 @@ def moment_table(
                 row[i] = m1
                 continue
             variance = at_z.sandwich(2, family, metric) / norm - m1 * m1
-            if variance.real < 0 and abs(variance.imag) <= SPREAD_TOL * -variance.real:
-                variance = complex(variance.real, 0.0)  # the +i branch, not the noise's sign
-            row[i] = np.sqrt(variance)
+            real = (variance.real < 0) & (np.abs(variance.imag) <= SPREAD_TOL * -variance.real)  # noise's sign:
+            row[i] = np.sqrt(np.where(real, variance.real + 0j, variance))  # take the +i root
     return [ObservableSeries(z=z_grid, values=row, observable=observable, metric=metric,
                              normalization=normalization, engine=engine)
             for row, (observable, metric, normalization) in zip(values, plans)]
@@ -337,10 +335,12 @@ class _Fields:
 
 
 class _Form:
-    """Moments at one z of psi = sum_j a_j f_j as a^H G a; with `gen`, H psi = sum_j (gen() a)_j f_j."""
+    """Moments at one z of psi = sum_j a_j f_j as a^H G a; with `gen`, H psi = sum_j (gen() a)_j f_j.
+    With `kk` = conj(kappa_i) kappa_j the f_j are mirror images kappa_j conj g_j(-x) of the rows g
+    (`ExactState.forms`): each Gram matrix is s kk conj(G_g), s = -1 for x^1 and +1 otherwise."""
 
-    def __init__(self, rows: _Fields, a: np.ndarray, gen: Optional[Callable] = None):
-        self.rows, self.a, self._gen = rows, a, gen
+    def __init__(self, rows: _Fields, a: np.ndarray, gen: Optional[Callable] = None, kk=None):
+        self.rows, self.a, self._gen, self._kk = rows, a, gen, kk
 
     @property
     def f(self) -> np.ndarray:
@@ -354,21 +354,27 @@ class _Form:
         b = self.a
         if family == "H" and self._gen is not None:
             b, order = np.linalg.matrix_power(self._gen(), order) @ b, 0
-        return complex(np.vdot(self.a, self.rows.sandwich(order, family, metric) @ b))
+        return complex(np.vdot(self.a, self.gram(order, family, metric) @ b))
+
+    def gram(self, order: int, family: str, metric: str) -> np.ndarray:
+        g = self.rows.sandwich(order, family, metric)
+        return g if self._kk is None else (-self._kk if (order, family) == (1, "x") else self._kk) * np.conj(g)
 
 
-class _Mirror:
-    """Gram matrices at T_V - r from those asked of the rows at r: u_j(x, T_V - r) = kappa_j conj u_j(-x, r),
-    and the grid, w and the stencils are reflection-symmetric, so G'_ij = s conj(kappa_i) kappa_j conj(G_ij)
-    for every image and both metrics, s = -1 for x^1 and +1 otherwise."""
+class _Stack:
+    """Each sandwich the plans ask, at every z of (index, moments) items, taken once per z."""
 
-    def __init__(self, rows: _Fields, kappa: np.ndarray):
-        kk = np.conj(kappa)[:, None] * kappa
-        self._sandwiches = {key: (-kk if key[:2] == (1, "x") else kk) * np.conj(g)
-                            for key, g in rows._sandwiches.items()}
+    def __init__(self, items, nz: int, plans):
+        keys = [(0, "", "dirac")] + [(order, name.split("_")[0], metric) for name, metric, _ in plans
+                                     if name != "power" for order in (1, 2)[:1 + name.endswith("_std")]]
+        self._q = {key: np.empty(nz, dtype=complex) for key in keys}  # a key asked twice is one entry
+        for i, at_z in items:
+            for key, q in self._q.items():
+                q[i] = at_z.sandwich(*key)
+        self.power = self._q[(0, "", "dirac")].real
 
     def sandwich(self, order: int, family: str, metric: str) -> np.ndarray:
-        return self._sandwiches[(order, family if order else "", metric)]
+        return self._q[(order, family if order else "", metric)]
 
 
 def _resolution_guard(f: np.ndarray, h: float) -> None:

@@ -14,7 +14,7 @@ from susytb.observables import (
     DerivativeResolutionError,
     ExactState,
     _Fields,
-    _Mirror,
+    _Form,
     ObservableRequest,
     ObservableSeries,
     TBStaticState,
@@ -390,10 +390,10 @@ def test_mirrored_gram_matrices_match_the_mirror_phase():
     pairs = [(r, phases[np.argmin(np.abs(phases - (period - r)))]) for r in phases[1:80]]
     assert len(pairs) == 79 and all(abs(m - (period - r)) < 1e-9 * period for r, m in pairs)
     for r, m in pairs:
-        mirrored, direct = _Mirror(rows(r), kappa), rows(m)
+        mirrored, direct = _Form(rows(r), None, kk=np.conj(kappa)[:, None] * kappa), rows(m)
         for (order, family), metric in itertools.product(keys, ("dirac", "pt")):
             want = direct.sandwich(order, family, metric)
-            got = mirrored.sandwich(order, family, metric)
+            got = mirrored.gram(order, family, metric)
             tol = 1e-11 if order == 2 and family in ("p", "H") else 1e-12
             assert np.max(np.abs(got - want)) <= tol * np.max(np.abs(want)), (r, order, family, metric)
 
