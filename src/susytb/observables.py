@@ -11,11 +11,11 @@ resolution moves the first derivative by at most 1e-5 of its scale.
 evaluates each image at most once. The modulated pair's states are two-mode
 superpositions psi = sum_j a_j(z) u_j(x, z mod T_V) (Floquet's theorem), so
 their moments are quadratic forms a^H G a in 2x2 Gram matrices G built once
-per distinct phase (`quadrature.fold_phases`), streamed phase by phase. The exact
-pair is PT-symmetric, so phases r and T_V - r met by several z share one evaluation.
-Static states are still taken field by field at each z with unchanged sums:
-their comparison metrics' sub-resolution `phase_shift` fields move with any
-new summation order. `moment_series` is the one-observable case.
+per distinct phase (`quadrature.fold_phases`) and streamed; each moment is then
+formed at all z at once. The exact pair is PT-symmetric: phases r and T_V - r met
+by several z share one evaluation. Static states are still taken field by field at
+each z with unchanged sums: their comparison metrics' sub-resolution `phase_shift`
+fields move with any new summation order. `moment_series` is the one-observable case.
 """
 
 from __future__ import annotations
@@ -127,9 +127,11 @@ class ExactState:
             rows = _Fields(np.stack([system.mode(k, x, r) for k in kinds]), x, w, h,
                            hf=lambda r=r: 1j * np.stack([system.mode_dz(k, x, r) for k in kinds]),
                            v=functools.partial(system.potential, x, r))
+            pair = [(p, None)]
             q = int(np.searchsorted(phases, period - r - tol))
-            mirrored = p < q < len(phases) and phases[q] <= period - r + tol and len(members[q]) > 1
-            for phase, kk in [(p, None), (q, np.conj(kappa)[:, None] * kappa)][:1 + mirrored]:
+            if p < q < len(phases) and phases[q] <= period - r + tol and len(members[q]) > 1:
+                pair.append((q, np.conj(kappa)[:, None] * kappa))  # T_V - r, read off the rows at r
+            for phase, kk in pair:
                 served.add(phase)
                 for i in members[phase]:
                     yield i, _Form(rows, weights * np.exp(-1j * energies * turns[i] * period), kk=kk)
@@ -274,8 +276,8 @@ def moment_table(
                 row[i] = m1
                 continue
             variance = at_z.sandwich(2, family, metric) / norm - m1 * m1
-            real = (variance.real < 0) & (np.abs(variance.imag) <= SPREAD_TOL * -variance.real)  # noise's sign:
-            row[i] = np.sqrt(np.where(real, variance.real + 0j, variance))  # take the +i root
+            real = (variance.real < 0) & (np.abs(variance.imag) <= SPREAD_TOL * -variance.real)
+            row[i] = np.sqrt(np.where(real, variance.real + 0j, variance))  # +i root, not the noise's sign
     return [ObservableSeries(z=z_grid, values=row, observable=observable, metric=metric,
                              normalization=normalization, engine=engine)
             for row, (observable, metric, normalization) in zip(values, plans)]
@@ -336,10 +338,11 @@ class _Fields:
 
 class _Form:
     """Moments at one z of psi = sum_j a_j f_j as a^H G a; with `gen`, H psi = sum_j (gen() a)_j f_j.
-    With `kk` = conj(kappa_i) kappa_j the f_j are mirror images kappa_j conj g_j(-x) of the rows g
-    (`ExactState.forms`): each Gram matrix is s kk conj(G_g), s = -1 for x^1 and +1 otherwise."""
+    With `kk` = conj(kappa_i) kappa_j, f_j = kappa_j conj g_j(-x) mirrors the rows g (`ExactState.forms`); the
+    grid, w and stencils being reflection-symmetric, G = s kk conj(G_g), s = -1 for x^1 and +1 otherwise."""
 
-    def __init__(self, rows: _Fields, a: np.ndarray, gen: Optional[Callable] = None, kk=None):
+    def __init__(self, rows: _Fields, a: np.ndarray, gen: Optional[Callable] = None,
+                 kk: Optional[np.ndarray] = None):
         self.rows, self.a, self._gen, self._kk = rows, a, gen, kk
 
     @property
@@ -362,19 +365,19 @@ class _Form:
 
 
 class _Stack:
-    """Each sandwich the plans ask, at every z of (index, moments) items, taken once per z."""
+    """The power and each sandwich the plans ask, at every z of (index, moments) items, taken once per z."""
 
     def __init__(self, items, nz: int, plans):
-        keys = [(0, "", "dirac")] + [(order, name.split("_")[0], metric) for name, metric, _ in plans
-                                     if name != "power" for order in (1, 2)[:1 + name.endswith("_std")]]
-        self._q = {key: np.empty(nz, dtype=complex) for key in keys}  # a key asked twice is one entry
+        keys = [(order, name.split("_")[0], metric) for name, metric, _ in plans
+                if name != "power" for order in ((1, 2) if name.endswith("_std") else (1,))]
+        self.power, self._q = np.empty(nz), {key: np.empty(nz, dtype=complex) for key in keys}
         for i, at_z in items:
-            for key, q in self._q.items():
+            self.power[i] = at_z.power
+            for key, q in self._q.items():  # a key asked twice is one entry
                 q[i] = at_z.sandwich(*key)
-        self.power = self._q[(0, "", "dirac")].real
 
     def sandwich(self, order: int, family: str, metric: str) -> np.ndarray:
-        return self._q[(order, family if order else "", metric)]
+        return self._q[order, family, metric]
 
 
 def _resolution_guard(f: np.ndarray, h: float) -> None:
