@@ -11,9 +11,10 @@ After the walk come the rules across keys: the `tb` route (any of k, x0,
 alpha_tilde is the explicit model, else the kind picks the calibration and
 `SystemKind.fit` its multistart grid) and the physics (orderings, the
 regularity bound and `certified`, the kind's mode kinds and wells, the closed
-forms' overflow window), so a validated config is a runnable plan. The z grid
-is `z_grid.num` samples over `z_grid.periods` fundamental periods. Findings
-are aggregated and field-addressed.
+forms' overflow window, and for p moments the grid's resolution of the mode at
+z = 0, the run's own `_resolution_guard`), so a validated config is a runnable
+plan. The z grid is `z_grid.num` samples over `z_grid.periods` fundamental
+periods. Findings are aggregated and field-addressed.
 """
 
 from __future__ import annotations
@@ -24,8 +25,8 @@ from dataclasses import dataclass, fields
 from typing import Any, Callable, NamedTuple, Optional
 
 from .bpm import PropagationGrid
-from .observables import OBSERVABLES, ObservableRequest
-from .quadrature import QuadratureSpec, default_half_width
+from .observables import OBSERVABLES, DerivativeResolutionError, ObservableRequest, _resolution_guard
+from .quadrature import QuadratureSpec, default_half_width, quad_nodes
 from .systems import KINDS, ParameterError, WaveguideSystem, make_system
 
 __all__ = ["ScenarioConfig", "ConfigError", "validate_config", "config_digest", "SCHEMA", "system_keys"]
@@ -234,6 +235,12 @@ def validate_config(text: str) -> ScenarioConfig:
     zd = top["z_grid"]
     stop = zd["periods"] * system.periods().fundamental
     z_values = [stop * i / (zd["num"] - 1) for i in range(zd["num"])]
+    if any(request.name in ("p_mean", "p_std") for request in observables):  # the run's guard, up front
+        x, _ = quad_nodes(quad)
+        try:
+            _resolution_guard(system.mode(mode_kind, x, z_values[0]), x[1] - x[0])
+        except DerivativeResolutionError as exc:
+            raise ConfigError([f"quadrature.nodes: {quad.nodes} do not resolve the {mode_kind} mode: {exc}"])
     return ScenarioConfig(
         raw=raw, system=system, certified=certified, tb_explicit=tb_explicit,
         z_values=z_values, mode_kind=mode_kind, observables=observables, quad=quad,

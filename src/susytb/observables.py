@@ -10,12 +10,13 @@ resolution moves the first derivative by at most 1e-5 of its scale.
 `moment_table` makes one pass for all requested observables of a state and
 evaluates each image at most once. The modulated pair's states are two-mode
 superpositions psi = sum_j a_j(z) u_j(x, z mod T_V) (Floquet's theorem), so
-their moments are quadratic forms a^H G a in 2x2 Gram matrices G built once
-per distinct phase (`quadrature.fold_phases`) and streamed; each moment is then
-formed at all z at once. The exact pair is PT-symmetric: phases r and T_V - r met
-by several z share one evaluation. Static states are still taken field by field at
-each z with unchanged sums: their comparison metrics' sub-resolution `phase_shift`
-fields move with any new summation order. `moment_series` is the one-observable case.
+their moments are quadratic forms a^H G b in 2x2 Gram matrices G, all that is
+kept of each distinct phase's rows (`quadrature.fold_phases`; TB has one basis
+for every z); each moment is then one array pass over all z. The exact pair is
+PT-symmetric: phases r and T_V - r met by several z share one evaluation. Static
+states are still taken field by field at each z with unchanged sums: their
+comparison metrics' sub-resolution `phase_shift` fields move with any new
+summation order. `moment_series` is the one-observable case.
 """
 
 from __future__ import annotations
@@ -102,7 +103,8 @@ class ExactState:
         return self.system.mode_h2(self.kind, x, z)
 
     def forms(self, x, w, h, z_grid):
-        """(index, moments) per z: one basis per phase r, or per pair r and T_V - r met by several z."""
+        """A `_Group` per phase r: a single z's field, or the z at r on the Floquet rows there, with the z
+        at T_V - r as PT images when several z meet that phase too."""
         system, period = self.system, self.system.periods().fundamental
         if self.kind in ("left", "right"):
             sign, inv_n = system.combination(self.kind)
@@ -120,21 +122,22 @@ class ExactState:
                 continue
             if len(members[p]) == 1:
                 z = float(z_grid[members[p][0]])
-                yield members[p][0], _Fields(self(x, z), x, w, h, hf=functools.partial(self.h_apply, x, z),
-                                             v=functools.partial(system.potential, x, z))
+                yield _Group(*members[p], _Fields(self(x, z), x, w, h, hf=functools.partial(self.h_apply, x, z),
+                                                  v=functools.partial(system.potential, x, z)))
                 continue
             # H u = i d_z u, and H^2 u by finite differences against V(r)
             rows = _Fields(np.stack([system.mode(k, x, r) for k in kinds]), x, w, h,
                            hf=lambda r=r: 1j * np.stack([system.mode_dz(k, x, r) for k in kinds]),
                            v=functools.partial(system.potential, x, r))
-            pair = [(p, None)]
-            q = int(np.searchsorted(phases, period - r - tol))
-            if p < q < len(phases) and phases[q] <= period - r + tol and len(members[q]) > 1:
-                pair.append((q, np.conj(kappa)[:, None] * kappa))  # T_V - r, read off the rows at r
-            for phase, kk in pair:
-                served.add(phase)
-                for i in members[phase]:
-                    yield i, _Form(rows, weights * np.exp(-1j * energies * turns[i] * period), kk=kk)
+            q = int(np.searchsorted(phases, period - r - tol))  # T_V - r, read off the rows at r
+            mirrored = p < q < len(phases) and phases[q] <= period - r + tol and len(members[q]) > 1
+            pair = [p, q] if mirrored else [p]
+            served.update(pair)
+            i = np.concatenate([members[k] for k in pair])
+            a = weights * np.exp(-1j * energies * turns[i][:, None] * period)
+            mirror = np.arange(len(i)) >= len(members[p])  # there psi = sum_j a_j kappa_j conj u_j(-x, r),
+            a[mirror] = np.conj(kappa * a[mirror])  # the PT image of conj(kappa a) @ rows
+            yield _Group(i, rows, a, mirror=mirror)
 
 
 class TBStaticState:
@@ -177,17 +180,17 @@ class TBTrajectoryState:
         self.system = system
 
     def forms(self, x, w, h, z_grid):
-        """(index, moments) per z: one basis for every z, and H(r) built once per distinct phase r."""
+        """One `_Group` of every z: the basis is the same at each, and S^-1 H(r) is built once per phase r."""
         model, zs, tol = self.model, self.trajectory.z, 1e-9 * np.maximum(1.0, np.abs(z_grid))
         at = np.minimum(np.searchsorted(zs, z_grid - tol), len(zs) - 1)
         if np.any(np.abs(zs[at] - z_grid) > tol):
             raise ValueError("z grid is not on the integrated trajectory grid")
         _, which, phases = fold_phases(z_grid, self.system.periods().fundamental)
-        basis = _Fields(np.stack(model.basis_values(x)), x, w, h)
-        for p, r in enumerate(phases.tolist()):
-            gen = functools.cache(lambda r=r: model.overlap_inverse() @ model.hamiltonian_matrix(r))
-            for i in np.flatnonzero(which == p):
-                yield i, _Form(basis, self.trajectory.c[at[i]], gen)
+        gens = functools.cache(lambda: np.stack([model.overlap_inverse() @ model.hamiltonian_matrix(r)
+                                                 for r in phases.tolist()]))
+        c = self.trajectory.c[at]  # H^k psi has the coefficients gen^k c: one matrix power per phase and order
+        hk = functools.cache(lambda k: np.einsum("zij,zj->zi", np.linalg.matrix_power(gens(), k)[which], c))
+        yield _Group(np.arange(len(z_grid)), _Fields(np.stack(model.basis_values(x)), x, w, h), c, hk)
 
 
 # ---------------------------------------------------------------------------
@@ -249,19 +252,16 @@ def moment_table(
         isinstance(state, ExactState) and state.system.is_dynamic)
     forms = state.forms if two_mode else functools.partial(_per_z_forms, state)
 
-    def at(z: float):
-        return next(forms(x, w, h, np.array([z])))[1]
-
     if any(observable in ("p_mean", "p_std") for observable, _, _ in plans):
-        _resolution_guard(at(float(z_grid[0])).f, h)
+        g = next(forms(x, w, h, z_grid[:1]))
+        _resolution_guard(g.rows.f if g.a is None else g.a[0] @ g.rows.f, h)
 
     p_initial = None
     if any(normalization == "initial_power" for _, _, normalization in plans):
-        p_initial = at(0.0).power
+        p_initial = float(_Stack(forms(x, w, h, np.zeros(1)), 1, []).power[0])
 
-    items = forms(x, w, h, z_grid)
-    if two_mode:  # every sandwich at every z first, then each moment at all z at once
-        items = [(slice(None), _Stack(items, len(z_grid), plans))]
+    items = ([(slice(None), _Stack(forms(x, w, h, z_grid), len(z_grid), plans))] if two_mode  # sandwiches first
+             else ((g.index, g.rows) for g in forms(x, w, h, z_grid)))  # then each moment at all z at once
     values = np.empty((len(plans), len(z_grid)), dtype=complex)
     for i, at_z in items:
         for row, (observable, metric, normalization) in zip(values, plans):
@@ -284,10 +284,10 @@ def moment_table(
 
 
 def _per_z_forms(state, x, w, h, z_grid):
-    """(index, moments) per z of a state taken field by field; H by its h_apply/h2_apply, if asked."""
+    """A `_Group` per z of a state taken field by field; H by its h_apply/h2_apply, if asked."""
     for i, z in enumerate(z_grid.tolist()):
-        yield i, _Fields(np.asarray(state(x, z)), x, w, h, hf=lambda z=z: state.h_apply(x, z),
-                         h2f=lambda z=z: state.h2_apply(x, z))
+        yield _Group(i, _Fields(np.asarray(state(x, z)), x, w, h, hf=lambda z=z: state.h_apply(x, z),
+                                h2f=lambda z=z: state.h2_apply(x, z)))
 
 
 class _Fields:
@@ -306,10 +306,10 @@ class _Fields:
 
     _RULES = {  # per class, not per instance: closures over self would keep every z's arrays in a cycle
         "x1": lambda s: s.x * s.f, "x2": lambda s: s.x * s.x * s.f,
-        "p1": lambda s: -1j * d1_fourth(s.f, s.h), "p2": lambda s: -s.image("d2"),
+        "p1": lambda s: -1j * d1_fourth(s.f, s.h), "p2": lambda s: -d2_fourth(s.f, s.h),
         "H1": lambda s: s._hf(),
         "H2": lambda s: s._h2f() if s._h2f else -d2_fourth(s.image("H1"), s.h) + s.image("v") * s.image("H1"),
-        "d2": lambda s: d2_fourth(s.f, s.h), "v": lambda s: s._v(), "wcf": lambda s: s.w * np.conj(s.f),
+        "v": lambda s: s._v(), "wcf": lambda s: s.w * np.conj(s.f),
         "wcf_pt": lambda s: np.ascontiguousarray(s.image("wcf")[..., ::-1]),
     }
 
@@ -336,45 +336,51 @@ class _Fields:
         return self._sandwiches[key]
 
 
-class _Form:
-    """Moments at one z of psi = sum_j a_j f_j as a^H G a; with `gen`, H psi = sum_j (gen() a)_j f_j.
-    With `kk` = conj(kappa_i) kappa_j, f_j = kappa_j conj g_j(-x) mirrors the rows g (`ExactState.forms`); the
-    grid, w and stencils being reflection-symmetric, G = s kk conj(G_g), s = -1 for x^1 and +1 otherwise."""
+class _Group(NamedTuple):
+    """z `index` sharing `rows`: psi = a[n] @ rows.f at z index[n], H^k psi = hk(k)[n] @ rows.f if given (TB).
+    Where `mirror` (per z, or one for all), the PT image conj psi(-x) instead: its sandwiches are s conj(psi's),
+    s = -1 for x^1, +1 else, the grid, w and stencils being even. Without `a`, rows is the field at one z."""
 
-    def __init__(self, rows: _Fields, a: np.ndarray, gen: Optional[Callable] = None,
-                 kk: Optional[np.ndarray] = None):
-        self.rows, self.a, self._gen, self._kk = rows, a, gen, kk
-
-    @property
-    def f(self) -> np.ndarray:
-        return self.a @ self.rows.f
-
-    @functools.cached_property
-    def power(self) -> float:
-        return self.sandwich(0, "", "dirac").real
-
-    def sandwich(self, order: int, family: str, metric: str) -> complex:
-        b = self.a
-        if family == "H" and self._gen is not None:
-            b, order = np.linalg.matrix_power(self._gen(), order) @ b, 0
-        return complex(np.vdot(self.a, self.gram(order, family, metric) @ b))
-
-    def gram(self, order: int, family: str, metric: str) -> np.ndarray:
-        g = self.rows.sandwich(order, family, metric)
-        return g if self._kk is None else (-self._kk if (order, family) == (1, "x") else self._kk) * np.conj(g)
+    index: object
+    rows: _Fields
+    a: Optional[np.ndarray] = None
+    hk: Optional[Callable] = None
+    mirror: object = False
 
 
 class _Stack:
-    """The power and each sandwich the plans ask, at every z of (index, moments) items, taken once per z."""
+    """The power and each sandwich the plans ask, at every z of the groups: a group of one z by its field's
+    own sums, the others by one pass conj(a) G b over all their z, G the 2x2 Gram matrix of each group's
+    rows, which is all that is kept of them."""
 
-    def __init__(self, items, nz: int, plans):
+    POWER = (0, "", "dirac")
+
+    def __init__(self, groups, nz: int, plans):
         keys = [(order, name.split("_")[0], metric) for name, metric, _ in plans
                 if name != "power" for order in ((1, 2) if name.endswith("_std") else (1,))]
-        self.power, self._q = np.empty(nz), {key: np.empty(nz, dtype=complex) for key in keys}
-        for i, at_z in items:
-            self.power[i] = at_z.power
-            for key, q in self._q.items():  # a key asked twice is one entry
-                q[i] = at_z.sandwich(*key)
+        self._q = {key: np.empty(nz, dtype=complex) for key in (self.POWER, *keys)}  # a key asked twice is one
+        index, coef, flip, grams, right = [], [], [], [], []
+        for g in groups:
+            if g.a is None:
+                for key, q in self._q.items():
+                    q[g.index] = g.rows.power if key == self.POWER else g.rows.sandwich(*key)
+                continue
+            index.append(g.index)
+            coef.append(g.a)
+            flip.append(g.mirror)
+            tb = [family == "H" and g.hk is not None for _, family, _ in self._q]  # H^k psi: gen^k a on G_1
+            grams.append(np.stack([g.rows.sandwich(*((0, "", k[2]) if t else k)) for t, k in zip(tb, self._q)]))
+            right.append(g.hk and [g.hk(k[0]) if t else g.a for t, k in zip(tb, self._q)])
+        if index:
+            owner = np.repeat(np.arange(len(coef)), [len(a) for a in coef])
+            flip = np.concatenate([np.broadcast_to(f, len(a)) for f, a in zip(flip, coef)])
+            index, a, grams = np.concatenate(index), np.concatenate(coef), np.stack(grams)
+            for n, (key, q) in enumerate(self._q.items()):
+                b = np.concatenate([c if r is None else r[n] for c, r in zip(coef, right)])
+                values = np.einsum("zi,zij,zj->z", np.conj(a), grams[owner, n], b)
+                values[flip] = np.conj(values[flip]) * (-1 if key[:2] == (1, "x") else 1)
+                q[index] = values
+        self.power = self._q[self.POWER].real
 
     def sandwich(self, order: int, family: str, metric: str) -> np.ndarray:
         return self._q[order, family, metric]

@@ -228,6 +228,33 @@ def test_pde_residual_streams_the_full_grid_residual(dyn_system):
     assert v_zs == [float(z) for z in zs[2:-2]]  # V only where the z stencil reaches
 
 
+@pytest.mark.parametrize("kinds", [("floquet1", "floquet2"), ("left", "right")])
+def test_pde_residual_of_stacked_rows_is_each_row_alone(dyn_system, kinds):
+    """Rows stacked on a leading axis share one V sample per z and give each row's own residual, bit
+    for bit, which is also the full-grid residual with d1_fourth taken along z."""
+    grid = PropagationGrid(half_width=10.0, nx=257, dz=0.01, z_end=2.0)
+    v_zs = []
+
+    def potential(x, z):
+        v_zs.append(z)
+        return dyn_system.potential(x, z)
+
+    stacked = pde_residual(lambda x, z: np.stack([dyn_system.mode(k, x, z) for k in kinds]), potential,
+                           grid, nz=21)
+    assert len(v_zs) == 21 - 4
+    alone = [pde_residual(lambda x, z, k=k: dyn_system.mode(k, x, z), dyn_system.potential, grid, nz=21)
+             for k in kinds]
+    assert all(type(r) is float for r in alone)
+    assert isinstance(stacked, np.ndarray) and stacked.shape == (2,)
+    assert stacked.tolist() == alone
+    x, zs = grid.x, np.linspace(0.0, grid.z_end, 21)
+    psi = np.stack([np.stack([dyn_system.mode(k, x, float(z)) for k in kinds], axis=-1) for z in zs])
+    v = np.stack([dyn_system.potential(x, float(z)) for z in zs])[..., None]
+    res = 1j * d1_fourth(psi.T, zs[1] - zs[0]).T + d2_fourth(psi.transpose(0, 2, 1), grid.dx).transpose(0, 2, 1)
+    res -= v * psi
+    assert stacked.tolist() == np.max(np.abs(res[2:-2, 2:-2]), axis=(0, 1)).tolist()
+
+
 @pytest.mark.parametrize("nz", [0, 1, 4])
 def test_pde_residual_refuses_fewer_than_five_z(dyn_system, nz):
     grid = PropagationGrid(half_width=10.0, nx=257, dz=0.01, z_end=2.0)

@@ -211,7 +211,8 @@ def test_what_calibration_or_the_closed_forms_cannot_run_exits_1(tmp_path, capsy
 
 def test_the_widest_window_inside_the_overflow_limit_runs():
     raw = preset_config("pt-static-fig3-4")
-    raw["quadrature"]["half_width"] = 154.3
+    # at the default 4,097 nodes, dx = 0.075 leaves the p moments unresolved, which validate refuses
+    raw["quadrature"].update(half_width=154.3, nodes=32769)
     cfg = validate_config(json.dumps(raw))
     assert cfg.quad.half_width == 154.3 < cfg.system.x_limit
     psi = cfg.system.mode(cfg.mode_kind, np.array([-154.3, 0.0, 154.3]), 1.0)
@@ -697,6 +698,61 @@ def test_run_pipeline_dynamic(tmp_path):
     lines = (tmp_path / "dynsmoke.potential.csv").read_text().splitlines()
     assert lines[0] == "x,z,V_re,V_im"
     assert len(lines) == 1 + 41 * 17
+
+
+def test_oracle_residuals_march_both_floquet_modes_at_once(monkeypatch):
+    """One march for both modes: V is sampled at the 161 - 4 interior z once, not once per mode,
+    and each mode's residual is the one its own march gives, bit for bit."""
+    cfg = validate_config(json.dumps(preset_config("pt-dynamic-fig1-5-6")))
+    system = cfg.system
+    grid = cli.PropagationGrid(half_width=cfg.quad.half_width, nx=1025, dz=0.01, z_end=4.0)
+    alone = {k: cli.pde_residual(lambda x, z, k=k: system.mode(k, x, z), system.potential, grid, nz=161)
+             for k in system.facts.stationary}
+    v_zs = []
+    potential = system.potential
+    monkeypatch.setattr(system, "potential", lambda x, z: v_zs.append(z) or potential(x, z))
+    assert cli._oracle_residuals(cfg) == {"pde_residual": alone}
+    assert len(v_zs) == 161 - 4
+
+
+UNRESOLVED = {  # (preset, change to its config): validate sees the p moments' grid is too coarse
+    "hermitian-64-nodes": ("hermitian-fig2", {"quadrature": {"nodes": 64}}),
+    "pt-dynamic-64-nodes": ("pt-dynamic-fig1-5-6", {"quadrature": {"nodes": 64}}),
+    # a certified modulated point whose default window, 12 / k3 = 81.5, leaves 4,097 nodes too coarse
+    "pt-dynamic-small-k3": ("pt-dynamic-fig1-5-6", {
+        "system": {"k1": 0.39797996093800203, "k2": 1.0097425064154797, "k3": 0.14721351663029963,
+                   "alpha": 0.02882854205572604},
+        "z_grid": {"periods": 2.0, "num": 81}}),
+}
+
+
+@pytest.mark.parametrize("case", sorted(UNRESOLVED))
+def test_an_unresolved_grid_is_refused_by_validate(tmp_path, capsys, monkeypatch, case):
+    """These used to validate, calibrate and march, then exit 2 at the first p moment."""
+    preset, changes = UNRESOLVED[case]
+    raw = preset_config(preset)
+    for block, values in changes.items():
+        raw[block].update(values)
+    with pytest.raises(ConfigError) as exc:
+        validate_config(json.dumps(raw))
+    assert len(exc.value.errors) == 1
+    assert exc.value.errors[0].startswith(f"quadrature.nodes: {raw['quadrature']['nodes']} do not resolve "
+                                          "the left mode: finite-difference derivatives change by ")
+    monkeypatch.setattr(cli, "_calibrate", lambda cfg: pytest.fail("calibration ran"))
+    path = tmp_path / "c.json"
+    path.write_text(json.dumps(raw))
+    for command in ("validate", "compare"):
+        assert main([command, str(path), "--out", str(tmp_path / "out")]) == 1
+        assert capsys.readouterr().err == f"error: {exc.value.errors[0]}\n"
+    assert not (tmp_path / "out").exists()
+
+
+def test_an_unresolved_grid_without_p_moments_validates():
+    """The resolution test is the p moments': a grid they would not use is not judged."""
+    raw = preset_config("hermitian-fig2")
+    raw["quadrature"]["nodes"] = 64
+    raw["observables"] = ["x_mean", "power"]
+    assert validate_config(json.dumps(raw)).quad.nodes == 64
 
 
 def test_run_pipeline_with_bpm_check(tmp_path):

@@ -14,7 +14,8 @@ from susytb.observables import (
     DerivativeResolutionError,
     ExactState,
     _Fields,
-    _Form,
+    _Group,
+    _Stack,
     ObservableRequest,
     ObservableSeries,
     TBStaticState,
@@ -365,7 +366,9 @@ def test_exact_modulated_table_evaluates_each_mirrored_pair_once(monkeypatch, gr
 
 def test_mirrored_gram_matrices_match_the_mirror_phase():
     """G(T_V - r)_ij = s conj(kappa_i) kappa_j conj(G(r)_ij), kappa_j = c_j e^{-i E_j T_V}, for every
-    image and both metrics at every mirrored pair of the preset grid; s = -1 for x only.
+    image and both metrics at every mirrored pair of the preset grid; s = -1 for x only. `_Stack` reads
+    it as psi = a @ rows at T_V - r being the PT image of conj(kappa a) @ rows at r: the sandwiches of
+    both agree for a = e1, e2, e1 + e2 and e1 + i e2, which fix every entry of the Gram matrix.
 
     Within 1e-12 of each Gram matrix's scale, but 1e-11 for p^2 and H^2: the d2 stencil turns the
     fields' rounding into noise of eps / h^2 per node, so even one phase taken twice, r and r + T_V
@@ -376,26 +379,28 @@ def test_mirrored_gram_matrices_match_the_mirror_phase():
     h = x[1] - x[0]
     kinds = system.facts.stationary
     kappa = np.array([1.0, -1.0]) * np.exp(-1j * np.array([system.energies()[k] for k in kinds]) * period)
-    keys = [(0, "")] + [(order, family) for order in (1, 2) for family in ("x", "p", "H")]
+    keys = [(0, "", "dirac")] + list(itertools.product((1, 2), ("x", "p", "H"), ("dirac", "pt")))
+    plans = [(name, metric, None) for name in OBSERVABLES for metric in ("dirac", "pt")]
+    coefficients = np.array([[1, 0], [0, 1], [1, 1], [1, 1j]])
 
     def rows(r):
-        fields = _Fields(np.stack([system.mode(k, x, r) for k in kinds]), x, w, h,
-                         hf=lambda: 1j * np.stack([system.mode_dz(k, x, r) for k in kinds]),
-                         v=lambda: system.potential(x, r))
-        for (order, family), metric in itertools.product(keys, ("dirac", "pt")):
-            fields.sandwich(order, family, metric)
-        return fields
+        return _Fields(np.stack([system.mode(k, x, r) for k in kinds]), x, w, h,
+                       hf=lambda: 1j * np.stack([system.mode_dz(k, x, r) for k in kinds]),
+                       v=lambda: system.potential(x, r))
 
     _, _, phases = fold_phases(np.asarray(cfg.z_values), period)
     pairs = [(r, phases[np.argmin(np.abs(phases - (period - r)))]) for r in phases[1:80]]
     assert len(pairs) == 79 and all(abs(m - (period - r)) < 1e-9 * period for r, m in pairs)
+    index = np.arange(len(coefficients))
     for r, m in pairs:
-        mirrored, direct = _Form(rows(r), None, kk=np.conj(kappa)[:, None] * kappa), rows(m)
-        for (order, family), metric in itertools.product(keys, ("dirac", "pt")):
-            want = direct.sandwich(order, family, metric)
-            got = mirrored.gram(order, family, metric)
+        direct = rows(m)
+        mirrored = _Stack([_Group(index, rows(r), np.conj(kappa * coefficients), mirror=True)], len(index), plans)
+        own = _Stack([_Group(index, direct, coefficients)], len(index), plans)
+        for order, family, metric in keys:
+            want, got = own.sandwich(order, family, metric), mirrored.sandwich(order, family, metric)
+            scale = 2 * np.max(np.abs(direct.sandwich(order, family, metric)))  # |a|^2 <= 2
             tol = 1e-11 if order == 2 and family in ("p", "H") else 1e-12
-            assert np.max(np.abs(got - want)) <= tol * np.max(np.abs(want)), (r, order, family, metric)
+            assert np.max(np.abs(got - want)) <= tol * scale, (r, order, family, metric)
 
 
 def test_trajectory_state_builds_each_hamiltonian_once(dyn_system, dyn_quad, monkeypatch):
@@ -420,6 +425,24 @@ def test_trajectory_state_builds_each_hamiltonian_once(dyn_system, dyn_quad, mon
     assert built == [0.0, pytest.approx(0.5, abs=1e-12)]
     # one basis per pass: the resolution guard, the initial power and the table
     assert len(bases) == 3
+
+
+def test_trajectory_table_raises_each_generator_to_each_power_once(monkeypatch):
+    """(S^-1 H(r))^k once per phase r and order k: 160 phases x H and H^2 on the preset grid,
+    not once per z and order (642)."""
+    cfg = _preset_dynamic()
+    z = np.asarray(cfg.z_values)
+    state = _dyn_trajectory_state(cfg.system, z)
+    powered = Counter()
+    matrix_power = np.linalg.matrix_power
+
+    def counted(a, k):
+        powered[k] += int(np.prod(np.shape(a)[:-2]))  # one per matrix of a stack
+        return matrix_power(a, k)
+
+    monkeypatch.setattr(np.linalg, "matrix_power", counted)
+    moment_table(state, ALL_REQUESTS, z, cfg.quad)
+    assert dict(powered) == {1: 160, 2: 160}
 
 
 def _per_z_table(fields, requests, z_grid, quad):
