@@ -5,9 +5,9 @@ discretizes i d_z psi = (-d_x^2 + V) psi on a uniform grid and checks the
 closed-form solutions from the outside. Each Crank-Nicolson step is one
 call of LAPACK's tridiagonal solver `gtsv`, and the power guard measures
 dx * sum |psi|^2 on the Dirichlet interior. Nothing here touches seed
-derivatives or mode decompositions; the residual oracles take their
-4th-order stencils from `quadrature` and discard the two edge nodes per
-side that the stencils cannot reach.
+derivatives or mode decompositions; the residual oracles use the 4th-order
+stencils of `quadrature` (`pde_residual` writes `d1_fourth` out along z)
+and discard the two edge nodes per side that the stencils cannot reach.
 """
 
 from __future__ import annotations

@@ -9,12 +9,11 @@ run something other than what the file asks. Each default lives only there.
 
 After the walk come the rules across keys: the `tb` route (any of k, x0,
 alpha_tilde is the explicit model, else the kind picks the calibration and
-`SystemKind.fit` its multistart grid) and the physics (orderings, the
-regularity bound and `certified`, the kind's mode kinds and wells, the closed
-forms' overflow window, and for p moments the grid's resolution of the mode at
-z = 0, the run's own `_resolution_guard`), so a validated config is a runnable
-plan. The z grid is `z_grid.num` samples over `z_grid.periods` fundamental
-periods. Findings are aggregated and field-addressed.
+`SystemKind.fit` its multistart grid) and the physics (orderings, the regularity
+bound and `certified`, the kind's mode kinds and wells, the closed forms' overflow
+window, and for p moments the run's `_resolution_guard` at z = 0), so a validated
+config is a runnable plan. The z grid is `z_grid.num` samples over
+`z_grid.periods` fundamental periods. Findings are aggregated and field-addressed.
 """
 
 from __future__ import annotations

@@ -7,16 +7,15 @@ from the state itself; p uses the 4th-order stencils of `quadrature` on the
 uniform grid, once `_resolution_guard` has checked that halving the grid
 resolution moves the first derivative by at most 1e-5 of its scale.
 
-`moment_table` makes one pass for all requested observables of a state and
-evaluates each image at most once. The modulated pair's states are two-mode
-superpositions psi = sum_j a_j(z) u_j(x, z mod T_V) (Floquet's theorem), so
-their moments are quadratic forms a^H G b in 2x2 Gram matrices G, all that is
-kept of each distinct phase's rows (`quadrature.fold_phases`; TB has one basis
-for every z); each moment is then one array pass over all z. The exact pair is
-PT-symmetric: phases r and T_V - r met by several z share one evaluation. Static
-states are still taken field by field at each z with unchanged sums: their
-comparison metrics' sub-resolution `phase_shift` fields move with any new
-summation order. `moment_series` is the one-observable case.
+`moment_table` makes one pass for all requested observables of a state and evaluates
+each image at most once. The modulated pair's states are two-mode superpositions psi
+= sum_j a_j(z) u_j(x, z mod T_V) (Floquet's theorem), so their moments are quadratic
+forms a^H G b in 2x2 Gram matrices G, all that is kept of each distinct phase's rows
+(`quadrature.fold_phases`; TB has one basis for every z); each moment is then one
+array pass over all z. The exact pair is PT-symmetric: phases r and T_V - r met by
+several z share one evaluation. Static states are still taken field by field at each
+z with unchanged sums: their comparison metrics' sub-resolution `phase_shift` fields
+move with any new summation order. `moment_series` is the one-observable case.
 """
 
 from __future__ import annotations
@@ -115,27 +114,26 @@ class ExactState:
         # PT symmetry: u_j(x, T_V - r) = kappa_j conj u_j(-x, r), c_j = +1 even-like, -1 odd-like
         kappa = np.exp(-1j * energies * period) * [1 - 2 * system.facts.stationary.index(k) for k in kinds]
         turns, which, phases = fold_phases(z_grid, period)
-        members = [np.flatnonzero(which == p) for p in range(len(phases))]
+        met = [np.flatnonzero(which == p) for p in range(len(phases))]
         tol, served = PHASE_TOL * period, set()
         for p, r in enumerate(phases.tolist()):
             if p in served:
                 continue
-            if len(members[p]) == 1:
-                z = float(z_grid[members[p][0]])
-                yield _Group(*members[p], _Fields(self(x, z), x, w, h, hf=functools.partial(self.h_apply, x, z),
-                                                  v=functools.partial(system.potential, x, z)))
+            if len(met[p]) == 1:
+                z = float(z_grid[met[p][0]])
+                yield _Group(*met[p], _Fields(self(x, z), x, w, h, hf=functools.partial(self.h_apply, x, z),
+                                              v=functools.partial(system.potential, x, z)))
                 continue
             # H u = i d_z u, and H^2 u by finite differences against V(r)
             rows = _Fields(np.stack([system.mode(k, x, r) for k in kinds]), x, w, h,
                            hf=lambda r=r: 1j * np.stack([system.mode_dz(k, x, r) for k in kinds]),
                            v=functools.partial(system.potential, x, r))
             q = int(np.searchsorted(phases, period - r - tol))  # T_V - r, read off the rows at r
-            mirrored = p < q < len(phases) and phases[q] <= period - r + tol and len(members[q]) > 1
-            pair = [p, q] if mirrored else [p]
+            pair = [p, q] if p < q < len(phases) and phases[q] <= period - r + tol and len(met[q]) > 1 else [p]
             served.update(pair)
-            i = np.concatenate([members[k] for k in pair])
+            i = np.concatenate([met[k] for k in pair])
             a = weights * np.exp(-1j * energies * turns[i][:, None] * period)
-            mirror = np.arange(len(i)) >= len(members[p])  # there psi = sum_j a_j kappa_j conj u_j(-x, r),
+            mirror = np.arange(len(i)) >= len(met[p])  # there psi = sum_j a_j kappa_j conj u_j(-x, r),
             a[mirror] = np.conj(kappa * a[mirror])  # the PT image of conj(kappa a) @ rows
             yield _Group(i, rows, a, mirror=mirror)
 
@@ -186,10 +184,10 @@ class TBTrajectoryState:
         if np.any(np.abs(zs[at] - z_grid) > tol):
             raise ValueError("z grid is not on the integrated trajectory grid")
         _, which, phases = fold_phases(z_grid, self.system.periods().fundamental)
-        gens = functools.cache(lambda: np.stack([model.overlap_inverse() @ model.hamiltonian_matrix(r)
-                                                 for r in phases.tolist()]))
+        gen = functools.cache(lambda: np.stack([model.overlap_inverse() @ model.hamiltonian_matrix(r)
+                                                for r in phases.tolist()]))
         c = self.trajectory.c[at]  # H^k psi has the coefficients gen^k c: one matrix power per phase and order
-        hk = functools.cache(lambda k: np.einsum("zij,zj->zi", np.linalg.matrix_power(gens(), k)[which], c))
+        hk = functools.cache(lambda k: np.einsum("zij,zj->zi", np.linalg.matrix_power(gen(), k)[which], c))
         yield _Group(np.arange(len(z_grid)), _Fields(np.stack(model.basis_values(x)), x, w, h), c, hk)
 
 
@@ -255,6 +253,7 @@ def moment_table(
     if any(observable in ("p_mean", "p_std") for observable, _, _ in plans):
         g = next(forms(x, w, h, z_grid[:1]))
         _resolution_guard(g.rows.f if g.a is None else g.a[0] @ g.rows.f, h)
+        del g  # its field and basis rows, not kept through the table
 
     p_initial = None
     if any(normalization == "initial_power" for _, _, normalization in plans):
@@ -368,7 +367,7 @@ class _Stack:
             index.append(g.index)
             coef.append(g.a)
             flip.append(g.mirror)
-            tb = [family == "H" and g.hk is not None for _, family, _ in self._q]  # H^k psi: gen^k a on G_1
+            tb = [family == "H" and g.hk is not None for _, family, _ in self._q]  # TB: conj(a) G_0 gen^k a
             grams.append(np.stack([g.rows.sandwich(*((0, "", k[2]) if t else k)) for t, k in zip(tb, self._q)]))
             right.append(g.hk and [g.hk(k[0]) if t else g.a for t, k in zip(tb, self._q)])
         if index:

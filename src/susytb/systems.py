@@ -35,7 +35,8 @@ import numpy as np
 
 from . import darboux
 from .darboux import SingularPointError
-from .quadrature import NodeCache, QuadratureSpec, default_half_width, localized_combos, quad_nodes, read_only
+from .quadrature import (NodeCache, QuadratureSpec, _frozen, default_half_width, localized_combos, quad_nodes,
+                         read_only)
 from .seeds import SeedSuperposition
 
 __all__ = [
@@ -483,11 +484,12 @@ class WaveguideSystem:
     # -- internals ---------------------------------------------------------
 
     def _dynamic_pass(self, x, z: float) -> _DynamicPass:
-        """The closed-form pass on x at z, kept for the next call on the same node set and z."""
+        """The closed-form pass on x at z, kept for the next call on the same frozen node set and z."""
         xp = self._x_parts(x)
         last = self._pass
         if last is None or last.xp is not xp or last.z != z:
-            last = self._pass = _DynamicPass(self.params, xp, z)
+            last = _DynamicPass(self.params, xp, z)
+            self._pass = last if _frozen(np.asarray(x)) else None  # any other x: new x parts, no reuse
         return last
 
     def _raw_profile(self, kind: str, x, z: float = 0.0):

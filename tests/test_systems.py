@@ -399,16 +399,20 @@ def test_dynamic_memo_keys_on_node_values(dyn_system):
 
 
 def test_dynamic_memo_keeps_no_writeable_grid():
-    """A writeable one-shot grid is not kept; a frozen grid stays kept across writeable ones."""
+    """A writeable one-shot grid is not kept, nor the closed-form pass on it; a frozen grid stays kept
+    across writeable ones."""
     system = make_system(PTD)
     big = np.linspace(-30.0, 30.0, 16001)
     system.potential(big, 0.0)
     assert system._x_parts._last is None
+    system.mode("left", big, 0.0)  # the norms first take the system's own frozen nodes
+    assert system._x_parts._last[0] is not big and system._pass is None
     frozen = read_only(np.linspace(-8.0, 8.0, 101))
     for n in range(3):
         for x in (frozen, np.linspace(-8.0, 8.0, 102 + n)):
             assert np.array_equal(system.potential(x, 0.5), potential_pt_dynamic(PTD, x, 0.5))
             assert np.array_equal(system.mode("left", x, 0.5), WaveguideSystem(PTD).mode("left", x, 0.5))
+            assert (system._pass is not None) == (x is frozen)  # kept only where it can be reused
         assert system._x_parts._last[0] is frozen
 
 
