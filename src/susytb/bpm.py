@@ -5,9 +5,9 @@ discretizes i d_z psi = (-d_x^2 + V) psi on a uniform grid and checks the
 closed-form solutions from the outside. Each Crank-Nicolson step is one
 call of LAPACK's tridiagonal solver `gtsv`, and the power guard measures
 dx * sum |psi|^2 on the Dirichlet interior. Nothing here touches seed
-derivatives or mode decompositions; the residual oracles use the 4th-order
-stencils of `quadrature` (`pde_residual` writes `d1_fourth` out along z)
-and discard the two edge nodes per side that the stencils cannot reach.
+derivatives or mode decompositions; the residual oracles take their
+4th-order stencils from `quadrature` and discard the two edge nodes per
+side that the stencils cannot reach.
 """
 
 from __future__ import annotations
@@ -18,7 +18,7 @@ from typing import Callable, Sequence
 import numpy as np
 from scipy.linalg import LinAlgError, get_lapack_funcs
 
-from .quadrature import d2_fourth, read_only
+from .quadrature import d1_five, d2_fourth, read_only
 
 __all__ = [
     "PropagationGrid",
@@ -161,9 +161,8 @@ def pde_residual(
 
     4th-order stencils in x and z; the z window is [0, z_end] sampled at
     nz >= 5 points. The march keeps psi at the last five z only (O(nx)
-    memory) and samples V at the nz - 4 interior z, once for all fields
-    `state` stacks on leading axes: each one's worst residual comes back in
-    that shape (a float for one field). The module's core dynamic oracle.
+    memory) and samples V at the nz - 4 interior z once for every row `state`
+    stacks on leading axes; returns each row's worst (a float for one field).
     """
     if nz < 5:
         raise ValueError(f"nz must be at least 5 (the z stencil spans five samples), got {nz}")
@@ -176,7 +175,7 @@ def pde_residual(
         window = window[-4:] + [np.asarray(state(x, float(z)))]
         if i < 4:
             continue
-        dzpsi = (window[0] - window[1] * 8 + window[3] * 8 - window[4]) / (12 * hz)  # d1_fourth's, term by term
+        dzpsi = d1_five(window[0], window[1], window[3], window[4], hz)
         v = np.asarray(potential(x, float(zs[i - 2])))
         res = 1j * dzpsi + d2_fourth(window[2], grid.dx) - v * window[2]
         worst = np.maximum(worst, np.max(np.abs(res[..., 2:-2]), axis=-1))  # a NaN row stays NaN

@@ -102,8 +102,7 @@ class ExactState:
         return self.system.mode_h2(self.kind, x, z)
 
     def forms(self, x, w, h, z_grid):
-        """A `_Group` per phase r: a single z's field, or the z at r on the Floquet rows there, with the z
-        at T_V - r as PT images when several z meet that phase too."""
+        """A `_Group` per phase r: one z's field, or the z at r (and T_V - r as PT images) on the rows at r."""
         system, period = self.system, self.system.periods().fundamental
         if self.kind in ("left", "right"):
             sign, inv_n = system.combination(self.kind)
@@ -348,9 +347,8 @@ class _Group(NamedTuple):
 
 
 class _Stack:
-    """The power and each sandwich the plans ask, at every z of the groups: a group of one z by its field's
-    own sums, the others by one pass conj(a) G b over all their z, G the 2x2 Gram matrix of each group's
-    rows, which is all that is kept of them."""
+    """The power and each sandwich the plans ask, at every z of the groups: one z's field by its own sums, the
+    others by one pass conj(a) G b over all their z, G each group's 2x2 Gram matrices, all that is kept."""
 
     POWER = (0, "", "dirac")
 

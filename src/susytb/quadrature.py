@@ -140,14 +140,17 @@ def localized_combos(superpose: Callable[[int], np.ndarray], x: np.ndarray,
 
 def d1_fourth(f: np.ndarray, h: float) -> np.ndarray:
     """4th-order central d/dx along the last axis of a uniform grid; two edge nodes per side are 0."""
-    out = np.zeros_like(f)  # (f0 - 8 f1 + 8 f3 - f4) / 12h, term by term, summed in place
-    acc = out[..., 2:-2]
-    np.multiply(f[..., 1:-3], 8, out=acc)
-    np.subtract(f[..., :-4], acc, out=acc)
-    acc += f[..., 3:-1] * 8
-    acc -= f[..., 4:]
-    acc /= 12 * h
+    out = np.zeros_like(f)
+    d1_five(f[..., :-4], f[..., 1:-3], f[..., 3:-1], f[..., 4:], h, out=out[..., 2:-2])
     return out
+
+
+def d1_five(f0, f1, f3, f4, h: float, out=None) -> np.ndarray:
+    """d1_fourth's (f0 - 8 f1 + 8 f3 - f4) / 12h at the middle of five samples, term by term (into `out`)."""
+    acc = np.subtract(f0, np.multiply(f1, 8, out=out), out=out)
+    acc += f3 * 8
+    acc -= f4
+    return np.divide(acc, 12 * h, out=acc)
 
 
 def d2_fourth(f: np.ndarray, h: float) -> np.ndarray:

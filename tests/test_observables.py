@@ -367,8 +367,8 @@ def test_exact_modulated_table_evaluates_each_mirrored_pair_once(monkeypatch, gr
 def test_mirrored_gram_matrices_match_the_mirror_phase():
     """G(T_V - r)_ij = s conj(kappa_i) kappa_j conj(G(r)_ij), kappa_j = c_j e^{-i E_j T_V}, for every
     image and both metrics at every mirrored pair of the preset grid; s = -1 for x only. `_Stack` reads
-    it as psi = a @ rows at T_V - r being the PT image of conj(kappa a) @ rows at r: the sandwiches of
-    both agree for a = e1, e2, e1 + e2 and e1 + i e2, which fix every entry of the Gram matrix.
+    it as psi = a @ rows at T_V - r being the PT image of conj(kappa a) @ rows at r: its sandwiches
+    q(a) = conj(a) G a at a = e1, e2, e1 + e2 and e1 + i e2 give back every entry of the Gram matrix.
 
     Within 1e-12 of each Gram matrix's scale, but 1e-11 for p^2 and H^2: the d2 stencil turns the
     fields' rounding into noise of eps / h^2 per node, so even one phase taken twice, r and r + T_V
@@ -392,15 +392,18 @@ def test_mirrored_gram_matrices_match_the_mirror_phase():
     pairs = [(r, phases[np.argmin(np.abs(phases - (period - r)))]) for r in phases[1:80]]
     assert len(pairs) == 79 and all(abs(m - (period - r)) < 1e-9 * period for r, m in pairs)
     index = np.arange(len(coefficients))
+
+    def gram(q):  # q(e1 + e2) - G11 - G22 = G12 + G21, q(e1 + i e2) - G11 - G22 = i (G12 - G21)
+        total, twist = q[2] - q[0] - q[1], (q[3] - q[0] - q[1]) / 1j
+        return np.array([[q[0], (total + twist) / 2], [(total - twist) / 2, q[1]]])
+
     for r, m in pairs:
         direct = rows(m)
         mirrored = _Stack([_Group(index, rows(r), np.conj(kappa * coefficients), mirror=True)], len(index), plans)
-        own = _Stack([_Group(index, direct, coefficients)], len(index), plans)
         for order, family, metric in keys:
-            want, got = own.sandwich(order, family, metric), mirrored.sandwich(order, family, metric)
-            scale = 2 * np.max(np.abs(direct.sandwich(order, family, metric)))  # |a|^2 <= 2
+            want, got = direct.sandwich(order, family, metric), gram(mirrored.sandwich(order, family, metric))
             tol = 1e-11 if order == 2 and family in ("p", "H") else 1e-12
-            assert np.max(np.abs(got - want)) <= tol * scale, (r, order, family, metric)
+            assert np.max(np.abs(got - want)) <= tol * np.max(np.abs(want)), (r, order, family, metric)
 
 
 def test_trajectory_state_builds_each_hamiltonian_once(dyn_system, dyn_quad, monkeypatch):
