@@ -3,8 +3,9 @@
 Pipeline per scenario: regularity scan -> exact evaluators -> calibration
 (or explicit TB parameters) -> TB spectrum / coupled-mode ODE / Floquet ->
 observable series for both engines -> optional BPM cross-check -> metrics
--> files. Deterministic given the config: fixed quadrature orders, fixed
-optimizer seeding, no wall-clock anywhere near the output path.
+-> files, all series on the config's one z grid and all JSON strict. Deterministic
+given the config: fixed quadrature orders, fixed optimizer seeding, no wall-clock
+anywhere near the output path.
 """
 
 from __future__ import annotations
@@ -43,7 +44,7 @@ from .tightbinding import (
     two_well_model,
 )
 
-ENGINE_ORDER = ("exact", "tb", "bpm")
+ENGINE_ORDER = ("exact", "tb")
 
 
 @dataclass
@@ -59,16 +60,17 @@ class ComparisonReport:
     provenance: dict
 
     def to_json(self) -> str:
-        return json.dumps(asdict(self), sort_keys=True, indent=2, default=_json_default)
+        return _json(asdict(self))
+
+
+def _json(obj) -> str:
+    """Strict JSON (no NaN or Infinity: ValueError) with sorted keys, a complex number as {"re", "im"}."""
+    return json.dumps(obj, sort_keys=True, indent=2, default=_json_default, allow_nan=False)
 
 
 def _json_default(obj):
     if isinstance(obj, complex):
         return {"re": obj.real, "im": obj.imag}
-    if isinstance(obj, np.ndarray):
-        return obj.tolist()
-    if isinstance(obj, (np.floating, np.integer)):
-        return obj.item()
     raise TypeError(f"cannot serialize {type(obj)!r}")
 
 
@@ -85,25 +87,21 @@ def _column_name(s: ObservableSeries) -> str:
 
 
 def emit_csv(series: Sequence[ObservableSeries], path) -> None:
-    """Wide CSV: z column, one (or _re/_im pair of) column(s) per observable,
-    engine column; rows z-ascending with engines ordered exact, tb, bpm."""
+    """Wide CSV: z column, one (or _re/_im pair of) column(s) per observable, engine column; at
+    each z of the series' one grid a row per engine, ordered exact, tb (no engine: exact).
+    ValueError unless each engine present has one series of every column, all on one z grid."""
     path = Path(path)
     columns: dict[str, bool] = {}  # name -> is_complex, in first-seen order
+    table: dict[tuple[str, str], np.ndarray] = {}  # (engine, column) -> values
     for s in series:
         name = _column_name(s)
         is_c = bool(np.max(np.abs(s.values.imag)) > 1e-15 * max(1.0, float(np.max(np.abs(s.values.real)))))
         columns[name] = columns.get(name, False) or is_c
-    by_key: dict[tuple[float, str], dict[str, complex]] = {}
-    zs: set[float] = set()
-    for s in series:
-        engine = s.engine or "exact"
-        name = _column_name(s)
-        for z, v in zip(s.z, s.values):
-            key = (float(z), engine)
-            if key not in by_key:
-                by_key[key] = {}
-            by_key[key][name] = complex(v)
-            zs.add(key[0])
+        table[s.engine or "exact", name] = s.values
+    engines = [engine for engine in ENGINE_ORDER if any(key[0] == engine for key in table)]
+    if (len(table) < len(series) or table.keys() != {(e, name) for e in engines for name in columns}
+            or any(not np.array_equal(s.z, series[0].z) for s in series)):
+        raise ValueError("CSV series: each engine given (exact or tb) needs one of every column, on one z grid")
     header = ["z"]
     for name, is_c in columns.items():
         if is_c:
@@ -112,20 +110,12 @@ def emit_csv(series: Sequence[ObservableSeries], path) -> None:
             header.append(name)
     header.append("engine")
     lines = [",".join(header)]
-    for z in sorted(zs):
-        for engine in ENGINE_ORDER:
-            row_vals = by_key.get((z, engine))
-            if row_vals is None:
-                continue
+    for i, z in enumerate(series[0].z.tolist() if series else []):
+        for engine in engines:
             row = [_fmt(z)]
             for name, is_c in columns.items():
-                v = row_vals.get(name)
-                if v is None:
-                    row += ["", ""] if is_c else [""]
-                elif is_c:
-                    row += [_fmt(v.real), _fmt(v.imag)]
-                else:
-                    row.append(_fmt(v.real))
+                v = complex(table[engine, name][i])
+                row += [_fmt(v.real), _fmt(v.imag)] if is_c else [_fmt(v.real)]
             row.append(engine)
             lines.append(",".join(row))
     path.write_text("\n".join(lines) + "\n", encoding="utf-8", newline="\n")
@@ -166,8 +156,7 @@ def _sidecar(path: Path, cfg: ScenarioConfig, series: Sequence[ObservableSeries]
         ],
     }
     meta.update(extra)
-    Path(str(path) + ".meta.json").write_text(
-        json.dumps(meta, sort_keys=True, indent=2, default=_json_default) + "\n", encoding="utf-8")
+    Path(str(path) + ".meta.json").write_text(_json(meta) + "\n", encoding="utf-8")
 
 
 # ---------------------------------------------------------------------------
@@ -298,12 +287,13 @@ def run(cfg: ScenarioConfig, outdir) -> tuple[ComparisonReport, list[Path]]:
         oracle_residuals=residuals,
         provenance={"config_sha256": config_digest(cfg.raw), "package": f"susytb {__version__}"},
     )
+    report_text = report.to_json()  # first, so a non-finite value writes no file
     csv_path = outdir / f"{cfg.basename}.csv"
     emit_csv(all_series, csv_path)
     _sidecar(csv_path, cfg, all_series, {"report": f"{cfg.basename}.report.json"})
     files += [csv_path, Path(str(csv_path) + ".meta.json")]
     report_path = outdir / f"{cfg.basename}.report.json"
-    report_path.write_text(report.to_json() + "\n", encoding="utf-8")
+    report_path.write_text(report_text + "\n", encoding="utf-8")
     files.append(report_path)
     if cfg.potential_dump_enabled:
         pot_path = outdir / f"{cfg.basename}.potential.csv"
@@ -350,20 +340,19 @@ def _cmd_calibrate(cfg: ScenarioConfig, out: Path) -> int:
         payload["trace"] = result.trace
         if result.achieved_energies is not None:
             payload["achieved_energies"] = [complex(e) for e in result.achieved_energies]
-    print(json.dumps(payload, sort_keys=True, indent=2, default=_json_default))
+    print(_json(payload))
     return 0
 
 
 def _cmd_spectrum(cfg: ScenarioConfig, out: Path) -> int:
     _, tb_params, _ = _calibrate(cfg)
     _, _, spectrum = _build_tb(cfg, tb_params)
-    print(json.dumps({"tb_parameters": tb_params, "spectrum": spectrum},
-                     sort_keys=True, indent=2, default=_json_default))
+    print(_json({"tb_parameters": tb_params, "spectrum": spectrum}))
     return 0
 
 
 def _cmd_propagate(cfg: ScenarioConfig, out: Path) -> int:
-    print(json.dumps({"bpm": _bpm_check(cfg)}, sort_keys=True, indent=2, default=_json_default))
+    print(_json({"bpm": _bpm_check(cfg)}))
     return 0
 
 
@@ -405,7 +394,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return 0
     try:
         if args.command == "preset":
-            text = json.dumps(preset_config(args.name))
+            text = json.dumps(preset_config(args.name), allow_nan=False)
         else:
             text = Path(args.config).read_text(encoding="utf-8")
         return args.fn(validate_config(text), Path(args.out))

@@ -207,15 +207,18 @@ def validate_config(text: str) -> ScenarioConfig:
         errors.append(f"mode_kind: a {system.kind} system has no mode {mode_kind!r}; "
                       f"expected one of {list(system.mode_kinds)}")
 
-    observables: list[ObservableRequest] = []
+    observables: dict[ObservableRequest, int] = {}  # each request at its first index: asked once
     for i, entry in enumerate(top.get("observables") or []):
         if isinstance(entry, str):
             entry = {"name": entry}
         if not isinstance(entry, dict):
             errors.append(f"observables[{i}]: expected name or object")
             continue
+        known = len(errors)
         request = _walk(entry, OBSERVABLE, f"observables[{i}].", errors)
-        observables.append(ObservableRequest(request.get("name"), request["metric"]))
+        request = ObservableRequest(request.get("name"), request["metric"])
+        if len(errors) == known and observables.setdefault(request, i) != i:  # a refused entry reads as defaults
+            errors.append(f"observables[{i}]: duplicate of observables[{observables[request]}] ({', '.join(request)})")
 
     qd = top["quadrature"]
     quad = QuadratureSpec(half_width=default_half_width(system.min_k) if qd["half_width"] is None
@@ -242,7 +245,7 @@ def validate_config(text: str) -> ScenarioConfig:
             raise ConfigError([f"quadrature.nodes: {quad.nodes} do not resolve the {mode_kind} mode: {exc}"])
     return ScenarioConfig(
         raw=raw, system=system, certified=certified, tb_explicit=tb_explicit,
-        z_values=z_values, mode_kind=mode_kind, observables=observables, quad=quad,
+        z_values=z_values, mode_kind=mode_kind, observables=list(observables), quad=quad,
         bpm_enabled=bpm_enabled, bpm_options=bpm_options,
         potential_dump_enabled=potential_dump_enabled, potential_dump=potential_dump,
         basename=top["output"]["basename"], warnings=warnings)

@@ -12,10 +12,10 @@ each image at most once. The modulated pair's states are two-mode superpositions
 = sum_j a_j(z) u_j(x, z mod T_V) (Floquet's theorem), so their moments are quadratic
 forms a^H G b in 2x2 Gram matrices G, all that is kept of each distinct phase's rows
 (`quadrature.fold_phases`; TB has one basis for every z); each moment is then one
-array pass over all z. The exact pair is PT-symmetric: phases r and T_V - r met by
-several z share one evaluation. Static states are still taken field by field at each
-z with unchanged sums: their comparison metrics' sub-resolution `phase_shift` fields
-move with any new summation order. `moment_series` is the one-observable case.
+array pass over all z, on any grid. The exact pair is PT-symmetric: phases r and T_V - r
+share one evaluation, however many z meet them. Static states are still taken field by
+field at each z with unchanged sums: their comparison metrics' sub-resolution `phase_shift`
+fields move with any new summation order. `moment_series` is the one-observable case.
 """
 
 from __future__ import annotations
@@ -102,7 +102,7 @@ class ExactState:
         return self.system.mode_h2(self.kind, x, z)
 
     def forms(self, x, w, h, z_grid):
-        """A `_Group` per phase r: one z's field, or the z at r (and T_V - r as PT images) on the rows at r."""
+        """A `_Group` per phase r: the z at r, and those at T_V - r as PT images, on the rows at r."""
         system, period = self.system, self.system.periods().fundamental
         if self.kind in ("left", "right"):
             sign, inv_n = system.combination(self.kind)
@@ -118,17 +118,12 @@ class ExactState:
         for p, r in enumerate(phases.tolist()):
             if p in served:
                 continue
-            if len(met[p]) == 1:
-                z = float(z_grid[met[p][0]])
-                yield _Group(*met[p], _Fields(self(x, z), x, w, h, hf=functools.partial(self.h_apply, x, z),
-                                              v=functools.partial(system.potential, x, z)))
-                continue
             # H u = i d_z u, and H^2 u by finite differences against V(r)
             rows = _Fields(np.stack([system.mode(k, x, r) for k in kinds]), x, w, h,
                            hf=lambda r=r: 1j * np.stack([system.mode_dz(k, x, r) for k in kinds]),
                            v=functools.partial(system.potential, x, r))
             q = int(np.searchsorted(phases, period - r - tol))  # T_V - r, read off the rows at r
-            pair = [p, q] if p < q < len(phases) and phases[q] <= period - r + tol and len(met[q]) > 1 else [p]
+            pair = [p, q] if p < q < len(phases) and phases[q] <= period - r + tol else [p]
             served.update(pair)
             i = np.concatenate([met[k] for k in pair])
             a = weights * np.exp(-1j * energies * turns[i][:, None] * period)
@@ -402,34 +397,33 @@ def _resolution_guard(f: np.ndarray, h: float) -> None:
 @dataclass(frozen=True)
 class ComparisonEntry:
     rmse: float
-    amplitude_ratio: float
+    amplitude_ratio: Optional[float]
     phase_shift: Optional[float]
     period: Optional[float]
 
 
 def comparison_metrics(exact: ObservableSeries, approx: ObservableSeries) -> ComparisonEntry:
-    """RMSE, peak-to-peak amplitude ratio, and cross-correlation phase shift.
+    """RMSE, peak-to-peak amplitude ratio, and cross-correlation phase shift of two series on one z grid.
 
-    The phase shift is the lag maximizing the cross-correlation of the
-    mean-removed real parts, converted to radians of the dominant
-    oscillation of the exact series and wrapped to [-pi, pi); positive
-    means the approximate series lags the exact one. None when either
+    The ratio is None when the exact series' real part has no peak-to-peak or the ratio is not
+    finite. The phase shift is the lag maximizing the cross-correlation of the mean-removed real
+    parts, converted to radians of the dominant oscillation of the exact series and wrapped to
+    [-pi, pi); positive means the approximate series lags the exact one. None when either
     series is flat.
     """
     za = exact.z
-    b_vals = approx.values
-    if len(approx.z) != len(za) or not np.allclose(approx.z, za):
-        b_vals = np.interp(za, approx.z, approx.values.real) + 1j * np.interp(za, approx.z, approx.values.imag)
+    if not np.array_equal(approx.z, za):
+        raise ValueError("compared series must lie on one z grid")
     a = exact.values
-    rmse = float(np.sqrt(np.mean(np.abs(a - b_vals) ** 2)))
+    rmse = float(np.sqrt(np.mean(np.abs(a - approx.values) ** 2)))
     ar = a.real
-    br = b_vals.real
+    br = approx.values.real
     pp_a = float(ar.max() - ar.min())
     pp_b = float(br.max() - br.min())
+    ratio = pp_b / pp_a if pp_a > 0 and math.isfinite(pp_b / pp_a) else None
     scale = max(np.max(np.abs(ar)), np.max(np.abs(br)), 1e-300)
     if pp_a < 1e-9 * scale or pp_b < 1e-9 * scale:
-        return ComparisonEntry(rmse=rmse, amplitude_ratio=(pp_b / pp_a if pp_a > 0 else math.nan),
-                               phase_shift=None, period=None)
+        return ComparisonEntry(rmse=rmse, amplitude_ratio=ratio, phase_shift=None, period=None)
     am = ar - ar.mean()
     bm = br - br.mean()
     dz = za[1] - za[0]
@@ -439,7 +433,7 @@ def comparison_metrics(exact: ObservableSeries, approx: ObservableSeries) -> Com
     kbin = int(np.argmax(spec))
     period = len(am) * dz / kbin if kbin > 0 else None
     if period is None:
-        return ComparisonEntry(rmse=rmse, amplitude_ratio=pp_b / pp_a, phase_shift=None, period=None)
+        return ComparisonEntry(rmse=rmse, amplitude_ratio=ratio, phase_shift=None, period=None)
     xc = np.correlate(bm, am, mode="full")
     lags = np.arange(-len(am) + 1, len(am))
     j = int(np.argmax(xc))
@@ -451,5 +445,4 @@ def comparison_metrics(exact: ObservableSeries, approx: ObservableSeries) -> Com
             lag += 0.5 * (y0 - y2) / denom
     phase = 2 * math.pi * lag * dz / period
     phase = (phase + math.pi) % (2 * math.pi) - math.pi
-    return ComparisonEntry(rmse=rmse, amplitude_ratio=pp_b / pp_a,
-                           phase_shift=float(phase), period=float(period))
+    return ComparisonEntry(rmse=rmse, amplitude_ratio=ratio, phase_shift=float(phase), period=float(period))

@@ -555,6 +555,21 @@ def test_emit_csv_round_trip_bit_exact(tmp_path):
         assert float(cells[1]) == v.real and float(cells[2]) == v.imag
 
 
+@pytest.mark.parametrize("series", [
+    [_series("power", [1.0, 0.5], "exact"), _series("power", [1.0, 0.5, 0.25], "tb")],
+    [_series("power", [1.0, 0.5], "exact"), _series("x_mean", [0.0, 0.1], "exact"),
+     _series("power", [1.0, 0.6], "tb")],
+    [_series("power", [1.0, 0.5], "exact"), _series("power", [1.0, 0.6], "exact")],
+    [_series("power", [1.0, 0.5], "bpm")],
+], ids=["other-grid", "engine-lacks-a-column", "one-column-twice", "unknown-engine"])
+def test_emit_csv_refuses_what_one_grid_cannot_hold(tmp_path, series):
+    """These used to be merged by (z, engine), with blank cells for what an engine lacked."""
+    path = tmp_path / "refused.csv"
+    with pytest.raises(ValueError, match="each engine given .exact or tb. needs one of every column, on one z grid"):
+        emit_csv(series, path)
+    assert not path.exists()
+
+
 def test_emit_csv_engine_order_and_pt_columns(tmp_path):
     path = tmp_path / "multi.csv"
     emit_csv([
@@ -632,6 +647,37 @@ def test_cli_refuses_an_unknown_observable_key(tmp_path, capsys, command):
     assert capsys.readouterr().err == ("error: observables[0].normalization: unknown key; "
                                        "expected one of metric, name\n")
     assert not out.exists()
+
+
+@pytest.mark.parametrize("observables, index, first, request_", [
+    (["x_mean", "x_mean"], 1, 0, "x_mean, dirac"),
+    (["power", {"name": "x_mean", "metric": "pt"}, "x_mean", {"name": "x_mean", "metric": "pt"}], 3, 1,
+     "x_mean, pt"),
+    ([{"name": "p_std"}, "p_std"], 1, 0, "p_std, dirac"),
+], ids=["names", "objects-under-pt", "object-and-name"])
+def test_duplicate_observable_requests_are_refused(tmp_path, capsys, observables, index, first, request_):
+    """Two requests of one series used to run: one CSV column, four series in the sidecar."""
+    cfg = tmp_path / "c.json"
+    cfg.write_text(json.dumps(_cfg(observables=observables)))
+    for command in ("validate", "compare"):
+        assert main([command, str(cfg), "--out", str(tmp_path / "out")]) == 1
+        assert capsys.readouterr().err == (
+            f"error: observables[{index}]: duplicate of observables[{first}] ({request_})\n")
+    assert sorted(p.name for p in tmp_path.rglob("*")) == ["c.json"]
+
+
+def test_written_json_is_strict(tmp_path):
+    """The PT p_std of this pair is imaginary, so its exact series has no real peak-to-peak: the
+    amplitude ratio is null, where the report used to hold NaN, which RFC 8259 JSON has no word for."""
+    def refuse(constant):
+        raise ValueError(f"non-finite JSON constant {constant}")
+
+    cfg = tmp_path / "c.json"
+    cfg.write_text(json.dumps(_cfg(observables=["x_mean", {"name": "p_std", "metric": "pt"}])))
+    assert main(["compare", str(cfg), "--out", str(tmp_path / "out")]) == 0
+    written = {p.name: json.loads(p.read_text(), parse_constant=refuse) for p in (tmp_path / "out").glob("*.json")}
+    assert sorted(written) == ["tiny.csv.meta.json", "tiny.report.json"]
+    assert written["tiny.report.json"]["metrics"]["p_std_pt"]["amplitude_ratio"] is None
 
 
 def test_cli_calibrate_explicit(tmp_path, capsys):

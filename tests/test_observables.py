@@ -327,9 +327,9 @@ def test_exact_modulated_table_evaluates_each_phase_once(dyn_system, dyn_quad, m
             return original(*args)
         monkeypatch.setattr(dyn_system, method, counted)
     moment_table(ExactState(dyn_system, "left"), ALL_REQUESTS, _repeated_phases(dyn_system), dyn_quad)
-    # the resolution guard and the initial power take the left mode at one z each; then
+    # the resolution guard and the initial power read both Floquet modes at phase 0 each; then
     # each of the two phases evaluates both Floquet modes, their d/dz and V once
-    assert dict(calls) == {"mode": 2 + 2 * 2, "mode_dz": 2 * 2, "potential": 2}
+    assert dict(calls) == {"mode": 2 * 2 + 2 * 2, "mode_dz": 2 * 2, "potential": 2}
 
 
 def _preset_dynamic():
@@ -339,15 +339,16 @@ def _preset_dynamic():
 @pytest.mark.parametrize("grid, phases, expected", [
     # 160 phases r = i T_V / 160, each met twice or more: r and T_V - r share one evaluation
     # (i = 1..79 with 159..81), and 0 and T_V / 2 are their own mirrors, so 81 phases are evaluated
-    (lambda cfg, t: cfg.z_values, 160, {"mode": 2 + 2 * 81, "mode_dz": 2 * 81, "potential": 81}),
-    # T_V / 20 over 1.8 periods: i = 0..16 met twice, 17..19 once; 4..9 share with 16..11, and
-    # 1..3 do not, their mirrors being single z, each taken as its own field: 11 bases and 3 fields
-    (lambda cfg, t: np.arange(37) * t / 20, 20, {"mode": 2 + 2 * 11 + 3, "mode_dz": 2 * 11 + 3,
-                                                 "potential": 11 + 3}),
+    (lambda cfg, t: cfg.z_values, 160, {"mode": 4 + 2 * 81, "mode_dz": 2 * 81, "potential": 81}),
+    # T_V / 20 over 1.8 periods: i = 0..16 met twice, 17..19 once; i and 20 - i share one
+    # evaluation however many z meet either (1..9 with 19..11), so 11 phases are evaluated
+    (lambda cfg, t: np.arange(37) * t / 20, 20, {"mode": 4 + 2 * 11, "mode_dz": 2 * 11, "potential": 11}),
+    # one period at T_V / 8: only phase 0 (z = 0 and T_V) is met twice, yet 1..3 share with 7..5
+    (lambda cfg, t: np.linspace(0.0, t, 9), 8, {"mode": 4 + 2 * 5, "mode_dz": 2 * 5, "potential": 5}),
     # 0.5 and T_V - 0.3, each met twice, are not each other's mirror
-    (lambda cfg, t: [0.5, t - 0.3, t + 0.5, 2 * t - 0.3], 2, {"mode": 2 + 2 * 2, "mode_dz": 2 * 2,
+    (lambda cfg, t: [0.5, t - 0.3, t + 0.5, 2 * t - 0.3], 2, {"mode": 4 + 2 * 2, "mode_dz": 2 * 2,
                                                               "potential": 2}),
-], ids=["preset", "1.8-periods", "no-mirror"])
+], ids=["preset", "1.8-periods", "9-points", "no-mirror"])
 def test_exact_modulated_table_evaluates_each_mirrored_pair_once(monkeypatch, grid, phases, expected):
     cfg = _preset_dynamic()
     system = cfg.system
@@ -360,7 +361,7 @@ def test_exact_modulated_table_evaluates_each_mirrored_pair_once(monkeypatch, gr
             return original(*args)
         monkeypatch.setattr(system, method, counted)
     moment_table(ExactState(system, "left"), ALL_REQUESTS, z, cfg.quad)
-    # beyond the phases, the resolution guard and the initial power take the left mode once each
+    # beyond the phases, the resolution guard and the initial power read both Floquet modes at phase 0
     assert dict(calls) == expected
 
 
@@ -605,11 +606,15 @@ def test_metrics_flat_series_has_no_phase():
     assert m.phase_shift is None
 
 
-def test_metrics_resamples_mismatched_grids():
+@pytest.mark.parametrize("zb", [np.linspace(0, 20, 173), np.linspace(0, 20, 401) + 1e-12],
+                         ids=["other-length", "shifted"])
+def test_metrics_refuse_series_on_another_grid(zb):
     za = np.linspace(0, 20, 401)
-    zb = np.linspace(0, 20, 173)
-    a = _series(za, np.sin(za))
-    b = _series(zb, np.sin(zb))
-    m = comparison_metrics(a, b)
-    assert m.rmse < 1e-3
-    assert abs(m.phase_shift) < 0.05
+    with pytest.raises(ValueError, match="one z grid"):
+        comparison_metrics(_series(za, np.sin(za)), _series(zb, np.sin(zb)))
+
+
+def test_metrics_amplitude_ratio_of_a_flat_exact_series_is_none():
+    z = np.linspace(0, 10, 101)
+    m = comparison_metrics(_series(z, 1j * np.ones_like(z)), _series(z, np.sin(z)))
+    assert m.amplitude_ratio is None and m.phase_shift is None
