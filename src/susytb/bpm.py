@@ -3,7 +3,9 @@
 This module is deliberately independent of the analytic machinery: it
 discretizes i d_z psi = (-d_x^2 + V) psi on a uniform grid and checks the
 closed-form solutions from the outside. Each Crank-Nicolson step is one
-call of LAPACK's tridiagonal solver `gtsv`, and the power guard measures
+call of LAPACK's tridiagonal solver `gtsv` through one kernel; a march keeps
+its buffers and an off-diagonal per step size and solves into the next
+field's interior, bit for bit as `step` does. The power guard measures
 dx * sum |psi|^2 on the Dirichlet interior. Nothing here touches seed
 derivatives or mode decompositions; the residual oracles take their
 4th-order stencils from `quadrature` and discard the two edge nodes per
@@ -12,6 +14,7 @@ side that the stencils cannot reach.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -49,8 +52,9 @@ class PropagationGrid:
     def __post_init__(self) -> None:
         if self.nx < 256:
             raise ValueError("need nx >= 256")
-        if not self.dz > 0:  # NaN included
-            raise ValueError("dz must be positive")
+        for name in ("half_width", "dz", "z_end"):
+            if not 0 < getattr(self, name) < math.inf:  # NaN included
+                raise ValueError(f"{name} must be {'finite' if getattr(self, name) > 0 else 'positive'}")
 
     @property
     def x(self) -> np.ndarray:
@@ -71,6 +75,25 @@ class FieldSnapshot:
     samples: np.ndarray
 
 
+def _cn_solve(inner, v_now, v_next, dx: float, dz: float, off, a, diag, rhs) -> np.ndarray:
+    """The step's kernel: the new interior, solved in rhs (a, diag, rhs overwritten; `off` kept).
+    Each operation is one of the step's formula, in its order: the bits do not depend on the buffers."""
+    np.add(v_now[1:-1], v_next[1:-1], out=a)
+    if not np.isfinite(a).all():  # as V_half is: halving keeps a value finite or not
+        raise ValueError("potential must not contain infs or NaNs")
+    lam = 1j * dz / 2.0
+    np.multiply(lam, np.add(2.0 / dx**2, np.multiply(0.5, a, out=a), out=a), out=a)  # lam (2/dx^2 + V_half)
+    np.add(1.0, a, out=diag)
+    np.multiply(np.subtract(1.0, a, out=rhs), inner, out=rhs)
+    np.multiply(lam / dx**2, inner, out=a)  # c psi, added from the left neighbour, then the right
+    rhs[1:] += a[:-1]
+    rhs[:-1] += a[1:]
+    *_, sol, info = _GTSV(off, diag, off, rhs, overwrite_d=1, overwrite_b=1)  # f2py copies off per band
+    if info > 0:
+        raise LinAlgError("singular matrix")
+    return sol
+
+
 def step(field: np.ndarray, v_now: np.ndarray, v_next: np.ndarray, dx: float, dz: float) -> np.ndarray:
     """One Crank-Nicolson step with the potential averaged at the half step.
 
@@ -79,24 +102,14 @@ def step(field: np.ndarray, v_now: np.ndarray, v_next: np.ndarray, dx: float, dz
     keeps the scheme exactly unitary for real potentials). Second order in
     dz, dx.
     """
-    v_half = 0.5 * (np.asarray(v_now) + np.asarray(v_next))[1:-1]
-    if not np.isfinite(v_half).all():
-        raise ValueError("potential must not contain infs or NaNs")
-    inner = field[1:-1]
-    lam = 1j * dz / 2.0
-    a = lam * (2.0 / dx**2 + v_half)
-    diag = 1.0 + a
-    c = lam / dx**2
-    rhs = (1.0 - a) * inner
-    rhs[1:] += c * inner[:-1]
-    rhs[:-1] += c * inner[1:]
-    off = np.full(inner.shape[0] - 1, -c)
-    *_, sol, info = _GTSV(off, diag, off, rhs)  # copies its inputs before factorising
-    if info > 0:
-        raise LinAlgError("singular matrix")
     out = np.zeros(field.shape, dtype=complex)
-    out[1:-1] = sol
+    out[1:-1] = _cn_solve(field[1:-1], np.asarray(v_now), np.asarray(v_next), dx, dz, _off_diagonal(out.size, dx, dz),
+                          *np.empty((3, out.size - 2), dtype=complex))
     return out
+
+
+def _off_diagonal(nx: int, dx: float, dz: float) -> np.ndarray:
+    return np.full(nx - 3, -(1j * dz / 2.0 / dx**2))
 
 
 def propagate(
@@ -111,33 +124,41 @@ def propagate(
     sampled per step; snapshots land on the nearest step boundary (the
     step size divides the snapshot spacing in normal use).
     """
-    x = grid.x
+    x, dx = grid.x, grid.dx
     if not grid.cfl_ok():
         import warnings
 
-        warnings.warn(f"dz = {grid.dz:g} exceeds dx = {grid.dx:g}; accuracy may suffer",
+        warnings.warn(f"dz = {grid.dz:g} exceeds dx = {dx:g}; accuracy may suffer",
                       RuntimeWarning, stacklevel=2)
     psi = np.asarray(initial(x) if callable(initial) else initial, dtype=complex).copy()
     if psi.shape != x.shape:
         raise ValueError("initial field does not match the grid")
     if not np.isfinite(psi).all():
         raise ValueError("initial field must be finite")
-    p0 = float(np.trapezoid(np.abs(psi) ** 2, x))
     targets = sorted(float(zz) for zz in snapshot_zs)
+    if not all(math.isfinite(zz) and zz >= 0 for zz in targets):
+        raise ValueError(f"snapshot z must be finite and >= 0, got {targets}")
+    p0 = float(np.trapezoid(np.abs(psi) ** 2, x))
     out: list[FieldSnapshot] = []
     z = 0.0
     ti = 0
     while ti < len(targets) and targets[ti] <= z + grid.dz * 1e-9:
         out.append(FieldSnapshot(z=targets[ti], samples=psi.copy()))
         ti += 1
+    # kept for the march: the next field (its walls stay zero), the kernel's a and diag, the last off-diagonal
+    nxt, (a, diag), off_dz = np.zeros_like(psi), np.empty((2, psi.size - 2), dtype=complex), None
+    psi[0] = psi[-1] = 0.0  # the walls enter no step, and every step leaves them zero
     v_now = np.asarray(potential(x, z))
     while ti < len(targets):
         dz = min(grid.dz, targets[ti] - z)
+        if dz != off_dz:
+            off_dz, off = dz, _off_diagonal(psi.size, dx, dz)
         v_next = np.asarray(potential(x, z + dz))
-        psi = step(psi, v_now, v_next, grid.dx, dz)
+        _cn_solve(psi[1:-1], v_now, v_next, dx, dz, off, a, diag, nxt[1:-1])
+        psi, nxt = nxt, psi
         z += dz
         v_now = v_next
-        p = grid.dx * np.vdot(psi[1:-1], psi[1:-1]).real  # the trapezoid rule: the walls are zeros
+        p = dx * np.vdot(psi[1:-1], psi[1:-1]).real  # the trapezoid rule: the walls are zeros
         if not np.isfinite(p) or p > POWER_BLOWUP * p0:
             raise PropagationUnstable(f"power grew to {p / p0:.3e} x initial at z={z:.3f}")
         if targets[ti] - z <= grid.dz * 1e-9:

@@ -89,7 +89,7 @@ SCHEMA = {
     "z_grid": Key({"num": Key(int, check=_need(lambda v: v >= 2, "need at least 2 samples")),
                    "periods": Key(float, check=POSITIVE)}),
     "mode_kind": Key(str, "left"),
-    "observables": Key(list),  # each a name or an OBSERVABLE object
+    "observables": Key(list, check=_need(len, "need at least one observable")),  # names or OBSERVABLE objects
     "quadrature": Key({"nodes": Key(int, 4097, lambda v: QuadratureSpec(half_width=1.0, nodes=v)),
                        "half_width": Key(float, None, lambda v: QuadratureSpec(half_width=v, nodes=64))},
                       {}),  # half_width null: `default_half_width`

@@ -5,6 +5,8 @@ seed Wronskian (second order); guided modes come from the intertwining
 operators A1 and L12. The arbitrary longitudinal gauge functions are fixed
 to 1 throughout, so no i d_z ln(l) terms appear.
 
+The regularity scan takes blocks of z rows at once: cosh/sinh once per x set, a phase per row.
+
 Symmetry checks are performed on the induced potential directly (max |Im V|
 for Hermiticity, max |V - conj(V o parity)| for the PT variants) rather
 than on the third-derivative logarithmic conditions, which are equivalent
@@ -45,6 +47,7 @@ __all__ = [
 NODE_RTOL = 1e-10
 
 REFINE_LEVELS = 12  # zoom levels (factor 8 each) of regularity_scan's argmin refinement
+SCAN_BLOCK = 768  # (z, x) points regularity_scan evaluates at once, in whole z rows
 
 
 class SingularPointError(ValueError):
@@ -195,26 +198,31 @@ def regularity_scan(
     if n_points < 2:
         raise ValueError("n_points must be >= 2 per axis")
 
-    def ratio(xv, zv: float):
-        xv = np.asarray(xv, dtype=float)
-        d1 = x_derivatives(u1, xv, zv, 1)
-        d2 = x_derivatives(u2, xv, zv, 1)
-        w = d1[0] * d2[1] - d1[1] * d2[0]
-        return np.abs(w), np.abs(w) / _wronskian_scale(d1, d2)
+    def scan(xv, zv, best):
+        """`best` = (ratio, |W|, x, z) updated by the rows zv over xv, row by row: a row counts
+        at its first minimum (not at all if that is NaN), and only when strictly below the best."""
+        # each term's u, u' at z = 0, once per x set: on a row z it takes its phase exp(i k^2 z),
+        # and the terms add up in order, as `x_derivatives` forms them
+        terms = [[(1j * t.k * t.k, x_derivatives(SeedSuperposition((t,)), xv, 0.0, 1)) for t in u.terms]
+                 for u in (u1, u2)]
+        step = max(1, SCAN_BLOCK // len(xv))
+        for i in range(0, len(zv), step):
+            d1, d2 = (sum(d[:, None] * np.exp(rate * zv[i:i + step])[:, None] for rate, d in tu) for tu in terms)
+            p, q = d1[0] * d2[1], d1[1] * d2[0]  # the products `_wronskian_scale` sums
+            del d1, d2
+            w = np.abs(p - q)
+            r = w / (np.abs(p) + np.abs(q))
+            m = r.min(axis=1)
+            row = int(np.argmin(np.where(np.isnan(m), np.inf, m)))
+            if m[row] < best[0]:
+                j = int(np.argmin(r[row]))
+                best = (float(m[row]), float(w[row, j]), float(xv[j]), float(zv[i + row]))
+        return best
 
     xs = np.linspace(x_range[0], x_range[1], n_points)
     single_z = z_range[0] == z_range[1]
     zs = np.array([z_range[0]]) if single_z else np.linspace(z_range[0], z_range[1], n_points)
-
-    best_r = math.inf
-    best_w = math.inf
-    bx = bz = 0.0
-    for zz in zs:
-        w, r = ratio(xs, float(zz))
-        j = int(np.argmin(r))
-        if r[j] < best_r:
-            best_r, best_w = float(r[j]), float(w[j])
-            bx, bz = float(xs[j]), float(zz)
+    best_r, best_w, bx, bz = scan(xs, zs, (math.inf, math.inf, 0.0, 0.0))
     hx = xs[1] - xs[0]
     hz = 0.0 if single_z else zs[1] - zs[0]
 
@@ -222,12 +230,7 @@ def regularity_scan(
         lxs = np.clip(np.linspace(bx - hx, bx + hx, 17), x_range[0], x_range[1])
         lzs = np.array([bz]) if single_z else np.clip(
             np.linspace(bz - hz, bz + hz, 17), z_range[0], z_range[1])
-        for zz in lzs:
-            w, r = ratio(lxs, float(zz))
-            j = int(np.argmin(r))
-            if r[j] < best_r:
-                best_r, best_w = float(r[j]), float(w[j])
-                bx, bz = float(lxs[j]), float(zz)
+        best_r, best_w, bx, bz = scan(lxs, lzs, (best_r, best_w, bx, bz))
         hx /= 8.0
         hz /= 8.0
 

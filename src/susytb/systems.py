@@ -10,7 +10,8 @@ generic Darboux machinery so the two routes can cross-check each other:
 * PT-symmetric longitudinally modulated pair, periodic in z with
   T_V = 2 pi / (k1^2 - k3^2); V(-x,-z) = conj V(x,z). The potential and
   the two Floquet modes are assembled from the auxiliary hyperbolic
-  functions h1..h8 and K below, kept for the last frozen node set. One
+  functions h1..h8 and K below, kept for the last frozen node set (V part
+  by part from six real combinations and cos, sin of (k1^2 - k3^2) z). One
   closed-form pass (`_DynamicPass`) evaluates both Floquet modes and their
   z-derivatives on one node set at one z, and each system keeps its last
   pass, so mode and mode_dz at one z on a frozen node set share the
@@ -181,14 +182,14 @@ class _DynamicXParts(NamedTuple):
 
     h1: np.ndarray
     h2: np.ndarray
-    h1_sq: np.ndarray     # h1^2
-    a2_h2_sq: np.ndarray  # alpha^2 h2^2
-    cross: np.ndarray     # 2i alpha h1 h2
+    den_re: np.ndarray    # h1^2 - alpha^2 h2^2: Re den = den_re cos(delta z)
+    den_im: np.ndarray    # h1^2 + alpha^2 h2^2: Im den = den_im sin(delta z) + den_im0
+    den_im0: np.ndarray   # 2 alpha h1 h2
     guard: np.ndarray     # 1e-10 (|h1| + |alpha| |h2|), the Wronskian-node threshold
     guard_sq_hi: np.ndarray  # bound above guard^2, see _guard_sq_hi
-    h3: np.ndarray
-    a2_h4: np.ndarray     # alpha^2 h4
-    ia_h8: np.ndarray     # i alpha h8
+    num_re: np.ndarray    # h3 + alpha^2 h4: Re num = num_re cos(delta z)
+    num_im: np.ndarray    # h3 - alpha^2 h4: Im num = num_im sin(delta z) - num_im0
+    num_im0: np.ndarray   # alpha h8
     c1: np.ndarray        # cosh k1 x
     s3: np.ndarray        # sinh k3 x
     s2: np.ndarray        # sinh k2 x
@@ -218,21 +219,26 @@ def _dynamic_x_parts(p: PTDynamicParams, x) -> _DynamicXParts:
     kx = (k2 * (k1**2 - k3**2) * c2 * np.cosh((k1 - k3) * x)
           + (k1 + k3) * (k1 * k3 - k2**2) * s2 * np.sinh((k1 - k3) * x))
     guard = 1e-10 * (np.abs(h1) + abs(a) * np.abs(h2))
+    h1_sq, a2_h2_sq, a2_h4 = h1**2, a**2 * h2**2, a**2 * h4
     return _DynamicXParts(
-        h1=h1, h2=h2, h1_sq=h1**2, a2_h2_sq=a**2 * h2**2, cross=2j * a * h1 * h2,
+        h1=h1, h2=h2, den_re=h1_sq - a2_h2_sq, den_im=h1_sq + a2_h2_sq, den_im0=2 * a * h1 * h2,
         guard=guard, guard_sq_hi=_guard_sq_hi(guard),
-        h3=h3, a2_h4=a**2 * h4, ia_h8=1j * a * h8, c1=c1, s3=s3, s2=s2, kx=kx)
+        num_re=h3 + a2_h4, num_im=h3 - a2_h4, num_im0=a * h8, c1=c1, s3=s3, s2=s2, kx=kx)
 
 
 def _potential_dynamic_at(p: PTDynamicParams, xp: _DynamicXParts, z: float):
-    delta = p.k1**2 - p.k3**2
-    ep = np.exp(1j * delta * z)
-    em = np.exp(-1j * delta * z)
-    den = xp.h1_sq * ep - xp.a2_h2_sq * em + xp.cross
+    """V = num / den, each written part by part from the real x parts (see `_DynamicXParts`)."""
+    theta = (p.k1**2 - p.k3**2) * z
+    cos, sin = math.cos(theta), math.sin(theta)
+    den, num = np.empty(xp.h1.shape, dtype=complex), np.empty(xp.h1.shape, dtype=complex)
+    np.multiply(xp.den_re, cos, out=den.real)
+    np.add(np.multiply(xp.den_im, sin, out=den.imag), xp.den_im0, out=den.imag)
     near = np.abs(den) < xp.guard_sq_hi  # holds wherever sqrt(|den|) < guard does
     if near.any() and np.any(np.sqrt(np.abs(den[near])) < xp.guard[near]):
         raise SingularPointError("dynamic potential evaluated at a Wronskian node")
-    return (xp.h3 * ep + xp.a2_h4 * em - xp.ia_h8) / den
+    np.multiply(xp.num_re, cos, out=num.real)
+    np.subtract(np.multiply(xp.num_im, sin, out=num.imag), xp.num_im0, out=num.imag)
+    return np.divide(num, den, out=num)
 
 
 def potential_pt_dynamic(p: PTDynamicParams, x, z: float):

@@ -38,3 +38,22 @@ def dyn_strong_system():
 @pytest.fixture(scope="session")
 def rng():
     return np.random.default_rng(20240817)
+
+
+def potential_pt_dynamic_complex(p: PTDynamicParams, x, z: float):
+    """The modulated pair's V as the closed form writes it: h1..h8 and the phases e^{+-i delta z} as
+    complex exponentials. The reference for `systems`, which writes V's real and imaginary parts."""
+    x = np.asarray(x, dtype=float)
+    k1, k2, k3, a = p.k1, p.k2, p.k3, p.alpha
+    c1, s1, c2, s2, c3, s3 = (f(k * x) for k in (k1, k2, k3) for f in (np.cosh, np.sinh))
+    h1 = k2 * c1 * c2 - k1 * s1 * s2
+    h2 = k2 * c2 * s3 - k3 * c3 * s2
+    h3 = (k1**2 - k2**2) * (2 * k1**2 * s2**2 + k2**2 * (1 + np.cosh(2 * k1 * x)))
+    h4 = 2 * (k2**2 - k3**2) * (k2**2 * s3**2 - k3**2 * s2**2)
+    h5 = 2 * k1 * k3 * (k1**2 - 2 * k2**2 + k3**2) * c3 * s1 * s2**2
+    h6 = (4 * k2**4 - 4 * k1**2 * k3**2 * s2**2 + k2**2 * (k1**2 + k3**2) * (np.cosh(2 * k2 * x) - 3)) * c1 * s3
+    h7 = k2 * (k1**2 - k3**2) * (k3 * c1 * c3 - k1 * s1 * s3) * np.sinh(2 * k2 * x)
+    delta = k1**2 - k3**2
+    ep, em = np.exp(1j * delta * z), np.exp(-1j * delta * z)
+    den = h1**2 * ep - a**2 * h2**2 * em + 2j * a * h1 * h2
+    return (h3 * ep + a**2 * h4 * em - 1j * a * (h5 + h6 + h7)) / den

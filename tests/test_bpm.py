@@ -17,7 +17,7 @@ from susytb.bpm import (
 )
 from susytb.quadrature import d1_fourth, d2_fourth
 
-from conftest import HERM, PTS
+from conftest import HERM, PTS, potential_pt_dynamic_complex
 
 
 def _grid(**kw):
@@ -34,6 +34,22 @@ def test_grid_validation():
             _grid(dz=dz)
     assert _grid().cfl_ok()
     assert not _grid(dz=1.0).cfl_ok()
+
+
+@pytest.mark.parametrize("field", ["half_width", "dz", "z_end"])
+@pytest.mark.parametrize("value, message", [(0.0, "positive"), (-1.0, "positive"), (math.nan, "positive"),
+                                            (-math.inf, "positive"), (math.inf, "finite")])
+def test_grid_refuses_a_length_that_is_not_positive_and_finite(field, value, message):
+    with pytest.raises(ValueError, match=f"^{field} must be {message}$"):
+        _grid(**{field: value})
+
+
+@pytest.mark.parametrize("zs", [[math.nan], [0.5, math.nan], [-1.0], [0.0, -0.01], [math.inf]],
+                         ids=["nan", "nan-after-0.5", "negative", "negative-after-0", "inf"])
+def test_propagate_refuses_a_snapshot_z_that_is_not_finite_and_non_negative(zs):
+    """A NaN or infinite target would march forever, and a negative one was returned as the z = 0 field."""
+    with pytest.raises(ValueError, match="snapshot z must be finite and >= 0"):
+        propagate(lambda xx: np.exp(-xx**2) + 0j, lambda xx, zz: np.zeros_like(xx), _grid(nx=256), zs)
 
 
 def test_free_gaussian_spreading_law():
@@ -146,6 +162,25 @@ def test_step_is_bit_identical_to_the_banded_solve(dyn_system, rng):
         new = step(field, v_now, v_next, grid.dx, dz)
         assert np.array_equal(new, _step_banded(field, v_now, v_next, grid.dx, dz))
         assert new[0] == new[-1] == 0.0
+
+
+def test_propagate_is_bit_identical_to_a_march_of_steps(dyn_system):
+    """The march keeps its buffers and its off-diagonals; its snapshots are those of `step` called in turn,
+    shortened steps onto the targets included, on V as the complex closed form gives it."""
+    grid = _grid(half_width=12.0 / dyn_system.min_k, nx=512)
+    x = grid.x
+    potential = lambda xx, zz: potential_pt_dynamic_complex(dyn_system.params, xx, zz)
+    init = dyn_system.mode("left", x, 0.0) + 1e-3  # non-zero walls: each step writes zeros there
+    targets = [0.0, 0.25, 0.2537, 0.4, 0.41]
+    snaps = propagate(init, potential, grid, targets)
+    psi, z = init, 0.0
+    for snap, target in zip(snaps, targets):
+        while target - z > grid.dz * 1e-9:
+            dz = min(grid.dz, target - z)
+            psi = step(psi, potential(x, z), potential(x, z + dz), grid.dx, dz)
+            z += dz
+        assert snap.z == target and np.array_equal(snap.samples, psi), target
+    assert len(snaps) == len(targets)
 
 
 @settings(max_examples=40, deadline=None)

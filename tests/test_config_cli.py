@@ -649,6 +649,20 @@ def test_cli_refuses_an_unknown_observable_key(tmp_path, capsys, command):
     assert not out.exists()
 
 
+def test_an_empty_observable_list_is_refused(tmp_path, capsys):
+    """A run with nothing to compare would write a CSV of its header alone and empty metrics."""
+    raw = _cfg(observables=[])
+    with pytest.raises(ConfigError) as exc:
+        validate_config(json.dumps(raw))
+    assert exc.value.errors == ["observables: need at least one observable"]
+    path = tmp_path / "c.json"
+    path.write_text(json.dumps(raw))
+    assert main(["validate", str(path)]) == 1
+    assert capsys.readouterr().err == "error: observables: need at least one observable\n"
+    assert main(["compare", str(path), "--out", str(tmp_path / "out")]) == 1
+    assert not (tmp_path / "out").exists()
+
+
 @pytest.mark.parametrize("observables, index, first, request_", [
     (["x_mean", "x_mean"], 1, 0, "x_mean, dirac"),
     (["power", {"name": "x_mean", "metric": "pt"}, "x_mean", {"name": "x_mean", "metric": "pt"}], 3, 1,

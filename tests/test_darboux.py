@@ -1,9 +1,17 @@
+import math
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from susytb.bpm import eigen_residual
 from susytb.darboux import (
+    NODE_RTOL,
+    REFINE_LEVELS,
+    RegularityScan,
     SingularPointError,
+    _wronskian_scale,
     apply_A1,
     apply_L12,
     first_order_potential,
@@ -11,7 +19,7 @@ from susytb.darboux import (
     second_order_potential,
     symmetry_residual,
 )
-from susytb.seeds import SeedSuperposition
+from susytb.seeds import SeedSuperposition, x_derivatives
 from susytb.systems import potential_hermitian_static, potential_pt_dynamic
 
 from conftest import HERM, PTD, PTD_STRONG, PTS
@@ -223,3 +231,47 @@ def test_scan_certified_dynamic_parameters():
     t_v = 2 * np.pi / (p.k1**2 - p.k3**2)
     scan = regularity_scan(u1, u2, (-10.0, 10.0), (0.0, 2 * t_v), 201)
     assert scan.nodeless
+
+
+def _scan_per_z(u1, u2, x_range, z_range, n_points):
+    """`regularity_scan` as a loop over z rows, one `x_derivatives` pass per row and seed."""
+
+    def ratio(xv, zv: float):
+        d1 = x_derivatives(u1, xv, zv, 1)
+        d2 = x_derivatives(u2, xv, zv, 1)
+        w = d1[0] * d2[1] - d1[1] * d2[0]
+        return np.abs(w), np.abs(w) / _wronskian_scale(d1, d2)
+
+    xs = np.linspace(x_range[0], x_range[1], n_points)
+    single_z = z_range[0] == z_range[1]
+    zs = np.array([z_range[0]]) if single_z else np.linspace(z_range[0], z_range[1], n_points)
+    best_r = best_w = math.inf
+    bx = bz = 0.0
+    hx, hz = xs[1] - xs[0], 0.0 if single_z else zs[1] - zs[0]
+    for level in range(REFINE_LEVELS + 1):
+        if level:
+            xs = np.clip(np.linspace(bx - hx, bx + hx, 17), x_range[0], x_range[1])
+            zs = np.array([bz]) if single_z else np.clip(np.linspace(bz - hz, bz + hz, 17), z_range[0], z_range[1])
+            hx, hz = hx / 8.0, hz / 8.0
+        for zz in zs:
+            w, r = ratio(xs, float(zz))
+            j = int(np.argmin(r))
+            if r[j] < best_r:
+                best_r, best_w, bx, bz = float(r[j]), float(w[j]), float(xs[j]), float(zz)
+    return RegularityScan(min_abs_w=best_w, argmin=(bx, bz), nodeless=bool(best_r >= NODE_RTOL))
+
+
+@settings(max_examples=30, deadline=None)
+@given(k=st.tuples(st.floats(0.1, 2.5), st.floats(0.1, 2.5), st.floats(0.0, 2.0)), alpha=st.floats(-1.5, 1.5),
+       n_points=st.sampled_from([2, 17, 57, 241]), single_z=st.booleans())
+@example(k=(0.9, 0.5, 0.3), alpha=0.1, n_points=241, single_z=False)  # |k2| < |k1|: noded
+@example(k=(1.0, 1.1, 0.95), alpha=0.9, n_points=241, single_z=False)  # past the bound: noded
+@example(k=(0.9, 0.5, 0.0), alpha=0.0, n_points=2001, single_z=True)  # the static ordering violation
+def test_blocked_scan_is_the_per_z_loop_property(k, alpha, n_points, single_z):
+    """The scan evaluates blocks of z rows at once; its verdict, minimum and argmin are the per-row loop's."""
+    k1, k2, k3 = k
+    u1 = SeedSuperposition.build([("even", 1.0, k1), ("odd", alpha, k3)])
+    u2 = SeedSuperposition.odd(1.0, k2)
+    z_end = 0.0 if single_z else 4 * math.pi / max(abs(k1**2 - k3**2), 0.05)
+    args = (u1, u2, (-10.0, 10.0), (0.0, z_end), n_points)
+    assert regularity_scan(*args) == _scan_per_z(*args)

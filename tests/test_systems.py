@@ -28,7 +28,7 @@ from susytb.systems import (
     raw_mode_pt_static,
 )
 
-from conftest import HERM, PTD, PTD_STRONG, PTS
+from conftest import HERM, PTD, PTD_STRONG, PTS, potential_pt_dynamic_complex
 
 
 # ---------------------------------------------------------------------------
@@ -190,8 +190,8 @@ def test_wronskian_guard_raises_where_the_sqrt_test_does(guard):
             mags += [lo, hi]
     raised = set()
     for m in mags + [guard * guard]:
-        # at z = 0 both phases are 1, so den = h1_sq - a2_h2_sq + cross = m
-        xp = xp0._replace(h1_sq=np.array([m]), a2_h2_sq=np.zeros(1), cross=np.zeros(1, complex),
+        # at z = 0, cos = 1 and sin = 0, so den = den_re + i den_im0 = m
+        xp = xp0._replace(den_re=np.array([m]), den_im=np.zeros(1), den_im0=np.zeros(1),
                           guard=g, guard_sq_hi=_guard_sq_hi(g))
         den = np.array([m + 0j])
         old = bool(np.any(np.sqrt(np.abs(den)) < xp.guard))
@@ -428,6 +428,32 @@ def certified_dynamic_params(draw):
     p = PTDynamicParams(k1=k1, k2=k2, k3=k3, alpha=bound * draw(st.floats(-0.95, 0.95)))
     assert p.certified
     return p
+
+
+@st.composite
+def scan_nodeless_dynamic_params(draw):
+    """alpha past the sufficient bound, kept only where `make_system`'s regularity scan finds no node."""
+    p = draw(certified_dynamic_params())
+    bound = (1.0 - abs(p.k1 / p.k2)) / (1.0 + abs(p.k3 / p.k2))
+    p = PTDynamicParams(k1=p.k1, k2=p.k2, k3=p.k3, alpha=bound * draw(st.floats(1.05, 3.0)))
+    assert not p.certified
+    try:
+        make_system(p)
+    except ParameterError:
+        assume(False)
+    return p
+
+
+@settings(max_examples=40, deadline=None)
+@given(p=st.one_of(certified_dynamic_params(), scan_nodeless_dynamic_params()), z=st.floats(-100.0, 100.0))
+def test_dynamic_potential_matches_the_complex_closed_form_property(p, z):
+    """V written from its real x parts is the complex closed form, element by element, out to
+    0.99 x_limit, where the closed forms' denominators near overflow."""
+    x = np.linspace(-0.99, 0.99, 1001) * WaveguideSystem(p).x_limit
+    reference = potential_pt_dynamic_complex(p, x, z)
+    v = potential_pt_dynamic(p, x, z)
+    assert np.all(np.isfinite(reference))
+    assert np.all(np.abs(v - reference) <= 1e-13 * np.abs(reference))
 
 
 @settings(max_examples=60, deadline=None)
