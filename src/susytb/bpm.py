@@ -75,8 +75,8 @@ class FieldSnapshot:
     samples: np.ndarray
 
 
-def _cn_solve(inner, v_now, v_next, dx: float, dz: float, off, a, diag, rhs) -> np.ndarray:
-    """The step's kernel: the new interior, solved in rhs (a, diag, rhs overwritten; `off` kept).
+def _cn_solve(inner, v_now, v_next, dx: float, dz: float, off, a, diag, rhs) -> None:
+    """The step's kernel: the new interior into rhs, a contiguous buffer (a, diag overwritten; `off` kept).
     Each operation is one of the step's formula, in its order: the bits do not depend on the buffers."""
     np.add(v_now[1:-1], v_next[1:-1], out=a)
     if not np.isfinite(a).all():  # as V_half is: halving keeps a value finite or not
@@ -88,10 +88,9 @@ def _cn_solve(inner, v_now, v_next, dx: float, dz: float, off, a, diag, rhs) -> 
     np.multiply(lam / dx**2, inner, out=a)  # c psi, added from the left neighbour, then the right
     rhs[1:] += a[:-1]
     rhs[:-1] += a[1:]
-    *_, sol, info = _GTSV(off, diag, off, rhs, overwrite_d=1, overwrite_b=1)  # f2py copies off per band
+    *_, info = _GTSV(off, diag, off, rhs, overwrite_d=1, overwrite_b=1)  # solves in rhs; f2py copies off per band
     if info > 0:
         raise LinAlgError("singular matrix")
-    return sol
 
 
 def step(field: np.ndarray, v_now: np.ndarray, v_next: np.ndarray, dx: float, dz: float) -> np.ndarray:
@@ -103,13 +102,14 @@ def step(field: np.ndarray, v_now: np.ndarray, v_next: np.ndarray, dx: float, dz
     dz, dx.
     """
     out = np.zeros(field.shape, dtype=complex)
-    out[1:-1] = _cn_solve(field[1:-1], np.asarray(v_now), np.asarray(v_next), dx, dz, _off_diagonal(out.size, dx, dz),
-                          *np.empty((3, out.size - 2), dtype=complex))
+    _cn_solve(field[1:-1], np.asarray(v_now), np.asarray(v_next), dx, dz, _off_diagonal(out.size - 2, dx, dz),
+              *np.empty((2, out.size - 2), dtype=complex), out[1:-1])
     return out
 
 
-def _off_diagonal(nx: int, dx: float, dz: float) -> np.ndarray:
-    return np.full(nx - 3, -(1j * dz / 2.0 / dx**2))
+def _off_diagonal(n: int, dx: float, dz: float) -> np.ndarray:
+    """-i dz / (2 dx^2) beside each of n interior nodes."""
+    return np.full(n - 1, -(1j * dz / 2.0 / dx**2))
 
 
 def propagate(
@@ -152,7 +152,7 @@ def propagate(
     while ti < len(targets):
         dz = min(grid.dz, targets[ti] - z)
         if dz != off_dz:
-            off_dz, off = dz, _off_diagonal(psi.size, dx, dz)
+            off_dz, off = dz, _off_diagonal(psi.size - 2, dx, dz)
         v_next = np.asarray(potential(x, z + dz))
         _cn_solve(psi[1:-1], v_now, v_next, dx, dz, off, a, diag, nxt[1:-1])
         psi, nxt = nxt, psi
