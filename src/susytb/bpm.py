@@ -14,6 +14,7 @@ side that the stencils cannot reach.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Callable, Sequence
@@ -56,9 +57,9 @@ class PropagationGrid:
             if not 0 < getattr(self, name) < math.inf:  # NaN included
                 raise ValueError(f"{name} must be {'finite' if getattr(self, name) > 0 else 'positive'}")
 
-    @property
+    @functools.cached_property
     def x(self) -> np.ndarray:
-        """The nodes, frozen (`quadrature.read_only`): a march samples V on them at every step."""
+        """The nodes, built once and frozen (`quadrature.read_only`): a march samples V on them each step."""
         return read_only(np.linspace(-self.half_width, self.half_width, self.nx))
 
     @property

@@ -182,8 +182,7 @@ def _build_tb(cfg: ScenarioConfig, tb_params: dict):
         flq = floquet_monodromy(model, system.periods().fundamental,
                                 StepControl(), targets=targets, z_grid=cfg.z_values)
         guided = floquet_guided_modes(model, flq)
-        state = TBTrajectoryState(model, flq.trajectory(guided.coefficients(cfg.mode_kind, 0.0)),
-                                  system)
+        state = TBTrajectoryState(model, flq, guided.coefficients(cfg.mode_kind, 0.0))
         spectrum = {"quasi_energies": [complex(e) for e in flq.quasi_energies],
                     "targets": list(flq.targets), "branch_shifts": flq.branch_shifts.tolist()}
         return model, state, spectrum

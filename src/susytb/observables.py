@@ -11,8 +11,8 @@ resolution moves the first derivative by at most 1e-5 of its scale.
 each image at most once. The modulated pair's states are two-mode superpositions psi
 = sum_j a_j(z) u_j(x, z mod T_V) (Floquet's theorem), so their moments are quadratic
 forms a^H G b in 2x2 Gram matrices G, all that is kept of each distinct phase's rows
-(`quadrature.fold_phases`; TB has one basis for every z); each moment is then one
-array pass over all z, on any grid. The exact pair is PT-symmetric: phases r and T_V - r
+(`quadrature.fold_phases`; TB has one basis for every z and reads H off its Floquet
+march); each moment is then one array pass over all z. The exact pair is PT-symmetric: phases r and T_V - r
 share one evaluation, however many z meet them. Static states are still taken field by
 field at each z with unchanged sums: their comparison metrics' sub-resolution `phase_shift`
 fields move with any new summation order. `moment_series` is the one-observable case.
@@ -29,7 +29,7 @@ import numpy as np
 
 from .quadrature import PHASE_TOL, QuadratureSpec, d1_fourth, d2_fourth, fold_phases, quad_nodes, read_only
 from .systems import WaveguideSystem
-from .tightbinding import TBGuidedModes, TBModel, CoefficientTrajectory, assemble_state
+from .tightbinding import FloquetResult, TBGuidedModes, TBModel, assemble_state
 
 __all__ = [
     "OBSERVABLES",
@@ -160,29 +160,26 @@ class TBStaticState:
 
 
 class TBTrajectoryState:
-    """Dynamic-model state psi = sum_j c_j(z) phi_j on a precomputed coefficient trajectory.
+    """Dynamic-model state psi = sum_j c_j(z) phi_j, read off the Floquet march of its grid.
 
-    As for the static case, H stays inside the model: H psi := i d_z psi = sum_j (S^-1 H(z) c)_j phi_j.
+    As for the static case, H stays inside the model: H psi := i d_z psi = sum_j (S^-1 H(z) c)_j phi_j,
+    with S^-1 H(r) the march's own generator at each phase r (`FloquetResult.generators`).
     """
 
-    def __init__(self, model: TBModel, trajectory: CoefficientTrajectory,
-                 system: WaveguideSystem):
+    def __init__(self, model: TBModel, floquet: FloquetResult, c0: Sequence[complex]):
         self.model = model
-        self.trajectory = trajectory
-        self.system = system
+        self.floquet = floquet
+        self.trajectory = floquet.trajectory(c0)
 
     def forms(self, x, w, h, z_grid):
-        """One `_Group` of every z: the basis is the same at each, and S^-1 H(r) is built once per phase r."""
-        model, zs, tol = self.model, self.trajectory.z, 1e-9 * np.maximum(1.0, np.abs(z_grid))
-        at = np.minimum(np.searchsorted(zs, z_grid - tol), len(zs) - 1)
-        if np.any(np.abs(zs[at] - z_grid) > tol):
-            raise ValueError("z grid is not on the integrated trajectory grid")
-        _, which, phases = fold_phases(z_grid, self.system.periods().fundamental)
-        gen = functools.cache(lambda: np.stack([model.overlap_inverse() @ model.hamiltonian_matrix(r)
-                                                for r in phases.tolist()]))
-        c = self.trajectory.c[at]  # H^k psi has the coefficients gen^k c: one matrix power per phase and order
-        hk = functools.cache(lambda k: np.einsum("zij,zj->zi", np.linalg.matrix_power(gen(), k)[which], c))
-        yield _Group(np.arange(len(z_grid)), _Fields(np.stack(model.basis_values(x)), x, w, h), c, hk)
+        """One `_Group` of every z, each a point of the marched grid: the basis is the same at each."""
+        flq = self.floquet
+        at = np.minimum(np.searchsorted(flq.z, z_grid), len(flq.z) - 1)
+        if not np.array_equal(flq.z[at], z_grid):
+            raise ValueError("z grid is not on the marched grid")
+        c, gen = self.trajectory.c[at], flq.generators  # H^k psi: gen^k c, one matrix power per phase and order
+        hk = functools.cache(lambda k: np.einsum("zij,zj->zi", np.linalg.matrix_power(gen, k)[flq.which[at]], c))
+        yield _Group(np.arange(len(z_grid)), _Fields(np.stack(self.model.basis_values(x)), x, w, h), c, hk)
 
 
 # ---------------------------------------------------------------------------

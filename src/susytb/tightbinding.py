@@ -12,14 +12,14 @@ hermitian, PT inner product for pt). Stationary spectra use the well-sum
 Hamiltonian; the z-dependent coupled equations use the bound exact
 potential, which is the only z-dependent object available.
 
-For a z-periodic H(z) one RK4 march over one period serves both the
-monodromy and the trajectory: `floquet_monodromy` marches the propagator
+For a z-periodic H(z) one RK4 march over one period serves the monodromy,
+the trajectory and its H moments: `floquet_monodromy` marches the propagator
 U(r) from 0 through every phase r = z mod T of the requested z grid on to
-M = U(T), and `FloquetResult.trajectory` gives c(nT + r) = U(r) M^n c0
-(Floquet theorem). That march reads H(z) from its harmonic series, sampled
-at M = 32, 64, ... z per period until every |H_p|, |p| >= M/4, is within
-SERIES_TOL of the largest (past 512 samples, or those of a direct march, it
-builds H(z) directly, as the step-by-step `propagate_coefficients` does).
+M = U(T), keeping U(r) and the generator S^-1 H(r), and `FloquetResult.trajectory`
+gives c(nT + r) = U(r) M^n c0 (Floquet theorem). That march reads H(z) from its
+harmonic series, sampled at M = 32, 64, ... z per period until every |H_p|,
+|p| >= M/4, is within SERIES_TOL of the largest (past 512 samples, or those of a
+direct march, it builds H(z) directly, as the step-by-step `propagate_coefficients` does).
 """
 
 from __future__ import annotations
@@ -298,16 +298,18 @@ class CoefficientTrajectory:
 
 
 class _CoupledSystem:
-    """i S c' = H(z) c, marched as c' = -i S^-1 H(z) c; h(zs) stacks H(z) (direct by default)."""
+    """i S c' = H(z) c, marched as c' = -i S^-1 H(z) c; h(zs) stacks H(z) (direct by default), and
+    generators(zs) stacks the S^-1 H(z) the march integrates."""
 
     def __init__(self, model: TBModel, control: StepControl, h: Optional[Callable] = None):
         self.model = model
         cond = np.linalg.cond(model.overlap_matrix())
         if cond > COND_LIMIT:
             raise IllConditionedOverlap(f"cond(S) = {cond:.3e}")
-        self._s_inv = model.overlap_inverse()
         self.control = control
-        self._h = h or (lambda zs: np.stack([model.hamiltonian_matrix(z) for z in zs]))
+        s_inv = model.overlap_inverse()
+        h = h or (lambda zs: np.reshape([model.hamiltonian_matrix(z) for z in zs], (-1, model.n, model.n)))
+        self.generators = lambda zs: s_inv @ h(zs)
 
     def march(self, c: np.ndarray, z0: float, z1: float) -> np.ndarray:
         """Classic RK4 with uniform substeps of at most dz_max. The ODE is linear, so substep j
@@ -318,7 +320,7 @@ class _CoupledSystem:
             return c
         n = max(1, math.ceil(abs(z1 - z0) / self.control.dz_max))
         h_step = (z1 - z0) / n
-        gs = -1j * (self._s_inv @ self._h([z0 + 0.5 * j * h_step for j in range(2 * n + 1)]))
+        gs = -1j * self.generators([z0 + 0.5 * j * h_step for j in range(2 * n + 1)])
         eye = np.eye(self.model.n)
         g0, gm, g1 = gs[0:-1:2], gs[1::2], gs[2::2]
         k2 = gm @ (eye + 0.5 * h_step * g0)
@@ -411,11 +413,10 @@ def _hamiltonian_series(model: TBModel, period: float, budget: int):
 
 @dataclass(frozen=True)
 class FloquetResult:
-    """Monodromy eigensystem, plus the propagator at every z of the marched grid.
-
-    z = turns * T + phases elementwise, and propagators[i] = U(phases[i]).
-    harmonics, harmonic_tail: M and tail of `_hamiltonian_series` (M 0: H(z) built directly).
-    """
+    """Monodromy eigensystem, plus what the march made at each distinct phase of its grid:
+    z = turns * T + phases[which] elementwise, propagators[p] = U(phases[p]) and generators[p] =
+    S^-1 H(phases[p]) on the H(z) the march integrated. harmonics, harmonic_tail: M and tail of
+    `_hamiltonian_series` (M 0: H(z) built directly)."""
 
     monodromy: np.ndarray
     quasi_energies: np.ndarray
@@ -424,8 +425,10 @@ class FloquetResult:
     branch_shifts: np.ndarray
     z: np.ndarray
     turns: np.ndarray
+    which: np.ndarray
     phases: np.ndarray
     propagators: np.ndarray
+    generators: np.ndarray
     harmonics: int
     harmonic_tail: float
 
@@ -433,12 +436,24 @@ class FloquetResult:
         """c(z) = U(r) M^n c0 on the marched grid, z = n T + r (Floquet theorem)."""
         if len(self.z) == 0:
             raise ValueError("the monodromy was marched without a z_grid")
-        c = _initial_coefficients(len(self.monodromy), c0)
-        powers = [c]  # M^n c0
+        powers = [_initial_coefficients(len(self.monodromy), c0)]  # M^n c0
         for _ in range(int(self.turns.max())):
             powers.append(self.monodromy @ powers[-1])
-        out = np.stack([u @ powers[n] for u, n in zip(self.propagators, self.turns)])
+        out = np.stack([self.propagators[p] @ powers[n] for p, n in zip(self.which, self.turns)])
         return CoefficientTrajectory(z=self.z, c=out)
+
+
+def _assign_branches(eps: np.ndarray, targets: np.ndarray, omega: float):
+    """(cols, shifts, values): target by target, the eigenvalue eps[col] no earlier target took whose
+    branch value Re eps + shift omega (shift an integer) is nearest, the first of equally near ones."""
+    shifts = np.round((targets[:, None] - eps.real) / omega)  # every target against every eigenvalue
+    values = eps.real + shifts * omega
+    dist, cols = np.abs(values - targets[:, None]), []
+    for d in dist:
+        cols.append(int(np.argmin(d)))
+        dist[:, cols[-1]] = np.inf
+    rows = np.arange(len(targets))
+    return np.array(cols), shifts[rows, cols].astype(int), values[rows, cols]
 
 
 def floquet_monodromy(
@@ -453,59 +468,37 @@ def floquet_monodromy(
 
     The propagator U is marched once from 0 through the distinct phases
     z mod T of z_grid (see `quadrature.fold_phases`) on to the monodromy M = U(T), keeping
-    U at each phase for `FloquetResult.trajectory`; an empty z_grid is
-    the single march from 0 to T, on H(z) from `_hamiltonian_series` if it converges.
+    U and S^-1 H at each phase (`FloquetResult`); an empty z_grid is the single
+    march from 0 to T, on H(z) from `_hamiltonian_series` if it converges.
 
     Quasi-energies come from eps = i ln(lambda) / T on the principal
     branch, then are shifted by multiples of 2 pi / T to the representative
-    nearest the given targets. Results are ordered to match the targets.
+    nearest the given targets (`_assign_branches`). Results are ordered to match the targets.
     """
+    if not 0 < period < math.inf:  # NaN included
+        raise ValueError(f"period must be positive and finite, got {period!r}")
+    targets = np.asarray(targets, dtype=float)
+    if targets.shape != (model.n,) or not np.all(np.isfinite(targets)):
+        raise ValueError(f"targets must be {model.n} finite values, one per well, got {targets.tolist()!r}")
     control = control or StepControl()
     z = _z_grid(z_grid)
     h, m, tail = _hamiltonian_series(model, period, 2 * math.ceil(period / control.dz_max) + 1)
     sysm = _CoupledSystem(model, control, h)
-    n = model.n
     turns, which, phases = fold_phases(z, period)
-    u = np.eye(n, dtype=complex)
-    at_phase = []
-    r_prev = 0.0
-    for r in phases:
-        u = sysm.march(u, r_prev, r)
-        at_phase.append(u)
-        r_prev = r
-    mono = sysm.march(u, r_prev, period)
-    lam, vecs = np.linalg.eig(mono)
+    stops, u = [0.0, *phases.tolist(), period], [np.eye(model.n, dtype=complex)]  # U at 0, each phase and T
+    for r0, r1 in zip(stops, stops[1:]):
+        u.append(sysm.march(u[-1], r0, r1))
+    lam, vecs = np.linalg.eig(u[-1])
     if np.linalg.cond(vecs) > 1e8:
         raise DefectiveMonodromy("monodromy eigenvector matrix is near-defective")
-    omega = 2 * math.pi / period
-    targets = np.asarray(targets, dtype=float)
-    eps_pb = (1j * np.log(lam) / period)
-    # assign each target its closest eigenvalue branch
-    used: list[int] = []
-    eps_out = np.empty(n, dtype=complex)
-    vec_out = np.empty_like(vecs)
-    shifts = np.empty(n, dtype=int)
-    for i, t in enumerate(targets):
-        best = None
-        for j in range(n):
-            if j in used:
-                continue
-            shift = round((t - eps_pb[j].real) / omega)
-            cand = eps_pb[j].real + shift * omega
-            d = abs(cand - t)
-            if best is None or d < best[0]:
-                best = (d, j, shift, cand)
-        _, j, shift, cand = best
-        used.append(j)
-        eps_out[i] = cand + 1j * eps_pb[j].imag
-        vec_out[:, i] = vecs[:, j]
-        shifts[i] = shift
+    eps_pb = 1j * np.log(lam) / period
+    cols, shifts, values = _assign_branches(eps_pb, targets, 2 * math.pi / period)
     # the monodromy itself stays basis-ordered, not target-ordered
-    return FloquetResult(monodromy=mono, quasi_energies=eps_out,
-                         vectors=vec_out, targets=targets, branch_shifts=shifts,
-                         z=z, turns=turns, phases=phases[which],
-                         propagators=np.array(at_phase).reshape(-1, n, n)[which],
-                         harmonics=m, harmonic_tail=tail)
+    return FloquetResult(monodromy=u[-1], quasi_energies=values + 1j * eps_pb.imag[cols],
+                         vectors=vecs[:, cols], targets=targets, branch_shifts=shifts,
+                         z=z, turns=turns, which=which, phases=phases,
+                         propagators=np.array(u[1:-1]).reshape(-1, model.n, model.n),
+                         generators=sysm.generators(phases), harmonics=m, harmonic_tail=tail)
 
 
 def assemble_state(model: TBModel, c: Sequence[complex], x):

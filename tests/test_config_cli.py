@@ -878,6 +878,26 @@ def test_x_only_computes_do_not_grow_with_the_z_grid(tmp_path, monkeypatch, case
     assert per_num[9] == per_num[17]
 
 
+def test_propagate_computes_the_x_parts_once_per_node_set(tmp_path, capsys, monkeypatch):
+    """`propagate` on the modulated pair: the x-only parts once for validate's frozen quadrature nodes
+    (the left mode reads both Floquet modes there), once for the norms' nodes and once for the BPM grid."""
+    sizes = Counter()
+    x_parts = systems._dynamic_x_parts
+
+    def counted(params, x):
+        sizes[len(x)] += 1
+        return x_parts(params, x)
+
+    monkeypatch.setattr(systems, "_dynamic_x_parts", counted)
+    raw = preset_config("pt-dynamic-fig1-5-6")
+    raw["bpm"] = {"enabled": True, "nx": 512, "dz": 0.04}
+    path = tmp_path / "c.json"
+    path.write_text(json.dumps(raw))
+    assert main(["propagate", str(path)]) == 0
+    assert json.loads(capsys.readouterr().out)["bpm"]["nx"] == 512
+    assert sizes == {4097: 1, 2048: 1, 512: 1}
+
+
 @pytest.mark.parametrize("case", sorted(WARM_CASES))
 def test_cli_potential_dumps_the_system_potential(tmp_path, capsys, case):
     """`potential` writes nx*nz rows (one z for a static pair), the same bytes each run."""

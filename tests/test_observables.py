@@ -29,7 +29,6 @@ from susytb.quadrature import QuadratureSpec, d1_fourth, d2_fourth, fold_phases,
 from susytb.tightbinding import (
     assemble_state,
     floquet_monodromy,
-    propagate_coefficients,
     static_guided_modes,
     two_well_model,
 )
@@ -252,8 +251,9 @@ def dyn_quad(dyn_system):
 def dyn_tb_state(dyn_system):
     model = two_well_model("hermitian", 1.045, 1.77114, potential=dyn_system.potential,
                            hamiltonian_source="system", dynamic=True)
-    traj = propagate_coefficients(model, [0.7, -0.7], [0.0, 0.5, 1.0, 1.5])
-    return TBTrajectoryState(model, traj, dyn_system)
+    flq = floquet_monodromy(model, dyn_system.periods().fundamental,
+                            targets=sorted(dyn_system.energies().values()), z_grid=[0.0, 0.5, 1.0, 1.5])
+    return TBTrajectoryState(model, flq, [0.7, -0.7])
 
 
 STATES = {
@@ -316,7 +316,7 @@ def _dyn_trajectory_state(system, z):
                            hamiltonian_source="system", dynamic=True)
     flq = floquet_monodromy(model, system.periods().fundamental,
                             targets=sorted(system.energies().values()), z_grid=z)
-    return TBTrajectoryState(model, flq.trajectory([0.7, -0.7]), system)
+    return TBTrajectoryState(model, flq, [0.7, -0.7])
 
 
 def test_exact_modulated_table_evaluates_each_phase_once(dyn_system, dyn_quad, monkeypatch):
@@ -408,6 +408,7 @@ def test_mirrored_gram_matrices_match_the_mirror_phase():
 
 
 def test_trajectory_state_builds_each_hamiltonian_once(dyn_system, dyn_quad, monkeypatch):
+    """The march made S^-1 H(r) once per phase r; the table builds no H(z) of its own."""
     z = _repeated_phases(dyn_system)
     state = _dyn_trajectory_state(dyn_system, z)
     model = state.model
@@ -425,10 +426,18 @@ def test_trajectory_state_builds_each_hamiltonian_once(dyn_system, dyn_quad, mon
     monkeypatch.setattr(model, "hamiltonian_matrix", counted_build)
     monkeypatch.setattr(model, "basis_values", counted_basis)
     moment_table(state, ALL_REQUESTS, z, dyn_quad)
-    # H(r) once per distinct phase r = z mod T_V, in phase order
-    assert built == [0.0, pytest.approx(0.5, abs=1e-12)]
+    assert built == []
     # one basis per pass: the resolution guard, the initial power and the table
     assert len(bases) == 3
+
+
+def test_trajectory_state_takes_only_marched_z(dyn_system, dyn_quad):
+    z = _repeated_phases(dyn_system)
+    state = _dyn_trajectory_state(dyn_system, z)
+    moment_table(state, ALL_REQUESTS, z[1:3], dyn_quad)  # a subset is fine; z[0] = 0 carries the initial power
+    for off_grid in ([0.0, 0.25], [0.0, np.nextafter(0.5, 1.0)], [0.0, 3 * z[-1]]):
+        with pytest.raises(ValueError, match="not on the marched grid"):
+            moment_table(state, ALL_REQUESTS, off_grid, dyn_quad)
 
 
 def test_trajectory_table_raises_each_generator_to_each_power_once(monkeypatch):

@@ -31,6 +31,7 @@ from susytb.tightbinding import (
     static_guided_modes,
     two_well_model,
     _CoupledSystem,
+    _assign_branches,
     _hamiltonian_series,
 )
 
@@ -496,14 +497,94 @@ def test_grid_folds_whole_periods_to_phase_zero():
          1.25 * t, np.nextafter(2 * t, 0.0), 2 * t, np.nextafter(2 * t, 9.0)]
     flq = floquet_monodromy(model, t, StepControl(dz_max=0.05), targets=[-1.0, 0.0], z_grid=z)
     assert flq.turns.tolist() == [0, 0, 1, 1, 1, 1, 2, 2, 2]
-    assert flq.phases[[0, 2, 3, 4, 6, 7, 8]].tolist() == [0.0] * 7
+    phases = flq.phases[flq.which]
+    assert phases[[0, 2, 3, 4, 6, 7, 8]].tolist() == [0.0] * 7
     # 0.25 t and 1.25 t - t agree to rounding: one phase, one propagator
-    assert flq.phases[5] == flq.phases[1] == pytest.approx(0.25 * t, rel=1e-12)
-    assert np.array_equal(flq.propagators[5], flq.propagators[1])
-    assert np.array_equal(flq.propagators[3], np.eye(2))
+    assert flq.which[5] == flq.which[1] and phases[1] == pytest.approx(0.25 * t, rel=1e-12)
+    assert len(flq.phases) == len(flq.propagators) == len(flq.generators) == 2
+    assert np.array_equal(flq.propagators[flq.which[3]], np.eye(2))
     c = flq.trajectory([1.0, 0.0]).c
     assert np.array_equal(c[2], c[4]) and np.array_equal(c[6], c[8])
     assert np.array_equal(c[7], flq.monodromy @ (flq.monodromy @ np.array([1.0, 0.0])))
+
+
+@pytest.mark.parametrize("periods_per_dz", [500.0, 14.5], ids=["series", "direct"])
+def test_generators_are_the_marched_hamiltonians(dyn_system, periods_per_dz):
+    """S^-1 H(r) at each phase, from the H(z) the march integrated: the harmonic series, within
+    1e-14 of scale of a direct build, or, past the series' sample budget (31 < 32), the build itself."""
+    model = _dyn_model(dyn_system)
+    t_v = dyn_system.periods().fundamental
+    flq = floquet_monodromy(model, t_v, StepControl(dz_max=t_v / periods_per_dz),
+                            targets=sorted(dyn_system.energies().values()), z_grid=np.linspace(0.0, 2.5 * t_v, 41))
+    assert len(flq.phases) == len(flq.generators) == 16 and (flq.harmonics > 0) == (periods_per_dz > 16)
+    for r, gen in zip(flq.phases, flq.generators):
+        direct = model.overlap_inverse() @ model.hamiltonian_matrix(r)
+        if flq.harmonics:
+            assert np.max(np.abs(gen - direct)) <= 1e-14 * np.max(np.abs(direct)), r
+        else:
+            assert np.array_equal(gen, direct), r
+
+
+def _assign_branches_loop(eps, targets, omega):
+    """The per-target loop that `_assign_branches` replaced, kept as its reference."""
+    used, shifts, values = [], [], []
+    for t in targets:
+        best = None
+        for j in range(len(eps)):
+            if j in used:
+                continue
+            shift = round((t - eps[j].real) / omega)
+            cand = eps[j].real + shift * omega
+            d = abs(cand - t)
+            if best is None or d < best[0]:
+                best = (d, j, shift, cand)
+        _, j, shift, cand = best
+        used.append(j)
+        shifts.append(shift)
+        values.append(cand)
+    return used, shifts, values
+
+
+def _check_assignment(eps, targets, omega):
+    cols, shifts, values = _assign_branches(np.asarray(eps, dtype=complex), np.asarray(targets, dtype=float), omega)
+    assert (cols.tolist(), shifts.tolist(), values.tolist()) == _assign_branches_loop(np.asarray(eps, complex),
+                                                                                      targets, omega)
+    return cols.tolist(), shifts.tolist()
+
+
+@pytest.mark.parametrize("eps, targets, omega, cols, shifts", [
+    # the first target takes the eigenvalue both are nearest, though the sum of distances would
+    # be smaller the other way round: greedy, in target order
+    ([0.1, 0.4], [0.2, 0.1], 1.0, [0, 1], [0, 0]),
+    # targets on branches away from the principal one
+    ([0.1 - 0.01j, -0.2 + 0.02j], [-3.9, 2.05], 1.0, [0, 1], [-4, 2]),
+    ([0.1, -0.2], [2.05, -3.9], 1.0, [0, 1], [2, -4]),
+    ([0.3, -0.1, 0.05], [7.0, 0.0, -2.2], 2.0, [0, 2, 1], [3, 0, -1]),
+    # equally near: the first eigenvalue; a shift of exactly -1/2 rounds to even, 0
+    ([0.0, 0.5], [0.25, 0.0], 1.0, [0, 1], [0, 0]),
+])
+def test_branch_assignment_matches_the_per_target_loop(eps, targets, omega, cols, shifts):
+    assert _check_assignment(eps, targets, omega) == (cols, shifts)
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data(), n=st.integers(1, 4), omega=st.floats(0.1, 5.0))
+def test_branch_assignment_matches_the_loop_on_random_spectra(data, n, omega):
+    values = st.floats(-20.0, 20.0)
+    eps = [complex(data.draw(values), data.draw(values)) for _ in range(n)]
+    _check_assignment(eps, [data.draw(values) for _ in range(n)], omega)
+
+
+@pytest.mark.parametrize("period, targets, name", [
+    (1.7, [-1.0], "targets"), (1.7, [-1.0, 0.0, 1.0], "targets"), (1.7, [[-1.0, 0.0]], "targets"),
+    (1.7, [float("nan"), 0.0], "targets"), (1.7, [-1.0, float("inf")], "targets"),
+    (-2.0, [-1.0, 0.0], "period"), (0.0, [-1.0, 0.0], "period"), (float("nan"), [-1.0, 0.0], "period"),
+    (float("inf"), [-1.0, 0.0], "period"),
+])
+def test_floquet_monodromy_refuses_bad_input(period, targets, name):
+    model = two_well_model("hermitian", CAL_HERM["k"], CAL_HERM["x0"])
+    with pytest.raises(ValueError, match=f"^{name} must be"):
+        floquet_monodromy(model, period, StepControl(dz_max=0.05), targets=targets)
 
 
 @pytest.mark.parametrize("grid", [[-1.0, 0.0, 1.0], [0.0, 1.0, 1.0], [0.0, 2.0, 1.0],
