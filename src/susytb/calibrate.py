@@ -3,7 +3,9 @@
 Spectral matching (static systems) minimizes the summed absolute deviation
 between the exact eigenvalues {-k2^2, -k1^2} and the two-well TB spectrum
 as a function of the TB parameters the system kind fits (`SystemKind.fit`:
-(k, x0) or (k, x0, alpha_tilde)). Profile matching
+(k, x0) or (k, x0, alpha_tilde)); each point solves the pair's pencil
+(`tightbinding.pair_pencil`, no TBModel) from the alpha_tilde-free parts of
+its (k, x0), kept in a one-slot memo. Profile matching
 (dynamic system) minimizes the worst-case deviation of Re V over a window
 covering the left well at the input facet.
 
@@ -18,6 +20,7 @@ required to displace an earlier winner).
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -26,7 +29,7 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from .systems import KINDS, WaveguideSystem
-from .tightbinding import single_well_potential, solve_spectrum, two_well_model, WellBasis
+from .tightbinding import WellBasis, pair_parts, pair_pencil, single_well_potential, solve_spectrum
 
 __all__ = [
     "NelderMeadResult",
@@ -49,6 +52,8 @@ DIAM_TOL = 1e-6  # Nelder-Mead stops once the simplex diameter drops below this
 TIE_TOL = 1e-9  # a later multistart point must beat the running best by more than this
 WINDOW_POINTS = 2001  # samples of the profile-matching window
 SEPARATION_SPAN, SEPARATION_POINTS = 8.0, 16001  # well_separation's scan of (0.05, span]
+# what scores a point inf (LinAlgError is a ValueError; a RuntimeWarning raised as an error); others propagate
+NUMERICAL_FAILURES = (ValueError, ArithmeticError, RuntimeWarning)
 
 
 # ---------------------------------------------------------------------------
@@ -229,14 +234,17 @@ def spectral_match(problem: CalibrationProblem) -> CalibrationResult:
     energies = system.energies()
     e_targets = np.array([energies[kind] for kind in system.facts.stationary])
     names = list(system.facts.fit)
+    # one slot: the multistart varies alpha_tilde innermost, so its points share (k, x0)'s parts
+    parts = functools.lru_cache(maxsize=1)(functools.partial(pair_parts, system.facts.wells))
 
     def tb_energies(x: np.ndarray) -> np.ndarray:
-        return solve_spectrum(two_well_model(system.facts.wells, **dict(zip(names, x)))).energies
+        p = _parameters(names, x)
+        return solve_spectrum(pair_pencil(parts(p["k"], p["x0"]), p["alpha_tilde"])).energies
 
     def objective(x: np.ndarray) -> float:
         try:
             ev = tb_energies(x)
-        except Exception:
+        except NUMERICAL_FAILURES:
             return math.inf
         return float(abs(e_targets[0] - ev[0]) + abs(e_targets[1] - ev[1]))
 
@@ -279,7 +287,7 @@ def profile_match(problem: CalibrationProblem) -> CalibrationResult:
         try:
             vtb = (single_well_potential(WellBasis(facts.wells, k, 0.0, +x0), xs)
                    + single_well_potential(WellBasis(facts.wells, k, 0.0, -x0), xs))
-        except Exception:
+        except NUMERICAL_FAILURES:
             return math.inf
         return float(np.max(np.abs(target - np.real(vtb))))
 

@@ -203,7 +203,7 @@ def _oracle_residuals(cfg: ScenarioConfig) -> dict:
         worst = pde_residual(lambda x, z: np.stack([system.mode(k, x, z) for k in kinds]), system.potential,
                              grid, nz=161)
         return {"pde_residual": dict(zip(kinds, worst.tolist()))}
-    x = np.linspace(-L, L, 2049)
+    x = read_only(np.linspace(-L, L, 2049))  # frozen: both kinds share one x-only pass
     energies = system.energies()
     return {"eigen_residual": {
         kind: eigen_residual(lambda xx, kk=kind: system.mode(kk, xx, 0.0),
@@ -238,7 +238,10 @@ def run(cfg: ScenarioConfig, outdir) -> tuple[ComparisonReport, list[Path]]:
     regularity = {"nodeless": scan.nodeless, "min_abs_w": scan.min_abs_w,
                   "argmin": list(scan.argmin), "certified": cfg.certified}
 
-    # 2./3. calibration and TB construction
+    # 2. exact observable series, before the TB model samples V: validate's guard kept their x parts
+    exact_table = moment_table(ExactState(system, cfg.mode_kind), cfg.observables, cfg.z_values,
+                               cfg.quad, engine="exact")
+    # 3./4. calibration and TB construction
     route, tb_params, cal_result = _calibrate(cfg)
     model, tb_state, tb_spectrum = _build_tb(cfg, tb_params)
     calibration = {"mode": route, "parameters": tb_params}
@@ -249,9 +252,7 @@ def run(cfg: ScenarioConfig, outdir) -> tuple[ComparisonReport, list[Path]]:
     well = model.wells[0]
     kappa = {"value": complex(overlap_kappa(well, tb_params["x0"])), "well_kind": well.kind}
 
-    # 4./5. observable series for both engines
-    exact_table = moment_table(ExactState(system, cfg.mode_kind), cfg.observables, cfg.z_values,
-                               cfg.quad, engine="exact")
+    # 5. TB observable series
     tb_table = moment_table(tb_state, cfg.observables, cfg.z_values, cfg.quad, engine="tb")
     all_series: list[ObservableSeries] = []
     metrics: dict = {}

@@ -25,7 +25,7 @@ from typing import Any, Callable, NamedTuple, Optional
 
 from .bpm import PropagationGrid
 from .observables import OBSERVABLES, DerivativeResolutionError, ObservableRequest, _resolution_guard
-from .quadrature import QuadratureSpec, default_half_width, quad_nodes, read_only
+from .quadrature import QuadratureSpec, default_half_width
 from .systems import KINDS, ParameterError, WaveguideSystem, make_system
 
 __all__ = ["ScenarioConfig", "ConfigError", "validate_config", "config_digest", "SCHEMA", "system_keys"]
@@ -238,7 +238,7 @@ def validate_config(text: str) -> ScenarioConfig:
     stop = zd["periods"] * system.periods().fundamental
     z_values = [stop * i / (zd["num"] - 1) for i in range(zd["num"])]
     if any(request.name in ("p_mean", "p_std") for request in observables):  # the run's guard, up front
-        x = read_only(quad_nodes(quad)[0])  # frozen, so the mode's x-only parts are computed once
+        x = quad.points[0]  # the run's own nodes, so the mode's x-only parts serve moment_table too
         try:
             _resolution_guard(system.mode(mode_kind, x, z_values[0]), x[1] - x[0])
         except DerivativeResolutionError as exc:

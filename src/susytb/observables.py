@@ -27,7 +27,7 @@ from typing import Callable, NamedTuple, Optional, Sequence
 
 import numpy as np
 
-from .quadrature import PHASE_TOL, QuadratureSpec, d1_fourth, d2_fourth, fold_phases, quad_nodes, read_only
+from .quadrature import PHASE_TOL, QuadratureSpec, d1_fourth, d2_fourth, fold_phases
 from .systems import WaveguideSystem
 from .tightbinding import FloquetResult, TBGuidedModes, TBModel, assemble_state
 
@@ -233,8 +233,7 @@ def moment_table(
     if quad.rule == "gauss_legendre_composite":
         raise ValueError("observable series need a uniform quadrature rule")
 
-    x, w = quad_nodes(quad)
-    x = read_only(x)  # frozen, so the engines' node-set caches keep its values across z
+    x, w = quad.points  # frozen, so the engines' node-set caches keep its values across z
     h = x[1] - x[0]
     z_grid = np.asarray(z_grid, dtype=float)
     two_mode = isinstance(state, TBTrajectoryState) or (

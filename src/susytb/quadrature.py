@@ -44,6 +44,11 @@ class QuadratureSpec:
         if self.rule not in RULES:
             raise ValueError(f"rule must be one of {RULES}")
 
+    @functools.cached_property
+    def points(self) -> tuple[np.ndarray, np.ndarray]:
+        """`quad_nodes(self)` frozen (`read_only`), built once per spec: every reader shares one node set."""
+        return tuple(read_only(a) for a in quad_nodes(self))
+
 
 def default_half_width(min_k: float) -> float:
     """The window rule: half-width 12 / |min_k|, min_k the slowest decay rate."""

@@ -36,8 +36,7 @@ import numpy as np
 
 from . import darboux
 from .darboux import SingularPointError
-from .quadrature import (NodeCache, QuadratureSpec, _frozen, default_half_width, localized_combos, quad_nodes,
-                         read_only)
+from .quadrature import NodeCache, QuadratureSpec, _frozen, default_half_width, localized_combos, read_only
 from .seeds import SeedSuperposition
 
 __all__ = [
@@ -424,8 +423,7 @@ class WaveguideSystem:
             raise ParameterError(f"the quadrature window 12/min|k| runs past |x| = {self.x_limit:.4g}, "
                                  f"where the closed forms overflow")
         self.quad = QuadratureSpec(default_half_width(self.min_k), nodes=2048, rule="gauss_legendre_composite")
-        x, self._weights = quad_nodes(self.quad)
-        self._nodes = read_only(x)  # frozen, so the norms' repeated samples share one x-only pass
+        self._nodes, self._weights = self.quad.points  # frozen, so the norms' samples share one x-only pass
         self._norm: dict[str, float] = {}
         self._pseudo_sign: dict[str, int] = {}
         self._combos: dict[str, tuple[int, float]] = {}
@@ -516,11 +514,11 @@ class WaveguideSystem:
                 self._norm[kind] = 1.0 / math.sqrt(float(np.sum(w * np.abs(f) ** 2).real))
                 self._pseudo_sign[kind] = 0
         else:
-            # unit |PT pseudo-norm| (Dirac norm for the Hermitian system)
+            # unit |PT pseudo-norm| (Dirac norm for the Hermitian system); -x first, so x stays cached
+            mirrored = self._x_parts(read_only(-x))
             for kind in (k_even, k_odd):
                 f = self._raw_profile(kind, x)
-                fm = self._raw_profile(kind, -x)
-                ps = complex(np.sum(w * np.conj(f) * fm))
+                ps = complex(np.sum(w * np.conj(f) * mirrored[kind]))
                 self._norm[kind] = 1.0 / math.sqrt(abs(ps))
                 self._pseudo_sign[kind] = 1 if ps.real >= 0 else -1
         # localized combinations: unit Dirac power at z=0, labels by <x>

@@ -8,9 +8,11 @@ Two kinds of single wells (both exactly solvable, eigenvalue -k^2):
                D(xi) = cosh(k xi) + i at sinh(k xi)
 
 The centered mode is normalized under the model's metric (Dirac for
-hermitian, PT inner product for pt). Stationary spectra use the well-sum
-Hamiltonian; the z-dependent coupled equations use the bound exact
-potential, which is the only z-dependent object available.
+hermitian, PT inner product for pt); mode and potential share one D per
+node set. Stationary spectra use the well-sum Hamiltonian (`_pencil`, for
+a model and for the model-free `pair_pencil` of the calibration alike) and
+one LAPACK ggev solve; the z-dependent coupled equations use the bound
+exact potential, which is the only z-dependent object available.
 
 For a z-periodic H(z) one RK4 march over one period serves the monodromy,
 the trajectory and its H moments: `floquet_monodromy` marches the propagator
@@ -30,7 +32,7 @@ from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
 import numpy as np
-import scipy.linalg as sla
+from scipy.linalg import LinAlgError, get_blas_funcs, get_lapack_funcs
 
 from .quadrature import NodeCache, QuadratureSpec, fold_phases, localized_combos, quad_nodes, read_only
 
@@ -57,6 +59,10 @@ __all__ = [
     "IllConditionedOverlap",
     "DefectiveMonodromy",
 ]
+
+
+_GGEV, = get_lapack_funcs(("ggev",), (np.zeros(1, complex),))  # H is complex, so eig(H, S) picks zggev too
+_NRM2 = get_blas_funcs("nrm2", dtype=complex, ilp64="preferred")
 
 
 class IllConditionedOverlap(RuntimeError):
@@ -88,12 +94,19 @@ class WellBasis:
         return -self.k**2
 
 
+def _well_d(b: WellBasis, x):
+    """D(xi) of the well: cosh(k xi), plus i at sinh(k xi) for a pt well."""
+    kxi = b.k * (np.asarray(x, dtype=float) - b.center)
+    return np.cosh(kxi) if b.kind == "hermitian" else np.cosh(kxi) + 1j * b.alpha_tilde * np.sinh(kxi)
+
+
+def _well_fields(b: WellBasis, d) -> tuple:
+    """phi0 and V0 of the well from its D(xi), one D for both (V0 is real for hermitian wells)."""
+    return mode_norm_constant(b) * b.k / d, -2 * b.k**2 * (1 + b.alpha_tilde**2) / d**2
+
+
 def single_well_potential(b: WellBasis, x):
-    xi = np.asarray(x, dtype=float) - b.center
-    if b.kind == "hermitian":
-        return -2 * b.k**2 / np.cosh(b.k * xi) ** 2
-    d = np.cosh(b.k * xi) + 1j * b.alpha_tilde * np.sinh(b.k * xi)
-    return -2 * b.k**2 * (1 + b.alpha_tilde**2) / d**2
+    return _well_fields(b, _well_d(b, x))[1]
 
 
 def mode_norm_constant(b: WellBasis) -> float:
@@ -108,16 +121,53 @@ def mode_norm_constant(b: WellBasis) -> float:
 
 def single_well_mode(b: WellBasis, x):
     """Metric-normalized fundamental mode of the isolated well at `center`."""
-    xi = np.asarray(x, dtype=float) - b.center
-    c = mode_norm_constant(b)
-    if b.kind == "hermitian":
-        return c * b.k / np.cosh(b.k * xi)
-    return c * b.k / (np.cosh(b.k * xi) + 1j * b.alpha_tilde * np.sinh(b.k * xi))
+    return _well_fields(b, _well_d(b, x))[0]
 
 
 def _well_modes(wells: Sequence[WellBasis], x: np.ndarray) -> tuple[np.ndarray, ...]:
     """phi_j(x) of every well on one node set."""
     return tuple(single_well_mode(b, x) for b in wells)
+
+
+def _well_rows(wells: Sequence[WellBasis], x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """phi_j and V0_j of every well on one node set, stacked."""
+    phi, v0 = zip(*(_well_fields(b, _well_d(b, x)) for b in wells))
+    return np.stack(phi), np.stack(v0)
+
+
+def _tb_quad(span: float, kmin: float) -> QuadratureSpec:
+    """The TB model's GL rule: wells at |center| <= span, slowest decay kmin."""
+    return QuadratureSpec(half_width=span + 13.0 / kmin, nodes=2048, rule="gauss_legendre_composite")
+
+
+def _pencil(betas: Sequence[float], w: np.ndarray, phi: np.ndarray, phi_s: np.ndarray,
+            v0_s: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(H, S) of the well-sum Hamiltonian: S_ij = sum w conj(phi_i) phi_j(xs), and H_ij with H phi_j =
+    (beta_j + sum_{m != j} V0_m) phi_j on xs, since -phi_j'' = beta_j phi_j - V0_j phi_j exactly."""
+    h_phi = np.empty(phi_s.shape, dtype=complex)
+    for j, beta in enumerate(betas):
+        h_phi[j] = (beta + sum(v0_s[m] for m in range(len(betas)) if m != j)) * phi_s[j]
+    bra = np.conj(phi)
+    return bra @ (w[:, None] * h_phi.T), bra @ (w[:, None] * phi_s.T)
+
+
+def pair_parts(kind: str, k: float, x0: float) -> tuple:
+    """The alpha_tilde-free parts of `two_well_model(kind, k, x0, .)`'s pencil: kind, k, the GL
+    weights and cosh, sinh(k xi) of both wells on the nodes (sinh for pt wells only)."""
+    x, w = quad_nodes(_tb_quad(abs(x0), abs(k)))
+    kxi = k * (x - np.array([[x0], [-x0]]))
+    return kind, k, w, np.cosh(kxi), np.sinh(kxi) if kind == "pt" else None
+
+
+def pair_pencil(parts: tuple, alpha_tilde: float) -> tuple[np.ndarray, np.ndarray]:
+    """(H, S) of `two_well_model(kind, k, x0, alpha_tilde)` from its `pair_parts`, bit for bit. The PT
+    metric's rows at xs = -x are mirrors: phi_j(-x) = conj phi_{1-j}(x), V0_j(-x) = conj V0_{1-j}(x)."""
+    kind, k, w, ch, sh = parts
+    well = WellBasis(kind, k, alpha_tilde)
+    d = ch if kind == "hermitian" else ch + 1j * alpha_tilde * sh
+    phi, v0 = _well_fields(well, d)
+    phi_s, v0_s = (phi, v0) if kind == "hermitian" else (np.conj(phi[::-1]), np.conj(v0[::-1]))
+    return _pencil((well.beta, well.beta), w, phi, phi_s, v0_s)
 
 
 def kappa_hermitian_closed_form(k: float, x0: float) -> float:
@@ -172,17 +222,14 @@ class TBModel:
         self.potential = potential
         self.hamiltonian_source = hamiltonian_source
         self.dynamic = dynamic
-        span = max(abs(w.center) for w in self.wells)
-        kmin = min(abs(w.k) for w in self.wells)
-        self.quad = QuadratureSpec(half_width=span + 13.0 / kmin, nodes=2048,
-                                   rule="gauss_legendre_composite")
+        self.quad = _tb_quad(max(abs(w.center) for w in self.wells), min(abs(w.k) for w in self.wells))
         x, w = quad_nodes(self.quad)
-        self._x, self._w = x, w
         # frozen: every H(z) build samples the bound potential on these nodes
         self._xs = read_only(-x if self.metric == "pt" else x)
-        self._phi = np.stack([single_well_mode(b, x) for b in self.wells])
-        self._phi_s = np.stack([single_well_mode(b, self._xs) for b in self.wells])
-        self._v0_s = np.stack([single_well_potential(b, self._xs) for b in self.wells])
+        self._phi, v0 = _well_rows(self.wells, x)
+        # the Dirac metric has xs = x, so its rows there are the rows on x
+        self._phi_s, self._v0_s = _well_rows(self.wells, self._xs) if self.metric == "pt" else (self._phi, v0)
+        self._h_well_sum, self._s = _pencil([b.beta for b in self.wells], w, self._phi, self._phi_s, self._v0_s)
         self._s_inv: Optional[np.ndarray] = None
         self.basis_values = NodeCache(functools.partial(_well_modes, self.wells))
         if hamiltonian_source == "system":
@@ -199,8 +246,7 @@ class TBModel:
         return len(self.wells)
 
     def overlap_matrix(self) -> np.ndarray:
-        w, phi, phi_s = self._w, self._phi, self._phi_s
-        return np.conj(phi) @ (w[:, None] * phi_s.T)
+        return self._s.copy()
 
     def overlap_inverse(self) -> np.ndarray:
         """S^-1, computed once per model and shared by every z-march."""
@@ -208,24 +254,11 @@ class TBModel:
             self._s_inv = np.linalg.inv(self.overlap_matrix())
         return self._s_inv
 
-    def _h_applied_well_sum(self) -> np.ndarray:
-        """(H phi_j) of the well-sum Hamiltonian on the (possibly parity-flipped) nodes.
-
-        Uses the exact identity -phi_j'' = beta_j phi_j - V0_j phi_j, so no
-        numerical differentiation enters the matrix elements.
-        """
-        out = np.empty(self._phi_s.shape, dtype=complex)
-        for j, b in enumerate(self.wells):
-            v_other = sum(self._v0_s[m] for m in range(self.n) if m != j)
-            out[j] = (b.beta + v_other) * self._phi_s[j]
-        return out
-
     def hamiltonian_matrix(self, z: float = 0.0) -> np.ndarray:
         if self.hamiltonian_source == "system":
             v = np.asarray(self.potential(self._xs, z))
             return self._h_const + (self._h_lin @ v).reshape(self.n, self.n)
-        w, phi = self._w, self._phi
-        return np.conj(phi) @ (w[:, None] * self._h_applied_well_sum().T)
+        return self._h_well_sum.copy()
 
 
 def two_well_model(
@@ -254,11 +287,26 @@ class SpectrumResult:
     vectors: np.ndarray
 
 
-def solve_spectrum(model: TBModel) -> SpectrumResult:
-    """Eigenpairs of H c = E S c for a static model, sorted by Re E (then Im E)."""
-    if model.dynamic:
-        raise ValueError("solve_spectrum needs a static model")
-    vals, vecs = sla.eig(model.hamiltonian_matrix(), model.overlap_matrix())
+def solve_spectrum(model) -> SpectrumResult:
+    """Eigenpairs of H c = E S c for a static model or an (H, S) pencil, sorted by Re E (then Im E).
+
+    One QZ solve (Moler & Stewart 1973) by LAPACK ggev, called as `scipy.linalg.eig(H, S)` calls it,
+    so both give the same bits: ValueError for a non-finite H or S, a workspace query, E = alpha/beta
+    (inf where only beta is 0, NaN where both are), and unit columns by BLAS nrm2."""
+    if isinstance(model, TBModel):
+        if model.dynamic:
+            raise ValueError("solve_spectrum needs a static model")
+        model = model.hamiltonian_matrix(), model.overlap_matrix()
+    h, s = (np.asarray_chkfinite(m) for m in model)
+    lwork = _GGEV(h, s, lwork=-1)[-2][0].real.astype(np.int_)
+    alpha, beta, _, vecs, _, info = _GGEV(h, s, 0, 1, lwork, 0, 0)
+    if info:  # > 0: QZ did not converge (< 0, a bad argument, cannot come from two square arrays)
+        raise LinAlgError(f"generalized eig algorithm (ggev) did not converge (LAPACK info={info})")
+    vals, finite = np.full_like(alpha, np.inf), beta != 0
+    vals[finite] = alpha[finite] / beta[finite]
+    vals[~finite & (alpha == 0)] = np.nan if np.all(alpha.imag == 0) else complex(np.nan, np.nan)
+    for col in np.asarray_chkfinite(vecs).T:
+        col /= _NRM2(col)
     order = np.lexsort((vals.imag, vals.real))
     return SpectrumResult(energies=vals[order], vectors=vecs[:, order])
 

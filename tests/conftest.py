@@ -57,3 +57,47 @@ def potential_pt_dynamic_complex(p: PTDynamicParams, x, z: float):
     ep, em = np.exp(1j * delta * z), np.exp(-1j * delta * z)
     den = h1**2 * ep - a**2 * h2**2 * em + 2j * a * h1 * h2
     return (h3 * ep + a**2 * h4 * em - 1j * a * (h5 + h6 + h7)) / den
+
+
+def reference_pencil(kind: str, k: float, x0: float, alpha_tilde: float = 0.0):
+    """(H, S) of `two_well_model(kind, k, x0, alpha_tilde)` as TBModel wrote it row by row: each well's
+    mode and potential from their own D(xi), every PT row at xs = -x evaluated there. The reference
+    for the well-sum pencil that `tightbinding.pair_pencil` and `TBModel` build."""
+    from susytb.quadrature import QuadratureSpec, quad_nodes
+    from susytb.tightbinding import WellBasis, mode_norm_constant
+
+    wells = (WellBasis(kind, k, alpha_tilde, +x0), WellBasis(kind, k, alpha_tilde, -x0))
+    x, w = quad_nodes(QuadratureSpec(half_width=max(abs(b.center) for b in wells) + 13.0 / abs(k),
+                                     nodes=2048, rule="gauss_legendre_composite"))
+    xs = -x if kind == "pt" else x
+
+    def mode(b, xx):
+        xi = xx - b.center
+        if b.kind == "hermitian":
+            return mode_norm_constant(b) * b.k / np.cosh(b.k * xi)
+        return mode_norm_constant(b) * b.k / (np.cosh(b.k * xi) + 1j * b.alpha_tilde * np.sinh(b.k * xi))
+
+    def potential(b, xx):
+        xi = xx - b.center
+        if b.kind == "hermitian":
+            return -2 * b.k**2 / np.cosh(b.k * xi) ** 2
+        d = np.cosh(b.k * xi) + 1j * b.alpha_tilde * np.sinh(b.k * xi)
+        return -2 * b.k**2 * (1 + b.alpha_tilde**2) / d**2
+
+    phi = np.stack([mode(b, x) for b in wells])
+    phi_s = np.stack([mode(b, xs) for b in wells])
+    v0_s = np.stack([potential(b, xs) for b in wells])
+    h_phi = np.empty(phi_s.shape, dtype=complex)
+    for j, b in enumerate(wells):
+        v_other = sum(v0_s[m] for m in range(len(wells)) if m != j)
+        h_phi[j] = (b.beta + v_other) * phi_s[j]
+    return np.conj(phi) @ (w[:, None] * h_phi.T), np.conj(phi) @ (w[:, None] * phi_s.T)
+
+
+def reference_eig(h, s):
+    """`scipy.linalg.eig(h, s)` sorted as `tightbinding.solve_spectrum` sorts: the reference for it."""
+    import scipy.linalg as sla
+
+    vals, vecs = sla.eig(h, s)
+    order = np.lexsort((vals.imag, vals.real))
+    return vals[order], vecs[:, order]

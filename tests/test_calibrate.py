@@ -1,10 +1,13 @@
 import itertools
 import math
+from dataclasses import replace
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from scipy.linalg import LinAlgError
 
+import susytb.calibrate as calibrate
 from susytb.calibrate import (
     CalibrationProblem,
     default_problem,
@@ -13,10 +16,10 @@ from susytb.calibrate import (
     spectral_match,
     well_separation,
 )
-from susytb.systems import HermitianStaticParams, ParameterError
-from susytb.tightbinding import WellBasis, single_well_potential
+from susytb.systems import HermitianStaticParams, ParameterError, make_system
+from susytb.tightbinding import WellBasis, pair_parts, pair_pencil, single_well_potential
 
-from conftest import HERM, PTD, PTS
+from conftest import HERM, PTD, PTS, reference_eig, reference_pencil
 
 
 # ---------------------------------------------------------------------------
@@ -120,6 +123,83 @@ def test_spectral_match_deterministic(pt_system):
     b = spectral_match(default_problem(pt_system))
     assert a.parameters == b.parameters
     assert a.objective_value == b.objective_value
+
+
+def _jittered(params, rng):
+    """params with k1, k2 (and alpha) scaled by 1 + u, |u| <= 0.01, as the benchmark draws them."""
+    return replace(params, **{name: getattr(params, name) * (1 + 0.01 * (2 * rng.random() - 1))
+                              for name in ("k1", "k2", "alpha") if hasattr(params, name)})
+
+
+_DRAWS = np.random.default_rng(24)
+STATIC_TARGETS = [HERM, PTS, _jittered(HERM, _DRAWS), _jittered(PTS, _DRAWS), _jittered(PTS, _DRAWS)]
+
+
+@pytest.mark.parametrize("params", STATIC_TARGETS, ids=["hermitian", "pt", "hermitian-jitter", "pt-jitter-1",
+                                                         "pt-jitter-2"])
+def test_spectral_match_equals_the_model_route(params, monkeypatch):
+    """The lean objective fits what a TBModel per point and scipy.linalg.eig fitted, to the bit."""
+    problem = default_problem(make_system(params))
+    lean = spectral_match(problem)
+    monkeypatch.setattr(calibrate, "pair_parts", lambda kind, k, x0: (kind, k, x0))
+    monkeypatch.setattr(calibrate, "pair_pencil", lambda parts, at: reference_pencil(*parts, at))
+    monkeypatch.setattr(calibrate, "solve_spectrum",
+                        lambda pencil: SimpleNamespace(energies=reference_eig(*pencil)[0]))
+    reference = spectral_match(problem)
+    assert lean.parameters == reference.parameters
+    assert lean.objective_value == reference.objective_value and lean.trace == reference.trace
+    assert np.array_equal(lean.achieved_energies, reference.achieved_energies)
+
+
+def test_pt_multistart_computes_the_alpha_free_parts_once_per_k_x0(pt_system, monkeypatch):
+    """alpha_tilde runs innermost over the 9 x 9 x 5 grid, so 405 points need 81 (k, x0) parts."""
+    parts, pencils = [], []
+    monkeypatch.setattr(calibrate, "pair_parts", lambda *a: parts.append(a[1:]) or pair_parts(*a))
+    monkeypatch.setattr(calibrate, "pair_pencil", lambda *a: pencils.append(a) or pair_pencil(*a))
+
+    class MultistartDone(Exception):
+        pass
+
+    def stop(*args, **kwargs):
+        raise MultistartDone
+
+    monkeypatch.setattr(calibrate, "nelder_mead", stop)
+    with pytest.raises(MultistartDone):
+        spectral_match(default_problem(pt_system))
+    assert len(pencils) == 405
+    assert len(parts) == len(set(parts)) == 81
+
+
+def test_objective_scores_numerical_failures_inf(herm_system, monkeypatch):
+    """A LinAlgError at a point makes it infeasible; the fit goes on over the other points."""
+    problem = default_problem(herm_system)
+    ks = np.linspace(*problem.box["k"], problem.seeds[0])
+    k_cut = (ks[4] + ks[5]) / 2  # the grid's 4 largest k fail
+    pencil_k, solve = [], calibrate.solve_spectrum
+
+    def failing_past_cut(pencil):
+        if pencil_k[-1] > k_cut:
+            raise LinAlgError("generalized eig algorithm (ggev) did not converge")
+        return solve(pencil)
+
+    monkeypatch.setattr(calibrate, "pair_pencil",
+                        lambda parts, at: pencil_k.append(parts[1]) or pair_pencil(parts, at))
+    monkeypatch.setattr(calibrate, "solve_spectrum", failing_past_cut)
+    res = spectral_match(problem)
+    assert res.trace["n_feasible_starts"] == 5 * problem.seeds[1]
+    assert res.parameters["k"] <= k_cut and math.isfinite(res.objective_value)
+
+
+def test_objective_lets_programming_errors_through(herm_system, dyn_system, monkeypatch):
+    def broken(*args):
+        raise TypeError("a fault in the pencil, not a numerical failure")
+
+    monkeypatch.setattr(calibrate, "pair_pencil", broken)
+    with pytest.raises(TypeError, match="a fault in the pencil"):
+        spectral_match(default_problem(herm_system))
+    monkeypatch.setattr(calibrate, "single_well_potential", broken)
+    with pytest.raises(TypeError, match="a fault in the pencil"):
+        profile_match(default_problem(dyn_system))
 
 
 # ---------------------------------------------------------------------------

@@ -898,6 +898,28 @@ def test_propagate_computes_the_x_parts_once_per_node_set(tmp_path, capsys, monk
     assert sizes == {4097: 1, 2048: 1, 512: 1}
 
 
+@pytest.mark.parametrize("preset", sorted(PRESETS))
+def test_preset_run_computes_the_x_parts_once_per_node_set(tmp_path, capsys, monkeypatch, preset):
+    """validate's resolution guard and moment_table read one frozen node array (`QuadratureSpec.points`),
+    the norms freeze their mirrored nodes and the static oracle its grid: no node set twice."""
+    per_set = Counter()
+
+    def counted(name):
+        fn = getattr(systems, name)
+
+        def wrapper(params, x):
+            per_set[(name, len(x), float(x[0]), float(x[-1]))] += 1
+            return fn(params, x)
+        return wrapper
+
+    for name in ("_dynamic_x_parts", "_static_profiles"):
+        monkeypatch.setattr(systems, name, counted(name))
+    assert main(["preset", "run", preset, "--out", str(tmp_path)]) == 0
+    capsys.readouterr()
+    assert per_set and set(per_set.values()) == {1}
+    assert ("_dynamic_x_parts" if "dynamic" in preset else "_static_profiles", 4097) in {k[:2] for k in per_set}
+
+
 @pytest.mark.parametrize("case", sorted(WARM_CASES))
 def test_cli_potential_dumps_the_system_potential(tmp_path, capsys, case):
     """`potential` writes nx*nz rows (one z for a static pair), the same bytes each run."""

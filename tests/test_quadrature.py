@@ -5,6 +5,7 @@ import pytest
 
 from susytb import quadrature
 from susytb.quadrature import (
+    RULES,
     NodeCache,
     QuadratureSpec,
     d1_fourth,
@@ -136,6 +137,16 @@ def test_gauss_legendre_nodes_unchanged_and_panel_rule_read_only():
     for cached in quadrature._legendre_rule(16):
         with pytest.raises(ValueError):
             cached[0] = 0.0
+
+
+@pytest.mark.parametrize("rule", RULES)
+def test_spec_points_are_one_frozen_copy_of_its_nodes(rule):
+    spec = QuadratureSpec(half_width=7.5, nodes=1024, rule=rule)
+    x, w = spec.points
+    assert spec.points[0] is x and spec.points[1] is w
+    assert np.array_equal(x, quad_nodes(spec)[0]) and np.array_equal(w, quad_nodes(spec)[1])
+    assert quadrature._frozen(x) and quadrature._frozen(w)
+    assert QuadratureSpec(half_width=7.5, nodes=1024, rule=rule) == spec  # points are no field
 
 
 def test_node_cache_keeps_only_the_last_frozen_node_set():

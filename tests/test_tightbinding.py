@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from susytb.bpm import eigen_residual
+from susytb.calibrate import default_problem
 from susytb.config import validate_config
 from susytb.presets import preset_config
 from susytb.quadrature import QuadratureSpec, quad_nodes, read_only
@@ -33,9 +34,11 @@ from susytb.tightbinding import (
     _CoupledSystem,
     _assign_branches,
     _hamiltonian_series,
+    pair_parts,
+    pair_pencil,
 )
 
-from conftest import HERM, PTD, PTD_STRONG, PTS
+from conftest import HERM, PTD, PTD_STRONG, PTS, reference_eig, reference_pencil
 
 CAL_HERM = {"k": 0.7454, "x0": 1.66214}
 CAL_PT = {"k": 1.14, "x0": 1.65, "alpha_tilde": 0.21}
@@ -295,6 +298,65 @@ def test_static_pencil_matches_closed_form_and_is_real(kind, k, x0, alpha_tilde)
     closed = generalized_energies_2x2(model.hamiltonian_matrix(), model.overlap_matrix())
     assert np.max(np.abs(e - closed)) <= 1e-10 * scale
     assert np.max(np.abs(e.imag)) <= 1e-12 * scale
+
+
+@pytest.fixture(scope="module")
+def calibration_boxes(herm_system, pt_system):
+    """The spectral calibration's (k, x0) search boxes of both static presets, by well kind."""
+    return {system.facts.wells: default_problem(system).box for system in (herm_system, pt_system)}
+
+
+@settings(max_examples=60, deadline=None)
+@given(kind=st.sampled_from(("hermitian", "pt")), u=st.floats(0.0, 1.0), v=st.floats(0.0, 1.0),
+       alpha_tilde=st.floats(0.0, 0.45))
+def test_lean_pencil_is_the_row_by_row_pencil_bit_for_bit(calibration_boxes, kind, u, v, alpha_tilde):
+    """Over both calibration boxes: the model-free pencil, the model's and the row-by-row reference
+    are equal arrays, and the direct ggev solve gives scipy.linalg.eig's values and vectors."""
+    box = calibration_boxes[kind]
+    k = box["k"][0] + u * (box["k"][1] - box["k"][0])
+    x0 = box["x0"][0] + v * (box["x0"][1] - box["x0"][0])
+    at = alpha_tilde if kind == "pt" else 0.0
+    h_ref, s_ref = reference_pencil(kind, k, x0, at)
+    h, s = pair_pencil(pair_parts(kind, k, x0), at)
+    model = two_well_model(kind, k, x0, at)
+    for got in (h, model.hamiltonian_matrix()):
+        assert np.array_equal(got, h_ref)
+    for got in (s, model.overlap_matrix()):
+        assert np.array_equal(got, s_ref)
+    vals, vecs = reference_eig(h_ref, s_ref)
+    for spec in (solve_spectrum((h, s)), solve_spectrum(model)):
+        assert np.array_equal(spec.energies, vals) and np.array_equal(spec.vectors, vecs)
+
+
+@settings(max_examples=60, deadline=None)
+@given(n=st.integers(1, 4), seed=st.integers(0, 2**32 - 1), real_s=st.booleans())
+def test_solve_spectrum_is_scipy_eig_on_any_pencil(n, seed, real_s):
+    rng = np.random.default_rng(seed)
+    h = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+    s = rng.standard_normal((n, n)) + (0 if real_s else 1j * rng.standard_normal((n, n)))
+    vals, vecs = reference_eig(h, s)
+    spec = solve_spectrum((h, s))
+    assert np.array_equal(spec.energies, vals) and np.array_equal(spec.vectors, vecs)
+
+
+@pytest.mark.parametrize("h, s", [
+    (np.diag([1.0 + 0j, 2.0]), np.diag([1.0, 0.0])),  # beta = 0: an infinite eigenvalue
+    (np.diag([1.0 + 0j, 0.0]), np.diag([1.0, 0.0])),  # alpha = beta = 0: NaN
+    (np.diag([1.0 + 1j, 0.0]), np.diag([1.0, 0.0])),  # the same with complex alpha: NaN + NaN i
+])
+def test_solve_spectrum_keeps_scipy_eig_on_singular_pencils(h, s):
+    vals, vecs = reference_eig(h, s)
+    spec = solve_spectrum((h, s))
+    assert np.array_equal(spec.energies, vals, equal_nan=True)
+    assert np.array_equal(spec.vectors, vecs, equal_nan=True)
+
+
+@pytest.mark.parametrize("bad", [np.inf, np.nan])
+def test_solve_spectrum_refuses_a_non_finite_pencil(bad):
+    h, s = np.eye(2, dtype=complex), np.eye(2)
+    for pencil in ((np.where(np.eye(2) > 0, bad, h), s), (h, np.where(np.eye(2) > 0, bad, s))):
+        with pytest.raises(ValueError, match="infs or NaNs"):
+            solve_spectrum(pencil)
 
 
 def test_metric_consistency_dirac_real_symmetric():
