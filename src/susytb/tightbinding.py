@@ -8,11 +8,11 @@ Two kinds of single wells (both exactly solvable, eigenvalue -k^2):
                D(xi) = cosh(k xi) + i at sinh(k xi)
 
 The centered mode is normalized under the model's metric (Dirac for
-hermitian, PT inner product for pt); mode and potential share one D per
-node set. Stationary spectra use the well-sum Hamiltonian (`_pencil`, for
-a model and for the model-free `pair_pencil` of the calibration alike) and
-one LAPACK ggev solve; the z-dependent coupled equations use the bound
-exact potential, which is the only z-dependent object available.
+hermitian, PT inner product for pt). Stationary spectra use the well-sum
+Hamiltonian (`_pencil`, for a model and for the calibration's model-free
+`pair_pencil` alike) and one LAPACK ggev solve; the z-dependent coupled
+equations use the bound exact potential, which is the only z-dependent
+object available.
 
 For a z-periodic H(z) one RK4 march over one period serves the monodromy,
 the trajectory and its H moments: `floquet_monodromy` marches the propagator
@@ -61,7 +61,7 @@ __all__ = [
 ]
 
 
-_GGEV, = get_lapack_funcs(("ggev",), (np.zeros(1, complex),))  # H is complex, so eig(H, S) picks zggev too
+_GGEV, = get_lapack_funcs(("ggev",), (np.zeros(1, complex),))  # a TB H is complex: eig(H, S) picks zggev too
 _NRM2 = get_blas_funcs("nrm2", dtype=complex, ilp64="preferred")
 
 
@@ -100,13 +100,18 @@ def _well_d(b: WellBasis, x):
     return np.cosh(kxi) if b.kind == "hermitian" else np.cosh(kxi) + 1j * b.alpha_tilde * np.sinh(kxi)
 
 
-def _well_fields(b: WellBasis, d) -> tuple:
-    """phi0 and V0 of the well from its D(xi), one D for both (V0 is real for hermitian wells)."""
-    return mode_norm_constant(b) * b.k / d, -2 * b.k**2 * (1 + b.alpha_tilde**2) / d**2
+def _well_potential(b: WellBasis, d):
+    """V0 of the well from its D(xi) (real for hermitian wells, whose at is 0)."""
+    return -2 * b.k**2 * (1 + b.alpha_tilde**2) / d**2
+
+
+def _well_mode(b: WellBasis, d):
+    """phi0 of the well from its D(xi)."""
+    return mode_norm_constant(b) * b.k / d
 
 
 def single_well_potential(b: WellBasis, x):
-    return _well_fields(b, _well_d(b, x))[1]
+    return _well_potential(b, _well_d(b, x))
 
 
 def mode_norm_constant(b: WellBasis) -> float:
@@ -121,18 +126,12 @@ def mode_norm_constant(b: WellBasis) -> float:
 
 def single_well_mode(b: WellBasis, x):
     """Metric-normalized fundamental mode of the isolated well at `center`."""
-    return _well_fields(b, _well_d(b, x))[0]
+    return _well_mode(b, _well_d(b, x))
 
 
 def _well_modes(wells: Sequence[WellBasis], x: np.ndarray) -> tuple[np.ndarray, ...]:
     """phi_j(x) of every well on one node set."""
     return tuple(single_well_mode(b, x) for b in wells)
-
-
-def _well_rows(wells: Sequence[WellBasis], x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """phi_j and V0_j of every well on one node set, stacked."""
-    phi, v0 = zip(*(_well_fields(b, _well_d(b, x)) for b in wells))
-    return np.stack(phi), np.stack(v0)
 
 
 def _tb_quad(span: float, kmin: float) -> QuadratureSpec:
@@ -165,7 +164,7 @@ def pair_pencil(parts: tuple, alpha_tilde: float) -> tuple[np.ndarray, np.ndarra
     kind, k, w, ch, sh = parts
     well = WellBasis(kind, k, alpha_tilde)
     d = ch if kind == "hermitian" else ch + 1j * alpha_tilde * sh
-    phi, v0 = _well_fields(well, d)
+    phi, v0 = _well_mode(well, d), _well_potential(well, d)
     phi_s, v0_s = (phi, v0) if kind == "hermitian" else (np.conj(phi[::-1]), np.conj(v0[::-1]))
     return _pencil((well.beta, well.beta), w, phi, phi_s, v0_s)
 
@@ -226,9 +225,10 @@ class TBModel:
         x, w = quad_nodes(self.quad)
         # frozen: every H(z) build samples the bound potential on these nodes
         self._xs = read_only(-x if self.metric == "pt" else x)
-        self._phi, v0 = _well_rows(self.wells, x)
-        # the Dirac metric has xs = x, so its rows there are the rows on x
-        self._phi_s, self._v0_s = _well_rows(self.wells, self._xs) if self.metric == "pt" else (self._phi, v0)
+        self._phi = np.stack(_well_modes(self.wells, x))
+        # the Dirac metric has xs = x, so its mode rows there are the rows on x
+        self._phi_s = np.stack(_well_modes(self.wells, self._xs)) if self.metric == "pt" else self._phi
+        self._v0_s = np.stack([single_well_potential(b, self._xs) for b in self.wells])
         self._h_well_sum, self._s = _pencil([b.beta for b in self.wells], w, self._phi, self._phi_s, self._v0_s)
         self._s_inv: Optional[np.ndarray] = None
         self.basis_values = NodeCache(functools.partial(_well_modes, self.wells))
@@ -290,9 +290,9 @@ class SpectrumResult:
 def solve_spectrum(model) -> SpectrumResult:
     """Eigenpairs of H c = E S c for a static model or an (H, S) pencil, sorted by Re E (then Im E).
 
-    One QZ solve (Moler & Stewart 1973) by LAPACK ggev, called as `scipy.linalg.eig(H, S)` calls it,
-    so both give the same bits: ValueError for a non-finite H or S, a workspace query, E = alpha/beta
-    (inf where only beta is 0, NaN where both are), and unit columns by BLAS nrm2."""
+    One QZ solve (Moler & Stewart 1973) by LAPACK zggev, called as `scipy.linalg.eig(H, S)` calls it for
+    a complex H, so both give the same bits: ValueError for a non-finite H or S, a workspace query,
+    E = alpha/beta (inf where only beta is 0, NaN where both are), and unit columns by BLAS nrm2."""
     if isinstance(model, TBModel):
         if model.dynamic:
             raise ValueError("solve_spectrum needs a static model")
