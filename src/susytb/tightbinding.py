@@ -40,6 +40,8 @@ __all__ = [
     "WellBasis",
     "TBModel",
     "two_well_model",
+    "pair_parts",
+    "pair_pencil",
     "single_well_potential",
     "single_well_mode",
     "overlap_kappa",
