@@ -199,10 +199,9 @@ def _oracle_residuals(cfg: ScenarioConfig) -> dict:
     L = cfg.quad.half_width
     if system.is_dynamic:
         grid = PropagationGrid(half_width=L, nx=1025, dz=0.01, z_end=4.0)
-        kinds = system.facts.stationary  # one march for both, sharing each V sample and closed-form pass
-        worst = pde_residual(lambda x, z: np.stack([system.mode(k, x, z) for k in kinds]), system.potential,
-                             grid, nz=161)
-        return {"pde_residual": dict(zip(kinds, worst.tolist()))}
+        # one march for both modes, sharing each V sample and closed-form pass
+        worst = pde_residual(lambda x, z: system.pair(x, z)(0), system.potential, grid, nz=161)
+        return {"pde_residual": dict(zip(system.facts.stationary, worst.tolist()))}
     x = read_only(np.linspace(-L, L, 2049))  # frozen: both kinds share one x-only pass
     energies = system.energies()
     return {"eigen_residual": {

@@ -106,9 +106,10 @@ class ExactState:
         system, period = self.system, self.system.periods().fundamental
         if self.kind in ("left", "right"):
             sign, inv_n = system.combination(self.kind)
-            kinds, weights = system.facts.stationary, np.array([inv_n, sign * inv_n])
+            kinds, weights, pick = system.facts.stationary, np.array([inv_n, sign * inv_n]), slice(None)
         else:
-            kinds, weights = (self.kind,), np.ones(1)
+            j = system.facts.stationary.index(self.kind)
+            kinds, weights, pick = (self.kind,), np.ones(1), slice(j, j + 1)
         energies = np.array([system.energies()[k] for k in kinds])
         # PT symmetry: u_j(x, T_V - r) = kappa_j conj u_j(-x, r), c_j = +1 even-like, -1 odd-like
         kappa = np.exp(-1j * energies * period) * [1 - 2 * system.facts.stationary.index(k) for k in kinds]
@@ -118,9 +119,9 @@ class ExactState:
         for p, r in enumerate(phases.tolist()):
             if p in served:
                 continue
-            # H u = i d_z u, and H^2 u by finite differences against V(r)
-            rows = _Fields(np.stack([system.mode(k, x, r) for k in kinds]), x, w, h,
-                           hf=lambda r=r: 1j * np.stack([system.mode_dz(k, x, r) for k in kinds]),
+            # H u = i d_z u from the pass of u, and H^2 u by finite differences against V(r)
+            at_r = system.pair(x, r)
+            rows = _Fields(at_r(0)[pick], x, w, h, hf=lambda at_r=at_r: 1j * at_r(1)[pick],
                            v=functools.partial(system.potential, x, r))
             q = int(np.searchsorted(phases, period - r - tol))  # T_V - r, read off the rows at r
             pair = [p, q] if p < q < len(phases) and phases[q] <= period - r + tol else [p]

@@ -11,11 +11,13 @@ generic Darboux machinery so the two routes can cross-check each other:
   T_V = 2 pi / (k1^2 - k3^2); V(-x,-z) = conj V(x,z). The potential and
   the two Floquet modes are assembled from the auxiliary hyperbolic
   functions h1..h8 and K below, kept for the last frozen node set (V part
-  by part from six real combinations and cos, sin of (k1^2 - k3^2) z). One
-  closed-form pass (`_DynamicPass`) evaluates both Floquet modes and their
-  z-derivatives on one node set at one z, and each system keeps its last
-  pass, so mode and mode_dz at one z on a frozen node set share the
-  Wronskian, the phases and each mode's numerator.
+  by part from six real combinations and cos, sin of (k1^2 - k3^2) z).
+
+Each system evaluates both modes of its pair at (x, z) in one closed-form
+pass (`WaveguideSystem.pair`): (2, n) rows, even-like first, over one
+Wronskian, with their d/dz (and, for a static pair, H^2) read off the same
+pass. Nothing of a pass is kept; `mode`, `mode_dz` and `mode_h2` pick or
+combine its rows.
 
 Stationary modes are normalized to unit pseudo-norm magnitude (the sign
 of the PT self-product is recorded; for the Hermitian system this is
@@ -30,13 +32,13 @@ import math
 import sys
 from dataclasses import dataclass, fields
 from fractions import Fraction
-from typing import NamedTuple, Optional
+from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 
 from . import darboux
 from .darboux import SingularPointError
-from .quadrature import NodeCache, QuadratureSpec, _frozen, default_half_width, localized_combos, read_only
+from .quadrature import NodeCache, QuadratureSpec, default_half_width, localized_combos, read_only
 from .seeds import SeedSuperposition
 
 __all__ = [
@@ -154,20 +156,12 @@ def potential_hermitian_static(p: HermitianStaticParams, x):
     return num / den
 
 
-def _w_pt_static(p: PTStaticParams, x):
-    """Phase-stripped Wronskian of the PT-static pair (real for alpha=0)."""
-    k1, k2, a = p.k1, p.k2, p.alpha
-    v1 = np.cosh(k1 * x) + 1j * a * np.sinh(k1 * x)
-    dv1 = np.sinh(k1 * x) + 1j * a * np.cosh(k1 * x)
-    return k2 * np.cosh(k2 * x) * v1 - k1 * np.sinh(k2 * x) * dv1
-
-
 def potential_pt_static(p: PTStaticParams, x):
     """Complex double well with V(-x) = conj V(x)."""
     x = np.asarray(x, dtype=float)
     k1, k2, a = p.k1, p.k2, p.alpha
     v1 = np.cosh(k1 * x) + 1j * a * np.sinh(k1 * x)
-    w = _w_pt_static(p, x)
+    w = k2 * np.cosh(k2 * x) * v1 - k1 * np.sinh(k2 * x) * (np.sinh(k1 * x) + 1j * a * np.cosh(k1 * x))
     return 2 * (k1**2 - k2**2) / w**2 * (k2**2 * v1**2 + k1**2 * (1 + a**2) * np.sinh(k2 * x) ** 2)
 
 
@@ -246,111 +240,64 @@ def potential_pt_dynamic(p: PTDynamicParams, x, z: float):
 
 
 # ---------------------------------------------------------------------------
-# raw (unnormalized) guided modes and their z-derivatives
+# raw (unnormalized) mode pairs: (2, n) rows, even-like first
 # ---------------------------------------------------------------------------
 
-def raw_mode_hermitian(p: HermitianStaticParams, kind: str, x):
-    """psi_g, psi_e profiles exactly as the closed forms give them."""
+def _static_profiles(p, x) -> np.ndarray:
+    """Raw ground and excited profiles of a static pair on one node set, over one Wronskian."""
     x = np.asarray(x, dtype=float)
     k1, k2 = p.k1, p.k2
-    w = k2 * np.cosh(k1 * x) * np.cosh(k2 * x) - k1 * np.sinh(k1 * x) * np.sinh(k2 * x)
-    if kind == "ground":
-        return k2 * (k2**2 - k1**2) * np.cosh(k1 * x) / w
-    if kind == "excited":
-        return k1 * (k2**2 - k1**2) * np.sinh(k2 * x) / w
-    raise ValueError(kind)
+    c1, s1, c2, s2 = np.cosh(k1 * x), np.sinh(k1 * x), np.cosh(k2 * x), np.sinh(k2 * x)
+    if isinstance(p, HermitianStaticParams):
+        v1, w = c1, k2 * c1 * c2 - k1 * s1 * s2
+    else:  # `potential_pt_static`'s Wronskian, term by term
+        v1 = c1 + 1j * p.alpha * s1
+        w = k2 * c2 * v1 - k1 * s2 * (s1 + 1j * p.alpha * c1)
+    return np.stack([k2 * (k2**2 - k1**2) * v1, k1 * (k2**2 - k1**2) * s2]) / w
 
 
-def raw_mode_pt_static(p: PTStaticParams, kind: str, x):
-    x = np.asarray(x, dtype=float)
-    k1, k2, a = p.k1, p.k2, p.alpha
-    w = _w_pt_static(p, x)
-    if kind == "ground":
-        return k2 * (k2**2 - k1**2) * (np.cosh(k1 * x) + 1j * a * np.sinh(k1 * x)) / w
-    if kind == "excited":
-        return k1 * (k2**2 - k1**2) * np.sinh(k2 * x) / w
-    raise ValueError(kind)
-
-
-def _static_profiles(p, x) -> dict[str, np.ndarray]:
-    """Raw ground and excited profiles of a static pair on one node set."""
-    raw = raw_mode_hermitian if isinstance(p, HermitianStaticParams) else raw_mode_pt_static
-    return {kind: raw(p, kind, x) for kind in ("ground", "excited")}
-
-
-class _DynamicPass:
+def _floquet_pair(p: PTDynamicParams, xp: _DynamicXParts, z: float,
+                  scale) -> tuple[np.ndarray, Callable[[], np.ndarray]]:
     """Floquet modes psi_1 (quasi-energy -k2^2) and psi_2 (-k1^2) on one node set at one z.
 
-    Each mode is pre * A / W with the full Wronskian W shared by both;
-    W and its phases are computed once per pass, pre and A once per mode,
-    and dW/dz, dpre/dz, dA/dz only when a derivative is asked for. Every
-    expression is the closed form's own, term by term, so a value is
-    bitwise the same however the pass is shared.
+    Each mode is pre * A / W with the full Wronskian W shared by both. Returns
+    the (2, n) rows scale_j psi_j and `dz()`, their z-derivatives from the same
+    W, pre and A. Every expression is the closed form's own, term by term; each
+    row is formed on its own and written into the result, so a pass makes no
+    (2, n) temporaries.
 
     psi_2 carries the phase e^{-i(k1^2-k3^2)z} on its alpha^2 term; with
     that phase both modes satisfy the paraxial equation identically and
     psi_1 = L12 f2, psi_2 = L12 f1 for the seeds in `make_system().seeds()`.
     """
+    k1, k2, k3, a = p.k1, p.k2, p.k3, p.alpha
+    b1, b2, b3 = k1**2, k2**2, k3**2
+    delta = b1 - b3
+    e_w, e_minus = np.exp(1j * (b1 + b2) * z), np.exp(-1j * (b1 - b3) * z)  # e^{-i delta z}
+    e1, e3, e_delta = np.exp(1j * b1 * z), np.exp(1j * b3 * z), np.exp(1j * delta * z)
+    # full Wronskian W(u1,u2) = e^{i(b1+b2)z} (h1 + i alpha h2 e^{-i delta z})
+    w = e_w * (xp.h1 + 1j * a * xp.h2 * e_minus)
+    pre = (k2 * np.exp(2j * b2 * z), np.exp(1j * (b1 + b2 + b3) * z))
+    A = (e1 * (b2 - b1) * xp.c1 + 1j * a * e3 * (b2 - b3) * xp.s3,
+         e_delta * k1 * (b1 - b2) * xp.s2 + e_minus * a**2 * k3 * (b3 - b2) * xp.s2 - 1j * a * xp.kx)
+    pre_a = [pre[j] * A[j] for j in (0, 1)]
+    rows = np.empty((2,) + w.shape, dtype=complex)
+    for j in (0, 1):
+        np.multiply(scale[j], pre_a[j] / w, out=rows[j])
 
-    def __init__(self, p: PTDynamicParams, xp: _DynamicXParts, z: float):
-        self.p, self.xp, self.z = p, xp, z
-        b1, b2, b3 = p.k1**2, p.k2**2, p.k3**2
-        self._e_w = np.exp(1j * (b1 + b2) * z)
-        self._e_minus = np.exp(-1j * (b1 - b3) * z)  # e^{-i delta z}
-        # full Wronskian W(u1,u2) = e^{i(b1+b2)z} (h1 + i alpha h2 e^{-i delta z})
-        self.w = self._e_w * (xp.h1 + 1j * p.alpha * xp.h2 * self._e_minus)
-        self._terms: dict[str, tuple] = {}
-
-    def _numerator(self, kind: str) -> tuple:
-        """(pre, A, pre * A) of one mode, computed once per pass."""
-        if kind not in self._terms:
-            p, xp, z = self.p, self.xp, self.z
-            k1, k2, k3, a = p.k1, p.k2, p.k3, p.alpha
-            b1, b2, b3 = k1**2, k2**2, k3**2
-            if kind == "floquet1":
-                pre = k2 * np.exp(2j * b2 * z)
-                A = (np.exp(1j * b1 * z) * (b2 - b1) * xp.c1
-                     + 1j * a * np.exp(1j * b3 * z) * (b2 - b3) * xp.s3)
-            elif kind == "floquet2":
-                delta = b1 - b3
-                pre = np.exp(1j * (b1 + b2 + b3) * z)
-                A = (np.exp(1j * delta * z) * k1 * (b1 - b2) * xp.s2
-                     + self._e_minus * a**2 * k3 * (b3 - b2) * xp.s2
-                     - 1j * a * xp.kx)
-            else:
-                raise ValueError(kind)
-            self._terms[kind] = (pre, A, pre * A)
-        return self._terms[kind]
-
-    def mode(self, kind: str) -> np.ndarray:
-        return self._numerator(kind)[2] / self.w
-
-    @functools.cached_property
-    def _wz_and_w_sq(self) -> tuple[np.ndarray, np.ndarray]:
-        """dW/dz and W^2."""
-        p, w = self.p, self.w
-        b1, b2 = p.k1**2, p.k2**2
-        delta = b1 - p.k3**2
+    def dz() -> np.ndarray:
         # dW/dz = i(b1+b2) W + alpha * delta * h2 * e^{i(b1+b2)z} e^{-i delta z}
-        wz = 1j * (b1 + b2) * w + p.alpha * delta * self.xp.h2 * self._e_w * self._e_minus
-        return wz, w * w
+        wz, w_sq = 1j * (b1 + b2) * w + a * delta * xp.h2 * e_w * e_minus, w * w
+        pre_z = (2j * b2 * pre[0], 1j * (b1 + b2 + b3) * pre[1])
+        A_z = (1j * b1 * e1 * (b2 - b1) * xp.c1 + 1j * a * 1j * b3 * e3 * (b2 - b3) * xp.s3,
+               1j * delta * e_delta * k1 * (b1 - b2) * xp.s2
+               - 1j * delta * e_minus * a**2 * k3 * (b3 - b2) * xp.s2)
+        out = np.empty_like(rows)
+        for j in (0, 1):
+            np.multiply(scale[j], (pre_z[j] * A[j] + pre[j] * A_z[j]) / w - pre_a[j] * wz / w_sq, out=out[j])
+        return out
 
-    def mode_dz(self, kind: str) -> np.ndarray:
-        p, xp, z = self.p, self.xp, self.z
-        k1, k3, a = p.k1, p.k3, p.alpha
-        b1, b2, b3 = k1**2, p.k2**2, k3**2
-        pre, A, pre_a = self._numerator(kind)
-        if kind == "floquet1":
-            pre_z = 2j * b2 * pre
-            A_z = (1j * b1 * np.exp(1j * b1 * z) * (b2 - b1) * xp.c1
-                   + 1j * a * 1j * b3 * np.exp(1j * b3 * z) * (b2 - b3) * xp.s3)
-        else:
-            delta = b1 - b3
-            pre_z = 1j * (b1 + b2 + b3) * pre
-            A_z = (1j * delta * np.exp(1j * delta * z) * k1 * (b1 - b2) * xp.s2
-                   - 1j * delta * self._e_minus * a**2 * k3 * (b3 - b2) * xp.s2)
-        wz, w_sq = self._wz_and_w_sq
-        return (pre_z * A + pre * A_z) / self.w - pre_a * wz / w_sq
+    return rows, dz
 
 
 # ---------------------------------------------------------------------------
@@ -430,8 +377,6 @@ class WaveguideSystem:
         # x-only factors (the dynamic h1..h8, or the static raw profiles) of the last frozen node set
         self._x_parts = NodeCache(functools.partial(
             _dynamic_x_parts if self.is_dynamic else _static_profiles, params))
-        # the modulated pair's last closed-form pass, shared by mode and mode_dz at one z
-        self._pass: Optional[_DynamicPass] = None
 
     # -- basic facts -------------------------------------------------------
 
@@ -487,21 +432,6 @@ class WaveguideSystem:
 
     # -- internals ---------------------------------------------------------
 
-    def _dynamic_pass(self, x, z: float) -> _DynamicPass:
-        """The closed-form pass on x at z, kept for the next call on the same frozen node set and z."""
-        xp = self._x_parts(x)
-        last = self._pass
-        if last is None or last.xp is not xp or last.z != z:
-            last = _DynamicPass(self.params, xp, z)
-            self._pass = last if _frozen(np.asarray(x)) else None  # any other x: new x parts, no reuse
-        return last
-
-    def _raw_profile(self, kind: str, x, z: float = 0.0):
-        if self.is_dynamic:
-            return self._dynamic_pass(x, z).mode(kind)
-        # stationary: profile only; phases handled by callers
-        return self._x_parts(x)[kind]
-
     def _ensure_norms(self) -> None:
         if self._combos:
             return
@@ -509,21 +439,21 @@ class WaveguideSystem:
         k_even, k_odd = self.facts.stationary
         if self.is_dynamic:
             # unit Dirac power at the input facet for each Floquet mode
-            for kind in (k_even, k_odd):
-                f = self._raw_profile(kind, x, 0.0)
+            raw = _floquet_pair(self.params, self._x_parts(x), 0.0, (1.0, 1.0))[0]  # scale 1: the raw modes
+            for kind, f in zip((k_even, k_odd), raw):
                 self._norm[kind] = 1.0 / math.sqrt(float(np.sum(w * np.abs(f) ** 2).real))
                 self._pseudo_sign[kind] = 0
         else:
             # unit |PT pseudo-norm| (Dirac norm for the Hermitian system); -x first, so x stays cached
             mirrored = self._x_parts(read_only(-x))
-            for kind in (k_even, k_odd):
-                f = self._raw_profile(kind, x)
-                ps = complex(np.sum(w * np.conj(f) * mirrored[kind]))
+            raw = self._x_parts(x)
+            for kind, f, f_mirrored in zip((k_even, k_odd), raw, mirrored):
+                ps = complex(np.sum(w * np.conj(f) * f_mirrored))
                 self._norm[kind] = 1.0 / math.sqrt(abs(ps))
                 self._pseudo_sign[kind] = 1 if ps.real >= 0 else -1
         # localized combinations: unit Dirac power at z=0, labels by <x>
-        e = self._norm[k_even] * self._raw_profile(k_even, x, 0.0)
-        o = self._norm[k_odd] * self._raw_profile(k_odd, x, 0.0)
+        e = self._norm[k_even] * raw[0]
+        o = self._norm[k_odd] * raw[1]
         self._combos = localized_combos(lambda sign: e + sign * o, x, w)
 
     def pseudo_norm_sign(self, kind: str) -> int:
@@ -535,45 +465,59 @@ class WaveguideSystem:
         self._ensure_norms()
         return self._combos[kind]
 
-    def _pair(self, kind: str, field):
-        """field(k) for a stationary kind k, or the normalized left/right superposition."""
+    # -- public evaluators ---------------------------------------------------
+
+    def pair(self, x, z: float = 0.0) -> Callable[[int], np.ndarray]:
+        """Both normalized modes at (x, z) from one closed-form pass, even-like row first.
+
+        Returns `rows`: rows(0) the (2, n) fields, rows(1) their d/dz and, for a
+        static pair, rows(2) H^2 applied (E^2 weights). Every order reads the
+        same pass: the modulated pair's W, phases and numerators, or the static
+        pair's profiles.
+        """
         self._ensure_norms()
+        kinds, norm = self.facts.stationary, self._norm
+        if self.is_dynamic:
+            fields, dz = _floquet_pair(self.params, self._x_parts(x), z, [norm[k] for k in kinds])
+
+            def floquet_rows(order: int) -> np.ndarray:
+                if order == 2:
+                    raise ValueError("exact H^2 application is only available for static systems")
+                return fields if order == 0 else dz()
+            return floquet_rows
+        raw, e = self._x_parts(x), self.energies()
+
+        def rows(order: int) -> np.ndarray:
+            out = np.empty(raw.shape, dtype=complex)
+            for k, f, o in zip(kinds, raw, out):
+                # N e^{-i E z} u, times -i E for d/dz (its scalars multiplied first), E^2 times it for H^2
+                np.multiply((-1j * e[k] if order == 1 else 1) * norm[k] * np.exp(-1j * e[k] * z), f, out=o)
+                if order == 2:
+                    np.multiply(e[k] ** 2, o, out=o)
+            return out
+        return rows
+
+    def _combined(self, kind: str, x, z: float, order: int):
+        """One mode of `pair(x, z)(order)`, or the normalized left/right superposition of both."""
+        if kind not in self.mode_kinds:
+            raise ValueError(f"a {self.kind} system has no mode {kind!r}")
+        rows = self.pair(x, z)(order)
         if kind in ("left", "right"):
             sign, inv_n = self.combination(kind)
-            k_even, k_odd = self.facts.stationary
-            return inv_n * (field(k_even) + sign * field(k_odd))
-        return field(kind)
-
-    # -- public evaluators ---------------------------------------------------
+            return inv_n * (rows[0] + sign * rows[1])
+        return rows[self.facts.stationary.index(kind)]
 
     def mode(self, kind: str, x, z: float = 0.0):
         """Normalized mode field at (x, z)."""
-        return self._pair(kind, lambda k: self._evolved(k, x, z))
-
-    def _evolved(self, kind: str, x, z: float):
-        if kind not in self.facts.stationary:
-            raise ValueError(f"a {self.kind} system has no mode {kind!r}")
-        if self.is_dynamic:
-            return self._norm[kind] * self._raw_profile(kind, x, z)
-        e = self.energies()[kind]
-        return self._norm[kind] * np.exp(-1j * e * z) * self._raw_profile(kind, x)
+        return self._combined(kind, x, z, 0)
 
     def mode_dz(self, kind: str, x, z: float = 0.0):
         """Exact d(mode)/dz; i * mode_dz is the Hamiltonian applied to the mode."""
-        return self._pair(kind, lambda k: self._evolved_dz(k, x, z))
-
-    def _evolved_dz(self, kind: str, x, z: float):
-        if self.is_dynamic:
-            return self._norm[kind] * self._dynamic_pass(x, z).mode_dz(kind)
-        e = self.energies()[kind]
-        return -1j * e * self._norm[kind] * np.exp(-1j * e * z) * self._raw_profile(kind, x)
+        return self._combined(kind, x, z, 1)
 
     def mode_h2(self, kind: str, x, z: float = 0.0):
         """H^2 applied to a stationary-system mode (exact, E^2 weights)."""
-        if self.is_dynamic:
-            raise ValueError("exact H^2 application is only available for static systems")
-        energies = self.energies()
-        return self._pair(kind, lambda k: energies[k] ** 2 * self._evolved(k, x, z))
+        return self._combined(kind, x, z, 2)
 
 
 def make_system(params, *, verify_regularity: bool = True) -> WaveguideSystem:

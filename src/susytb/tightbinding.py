@@ -224,7 +224,7 @@ class TBModel:
         self.hamiltonian_source = hamiltonian_source
         self.dynamic = dynamic
         self.quad = _tb_quad(max(abs(w.center) for w in self.wells), min(abs(w.k) for w in self.wells))
-        x, w = quad_nodes(self.quad)
+        x, w = self.quad.points
         # frozen: every H(z) build samples the bound potential on these nodes
         self._xs = read_only(-x if self.metric == "pt" else x)
         self._phi = np.stack(_well_modes(self.wells, x))
@@ -553,9 +553,13 @@ def floquet_monodromy(
 
 def assemble_state(model: TBModel, c: Sequence[complex], x):
     """psi(x) = sum_j c_j phi_j(x), with the phi_j from the model's node-set cache."""
-    x = np.asarray(x, dtype=float)
-    out = np.zeros(x.shape, dtype=complex)
-    for cj, phi in zip(c, model.basis_values(x)):
+    return _superpose(c, model.basis_values(x))
+
+
+def _superpose(c: Sequence[complex], rows) -> np.ndarray:
+    """sum_j c_j rows_j, term by term into zeros."""
+    out = np.zeros(np.shape(rows[0]), dtype=complex)
+    for cj, phi in zip(c, rows):
         out += cj * phi
     return out
 
@@ -618,10 +622,11 @@ class TBGuidedModes:
 
 def _guided_modes(model: TBModel, energies, c_even: np.ndarray, c_odd: np.ndarray,
                   norm2: Callable) -> TBGuidedModes:
-    """Scale both vectors by 1/sqrt(norm2(c, x, w)), then label their localized combinations."""
-    x, w = quad_nodes(model.quad)
-    c_even, c_odd = (c / math.sqrt(norm2(c, x, w)) for c in (c_even, c_odd))
-    combos = localized_combos(lambda sign: assemble_state(model, c_even + sign * c_odd, x), x, w)
+    """Scale both vectors by 1/sqrt(norm2(c, w)), then label their localized combinations, all on the
+    model's own nodes and mode rows."""
+    x, w = model.quad.points
+    c_even, c_odd = (c / math.sqrt(norm2(c, w)) for c in (c_even, c_odd))
+    combos = localized_combos(lambda sign: _superpose(c_even + sign * c_odd, model._phi), x, w)
     return TBGuidedModes(energies=np.asarray(energies), vectors=np.column_stack([c_even, c_odd]),
                          combos=combos)
 
@@ -636,8 +641,11 @@ def static_guided_modes(model: TBModel) -> TBGuidedModes:
     spec = solve_spectrum(model)
     c_even, c_odd, e = _even_odd(spec.vectors, spec.energies)
 
-    def pseudo_norm(c, x, w):
-        return abs(complex(np.sum(w * np.conj(assemble_state(model, c, x)) * assemble_state(model, c, -x))))
+    # the rows at -x: the PT metric's own, else one evaluation there
+    mirror = model._phi_s if model.metric == "pt" else _well_modes(model.wells, -model.quad.points[0])
+
+    def pseudo_norm(c, w):
+        return abs(complex(np.sum(w * np.conj(_superpose(c, model._phi)) * _superpose(c, mirror))))
 
     return _guided_modes(model, e, c_even, c_odd, pseudo_norm)
 
@@ -653,7 +661,7 @@ def floquet_guided_modes(model: TBModel, flq: FloquetResult) -> TBGuidedModes:
     """
     c_even, c_odd, e = _even_odd(flq.vectors, flq.quasi_energies.real)
 
-    def dirac_power(c, x, w):
-        return float(np.sum(w * np.abs(assemble_state(model, c, x)) ** 2).real)
+    def dirac_power(c, w):
+        return float(np.sum(w * np.abs(_superpose(c, model._phi)) ** 2).real)
 
     return _guided_modes(model, e, c_even, -c_odd, dirac_power)

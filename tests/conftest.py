@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -101,3 +103,71 @@ def reference_eig(h, s):
     vals, vecs = sla.eig(h, s)
     order = np.lexsort((vals.imag, vals.real))
     return vals[order], vecs[:, order]
+
+
+def reference_raw_mode(p, kind: str, x, z: float = 0.0, dz: bool = False):
+    """One unnormalized mode as the per-kind closed forms wrote it, mode by mode: a static pair's
+    profile (z-free), or a modulated Floquet mode pre * A / W at z and, with `dz`, its d/dz. The
+    reference for `systems`' pair rows, which share one Wronskian between both modes."""
+    x = np.asarray(x, dtype=float)
+    if isinstance(p, HermitianStaticParams):
+        k1, k2 = p.k1, p.k2
+        w = k2 * np.cosh(k1 * x) * np.cosh(k2 * x) - k1 * np.sinh(k1 * x) * np.sinh(k2 * x)
+        if kind == "ground":
+            return k2 * (k2**2 - k1**2) * np.cosh(k1 * x) / w
+        return k1 * (k2**2 - k1**2) * np.sinh(k2 * x) / w
+    if isinstance(p, PTStaticParams):
+        k1, k2, a = p.k1, p.k2, p.alpha
+        v1 = np.cosh(k1 * x) + 1j * a * np.sinh(k1 * x)
+        dv1 = np.sinh(k1 * x) + 1j * a * np.cosh(k1 * x)
+        w = k2 * np.cosh(k2 * x) * v1 - k1 * np.sinh(k2 * x) * dv1
+        if kind == "ground":
+            return k2 * (k2**2 - k1**2) * (np.cosh(k1 * x) + 1j * a * np.sinh(k1 * x)) / w
+        return k1 * (k2**2 - k1**2) * np.sinh(k2 * x) / w
+    k1, k2, k3, a = p.k1, p.k2, p.k3, p.alpha
+    b1, b2, b3 = k1**2, k2**2, k3**2
+    c1, s1 = np.cosh(k1 * x), np.sinh(k1 * x)
+    c2, s2 = np.cosh(k2 * x), np.sinh(k2 * x)
+    c3, s3 = np.cosh(k3 * x), np.sinh(k3 * x)
+    h1 = k2 * c1 * c2 - k1 * s1 * s2
+    h2 = k2 * c2 * s3 - k3 * c3 * s2
+    kx = (k2 * (k1**2 - k3**2) * c2 * np.cosh((k1 - k3) * x)
+          + (k1 + k3) * (k1 * k3 - k2**2) * s2 * np.sinh((k1 - k3) * x))
+    e_w = np.exp(1j * (b1 + b2) * z)
+    e_minus = np.exp(-1j * (b1 - b3) * z)
+    w = e_w * (h1 + 1j * a * h2 * e_minus)
+    delta = b1 - b3
+    if kind == "floquet1":
+        pre = k2 * np.exp(2j * b2 * z)
+        A = np.exp(1j * b1 * z) * (b2 - b1) * c1 + 1j * a * np.exp(1j * b3 * z) * (b2 - b3) * s3
+        pre_z = 2j * b2 * pre
+        A_z = (1j * b1 * np.exp(1j * b1 * z) * (b2 - b1) * c1
+               + 1j * a * 1j * b3 * np.exp(1j * b3 * z) * (b2 - b3) * s3)
+    else:
+        pre = np.exp(1j * (b1 + b2 + b3) * z)
+        A = (np.exp(1j * delta * z) * k1 * (b1 - b2) * s2 + e_minus * a**2 * k3 * (b3 - b2) * s2
+             - 1j * a * kx)
+        pre_z = 1j * (b1 + b2 + b3) * pre
+        A_z = (1j * delta * np.exp(1j * delta * z) * k1 * (b1 - b2) * s2
+               - 1j * delta * e_minus * a**2 * k3 * (b3 - b2) * s2)
+    if not dz:
+        return pre * A / w
+    wz = 1j * (b1 + b2) * w + a * delta * h2 * e_w * e_minus
+    return (pre_z * A + pre * A_z) / w - pre * A * wz / (w * w)
+
+
+def reference_mode(system, kind: str, x, z: float, order: int = 0):
+    """A normalized stationary or Floquet mode (order 0), its d/dz (1) or H^2 applied (2, static only),
+    from `reference_raw_mode` and norms taken as the per-kind code took them on the system's nodes."""
+    p = system.params
+    nodes, w = system.quad.points
+    f = reference_raw_mode(p, kind, nodes)
+    if system.is_dynamic:
+        norm = 1.0 / math.sqrt(float(np.sum(w * np.abs(f) ** 2).real))
+        return norm * reference_raw_mode(p, kind, x, z, dz=order == 1)
+    norm = 1.0 / math.sqrt(abs(complex(np.sum(w * np.conj(f) * reference_raw_mode(p, kind, -nodes)))))
+    e = system.energies()[kind]
+    if order == 1:
+        return -1j * e * norm * np.exp(-1j * e * z) * reference_raw_mode(p, kind, x)
+    field = norm * np.exp(-1j * e * z) * reference_raw_mode(p, kind, x)
+    return e**2 * field if order == 2 else field

@@ -920,6 +920,25 @@ def test_preset_run_computes_the_x_parts_once_per_node_set(tmp_path, capsys, mon
     assert ("_dynamic_x_parts" if "dynamic" in preset else "_static_profiles", 4097) in {k[:2] for k in per_set}
 
 
+@pytest.mark.parametrize("preset, sets", [("hermitian-fig2", 3), ("pt-static-fig3-4", 3),
+                                          ("pt-dynamic-fig1-5-6", 2)])
+def test_preset_run_evaluates_the_well_modes_once_per_node_set(tmp_path, capsys, monkeypatch, preset, sets):
+    """The TB model's frozen nodes (its construction, normalization and localized combinations), their
+    mirror (the static pseudo-norm; a PT model's own rows there) and the observable grid: once each."""
+    per_set = Counter()
+    well_modes = tightbinding._well_modes
+
+    def counted(wells, x):
+        per_set[(len(x), float(x[0]), float(x[-1]))] += 1
+        return well_modes(wells, x)
+
+    monkeypatch.setattr(tightbinding, "_well_modes", counted)
+    assert main(["preset", "run", preset, "--out", str(tmp_path)]) == 0
+    capsys.readouterr()
+    assert set(per_set.values()) == {1} and len(per_set) == sets
+    assert 4097 in {n for n, _, _ in per_set}
+
+
 @pytest.mark.parametrize("case", sorted(WARM_CASES))
 def test_cli_potential_dumps_the_system_potential(tmp_path, capsys, case):
     """`potential` writes nx*nz rows (one z for a static pair), the same bytes each run."""

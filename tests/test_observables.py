@@ -6,7 +6,7 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from susytb import cli
+from susytb import cli, systems
 from susytb.calibrate import default_problem, spectral_match
 from susytb.config import validate_config
 from susytb.observables import (
@@ -319,50 +319,64 @@ def _dyn_trajectory_state(system, z):
     return TBTrajectoryState(model, flq, [0.7, -0.7])
 
 
+def _count_passes(monkeypatch, system):
+    """Counter of the modulated pair's closed-form passes ("pass"), the d/dz read off them ("dz", at most
+    once per pass) and V samples ("potential"), once the norms are in place."""
+    system.combination("left")
+    calls, floquet_pair, potential = Counter(), systems._floquet_pair, system.potential
+
+    def counted_pair(*args):
+        fields, dz = floquet_pair(*args)
+        calls["pass"] += 1
+        read = []
+
+        def counted_dz():
+            assert not read, "d/dz read twice off one pass"
+            read.append(True)
+            calls["dz"] += 1
+            return dz()
+        return fields, counted_dz
+
+    monkeypatch.setattr(systems, "_floquet_pair", counted_pair)
+    monkeypatch.setattr(system, "potential", lambda *args: calls.update(["potential"]) or potential(*args))
+    for method in ("mode", "mode_dz"):  # the table reads the passes' rows, never the per-kind evaluators
+        monkeypatch.setattr(system, method, lambda *args: pytest.fail("a per-kind evaluator was called"))
+    return calls
+
+
 def test_exact_modulated_table_evaluates_each_phase_once(dyn_system, dyn_quad, monkeypatch):
-    calls = Counter()
-    for method in ("mode", "mode_dz", "potential"):
-        def counted(*args, method=method, original=getattr(dyn_system, method)):
-            calls[method] += 1
-            return original(*args)
-        monkeypatch.setattr(dyn_system, method, counted)
+    calls = _count_passes(monkeypatch, dyn_system)
     moment_table(ExactState(dyn_system, "left"), ALL_REQUESTS, _repeated_phases(dyn_system), dyn_quad)
-    # the resolution guard and the initial power read both Floquet modes at phase 0 each; then
-    # each of the two phases evaluates both Floquet modes, their d/dz and V once
-    assert dict(calls) == {"mode": 2 * 2 + 2 * 2, "mode_dz": 2 * 2, "potential": 2}
+    # the resolution guard and the initial power take one pass each at phase 0; then each of the
+    # two phases takes one pass for both Floquet modes and their d/dz, and samples V once
+    assert dict(calls) == {"pass": 2 + 2, "dz": 2, "potential": 2}
 
 
 def _preset_dynamic():
     return validate_config(json.dumps(preset_config("pt-dynamic-fig1-5-6")))
 
 
-@pytest.mark.parametrize("grid, phases, expected", [
+@pytest.mark.parametrize("grid, phases, evaluated", [
     # 160 phases r = i T_V / 160, each met twice or more: r and T_V - r share one evaluation
     # (i = 1..79 with 159..81), and 0 and T_V / 2 are their own mirrors, so 81 phases are evaluated
-    (lambda cfg, t: cfg.z_values, 160, {"mode": 4 + 2 * 81, "mode_dz": 2 * 81, "potential": 81}),
+    (lambda cfg, t: cfg.z_values, 160, 81),
     # T_V / 20 over 1.8 periods: i = 0..16 met twice, 17..19 once; i and 20 - i share one
     # evaluation however many z meet either (1..9 with 19..11), so 11 phases are evaluated
-    (lambda cfg, t: np.arange(37) * t / 20, 20, {"mode": 4 + 2 * 11, "mode_dz": 2 * 11, "potential": 11}),
+    (lambda cfg, t: np.arange(37) * t / 20, 20, 11),
     # one period at T_V / 8: only phase 0 (z = 0 and T_V) is met twice, yet 1..3 share with 7..5
-    (lambda cfg, t: np.linspace(0.0, t, 9), 8, {"mode": 4 + 2 * 5, "mode_dz": 2 * 5, "potential": 5}),
+    (lambda cfg, t: np.linspace(0.0, t, 9), 8, 5),
     # 0.5 and T_V - 0.3, each met twice, are not each other's mirror
-    (lambda cfg, t: [0.5, t - 0.3, t + 0.5, 2 * t - 0.3], 2, {"mode": 4 + 2 * 2, "mode_dz": 2 * 2,
-                                                              "potential": 2}),
+    (lambda cfg, t: [0.5, t - 0.3, t + 0.5, 2 * t - 0.3], 2, 2),
 ], ids=["preset", "1.8-periods", "9-points", "no-mirror"])
-def test_exact_modulated_table_evaluates_each_mirrored_pair_once(monkeypatch, grid, phases, expected):
+def test_exact_modulated_table_evaluates_each_mirrored_pair_once(monkeypatch, grid, phases, evaluated):
     cfg = _preset_dynamic()
     system = cfg.system
     z = np.asarray(grid(cfg, system.periods().fundamental))
     assert len(fold_phases(z, system.periods().fundamental)[2]) == phases
-    calls = Counter()
-    for method in ("mode", "mode_dz", "potential"):
-        def counted(*args, method=method, original=getattr(system, method)):
-            calls[method] += 1
-            return original(*args)
-        monkeypatch.setattr(system, method, counted)
+    calls = _count_passes(monkeypatch, system)
     moment_table(ExactState(system, "left"), ALL_REQUESTS, z, cfg.quad)
-    # beyond the phases, the resolution guard and the initial power read both Floquet modes at phase 0
-    assert dict(calls) == expected
+    # one pass per evaluated phase, its d/dz included, beyond the resolution guard's and the initial power's
+    assert dict(calls) == {"pass": 2 + evaluated, "dz": evaluated, "potential": evaluated}
 
 
 def test_mirrored_gram_matrices_match_the_mirror_phase():

@@ -1,4 +1,6 @@
+import gc
 import math
+import weakref
 from fractions import Fraction
 
 import numpy as np
@@ -24,11 +26,9 @@ from susytb.systems import (
     potential_hermitian_static,
     potential_pt_dynamic,
     potential_pt_static,
-    raw_mode_hermitian,
-    raw_mode_pt_static,
 )
 
-from conftest import HERM, PTD, PTD_STRONG, PTS, potential_pt_dynamic_complex
+from conftest import HERM, PTD, PTD_STRONG, PTS, potential_pt_dynamic_complex, reference_mode, reference_raw_mode
 
 
 # ---------------------------------------------------------------------------
@@ -398,22 +398,46 @@ def test_dynamic_memo_keys_on_node_values(dyn_system):
     assert np.array_equal(dyn_system.potential(x, 0.4), potential_pt_dynamic(PTD, x, 0.4))
 
 
-def test_dynamic_memo_keeps_no_writeable_grid():
-    """A writeable one-shot grid is not kept, nor the closed-form pass on it; a frozen grid stays kept
-    across writeable ones."""
+def test_dynamic_memo_keeps_no_writeable_grid(monkeypatch):
+    """A writeable one-shot grid's x parts are not kept, and no closed-form pass is kept on any grid;
+    a frozen grid's x parts stay kept across writeable ones."""
+    import susytb.systems as systems
+
+    x_parts, passes, floquet_pair = [], [], systems._floquet_pair
+
+    def kept(refs):
+        gc.collect()
+        return [r() is not None for r in refs]
+
+    def pass_counted(*args):
+        fields, dz = floquet_pair(*args)
+        passes.append(weakref.ref(fields))
+        return fields, dz
+
+    frozen = read_only(np.linspace(-8.0, 8.0, 101))
+    grids = [x for n in range(3) for x in (frozen, np.linspace(-8.0, 8.0, 102 + n))]
+    expected = [(potential_pt_dynamic(PTD, x, 0.5), WaveguideSystem(PTD).mode("left", x, 0.5)) for x in grids]
+    compute = systems._dynamic_x_parts
+    monkeypatch.setattr(systems, "_dynamic_x_parts", lambda p, x: x_parts.append(compute(p, x)) or x_parts[-1])
+    monkeypatch.setattr(systems, "_floquet_pair", pass_counted)
     system = make_system(PTD)
+    system.pseudo_norm_sign("floquet1")  # the norms' pass on the system's own nodes
+    x_parts.clear()
+    passes.clear()
     big = np.linspace(-30.0, 30.0, 16001)
     system.potential(big, 0.0)
-    assert system._x_parts._last is None
-    system.mode("left", big, 0.0)  # the norms first take the system's own frozen nodes
-    assert system._x_parts._last[0] is not big and system._pass is None
-    frozen = read_only(np.linspace(-8.0, 8.0, 101))
-    for n in range(3):
-        for x in (frozen, np.linspace(-8.0, 8.0, 102 + n)):
-            assert np.array_equal(system.potential(x, 0.5), potential_pt_dynamic(PTD, x, 0.5))
-            assert np.array_equal(system.mode("left", x, 0.5), WaveguideSystem(PTD).mode("left", x, 0.5))
-            assert (system._pass is not None) == (x is frozen)  # kept only where it can be reused
+    system.mode("left", big, 0.0)
+    assert system._x_parts._last[0] is not big
+    refs, x_parts[:] = [weakref.ref(xp.h1) for xp in x_parts], []
+    assert kept(refs) == [False, False] and len(passes) == 1 and kept(passes) == [False]
+    for x, (v, mode) in zip(grids, expected):
+        assert np.array_equal(system.potential(x, 0.5), v)
+        assert np.array_equal(system.mode("left", x, 0.5), mode)
+        assert not any(kept(passes))
         assert system._x_parts._last[0] is frozen
+    refs = [weakref.ref(xp.h1) for xp in x_parts]
+    x_parts.clear()
+    assert kept(refs) == [True] + [False] * 6  # the frozen grid's once, then each writeable one's twice
 
 
 @st.composite
@@ -490,9 +514,8 @@ def test_floquet_modes_are_pt_symmetric_property(p, z):
 
 def _stationary_closed_form(system, kind, x, z, pre=1):
     """pre times the normalized stationary mode from the closed-form profile, bypassing the memo."""
-    raw = raw_mode_hermitian if system.kind == "hermitian_static" else raw_mode_pt_static
     e = system.energies()[kind]
-    return pre * system._norm[kind] * np.exp(-1j * e * z) * raw(system.params, kind, x)
+    return pre * system._norm[kind] * np.exp(-1j * e * z) * reference_raw_mode(system.params, kind, x)
 
 
 def test_static_memo_matches_fresh_closed_forms(herm_system, pt_system):
@@ -583,6 +606,33 @@ def test_static_profile_memo_property(p, half_width, nodes, z):
         assert np.array_equal(fresh.mode(kind, x, z), f)
     for kind in ("ground", "excited"):
         assert np.array_equal(first[kind], _stationary_closed_form(system, kind, x, z))
+
+
+@settings(max_examples=60, deadline=None)
+@given(p=st.one_of(static_params(), certified_dynamic_params()), half_width=st.floats(1.0, 12.0),
+       nodes=st.integers(2, 300), z=st.floats(-100.0, 100.0), frozen=st.booleans())
+def test_pair_rows_are_the_per_kind_closed_forms_property(p, half_width, nodes, z, frozen):
+    """Each order of one pass, on a frozen or a writeable grid, is the per-kind closed forms (copied
+    in `conftest.reference_raw_mode`) bit for bit, and every mode evaluator picks or combines its rows."""
+    system = WaveguideSystem(p)
+    x = np.linspace(-half_width, half_width, nodes)
+    if frozen:
+        x = read_only(x)
+    rows = system.pair(x, z)
+    evaluators = (system.mode, system.mode_dz) + (() if system.is_dynamic else (system.mode_h2,))
+    for order, evaluate in enumerate(evaluators):
+        got = rows(order)
+        assert got.shape == (2, nodes)
+        for row, kind in zip(got, system.facts.stationary):
+            assert np.array_equal(row, reference_mode(system, kind, x, z, order))
+            assert np.array_equal(evaluate(kind, x, z), row)
+        for kind in ("left", "right"):
+            sign, inv_n = system.combination(kind)
+            assert np.array_equal(evaluate(kind, x, z), inv_n * (got[0] + sign * got[1]))
+    if system.is_dynamic:  # no exact H^2 for the modulated pair
+        for h2 in (lambda: rows(2), lambda: system.mode_h2("left", x, z)):
+            with pytest.raises(ValueError, match="only available for static systems"):
+                h2()
 
 
 # ---------------------------------------------------------------------------
