@@ -8,14 +8,18 @@ uniform grid, once `_resolution_guard` has checked that halving the grid
 resolution moves the first derivative by at most 1e-5 of its scale.
 
 `moment_table` makes one pass for all requested observables of a state and evaluates
-each image at most once. The modulated pair's states are two-mode superpositions psi
-= sum_j a_j(z) u_j(x, z mod T_V) (Floquet's theorem), so their moments are quadratic
-forms a^H G b in 2x2 Gram matrices G, all that is kept of each distinct phase's rows
-(`quadrature.fold_phases`; TB has one basis for every z and reads H off its Floquet
-march); each moment is then one array pass over all z. The exact pair is PT-symmetric: phases r and T_V - r
-share one evaluation, however many z meet them. Static states are still taken field by
-field at each z with unchanged sums: their comparison metrics' sub-resolution `phase_shift`
-fields move with any new summation order. `moment_series` is the one-observable case.
+each image at most once. The modulated pair's states are two-mode superpositions psi =
+sum_j c_j(z) u_j, so their moments are quadratic forms c^H G b in 2x2 Gram matrices G, each
+moment one array pass over all z (TB: one basis for every z, H read off its Floquet march).
+For the exact pair c = w e^{-i E z} and P(r) = G(r) e^{-i(E_i - E_j) r} is T_V-periodic, its
+harmonics falling like rho^|m|, rho = |alpha| max |h2/h1| < 1. N uniform phases give its
+series, N/2 + 1 closed-form passes as r and T_V - r are PT mirrors: N from rho (32 at the
+preset), doubled while the top harmonic exceeds SERIES_TOL of its scale and the samples'
+rounding; the grid's own phases instead once those take no more passes (rho -> 1). The
+resolution guard and the initial power read z = 0 off the same pass. Static states are
+still taken field by field at each z with unchanged sums: their comparison metrics'
+sub-resolution `phase_shift` fields move with any new summation order.
+`moment_series` is the one-observable case.
 """
 
 from __future__ import annotations
@@ -27,7 +31,7 @@ from typing import Callable, NamedTuple, Optional, Sequence
 
 import numpy as np
 
-from .quadrature import PHASE_TOL, QuadratureSpec, d1_fourth, d2_fourth, fold_phases
+from .quadrature import QuadratureSpec, d1_fourth, d2_fourth, fold_phases
 from .systems import WaveguideSystem
 from .tightbinding import FloquetResult, TBGuidedModes, TBModel, assemble_state
 
@@ -49,6 +53,8 @@ OBSERVABLES = ("x_mean", "p_mean", "x_std", "p_std", "power", "H_mean", "H_std")
 
 SPREAD_TOL = 1e-8  # |Im|/|Re| up to which a negative variance is real; modulated-preset PT p_std: 3.4e-10
 RESOLUTION_TOL = 1e-5  # largest derivative change under coarsening that `_resolution_guard` passes
+SERIES_TARGET = 1e-13  # rho^{N/2} a phase series' first N reaches: its top harmonic, predicted
+SERIES_TOL = 1e-12  # largest measured top harmonic it keeps; above the p^2/H^2 stencil floor (1.3e-13 at the preset)
 
 
 class DerivativeResolutionError(RuntimeError):
@@ -83,8 +89,8 @@ class ObservableSeries:
 class ExactState:
     """Closed-form mode of a WaveguideSystem as an observable state.
 
-    On a modulated pair psi(x, n T_V + r) = sum_j w_j e^{-i E_j n T_V} u_j(x, r) over
-    the normalized Floquet modes u_j, w the left/right weights (or the one mode itself).
+    On a modulated pair psi = sum_j w_j u_j over the normalized Floquet modes u_j, w the
+    left/right weights (or a unit vector for one mode).
     """
 
     def __init__(self, system: WaveguideSystem, kind: str):
@@ -101,36 +107,41 @@ class ExactState:
     def h2_apply(self, x, z: float):
         return self.system.mode_h2(self.kind, x, z)
 
-    def forms(self, x, w, h, z_grid):
-        """A `_Group` per phase r: the z at r, and those at T_V - r as PT images, on the rows at r."""
+    def phase_series(self, x, w, h, keys, budget: float) -> "_PhaseSeries":
+        """The `_PhaseSeries` of both Floquet modes' Gram stacks P(r) = G(r) e^{-i(E_i - E_j) r} under each key,
+        T_V-periodic as u_j(x, r + T_V) = e^{-i E_j T_V} u_j(x, r); H u = i d_z u off each pass, H^2 u by the
+        stencils against V(r)."""
+        system, energies = self.system, np.array(list(self.system.energies().values()))  # the rows' order
+
+        def sample(r):
+            at_r = system.pair(x, r)
+            rows = _Fields(at_r(0), x, w, h, hf=lambda: 1j * at_r(1), v=functools.partial(system.potential, x, r))
+            return rows.f, np.stack([rows.sandwich(*key) for key in keys]) * np.exp(
+                -1j * np.subtract.outer(energies, energies) * r)
+        # PT symmetry: u_j(x, T_V - r) = c_j e^{-i E_j T_V} conj u_j(-x, r), c = (+1, -1) even-like first; the grid,
+        # w and stencils are even, so P(T_V - r) = s c_i c_j conj P(r), s = -1 for x^1 and +1 else
+        flip = np.array([-1 if key[:2] == (1, "x") else 1 for key in keys])[:, None, None] * [[1, -1], [-1, 1]]
+        p, period, xp = system.params, system.periods().fundamental, system._x_parts(x)  # the passes' own x parts
+        rho = abs(p.alpha) * float(np.max(np.abs(xp.h2 / xp.h1)))  # P's harmonics fall like rho^|m|
+        # a pass's phases e^{i b r}, b up to k1^2 + k2^2 + k3^2, carry eps b T of rounding by r = T
+        floor = np.finfo(float).eps * (p.k1**2 + p.k2**2 + p.k3**2) * period
+        return _PhaseSeries(sample, flip, period, rho, budget, floor)
+
+    def forms(self, x, w, h, z_grid, keys):
+        """One `_Group` of every z: coefficients w e^{-i E z} on P at its phase, from the phase series, or at the
+        grid's own phases when those take no more passes."""
         system, period = self.system, self.system.periods().fundamental
         if self.kind in ("left", "right"):
             sign, inv_n = system.combination(self.kind)
-            kinds, weights, pick = system.facts.stationary, np.array([inv_n, sign * inv_n]), slice(None)
+            weights = np.array([inv_n, sign * inv_n])
         else:
-            j = system.facts.stationary.index(self.kind)
-            kinds, weights, pick = (self.kind,), np.ones(1), slice(j, j + 1)
-        energies = np.array([system.energies()[k] for k in kinds])
-        # PT symmetry: u_j(x, T_V - r) = kappa_j conj u_j(-x, r), c_j = +1 even-like, -1 odd-like
-        kappa = np.exp(-1j * energies * period) * [1 - 2 * system.facts.stationary.index(k) for k in kinds]
-        turns, which, phases = fold_phases(z_grid, period)
-        met = [np.flatnonzero(which == p) for p in range(len(phases))]
-        tol, served = PHASE_TOL * period, set()
-        for p, r in enumerate(phases.tolist()):
-            if p in served:
-                continue
-            # H u = i d_z u from the pass of u, and H^2 u by finite differences against V(r)
-            at_r = system.pair(x, r)
-            rows = _Fields(at_r(0)[pick], x, w, h, hf=lambda at_r=at_r: 1j * at_r(1)[pick],
-                           v=functools.partial(system.potential, x, r))
-            q = int(np.searchsorted(phases, period - r - tol))  # T_V - r, read off the rows at r
-            pair = [p, q] if p < q < len(phases) and phases[q] <= period - r + tol else [p]
-            served.update(pair)
-            i = np.concatenate([met[k] for k in pair])
-            a = weights * np.exp(-1j * energies * turns[i][:, None] * period)
-            mirror = np.arange(len(i)) >= len(met[p])  # there psi = sum_j a_j kappa_j conj u_j(-x, r),
-            a[mirror] = np.conj(kappa * a[mirror])  # the PT image of conj(kappa a) @ rows
-            yield _Group(i, rows, a, mirror=mirror)
+            weights = np.eye(2)[system.facts.stationary.index(self.kind)]
+        _, which, phases = fold_phases(z_grid, period)  # a pass per PT-mirrored pair of them: per lesser of r, T - r
+        series = self.phase_series(x, w, h, keys, len(fold_phases(np.minimum(phases, period - phases), period)[2]))
+        grams = series(z_grid) if series.n else series.at_phases(phases)[which]
+        yield _Group(slice(None), _Fields(series.f0, x, w, h),
+                     weights * np.exp(-1j * np.outer(z_grid, list(system.energies().values()))),
+                     grams=dict(zip(keys, np.moveaxis(grams, 1, 0))))
 
 
 class TBStaticState:
@@ -172,8 +183,8 @@ class TBTrajectoryState:
         self.floquet = floquet
         self.trajectory = floquet.trajectory(c0)
 
-    def forms(self, x, w, h, z_grid):
-        """One `_Group` of every z, each a point of the marched grid: the basis is the same at each."""
+    def forms(self, x, w, h, z_grid, keys):
+        """One `_Group` of every z, each a point of the marched grid: the basis, whose Gram matrices come on first use."""
         flq = self.floquet
         at = np.minimum(np.searchsorted(flq.z, z_grid), len(flq.z) - 1)
         if not np.array_equal(flq.z[at], z_grid):
@@ -237,22 +248,24 @@ def moment_table(
     x, w = quad.points  # frozen, so the engines' node-set caches keep its values across z
     h = x[1] - x[0]
     z_grid = np.asarray(z_grid, dtype=float)
-    two_mode = isinstance(state, TBTrajectoryState) or (
-        isinstance(state, ExactState) and state.system.is_dynamic)
-    forms = state.forms if two_mode else functools.partial(_per_z_forms, state)
-
-    if any(observable in ("p_mean", "p_std") for observable, _, _ in plans):
-        g = next(forms(x, w, h, z_grid[:1]))
-        _resolution_guard(g.rows.f if g.a is None else g.a[0] @ g.rows.f, h)
-        del g  # its field and basis rows, not kept through the table
-
-    p_initial = None
-    if any(normalization == "initial_power" for _, _, normalization in plans):
-        p_initial = float(_Stack(forms(x, w, h, np.zeros(1)), 1, []).power[0])
-
-    items = ([(slice(None), _Stack(forms(x, w, h, z_grid), len(z_grid), plans))] if two_mode  # sandwiches first
-             else ((g.index, g.rows) for g in forms(x, w, h, z_grid)))  # then each moment at all z at once
-    values = np.empty((len(plans), len(z_grid)), dtype=complex)
+    guard = any(observable in ("p_mean", "p_std") for observable, _, _ in plans)
+    initial = any(normalization == "initial_power" for _, _, normalization in plans)
+    p_initial, lead = None, 0
+    if isinstance(state, TBTrajectoryState) or (isinstance(state, ExactState) and state.system.is_dynamic):
+        lead = int(guard or initial)  # z = 0 first: the guard's field and the initial power, off the table's pass
+        g = next(state.forms(x, w, h, np.concatenate([np.zeros(lead), z_grid]), _Stack.keys(plans)))
+        if guard:
+            _resolution_guard(g.a[0] @ g.rows.f, h)
+        at_z = _Stack([g], lead + len(z_grid), plans)  # sandwiches first, then each moment at all z at once
+        p_initial, items = at_z.power[0], [(slice(None), at_z)]
+    else:
+        forms = functools.partial(_per_z_forms, state)
+        if guard:
+            _resolution_guard(next(forms(x, w, h, z_grid[:1])).rows.f, h)
+        if initial:
+            p_initial = float(_Stack(forms(x, w, h, np.zeros(1)), 1, []).power[0])
+        items = ((g.index, g.rows) for g in forms(x, w, h, z_grid))
+    values = np.empty((len(plans), lead + len(z_grid)), dtype=complex)
     for i, at_z in items:
         for row, (observable, metric, normalization) in zip(values, plans):
             if observable == "power":
@@ -268,7 +281,7 @@ def moment_table(
             variance = at_z.sandwich(2, family, metric) / norm - m1 * m1
             real = (variance.real < 0) & (np.abs(variance.imag) <= SPREAD_TOL * -variance.real)
             row[i] = np.sqrt(np.where(real, variance.real + 0j, variance))  # +i root, not the noise's sign
-    return [ObservableSeries(z=z_grid, values=row, observable=observable, metric=metric,
+    return [ObservableSeries(z=z_grid, values=row[lead:], observable=observable, metric=metric,
                              normalization=normalization, engine=engine)
             for row, (observable, metric, normalization) in zip(values, plans)]
 
@@ -328,51 +341,94 @@ class _Fields:
 
 class _Group(NamedTuple):
     """z `index` sharing `rows`: psi = a[n] @ rows.f at z index[n], H^k psi = hk(k)[n] @ rows.f if given (TB).
-    Where `mirror` (per z, or one for all), the PT image conj psi(-x) instead: its sandwiches are s conj(psi's),
-    s = -1 for x^1, +1 else, the grid, w and stencils being even. Without `a`, rows is the field at one z."""
+    Their Gram matrices are `rows.sandwich`, one for all z, or given per z and key in `grams` (the modulated
+    exact pair, whose rows are then those at z = 0). Without `a`, rows is the field at one z."""
 
     index: object
     rows: _Fields
     a: Optional[np.ndarray] = None
     hk: Optional[Callable] = None
-    mirror: object = False
+    grams: Optional[dict] = None
 
 
 class _Stack:
-    """The power and each sandwich the plans ask, at every z of the groups: one z's field by its own sums, the
-    others by one pass conj(a) G b over all their z, G each group's 2x2 Gram matrices, all that is kept."""
+    """The power and each sandwich the plans ask, at every z of the groups: one z's field by its own sums, a
+    two-mode group's z by one pass conj(a) G b over all of them, G its 2x2 Gram matrices, all that is kept."""
 
     POWER = (0, "", "dirac")
 
+    @classmethod
+    def keys(cls, plans) -> list:  # the power's, then each (order, family, metric) the plans ask, once
+        return list(dict.fromkeys([cls.POWER] + [(order, name.split("_")[0], metric) for name, metric, _ in plans
+                                                 if name != "power" for order in ((1, 2) if "_std" in name else (1,))]))
+
     def __init__(self, groups, nz: int, plans):
-        keys = [(order, name.split("_")[0], metric) for name, metric, _ in plans
-                if name != "power" for order in ((1, 2) if name.endswith("_std") else (1,))]
-        self._q = {key: np.empty(nz, dtype=complex) for key in (self.POWER, *keys)}  # a key asked twice is one
-        index, coef, flip, grams, right = [], [], [], [], []
+        self._q = {key: np.empty(nz, dtype=complex) for key in self.keys(plans)}
         for g in groups:
-            if g.a is None:
-                for key, q in self._q.items():
+            for key, q in self._q.items():
+                if g.a is None:
                     q[g.index] = g.rows.power if key == self.POWER else g.rows.sandwich(*key)
-                continue
-            index.append(g.index)
-            coef.append(g.a)
-            flip.append(g.mirror)
-            tb = [family == "H" and g.hk is not None for _, family, _ in self._q]  # TB: conj(a) G_0 gen^k a
-            grams.append(np.stack([g.rows.sandwich(*((0, "", k[2]) if t else k)) for t, k in zip(tb, self._q)]))
-            right.append(g.hk and [g.hk(k[0]) if t else g.a for t, k in zip(tb, self._q)])
-        if index:
-            owner = np.repeat(np.arange(len(coef)), [len(a) for a in coef])
-            flip = np.concatenate([np.broadcast_to(f, len(a)) for f, a in zip(flip, coef)])
-            index, a, grams = np.concatenate(index), np.concatenate(coef), np.stack(grams)
-            for n, (key, q) in enumerate(self._q.items()):
-                b = np.concatenate([c if r is None else r[n] for c, r in zip(coef, right)])
-                values = np.einsum("zi,zij,zj->z", np.conj(a), grams[owner, n], b)
-                values[flip] = np.conj(values[flip]) * (-1 if key[:2] == (1, "x") else 1)
-                q[index] = values
+                    continue
+                tb = key[1] == "H" and g.hk is not None  # TB: conj(a) G_0 gen^k a
+                gram = g.grams[key] if g.grams else g.rows.sandwich(*((0, "", key[2]) if tb else key))
+                gram = np.ascontiguousarray(np.broadcast_to(gram, (len(g.a),) + gram.shape[-2:]))
+                q[g.index] = np.einsum("zi,zij,zj->z", np.conj(g.a), gram, g.hk(key[0]) if tb else g.a)
         self.power = self._q[self.POWER].real
 
     def sandwich(self, order: int, family: str, metric: str) -> np.ndarray:
         return self._q[order, family, metric]
+
+
+class _PhaseSeries:
+    """A T-periodic stack P(r) of Gram matrices from one pass `sample(r)` -> (rows, P(r)) per PT-mirrored pair
+    of phases, P(T - r) = flip * conj P(r); f0 keeps the rows at r = 0 (the resolution guard's).
+
+    The series takes N uniform phases, N/2 + 1 passes: N starts at the least power of two >= 8 with
+    rho^{N/2} <= SERIES_TARGET and doubles while the tail, its largest harmonic |m| >= N/2 - 1 over the
+    stack's `scale`, is above SERIES_TOL and above the samples' PT defect at 0 and T/2, their own mirrors,
+    a pass's rounding (finer nodes raise the p^2/H^2 stencils' eps / h^2); `n` is 0 (no series) once N/2 + 1
+    passes would reach `budget`.
+    `error` estimates its distance from a fresh pass over `scale`: the harmonics past N/2, aliased back,
+    4 / (1 - rho) times the top one, plus 8 times a pass's rounding, the largest of sqrt(N) tail (flat over
+    the harmonics), the PT defect and `floor`; the distance stays below 5.4 times that rounding over 46
+    certified draws.
+    """
+
+    def __init__(self, sample, flip, period: float, rho: float, budget: float, floor: float):
+        self._sample, self._held, self.flip, self.period = sample, {}, flip, period
+        n, self.n, self.f0 = 8, 0, None
+        while n // 2 + 1 < budget:
+            if rho ** (n // 2) <= SERIES_TARGET:
+                half = self.at_phases(np.arange(n // 2 + 1) * period / n)  # r = k T / N up to T / 2, then the mirrors
+                samples = np.concatenate([half, flip * np.conj(half[n // 2 - 1:0:-1])])
+                harmonics = np.fft.fft(samples, axis=0) / n
+                self.scale = np.maximum(np.abs(samples).max(axis=(0, 2, 3)), np.finfo(float).tiny)
+                self.tail = np.abs(harmonics[n // 2 - 1:n // 2 + 2]).max(axis=(0, 2, 3)) / self.scale
+                defect = np.abs(half[[0, -1]] - flip * np.conj(half[[0, -1]])).max(axis=(0, 2, 3)) / self.scale
+                if np.all(self.tail <= np.maximum(SERIES_TOL, defect)):  # no doubling gets under the rounding
+                    rounding = np.maximum(np.maximum(math.sqrt(n) * self.tail, defect), floor)
+                    self.n, self.error = n, 4 * self.tail / (1 - rho) + 8 * rounding
+                    self.coefficients = np.concatenate([harmonics[n // 2:], harmonics[:n // 2 + 1]])
+                    self.coefficients[[0, -1]] /= 2  # harmonic N/2 split between +-N/2
+                    return
+            n *= 2
+
+    def at_phases(self, phases: np.ndarray) -> np.ndarray:
+        """P at each phase in [0, T): one pass per PT-mirrored pair, at the lesser of r and T - r (as
+        `fold_phases` merges them), none at a phase passed before."""
+        _, which, lesser = fold_phases(np.minimum(phases, self.period - phases), self.period)
+        for r in [r for r in lesser.tolist() if r not in self._held]:
+            f, self._held[r] = self._sample(r)
+            self.f0 = f if r == 0.0 else self.f0
+        out, upper = np.stack([self._held[r] for r in lesser.tolist()])[which], phases > self.period / 2
+        out[upper] = self.flip * np.conj(out[upper])
+        return out
+
+    def __call__(self, z) -> np.ndarray:
+        """P at each z from the series: sum over |m| <= N/2 of c_m e^{2 pi i m z / T}."""
+        m = np.arange(-(self.n // 2), self.n // 2 + 1)
+        e = np.exp(2j * np.pi / self.period * np.outer(np.mod(z, self.period), m))
+        return (e @ self.coefficients.reshape(len(m), -1)).reshape((len(z),) + self.flip.shape)
 
 
 def _resolution_guard(f: np.ndarray, h: float) -> None:

@@ -2,8 +2,12 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume
+from hypothesis import strategies as st
 
+from susytb.quadrature import default_half_width
 from susytb.systems import (
+    LOG_FLOAT_MAX,
     HermitianStaticParams,
     PTDynamicParams,
     PTStaticParams,
@@ -15,6 +19,20 @@ HERM = HermitianStaticParams(k1=0.645, k2=0.865)
 PTS = PTStaticParams(k1=1.1, k2=1.2, alpha=0.2)
 PTD = PTDynamicParams(k1=1.0, k2=1.1, k3=0.95, alpha=0.1)
 PTD_STRONG = PTDynamicParams(k1=1.0, k2=1.1, k3=0.95, alpha=0.5)
+
+
+@st.composite
+def certified_dynamic_params(draw):
+    """|k3| < |k1| < |k2| with alpha inside the sufficient nodelessness bound."""
+    k2 = draw(st.floats(0.5, 2.0)) * draw(st.sampled_from((1.0, -1.0)))
+    k1 = k2 * draw(st.floats(0.2, 0.95)) * draw(st.sampled_from((1.0, -1.0)))
+    k3 = k1 * draw(st.floats(-0.95, 0.95))
+    # refused: k3 = 0 leaves floquet2 unguided, small |k3| widens the window past float range
+    assume(k3 != 0 and default_half_width(k3) <= LOG_FLOAT_MAX / (2 * (abs(k1) + abs(k2))))
+    bound = (1.0 - abs(k1 / k2)) / (1.0 + abs(k3 / k2))
+    p = PTDynamicParams(k1=k1, k2=k2, k3=k3, alpha=bound * draw(st.floats(-0.95, 0.95)))
+    assert p.certified
+    return p
 
 
 @pytest.fixture(scope="session")

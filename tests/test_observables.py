@@ -5,6 +5,8 @@ from collections import Counter
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from susytb import cli, systems
 from susytb.calibrate import default_problem, spectral_match
@@ -14,8 +16,6 @@ from susytb.observables import (
     DerivativeResolutionError,
     ExactState,
     _Fields,
-    _Group,
-    _Stack,
     ObservableRequest,
     ObservableSeries,
     TBStaticState,
@@ -33,7 +33,7 @@ from susytb.tightbinding import (
     two_well_model,
 )
 
-from conftest import HERM, PTS
+from conftest import HERM, PTS, certified_dynamic_params
 
 
 @pytest.fixture(scope="module")
@@ -347,43 +347,140 @@ def _count_passes(monkeypatch, system):
 def test_exact_modulated_table_evaluates_each_phase_once(dyn_system, dyn_quad, monkeypatch):
     calls = _count_passes(monkeypatch, dyn_system)
     moment_table(ExactState(dyn_system, "left"), ALL_REQUESTS, _repeated_phases(dyn_system), dyn_quad)
-    # the resolution guard and the initial power take one pass each at phase 0; then each of the
-    # two phases takes one pass for both Floquet modes and their d/dz, and samples V once
-    assert dict(calls) == {"pass": 2 + 2, "dz": 2, "potential": 2}
+    # two phases, 0 and 0.5, take fewer passes than the least phase series (N = 8: 5 passes), so the table
+    # takes them: one pass each for both Floquet modes and their d/dz, sampling V once; the resolution
+    # guard and the initial power read phase 0's
+    assert dict(calls) == {"pass": 2, "dz": 2, "potential": 2}
 
 
-def _preset_dynamic():
-    return validate_config(json.dumps(preset_config("pt-dynamic-fig1-5-6")))
+def _preset_dynamic(**system):
+    raw = preset_config("pt-dynamic-fig1-5-6")
+    raw["system"].update(system)
+    return validate_config(json.dumps(raw))
 
 
-@pytest.mark.parametrize("grid, phases, evaluated", [
-    # 160 phases r = i T_V / 160, each met twice or more: r and T_V - r share one evaluation
-    # (i = 1..79 with 159..81), and 0 and T_V / 2 are their own mirrors, so 81 phases are evaluated
-    (lambda cfg, t: cfg.z_values, 160, 81),
-    # T_V / 20 over 1.8 periods: i = 0..16 met twice, 17..19 once; i and 20 - i share one
-    # evaluation however many z meet either (1..9 with 19..11), so 11 phases are evaluated
-    (lambda cfg, t: np.arange(37) * t / 20, 20, 11),
-    # one period at T_V / 8: only phase 0 (z = 0 and T_V) is met twice, yet 1..3 share with 7..5
-    (lambda cfg, t: np.linspace(0.0, t, 9), 8, 5),
-    # 0.5 and T_V - 0.3, each met twice, are not each other's mirror
-    (lambda cfg, t: [0.5, t - 0.3, t + 0.5, 2 * t - 0.3], 2, 2),
+@pytest.mark.parametrize("grid, phases, mirrored, passes", [
+    # 160 phases r = i T_V / 160 in 81 mirrored pairs (r and T_V - r, 0 and T_V / 2 their own mirrors): the
+    # series at N = 32 takes 17 passes instead
+    (lambda cfg, t: cfg.z_values, 160, 81, 17),
+    # T_V / 20 over 1.8 periods: 20 phases in 11 pairs (1..9 with 19..11), fewer than 17: the grid's own
+    (lambda cfg, t: np.arange(37) * t / 20, 20, 11, 11),
+    # one period at T_V / 8: 1..3 pair with 7..5, so 5 passes
+    (lambda cfg, t: np.linspace(0.0, t, 9), 8, 5, 5),
+    # 0.5 and T_V - 0.3 are not each other's mirror, and the guard and the initial power need phase 0
+    (lambda cfg, t: [0.5, t - 0.3, t + 0.5, 2 * t - 0.3], 2, 2, 3),
 ], ids=["preset", "1.8-periods", "9-points", "no-mirror"])
-def test_exact_modulated_table_evaluates_each_mirrored_pair_once(monkeypatch, grid, phases, evaluated):
+def test_exact_modulated_table_evaluates_each_mirrored_pair_once(monkeypatch, grid, phases, mirrored, passes):
     cfg = _preset_dynamic()
     system = cfg.system
     z = np.asarray(grid(cfg, system.periods().fundamental))
     assert len(fold_phases(z, system.periods().fundamental)[2]) == phases
     calls = _count_passes(monkeypatch, system)
     moment_table(ExactState(system, "left"), ALL_REQUESTS, z, cfg.quad)
-    # one pass per evaluated phase, its d/dz included, beyond the resolution guard's and the initial power's
-    assert dict(calls) == {"pass": 2 + evaluated, "dz": evaluated, "potential": evaluated}
+    # one pass per phase taken, its d/dz included, and no more than one per mirrored pair of the grid plus
+    # the resolution guard's and the initial power's, as when each pair took its own pass
+    assert dict(calls) == {"pass": passes, "dz": passes, "potential": passes}
+    assert passes <= mirrored + 2
 
 
-def test_mirrored_gram_matrices_match_the_mirror_phase():
-    """G(T_V - r)_ij = s conj(kappa_i) kappa_j conj(G(r)_ij), kappa_j = c_j e^{-i E_j T_V}, for every
-    image and both metrics at every mirrored pair of the preset grid; s = -1 for x only. `_Stack` reads
-    it as psi = a @ rows at T_V - r being the PT image of conj(kappa a) @ rows at r: its sandwiches
-    q(a) = conj(a) G a at a = e1, e2, e1 + e2 and e1 + i e2 give back every entry of the Gram matrix.
+def test_exact_modulated_table_passes_do_not_grow_with_the_z_grid_or_the_nodes(monkeypatch):
+    """The preset grid, one 10x as long at the same step (20 periods, 3,201 z) and the preset grid on 4x the
+    nodes take the same 17 passes. There the p^2/H^2 stencils' rounding, 16x the preset's, lifts their top
+    harmonics above SERIES_TOL; doubling N cannot lower it, and the series stops at the samples' own."""
+    counts = []
+    for periods, num, nodes in ((2.0, 321, 4097), (20.0, 3201, 4097), (2.0, 321, 16385)):
+        raw = preset_config("pt-dynamic-fig1-5-6")
+        raw["z_grid"], raw["quadrature"] = {"periods": periods, "num": num}, {"nodes": nodes}
+        cfg = validate_config(json.dumps(raw))
+        with monkeypatch.context() as patch:
+            calls = _count_passes(patch, cfg.system)
+            moment_table(ExactState(cfg.system, cfg.mode_kind), cfg.observables, cfg.z_values, cfg.quad)
+        counts.append(calls["pass"])
+    assert counts == [17, 17, 17]
+
+
+def _gram_stacks(system, x, w, h, keys, r):
+    """P(r) = G(r) e^{-i(E_i - E_j) r} of both Floquet modes under each key, from the per-kind evaluators at r,
+    and the size of each Gram sum's terms, sum_x w |f_i| |A f_j| (A f_j at -x for PT), which sets its rounding."""
+    kinds = system.facts.stationary
+    energies = np.array([system.energies()[k] for k in kinds])
+    rows = _Fields(np.stack([system.mode(k, x, r) for k in kinds]), x, w, h,
+                   hf=lambda: 1j * np.stack([system.mode_dz(k, x, r) for k in kinds]),
+                   v=lambda: system.potential(x, r))
+    sizes = []
+    for order, family, metric in keys:
+        g = np.abs(rows.f if order == 0 else rows.image(f"{family}{order}"))
+        sizes.append((w * np.abs(rows.f)) @ (g[:, ::-1] if metric == "pt" else g).T)
+    beat = energies[:, None] - energies
+    return np.stack([rows.sandwich(*key) for key in keys]) * np.exp(-1j * beat * r), np.stack(sizes)
+
+
+GRAM_KEYS = [(0, "", "dirac")] + list(itertools.product((1, 2), ("x", "p", "H"), ("dirac", "pt")))
+STENCIL_FLOOR = [order == 2 and family in ("p", "H") for order, family, _ in GRAM_KEYS]
+
+
+def _series_error(system, quad, phases):
+    """The phase series of the left state's Gram stacks, its largest distance per key from a fresh pass at
+    the phases, and the largest size of each key's Gram sums' terms there."""
+    x, w = quad.points
+    series = ExactState(system, "left").phase_series(x, w, x[1] - x[0], GRAM_KEYS, budget=10**4)
+    want, sizes = zip(*(_gram_stacks(system, x, w, x[1] - x[0], GRAM_KEYS, r) for r in phases))
+    error = np.abs(series(np.asarray(phases)) - np.stack(want)).max(axis=(0, 2, 3))
+    return series, error, np.stack(sizes).max(axis=(0, 2, 3))
+
+
+@settings(max_examples=12, deadline=None)
+@given(p=certified_dynamic_params(), unit=st.lists(st.floats(0.0, 1.0, exclude_max=True), min_size=3, max_size=3))
+@example(p=systems.PTDynamicParams(k1=1.0, k2=1.1, k3=0.95, alpha=0.3), unit=[0.1, 0.37, 0.81])
+@example(p=systems.PTDynamicParams(k1=1.0, k2=1.1, k3=0.95, alpha=0.6), unit=[0.1, 0.37, 0.81])
+def test_phase_series_is_the_per_phase_gram_matrices_property(p, unit):
+    """At any phase the series is a fresh pass to 1e-12 of the size of each Gram sum's terms, 1e-11 for p^2
+    and H^2, whose d2 stencil carries eps / h^2 of rounding per node. The size, not the sum: where x moments
+    cancel over the wings of a wide window (k3 -0.25: half-width 48), a fresh pass parts from itself at
+    r + T_V by 1.3e-11 of the sum."""
+    system = systems.make_system(p)
+    quad = QuadratureSpec(half_width=12.0 / system.min_k, nodes=4097)
+    series, error, size = _series_error(system, quad, [u * system.periods().fundamental for u in unit])
+    assert series.n
+    assert np.all(error <= np.where(STENCIL_FLOOR, 1e-11, 1e-12) * size), error / size
+
+
+@pytest.mark.parametrize("alpha", [0.1, 0.3], ids=["preset", "alpha-0.3"])
+def test_phase_series_error_estimate_bounds_the_error(alpha):
+    """The series' estimate bounds its distance from a fresh pass at 25 random phases, for every Gram stack,
+    where that distance sits at the rounding floor of the samples (1.7e-12 for p^2 and H^2 at the preset),
+    well above the top harmonics; and the estimate stays that floor's size."""
+    cfg = _preset_dynamic(alpha=alpha)
+    phases = np.random.default_rng(26).uniform(0.0, cfg.system.periods().fundamental, 25)
+    series, error, _ = _series_error(cfg.system, cfg.quad, phases)
+    assert series.n == (32 if alpha == 0.1 else 64)
+    assert np.all(error <= series.error * series.scale), (error / series.scale, series.error)
+    assert series.error.max() <= 1e-10
+
+
+def test_exact_table_near_the_regularity_edge_reads_the_grid(monkeypatch):
+    """alpha 0.8 (rho 0.971) would need N = 2048: the table takes the preset grid's 81 mirrored phases
+    instead, fewer passes than one per pair plus the guard's and the initial power's (83), and matches the
+    per-z sums at the 1e-10 bound of `test_two_mode_tables_match_the_per_z_reference`."""
+    cfg = _preset_dynamic(alpha=0.8)
+    x, _ = quad_nodes(cfg.quad)
+    # but the PT spreads of p and H: their variances leave the negative real axis here (H's by 6 % of
+    # its size, p's by 1.2e-8), where the reference's root (+i, Im dropped) is not moment_table's
+    z = np.asarray(cfg.z_values)
+    requests = [r for r in _per_z_requests(cfg) if r not in (("p_std", "pt"), ("H_std", "pt"))]
+    reference = _per_z_table(_exact_fields(cfg.system, "left", x, x[1] - x[0]), requests, z, cfg.quad)
+    calls = _count_passes(monkeypatch, cfg.system)
+    table = moment_table(ExactState(cfg.system, "left"), requests, z, cfg.quad)
+    assert calls["pass"] == 81  # one per mirrored pair, the guard and the initial power reading phase 0's
+    for series, ref in zip(table, reference):
+        scale = np.max(np.abs(ref))
+        assert np.max(np.abs(series.values - ref)) <= 1e-10 * scale, (series.observable, series.metric)
+
+
+def test_mirrored_gram_matrices_match_the_mirror_phase(monkeypatch):
+    """P(T_V - r)_ij = s c_i c_j conj(P(r)_ij), P(r) = G(r) e^{-i(E_i - E_j) r}, c = (+1, -1) the modes' PT
+    parities: the phase series' sampler takes one pass for both phases of each mirrored pair of the preset
+    grid, for every image and both metrics; s = -1 for x only.
 
     Within 1e-12 of each Gram matrix's scale, but 1e-11 for p^2 and H^2: the d2 stencil turns the
     fields' rounding into noise of eps / h^2 per node, so even one phase taken twice, r and r + T_V
@@ -392,33 +489,21 @@ def test_mirrored_gram_matrices_match_the_mirror_phase():
     system, period = cfg.system, cfg.system.periods().fundamental
     x, w = quad_nodes(cfg.quad)
     h = x[1] - x[0]
-    kinds = system.facts.stationary
-    kappa = np.array([1.0, -1.0]) * np.exp(-1j * np.array([system.energies()[k] for k in kinds]) * period)
-    keys = [(0, "", "dirac")] + list(itertools.product((1, 2), ("x", "p", "H"), ("dirac", "pt")))
-    plans = [(name, metric, None) for name in OBSERVABLES for metric in ("dirac", "pt")]
-    coefficients = np.array([[1, 0], [0, 1], [1, 1], [1, 1j]])
-
-    def rows(r):
-        return _Fields(np.stack([system.mode(k, x, r) for k in kinds]), x, w, h,
-                       hf=lambda: 1j * np.stack([system.mode_dz(k, x, r) for k in kinds]),
-                       v=lambda: system.potential(x, r))
-
     _, _, phases = fold_phases(np.asarray(cfg.z_values), period)
     pairs = [(r, phases[np.argmin(np.abs(phases - (period - r)))]) for r in phases[1:80]]
     assert len(pairs) == 79 and all(abs(m - (period - r)) < 1e-9 * period for r, m in pairs)
-    index = np.arange(len(coefficients))
-
-    def gram(q):  # q(e1 + e2) - G11 - G22 = G12 + G21, q(e1 + i e2) - G11 - G22 = i (G12 - G21)
-        total, twist = q[2] - q[0] - q[1], (q[3] - q[0] - q[1]) / 1j
-        return np.array([[q[0], (total + twist) / 2], [(total - twist) / 2, q[1]]])
-
-    for r, m in pairs:
-        direct = rows(m)
-        mirrored = _Stack([_Group(index, rows(r), np.conj(kappa * coefficients), mirror=True)], len(index), plans)
-        for order, family, metric in keys:
-            want, got = direct.sandwich(order, family, metric), gram(mirrored.sandwich(order, family, metric))
-            tol = 1e-11 if order == 2 and family in ("p", "H") else 1e-12
-            assert np.max(np.abs(got - want)) <= tol * np.max(np.abs(want)), (r, order, family, metric)
+    sampler = ExactState(system, "left").phase_series(x, w, h, GRAM_KEYS, budget=0)
+    assert sampler.n == 0  # no series within no passes
+    calls = _count_passes(monkeypatch, system)
+    got = sampler.at_phases(np.array([phase for pair in pairs for phase in pair]))
+    assert calls["pass"] == len(pairs)
+    monkeypatch.undo()
+    for (r, m), both in zip(pairs, got.reshape(len(pairs), 2, *got.shape[1:])):
+        for phase, stacks in zip((r, m), both):
+            want = _gram_stacks(system, x, w, h, GRAM_KEYS, phase)[0]
+            for key, p, direct, floor in zip(GRAM_KEYS, stacks, want, STENCIL_FLOOR):
+                tol = 1e-11 if floor else 1e-12
+                assert np.max(np.abs(p - direct)) <= tol * np.max(np.abs(direct)), (phase, key)
 
 
 def test_trajectory_state_builds_each_hamiltonian_once(dyn_system, dyn_quad, monkeypatch):
@@ -441,8 +526,8 @@ def test_trajectory_state_builds_each_hamiltonian_once(dyn_system, dyn_quad, mon
     monkeypatch.setattr(model, "basis_values", counted_basis)
     moment_table(state, ALL_REQUESTS, z, dyn_quad)
     assert built == []
-    # one basis per pass: the resolution guard, the initial power and the table
-    assert len(bases) == 3
+    # one basis for the table, the resolution guard and the initial power reading its z = 0
+    assert len(bases) == 1
 
 
 def test_trajectory_state_takes_only_marched_z(dyn_system, dyn_quad):
@@ -515,6 +600,17 @@ def _tb_fields(state, x):
     return fields
 
 
+def _per_z_requests(cfg):
+    """Every mean and power, the pipeline's own spreads and the PT-metric x and p spreads, whose
+    variance can sit on the negative real axis (moment_table then takes the +i root, whatever
+    the sign of its rounding-level imaginary part); the Dirac-metric spreads of a
+    floquet mode are set by cancellation (<A^2> - <A>^2 of a near-eigenstate), so two
+    summation orders part by more than 1e-10 there."""
+    requests = [r for r in ALL_REQUESTS if not r.name.endswith("_std")]
+    requests += [r for r in cfg.observables if r.name.endswith("_std")]
+    return requests + [ObservableRequest(name, "pt") for name in ("x_std", "p_std")]
+
+
 @pytest.fixture(scope="module", params=[(None, None), (3.3, 100), (3.3, 101), (1.8, 37)],
                 ids=["preset", "3.3-periods", "3.3-periods-distinct", "1.8-periods"])
 def dyn_pipeline(request):
@@ -543,14 +639,7 @@ def test_two_mode_tables_match_the_per_z_reference(dyn_pipeline, engine):
     else:
         kind = engine.split("-")[1]
         state, fields = ExactState(cfg.system, kind), _exact_fields(cfg.system, kind, x, h)
-    # every mean and power, the pipeline's own spreads and the PT-metric x and p spreads, whose
-    # variance can sit on the negative real axis (moment_table then takes the +i root, whatever
-    # the sign of its rounding-level imaginary part); the Dirac-metric spreads of a
-    # floquet mode are set by cancellation (<A^2> - <A>^2 of a near-eigenstate), so two
-    # summation orders part by more than 1e-10 there
-    requests = [r for r in ALL_REQUESTS if not r.name.endswith("_std")]
-    requests += [r for r in cfg.observables if r.name.endswith("_std")]
-    requests += [ObservableRequest(name, "pt") for name in ("x_std", "p_std")]
+    requests = _per_z_requests(cfg)
     table = moment_table(state, requests, z, cfg.quad)
     reference = _per_z_table(fields, requests, z, cfg.quad)
     for series, ref in zip(table, reference):

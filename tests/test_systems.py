@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from susytb.bpm import PropagationGrid, eigen_residual, pde_residual
 from susytb.darboux import SingularPointError, apply_L12, second_order_potential
-from susytb.quadrature import QuadratureSpec, default_half_width, quad_nodes, read_only
+from susytb.quadrature import QuadratureSpec, quad_nodes, read_only
 from susytb.systems import (
     LOG_FLOAT_MAX,
     HermitianStaticParams,
@@ -28,7 +28,8 @@ from susytb.systems import (
     potential_pt_static,
 )
 
-from conftest import HERM, PTD, PTD_STRONG, PTS, potential_pt_dynamic_complex, reference_mode, reference_raw_mode
+from conftest import (HERM, PTD, PTD_STRONG, PTS, certified_dynamic_params, potential_pt_dynamic_complex,
+                      reference_mode, reference_raw_mode)
 
 
 # ---------------------------------------------------------------------------
@@ -438,20 +439,6 @@ def test_dynamic_memo_keeps_no_writeable_grid(monkeypatch):
     refs = [weakref.ref(xp.h1) for xp in x_parts]
     x_parts.clear()
     assert kept(refs) == [True] + [False] * 6  # the frozen grid's once, then each writeable one's twice
-
-
-@st.composite
-def certified_dynamic_params(draw):
-    """|k3| < |k1| < |k2| with alpha inside the sufficient nodelessness bound."""
-    k2 = draw(st.floats(0.5, 2.0)) * draw(st.sampled_from((1.0, -1.0)))
-    k1 = k2 * draw(st.floats(0.2, 0.95)) * draw(st.sampled_from((1.0, -1.0)))
-    k3 = k1 * draw(st.floats(-0.95, 0.95))
-    # refused: k3 = 0 leaves floquet2 unguided, small |k3| widens the window past float range
-    assume(k3 != 0 and default_half_width(k3) <= LOG_FLOAT_MAX / (2 * (abs(k1) + abs(k2))))
-    bound = (1.0 - abs(k1 / k2)) / (1.0 + abs(k3 / k2))
-    p = PTDynamicParams(k1=k1, k2=k2, k3=k3, alpha=bound * draw(st.floats(-0.95, 0.95)))
-    assert p.certified
-    return p
 
 
 @st.composite
