@@ -7,18 +7,19 @@ from the state itself; p uses the 4th-order stencils of `quadrature` on the
 uniform grid, once `_resolution_guard` has checked that halving the grid
 resolution moves the first derivative by at most 1e-5 of its scale.
 
-`moment_table` makes one pass for all requested observables of a state and evaluates
-each image at most once. The modulated pair's states are two-mode superpositions psi =
-sum_j c_j(z) u_j, so their moments are quadratic forms c^H G b in 2x2 Gram matrices G, each
-moment one array pass over all z (TB: one basis for every z, H read off its Floquet march).
+`moment_table` takes each state through one of two contracts and evaluates each image at most
+once. A per-z state (static `ExactState`, `TBStaticState`) gives its field at each z through
+`__call__`, `h_apply` and `h2_apply`, taken field by field with unchanged sums: the comparison
+metrics' sub-resolution `phase_shift` fields move with any new summation order. A two-mode state
+(`ExactState` on the modulated pair, `TBTrajectoryState`) is psi = sum_j c_j(z) u_j, and its `forms`
+returns the rows u_j at z = 0 and a `_Stack` whose moments are quadratic forms c^H G b in 2x2 Gram
+matrices G, each one array pass over all z (TB: one basis for every z, H read off its Floquet march).
 For the exact pair c = w e^{-i E z} and P(r) = G(r) e^{-i(E_i - E_j) r} is T_V-periodic, its
 harmonics falling like rho^|m|, rho = |alpha| max |h2/h1| < 1. N uniform phases give its
 series, N/2 + 1 closed-form passes as r and T_V - r are PT mirrors: N from rho (32 at the
 preset), doubled while the top harmonic exceeds SERIES_TOL of its scale and the samples'
-rounding; the grid's own phases instead once those take no more passes (rho -> 1). The
-resolution guard and the initial power read z = 0 off the same pass. Static states are
-still taken field by field at each z with unchanged sums: their comparison metrics'
-sub-resolution `phase_shift` fields move with any new summation order.
+rounding; the grid's own phases instead once those take no more passes (rho -> 1). Either
+way, when the resolution guard or the initial power is needed, z = 0 is evaluated once, first.
 `moment_series` is the one-observable case.
 """
 
@@ -27,7 +28,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
-from typing import Callable, NamedTuple, Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -128,8 +129,8 @@ class ExactState:
         return _PhaseSeries(sample, flip, period, rho, budget, floor)
 
     def forms(self, x, w, h, z_grid, keys):
-        """One `_Group` of every z: coefficients w e^{-i E z} on P at its phase, from the phase series, or at the
-        grid's own phases when those take no more passes."""
+        """The rows at z = 0 and the `_Stack` of every z: coefficients w e^{-i E z} on P at its phase, from the
+        phase series, or at the grid's own phases when those take no more passes."""
         system, period = self.system, self.system.periods().fundamental
         if self.kind in ("left", "right"):
             sign, inv_n = system.combination(self.kind)
@@ -139,9 +140,8 @@ class ExactState:
         _, which, phases = fold_phases(z_grid, period)  # a pass per PT-mirrored pair of them: per lesser of r, T - r
         series = self.phase_series(x, w, h, keys, len(fold_phases(np.minimum(phases, period - phases), period)[2]))
         grams = series(z_grid) if series.n else series.at_phases(phases)[which]
-        yield _Group(slice(None), _Fields(series.f0, x, w, h),
-                     weights * np.exp(-1j * np.outer(z_grid, list(system.energies().values()))),
-                     grams=dict(zip(keys, np.moveaxis(grams, 1, 0))))
+        a = weights * np.exp(-1j * np.outer(z_grid, list(system.energies().values())))
+        return series.f0, _Stack(a, {key: (gram, a) for key, gram in zip(keys, np.moveaxis(grams, 1, 0))})
 
 
 class TBStaticState:
@@ -184,14 +184,17 @@ class TBTrajectoryState:
         self.trajectory = floquet.trajectory(c0)
 
     def forms(self, x, w, h, z_grid, keys):
-        """One `_Group` of every z, each a point of the marched grid: the basis, whose Gram matrices come on first use."""
+        """The basis rows and the `_Stack` of every z, each a point of the marched grid: H^k psi = gen^k c on the
+        basis' Gram matrices G_0, the rest c on G, each G evaluated on first use."""
         flq = self.floquet
         at = np.minimum(np.searchsorted(flq.z, z_grid), len(flq.z) - 1)
         if not np.array_equal(flq.z[at], z_grid):
             raise ValueError("z grid is not on the marched grid")
-        c, gen = self.trajectory.c[at], flq.generators  # H^k psi: gen^k c, one matrix power per phase and order
+        c, gen = self.trajectory.c[at], flq.generators  # one matrix power per phase and order
         hk = functools.cache(lambda k: np.einsum("zij,zj->zi", np.linalg.matrix_power(gen, k)[flq.which[at]], c))
-        yield _Group(np.arange(len(z_grid)), _Fields(np.stack(self.model.basis_values(x)), x, w, h), c, hk)
+        rows = _Fields(np.stack(self.model.basis_values(x)), x, w, h)
+        return rows.f, _Stack(c, {key: (rows.sandwich(0, "", key[2]), hk(key[0])) if key[1] == "H"
+                                  else (rows.sandwich(*key), c) for key in keys})
 
 
 # ---------------------------------------------------------------------------
@@ -230,10 +233,12 @@ def moment_table(
 ) -> list[ObservableSeries]:
     """Sampled z-series of every requested observable for one state, in request order.
 
-    p = -i d_x by the stencils, and H as the state applies it: a per-z state by its own h_apply
-    and h2_apply, a two-mode state by the modulated pair's i d_z or the TB generator. For the PT
-    metric the integrand pairs conj(f(x)) with (A g)(-x); the grid must be uniform.
-    Every request is validated before any field is evaluated.
+    A per-z state gives its field at each z, and H psi and H^2 psi by its own h_apply and h2_apply;
+    a two-mode state's `forms(x, w, h, z, keys)` gives its rows at z = 0 and their `_Stack` over z,
+    H by the modulated pair's i d_z or the TB generator. p = -i d_x by the stencils. For the PT
+    metric the integrand pairs conj(f(x)) with (A g)(-x); the grid must be uniform. When the
+    resolution guard (p moments) or the initial power (PT H moments) is needed, z = 0 is evaluated
+    once, before the grid. Every request is validated before any field is evaluated.
     """
     plans = []
     for observable, metric in requests:
@@ -250,23 +255,25 @@ def moment_table(
     z_grid = np.asarray(z_grid, dtype=float)
     guard = any(observable in ("p_mean", "p_std") for observable, _, _ in plans)
     initial = any(normalization == "initial_power" for _, _, normalization in plans)
-    p_initial, lead = None, 0
+    lead = int(guard or initial)  # z = 0 once, first: the guard's field and the initial power
+    z_all = np.concatenate([np.zeros(lead), z_grid])
+    f0 = p_initial = None
     if isinstance(state, TBTrajectoryState) or (isinstance(state, ExactState) and state.system.is_dynamic):
-        lead = int(guard or initial)  # z = 0 first: the guard's field and the initial power, off the table's pass
-        g = next(state.forms(x, w, h, np.concatenate([np.zeros(lead), z_grid]), _Stack.keys(plans)))
-        if guard:
-            _resolution_guard(g.a[0] @ g.rows.f, h)
-        at_z = _Stack([g], lead + len(z_grid), plans)  # sandwiches first, then each moment at all z at once
-        p_initial, items = at_z.power[0], [(slice(None), at_z)]
+        rows, stack = state.forms(x, w, h, z_all, _Stack.keys(plans))  # each moment at all z in one pass
+        if lead:
+            f0, p_initial = stack.a[0] @ rows, stack.power[0]
+        columns = [(slice(None), stack)]
     else:
-        forms = functools.partial(_per_z_forms, state)
-        if guard:
-            _resolution_guard(next(forms(x, w, h, z_grid[:1])).rows.f, h)
-        if initial:
-            p_initial = float(_Stack(forms(x, w, h, np.zeros(1)), 1, []).power[0])
-        items = ((g.index, g.rows) for g in forms(x, w, h, z_grid))
+        fields = (_Fields(np.asarray(state(x, z)), x, w, h, hf=lambda z=z: state.h_apply(x, z),
+                          h2f=lambda z=z: state.h2_apply(x, z)) for z in z_all.tolist())
+        if lead:
+            first = next(fields)
+            f0, p_initial = first.f, first.power
+        columns = enumerate(fields, lead)
+    if guard:
+        _resolution_guard(f0, h)
     values = np.empty((len(plans), lead + len(z_grid)), dtype=complex)
-    for i, at_z in items:
+    for i, at_z in columns:
         for row, (observable, metric, normalization) in zip(values, plans):
             if observable == "power":
                 row[i] = at_z.power
@@ -284,13 +291,6 @@ def moment_table(
     return [ObservableSeries(z=z_grid, values=row[lead:], observable=observable, metric=metric,
                              normalization=normalization, engine=engine)
             for row, (observable, metric, normalization) in zip(values, plans)]
-
-
-def _per_z_forms(state, x, w, h, z_grid):
-    """A `_Group` per z of a state taken field by field; H by its h_apply/h2_apply, if asked."""
-    for i, z in enumerate(z_grid.tolist()):
-        yield _Group(i, _Fields(np.asarray(state(x, z)), x, w, h, hf=lambda z=z: state.h_apply(x, z),
-                                h2f=lambda z=z: state.h2_apply(x, z)))
 
 
 class _Fields:
@@ -339,21 +339,10 @@ class _Fields:
         return self._sandwiches[key]
 
 
-class _Group(NamedTuple):
-    """z `index` sharing `rows`: psi = a[n] @ rows.f at z index[n], H^k psi = hk(k)[n] @ rows.f if given (TB).
-    Their Gram matrices are `rows.sandwich`, one for all z, or given per z and key in `grams` (the modulated
-    exact pair, whose rows are then those at z = 0). Without `a`, rows is the field at one z."""
-
-    index: object
-    rows: _Fields
-    a: Optional[np.ndarray] = None
-    hk: Optional[Callable] = None
-    grams: Optional[dict] = None
-
-
 class _Stack:
-    """The power and each sandwich the plans ask, at every z of the groups: one z's field by its own sums, a
-    two-mode group's z by one pass conj(a) G b over all of them, G its 2x2 Gram matrices, all that is kept."""
+    """The power and each sandwich the plans ask of a two-mode state, psi = a[n] @ rows at z n: per key one pass
+    conj(a) G b over every z, G a 2x2 Gram matrix of the rows (one for all z, or one per z) and b = a, or b the
+    coefficients of A^k psi when G is the rows' own (TB H)."""
 
     POWER = (0, "", "dirac")
 
@@ -362,17 +351,11 @@ class _Stack:
         return list(dict.fromkeys([cls.POWER] + [(order, name.split("_")[0], metric) for name, metric, _ in plans
                                                  if name != "power" for order in ((1, 2) if "_std" in name else (1,))]))
 
-    def __init__(self, groups, nz: int, plans):
-        self._q = {key: np.empty(nz, dtype=complex) for key in self.keys(plans)}
-        for g in groups:
-            for key, q in self._q.items():
-                if g.a is None:
-                    q[g.index] = g.rows.power if key == self.POWER else g.rows.sandwich(*key)
-                    continue
-                tb = key[1] == "H" and g.hk is not None  # TB: conj(a) G_0 gen^k a
-                gram = g.grams[key] if g.grams else g.rows.sandwich(*((0, "", key[2]) if tb else key))
-                gram = np.ascontiguousarray(np.broadcast_to(gram, (len(g.a),) + gram.shape[-2:]))
-                q[g.index] = np.einsum("zi,zij,zj->z", np.conj(g.a), gram, g.hk(key[0]) if tb else g.a)
+    def __init__(self, a: np.ndarray, forms: dict):
+        self.a = a
+        self._q = {key: np.einsum("zi,zij,zj->z", np.conj(a),
+                                  np.ascontiguousarray(np.broadcast_to(gram, (len(a),) + gram.shape[-2:])), b)
+                   for key, (gram, b) in forms.items()}
         self.power = self._q[self.POWER].real
 
     def sandwich(self, order: int, family: str, metric: str) -> np.ndarray:
