@@ -4,12 +4,12 @@ This module is deliberately independent of the analytic machinery: it
 discretizes i d_z psi = (-d_x^2 + V) psi on a uniform grid and checks the
 closed-form solutions from the outside. Each Crank-Nicolson step is one
 call of LAPACK's tridiagonal solver `gtsv` through one kernel; a march keeps
-its buffers and an off-diagonal per step size and solves into the next
-field's interior, bit for bit as `step` does. The power guard measures
-dx * sum |psi|^2 on the Dirichlet interior. Nothing here touches seed
-derivatives or mode decompositions; the residual oracles take their
-4th-order stencils from `quadrature` and discard the two edge nodes per
-side that the stencils cannot reach.
+its buffers, `gtsv` and an off-diagonal per step size and solves into the next
+field's interior, bit for bit as `step` does; scipy loads on `_gtsv`'s first
+call. The power guard measures dx * sum |psi|^2 on the Dirichlet interior.
+Nothing here touches seed derivatives or mode decompositions; the residual
+oracles take their 4th-order stencils from `quadrature` and discard the two
+edge nodes per side that the stencils cannot reach.
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
-from scipy.linalg import LinAlgError, get_lapack_funcs
+from numpy.linalg import LinAlgError
 
 from .quadrature import d1_five, d2_fourth, read_only
 
@@ -35,8 +35,13 @@ __all__ = [
 ]
 
 POWER_BLOWUP = 1e6
-# the tridiagonal solver `solve_banded((1, 1), ...)` dispatches to, without its wrappers
-_GTSV, = get_lapack_funcs(("gtsv",), (np.zeros(1, complex),))
+
+
+@functools.cache
+def _gtsv():
+    """The tridiagonal solver `solve_banded((1, 1), ...)` dispatches to, without its wrappers."""
+    from scipy.linalg import get_lapack_funcs
+    return get_lapack_funcs(("gtsv",), (np.zeros(1, complex),))[0]
 
 
 class PropagationUnstable(RuntimeError):
@@ -76,7 +81,7 @@ class FieldSnapshot:
     samples: np.ndarray
 
 
-def _cn_solve(inner, v_now, v_next, dx: float, dz: float, off, a, diag, rhs) -> None:
+def _cn_solve(gtsv, inner, v_now, v_next, dx: float, dz: float, off, a, diag, rhs) -> None:
     """The step's kernel: the new interior into rhs, a contiguous buffer (a, diag overwritten; `off` kept).
     Each operation is one of the step's formula, in its order: the bits do not depend on the buffers."""
     np.add(v_now[1:-1], v_next[1:-1], out=a)
@@ -89,7 +94,7 @@ def _cn_solve(inner, v_now, v_next, dx: float, dz: float, off, a, diag, rhs) -> 
     np.multiply(lam / dx**2, inner, out=a)  # c psi, added from the left neighbour, then the right
     rhs[1:] += a[:-1]
     rhs[:-1] += a[1:]
-    *_, info = _GTSV(off, diag, off, rhs, overwrite_d=1, overwrite_b=1)  # solves in rhs; f2py copies off per band
+    *_, info = gtsv(off, diag, off, rhs, overwrite_d=1, overwrite_b=1)  # solves in rhs; f2py copies off per band
     if info > 0:
         raise LinAlgError("singular matrix")
 
@@ -103,8 +108,8 @@ def step(field: np.ndarray, v_now: np.ndarray, v_next: np.ndarray, dx: float, dz
     dz, dx.
     """
     out = np.zeros(field.shape, dtype=complex)
-    _cn_solve(field[1:-1], np.asarray(v_now), np.asarray(v_next), dx, dz, _off_diagonal(out.size - 2, dx, dz),
-              *np.empty((2, out.size - 2), dtype=complex), out[1:-1])
+    _cn_solve(_gtsv(), field[1:-1], np.asarray(v_now), np.asarray(v_next), dx, dz,
+              _off_diagonal(out.size - 2, dx, dz), *np.empty((2, out.size - 2), dtype=complex), out[1:-1])
     return out
 
 
@@ -146,8 +151,8 @@ def propagate(
     while ti < len(targets) and targets[ti] <= z + grid.dz * 1e-9:
         out.append(FieldSnapshot(z=targets[ti], samples=psi.copy()))
         ti += 1
-    # kept for the march: the next field (its walls stay zero), the kernel's a and diag, the last off-diagonal
-    nxt, (a, diag), off_dz = np.zeros_like(psi), np.empty((2, psi.size - 2), dtype=complex), None
+    # kept for the march: the next field (its walls stay zero), the kernel's a and diag, the last off-diagonal, gtsv
+    nxt, (a, diag), off_dz, gtsv = np.zeros_like(psi), np.empty((2, psi.size - 2), dtype=complex), None, _gtsv()
     psi[0] = psi[-1] = 0.0  # the walls enter no step, and every step leaves them zero
     v_now = np.asarray(potential(x, z))
     while ti < len(targets):
@@ -155,7 +160,7 @@ def propagate(
         if dz != off_dz:
             off_dz, off = dz, _off_diagonal(psi.size - 2, dx, dz)
         v_next = np.asarray(potential(x, z + dz))
-        _cn_solve(psi[1:-1], v_now, v_next, dx, dz, off, a, diag, nxt[1:-1])
+        _cn_solve(gtsv, psi[1:-1], v_now, v_next, dx, dz, off, a, diag, nxt[1:-1])
         psi, nxt = nxt, psi
         z += dz
         v_now = v_next

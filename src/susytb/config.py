@@ -12,21 +12,25 @@ alpha_tilde is the explicit model, else the kind picks the calibration and
 `SystemKind.fit` its multistart grid) and the physics (orderings, the regularity
 bound and `certified`, the kind's mode kinds and wells, the closed forms' overflow
 window, and for p moments the run's `_resolution_guard` at z = 0), so a validated
-config is a runnable plan. The z grid is `z_grid.num` samples over
-`z_grid.periods` fundamental periods. Findings are aggregated and field-addressed.
+config is a runnable plan. A plan that calls LAPACK (a static system's TB spectrum,
+`bpm.enabled`) imports scipy here, and a modulated one without BPM never does, so a
+run imports no module. The z grid is `z_grid.num` samples over `z_grid.periods`
+fundamental periods. Findings are aggregated and field-addressed.
 """
 
 from __future__ import annotations
 
+import hashlib
 import json
 import math
 from dataclasses import dataclass, fields
 from typing import Any, Callable, NamedTuple, Optional
 
-from .bpm import PropagationGrid
+from .bpm import PropagationGrid, _gtsv
 from .observables import OBSERVABLES, DerivativeResolutionError, ObservableRequest, _resolution_guard
 from .quadrature import QuadratureSpec, default_half_width
 from .systems import KINDS, ParameterError, WaveguideSystem, make_system
+from .tightbinding import _lapack
 
 __all__ = ["ScenarioConfig", "ConfigError", "validate_config", "config_digest", "SCHEMA", "system_keys"]
 
@@ -243,6 +247,10 @@ def validate_config(text: str) -> ScenarioConfig:
             _resolution_guard(system.mode(mode_kind, x, z_values[0]), x[1] - x[0])
         except DerivativeResolutionError as exc:
             raise ConfigError([f"quadrature.nodes: {quad.nodes} do not resolve the {mode_kind} mode: {exc}"])
+    if not system.is_dynamic:  # the LAPACK a plan calls: scipy loads here, not inside the run
+        _lapack()
+    if bpm_enabled:
+        _gtsv()
     return ScenarioConfig(
         raw=raw, system=system, certified=certified, tb_explicit=tb_explicit,
         z_values=z_values, mode_kind=mode_kind, observables=list(observables), quad=quad,
@@ -253,7 +261,5 @@ def validate_config(text: str) -> ScenarioConfig:
 
 def config_digest(raw: dict) -> str:
     """Stable hash of the scenario object (canonical JSON, sorted keys)."""
-    import hashlib
-
     canon = json.dumps(raw, sort_keys=True, separators=(",", ":"))
     return hashlib.sha256(canon.encode("utf-8")).hexdigest()

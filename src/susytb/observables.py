@@ -19,13 +19,14 @@ harmonics falling like rho^|m|, rho = |alpha| max |h2/h1| < 1. N uniform phases 
 series, N/2 + 1 closed-form passes as r and T_V - r are PT mirrors: N from rho (32 at the
 preset), doubled while the top harmonic exceeds SERIES_TOL of its scale and the samples'
 rounding; the grid's own phases instead once those take no more passes (rho -> 1). Either
-way, when the resolution guard or the initial power is needed, z = 0 is evaluated once, first.
-`moment_series` is the one-observable case.
+way, when the resolution guard or the initial power is needed, z = 0 is evaluated once, first
+(the grid's own first z when it is 0). `moment_series` is the one-observable case.
 """
 
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 from dataclasses import dataclass
 from typing import NamedTuple, Optional, Sequence
@@ -238,7 +239,7 @@ def moment_table(
     H by the modulated pair's i d_z or the TB generator. p = -i d_x by the stencils. For the PT
     metric the integrand pairs conj(f(x)) with (A g)(-x); the grid must be uniform. When the
     resolution guard (p moments) or the initial power (PT H moments) is needed, z = 0 is evaluated
-    once, before the grid. Every request is validated before any field is evaluated.
+    once, first (the grid's first z if it is 0). Each request is validated before any evaluation.
     """
     plans = []
     for observable, metric in requests:
@@ -255,20 +256,22 @@ def moment_table(
     z_grid = np.asarray(z_grid, dtype=float)
     guard = any(observable in ("p_mean", "p_std") for observable, _, _ in plans)
     initial = any(normalization == "initial_power" for _, _, normalization in plans)
-    lead = int(guard or initial)  # z = 0 once, first: the guard's field and the initial power
+    lead = int((guard or initial) and z_grid[:1].tolist() != [0.0])  # z = 0 once, first, unless the grid starts there
     z_all = np.concatenate([np.zeros(lead), z_grid])
     f0 = p_initial = None
     if isinstance(state, TBTrajectoryState) or (isinstance(state, ExactState) and state.system.is_dynamic):
         rows, stack = state.forms(x, w, h, z_all, _Stack.keys(plans))  # each moment at all z in one pass
-        if lead:
+        if guard or initial:
             f0, p_initial = stack.a[0] @ rows, stack.power[0]
         columns = [(slice(None), stack)]
     else:
         fields = (_Fields(np.asarray(state(x, z)), x, w, h, hf=lambda z=z: state.h_apply(x, z),
                           h2f=lambda z=z: state.h2_apply(x, z)) for z in z_all.tolist())
-        if lead:
+        if guard or initial:
             first = next(fields)
             f0, p_initial = first.f, first.power
+            if not lead:
+                fields = itertools.chain([first], fields)
         columns = enumerate(fields, lead)
     if guard:
         _resolution_guard(f0, h)

@@ -10,9 +10,9 @@ Two kinds of single wells (both exactly solvable, eigenvalue -k^2):
 The centered mode is normalized under the model's metric (Dirac for
 hermitian, PT inner product for pt). Stationary spectra use the well-sum
 Hamiltonian (`_pencil`, for a model and for the calibration's model-free
-`pair_pencil` alike) and one LAPACK ggev solve; the z-dependent coupled
-equations use the bound exact potential, which is the only z-dependent
-object available.
+`pair_pencil` alike) and one LAPACK ggev solve (scipy, loaded on `_lapack`'s
+first call); the z-dependent coupled equations, on numpy alone, use the bound
+exact potential, the only z-dependent object available.
 
 For a z-periodic H(z) one RK4 march over one period serves the monodromy,
 the trajectory and its H moments: `floquet_monodromy` marches the propagator
@@ -32,7 +32,8 @@ from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
 import numpy as np
-from scipy.linalg import LinAlgError, get_blas_funcs, get_lapack_funcs
+import numpy.fft  # loaded with the module (`observables` uses it too), not inside a run
+from numpy.linalg import LinAlgError
 
 from .quadrature import NodeCache, QuadratureSpec, fold_phases, localized_combos, quad_nodes, read_only
 
@@ -63,8 +64,12 @@ __all__ = [
 ]
 
 
-_GGEV, = get_lapack_funcs(("ggev",), (np.zeros(1, complex),))  # a TB H is complex: eig(H, S) picks zggev too
-_NRM2 = get_blas_funcs("nrm2", dtype=complex, ilp64="preferred")
+@functools.cache
+def _lapack():
+    """(zggev, BLAS nrm2), imported on first call: scipy loads only where a static spectrum is solved."""
+    from scipy.linalg import get_blas_funcs, get_lapack_funcs
+    ggev, = get_lapack_funcs(("ggev",), (np.zeros(1, complex),))  # a TB H is complex: eig(H, S) picks zggev too
+    return ggev, get_blas_funcs("nrm2", dtype=complex, ilp64="preferred")
 
 
 class IllConditionedOverlap(RuntimeError):
@@ -300,15 +305,16 @@ def solve_spectrum(model) -> SpectrumResult:
             raise ValueError("solve_spectrum needs a static model")
         model = model.hamiltonian_matrix(), model.overlap_matrix()
     h, s = (np.asarray_chkfinite(m) for m in model)
-    lwork = _GGEV(h, s, lwork=-1)[-2][0].real.astype(np.int_)
-    alpha, beta, _, vecs, _, info = _GGEV(h, s, 0, 1, lwork, 0, 0)
+    ggev, nrm2 = _lapack()
+    lwork = ggev(h, s, lwork=-1)[-2][0].real.astype(np.int_)
+    alpha, beta, _, vecs, _, info = ggev(h, s, 0, 1, lwork, 0, 0)
     if info:  # > 0: QZ did not converge (< 0, a bad argument, cannot come from two square arrays)
         raise LinAlgError(f"generalized eig algorithm (ggev) did not converge (LAPACK info={info})")
     vals, finite = np.full_like(alpha, np.inf), beta != 0
     vals[finite] = alpha[finite] / beta[finite]
     vals[~finite & (alpha == 0)] = np.nan if np.all(alpha.imag == 0) else complex(np.nan, np.nan)
     for col in np.asarray_chkfinite(vecs).T:
-        col /= _NRM2(col)
+        col /= nrm2(col)
     order = np.lexsort((vals.imag, vals.real))
     return SpectrumResult(energies=vals[order], vectors=vecs[:, order])
 

@@ -299,8 +299,9 @@ def test_moment_table_evaluates_each_field_once(name, has_h, request):
         moment_table(counted, _requests(name), z, quad)
         n = len(z)
         # psi once at z = 0, first, for the resolution guard and the initial power that normalizes the
-        # PT H moments, then once per z of the grid; H psi and H^2 psi once per z of the grid
-        expected = {"psi": n + 1}
+        # PT H moments (the grid's own first z when it is 0), then once per further z of the grid;
+        # H psi and H^2 psi once per z of the grid
+        expected = {"psi": n if z[0] == 0 else n + 1}
         if has_h:
             expected.update(h_apply=n, h2_apply=n)
         assert dict(counted.calls) == expected, z
