@@ -78,8 +78,7 @@ def _json_default(obj):
 # CSV emission
 # ---------------------------------------------------------------------------
 
-def _fmt(v: float) -> str:
-    return f"{v:.17g}"
+_FMT = "%.17g"  # the bytes of format(v, ".17g"): both call PyOS_double_to_string
 
 
 def _column_name(s: ObservableSeries) -> str:
@@ -109,29 +108,27 @@ def emit_csv(series: Sequence[ObservableSeries], path) -> None:
         else:
             header.append(name)
     header.append("engine")
-    lines = [",".join(header)]
-    for i, z in enumerate(series[0].z.tolist() if series else []):
-        for engine in engines:
-            row = [_fmt(z)]
-            for name, is_c in columns.items():
-                v = complex(table[engine, name][i])
-                row += [_fmt(v.real), _fmt(v.imag)] if is_c else [_fmt(v.real)]
-            row.append(engine)
-            lines.append(",".join(row))
+    cells = []  # at each z, every engine's row: z, then each column's real (and imaginary) part
+    for engine in engines:
+        cells.append(series[0].z)
+        for name, is_c in columns.items():
+            v = table[engine, name]
+            cells += [v.real, v.imag] if is_c else [v.real]
+    row = ",".join([_FMT] * (len(header) - 1))
+    fmt = "\n".join(f"{row},{engine}" for engine in engines)
+    lines = [",".join(header), *(fmt % tuple(at_z.tolist()) for at_z in np.array(cells, dtype=float).T)]
     path.write_text("\n".join(lines) + "\n", encoding="utf-8", newline="\n")
 
 
 def _emit_field_csv(field, xs, zs, name: str, path) -> None:
     """x, z, <name>_re, <name>_im rows (z-major) of field(xs, z), written one z at a time."""
-    x_cells = [_fmt(float(x)) for x in xs]
+    block = "".join(f"{_FMT % x},{{z}},{_FMT},{_FMT}\n" for x in xs)
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(f"x,z,{name}_re,{name}_im\n")
         for z in zs:
             z = float(z)
-            z_cell = _fmt(z)
-            v = np.asarray(field(xs, z), dtype=complex).tolist()
-            fh.writelines(f"{x},{z_cell},{val.real:.17g},{val.imag:.17g}\n"
-                          for x, val in zip(x_cells, v))
+            v = np.ascontiguousarray(field(xs, z), dtype=complex)
+            fh.write(block.replace("{z}", _FMT % z) % tuple(v.view(float).tolist()))
 
 
 def emit_potential_csv(system: WaveguideSystem, dump: dict, path) -> None:

@@ -982,6 +982,67 @@ def test_cli_modes_dumps_the_configured_mode(tmp_path, capsys, case):
     assert [float(c) for c in lines[1].split(",")] == [xs[0], zs[0], psi.real, psi.imag]
 
 
+# signed zero, the smallest subnormal, tiny, inexact, the largest float, integral, 17 significant digits
+EDGE = np.array([-0.0, 5e-324, 1e-300, 0.1, 1.7976931348623157e308, 3.0, -2.0, 1e16,
+                 0.30000000000000004, 1 / 3, -123456.78901234567])
+
+
+def _complex(re, im):
+    v = np.empty(len(re), dtype=complex)
+    v.real, v.imag = re, im  # set part by part: arithmetic would lose the sign of a zero
+    return v
+
+
+def _cells(*values) -> str:
+    """The per-cell reference: one format(v, ".17g") per value."""
+    return ",".join(format(float(v), ".17g") for v in values)
+
+
+def test_emit_csv_writes_the_per_cell_bytes(tmp_path):
+    """Rows formatted in bulk are the bytes of one format(v, ".17g") per cell: real and complex
+    columns, both engines, edge values in z, real and imaginary parts."""
+    z = EDGE[::-1].copy()
+    power = {"exact": _complex(EDGE, 0.0), "tb": _complex(np.roll(EDGE, 4), 0.0)}
+    x_mean = {"exact": _complex(np.roll(EDGE, 1), EDGE), "tb": _complex(np.roll(EDGE, 2), -np.roll(EDGE, 5))}
+    series = [ObservableSeries(z=z, values=vals[engine], observable=obs, metric="dirac", normalization="none",
+                               engine=engine)
+              for engine in ("tb", "exact") for obs, vals in (("power", power), ("x_mean", x_mean))]
+    path = tmp_path / "edge.csv"
+    emit_csv(series, path)
+    expected = ["z,power,x_mean_re,x_mean_im,engine"]
+    for i in range(len(z)):
+        expected += [_cells(z[i], power[e][i].real, x_mean[e][i].real, x_mean[e][i].imag) + f",{e}"
+                     for e in ("exact", "tb")]
+    assert path.read_bytes() == ("\n".join(expected) + "\n").encode()
+
+
+def test_field_csv_writes_the_per_cell_bytes(tmp_path, capsys):
+    """The potential and mode dumps, each z block formatted in bulk, are the bytes of one
+    format(v, ".17g") per cell: a stand-in potential of edge values, and `susytb modes`."""
+    def potential(x, z):
+        k = int(z)
+        return _complex(np.roll(EDGE, k), np.roll(EDGE, -k))
+
+    stand_in = type("EdgeSystem", (), {"is_dynamic": True, "potential": staticmethod(potential),
+                                       "periods": lambda self: type("P", (), {"fundamental": 3.0})()})()
+    dump = {"x_half_width": 6.1, "nx": len(EDGE), "nz": 4, "periods": 1.0}
+    cli.emit_potential_csv(stand_in, dump, tmp_path / "v.csv")
+    xs = np.linspace(-6.1, 6.1, len(EDGE))
+    expected = ["x,z,V_re,V_im"] + [_cells(x, z, v.real, v.imag) for z in (0.0, 1.0, 2.0, 3.0)
+                                    for x, v in zip(xs, potential(xs, z))]
+    assert (tmp_path / "v.csv").read_bytes() == ("\n".join(expected) + "\n").encode()
+
+    path = tmp_path / "c.json"
+    path.write_text(json.dumps(WARM_CASES["pt-dynamic"]))
+    cfg = validate_config(path.read_text())
+    assert main(["modes", str(path), "--out", str(tmp_path)]) == 0
+    capsys.readouterr()
+    xs = np.linspace(-cfg.quad.half_width, cfg.quad.half_width, 801)
+    expected = ["x,z,psi_re,psi_im"] + [_cells(x, z, v.real, v.imag) for z in cfg.z_values
+                                        for x, v in zip(xs, cfg.system.mode(cfg.mode_kind, xs, z))]
+    assert (tmp_path / "warm.modes.csv").read_bytes() == ("\n".join(expected) + "\n").encode()
+
+
 def test_cli_calibrate_spectral(tmp_path, capsys):
     """A calibrated config prints the fit, its objective, its trace and the energies it reached."""
     raw = _cfg()

@@ -11,7 +11,7 @@ from susytb.bpm import eigen_residual
 from susytb.calibrate import default_problem
 from susytb.config import validate_config
 from susytb.presets import preset_config
-from susytb.quadrature import QuadratureSpec, quad_nodes, read_only
+from susytb.quadrature import QuadratureSpec, fold_phases, quad_nodes, read_only
 from susytb.systems import PTDynamicParams, make_system, potential_pt_dynamic
 from susytb.tightbinding import (
     SERIES_TOL,
@@ -32,6 +32,7 @@ from susytb.tightbinding import (
     static_guided_modes,
     two_well_model,
     _CoupledSystem,
+    _H_REQUEST_MAX,
     _assign_branches,
     _hamiltonian_series,
     pair_parts,
@@ -663,21 +664,69 @@ def test_preset_grid_marches_each_phase_once(dyn_system, monkeypatch):
     cfg = validate_config(json.dumps(preset_config("pt-dynamic-fig1-5-6")))
     t_v = dyn_system.periods().fundamental
     assert cfg.system.periods().fundamental == t_v
-    substeps = []
-    march = _CoupledSystem.march
+    substeps, passes = [], []
+    propagators = _CoupledSystem.propagators
 
-    def counted(self, c, z0, z1):
-        if z1 != z0:
-            substeps.append(max(1, math.ceil(abs(z1 - z0) / self.control.dz_max)))
-        return march(self, c, z0, z1)
+    def counted(self, z0, z1):
+        passes.append(len(z0))
+        substeps.extend(max(1, math.ceil(abs(b - a) / self.control.dz_max))
+                        for a, b in zip(z0.tolist(), z1.tolist()) if b != a)
+        return propagators(self, z0, z1)
 
-    monkeypatch.setattr(_CoupledSystem, "march", counted)
+    monkeypatch.setattr(_CoupledSystem, "propagators", counted)
     flq = floquet_monodromy(_dyn_model(dyn_system), t_v, StepControl(dz_max=0.02),
                             targets=sorted(dyn_system.energies().values()), z_grid=cfg.z_values)
-    # 160 phases per period, 21 substeps between neighbours
+    # one kernel pass over 161 intervals (0 to phase 0 is empty): 160 phases per period, 21 substeps
+    # between neighbours
+    assert passes == [161]
     assert sum(substeps) == 3360
     assert len(substeps) == 160
     assert sorted(set(flq.turns.tolist())) == [0, 1, 2]
+
+
+@pytest.mark.parametrize("grid", ["preset", "uneven", "repeated", "blocks"])
+def test_stacked_kernel_is_the_kernel_one_interval_at_a_time(dyn_system, grid):
+    """Intervals stacked by substep count give, bit for bit, what the kernel gives each one alone, and
+    no H(z) request asks for more than _H_REQUEST_MAX z (one request for every substep z of the preset's
+    period raised its peak RSS by 11 %)."""
+    model = _dyn_model(dyn_system)
+    t_v = dyn_system.periods().fundamental
+    if grid == "preset":  # 0, every distinct phase of the grid, then T: the stops `floquet_monodromy` marches
+        z_grid = validate_config(json.dumps(preset_config("pt-dynamic-fig1-5-6"))).z_values
+        stops = np.concatenate([[0.0], fold_phases(np.asarray(z_grid), t_v)[2], [t_v]])
+    else:
+        stops = {
+            # 1-35 substeps, and one interval of 150 whose 301 z take two requests
+            "uneven": np.array([0.0, 0.013, 0.05, 0.31, 0.75, 1.2, 1.9, 1.913, 4.913]),
+            "repeated": np.array([0.0, 0.0, 0.5, 0.5, 0.513, 0.513, 1.0]),
+            "blocks": np.linspace(0.0, 9.0, 601),  # 600 one-substep intervals: 1,800 z of one group
+        }[grid]
+    series, _, _ = _hamiltonian_series(model, t_v, 2 * math.ceil(t_v / 0.02) + 1)
+    requests = []
+
+    def h(zs):
+        requests.append(len(zs))
+        return series(zs)
+
+    sysm = _CoupledSystem(model, StepControl(dz_max=0.02), h)
+    z0, z1 = stops[:-1], stops[1:]
+    stacked = sysm.propagators(z0, z1)
+    n = np.maximum(1, np.ceil((z1 - z0) / 0.02))[z1 != z0]
+    assert max(requests) <= _H_REQUEST_MAX and sum(requests) == np.sum(2 * n + 1)
+    if grid in ("preset", "blocks"):
+        assert len(requests) > 1  # more z than one request may hold
+    else:
+        assert len(np.unique(n)) > 1  # several substep groups
+    for i in range(len(z0)):
+        assert np.array_equal(stacked[i], sysm.propagators(z0[i:i + 1], z1[i:i + 1])[0]), i
+    assert np.array_equal(stacked[z1 == z0], np.broadcast_to(np.eye(2), (np.sum(z1 == z0), 2, 2)))
+    if grid == "preset":  # the monodromy's U(r): the kernel's products chained, as one march per interval
+        flq = floquet_monodromy(model, t_v, StepControl(dz_max=0.02), targets=sorted(dyn_system.energies().values()),
+                                z_grid=z_grid)
+        u = [np.eye(2, dtype=complex)]
+        for a, b in zip(z0.tolist(), z1.tolist()):
+            u.append(sysm.march(u[-1], a, b))
+        assert np.array_equal(flq.propagators, np.array(u[1:-1])) and np.array_equal(flq.monodromy, u[-1])
 
 
 # ---------------------------------------------------------------------------
