@@ -193,7 +193,8 @@ def regularity_scan(
     minimum is zoom-refined (factor 8 per level) around the running
     argmin — twelve levels push a genuine zero crossing ten orders below
     the coarse spacing, far beyond the verdict floor, while a positive
-    minimum stalls at its true value.
+    minimum stalls at its true value. It sees only x_range: a node past it
+    (a modulated pair whose rho peaks at |x| > 10) passes the scan.
     """
     if n_points < 2:
         raise ValueError("n_points must be >= 2 per axis")

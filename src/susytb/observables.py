@@ -15,7 +15,7 @@ metrics' sub-resolution `phase_shift` fields move with any new summation order. 
 returns the rows u_j at z = 0 and a `_Stack` whose moments are quadratic forms c^H G b in 2x2 Gram
 matrices G, each one array pass over all z (TB: one basis for every z, H read off its Floquet march).
 For the exact pair c = w e^{-i E z} and P(r) = G(r) e^{-i(E_i - E_j) r} is T_V-periodic, its
-harmonics falling like rho^|m|, rho = |alpha| max |h2/h1| < 1. N uniform phases give its
+harmonics falling like rho^|m|, rho = |alpha| sup |h2/h1| < 1. N uniform phases give its
 series, N/2 + 1 closed-form passes as r and T_V - r are PT mirrors: N from rho (32 at the
 preset), doubled while the top harmonic exceeds SERIES_TOL of its scale and the samples'
 rounding; the grid's own phases instead once those take no more passes (rho -> 1). Either
@@ -123,11 +123,10 @@ class ExactState:
         # PT symmetry: u_j(x, T_V - r) = c_j e^{-i E_j T_V} conj u_j(-x, r), c = (+1, -1) even-like first; the grid,
         # w and stencils are even, so P(T_V - r) = s c_i c_j conj P(r), s = -1 for x^1 and +1 else
         flip = np.array([-1 if key[:2] == (1, "x") else 1 for key in keys])[:, None, None] * [[1, -1], [-1, 1]]
-        p, period, xp = system.params, system.periods().fundamental, system._x_parts(x)  # the passes' own x parts
-        rho = abs(p.alpha) * float(np.max(np.abs(xp.h2 / xp.h1)))  # P's harmonics fall like rho^|m|
+        p, period = system.params, system.periods().fundamental  # P's harmonics fall like p.rho^|m|
         # a pass's phases e^{i b r}, b up to k1^2 + k2^2 + k3^2, carry eps b T of rounding by r = T
         floor = np.finfo(float).eps * (p.k1**2 + p.k2**2 + p.k3**2) * period
-        return _PhaseSeries(sample, flip, period, rho, budget, floor)
+        return _PhaseSeries(sample, flip, period, p.rho, budget, floor)
 
     def forms(self, x, w, h, z_grid, keys):
         """The rows at z = 0 and the `_Stack` of every z: coefficients w e^{-i E z} on P at its phase, from the

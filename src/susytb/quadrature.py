@@ -37,8 +37,8 @@ class QuadratureSpec:
     rule: str = "simpson"
 
     def __post_init__(self) -> None:
-        if self.half_width <= 0:
-            raise ValueError("half_width must be positive")
+        if not 0 < self.half_width < math.inf:  # NaN included
+            raise ValueError(f"half_width must be {'finite' if self.half_width > 0 else 'positive'}")
         if self.nodes < 64:
             raise ValueError("need at least 64 quadrature nodes")
         if self.rule not in RULES:

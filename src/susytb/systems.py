@@ -12,6 +12,8 @@ generic Darboux machinery so the two routes can cross-check each other:
   the two Floquet modes are assembled from the auxiliary hyperbolic
   functions h1..h8 and K below, kept for the last frozen node set (V part
   by part from six real combinations and cos, sin of (k1^2 - k3^2) z).
+  Its Wronskian has a node exactly when rho = |alpha| sup_x |h2/h1| >= 1: the
+  record refuses rho >= 1 - RHO_MARGIN, so no evaluator checks for nodes.
 
 Each system evaluates both modes of its pair at (x, z) in one closed-form
 pass (`WaveguideSystem.pair`): (2, n) rows, even-like first, over one
@@ -37,7 +39,6 @@ from typing import Callable, NamedTuple, Optional
 import numpy as np
 
 from . import darboux
-from .darboux import SingularPointError
 from .quadrature import NodeCache, QuadratureSpec, default_half_width, localized_combos, read_only
 from .seeds import SeedSuperposition
 
@@ -64,6 +65,10 @@ __all__ = [
 LOG_FLOAT_MAX = math.log(sys.float_info.max)
 
 PERIOD_TOL, PERIOD_MAX_DENOMINATOR = 1e-9, 10**6  # the rational repetition search of periods()
+
+# Least 1 - rho a modulated record accepts: |den| >= h1^2 (1 - rho)^2 clears den's rounding (a few eps h1^2) and the
+# 1e-10 (|h1| + |alpha h2|) node threshold V was once checked against when 1 - rho >~ 5e-8; 1e-6 leaves room.
+RHO_MARGIN = 1e-6
 
 
 class ParameterError(ValueError):
@@ -103,6 +108,8 @@ class PTStaticParams:
 
 @dataclass(frozen=True)
 class PTDynamicParams:
+    """The modulated pair's record; it refuses rho >= 1 - RHO_MARGIN, so every pair it builds is nodeless."""
+
     k1: float
     k2: float
     k3: float
@@ -117,11 +124,41 @@ class PTDynamicParams:
         if self.k3 == 0 and self.alpha != 0:
             # the -i alpha K(x) term of floquet2 decays like e^{-|k3| |x|}
             raise ParameterError("k3 = 0 with alpha != 0 leaves the floquet2 mode unguided")
+        if self.rho >= 1 - RHO_MARGIN:
+            sup, x = _sup_ratio(self.k1, self.k2, self.k3)
+            raise ParameterError(f"rho = |alpha| sup|h2/h1| = {self.rho:.6g} (at x = +-{x:.4g}) is not below 1 - "
+                                 f"{RHO_MARGIN:g}: the Wronskian has a node; need |alpha| < "
+                                 f"{(1 - RHO_MARGIN) / sup:.6g}")
+
+    @functools.cached_property
+    def rho(self) -> float:
+        """|alpha| sup_x |h2/h1|: nodeless exactly when below 1; the Floquet modes' z harmonics fall like rho^|m|."""
+        return abs(self.alpha) * _sup_ratio(self.k1, self.k2, self.k3)[0]
 
     @property
     def certified(self) -> bool:
         """Sufficient (not necessary) nodelessness bound on alpha."""
         return (1.0 - abs(self.k1) / abs(self.k2)) > abs(self.alpha) * (1.0 + abs(self.k3) / abs(self.k2))
+
+
+def _sup_ratio(k1: float, k2: float, k3: float) -> tuple[float, float]:
+    """(sup_x |h2/h1|, an x >= 0 reaching it), |k3| < |k1| < |k2|: the even ratio, 0 at x = 0 and falling like
+    e^{-(|k1| - |k3|) x}, over 257 points on [0, 8/|k1|] (doubled while the argmax is at the end), zoomed 5 x 16."""
+    a, b, c = abs(k1), abs(k2), abs(k3)
+
+    def ratio(x):
+        ea, eb, ta, tb = np.exp(-2 * a * x), np.exp(-2 * b * x), np.tanh(a * x), np.tanh(b * x)
+        h1 = b - a + 2 * a * (ea / (1 + ea) + ta * eb / (1 + eb))  # b - a ta tb, without cancellation
+        return np.exp((c - a) * x) * (1 + np.exp(-2 * c * x)) / (1 + ea) * np.abs(b * np.tanh(c * x) - c * tb) / h1
+
+    x = np.linspace(0.0, 8.0 / a, 257)
+    while np.argmax(ratio(x)) >= len(x) - 8:
+        x *= 2
+    for _ in range(5):
+        i = int(np.argmax(ratio(x)))
+        x = np.linspace(x[max(i - 1, 0)], x[min(i + 1, len(x) - 1)], 33)
+    i = int(np.argmax(r := ratio(x)))
+    return float(r[i]), float(x[i])
 
 
 class SystemKind(NamedTuple):
@@ -178,8 +215,6 @@ class _DynamicXParts(NamedTuple):
     den_re: np.ndarray    # h1^2 - alpha^2 h2^2: Re den = den_re cos(delta z)
     den_im: np.ndarray    # h1^2 + alpha^2 h2^2: Im den = den_im sin(delta z) + den_im0
     den_im0: np.ndarray   # 2 alpha h1 h2
-    guard: np.ndarray     # 1e-10 (|h1| + |alpha| |h2|), the Wronskian-node threshold
-    guard_sq_hi: np.ndarray  # bound above guard^2, see _guard_sq_hi
     num_re: np.ndarray    # h3 + alpha^2 h4: Re num = num_re cos(delta z)
     num_im: np.ndarray    # h3 - alpha^2 h4: Im num = num_im sin(delta z) - num_im0
     num_im0: np.ndarray   # alpha h8
@@ -187,11 +222,6 @@ class _DynamicXParts(NamedTuple):
     s3: np.ndarray        # sinh k3 x
     s2: np.ndarray        # sinh k2 x
     kx: np.ndarray        # K(x) of the odd-like mode
-
-
-def _guard_sq_hi(guard: np.ndarray) -> np.ndarray:
-    """Above the real guard^2: a 1e-12 margin over its rounding, and tiny where it underflows."""
-    return np.maximum(guard * guard * (1 + 1e-12), np.finfo(float).tiny)
 
 
 def _dynamic_x_parts(p: PTDynamicParams, x) -> _DynamicXParts:
@@ -211,11 +241,9 @@ def _dynamic_x_parts(p: PTDynamicParams, x) -> _DynamicXParts:
     h8 = h5 + h6 + h7
     kx = (k2 * (k1**2 - k3**2) * c2 * np.cosh((k1 - k3) * x)
           + (k1 + k3) * (k1 * k3 - k2**2) * s2 * np.sinh((k1 - k3) * x))
-    guard = 1e-10 * (np.abs(h1) + abs(a) * np.abs(h2))
     h1_sq, a2_h2_sq, a2_h4 = h1**2, a**2 * h2**2, a**2 * h4
     return _DynamicXParts(
         h1=h1, h2=h2, den_re=h1_sq - a2_h2_sq, den_im=h1_sq + a2_h2_sq, den_im0=2 * a * h1 * h2,
-        guard=guard, guard_sq_hi=_guard_sq_hi(guard),
         num_re=h3 + a2_h4, num_im=h3 - a2_h4, num_im0=a * h8, c1=c1, s3=s3, s2=s2, kx=kx)
 
 
@@ -226,9 +254,6 @@ def _potential_dynamic_at(p: PTDynamicParams, xp: _DynamicXParts, z: float):
     den, num = np.empty(xp.h1.shape, dtype=complex), np.empty(xp.h1.shape, dtype=complex)
     np.multiply(xp.den_re, cos, out=den.real)
     np.add(np.multiply(xp.den_im, sin, out=den.imag), xp.den_im0, out=den.imag)
-    near = np.abs(den) < xp.guard_sq_hi  # holds wherever sqrt(|den|) < guard does
-    if near.any() and np.any(np.sqrt(np.abs(den[near])) < xp.guard[near]):
-        raise SingularPointError("dynamic potential evaluated at a Wronskian node")
     np.multiply(xp.num_re, cos, out=num.real)
     np.subtract(np.multiply(xp.num_im, sin, out=num.imag), xp.num_im0, out=num.imag)
     return np.divide(num, den, out=num)
@@ -386,7 +411,8 @@ class WaveguideSystem:
 
     @functools.cached_property
     def regularity(self) -> darboux.RegularityScan:
-        """Wronskian node scan on x in [-10, 10] (z in [0, 2 T_V] if modulated); run once per system."""
+        """Wronskian node scan on x in [-10, 10] (z in [0, 2 T_V] if modulated), run once per system: the
+        report's cross-check of the records' regularity, blind to a modulated pair's nodes past |x| = 10."""
         u1, u2, _, _ = self.seeds()
         if self.is_dynamic:
             z_end, n_points = 2 * self.periods().fundamental, 241
@@ -521,7 +547,8 @@ class WaveguideSystem:
 
 
 def make_system(params, *, verify_regularity: bool = True) -> WaveguideSystem:
-    """Validate parameters, optionally scan-verify an uncertified dynamic case."""
+    """The system of a validated record (a modulated one has refused rho >= 1 - RHO_MARGIN); an uncertified
+    modulated pair is also scanned over |x| <= 10, a cross-check that cannot see past that window."""
     system = WaveguideSystem(params)
     if isinstance(params, PTDynamicParams) and verify_regularity and not params.certified:
         scan = system.regularity

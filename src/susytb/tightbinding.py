@@ -343,8 +343,8 @@ class StepControl:
     dz_max: float = 0.02
 
     def __post_init__(self) -> None:
-        if self.dz_max <= 0:
-            raise ValueError("dz_max must be positive")
+        if not 0 < self.dz_max < math.inf:  # NaN included
+            raise ValueError(f"dz_max must be {'finite' if self.dz_max > 0 else 'positive'}")
 
 
 @dataclass(frozen=True)

@@ -620,6 +620,25 @@ def test_cli_refuses_unguided_or_overflowing_pair(tmp_path, capsys, k3):
     assert "error: system:" in capsys.readouterr().err
 
 
+def test_cli_refuses_a_pair_past_the_rho_gate(tmp_path, capsys):
+    """rho = 1.02 at x = 15.2: nodes at |x| ~ 12.5 and 19.2, outside the |x| <= 10 regularity scan. validate
+    refuses the record with one system error naming rho; the preset (rho 0.121) and alpha 0.8 (rho 0.971)
+    still validate, with the one uncertified warning."""
+    c = preset_config("pt-dynamic-fig1-5-6")
+    c["system"].update(k1=0.2, k2=0.3, k3=0.19, alpha=1.1072)
+    cfg = tmp_path / "past.json"
+    cfg.write_text(json.dumps(c))
+    assert main(["validate", str(cfg)]) == 1
+    errors = capsys.readouterr().err.splitlines()
+    assert len(errors) == 1
+    assert errors[0].startswith("error: system: rho = |alpha| sup|h2/h1| = 1.02001 (at x = +-15.17)")
+    for alpha in (0.1, 0.8):
+        c = preset_config("pt-dynamic-fig1-5-6")
+        c["system"]["alpha"] = alpha
+        assert validate_config(json.dumps(c)).warnings == ["system: alpha exceeds the sufficient regularity bound "
+                                                           "(certified=false); nodelessness established by scan"]
+
+
 def test_cli_missing_file_is_runtime_error(tmp_path):
     assert main(["compare", str(tmp_path / "nope.json")]) == 2
 

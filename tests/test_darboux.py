@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from susytb.bpm import eigen_residual
@@ -20,9 +20,10 @@ from susytb.darboux import (
     symmetry_residual,
 )
 from susytb.seeds import SeedSuperposition, x_derivatives
-from susytb.systems import potential_hermitian_static, potential_pt_dynamic
+from susytb.systems import (PTDynamicParams, _dynamic_x_parts, _sup_ratio, potential_hermitian_static,
+                           potential_pt_dynamic)
 
-from conftest import HERM, PTD, PTD_STRONG, PTS
+from conftest import HERM, PTD, PTD_STRONG, PTS, certified_dynamic_params
 
 
 def test_first_order_sech_well_origin():
@@ -222,8 +223,6 @@ def test_scan_dynamic_nodeless(dyn_system):
 
 
 def test_scan_certified_dynamic_parameters():
-    from susytb.systems import PTDynamicParams
-
     p = PTDynamicParams(k1=1.0, k2=2.0, k3=0.5, alpha=0.2)
     assert p.certified
     u1 = SeedSuperposition.build([("even", 1.0, p.k1), ("odd", p.alpha, p.k3)])
@@ -231,6 +230,24 @@ def test_scan_certified_dynamic_parameters():
     t_v = 2 * np.pi / (p.k1**2 - p.k3**2)
     scan = regularity_scan(u1, u2, (-10.0, 10.0), (0.0, 2 * t_v), 201)
     assert scan.nodeless
+
+
+@settings(max_examples=20, deadline=None)
+@given(p=certified_dynamic_params())
+@example(p=PTD)
+@example(p=PTDynamicParams(k1=0.4, k2=1.0, k3=0.15, alpha=0.1))
+def test_scan_flips_where_rho_crosses_one_property(p):
+    """Where the nodes at 1.01 alpha* lie inside the scan's window |x| <= 10 (rho's argmax inside, |h2/h1| at
+    the edge below sup / 1.01), the scan over seeds built from the raw numbers finds a node at 1.01 alpha* and
+    none at 0.99 alpha*, alpha* = alpha / rho = 1 / sup|h2/h1|."""
+    sup, x_max = _sup_ratio(p.k1, p.k2, p.k3)
+    edge = _dynamic_x_parts(p, np.array([10.0]))  # h1, h2 do not depend on alpha
+    assume(x_max < 10.0 and 1.01 * abs(edge.h2[0] / edge.h1[0]) < sup)
+    t_v = 2 * np.pi / (p.k1**2 - p.k3**2)
+    for factor, nodeless in ((0.99, True), (1.01, False)):
+        u1 = SeedSuperposition.build([("even", 1.0, p.k1), ("odd", factor / sup, p.k3)])
+        u2 = SeedSuperposition.odd(1.0, p.k2)
+        assert regularity_scan(u1, u2, (-10.0, 10.0), (0.0, 2 * t_v), 241).nodeless is nodeless, factor
 
 
 def _scan_per_z(u1, u2, x_range, z_range, n_points):

@@ -42,6 +42,14 @@ def test_validation():
             QuadratureSpec(half_width=1.0, nodes=64, rule=rule)
 
 
+@pytest.mark.parametrize("half_width, message", [(math.nan, "positive"), (math.inf, "finite"),
+                                                 (-math.inf, "positive"), (0.0, "positive")])
+def test_half_width_must_be_positive_and_finite(half_width, message):
+    """As `PropagationGrid` does: a NaN window would give NaN nodes, an infinite one no nodes at all."""
+    with pytest.raises(ValueError, match=f"half_width must be {message}"):
+        QuadratureSpec(half_width=half_width, nodes=64)
+
+
 def _integral(f, spec):
     x, w = quad_nodes(spec)
     return np.sum(w * f(x))

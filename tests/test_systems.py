@@ -5,22 +5,22 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from susytb.bpm import PropagationGrid, eigen_residual, pde_residual
-from susytb.darboux import SingularPointError, apply_L12, second_order_potential
+from susytb.darboux import apply_L12, second_order_potential
 from susytb.quadrature import QuadratureSpec, quad_nodes, read_only
 from susytb.systems import (
     LOG_FLOAT_MAX,
+    RHO_MARGIN,
     HermitianStaticParams,
     ParameterError,
     PTDynamicParams,
     PTStaticParams,
     WaveguideSystem,
     _dynamic_x_parts,
-    _guard_sq_hi,
-    _potential_dynamic_at,
+    _sup_ratio,
     make_system,
     periods,
     potential_hermitian_static,
@@ -123,6 +123,92 @@ def test_scan_rejects_singular_dynamic_parameters():
         make_system(PTDynamicParams(1.0, 1.1, 0.95, 1.0))
 
 
+def _reference_sup_ratio(k1, k2, k3) -> float:
+    """sup_x |h2/h1| from log|h2/h1| with both closed forms over cosh(k1 x) cosh(k2 x), the signed
+    k's as given (finite at any x > 0): a 100,001-point grid over (0, 64/|k1|], then three zooms
+    by 50 around its argmax."""
+    def log_ratio(x):
+        log_cosh = lambda u: np.logaddexp(u, -u)  # log 2 cosh u; the 2s cancel
+        t1, t2, t3 = np.tanh(k1 * x), np.tanh(k2 * x), np.tanh(k3 * x)
+        return (log_cosh(k3 * x) - log_cosh(k1 * x)
+                + np.log(np.abs(k2 * t3 - k3 * t2)) - np.log(np.abs(k2 - k1 * t1 * t2)))
+
+    x = np.linspace(0.0, 64.0 / abs(k1), 100_001)[1:]
+    for _ in range(4):
+        i = int(np.argmax(lr := log_ratio(x)))
+        h = x[1] - x[0]
+        x = np.linspace(max(x[i] - h, h / 100), x[i] + h, 101)
+    return math.exp(float(lr[i]))
+
+
+@st.composite
+def dynamic_wavenumbers(draw):
+    """|k3| < |k1| < |k2| with |k3| anywhere in (0, |k1|): near |k1|, tiny, or in between."""
+    k2 = draw(st.floats(0.5, 2.0)) * draw(st.sampled_from((1.0, -1.0)))
+    k1 = k2 * draw(st.floats(0.2, 0.95)) * draw(st.sampled_from((1.0, -1.0)))
+    ratio = draw(st.one_of(st.floats(0.01, 0.95), st.floats(-12.0, -1.0).map(lambda e: 1 - 10**e),
+                           st.floats(-300.0, -2.0).map(lambda e: 10**e)))
+    return k1, k2, k1 * ratio * draw(st.sampled_from((1.0, -1.0)))
+
+
+@pytest.mark.parametrize("k, alpha, rho", [((1.0, 1.1, 0.95), 0.1, 0.1214), ((1.0, 1.1, 0.95), 0.8, 0.9709),
+                                           ((1.0, 1.1, 0.95), 0.5, 0.6068), ((1.1, 1.2, 0.0), 0.0, 0.0)])
+def test_rho_of_the_preset_points(k, alpha, rho):
+    p = PTDynamicParams(*k, alpha)
+    assert p.rho == pytest.approx(rho, abs=1e-4)
+    if alpha:
+        assert p.rho == pytest.approx(abs(alpha) * _reference_sup_ratio(*k), rel=1e-9)
+
+
+@settings(max_examples=40, deadline=None)
+@given(k=dynamic_wavenumbers())
+@example(k=(1.0, 1.1, 0.95))
+@example(k=(0.2, 0.3, 0.19))
+@example(k=(1.0, 1.1, 1 - 1e-12))
+@example(k=(-1.0, 1.1, 1e-300))
+def test_rho_matches_a_dense_reference_property(k):
+    """rho is |alpha| sup_x |h2/h1| to 1e-9 relative, also where its argmax runs out (|k3| -> |k1|) or
+    h2 is tiny (|k3| -> 0); the record accepts rho just below 1 - RHO_MARGIN and refuses it from there on."""
+    k1, k2, k3 = k
+    alpha = 0.5 * (1 - abs(k1 / k2)) / (1 + abs(k3 / k2))  # certified
+    assert PTDynamicParams(k1, k2, k3, alpha).rho == pytest.approx(alpha * _reference_sup_ratio(*k), rel=1e-9)
+    sup = _sup_ratio(k1, k2, k3)[0]  # the record's rho is |alpha| times it
+    edge = (1 - RHO_MARGIN) / sup
+    while edge * sup < 1 - RHO_MARGIN:  # the least alpha whose rho rounds to 1 - RHO_MARGIN or above
+        edge = math.nextafter(edge, math.inf)
+    assert PTDynamicParams(k1, k2, k3, -edge * (1 - 1e-9)).rho < 1 - RHO_MARGIN
+    for alpha in (edge, -edge, 1.01 * edge, 10 * edge):
+        with pytest.raises(ParameterError, match=r"rho = \|alpha\| sup\|h2/h1\| = .* need \|alpha\| < "):
+            PTDynamicParams(k1, k2, k3, alpha)
+
+
+def _old_node_guard(p, x, z) -> bool:
+    """The per-sample node check V's evaluator once made: sqrt|den| < 1e-10 (|h1| + |alpha h2|) anywhere."""
+    xp = _dynamic_x_parts(p, x)
+    theta = (p.k1**2 - p.k3**2) * z
+    den = xp.den_re * math.cos(theta) + 1j * (xp.den_im * math.sin(theta) + xp.den_im0)
+    return bool(np.any(np.sqrt(np.abs(den)) < 1e-10 * (np.abs(xp.h1) + abs(p.alpha) * np.abs(xp.h2))))
+
+
+@settings(max_examples=40, deadline=None)
+@given(p=certified_dynamic_params(), gap=st.one_of(st.just(0.0), st.floats(0.0, 0.1)))
+@example(p=PTD, gap=0.0)
+@example(p=PTDynamicParams(0.2, 0.3, 0.19, 0.1), gap=0.0)
+def test_the_rho_gate_keeps_the_old_node_guard_from_firing_property(p, gap):
+    """At rho's argmax x, and the z there that minimizes |W| (W = h1 + i alpha h2 e^{-i delta z} points
+    against h1), the deleted guard stays false on every record up to rho = 1 - RHO_MARGIN."""
+    sup, x_max = _sup_ratio(p.k1, p.k2, p.k3)
+    p = PTDynamicParams(p.k1, p.k2, p.k3, (1 - RHO_MARGIN) * (1 - gap) / sup * (1 - 1e-15))
+    assert p.rho < 1 - RHO_MARGIN
+    x = np.array([-x_max, x_max])
+    xp = _dynamic_x_parts(p, x[1:])
+    s = np.sign(xp.h1[0] * p.alpha * xp.h2[0])
+    z = -s * math.pi / (2 * (p.k1**2 - p.k3**2))  # i alpha h2 e^{-i delta z} = -sign(h1) |alpha h2|
+    w = xp.h1 + 1j * p.alpha * xp.h2 * np.exp(-1j * (p.k1**2 - p.k3**2) * z)
+    assert abs(w[0]) == pytest.approx(abs(xp.h1[0]) * (1 - p.rho), rel=1e-6, abs=1e-9 * abs(xp.h1[0]))
+    assert not _old_node_guard(p, x, z) and not _old_node_guard(p, x, -z)
+
+
 # ---------------------------------------------------------------------------
 # potentials
 # ---------------------------------------------------------------------------
@@ -172,40 +258,6 @@ def test_dynamic_potential_alpha_zero_is_static_hermitian():
     herm = potential_hermitian_static(HermitianStaticParams(1.0, 1.1), x)
     for z in (0.0, 5.0, 40.0):
         assert np.max(np.abs(potential_pt_dynamic(p, x, z) - herm)) < 1e-10
-
-
-@pytest.mark.parametrize("guard", [0.7, 1e-10, 1e-150, 1.5e-154, 1e-160, 1e-170, 1e-200])
-def test_wronskian_guard_raises_where_the_sqrt_test_does(guard):
-    """|den| a few ulps either side of guard^2, also where guard^2 is subnormal or underflows.
-
-    The squared prefilter must flag every node that sqrt(|den|) < guard
-    flags, so the guard raises on exactly the inputs it raised on before.
-    """
-    xp0 = _dynamic_x_parts(PTD, np.zeros(1))
-    g = np.array([guard])
-    mags = [0.0, 5e-324, np.finfo(float).tiny]
-    for start in (guard * guard, np.finfo(float).tiny):
-        lo = hi = start
-        for _ in range(6):
-            lo, hi = np.nextafter(lo, 0.0), np.nextafter(hi, 1.0)
-            mags += [lo, hi]
-    raised = set()
-    for m in mags + [guard * guard]:
-        # at z = 0, cos = 1 and sin = 0, so den = den_re + i den_im0 = m
-        xp = xp0._replace(den_re=np.array([m]), den_im=np.zeros(1), den_im0=np.zeros(1),
-                          guard=g, guard_sq_hi=_guard_sq_hi(g))
-        den = np.array([m + 0j])
-        old = bool(np.any(np.sqrt(np.abs(den)) < xp.guard))
-        assert not old or np.abs(den)[0] < xp.guard_sq_hi[0]
-        with np.errstate(all="ignore"):
-            try:
-                _potential_dynamic_at(PTD, xp, 0.0)
-                new = False
-            except SingularPointError:
-                new = True
-        assert new == old, m
-        raised.add(new)
-    assert raised == {True, False}
 
 
 def test_dynamic_potential_p2t_symmetry(dyn_strong_system):
@@ -442,21 +494,17 @@ def test_dynamic_memo_keeps_no_writeable_grid(monkeypatch):
 
 
 @st.composite
-def scan_nodeless_dynamic_params(draw):
-    """alpha past the sufficient bound, kept only where `make_system`'s regularity scan finds no node."""
+def uncertified_dynamic_params(draw):
+    """rho drawn between its value at the sufficient bound and 0.95; rho is linear in alpha."""
     p = draw(certified_dynamic_params())
     bound = (1.0 - abs(p.k1 / p.k2)) / (1.0 + abs(p.k3 / p.k2))
-    p = PTDynamicParams(k1=p.k1, k2=p.k2, k3=p.k3, alpha=bound * draw(st.floats(1.05, 3.0)))
-    assert not p.certified
-    try:
-        make_system(p)
-    except ParameterError:
-        assume(False)
-    return p
+    per_alpha = PTDynamicParams(k1=p.k1, k2=p.k2, k3=p.k3, alpha=bound / 2).rho / (bound / 2)
+    rho = draw(st.floats(min(bound * per_alpha, 0.95), 0.95))
+    return PTDynamicParams(k1=p.k1, k2=p.k2, k3=p.k3, alpha=rho / per_alpha * draw(st.sampled_from((1.0, -1.0))))
 
 
 @settings(max_examples=40, deadline=None)
-@given(p=st.one_of(certified_dynamic_params(), scan_nodeless_dynamic_params()), z=st.floats(-100.0, 100.0))
+@given(p=st.one_of(certified_dynamic_params(), uncertified_dynamic_params()), z=st.floats(-100.0, 100.0))
 def test_dynamic_potential_matches_the_complex_closed_form_property(p, z):
     """V written from its real x parts is the complex closed form, element by element, out to
     0.99 x_limit, where the closed forms' denominators near overflow."""

@@ -430,6 +430,14 @@ def test_propagate_validation(dyn_system):
         StepControl(dz_max=0.0)
 
 
+@pytest.mark.parametrize("dz_max, message", [(math.nan, "positive"), (math.inf, "finite"),
+                                             (-math.inf, "positive"), (-0.01, "positive")])
+def test_dz_max_must_be_positive_and_finite(dz_max, message):
+    """An infinite dz_max would march each interval in one RK4 substep, a NaN one fail only in the march."""
+    with pytest.raises(ValueError, match=f"dz_max must be {message}"):
+        StepControl(dz_max=dz_max)
+
+
 # ---------------------------------------------------------------------------
 # Floquet
 # ---------------------------------------------------------------------------
