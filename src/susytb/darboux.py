@@ -186,22 +186,22 @@ def regularity_scan(
 ) -> RegularityScan:
     """Scan the Wronskian for nodes; verdict against a pointwise scale.
 
-    |W| is compared pointwise with the magnitude sum of the two products
-    that form it (|u1 u2'| + |u1' u2|): at a node the ratio collapses to
-    cancellation level while a healthy hyperbolic Wronskian keeps it O(1),
-    no matter how fast the factors grow across the window. The ratio
-    minimum is zoom-refined (factor 8 per level) around the running
-    argmin — twelve levels push a genuine zero crossing ten orders below
-    the coarse spacing, far beyond the verdict floor, while a positive
-    minimum stalls at its true value. It sees only x_range: a node past it
-    (a modulated pair whose rho peaks at |x| > 10) passes the scan.
+    |W| is compared pointwise with the magnitude sum of the two products that form it
+    (|u1 u2'| + |u1' u2|): at a node the ratio collapses to cancellation level while a healthy
+    hyperbolic Wronskian keeps it O(1), no matter how fast the factors grow across the window. The
+    ratio minimum is zoom-refined (factor 8 per level) around the running argmin — twelve levels
+    push a genuine zero crossing ten orders below the coarse spacing, far beyond the verdict floor,
+    while a positive minimum stalls at its true value. A coarse argmin on an x edge is zoomed, and so
+    is the smallest coarse minimum along x inside the window, the smaller result kept: a node region
+    crossing the edge would otherwise pull the zoom away from nodes inside. It sees only x_range: a
+    node past it (a modulated pair whose rho peaks at |x| > 10) passes the scan.
     """
     if n_points < 2:
         raise ValueError("n_points must be >= 2 per axis")
 
-    def scan(xv, zv, best):
-        """`best` = (ratio, |W|, x, z) updated by the rows zv over xv, row by row: a row counts
-        at its first minimum (not at all if that is NaN), and only when strictly below the best."""
+    def scan(xv, zv, best, inside=False):
+        """`best` = (ratio, |W|, x, z) updated by the rows zv over xv, row by row: a row counts at its first
+        minimum (`inside`: along x, off the edges; not at all if NaN), and only when strictly below the best."""
         # each term's u, u' at z = 0, once per x set: on a row z it takes its phase exp(i k^2 z),
         # and the terms add up in order, as `x_derivatives` forms them
         terms = [[(1j * t.k * t.k, x_derivatives(SeedSuperposition((t,)), xv, 0.0, 1)) for t in u.terms]
@@ -213,6 +213,8 @@ def regularity_scan(
             del d1, d2
             w = np.abs(p - q)
             r = w / (np.abs(p) + np.abs(q))
+            if inside:
+                r = np.where(np.pad((r[:, 1:-1] <= r[:, :-2]) & (r[:, 1:-1] <= r[:, 2:]), ((0, 0), (1, 1))), r, np.inf)
             m = r.min(axis=1)
             row = int(np.argmin(np.where(np.isnan(m), np.inf, m)))
             if m[row] < best[0]:
@@ -223,17 +225,20 @@ def regularity_scan(
     xs = np.linspace(x_range[0], x_range[1], n_points)
     single_z = z_range[0] == z_range[1]
     zs = np.array([z_range[0]]) if single_z else np.linspace(z_range[0], z_range[1], n_points)
-    best_r, best_w, bx, bz = scan(xs, zs, (math.inf, math.inf, 0.0, 0.0))
-    hx = xs[1] - xs[0]
-    hz = 0.0 if single_z else zs[1] - zs[0]
 
-    for _ in range(REFINE_LEVELS):
-        lxs = np.clip(np.linspace(bx - hx, bx + hx, 17), x_range[0], x_range[1])
-        lzs = np.array([bz]) if single_z else np.clip(
-            np.linspace(bz - hz, bz + hz, 17), z_range[0], z_range[1])
-        best_r, best_w, bx, bz = scan(lxs, lzs, (best_r, best_w, bx, bz))
-        hx /= 8.0
-        hz /= 8.0
+    def zoom(best):
+        hx, hz = xs[1] - xs[0], 0.0 if single_z else zs[1] - zs[0]
+        for _ in range(REFINE_LEVELS):
+            bx, bz = best[2:]
+            lzs = np.array([bz]) if single_z else np.clip(np.linspace(bz - hz, bz + hz, 17), z_range[0], z_range[1])
+            best = scan(np.clip(np.linspace(bx - hx, bx + hx, 17), x_range[0], x_range[1]), lzs, best)
+            hx, hz = hx / 8.0, hz / 8.0
+        return best
 
-    return RegularityScan(min_abs_w=best_w, argmin=(bx, bz),
-                          nodeless=bool(best_r >= NODE_RTOL))
+    coarse = scan(xs, zs, (math.inf, math.inf, 0.0, 0.0))
+    best = zoom(coarse)
+    if coarse[2] in (xs[0], xs[-1]):  # a node region across the edge pulls the argmin there
+        inner = scan(xs, zs, (math.inf, math.inf, 0.0, 0.0), inside=True)
+        inner = zoom(inner) if math.isfinite(inner[0]) else inner
+        best = inner if inner[0] < best[0] else best
+    return RegularityScan(min_abs_w=best[1], argmin=best[2:], nodeless=bool(best[0] >= NODE_RTOL))

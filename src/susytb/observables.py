@@ -15,10 +15,9 @@ metrics' sub-resolution `phase_shift` fields move with any new summation order. 
 returns the rows u_j at z = 0 and a `_Stack` whose moments are quadratic forms c^H G b in 2x2 Gram
 matrices G, each one array pass over all z (TB: one basis for every z, H read off its Floquet march).
 For the exact pair c = w e^{-i E z} and P(r) = G(r) e^{-i(E_i - E_j) r} is T_V-periodic, its
-harmonics falling like rho^|m|, rho = |alpha| sup |h2/h1| < 1. N uniform phases give its
-series, N/2 + 1 closed-form passes as r and T_V - r are PT mirrors: N from rho (32 at the
-preset), doubled while the top harmonic exceeds SERIES_TOL of its scale and the samples'
-rounding; the grid's own phases instead once those take no more passes (rho -> 1). Either
+harmonics falling like rho^|m|, rho = |alpha| sup |h2/h1| < 1: a mirrored `PeriodicSeries` of
+tolerance GRAM_SERIES_TOL, N/2 + 1 closed-form passes as r and T_V - r are PT mirrors (N = 32
+at the preset), or the grid's own phases once those take no more passes (rho -> 1). Either
 way, when the resolution guard or the initial power is needed, z = 0 is evaluated once, first
 (the grid's own first z when it is 0). `moment_series` is the one-observable case.
 """
@@ -33,7 +32,7 @@ from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
 
-from .quadrature import QuadratureSpec, d1_fourth, d2_fourth, fold_phases
+from .quadrature import PeriodicSeries, QuadratureSpec, d1_fourth, d2_fourth, fold_phases
 from .systems import WaveguideSystem
 from .tightbinding import FloquetResult, TBGuidedModes, TBModel, assemble_state
 
@@ -55,8 +54,7 @@ OBSERVABLES = ("x_mean", "p_mean", "x_std", "p_std", "power", "H_mean", "H_std")
 
 SPREAD_TOL = 1e-8  # |Im|/|Re| up to which a negative variance is real; modulated-preset PT p_std: 3.4e-10
 RESOLUTION_TOL = 1e-5  # largest derivative change under coarsening that `_resolution_guard` passes
-SERIES_TARGET = 1e-13  # rho^{N/2} a phase series' first N reaches: its top harmonic, predicted
-SERIES_TOL = 1e-12  # largest measured top harmonic it keeps; above the p^2/H^2 stencil floor (1.3e-13 at the preset)
+GRAM_SERIES_TOL = 1e-12  # largest top harmonic a phase series keeps; above the p^2/H^2 stencil floor (1.3e-13)
 
 
 class DerivativeResolutionError(RuntimeError):
@@ -109,16 +107,17 @@ class ExactState:
     def h2_apply(self, x, z: float):
         return self.system.mode_h2(self.kind, x, z)
 
-    def phase_series(self, x, w, h, keys, budget: float) -> "_PhaseSeries":
-        """The `_PhaseSeries` of both Floquet modes' Gram stacks P(r) = G(r) e^{-i(E_i - E_j) r} under each key,
-        T_V-periodic as u_j(x, r + T_V) = e^{-i E_j T_V} u_j(x, r); H u = i d_z u off each pass, H^2 u by the
-        stencils against V(r)."""
+    def phase_series(self, x, w, h, keys, budget: float = 0) -> PeriodicSeries:
+        """The `PeriodicSeries` of both Floquet modes' Gram stacks P(r) = G(r) e^{-i(E_i - E_j) r} under each key,
+        T_V-periodic as u_j(x, r + T_V) = e^{-i E_j T_V} u_j(x, r), fitted within `budget` passes; H u = i d_z u
+        off each pass, H^2 u by the stencils against V(r). Its `f0` holds the rows of the pass at r = 0."""
         system, energies = self.system, np.array(list(self.system.energies().values()))  # the rows' order
 
         def sample(r):
             at_r = system.pair(x, r)
             rows = _Fields(at_r(0), x, w, h, hf=lambda: 1j * at_r(1), v=functools.partial(system.potential, x, r))
-            return rows.f, np.stack([rows.sandwich(*key) for key in keys]) * np.exp(
+            series.f0 = rows.f if r == 0.0 else series.f0  # the resolution guard's
+            return np.stack([rows.sandwich(*key) for key in keys]) * np.exp(
                 -1j * np.subtract.outer(energies, energies) * r)
         # PT symmetry: u_j(x, T_V - r) = c_j e^{-i E_j T_V} conj u_j(-x, r), c = (+1, -1) even-like first; the grid,
         # w and stencils are even, so P(T_V - r) = s c_i c_j conj P(r), s = -1 for x^1 and +1 else
@@ -126,7 +125,9 @@ class ExactState:
         p, period = system.params, system.periods().fundamental  # P's harmonics fall like p.rho^|m|
         # a pass's phases e^{i b r}, b up to k1^2 + k2^2 + k3^2, carry eps b T of rounding by r = T
         floor = np.finfo(float).eps * (p.k1**2 + p.k2**2 + p.k3**2) * period
-        return _PhaseSeries(sample, flip, period, p.rho, budget, floor)
+        series = PeriodicSeries(sample, period, GRAM_SERIES_TOL, rho=p.rho, floor=floor, flip=flip)
+        series.f0 = None
+        return series.fit(budget)
 
     def forms(self, x, w, h, z_grid, keys):
         """The rows at z = 0 and the `_Stack` of every z: coefficients w e^{-i E z} on P at its phase, from the
@@ -137,8 +138,9 @@ class ExactState:
             weights = np.array([inv_n, sign * inv_n])
         else:
             weights = np.eye(2)[system.facts.stationary.index(self.kind)]
-        _, which, phases = fold_phases(z_grid, period)  # a pass per PT-mirrored pair of them: per lesser of r, T - r
-        series = self.phase_series(x, w, h, keys, len(fold_phases(np.minimum(phases, period - phases), period)[2]))
+        _, which, phases = fold_phases(z_grid, period)
+        series = self.phase_series(x, w, h, keys)
+        series.fit(len(series.fold(phases)[1]) - 1)  # fewer passes than the grid's phases, a pass per mirrored pair
         grams = series(z_grid) if series.n else series.at_phases(phases)[which]
         a = weights * np.exp(-1j * np.outer(z_grid, list(system.energies().values())))
         return series.f0, _Stack(a, {key: (gram, a) for key, gram in zip(keys, np.moveaxis(grams, 1, 0))})
@@ -362,58 +364,6 @@ class _Stack:
 
     def sandwich(self, order: int, family: str, metric: str) -> np.ndarray:
         return self._q[order, family, metric]
-
-
-class _PhaseSeries:
-    """A T-periodic stack P(r) of Gram matrices from one pass `sample(r)` -> (rows, P(r)) per PT-mirrored pair
-    of phases, P(T - r) = flip * conj P(r); f0 keeps the rows at r = 0 (the resolution guard's).
-
-    The series takes N uniform phases, N/2 + 1 passes: N starts at the least power of two >= 8 with
-    rho^{N/2} <= SERIES_TARGET and doubles while the tail, its largest harmonic |m| >= N/2 - 1 over the
-    stack's `scale`, is above SERIES_TOL and above the samples' PT defect at 0 and T/2, their own mirrors,
-    a pass's rounding (finer nodes raise the p^2/H^2 stencils' eps / h^2); `n` is 0 (no series) once N/2 + 1
-    passes would reach `budget`.
-    `error` estimates its distance from a fresh pass over `scale`: the harmonics past N/2, aliased back,
-    4 / (1 - rho) times the top one, plus 8 times a pass's rounding, the largest of sqrt(N) tail (flat over
-    the harmonics), the PT defect and `floor`; the distance stays below 5.4 times that rounding over 46
-    certified draws.
-    """
-
-    def __init__(self, sample, flip, period: float, rho: float, budget: float, floor: float):
-        self._sample, self._held, self.flip, self.period = sample, {}, flip, period
-        n, self.n, self.f0 = 8, 0, None
-        while n // 2 + 1 < budget:
-            if rho ** (n // 2) <= SERIES_TARGET:
-                half = self.at_phases(np.arange(n // 2 + 1) * period / n)  # r = k T / N up to T / 2, then the mirrors
-                samples = np.concatenate([half, flip * np.conj(half[n // 2 - 1:0:-1])])
-                harmonics = np.fft.fft(samples, axis=0) / n
-                self.scale = np.maximum(np.abs(samples).max(axis=(0, 2, 3)), np.finfo(float).tiny)
-                self.tail = np.abs(harmonics[n // 2 - 1:n // 2 + 2]).max(axis=(0, 2, 3)) / self.scale
-                defect = np.abs(half[[0, -1]] - flip * np.conj(half[[0, -1]])).max(axis=(0, 2, 3)) / self.scale
-                if np.all(self.tail <= np.maximum(SERIES_TOL, defect)):  # no doubling gets under the rounding
-                    rounding = np.maximum(np.maximum(math.sqrt(n) * self.tail, defect), floor)
-                    self.n, self.error = n, 4 * self.tail / (1 - rho) + 8 * rounding
-                    self.coefficients = np.concatenate([harmonics[n // 2:], harmonics[:n // 2 + 1]])
-                    self.coefficients[[0, -1]] /= 2  # harmonic N/2 split between +-N/2
-                    return
-            n *= 2
-
-    def at_phases(self, phases: np.ndarray) -> np.ndarray:
-        """P at each phase in [0, T): one pass per PT-mirrored pair, at the lesser of r and T - r (as
-        `fold_phases` merges them), none at a phase passed before."""
-        _, which, lesser = fold_phases(np.minimum(phases, self.period - phases), self.period)
-        for r in [r for r in lesser.tolist() if r not in self._held]:
-            f, self._held[r] = self._sample(r)
-            self.f0 = f if r == 0.0 else self.f0
-        out, upper = np.stack([self._held[r] for r in lesser.tolist()])[which], phases > self.period / 2
-        out[upper] = self.flip * np.conj(out[upper])
-        return out
-
-    def __call__(self, z) -> np.ndarray:
-        """P at each z from the series: sum over |m| <= N/2 of c_m e^{2 pi i m z / T}."""
-        m = np.arange(-(self.n // 2), self.n // 2 + 1)
-        e = np.exp(2j * np.pi / self.period * np.outer(np.mod(z, self.period), m))
-        return (e @ self.coefficients.reshape(len(m), -1)).reshape((len(z),) + self.flip.shape)
 
 
 def _resolution_guard(f: np.ndarray, h: float) -> None:

@@ -19,9 +19,9 @@ trajectory and its H moments: `floquet_monodromy` marches every interval between
 the distinct phases r = z mod T of the requested z grid and T at once (the one stacked
 kernel, `_CoupledSystem.propagators`), chains the propagator U(r) on to M = U(T), keeps U(r)
 and S^-1 H(r), and `FloquetResult.trajectory` gives c(nT + r) = U(r) M^n c0 (Floquet theorem).
-That march reads H(z) from its harmonic series, sampled at M = 32, 64, ... z per period until
-every |H_p|, |p| >= M/4, is within SERIES_TOL of the largest (past 512 samples, or those of a
-direct march, it builds H(z) directly, as the step-by-step `propagate_coefficients` does).
+That march reads H(z) off a `quadrature.PeriodicSeries` at rho 0, N = 8, 16, ... samples per period
+until its top harmonics are within H_SERIES_TOL of its scale (past H_SERIES_MAX_SAMPLES samples, or
+those of a direct march, it builds H(z) directly, as the step-by-step `propagate_coefficients` does).
 """
 
 from __future__ import annotations
@@ -32,10 +32,9 @@ from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
 import numpy as np
-import numpy.fft  # loaded with the module (`observables` uses it too), not inside a run
 from numpy.linalg import LinAlgError
 
-from .quadrature import NodeCache, QuadratureSpec, fold_phases, localized_combos, quad_nodes, read_only
+from .quadrature import NodeCache, PeriodicSeries, QuadratureSpec, fold_phases, localized_combos, quad_nodes, read_only
 
 __all__ = [
     "WellBasis",
@@ -453,44 +452,16 @@ def propagate_coefficients(
 # Floquet
 # ---------------------------------------------------------------------------
 
-# Largest harmonic |H_p|, |p| >= M/4, relative to the largest, that the sampled series drops.
-SERIES_TOL = 1e-15
-SERIES_MAX_SAMPLES = 512  # at M = 1024 the per-z series sum costs more than building H(z) directly
-
-
-def _hamiltonian_series(model: TBModel, period: float, budget: int):
-    """H(z) = sum_{|p| < M/4} H_p e^{i p w z}, w = 2 pi/T, from M equispaced samples of a period.
-
-    M doubles from 32 (old samples stay as even points) until tail, the largest |H_p|, |p| >= M/4,
-    over the largest harmonic, is <= SERIES_TOL. Returns (h, M, tail), h(zs) the stack of H(z),
-    or (None, 0, tail) if that takes more than `budget` or SERIES_MAX_SAMPLES samples."""
-    n, m, tail, cap = model.n, 32, math.inf, min(budget, SERIES_MAX_SAMPLES)
-    if m > cap:
-        return None, 0, tail
-    samples = np.stack([model.hamiltonian_matrix(j * period / m) for j in range(m)])
-    while True:
-        harm = np.fft.fft(samples, axis=0) / m
-        p = np.fft.fftfreq(m, 1.0 / m)
-        size = np.abs(harm).max(axis=(1, 2))
-        keep = np.abs(p) < m / 4
-        tail = float(size[~keep].max() / size.max())
-        if tail <= SERIES_TOL:
-            break
-        if 2 * m > cap:
-            return None, 0, tail
-        odd = np.stack([model.hamiltonian_matrix((2 * j + 1) * period / (2 * m)) for j in range(m)])
-        samples = np.stack([samples, odd], axis=1).reshape(2 * m, n, n)
-        m *= 2
-    wp, h_p = 2 * math.pi / period * p[keep], harm[keep].reshape(-1, n * n)
-    return lambda zs: (np.exp(1j * np.outer(zs, wp)) @ h_p).reshape(-1, n, n), m, tail
+H_SERIES_TOL = 1e-15  # largest top harmonic of H(z), over its scale, that the march's `PeriodicSeries` drops
+H_SERIES_MAX_SAMPLES = 256  # the per-z sum over N + 1 harmonics at N = 512 costs more than a direct H(z) build
 
 
 @dataclass(frozen=True)
 class FloquetResult:
     """Monodromy eigensystem, plus what the march made at each distinct phase of its grid:
     z = turns * T + phases[which] elementwise, propagators[p] = U(phases[p]) and generators[p] =
-    S^-1 H(phases[p]) on the H(z) the march integrated. harmonics, harmonic_tail: M and tail of
-    `_hamiltonian_series` (M 0: H(z) built directly)."""
+    S^-1 H(phases[p]) on the H(z) the march integrated. harmonics, harmonic_tail: N and tail of its
+    H(z) `PeriodicSeries` (N 0: H(z) built directly)."""
 
     monodromy: np.ndarray
     quasi_energies: np.ndarray
@@ -543,7 +514,7 @@ def floquet_monodromy(
     The propagator U is marched once from 0 through the distinct phases
     z mod T of z_grid (see `quadrature.fold_phases`) on to the monodromy M = U(T), keeping
     U and S^-1 H at each phase (`FloquetResult`); an empty z_grid is the single
-    march from 0 to T, on H(z) from `_hamiltonian_series` if it converges.
+    march from 0 to T, on H(z) from its `PeriodicSeries` if that converges.
 
     Quasi-energies come from eps = i ln(lambda) / T on the principal
     branch, then are shifted by multiples of 2 pi / T to the representative
@@ -556,8 +527,9 @@ def floquet_monodromy(
         raise ValueError(f"targets must be {model.n} finite values, one per well, got {targets.tolist()!r}")
     control = control or StepControl()
     z = _z_grid(z_grid)
-    h, m, tail = _hamiltonian_series(model, period, 2 * math.ceil(period / control.dz_max) + 1)
-    sysm = _CoupledSystem(model, control, h)
+    series = PeriodicSeries(model.hamiltonian_matrix, period, H_SERIES_TOL).fit(
+        min(2 * math.ceil(period / control.dz_max) + 1, H_SERIES_MAX_SAMPLES))  # no more than a direct march
+    sysm = _CoupledSystem(model, control, series if series.n else None)
     turns, which, phases = fold_phases(z, period)
     stops, u = np.array([0.0, *phases.tolist(), period]), [np.eye(model.n, dtype=complex)]  # U at 0, each phase and T
     for p in sysm.propagators(stops[:-1], stops[1:]):  # an empty interval, 0 to phase 0, gives I I = I
@@ -572,7 +544,7 @@ def floquet_monodromy(
                          vectors=vecs[:, cols], targets=targets, branch_shifts=shifts,
                          z=z, turns=turns, which=which, phases=phases,
                          propagators=np.array(u[1:-1]).reshape(-1, model.n, model.n),
-                         generators=sysm.generators(phases), harmonics=m, harmonic_tail=tail)
+                         generators=sysm.generators(phases), harmonics=series.n, harmonic_tail=float(series.tail))
 
 
 def assemble_state(model: TBModel, c: Sequence[complex], x):

@@ -20,7 +20,7 @@ from susytb.darboux import (
     symmetry_residual,
 )
 from susytb.seeds import SeedSuperposition, x_derivatives
-from susytb.systems import (PTDynamicParams, _dynamic_x_parts, _sup_ratio, potential_hermitian_static,
+from susytb.systems import (PTDynamicParams, _sup_ratio, potential_hermitian_static,
                            potential_pt_dynamic)
 
 from conftest import HERM, PTD, PTD_STRONG, PTS, certified_dynamic_params
@@ -236,13 +236,14 @@ def test_scan_certified_dynamic_parameters():
 @given(p=certified_dynamic_params())
 @example(p=PTD)
 @example(p=PTDynamicParams(k1=0.4, k2=1.0, k3=0.15, alpha=0.1))
+# the node region at 1.01 alpha* crosses x = -10, where the coarse argmin sits; the nodes inside lie at |x| 7.79
+@example(p=PTDynamicParams(k1=0.2373046875, k2=0.84375, k3=0.2076416015625, alpha=0.1))
 def test_scan_flips_where_rho_crosses_one_property(p):
-    """Where the nodes at 1.01 alpha* lie inside the scan's window |x| <= 10 (rho's argmax inside, |h2/h1| at
-    the edge below sup / 1.01), the scan over seeds built from the raw numbers finds a node at 1.01 alpha* and
-    none at 0.99 alpha*, alpha* = alpha / rho = 1 / sup|h2/h1|."""
+    """Where rho's argmax lies inside the scan's window |x| <= 10, the scan over seeds built from the raw
+    numbers finds a node at 1.01 alpha* and none at 0.99 alpha*, alpha* = alpha / rho = 1 / sup|h2/h1|, also
+    where the node region crosses the window's edge."""
     sup, x_max = _sup_ratio(p.k1, p.k2, p.k3)
-    edge = _dynamic_x_parts(p, np.array([10.0]))  # h1, h2 do not depend on alpha
-    assume(x_max < 10.0 and 1.01 * abs(edge.h2[0] / edge.h1[0]) < sup)
+    assume(x_max < 10.0)
     t_v = 2 * np.pi / (p.k1**2 - p.k3**2)
     for factor, nodeless in ((0.99, True), (1.01, False)):
         u1 = SeedSuperposition.build([("even", 1.0, p.k1), ("odd", factor / sup, p.k3)])
@@ -251,7 +252,8 @@ def test_scan_flips_where_rho_crosses_one_property(p):
 
 
 def _scan_per_z(u1, u2, x_range, z_range, n_points):
-    """`regularity_scan` as a loop over z rows, one `x_derivatives` pass per row and seed."""
+    """`regularity_scan` as a loop over z rows, one `x_derivatives` pass per row and seed; a coarse argmin on an
+    x edge is zoomed, and so is the smallest coarse minimum along x off the edges, the smaller kept."""
 
     def ratio(xv, zv: float):
         d1 = x_derivatives(u1, xv, zv, 1)
@@ -259,23 +261,38 @@ def _scan_per_z(u1, u2, x_range, z_range, n_points):
         w = d1[0] * d2[1] - d1[1] * d2[0]
         return np.abs(w), np.abs(w) / _wronskian_scale(d1, d2)
 
+    def rows(xs, zs, best, inside=False):
+        for zz in zs:
+            w, r = ratio(xs, float(zz))
+            if inside:
+                r = np.array([r[j] if 0 < j < len(r) - 1 and r[j] <= r[j - 1] and r[j] <= r[j + 1] else np.inf
+                              for j in range(len(r))])
+            j = int(np.argmin(r))
+            if r[j] < best[0]:
+                best = (float(r[j]), float(w[j]), float(xs[j]), float(zz))
+        return best
+
+    def zoom(best, hx, hz):
+        for _ in range(REFINE_LEVELS):
+            _, _, bx, bz = best
+            xs = np.clip(np.linspace(bx - hx, bx + hx, 17), x_range[0], x_range[1])
+            zs = np.array([bz]) if single_z else np.clip(np.linspace(bz - hz, bz + hz, 17), z_range[0], z_range[1])
+            best = rows(xs, zs, best)
+            hx, hz = hx / 8.0, hz / 8.0
+        return best
+
     xs = np.linspace(x_range[0], x_range[1], n_points)
     single_z = z_range[0] == z_range[1]
     zs = np.array([z_range[0]]) if single_z else np.linspace(z_range[0], z_range[1], n_points)
-    best_r = best_w = math.inf
-    bx = bz = 0.0
-    hx, hz = xs[1] - xs[0], 0.0 if single_z else zs[1] - zs[0]
-    for level in range(REFINE_LEVELS + 1):
-        if level:
-            xs = np.clip(np.linspace(bx - hx, bx + hx, 17), x_range[0], x_range[1])
-            zs = np.array([bz]) if single_z else np.clip(np.linspace(bz - hz, bz + hz, 17), z_range[0], z_range[1])
-            hx, hz = hx / 8.0, hz / 8.0
-        for zz in zs:
-            w, r = ratio(xs, float(zz))
-            j = int(np.argmin(r))
-            if r[j] < best_r:
-                best_r, best_w, bx, bz = float(r[j]), float(w[j]), float(xs[j]), float(zz)
-    return RegularityScan(min_abs_w=best_w, argmin=(bx, bz), nodeless=bool(best_r >= NODE_RTOL))
+    spacing = (xs[1] - xs[0], 0.0 if single_z else zs[1] - zs[0])
+    coarse = rows(xs, zs, (math.inf, math.inf, 0.0, 0.0))
+    best = zoom(coarse, *spacing)
+    if coarse[2] in (xs[0], xs[-1]):
+        inner = rows(xs, zs, (math.inf, math.inf, 0.0, 0.0), inside=True)
+        if inner[0] < math.inf:
+            inner = zoom(inner, *spacing)
+        best = min(best, inner, key=lambda b: b[0])
+    return RegularityScan(min_abs_w=best[1], argmin=(best[2], best[3]), nodeless=bool(best[0] >= NODE_RTOL))
 
 
 @settings(max_examples=30, deadline=None)

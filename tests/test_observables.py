@@ -388,7 +388,7 @@ def test_exact_modulated_table_evaluates_each_mirrored_pair_once(monkeypatch, gr
 def test_exact_modulated_table_passes_do_not_grow_with_the_z_grid_or_the_nodes(monkeypatch):
     """The preset grid, one 10x as long at the same step (20 periods, 3,201 z) and the preset grid on 4x the
     nodes take the same 17 passes. There the p^2/H^2 stencils' rounding, 16x the preset's, lifts their top
-    harmonics above SERIES_TOL; doubling N cannot lower it, and the series stops at the samples' own."""
+    harmonics above GRAM_SERIES_TOL; doubling N cannot lower it, and the series stops at the samples' own."""
     counts = []
     for periods, num, nodes in ((2.0, 321, 4097), (20.0, 3201, 4097), (2.0, 321, 16385)):
         raw = preset_config("pt-dynamic-fig1-5-6")

@@ -11,10 +11,11 @@ from susytb.bpm import eigen_residual
 from susytb.calibrate import default_problem
 from susytb.config import validate_config
 from susytb.presets import preset_config
-from susytb.quadrature import QuadratureSpec, fold_phases, quad_nodes, read_only
+from susytb.quadrature import PeriodicSeries, QuadratureSpec, fold_phases, quad_nodes, read_only
 from susytb.systems import PTDynamicParams, make_system, potential_pt_dynamic
 from susytb.tightbinding import (
-    SERIES_TOL,
+    H_SERIES_MAX_SAMPLES,
+    H_SERIES_TOL,
     CoefficientTrajectory,
     StepControl,
     TBModel,
@@ -34,12 +35,11 @@ from susytb.tightbinding import (
     _CoupledSystem,
     _H_REQUEST_MAX,
     _assign_branches,
-    _hamiltonian_series,
     pair_parts,
     pair_pencil,
 )
 
-from conftest import HERM, PTD, PTD_STRONG, PTS, reference_eig, reference_pencil
+from conftest import HERM, PTD, PTD_STRONG, PTS, certified_dynamic_params, reference_eig, reference_pencil
 
 CAL_HERM = {"k": 0.7454, "x0": 1.66214}
 CAL_PT = {"k": 1.14, "x0": 1.65, "alpha_tilde": 0.21}
@@ -220,9 +220,8 @@ def test_monodromy_matches_lu_solve_reference(dyn_system):
     ref = _rk4_lu_solve_reference(model, np.eye(2, dtype=complex), 0.0, t_v, 0.02)
     assert np.max(np.abs(flq.monodromy - ref)) <= 1e-12 * np.max(np.abs(ref))
     # without a z grid the monodromy is the single march over [0, T_V] on the same H(z) series
-    series, _, _ = _hamiltonian_series(model, t_v, 2 * math.ceil(t_v / 0.02) + 1)
-    single = _CoupledSystem(model, StepControl(dz_max=0.02), series).march(
-        np.eye(2, dtype=complex), 0.0, t_v)
+    series = _h_series(model, t_v, _march_budget(t_v, 0.02))
+    single = _CoupledSystem(model, StepControl(dz_max=0.02), series).march(np.eye(2, dtype=complex), 0.0, t_v)
     assert np.array_equal(flq.monodromy, single)
     assert len(flq.z) == 0
     with pytest.raises(ValueError):
@@ -502,18 +501,53 @@ def test_floquet_trajectory_matches_step_by_step_march(fixture, request):
     assert np.max(np.abs(got.c - ref.c)) <= 1e-8 * np.max(np.abs(ref.c))
 
 
+def _h_series(model, period, budget):
+    """The H(z) `PeriodicSeries` of `floquet_monodromy`'s rule, of at most `budget` samples."""
+    return PeriodicSeries(model.hamiltonian_matrix, period, H_SERIES_TOL).fit(budget)
+
+
+def _march_budget(period, dz_max):
+    """The samples `floquet_monodromy` allows its series: at most H_SERIES_MAX_SAMPLES, and no more than a direct
+    march over one period builds."""
+    return min(2 * math.ceil(period / dz_max) + 1, H_SERIES_MAX_SAMPLES)
+
+
+def _rho_samples(rho: float) -> int:
+    """The least power of two N >= 8 with rho^{N/2} <= H_SERIES_TOL: the length rho predicts."""
+    n = 8
+    while rho ** (n // 2) > H_SERIES_TOL:
+        n *= 2
+    return n
+
+
 @pytest.mark.parametrize("fixture", ["dyn_system", "dyn_strong_system"])
 def test_hamiltonian_series_matches_direct_evaluation(fixture, request, rng):
     system = request.getfixturevalue(fixture)
     model = _dyn_model(system)
     t_v = system.periods().fundamental
-    series, m, tail = _hamiltonian_series(model, t_v, 10_000)
-    assert m > 0 and tail <= SERIES_TOL
+    series = _h_series(model, t_v, 10_000)
+    assert series.n > 0 and series.tail <= H_SERIES_TOL
     z = rng.uniform(0.0, 3 * t_v, 60)
     got = series(z)
     for zi, h in zip(z, got):
         ref = model.hamiltonian_matrix(zi)
         assert np.max(np.abs(h - ref)) <= 1e-14 * np.max(np.abs(ref))
+
+
+@settings(max_examples=10, deadline=None)
+@given(p=certified_dynamic_params(), unit=st.lists(st.floats(0.0, 1.0, exclude_max=True), min_size=25, max_size=25))
+def test_hamiltonian_series_length_follows_rho_property(p, unit):
+    """The H(z) harmonics fall no slower than rho^|m|, rho the record's: the series converges within one
+    doubling of the length rho predicts, and matches a direct H(z) at 25 random z to 1e-14 of scale."""
+    system = make_system(p)
+    model = _dyn_model(system)
+    t_v = system.periods().fundamental
+    predicted = _rho_samples(p.rho)
+    series = _h_series(model, t_v, 4 * predicted)
+    assert predicted // 2 <= series.n <= 2 * predicted, (p.rho, predicted, series.n)
+    for zi, h in zip(np.multiply(unit, t_v), series(np.multiply(unit, t_v))):
+        ref = model.hamiltonian_matrix(zi)
+        assert np.max(np.abs(h - ref)) <= 1e-14 * np.max(np.abs(ref)), zi
 
 
 def test_hamiltonian_series_doubling_reuses_samples(dyn_system, monkeypatch):
@@ -527,35 +561,37 @@ def test_hamiltonian_series_doubling_reuses_samples(dyn_system, monkeypatch):
         return build(self, z)
 
     monkeypatch.setattr(TBModel, "hamiltonian_matrix", counted)
-    _, m, _ = _hamiltonian_series(model, t_v, 2 * math.ceil(t_v / 0.02) + 1)
-    # M = 32 is not converged on the preset model, M = 64 is: 64 builds, each z once
-    assert m == 64
-    assert sorted(sampled) == (np.arange(64) * t_v / 64).tolist()
+    series = _h_series(model, t_v, _march_budget(t_v, 0.02))
+    # N = 8 and 16 are not converged on the preset model, N = 32 is: 32 builds, each z once
+    assert series.n == 32
+    assert sorted(sampled) == (np.arange(32) * t_v / 32).tolist()
     flq = floquet_monodromy(model, t_v, StepControl(dz_max=0.02),
                             targets=sorted(dyn_system.energies().values()))
-    assert flq.harmonics == 64 and flq.harmonic_tail <= SERIES_TOL
+    assert flq.harmonics == 32 and flq.harmonic_tail <= H_SERIES_TOL
 
 
 @pytest.mark.parametrize("params, periods_per_dz", [(PTD, 14.5), (PTD_STRONG, 50.5),
                                                     (PTDynamicParams(1.0, 1.1, 0.95, 0.8), 2100.5)])
 def test_monodromy_past_the_sample_budget_marches_direct_samples(params, periods_per_dz):
-    """Budget 2 ceil(T/dz_max) + 1: 31 (< 32, nothing sampled), 103 (alpha 0.5 needs M = 256)
-    or 4203, where alpha 0.8 needs M = 4096 but the series stops at SERIES_MAX_SAMPLES."""
+    """Budget 2 ceil(T/dz_max) + 1: 31 (alpha 0.1 needs N = 32; 8 and 16 fail the tail test), 103 (alpha 0.5
+    needs N = 128) or 4203, where alpha 0.8 (rho 0.971) needs N = 2048 but the series stops at
+    H_SERIES_MAX_SAMPLES; rho predicts each fallback before the first sample."""
     system = make_system(params)
     model = _dyn_model(system)
     t_v = system.periods().fundamental
     control = StepControl(dz_max=t_v / periods_per_dz)
+    assert _rho_samples(params.rho) > _march_budget(t_v, control.dz_max)
     flq = floquet_monodromy(model, t_v, control, targets=sorted(system.energies().values()))
     direct = _CoupledSystem(model, control).march(np.eye(2, dtype=complex), 0.0, t_v)
     assert np.array_equal(flq.monodromy, direct)
     assert flq.harmonics == 0
-    assert flq.harmonic_tail > SERIES_TOL
+    assert flq.harmonic_tail > H_SERIES_TOL
 
 
-def test_constant_hamiltonian_series_accepted_at_32():
+def test_constant_hamiltonian_series_accepted_at_8():
     model = two_well_model("hermitian", CAL_HERM["k"], CAL_HERM["x0"])
-    series, m, tail = _hamiltonian_series(model, 7.0, 701)
-    assert m == 32 and tail <= SERIES_TOL
+    series = _h_series(model, 7.0, 701)
+    assert series.n == 8 and series.tail <= H_SERIES_TOL
     ref = model.hamiltonian_matrix()
     for h in series(np.linspace(0.0, 21.0, 50)):
         assert np.max(np.abs(h - ref)) <= 1e-14 * np.max(np.abs(ref))
@@ -709,7 +745,7 @@ def test_stacked_kernel_is_the_kernel_one_interval_at_a_time(dyn_system, grid):
             "repeated": np.array([0.0, 0.0, 0.5, 0.5, 0.513, 0.513, 1.0]),
             "blocks": np.linspace(0.0, 9.0, 601),  # 600 one-substep intervals: 1,800 z of one group
         }[grid]
-    series, _, _ = _hamiltonian_series(model, t_v, 2 * math.ceil(t_v / 0.02) + 1)
+    series = _h_series(model, t_v, _march_budget(t_v, 0.02))
     requests = []
 
     def h(zs):
