@@ -3,10 +3,10 @@
 This module is deliberately independent of the analytic machinery: it
 discretizes i d_z psi = (-d_x^2 + V) psi on a uniform grid and checks the
 closed-form solutions from the outside. Each Crank-Nicolson step is one
-call of LAPACK's tridiagonal solver `gtsv` through one kernel; a march keeps
-its buffers, `gtsv` and an off-diagonal per step size and solves into the next
-field's interior, bit for bit as `step` does; scipy loads on `_gtsv`'s first
-call. The power guard measures dx * sum |psi|^2 on the Dirichlet interior.
+call of LAPACK's tridiagonal solver zgtsv (`_gtsv`, from scipy's f2py module by
+`lapack.fortran`) through one kernel; a march keeps its buffers, `gtsv` and an
+off-diagonal per step size and solves into the next field's interior, bit for bit
+as `step` does. The power guard measures dx * sum |psi|^2 on the Dirichlet interior.
 Nothing here touches seed derivatives or mode decompositions; the residual
 oracles take their 4th-order stencils from `quadrature` and discard the two
 edge nodes per side that the stencils cannot reach.
@@ -22,6 +22,7 @@ from typing import Callable, Sequence
 import numpy as np
 from numpy.linalg import LinAlgError
 
+from .lapack import fortran
 from .quadrature import d1_five, d2_fourth, read_only
 
 __all__ = [
@@ -37,11 +38,9 @@ __all__ = [
 POWER_BLOWUP = 1e6
 
 
-@functools.cache
 def _gtsv():
-    """The tridiagonal solver `solve_banded((1, 1), ...)` dispatches to, without its wrappers."""
-    from scipy.linalg import get_lapack_funcs
-    return get_lapack_funcs(("gtsv",), (np.zeros(1, complex),))[0]
+    """zgtsv, the tridiagonal solver `solve_banded((1, 1), ...)` dispatches to, without its wrappers."""
+    return fortran("_flapack").zgtsv
 
 
 class PropagationUnstable(RuntimeError):

@@ -11,6 +11,7 @@ anywhere near the output path.
 from __future__ import annotations
 
 import argparse
+import ctypes
 import json
 import math
 import sys
@@ -45,6 +46,11 @@ from .tightbinding import (
 )
 
 ENGINE_ORDER = ("exact", "tb")
+
+# glibc keeps 2 MiB of free heap top (mallopt M_TRIM_THRESHOLD, -1), not 128 KiB: else the ~1 MB that the exact
+# tables free per z or phase goes back to the kernel, to be faulted in again on the next
+if hasattr(_libc := ctypes.CDLL(None) if sys.platform != "win32" else None, "mallopt"):
+    _libc.mallopt(-1, 2 << 20)
 
 
 @dataclass

@@ -12,10 +12,10 @@ alpha_tilde is the explicit model, else the kind picks the calibration and
 `SystemKind.fit` its multistart grid) and the physics (orderings, the regularity
 bound and `certified`, the kind's mode kinds and wells, the closed forms' overflow
 window, and for p moments the run's `_resolution_guard` at z = 0), so a validated
-config is a runnable plan. A plan that calls LAPACK (a static system's TB spectrum,
-`bpm.enabled`) imports scipy here, and a modulated one without BPM never does, so a
-run imports no module. The z grid is `z_grid.num` samples over `z_grid.periods`
-fundamental periods. Findings are aggregated and field-addressed.
+config is a runnable plan. A plan that calls LAPACK (a static system's TB spectrum, `bpm.enabled`)
+loads scipy's f2py modules here (`lapack.fortran`, never the `scipy.linalg` package), and a modulated
+one without BPM never does, so a run imports no module. The z grid is `z_grid.num` samples over
+`z_grid.periods` fundamental periods. Findings are aggregated and field-addressed.
 """
 
 from __future__ import annotations

@@ -588,6 +588,21 @@ def test_monodromy_past_the_sample_budget_marches_direct_samples(params, periods
     assert flq.harmonic_tail > H_SERIES_TOL
 
 
+def test_monodromy_at_the_sample_cap_marches_the_series():
+    """alpha 0.7 (rho 0.85) needs N = 512 = H_SERIES_MAX_SAMPLES: the march integrates the series, not direct
+    H(z) builds, and its monodromy is the direct march's to 1e-12 relative at the default step."""
+    params = PTDynamicParams(1.0, 1.1, 0.95, 0.7)
+    assert _rho_samples(params.rho) == H_SERIES_MAX_SAMPLES == 512
+    system = make_system(params)
+    model = _dyn_model(system)
+    t_v = system.periods().fundamental
+    control = StepControl()
+    flq = floquet_monodromy(model, t_v, control, targets=sorted(system.energies().values()))
+    assert flq.harmonics == 512 and flq.harmonic_tail <= H_SERIES_TOL
+    direct = _CoupledSystem(model, control).march(np.eye(2, dtype=complex), 0.0, t_v)
+    assert np.max(np.abs(flq.monodromy - direct)) <= 1e-12 * np.max(np.abs(direct))
+
+
 def test_constant_hamiltonian_series_accepted_at_8():
     model = two_well_model("hermitian", CAL_HERM["k"], CAL_HERM["x0"])
     series = _h_series(model, 7.0, 701)
