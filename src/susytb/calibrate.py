@@ -3,11 +3,10 @@
 Spectral matching (static systems) minimizes the summed absolute deviation
 between the exact eigenvalues {-k2^2, -k1^2} and the two-well TB spectrum
 as a function of the TB parameters the system kind fits (`SystemKind.fit`:
-(k, x0) or (k, x0, alpha_tilde)); each point solves the pair's pencil
-(`tightbinding.pair_pencil`, no TBModel) from the alpha_tilde-free parts of
-its (k, x0), kept in a one-slot memo. Profile matching
-(dynamic system) minimizes the worst-case deviation of Re V over a window
-covering the left well at the input facet.
+(k, x0) or (k, x0, alpha_tilde)); each point solves the TBModel's own pencil,
+`tightbinding.pair_pencil` of the alpha_tilde-free `pair_parts` of its (k, x0),
+kept in a one-slot memo. Profile matching (dynamic system) minimizes the
+worst-case deviation of Re V over a window covering the left well at the input facet.
 
 Everything is deterministic: fixed multistart grids, fixed simplex
 construction, no randomness. For the pt-well family the spectral

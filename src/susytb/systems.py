@@ -55,14 +55,12 @@ __all__ = [
     "potential_pt_dynamic",
     "periods",
     "make_system",
+    "x_limit",
     "SystemKind",
     "KINDS",
 ]
 
-# Largest exponent a float64 holds: the closed-form denominators grow like
-# e^{2(|k1|+|k2|)|x|}, so they overflow past |x| = `WaveguideSystem.x_limit`,
-# and every quadrature window must stay inside it.
-LOG_FLOAT_MAX = math.log(sys.float_info.max)
+LOG_FLOAT_MAX = math.log(sys.float_info.max)  # the largest exponent a float64 holds
 
 PERIOD_TOL, PERIOD_MAX_DENOMINATOR = 1e-9, 10**6  # the rational repetition search of periods()
 
@@ -139,6 +137,16 @@ class PTDynamicParams:
     def certified(self) -> bool:
         """Sufficient (not necessary) nodelessness bound on alpha."""
         return (1.0 - abs(self.k1) / abs(self.k2)) > abs(self.alpha) * (1.0 + abs(self.k3) / abs(self.k2))
+
+
+def x_limit(p) -> float:
+    """|x| past which record p's closed forms overflow, so every window must stay inside it: LOG_FLOAT_MAX over the
+    rate of their fastest product, the squared Wronskian e^{2(|k1|+|k2|)|x|} or, in a modulated pair's d/dz,
+    K(x) dW/dz ~ e^{(2|k2| + |k1| + |k1 - k3|)|x|}, which grows faster when k3 and k1 have opposite signs."""
+    rate = 2 * (abs(p.k1) + abs(p.k2))
+    if isinstance(p, PTDynamicParams):
+        rate = max(rate, 2 * abs(p.k2) + abs(p.k1) + abs(p.k1 - p.k3))
+    return LOG_FLOAT_MAX / rate
 
 
 def _sup_ratio(k1: float, k2: float, k3: float) -> tuple[float, float]:
@@ -390,7 +398,7 @@ class WaveguideSystem:
         self.mode_kinds = self.facts.stationary + ("left", "right")
         ks = [abs(getattr(params, name, 0.0)) for name in ("k1", "k2", "k3")]
         self.min_k = min(k for k in ks if k != 0)  # k3 = 0 (or none) sets no decay length
-        self.x_limit = LOG_FLOAT_MAX / (2 * (abs(params.k1) + abs(params.k2)))
+        self.x_limit = x_limit(params)
         if default_half_width(self.min_k) > self.x_limit:
             raise ParameterError(f"the quadrature window 12/min|k| runs past |x| = {self.x_limit:.4g}, "
                                  f"where the closed forms overflow")

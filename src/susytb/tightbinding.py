@@ -8,11 +8,11 @@ Two kinds of single wells (both exactly solvable, eigenvalue -k^2):
                D(xi) = cosh(k xi) + i at sinh(k xi)
 
 The centered mode is normalized under the model's metric (Dirac for
-hermitian, PT inner product for pt). Stationary spectra use the well-sum
-Hamiltonian (`_pencil`, for a model and for the calibration's model-free `pair_pencil`
-alike) and one LAPACK zggev solve (scipy's f2py module, loaded by `lapack.fortran` on
-`_lapack`'s first call); the z-dependent coupled equations, on numpy alone, use the bound
-exact potential, the only z-dependent object available.
+hermitian, PT inner product for pt). The model is the pair of wells at +-x0: its rows
+and its well-sum pencil come from `pair_parts` through `_pair`, which the calibration's
+`pair_pencil` reads too. Stationary spectra take one LAPACK zggev solve (scipy's f2py
+module, loaded by `lapack.fortran` on `_lapack`'s first call); the z-dependent coupled
+equations, on numpy alone, use the bound exact potential, the only z-dependent object available.
 
 For a z-periodic H(z) one RK4 pass over one period serves the monodromy, the
 trajectory and its H moments: `floquet_monodromy` marches every interval between 0,
@@ -138,39 +138,33 @@ def _well_modes(wells: Sequence[WellBasis], x: np.ndarray) -> tuple[np.ndarray, 
     return tuple(single_well_mode(b, x) for b in wells)
 
 
-def _tb_quad(span: float, kmin: float) -> QuadratureSpec:
-    """The TB model's GL rule: wells at |center| <= span, slowest decay kmin."""
-    return QuadratureSpec(half_width=span + 13.0 / kmin, nodes=2048, rule="gauss_legendre_composite")
-
-
-def _pencil(betas: Sequence[float], w: np.ndarray, phi: np.ndarray, phi_s: np.ndarray,
-            v0_s: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(H, S) of the well-sum Hamiltonian: S_ij = sum w conj(phi_i) phi_j(xs), and H_ij with H phi_j =
-    (beta_j + sum_{m != j} V0_m) phi_j on xs, since -phi_j'' = beta_j phi_j - V0_j phi_j exactly."""
-    h_phi = np.empty(phi_s.shape, dtype=complex)
-    for j, beta in enumerate(betas):
-        h_phi[j] = (beta + sum(v0_s[m] for m in range(len(betas)) if m != j)) * phi_s[j]
-    bra = np.conj(phi)
-    return bra @ (w[:, None] * h_phi.T), bra @ (w[:, None] * phi_s.T)
-
-
 def pair_parts(kind: str, k: float, x0: float) -> tuple:
-    """The alpha_tilde-free parts of `two_well_model(kind, k, x0, .)`'s pencil: kind, k, the GL
-    weights and cosh, sinh(k xi) of both wells on the nodes (sinh for pt wells only)."""
-    x, w = quad_nodes(_tb_quad(abs(x0), abs(k)))
-    kxi = k * (x - np.array([[x0], [-x0]]))
-    return kind, k, w, np.cosh(kxi), np.sinh(kxi) if kind == "pt" else None
+    """The alpha_tilde-free parts of the pair at +-x0: kind, k, its GL rule (wells at |center| <= |x0|, decay |k|)
+    and cosh, sinh(k xi) of both wells, [right, left], on its frozen nodes (sinh for pt wells only). The only
+    evaluation of the pair's well rows on its nodes: `TBModel` and `pair_pencil` read them through `_pair`."""
+    quad = QuadratureSpec(half_width=abs(x0) + 13.0 / abs(k), nodes=2048, rule="gauss_legendre_composite")
+    kxi = k * (quad.points[0] - np.array([[x0], [-x0]]))
+    return kind, k, quad, np.cosh(kxi), np.sinh(kxi) if kind == "pt" else None
 
 
-def pair_pencil(parts: tuple, alpha_tilde: float) -> tuple[np.ndarray, np.ndarray]:
-    """(H, S) of `two_well_model(kind, k, x0, alpha_tilde)` from its `pair_parts`, bit for bit. The PT
-    metric's rows at xs = -x are mirrors: phi_j(-x) = conj phi_{1-j}(x), V0_j(-x) = conj V0_{1-j}(x)."""
-    kind, k, w, ch, sh = parts
-    well = WellBasis(kind, k, alpha_tilde)
+def _pair(parts: tuple, alpha_tilde: float) -> tuple[np.ndarray, ...]:
+    """(phi, phi_s, V0_s, H, S) of the pair from its `pair_parts`: the mode rows phi_j on the nodes x, the rows
+    phi_j, V0_j on xs (x; -x under the PT metric, where phi_j(-x) = conj phi_{1-j}(x), V0_j(-x) = conj V0_{1-j}(x))
+    and the well-sum pencil: S_ij = sum w conj(phi_i) phi_j(xs), and H_ij with H phi_j = (beta + V0_{1-j}) phi_j
+    on xs, since -phi_j'' = beta phi_j - V0_j phi_j exactly."""
+    kind, k, quad, ch, sh = parts
+    well, w = WellBasis(kind, k, alpha_tilde), quad.points[1]
     d = ch if kind == "hermitian" else ch + 1j * alpha_tilde * sh
     phi, v0 = _well_mode(well, d), _well_potential(well, d)
     phi_s, v0_s = (phi, v0) if kind == "hermitian" else (np.conj(phi[::-1]), np.conj(v0[::-1]))
-    return _pencil((well.beta, well.beta), w, phi, phi_s, v0_s)
+    h_phi = ((well.beta + v0_s[::-1]) * phi_s).astype(complex, copy=False)  # complex for real rows too: zgemm
+    bra = np.conj(phi)
+    return phi, phi_s, v0_s, bra @ (w[:, None] * h_phi.T), bra @ (w[:, None] * phi_s.T)
+
+
+def pair_pencil(parts: tuple, alpha_tilde: float) -> tuple[np.ndarray, np.ndarray]:
+    """(H, S) of `TBModel(kind, k, x0, alpha_tilde)` from its `pair_parts`: the model's own pencil."""
+    return _pair(parts, alpha_tilde)[3:]
 
 
 def kappa_hermitian_closed_form(k: float, x0: float) -> float:
@@ -194,9 +188,10 @@ def overlap_kappa(b: WellBasis, x0: float):
 
 
 class TBModel:
-    """Well list + metric + optional exact-potential binding.
+    """The symmetric pair of wells at +-x0, ordered [right, left], with its metric and an optional
+    exact-potential binding; `two_well_model` is its public name.
 
-    The metric is PT when any well is a PT well, Dirac otherwise.
+    The metric is PT for pt wells, Dirac for hermitian ones.
     hamiltonian_source selects what enters H_ij: "well_sum" uses the
     superposed single-well potential (the stationary TB pencil used for
     spectra and calibration), "system" uses the bound exact potential
@@ -204,50 +199,45 @@ class TBModel:
     gives the well modes phi_j on a node set, kept for the last frozen one.
     """
 
+    n = 2
+
     def __init__(
         self,
-        wells: Sequence[WellBasis],
+        kind: str,
+        k: float,
+        x0: float,
+        alpha_tilde: float = 0.0,
         *,
         potential: Optional[Callable] = None,
         hamiltonian_source: str = "well_sum",
         dynamic: bool = False,
     ):
-        self.wells = tuple(wells)
-        if not self.wells:
-            raise ValueError("need at least one well")
         if hamiltonian_source not in ("well_sum", "system"):
             raise ValueError("hamiltonian_source must be 'well_sum' or 'system'")
         if hamiltonian_source == "system" and potential is None:
             raise ValueError("a system potential binding is required for hamiltonian_source='system'")
         if dynamic and hamiltonian_source != "system":
             raise ValueError("a dynamic model needs the exact potential inside H")
-        self.metric = "pt" if any(w.kind == "pt" for w in self.wells) else "dirac"
+        self.wells = (WellBasis(kind, k, alpha_tilde, +x0), WellBasis(kind, k, alpha_tilde, -x0))
+        self.metric = "pt" if kind == "pt" else "dirac"
         self.potential = potential
         self.hamiltonian_source = hamiltonian_source
         self.dynamic = dynamic
-        self.quad = _tb_quad(max(abs(w.center) for w in self.wells), min(abs(w.k) for w in self.wells))
-        x, w = self.quad.points
-        # frozen: every H(z) build samples the bound potential on these nodes
-        self._xs = read_only(-x if self.metric == "pt" else x)
-        self._phi = np.stack(_well_modes(self.wells, x))
-        # the Dirac metric has xs = x, so its mode rows there are the rows on x
-        self._phi_s = np.stack(_well_modes(self.wells, self._xs)) if self.metric == "pt" else self._phi
-        self._v0_s = np.stack([single_well_potential(b, self._xs) for b in self.wells])
-        self._h_well_sum, self._s = _pencil([b.beta for b in self.wells], w, self._phi, self._phi_s, self._v0_s)
+        parts = pair_parts(kind, k, x0)
+        self.quad = parts[2]
+        self._phi, self._phi_s, self._v0_s, self._h_well_sum, self._s = _pair(parts, alpha_tilde)
         self._s_inv: Optional[np.ndarray] = None
         self.basis_values = NodeCache(functools.partial(_well_modes, self.wells))
         if hamiltonian_source == "system":
-            # H(z) = C + A V(xs, z): with -phi_j'' = beta_j phi_j - V0_j phi_j,
-            # C_ij = sum w conj(phi_i) (beta_j - V0_j) phi_j(xs) and
+            x, w = self.quad.points
+            # frozen: every H(z) build samples the bound potential on these nodes
+            self._xs = read_only(-x) if self.metric == "pt" else x
+            # H(z) = C + A V(xs, z): with -phi_j'' = beta phi_j - V0_j phi_j,
+            # C_ij = sum w conj(phi_i) (beta - V0_j) phi_j(xs) and
             # A_ij(x) = w conj(phi_i) phi_j(xs) do not depend on z.
-            beta = np.array([b.beta for b in self.wells])
             wphi = w * np.conj(self._phi)
-            self._h_const = wphi @ ((beta[:, None] - self._v0_s) * self._phi_s).T
+            self._h_const = wphi @ ((self.wells[0].beta - self._v0_s) * self._phi_s).T
             self._h_lin = (wphi[:, None, :] * self._phi_s[None, :, :]).reshape(self.n**2, -1)
-
-    @property
-    def n(self) -> int:
-        return len(self.wells)
 
     def overlap_matrix(self) -> np.ndarray:
         return self._s.copy()
@@ -265,20 +255,7 @@ class TBModel:
         return self._h_well_sum.copy()
 
 
-def two_well_model(
-    kind: str,
-    k: float,
-    x0: float,
-    alpha_tilde: float = 0.0,
-    *,
-    potential: Optional[Callable] = None,
-    hamiltonian_source: str = "well_sum",
-    dynamic: bool = False,
-) -> TBModel:
-    """Symmetric pair of wells at +-x0; wells ordered [right, left]."""
-    wells = (WellBasis(kind, k, alpha_tilde, +x0), WellBasis(kind, k, alpha_tilde, -x0))
-    return TBModel(wells, potential=potential, hamiltonian_source=hamiltonian_source,
-                   dynamic=dynamic)
+two_well_model = TBModel
 
 
 # ---------------------------------------------------------------------------
@@ -577,9 +554,6 @@ def _even_odd(vectors: np.ndarray, e: np.ndarray):
     is rotated so that share is real positive, the odd-like one so that
     c_right - c_left is real positive. The energies e follow the order.
     """
-    if vectors.shape != (2, 2):
-        raise ValueError("guided-mode reconstruction expects a two-well model")
-
     def evenness(c):
         return abs(c[0] + c[1]) / (abs(c[0] + c[1]) + abs(c[0] - c[1]))
 
@@ -635,8 +609,7 @@ def static_guided_modes(model: TBModel) -> TBGuidedModes:
     spec = solve_spectrum(model)
     c_even, c_odd, e = _even_odd(spec.vectors, spec.energies)
 
-    # the rows at -x: the PT metric's own, else one evaluation there
-    mirror = model._phi_s if model.metric == "pt" else _well_modes(model.wells, -model.quad.points[0])
+    mirror = np.conj(model._phi[::-1])  # the rows at -x: phi_j(-x) = conj phi_{1-j}(x)
 
     def pseudo_norm(c, w):
         return abs(complex(np.sum(w * np.conj(_superpose(c, model._phi)) * _superpose(c, mirror))))

@@ -620,6 +620,25 @@ def test_cli_refuses_unguided_or_overflowing_pair(tmp_path, capsys, k3):
     assert "error: system:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("k3", [-0.05527840677225296, 0.05527840677225296])
+def test_cli_refuses_the_pair_whose_mode_dz_overflows_in_its_window(tmp_path, capsys, k3):
+    """Window 217.08 (rho 0.0145). With k3 opposite k1 the modes' d/dz grows like e^{3.305 |x|} and overflows at
+    |x| = 216.8 (`compare` would exit 2 on a NaN), so validate refuses the record: x_limit 214.7. With k3 of k1's
+    sign (x_limit 218.4) every row is finite and `compare` exits 0."""
+    c = preset_config("pt-dynamic-fig1-5-6")
+    c["system"].update(k1=0.625, k2=1.0, k3=k3, alpha=0.1776782304998549)
+    c["observables"] = ["x_mean", {"name": "H_mean", "metric": "pt"}]
+    c["potential_dump"]["enabled"] = False
+    path = tmp_path / "c.json"
+    path.write_text(json.dumps(c))
+    if k3 < 0:
+        assert main(["validate", str(path)]) == 1
+        assert capsys.readouterr().err == ("error: system: the quadrature window 12/min|k| runs past |x| = 214.7, "
+                                           "where the closed forms overflow\n")
+    else:
+        assert main(["compare", str(path), "--out", str(tmp_path / "out")]) == 0
+
+
 def test_cli_refuses_a_pair_past_the_rho_gate(tmp_path, capsys):
     """rho = 1.02 at x = 15.2: nodes at |x| ~ 12.5 and 19.2, outside the |x| <= 10 regularity scan. validate
     refuses the record with one system error naming rho; the preset (rho 0.121) and alpha 0.8 (rho 0.971)
@@ -735,6 +754,20 @@ def test_cli_spectrum(tmp_path, capsys):
     payload = json.loads(capsys.readouterr().out)
     energies = [e["re"] for e in payload["spectrum"]["energies"]]
     assert energies[0] < energies[1] < 0
+
+
+@pytest.mark.parametrize("preset", ["hermitian-fig2", "pt-static-fig3-4"])
+def test_spectrum_prints_the_energies_calibrate_reached(tmp_path, capsys, preset):
+    """One pencil end to end: `spectrum` (the model) prints `calibrate`'s achieved energies (the objective's
+    pencil), byte for byte."""
+    path = tmp_path / "c.json"
+    path.write_text(json.dumps(preset_config(preset)))
+    printed = {}
+    for command in ("calibrate", "spectrum"):
+        assert main([command, str(path)]) == 0
+        printed[command] = json.loads(capsys.readouterr().out)
+    achieved, energies = printed["calibrate"]["achieved_energies"], printed["spectrum"]["spectrum"]["energies"]
+    assert json.dumps(energies) == json.dumps(achieved)
 
 
 def test_preset_configs_validate():
@@ -939,23 +972,34 @@ def test_preset_run_computes_the_x_parts_once_per_node_set(tmp_path, capsys, mon
     assert ("_dynamic_x_parts" if "dynamic" in preset else "_static_profiles", 4097) in {k[:2] for k in per_set}
 
 
-@pytest.mark.parametrize("preset, sets", [("hermitian-fig2", 3), ("pt-static-fig3-4", 3),
-                                          ("pt-dynamic-fig1-5-6", 2)])
-def test_preset_run_evaluates_the_well_modes_once_per_node_set(tmp_path, capsys, monkeypatch, preset, sets):
-    """The TB model's frozen nodes (its construction, normalization and localized combinations), their
-    mirror (the static pseudo-norm; a PT model's own rows there) and the observable grid: once each."""
-    per_set = Counter()
-    well_modes = tightbinding._well_modes
+@pytest.mark.parametrize("preset", sorted(PRESETS))
+def test_preset_run_evaluates_the_well_modes_once_per_node_set(tmp_path, capsys, monkeypatch, preset):
+    """The TB model's rows come from one `pair_parts` evaluation on its own nodes and never from a well
+    evaluation there or at their mirror -x (the static pseudo-norm and the PT metric mirror the rows); the
+    observable grid's come from `_well_modes`, once."""
+    parts, per_set, evaluated = [], Counter(), set()
+    pair_parts, well_modes, well_d = tightbinding.pair_parts, tightbinding._well_modes, tightbinding._well_d
 
-    def counted(wells, x):
-        per_set[(len(x), float(x[0]), float(x[-1]))] += 1
+    def key(x):
+        return len(x), float(x[0]), float(x[-1])
+
+    def counted_modes(wells, x):
+        per_set[key(x)] += 1
         return well_modes(wells, x)
 
-    monkeypatch.setattr(tightbinding, "_well_modes", counted)
+    def seen_d(b, x):
+        evaluated.add(key(np.asarray(x)))
+        return well_d(b, x)
+
+    monkeypatch.setattr(tightbinding, "pair_parts", lambda *args: parts.append(args) or pair_parts(*args))
+    monkeypatch.setattr(tightbinding, "_well_modes", counted_modes)
+    monkeypatch.setattr(tightbinding, "_well_d", seen_d)
     assert main(["preset", "run", preset, "--out", str(tmp_path)]) == 0
     capsys.readouterr()
-    assert set(per_set.values()) == {1} and len(per_set) == sets
-    assert 4097 in {n for n, _, _ in per_set}
+    assert len(parts) == 1
+    nodes = pair_parts(*parts[0])[2].points[0]
+    assert not {key(nodes), key(-nodes)} & evaluated
+    assert list(per_set.values()) == [1] and next(iter(per_set))[0] == 4097
 
 
 @pytest.mark.parametrize("case", sorted(WARM_CASES))

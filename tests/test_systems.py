@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from susytb.bpm import PropagationGrid, eigen_residual, pde_residual
 from susytb.darboux import apply_L12, second_order_potential
-from susytb.quadrature import QuadratureSpec, quad_nodes, read_only
+from susytb.quadrature import QuadratureSpec, default_half_width, quad_nodes, read_only
 from susytb.systems import (
     LOG_FLOAT_MAX,
     RHO_MARGIN,
@@ -26,6 +26,7 @@ from susytb.systems import (
     potential_hermitian_static,
     potential_pt_dynamic,
     potential_pt_static,
+    x_limit,
 )
 
 from conftest import (HERM, PTD, PTD_STRONG, PTS, certified_dynamic_params, potential_pt_dynamic_complex,
@@ -112,6 +113,28 @@ def test_widest_accepted_window_stays_finite():
     x = np.linspace(-system.quad.half_width, system.quad.half_width, 101)
     assert np.all(np.isfinite(system.mode("left", x, 1.0)))
     assert np.all(np.isfinite(system.potential(x, 1.0)))
+
+
+@settings(max_examples=40, deadline=None)
+@given(p=certified_dynamic_params(), opposite=st.booleans(), u=st.floats(-0.95, 0.95))
+def test_window_just_inside_x_limit_stays_finite_property(p, opposite, u):
+    """A certified record of either k3 sign whose window 12/|k3| lies just inside `x_limit`: both modes, their
+    d/dz and V are finite, with no overflow on the way, on the window's edge nodes at several z. (With k3
+    opposite k1, K(x) dW/dz in the d/dz outgrows the squared Wronskian.)"""
+    sign = -math.copysign(1.0, p.k1) if opposite else math.copysign(1.0, p.k1)
+    k3 = 0.0
+    for _ in range(8):  # |k3| = 12 / x_limit(k3) by iteration: x_limit moves ~12/709 as fast as 12 / |k3|
+        k3 = sign * default_half_width(x_limit(PTDynamicParams(p.k1, p.k2, k3, 0.0)))
+    k3 *= 1 + 1e-9
+    bound = (1.0 - abs(p.k1 / p.k2)) / (1.0 + abs(k3 / p.k2))
+    system = WaveguideSystem(PTDynamicParams(p.k1, p.k2, k3, bound * u))
+    assert 0.999999 * system.x_limit < system.quad.half_width <= system.x_limit
+    x = read_only(np.array([-system.quad.half_width, system.quad.half_width]))
+    with np.errstate(over="raise", invalid="raise"):
+        for z in (0.0, 1.3, 7.9, 41.3):
+            rows = system.pair(x, z)
+            for values in (rows(0), rows(1), system.potential(x, z)):
+                assert np.all(np.isfinite(values))
 
 
 def test_uncertified_but_scan_regular_accepted(dyn_system):

@@ -39,7 +39,8 @@ from susytb.tightbinding import (
     pair_pencil,
 )
 
-from conftest import HERM, PTD, PTD_STRONG, PTS, certified_dynamic_params, reference_eig, reference_pencil
+from conftest import (HERM, PTD, PTD_STRONG, PTS, certified_dynamic_params, reference_eig, reference_pencil,
+                      reference_rows)
 
 CAL_HERM = {"k": 0.7454, "x0": 1.66214}
 CAL_PT = {"k": 1.14, "x0": 1.65, "alpha_tilde": 0.21}
@@ -155,10 +156,12 @@ def test_two_hermitian_wells_matrix_structure():
 
 
 def test_isolated_well_recovers_its_eigenvalue():
+    """Wells at +-15 (24/k apart) are isolated: H = -k^2 S to 1e-10 and both pencil roots are -k^2, either kind."""
     k = 0.8
-    model = TBModel([WellBasis("hermitian", k)])
-    h = model.hamiltonian_matrix()
-    assert abs(h[0, 0] - (-k * k)) < 1e-8
+    for model in (TBModel("hermitian", k, 15.0), TBModel("pt", k, 15.0, 0.21)):
+        h, s = model.hamiltonian_matrix(), model.overlap_matrix()
+        assert np.max(np.abs(h - (-k * k) * s)) < 1e-10
+        assert np.max(np.abs(generalized_energies_2x2(h, s) - (-k * k))) < 1e-12
 
 
 def test_dynamic_hamiltonian_periodicity(dyn_system):
@@ -241,8 +244,9 @@ def test_model_construction_errors(dyn_system):
         two_well_model("hermitian", 1.0, 1.5, hamiltonian_source="system")
     with pytest.raises(ValueError):
         two_well_model("hermitian", 1.0, 1.5, dynamic=True)
-    with pytest.raises(ValueError):
-        TBModel([])
+    for kind, k, at in (("square", 1.0, 0.0), ("hermitian", 0.0, 0.0), ("hermitian", 1.0, 0.1)):
+        with pytest.raises(ValueError, match="well"):
+            TBModel(kind, k, 1.5, at)
 
 
 # ---------------------------------------------------------------------------
@@ -310,7 +314,8 @@ def calibration_boxes(herm_system, pt_system):
 @given(kind=st.sampled_from(("hermitian", "pt")), u=st.floats(0.0, 1.0), v=st.floats(0.0, 1.0),
        alpha_tilde=st.floats(0.0, 0.45))
 def test_lean_pencil_is_the_row_by_row_pencil_bit_for_bit(calibration_boxes, kind, u, v, alpha_tilde):
-    """Over both calibration boxes: the model-free pencil, the model's and the row-by-row reference
+    """Over both calibration boxes: the model's rows are the row-by-row ones (its rows at -x, read as
+    conj phi_{1-j}(x), an evaluation there), the model-free pencil, the model's and the row-by-row reference
     are equal arrays, and the direct ggev solve gives scipy.linalg.eig's values and vectors."""
     box = calibration_boxes[kind]
     k = box["k"][0] + u * (box["k"][1] - box["k"][0])
@@ -319,6 +324,11 @@ def test_lean_pencil_is_the_row_by_row_pencil_bit_for_bit(calibration_boxes, kin
     h_ref, s_ref = reference_pencil(kind, k, x0, at)
     h, s = pair_pencil(pair_parts(kind, k, x0), at)
     model = two_well_model(kind, k, x0, at)
+    rows = reference_rows(kind, k, x0, at)[2:]
+    for got, ref in zip((model._phi, model._phi_s, model._v0_s), rows):
+        assert np.array_equal(got, ref)
+    minus_x = -model.quad.points[0]
+    assert np.array_equal(np.conj(model._phi[::-1]), np.stack([single_well_mode(b, minus_x) for b in model.wells]))
     for got in (h, model.hamiltonian_matrix()):
         assert np.array_equal(got, h_ref)
     for got in (s, model.overlap_matrix()):
@@ -380,15 +390,14 @@ def test_solve_spectrum_rejects_dynamic(dyn_system):
 # coupled-mode propagation
 # ---------------------------------------------------------------------------
 
-def test_single_well_scalar_exponential():
-    k = 0.8
-    model = TBModel([WellBasis("hermitian", k)])
-    h = model.hamiltonian_matrix()[0, 0]
-    s = model.overlap_matrix()[0, 0]
+def test_static_eigenvector_scalar_exponential():
+    """RK4 carries each eigenvector c of the static pair's pencil as e^{-iEz} c."""
+    model = two_well_model("hermitian", CAL_HERM["k"], CAL_HERM["x0"])
+    spec = solve_spectrum(model)
     z = np.linspace(0.0, 50.0, 201)
-    traj = propagate_coefficients(model, [1.0], z, StepControl(dz_max=0.01))
-    expected = np.exp(-1j * (h / s) * z)
-    assert np.max(np.abs(traj.c[:, 0] - expected)) < 1e-9
+    for c0, e in zip(spec.vectors.T, spec.energies):
+        traj = propagate_coefficients(model, c0, z, StepControl(dz_max=0.01))
+        assert np.max(np.abs(traj.c - np.exp(-1j * e * z)[:, None] * c0)) < 1e-9
 
 
 def test_hermitian_static_power_conservation():
