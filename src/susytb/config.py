@@ -7,10 +7,10 @@ default and check, a block's keys as a nested table, `system`'s from
 walks it and refuses a key it does not list, at any level: ignoring it would
 run something other than what the file asks. Each default lives only there.
 
-After the walk come the rules across keys: the `tb` route (any of k, x0,
-alpha_tilde is the explicit model, else the kind picks the calibration and
-`SystemKind.fit` its multistart grid) and the physics (orderings, the regularity
-bound and `certified`, the kind's mode kinds and wells, the closed forms' overflow
+After the walk come the rules across keys: the `tb` route (any of k, x0, alpha_tilde is
+the explicit pair, built here so that an ill-conditioned S is refused, else the kind picks
+the calibration and `SystemKind.fit` its multistart grid) and the physics (orderings, the
+regularity bound and `certified`, the kind's mode kinds and wells, the closed forms' overflow
 window, and for p moments the run's `_resolution_guard` at z = 0), so a validated
 config is a runnable plan. A plan that calls LAPACK (a static system's TB spectrum, `bpm.enabled`)
 loads scipy's f2py modules here (`lapack.fortran`, never the `scipy.linalg` package), and a modulated
@@ -30,7 +30,7 @@ from .bpm import PropagationGrid, _gtsv
 from .observables import OBSERVABLES, DerivativeResolutionError, ObservableRequest, _resolution_guard
 from .quadrature import QuadratureSpec, default_half_width
 from .systems import KINDS, ParameterError, WaveguideSystem, make_system
-from .tightbinding import _lapack
+from .tightbinding import COND_LIMIT, IllConditionedOverlap, TBModel, _lapack
 
 __all__ = ["ScenarioConfig", "ConfigError", "validate_config", "config_digest", "SCHEMA", "system_keys"]
 
@@ -205,6 +205,11 @@ def validate_config(text: str) -> ScenarioConfig:
         if tb["alpha_tilde"] and system.facts.wells == "hermitian":
             errors.append("tb.alpha_tilde: must be 0 for the Hermitian wells of a "
                           f"{system.kind} system")
+        elif tb_explicit is not None:
+            try:  # the pair's S depends on k, x0 and alpha_tilde alone: the well-sum pair has the run's S
+                TBModel(system.facts.wells, **tb_explicit)
+            except IllConditionedOverlap as exc:
+                errors.append(f"tb.x0: the wells at +-x0 overlap too far: {exc} > {COND_LIMIT:.0e}")
 
     mode_kind = top["mode_kind"]
     if mode_kind not in system.mode_kinds:

@@ -17,7 +17,7 @@ equations, on numpy alone, use the bound exact potential, the only z-dependent o
 For a z-periodic H(z) one RK4 pass over one period serves the monodromy, the
 trajectory and its H moments: `floquet_monodromy` marches every interval between 0,
 the distinct phases r = z mod T of the requested z grid and T at once (the one stacked
-kernel, `_CoupledSystem.propagators`), chains the propagator U(r) on to M = U(T), keeps U(r)
+kernel, `_propagators`), chains the propagator U(r) on to M = U(T), keeps U(r)
 and S^-1 H(r), and `FloquetResult.trajectory` gives c(nT + r) = U(r) M^n c0 (Floquet theorem).
 That march reads H(z) off a `quadrature.PeriodicSeries` at rho 0, N = 8, 16, ... samples per period
 until its top harmonics are within H_SERIES_TOL of its scale (past H_SERIES_MAX_SAMPLES samples, or
@@ -71,6 +71,10 @@ def _lapack():
 
 class IllConditionedOverlap(RuntimeError):
     pass
+
+
+# Largest cond(S) a pair may have: `TBModel` refuses a worse-conditioned one when it is built.
+COND_LIMIT = 1e12
 
 
 class DefectiveMonodromy(RuntimeError):
@@ -226,6 +230,8 @@ class TBModel:
         parts = pair_parts(kind, k, x0)
         self.quad = parts[2]
         self._phi, self._phi_s, self._v0_s, self._h_well_sum, self._s = _pair(parts, alpha_tilde)
+        if (cond := np.linalg.cond(self._s)) > COND_LIMIT:
+            raise IllConditionedOverlap(f"cond(S) = {cond:.3e}")
         self._s_inv: Optional[np.ndarray] = None
         self.basis_values = NodeCache(functools.partial(_well_modes, self.wells))
         if hamiltonian_source == "system":
@@ -308,10 +314,6 @@ def generalized_energies_2x2(h: np.ndarray, s: np.ndarray) -> np.ndarray:
 # z-dependent coupled equations
 # ---------------------------------------------------------------------------
 
-# Largest cond(S) the coupled-mode march accepts.
-COND_LIMIT = 1e12
-
-
 @dataclass(frozen=True)
 class StepControl:
     dz_max: float = 0.02
@@ -332,53 +334,41 @@ class CoefficientTrajectory:
 _H_REQUEST_MAX = 256
 
 
-class _CoupledSystem:
-    """i S c' = H(z) c, marched as c' = -i S^-1 H(z) c by one RK4 kernel, `propagators`, of which `march`
-    is the one-interval case; h(zs) stacks H(z) (direct by default), and generators(zs) stacks the
-    S^-1 H(z) the march integrates, asking h for _H_REQUEST_MAX z at most."""
+def _generators(model: TBModel, h: Optional[Callable], zs: np.ndarray) -> np.ndarray:
+    """S^-1 H(z) stacked over zs, asking h(zs) (direct H(z) builds when None) for _H_REQUEST_MAX z at most."""
+    s_inv = model.overlap_inverse()
+    h = h or (lambda zs: np.reshape([model.hamiltonian_matrix(z) for z in zs], (-1, model.n, model.n)))
+    return np.concatenate([s_inv @ h(zs[i:i + _H_REQUEST_MAX]) for i in range(0, len(zs) or 1, _H_REQUEST_MAX)])
 
-    def __init__(self, model: TBModel, control: StepControl, h: Optional[Callable] = None):
-        self.model = model
-        cond = np.linalg.cond(model.overlap_matrix())
-        if cond > COND_LIMIT:
-            raise IllConditionedOverlap(f"cond(S) = {cond:.3e}")
-        self.control = control
-        s_inv = model.overlap_inverse()
-        h = h or (lambda zs: np.reshape([model.hamiltonian_matrix(z) for z in zs], (-1, model.n, model.n)))
-        self.generators = lambda zs: np.concatenate(
-            [s_inv @ h(zs[i:i + _H_REQUEST_MAX]) for i in range(0, len(zs) or 1, _H_REQUEST_MAX)])
 
-    def propagators(self, z0: np.ndarray, z1: np.ndarray) -> np.ndarray:
-        """P_{n-1} ... P_0 of each interval [z0_i, z1_i] (I where z1_i == z0_i): classic RK4 with n
-        uniform substeps of at most dz_max. The ODE is linear, so substep j is c -> P_j c with
-        P_j = I + h/6 (K1 + 2 K2 + 2 K3 + K4), K1 = g0, K2 = gm (I + h/2 K1), K3 = gm (I + h/2 K2),
-        K4 = g1 (I + h K3). Intervals of one n are stacked on a leading axis, in blocks of at most
-        _H_REQUEST_MAX z; every P_j comes from stacked products, and each product is multiplied out
-        pairwise, neighbours first."""
-        eye = np.eye(self.model.n)
-        out = np.broadcast_to(eye, (len(z0), *eye.shape)).astype(complex)
-        steps = np.where(z1 == z0, 0, np.maximum(1, np.ceil(np.abs(z1 - z0) / self.control.dz_max))).astype(int)
-        for n in sorted(set(steps.tolist()) - {0}):  # np.unique would import numpy.ma mid-run
-            group, per_block = np.flatnonzero(steps == n), max(1, _H_REQUEST_MAX // (2 * n + 1))
-            for at in (group[i:i + per_block] for i in range(0, len(group), per_block)):
-                h = (z1[at] - z0[at]) / n
-                zs = z0[at, None] + 0.5 * np.arange(2 * n + 1) * h[:, None]
-                gs = -1j * self.generators(zs.ravel()).reshape(len(at), 2 * n + 1, *eye.shape)
-                h = h[:, None, None, None]
-                g0, gm, g1 = gs[:, 0:-1:2], gs[:, 1::2], gs[:, 2::2]
-                k2 = gm @ (eye + 0.5 * h * g0)
-                k3 = gm @ (eye + 0.5 * h * k2)
-                k4 = g1 @ (eye + h * k3)
-                props = eye + (h / 6.0) * (g0 + 2 * k2 + 2 * k3 + k4)
-                while props.shape[1] > 1:  # (P_1 P_0), (P_3 P_2), ...; an odd last P_j waits a round
-                    pairs = props[:, 1::2] @ props[:, 0:-1:2]
-                    props = np.concatenate([pairs, props[:, -1:]], axis=1) if props.shape[1] % 2 else pairs
-                out[at] = props[:, 0]
-        return out
-
-    def march(self, c: np.ndarray, z0: float, z1: float) -> np.ndarray:
-        """c carried from z0 to z1: the one-interval case of `propagators`."""
-        return self.propagators(np.array([z0]), np.array([z1]))[0] @ c
+def _propagators(model: TBModel, control: StepControl, z0: np.ndarray, z1: np.ndarray,
+                 h: Optional[Callable] = None) -> np.ndarray:
+    """P_{n-1} ... P_0 of each interval [z0_i, z1_i] (I where z1_i == z0_i) of i S c' = H(z) c, marched as
+    c' = -i S^-1 H(z) c (`_generators`) by classic RK4 with n uniform substeps of at most dz_max. The ODE
+    is linear, so substep j is c -> P_j c with P_j = I + dz/6 (K1 + 2 K2 + 2 K3 + K4), K1 = g0,
+    K2 = gm (I + dz/2 K1), K3 = gm (I + dz/2 K2), K4 = g1 (I + dz K3). Intervals of one n are stacked on
+    a leading axis, in blocks of at most _H_REQUEST_MAX z; every P_j comes from stacked products, and
+    each product is multiplied out pairwise, neighbours first."""
+    eye = np.eye(model.n)
+    out = np.broadcast_to(eye, (len(z0), *eye.shape)).astype(complex)
+    steps = np.where(z1 == z0, 0, np.maximum(1, np.ceil(np.abs(z1 - z0) / control.dz_max))).astype(int)
+    for n in sorted(set(steps.tolist()) - {0}):  # np.unique would import numpy.ma mid-run
+        group, per_block = np.flatnonzero(steps == n), max(1, _H_REQUEST_MAX // (2 * n + 1))
+        for at in (group[i:i + per_block] for i in range(0, len(group), per_block)):
+            dz = (z1[at] - z0[at]) / n
+            zs = z0[at, None] + 0.5 * np.arange(2 * n + 1) * dz[:, None]
+            gs = -1j * _generators(model, h, zs.ravel()).reshape(len(at), 2 * n + 1, *eye.shape)
+            dz = dz[:, None, None, None]
+            g0, gm, g1 = gs[:, 0:-1:2], gs[:, 1::2], gs[:, 2::2]
+            k2 = gm @ (eye + 0.5 * dz * g0)
+            k3 = gm @ (eye + 0.5 * dz * k2)
+            k4 = g1 @ (eye + dz * k3)
+            props = eye + (dz / 6.0) * (g0 + 2 * k2 + 2 * k3 + k4)
+            while props.shape[1] > 1:  # (P_1 P_0), (P_3 P_2), ...; an odd last P_j waits a round
+                pairs = props[:, 1::2] @ props[:, 0:-1:2]
+                props = np.concatenate([pairs, props[:, -1:]], axis=1) if props.shape[1] % 2 else pairs
+            out[at] = props[:, 0]
+    return out
 
 
 def _z_grid(z_grid: Sequence[float]) -> np.ndarray:
@@ -408,18 +398,10 @@ def propagate_coefficients(
     z = _z_grid(z_grid)
     if len(z) < 1:
         raise ValueError("z_grid must not be empty")
-    c = _initial_coefficients(model.n, c0)
-    sysm = _CoupledSystem(model, control)
-    out = np.empty((len(z), model.n), dtype=complex)
-    cur = c.copy()
-    z_prev = z[0]
-    if z[0] != 0.0:
-        cur = sysm.march(cur, 0.0, z[0])
-    out[0] = cur
-    for i in range(1, len(z)):
-        cur = sysm.march(cur, z_prev, z[i])
-        z_prev = z[i]
-        out[i] = cur
+    c, out = _initial_coefficients(model.n, c0), np.empty((len(z), model.n), dtype=complex)
+    # one kernel pass over 0 -> z_0 (I when z_0 is 0), z_0 -> z_1, ..., chained as c_i = P_i c_{i-1}
+    for i, p in enumerate(_propagators(model, control, np.concatenate([[0.0], z[:-1]]), z)):
+        c = out[i] = p @ c
     return CoefficientTrajectory(z=z, c=out)
 
 
@@ -504,10 +486,10 @@ def floquet_monodromy(
     z = _z_grid(z_grid)
     series = PeriodicSeries(model.hamiltonian_matrix, period, H_SERIES_TOL).fit(
         min(2 * math.ceil(period / control.dz_max) + 1, H_SERIES_MAX_SAMPLES))  # no more than a direct march
-    sysm = _CoupledSystem(model, control, series if series.n else None)
+    h = series if series.n else None
     turns, which, phases = fold_phases(z, period)
     stops, u = np.array([0.0, *phases.tolist(), period]), [np.eye(model.n, dtype=complex)]  # U at 0, each phase and T
-    for p in sysm.propagators(stops[:-1], stops[1:]):  # an empty interval, 0 to phase 0, gives I I = I
+    for p in _propagators(model, control, stops[:-1], stops[1:], h):  # an empty interval, 0 to phase 0, gives I I = I
         u.append(p @ u[-1])
     lam, vecs = np.linalg.eig(u[-1])
     if np.linalg.cond(vecs) > 1e8:
@@ -519,7 +501,7 @@ def floquet_monodromy(
                          vectors=vecs[:, cols], targets=targets, branch_shifts=shifts,
                          z=z, turns=turns, which=which, phases=phases,
                          propagators=np.array(u[1:-1]).reshape(-1, model.n, model.n),
-                         generators=sysm.generators(phases), harmonics=series.n, harmonic_tail=float(series.tail))
+                         generators=_generators(model, h, phases), harmonics=series.n, harmonic_tail=float(series.tail))
 
 
 def assemble_state(model: TBModel, c: Sequence[complex], x):

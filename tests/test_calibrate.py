@@ -9,6 +9,7 @@ from scipy.linalg import LinAlgError
 
 import susytb.calibrate as calibrate
 from susytb.calibrate import (
+    CalibrationFailed,
     CalibrationProblem,
     default_problem,
     nelder_mead,
@@ -188,6 +189,21 @@ def test_objective_scores_numerical_failures_inf(herm_system, monkeypatch):
     res = spectral_match(problem)
     assert res.trace["n_feasible_starts"] == 5 * problem.seeds[1]
     assert res.parameters["k"] <= k_cut and math.isfinite(res.objective_value)
+
+
+@pytest.mark.parametrize("value", [math.inf, math.nan])
+def test_multistart_without_a_feasible_point_fails(value):
+    """An objective that fails at every multistart point leaves Nelder-Mead no start."""
+    calls = []
+
+    def objective(x):
+        calls.append(x)
+        return value
+
+    box = {"k": (0.5, 1.0), "x0": (1.0, 2.0)}
+    with pytest.raises(CalibrationFailed, match="objective failed at every multistart point"):
+        calibrate._multistart_then_refine(objective, ["k", "x0"], [np.linspace(*box[n], 3) for n in box], box)
+    assert len(calls) == 9
 
 
 def test_objective_lets_programming_errors_through(herm_system, dyn_system, monkeypatch):

@@ -1,7 +1,6 @@
 import json
 import math
 from collections import Counter
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -247,6 +246,26 @@ def test_alpha_tilde_is_refused_on_the_dynamic_system_too():
                                 "pt_dynamic system"]
     raw["tb"]["alpha_tilde"] = 0.0
     validate_config(json.dumps(raw))
+
+
+@pytest.mark.parametrize("preset", ["hermitian-fig2", "pt-dynamic-fig1-5-6"])
+def test_explicit_pair_with_an_ill_conditioned_overlap_exits_1(tmp_path, capsys, preset):
+    """Wells at +-1e-6 nearly coincide (cond(S) 3.0e12): validate refuses the pair, where a static spectrum
+    used to divide rounding by 1 - s ~ 7e-13 and a modulated run to fail in its march (exit 2)."""
+    raw = preset_config(preset)
+    raw["tb"] = {"k": 1.0, "x0": 1e-6}
+    path = tmp_path / "c.json"
+    path.write_text(json.dumps(raw))
+    assert main(["validate", str(path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: tb.x0: the wells at +-x0 overlap too far: cond(S) = 3.0")
+    assert err.endswith("e+12 > 1e+12\n") and err.count("\n") == 1
+    raw["tb"]["alpha_tilde"] = 0.1  # refused for the Hermitian wells first: no pair is built
+    with pytest.raises(ConfigError) as exc:
+        validate_config(json.dumps(raw))
+    assert [e.split(":")[0] for e in exc.value.errors] == ["tb.alpha_tilde"]
+    raw["tb"] = {"k": 1.0, "x0": 1e-4}  # cond(S) 3.0e8
+    assert validate_config(json.dumps(raw)).tb_explicit == {"k": 1.0, "x0": 1e-4, "alpha_tilde": 0.0}
 
 
 TB_MODE = "tb.mode: unknown key; expected one of alpha_tilde, k, x0"

@@ -7,6 +7,7 @@ import scipy.linalg as sla
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import susytb.tightbinding as tightbinding
 from susytb.bpm import eigen_residual
 from susytb.calibrate import default_problem
 from susytb.config import validate_config
@@ -14,9 +15,10 @@ from susytb.presets import preset_config
 from susytb.quadrature import PeriodicSeries, QuadratureSpec, fold_phases, quad_nodes, read_only
 from susytb.systems import PTDynamicParams, make_system, potential_pt_dynamic
 from susytb.tightbinding import (
+    COND_LIMIT,
     H_SERIES_MAX_SAMPLES,
     H_SERIES_TOL,
-    CoefficientTrajectory,
+    IllConditionedOverlap,
     StepControl,
     TBModel,
     WellBasis,
@@ -32,14 +34,14 @@ from susytb.tightbinding import (
     solve_spectrum,
     static_guided_modes,
     two_well_model,
-    _CoupledSystem,
+    _propagators,
     _H_REQUEST_MAX,
     _assign_branches,
     pair_parts,
     pair_pencil,
 )
 
-from conftest import (HERM, PTD, PTD_STRONG, PTS, certified_dynamic_params, reference_eig, reference_pencil,
+from conftest import (HERM, PTD, PTD_STRONG, certified_dynamic_params, reference_eig, reference_pencil,
                       reference_rows)
 
 CAL_HERM = {"k": 0.7454, "x0": 1.66214}
@@ -224,7 +226,7 @@ def test_monodromy_matches_lu_solve_reference(dyn_system):
     assert np.max(np.abs(flq.monodromy - ref)) <= 1e-12 * np.max(np.abs(ref))
     # without a z grid the monodromy is the single march over [0, T_V] on the same H(z) series
     series = _h_series(model, t_v, _march_budget(t_v, 0.02))
-    single = _CoupledSystem(model, StepControl(dz_max=0.02), series).march(np.eye(2, dtype=complex), 0.0, t_v)
+    single = _propagators(model, StepControl(dz_max=0.02), np.array([0.0]), np.array([t_v]), series)[0]
     assert np.array_equal(flq.monodromy, single)
     assert len(flq.z) == 0
     with pytest.raises(ValueError):
@@ -247,6 +249,17 @@ def test_model_construction_errors(dyn_system):
     for kind, k, at in (("square", 1.0, 0.0), ("hermitian", 0.0, 0.0), ("hermitian", 1.0, 0.1)):
         with pytest.raises(ValueError, match="well"):
             TBModel(kind, k, 1.5, at)
+
+
+@pytest.mark.parametrize("kind, alpha_tilde", [("hermitian", 0.0), ("pt", 0.2)])
+def test_pair_refuses_an_ill_conditioned_overlap_when_built(dyn_system, kind, alpha_tilde):
+    """Wells at +-x0 with |k| x0 = 1e-6 nearly coincide, S ~ [[1, 1], [1, 1]]: cond(S) ~ 3e12 > COND_LIMIT, so
+    the pair is refused when it is built, static or bound to the modulated potential; at 1e-4 (3e8) it builds."""
+    for options in ({}, {"potential": dyn_system.potential, "hamiltonian_source": "system", "dynamic": True}):
+        with pytest.raises(IllConditionedOverlap, match=r"^cond\(S\) = (2\.99|3\.00)\de\+12$"):
+            TBModel(kind, 1.0, 1e-6, alpha_tilde, **options)
+        model = TBModel(kind, 1.0, 1e-4, alpha_tilde, **options)
+        assert 2.9e8 < np.linalg.cond(model.overlap_matrix()) < 3.1e8 < COND_LIMIT
 
 
 # ---------------------------------------------------------------------------
@@ -591,7 +604,7 @@ def test_monodromy_past_the_sample_budget_marches_direct_samples(params, periods
     control = StepControl(dz_max=t_v / periods_per_dz)
     assert _rho_samples(params.rho) > _march_budget(t_v, control.dz_max)
     flq = floquet_monodromy(model, t_v, control, targets=sorted(system.energies().values()))
-    direct = _CoupledSystem(model, control).march(np.eye(2, dtype=complex), 0.0, t_v)
+    direct = _propagators(model, control, np.array([0.0]), np.array([t_v]))[0]
     assert np.array_equal(flq.monodromy, direct)
     assert flq.harmonics == 0
     assert flq.harmonic_tail > H_SERIES_TOL
@@ -608,7 +621,7 @@ def test_monodromy_at_the_sample_cap_marches_the_series():
     control = StepControl()
     flq = floquet_monodromy(model, t_v, control, targets=sorted(system.energies().values()))
     assert flq.harmonics == 512 and flq.harmonic_tail <= H_SERIES_TOL
-    direct = _CoupledSystem(model, control).march(np.eye(2, dtype=complex), 0.0, t_v)
+    direct = _propagators(model, control, np.array([0.0]), np.array([t_v]))[0]
     assert np.max(np.abs(flq.monodromy - direct)) <= 1e-12 * np.max(np.abs(direct))
 
 
@@ -733,15 +746,14 @@ def test_preset_grid_marches_each_phase_once(dyn_system, monkeypatch):
     t_v = dyn_system.periods().fundamental
     assert cfg.system.periods().fundamental == t_v
     substeps, passes = [], []
-    propagators = _CoupledSystem.propagators
 
-    def counted(self, z0, z1):
+    def counted(model, control, z0, z1, h=None):
         passes.append(len(z0))
-        substeps.extend(max(1, math.ceil(abs(b - a) / self.control.dz_max))
+        substeps.extend(max(1, math.ceil(abs(b - a) / control.dz_max))
                         for a, b in zip(z0.tolist(), z1.tolist()) if b != a)
-        return propagators(self, z0, z1)
+        return _propagators(model, control, z0, z1, h)
 
-    monkeypatch.setattr(_CoupledSystem, "propagators", counted)
+    monkeypatch.setattr(tightbinding, "_propagators", counted)
     flq = floquet_monodromy(_dyn_model(dyn_system), t_v, StepControl(dz_max=0.02),
                             targets=sorted(dyn_system.energies().values()), z_grid=cfg.z_values)
     # one kernel pass over 161 intervals (0 to phase 0 is empty): 160 phases per period, 21 substeps
@@ -776,9 +788,9 @@ def test_stacked_kernel_is_the_kernel_one_interval_at_a_time(dyn_system, grid):
         requests.append(len(zs))
         return series(zs)
 
-    sysm = _CoupledSystem(model, StepControl(dz_max=0.02), h)
+    control = StepControl(dz_max=0.02)
     z0, z1 = stops[:-1], stops[1:]
-    stacked = sysm.propagators(z0, z1)
+    stacked = _propagators(model, control, z0, z1, h)
     n = np.maximum(1, np.ceil((z1 - z0) / 0.02))[z1 != z0]
     assert max(requests) <= _H_REQUEST_MAX and sum(requests) == np.sum(2 * n + 1)
     if grid in ("preset", "blocks"):
@@ -786,14 +798,14 @@ def test_stacked_kernel_is_the_kernel_one_interval_at_a_time(dyn_system, grid):
     else:
         assert len(np.unique(n)) > 1  # several substep groups
     for i in range(len(z0)):
-        assert np.array_equal(stacked[i], sysm.propagators(z0[i:i + 1], z1[i:i + 1])[0]), i
+        assert np.array_equal(stacked[i], _propagators(model, control, z0[i:i + 1], z1[i:i + 1], h)[0]), i
     assert np.array_equal(stacked[z1 == z0], np.broadcast_to(np.eye(2), (np.sum(z1 == z0), 2, 2)))
     if grid == "preset":  # the monodromy's U(r): the kernel's products chained, as one march per interval
         flq = floquet_monodromy(model, t_v, StepControl(dz_max=0.02), targets=sorted(dyn_system.energies().values()),
                                 z_grid=z_grid)
         u = [np.eye(2, dtype=complex)]
         for a, b in zip(z0.tolist(), z1.tolist()):
-            u.append(sysm.march(u[-1], a, b))
+            u.append(_propagators(model, control, np.array([a]), np.array([b]), h)[0] @ u[-1])
         assert np.array_equal(flq.propagators, np.array(u[1:-1])) and np.array_equal(flq.monodromy, u[-1])
 
 
