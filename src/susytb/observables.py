@@ -8,9 +8,9 @@ uniform grid, once `_resolution_guard` has checked that halving the grid
 resolution moves the first derivative by at most 1e-5 of its scale.
 
 `moment_table` takes each state through one of two contracts and evaluates each image at most
-once. A per-z state (static `ExactState`, `TBStaticState`) gives its field at each z through
-`__call__`, `h_apply` and `h2_apply`, taken field by field with unchanged sums: the comparison
-metrics' sub-resolution `phase_shift` fields move with any new summation order. A two-mode state
+once. A per-z state (static `ExactState`, `TBStaticState`) is one call `state(x, z, order)`, H^order
+psi at z, taken field by field with unchanged sums: the comparison metrics' sub-resolution
+`phase_shift` fields move with any new summation order. A two-mode state
 (`ExactState` on the modulated pair, `TBTrajectoryState`) is psi = sum_j c_j(z) u_j, and its `forms`
 returns the rows u_j at z = 0 and a `_Stack` whose moments are quadratic forms c^H G b in 2x2 Gram
 matrices G, each one array pass over all z (TB: one basis for every z, H read off its Floquet march).
@@ -97,15 +97,11 @@ class ExactState:
         self.system = system
         self.kind = kind
 
-    def __call__(self, x, z: float):
-        return self.system.mode(self.kind, x, z)
-
-    def h_apply(self, x, z: float):
-        # every exact mode solves the paraxial equation, so H psi = i d_z psi
-        return 1j * self.system.mode_dz(self.kind, x, z)
-
-    def h2_apply(self, x, z: float):
-        return self.system.mode_h2(self.kind, x, z)
+    def __call__(self, x, z: float, order: int = 0):
+        """H^order psi at z; H psi = i d_z psi, as every exact mode solves the paraxial equation."""
+        if order == 1:
+            return 1j * self.system.mode_dz(self.kind, x, z)
+        return (self.system.mode_h2 if order == 2 else self.system.mode)(self.kind, x, z)
 
     def phase_series(self, x, w, h, keys, budget: float = 0) -> PeriodicSeries:
         """The `PeriodicSeries` of both Floquet modes' Gram stacks P(r) = G(r) e^{-i(E_i - E_j) r} under each key,
@@ -163,14 +159,9 @@ class TBStaticState:
         self.kind = kind
         self.system = system
 
-    def __call__(self, x, z: float):
-        return assemble_state(self.model, self.guided.coefficients(self.kind, z), x)
-
-    def h_apply(self, x, z: float):
-        return assemble_state(self.model, self.guided.coefficients(self.kind, z, 1), x)
-
-    def h2_apply(self, x, z: float):
-        return assemble_state(self.model, self.guided.coefficients(self.kind, z, 2), x)
+    def __call__(self, x, z: float, order: int = 0):
+        """H^order psi at z."""
+        return assemble_state(self.model, self.guided.coefficients(self.kind, z, order), x)
 
 
 class TBTrajectoryState:
@@ -235,7 +226,7 @@ def moment_table(
 ) -> list[ObservableSeries]:
     """Sampled z-series of every requested observable for one state, in request order.
 
-    A per-z state gives its field at each z, and H psi and H^2 psi by its own h_apply and h2_apply;
+    A per-z state gives H^k psi at each z as state(x, z, k): the field as state(x, z), H images on demand;
     a two-mode state's `forms(x, w, h, z, keys)` gives its rows at z = 0 and their `_Stack` over z,
     H by the modulated pair's i d_z or the TB generator. p = -i d_x by the stencils. For the PT
     metric the integrand pairs conj(f(x)) with (A g)(-x); the grid must be uniform. When the
@@ -266,8 +257,8 @@ def moment_table(
             f0, p_initial = stack.a[0] @ rows, stack.power[0]
         columns = [(slice(None), stack)]
     else:
-        fields = (_Fields(np.asarray(state(x, z)), x, w, h, hf=lambda z=z: state.h_apply(x, z),
-                          h2f=lambda z=z: state.h2_apply(x, z)) for z in z_all.tolist())
+        fields = (_Fields(np.asarray(state(x, z)), x, w, h, hf=lambda z=z: state(x, z, 1),
+                          h2f=lambda z=z: state(x, z, 2)) for z in z_all.tolist())
         if guard or initial:
             first = next(fields)
             f0, p_initial = first.f, first.power

@@ -403,10 +403,6 @@ class WaveguideSystem:
             raise ParameterError(f"the quadrature window 12/min|k| runs past |x| = {self.x_limit:.4g}, "
                                  f"where the closed forms overflow")
         self.quad = QuadratureSpec(default_half_width(self.min_k), nodes=2048, rule="gauss_legendre_composite")
-        self._nodes, self._weights = self.quad.points  # frozen, so the norms' samples share one x-only pass
-        self._norm: dict[str, float] = {}
-        self._pseudo_sign: dict[str, int] = {}
-        self._combos: dict[str, tuple[int, float]] = {}
         # x-only factors (the dynamic h1..h8, or the static raw profiles) of the last frozen node set
         self._x_parts = NodeCache(functools.partial(
             _dynamic_x_parts if self.is_dynamic else _static_profiles, params))
@@ -466,38 +462,38 @@ class WaveguideSystem:
 
     # -- internals ---------------------------------------------------------
 
-    def _ensure_norms(self) -> None:
-        if self._combos:
-            return
-        x, w = self._nodes, self._weights
+    @functools.cached_property
+    def _norms(self) -> tuple[dict[str, float], dict[str, int], dict[str, tuple[int, float]]]:
+        """(1/N, pseudo-norm sign) per stationary kind and the left/right combos, on the frozen `quad` nodes, so
+        their samples share one x-only pass."""
+        x, w = self.quad.points
         k_even, k_odd = self.facts.stationary
+        norm, pseudo_sign = {}, {}
         if self.is_dynamic:
             # unit Dirac power at the input facet for each Floquet mode
             raw = _floquet_pair(self.params, self._x_parts(x), 0.0, (1.0, 1.0))[0]  # scale 1: the raw modes
             for kind, f in zip((k_even, k_odd), raw):
-                self._norm[kind] = 1.0 / math.sqrt(float(np.sum(w * np.abs(f) ** 2).real))
-                self._pseudo_sign[kind] = 0
+                norm[kind] = 1.0 / math.sqrt(float(np.sum(w * np.abs(f) ** 2).real))
+                pseudo_sign[kind] = 0
         else:
             # unit |PT pseudo-norm| (Dirac norm for the Hermitian system); -x first, so x stays cached
             mirrored = self._x_parts(read_only(-x))
             raw = self._x_parts(x)
             for kind, f, f_mirrored in zip((k_even, k_odd), raw, mirrored):
                 ps = complex(np.sum(w * np.conj(f) * f_mirrored))
-                self._norm[kind] = 1.0 / math.sqrt(abs(ps))
-                self._pseudo_sign[kind] = 1 if ps.real >= 0 else -1
+                norm[kind] = 1.0 / math.sqrt(abs(ps))
+                pseudo_sign[kind] = 1 if ps.real >= 0 else -1
         # localized combinations: unit Dirac power at z=0, labels by <x>
-        e = self._norm[k_even] * raw[0]
-        o = self._norm[k_odd] * raw[1]
-        self._combos = localized_combos(lambda sign: e + sign * o, x, w)
+        e = norm[k_even] * raw[0]
+        o = norm[k_odd] * raw[1]
+        return norm, pseudo_sign, localized_combos(lambda sign: e + sign * o, x, w)
 
     def pseudo_norm_sign(self, kind: str) -> int:
-        self._ensure_norms()
-        return self._pseudo_sign[kind]
+        return self._norms[1][kind]
 
     def combination(self, kind: str) -> tuple[int, float]:
         """(sign, 1/N) of the left/right mode 1/N (even + sign * odd), N its Dirac power at z=0."""
-        self._ensure_norms()
-        return self._combos[kind]
+        return self._norms[2][kind]
 
     # -- public evaluators ---------------------------------------------------
 
@@ -509,8 +505,7 @@ class WaveguideSystem:
         same pass: the modulated pair's W, phases and numerators, or the static
         pair's profiles.
         """
-        self._ensure_norms()
-        kinds, norm = self.facts.stationary, self._norm
+        kinds, norm = self.facts.stationary, self._norms[0]
         if self.is_dynamic:
             fields, dz = _floquet_pair(self.params, self._x_parts(x), z, [norm[k] for k in kinds])
 

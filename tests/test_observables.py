@@ -201,8 +201,26 @@ def test_tb_h_apply_is_the_evolution_generator(pt_tb_state, pt_quad):
     x, _ = quad_nodes(pt_quad)
     h = 1e-6
     fd = 1j * (pt_tb_state(x, 1.0 + h) - pt_tb_state(x, 1.0 - h)) / (2 * h)
-    got = pt_tb_state.h_apply(x, 1.0)
+    got = pt_tb_state(x, 1.0, 1)
     assert np.max(np.abs(got - fd)) < 1e-7
+
+
+@pytest.mark.parametrize("system_name, wells, tb", [("herm_system", "hermitian", (0.7454, 1.66214)),
+                                                     ("pt_system", "pt", (1.14, 1.65, 0.21))])
+def test_static_states_give_h_to_the_order_in_one_call(system_name, wells, tb, request):
+    """state(x, z, k) is H^k psi: the exact state's mode, i mode_dz and mode_h2, the TB state's assembled
+    H^k coefficients, each bit for bit."""
+    system = request.getfixturevalue(system_name)
+    model = two_well_model(wells, *tb)
+    guided = static_guided_modes(model)
+    x, z = np.linspace(-9.0, 9.0, 257), 1.3
+    for kind in ("ground", "excited", "left", "right"):
+        exact, approx = ExactState(system, kind), TBStaticState(model, guided, kind, system)
+        images = (system.mode(kind, x, z), 1j * system.mode_dz(kind, x, z), system.mode_h2(kind, x, z))
+        for order, image in enumerate(images):
+            assert np.array_equal(exact(x, z, order), image), (kind, order)
+            assert np.array_equal(approx(x, z, order),
+                                  assemble_state(model, guided.coefficients(kind, z, order), x)), (kind, order)
 
 
 def test_resolution_guard_triggers():
@@ -224,23 +242,15 @@ BEAM_REQUESTS = [r for r in ALL_REQUESTS if r.name not in ("H_mean", "H_std")]
 
 
 class CountingState:
-    """Forwards to a state and counts the calls of each of its methods."""
+    """Forwards to a state and counts its calls per order: psi, H psi and H^2 psi."""
 
     def __init__(self, state):
         self._state = state
         self.calls = Counter()
 
-    def __call__(self, x, z):
-        self.calls["psi"] += 1
-        return self._state(x, z)
-
-    def __getattr__(self, name):
-        method = getattr(self._state, name)  # AttributeError when the state has no such method
-
-        def counted(*args):
-            self.calls[name] += 1
-            return method(*args)
-        return counted
+    def __call__(self, x, z, *order):  # psi is asked for without an order, so a plain state(x, z) fits
+        self.calls[("psi", "h", "h2")[order[0] if order else 0]] += 1
+        return self._state(x, z, *order)
 
 
 @pytest.fixture(scope="module")
@@ -303,7 +313,7 @@ def test_moment_table_evaluates_each_field_once(name, has_h, request):
         # H psi and H^2 psi once per z of the grid
         expected = {"psi": n if z[0] == 0 else n + 1}
         if has_h:
-            expected.update(h_apply=n, h2_apply=n)
+            expected.update(h=n, h2=n)
         assert dict(counted.calls) == expected, z
 
 

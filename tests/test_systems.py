@@ -570,7 +570,7 @@ def test_floquet_modes_are_pt_symmetric_property(p, z):
 def _stationary_closed_form(system, kind, x, z, pre=1):
     """pre times the normalized stationary mode from the closed-form profile, bypassing the memo."""
     e = system.energies()[kind]
-    return pre * system._norm[kind] * np.exp(-1j * e * z) * reference_raw_mode(system.params, kind, x)
+    return pre * system._norms[0][kind] * np.exp(-1j * e * z) * reference_raw_mode(system.params, kind, x)
 
 
 def test_static_memo_matches_fresh_closed_forms(herm_system, pt_system):
@@ -631,7 +631,7 @@ def test_norms_compute_the_x_only_factors_once_on_the_system_nodes(monkeypatch, 
     system = WaveguideSystem(params)
     calls.clear()  # construction may scan or sample; count the norms only
     system.pseudo_norm_sign(next(iter(system.energies())))
-    assert sum(x is system._nodes for x in calls) == 1
+    assert sum(x is system.quad.points[0] for x in calls) == 1
     if system.is_dynamic:
         assert len(calls) == 1
 

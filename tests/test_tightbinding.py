@@ -881,6 +881,22 @@ def test_static_guided_modes_structure():
     assert float(np.sum(w * xs * np.abs(l) ** 2).real) < -1.0
 
 
+def test_even_odd_swaps_odd_like_first_columns_and_fixes_both_gauges():
+    """Columns given odd-like first come back even-like first with their energies swapped; c_r + c_l is then
+    real positive for the even-like vector and c_r - c_l for the odd-like one."""
+    even, odd = np.exp(0.7j) * np.array([0.8, 0.6]), np.exp(-2.1j) * np.array([0.6, -0.8])
+    c_even, c_odd, e = tightbinding._even_odd(np.column_stack([odd, even]), np.array([-1.0, -2.0]))
+    assert np.array_equal(e, [-2.0, -1.0])
+    for c, raw, share in ((c_even, even, c_even[0] + c_even[1]), (c_odd, odd, c_odd[0] - c_odd[1])):
+        assert abs(np.vdot(raw, c)) == pytest.approx(1.0, abs=1e-15)  # the same vector, up to a phase
+        assert share.real > 0 and abs(share.imag) <= 1e-15 * share.real
+
+
+def test_fix_gauge_returns_a_vector_with_no_share_unchanged():
+    c = np.array([0.5 + 0.5j, -0.5 - 0.5j])
+    assert tightbinding._fix_gauge(c, np.array([1.0, 1.0])) is c
+
+
 def test_floquet_guided_modes_localize(dyn_system):
     model = two_well_model("hermitian", CAL_DYN["k"], CAL_DYN["x0"],
                            potential=dyn_system.potential,
