@@ -61,7 +61,12 @@ def default_half_width(min_k: float) -> float:
 
 
 def quad_nodes(spec: QuadratureSpec) -> tuple[np.ndarray, np.ndarray]:
-    """Nodes and weights, new arrays the caller owns; symmetric about 0 for every rule."""
+    """Nodes and weights, new arrays the caller owns; symmetric about 0 for every rule, but only to rounding.
+    At the presets 1,640-1,804 of the 4,097 Simpson nodes differ from `-x[::-1]`, by up to 3.6e-15, and on
+    the TB pairs' Gauss-Legendre rule 844-1,032 of the 2,048 nodes and 1,088-1,600 of the weights differ
+    from their mirrors. Readers that take the grid as exactly even: the phase series' mirror (`PeriodicSeries`
+    with a `flip`), `_Fields`' `wcf_pt`, and the rows at -x, `conj(phi[::-1])`, in `tightbinding._pair` and
+    `static_guided_modes`."""
     L = spec.half_width
     if spec.rule == "simpson":
         n = spec.nodes + 1 - spec.nodes % 2  # Simpson needs an even interval count

@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 from scipy.linalg import solve_banded
 
 from susytb.bpm import (
-    FieldSnapshot,
     PropagationGrid,
     PropagationUnstable,
     eigen_residual,
@@ -17,7 +16,7 @@ from susytb.bpm import (
 )
 from susytb.quadrature import d1_fourth, d2_fourth
 
-from conftest import HERM, PTS, potential_pt_dynamic_complex
+from conftest import potential_pt_dynamic_complex
 
 
 def _grid(**kw):

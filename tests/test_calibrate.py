@@ -1,4 +1,3 @@
-import itertools
 import math
 from dataclasses import replace
 from types import SimpleNamespace
@@ -20,7 +19,7 @@ from susytb.calibrate import (
 from susytb.systems import HermitianStaticParams, ParameterError, make_system
 from susytb.tightbinding import WellBasis, pair_parts, pair_pencil, single_well_potential
 
-from conftest import HERM, PTD, PTS, reference_eig, reference_pencil
+from conftest import HERM, PTS, reference_eig, reference_pencil
 
 
 # ---------------------------------------------------------------------------

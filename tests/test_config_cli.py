@@ -1,3 +1,5 @@
+import contextlib
+import io
 import json
 import math
 from collections import Counter
@@ -969,55 +971,59 @@ def test_propagate_computes_the_x_parts_once_per_node_set(tmp_path, capsys, monk
     assert sizes == {4097: 1, 2048: 1, 512: 1}
 
 
-@pytest.mark.parametrize("preset", sorted(PRESETS))
-def test_preset_run_computes_the_x_parts_once_per_node_set(tmp_path, capsys, monkeypatch, preset):
-    """validate's resolution guard and moment_table read one frozen node array (`QuadratureSpec.points`),
-    the norms freeze their mirrored nodes and the static oracle its grid: no node set twice."""
-    per_set = Counter()
+def _node_set(x):
+    return len(x), float(x[0]), float(x[-1])
+
+
+@pytest.fixture(scope="module", params=sorted(PRESETS))
+def counted_preset_run(request, tmp_path_factory):
+    """One `preset run` under both sets of counters: each `systems` x-part call by name and node set, the
+    `pair_parts` calls, the node sets `_well_modes` evaluates and those `_well_d` sees."""
+    x_parts, parts, modes, evaluated = Counter(), [], Counter(), set()
+    pair_parts, well_modes, well_d = tightbinding.pair_parts, tightbinding._well_modes, tightbinding._well_d
 
     def counted(name):
         fn = getattr(systems, name)
 
         def wrapper(params, x):
-            per_set[(name, len(x), float(x[0]), float(x[-1]))] += 1
+            x_parts[(name, *_node_set(x))] += 1
             return fn(params, x)
         return wrapper
 
-    for name in ("_dynamic_x_parts", "_static_profiles"):
-        monkeypatch.setattr(systems, name, counted(name))
-    assert main(["preset", "run", preset, "--out", str(tmp_path)]) == 0
-    capsys.readouterr()
+    def counted_modes(wells, x):
+        modes[_node_set(x)] += 1
+        return well_modes(wells, x)
+
+    def seen_d(b, x):
+        evaluated.add(_node_set(np.asarray(x)))
+        return well_d(b, x)
+
+    with pytest.MonkeyPatch.context() as mp, contextlib.redirect_stdout(io.StringIO()):
+        for name in ("_dynamic_x_parts", "_static_profiles"):
+            mp.setattr(systems, name, counted(name))
+        mp.setattr(tightbinding, "pair_parts", lambda *args: parts.append(args) or pair_parts(*args))
+        mp.setattr(tightbinding, "_well_modes", counted_modes)
+        mp.setattr(tightbinding, "_well_d", seen_d)
+        assert main(["preset", "run", request.param, "--out", str(tmp_path_factory.mktemp("run"))]) == 0
+    return request.param, x_parts, parts, modes, evaluated
+
+
+def test_preset_run_computes_the_x_parts_once_per_node_set(counted_preset_run):
+    """validate's resolution guard and moment_table read one frozen node array (`QuadratureSpec.points`),
+    the norms freeze their mirrored nodes and the static oracle its grid: no node set twice."""
+    preset, per_set, *_ = counted_preset_run
     assert per_set and set(per_set.values()) == {1}
     assert ("_dynamic_x_parts" if "dynamic" in preset else "_static_profiles", 4097) in {k[:2] for k in per_set}
 
 
-@pytest.mark.parametrize("preset", sorted(PRESETS))
-def test_preset_run_evaluates_the_well_modes_once_per_node_set(tmp_path, capsys, monkeypatch, preset):
+def test_preset_run_evaluates_the_well_modes_once_per_node_set(counted_preset_run):
     """The TB model's rows come from one `pair_parts` evaluation on its own nodes and never from a well
     evaluation there or at their mirror -x (the static pseudo-norm and the PT metric mirror the rows); the
     observable grid's come from `_well_modes`, once."""
-    parts, per_set, evaluated = [], Counter(), set()
-    pair_parts, well_modes, well_d = tightbinding.pair_parts, tightbinding._well_modes, tightbinding._well_d
-
-    def key(x):
-        return len(x), float(x[0]), float(x[-1])
-
-    def counted_modes(wells, x):
-        per_set[key(x)] += 1
-        return well_modes(wells, x)
-
-    def seen_d(b, x):
-        evaluated.add(key(np.asarray(x)))
-        return well_d(b, x)
-
-    monkeypatch.setattr(tightbinding, "pair_parts", lambda *args: parts.append(args) or pair_parts(*args))
-    monkeypatch.setattr(tightbinding, "_well_modes", counted_modes)
-    monkeypatch.setattr(tightbinding, "_well_d", seen_d)
-    assert main(["preset", "run", preset, "--out", str(tmp_path)]) == 0
-    capsys.readouterr()
+    _, _, parts, per_set, evaluated = counted_preset_run
     assert len(parts) == 1
-    nodes = pair_parts(*parts[0])[2].points[0]
-    assert not {key(nodes), key(-nodes)} & evaluated
+    nodes = tightbinding.pair_parts(*parts[0])[2].points[0]
+    assert not {_node_set(nodes), _node_set(-nodes)} & evaluated
     assert list(per_set.values()) == [1] and next(iter(per_set))[0] == 4097
 
 

@@ -23,7 +23,7 @@ from susytb.seeds import SeedSuperposition, x_derivatives
 from susytb.systems import (PTDynamicParams, _sup_ratio, potential_hermitian_static,
                            potential_pt_dynamic)
 
-from conftest import HERM, PTD, PTD_STRONG, PTS, certified_dynamic_params
+from conftest import PTD, PTD_STRONG, certified_dynamic_params
 
 
 def test_first_order_sech_well_origin():

@@ -1,12 +1,20 @@
 """Where scipy loads: only for the LAPACK a plan calls (a static system's TB spectrum, the BPM march),
 and then in `validate_config`, never inside a run, and only as far as its f2py modules (`lapack.fortran`):
-the `scipy.linalg` package is never imported. Each check runs in a fresh interpreter."""
+the `scipy.linalg` package is never imported.
+
+Each (preset, `bpm.enabled`) plan runs once per session in one fresh interpreter (`_PLAN`), the four side
+by side. Each records, in order: scipy after `import susytb` and after `import susytb.cli`; scipy and the
+`scipy.linalg.*` modules before and after `validate_config`; the modules a validated run imports
+(`cli.run`, or `propagate` with BPM enabled); and scipy and the `scipy.linalg.*` modules after each of the
+plan's commands. The tests read those records. The cold page-fault counts and the two import-order checks
+need a cold or an ordered start, so each runs in a fresh interpreter of its own."""
 
 import inspect
 import json
 import os
 import subprocess
 import sys
+from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -19,6 +27,8 @@ from susytb.presets import preset_config
 
 DYNAMIC = "pt-dynamic-fig1-5-6"
 STATIC = ("hermitian-fig2", "pt-static-fig3-4")
+MODULATED_COMMANDS = ("validate", "compare", "calibrate", "spectrum", "modes", "potential", "propagate")
+STATIC_COMMANDS = ("validate", "compare", "calibrate", "spectrum", "propagate")
 
 
 def _probe(code: str, *args: str):
@@ -30,91 +40,95 @@ def _probe(code: str, *args: str):
     return json.loads(done.stdout.splitlines()[-1])
 
 
-@pytest.mark.parametrize("module", ["susytb", "susytb.cli"])
-def test_import_loads_no_scipy(module):
-    assert _probe(f"import json, sys, {module}; print(json.dumps('scipy' in sys.modules))") is False
-
-
-def test_modulated_commands_load_no_scipy(tmp_path):
-    path = tmp_path / "dynamic.json"
-    path.write_text(json.dumps(preset_config(DYNAMIC)), encoding="utf-8")
-    loaded = _probe("""
+_PLAN = """
 import contextlib, io, json, sys
-import susytb.cli as cli
-config, out, loaded = sys.argv[1], sys.argv[2], {}
-for command in ("validate", "compare", "calibrate", "spectrum", "modes", "potential"):
-    with contextlib.redirect_stdout(io.StringIO()):
-        assert cli.main([command, config, "--out", out]) == 0, command
-    loaded[command] = "scipy" in sys.modules
-print(json.dumps(loaded))
-""", str(path), str(tmp_path / "out"))
-    assert loaded == dict.fromkeys(["validate", "compare", "calibrate", "spectrum", "modes", "potential"], False)
-
-
-@pytest.mark.parametrize("name, bpm", [("hermitian-fig2", False), ("pt-static-fig3-4", False), (DYNAMIC, True)])
-def test_lapack_plans_load_scipy_in_validation(name, bpm):
-    raw = preset_config(name)
-    raw["bpm"] = {"enabled": bpm}
-    assert _probe("""
-import json, sys
-from susytb.config import validate_config
-before = "scipy" in sys.modules
-validate_config(sys.argv[1])
-print(json.dumps([before, "scipy" in sys.modules]))
-""", json.dumps(raw)) == [False, True]
-
-
-_RUN_IMPORTS = """
-import contextlib, io, json, sys
+import susytb
+record = {"import": {"susytb": "scipy" in sys.modules}}
 import susytb.cli as cli
 from susytb.config import validate_config
-config, out = sys.argv[1:]
+record["import"]["susytb.cli"] = "scipy" in sys.modules
+config, out, commands = sys.argv[1], sys.argv[2], sys.argv[3:]
+
+def loaded():
+    return {"scipy": "scipy" in sys.modules,
+            "scipy.linalg": sorted(m for m in sys.modules if m.startswith("scipy.linalg"))}
+
+before = loaded()
 cfg = validate_config(open(config).read())
+record["validation"] = [before, loaded()]
 before = set(sys.modules)
 if cfg.bpm_enabled:
     with contextlib.redirect_stdout(io.StringIO()):
         assert cli.main(["propagate", config]) == 0
 else:
     cli.run(cfg, out)
-print(json.dumps(sorted(set(sys.modules) - before)))
+record["run"] = sorted(set(sys.modules) - before)
+record["commands"] = {}
+for command in commands:
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert cli.main([command, config, "--out", out]) == 0, command
+    record["commands"][command] = loaded()
+print(json.dumps(record))
 """
 
 
-def _config_file(tmp_path, name, bpm=False):
-    raw = preset_config(name)
-    raw["bpm"] = {"enabled": bpm}
-    path = tmp_path / f"{name}.json"
-    path.write_text(json.dumps(raw), encoding="utf-8")
-    return str(path)
+PLANS = (("hermitian-fig2", False), ("pt-static-fig3-4", False), (DYNAMIC, False), (DYNAMIC, True))
 
 
-def test_modulated_run_imports_no_module(tmp_path):
+@pytest.fixture(scope="session")
+def plans(tmp_path_factory):
+    """The `_PLAN` record of each (preset, `bpm.enabled`) plan, one fresh interpreter per plan, the four side
+    by side. The modulated preset runs every command; the static ones all but `modes` and `potential`; the
+    BPM plan none."""
+    argv = []
+    for name, bpm in PLANS:
+        raw = preset_config(name)
+        raw["bpm"] = {"enabled": bpm}
+        tmp = tmp_path_factory.mktemp("plan")
+        path = tmp / f"{name}.json"
+        path.write_text(json.dumps(raw), encoding="utf-8")
+        commands = () if bpm else MODULATED_COMMANDS if name == DYNAMIC else STATIC_COMMANDS
+        argv.append((str(path), str(tmp / "out"), *commands))
+    with ThreadPoolExecutor(len(PLANS)) as pool:
+        return dict(zip(PLANS, pool.map(lambda args: _probe(_PLAN, *args), argv)))
+
+
+@pytest.mark.parametrize("module", ["susytb", "susytb.cli"])
+def test_import_loads_no_scipy(plans, module):
+    assert plans[DYNAMIC, False]["import"][module] is False
+
+
+def test_modulated_commands_load_no_scipy(plans):
+    commands = plans[DYNAMIC, False]["commands"]
+    loaded = {command: commands[command]["scipy"] for command in MODULATED_COMMANDS[:-1]}
+    assert loaded == dict.fromkeys(["validate", "compare", "calibrate", "spectrum", "modes", "potential"], False)
+
+
+@pytest.mark.parametrize("name, bpm", [("hermitian-fig2", False), ("pt-static-fig3-4", False), (DYNAMIC, True)])
+def test_lapack_plans_load_scipy_in_validation(plans, name, bpm):
+    before, after = plans[name, bpm]["validation"]
+    assert [before["scipy"], after["scipy"]] == [False, True]
+
+
+def test_modulated_run_imports_no_module(plans):
     """Everything a validated run of the modulated preset uses is loaded before it starts: a module
     imported inside the run would be timed as part of it."""
-    assert _probe(_RUN_IMPORTS, _config_file(tmp_path, DYNAMIC), str(tmp_path / "out")) == []
+    assert plans[DYNAMIC, False]["run"] == []
 
 
 @pytest.mark.parametrize("name, bpm", [(STATIC[0], False), (STATIC[1], False), (DYNAMIC, True)])
-def test_lapack_runs_import_no_module(tmp_path, name, bpm):
+def test_lapack_runs_import_no_module(plans, name, bpm):
     """So do the runs that call LAPACK: `cli.run` of each static preset (zggev, dznrm2), and `propagate`
     of the modulated one with BPM enabled (zgtsv), which validates its config again."""
-    assert _probe(_RUN_IMPORTS, _config_file(tmp_path, name, bpm), str(tmp_path / "out")) == []
+    assert plans[name, bpm]["run"] == []
 
 
 @pytest.mark.parametrize("name", [*STATIC, DYNAMIC])
-def test_commands_never_import_the_scipy_linalg_package(tmp_path, name):
+def test_commands_never_import_the_scipy_linalg_package(plans, name):
     """LAPACK comes from scipy's f2py modules alone: no command imports `scipy.linalg` itself, and a static
     preset's commands load `_flapack` and `_fblas` (its TB spectrum), `propagate` `_flapack` (zgtsv)."""
-    loaded = _probe("""
-import contextlib, io, json, sys
-import susytb.cli as cli
-config, out, loaded = sys.argv[1], sys.argv[2], {}
-for command in ("validate", "compare", "calibrate", "spectrum", "propagate"):
-    with contextlib.redirect_stdout(io.StringIO()):
-        assert cli.main([command, config, "--out", out]) == 0, command
-    loaded[command] = sorted(m for m in sys.modules if m.startswith("scipy.linalg"))
-print(json.dumps(loaded))
-""", _config_file(tmp_path, name), str(tmp_path / "out"))
+    commands = plans[name, False]["commands"]
+    loaded = {command: commands[command]["scipy.linalg"] for command in STATIC_COMMANDS}
     lapack = ["scipy.linalg._fblas", "scipy.linalg._flapack"] if name in STATIC else []
     assert loaded == dict.fromkeys(("validate", "compare", "calibrate", "spectrum"), lapack) | {
         "propagate": lapack or ["scipy.linalg._flapack"]}

@@ -34,7 +34,7 @@ from susytb.tightbinding import (
     two_well_model,
 )
 
-from conftest import HERM, PTS, certified_dynamic_params
+from conftest import HERM, certified_dynamic_params
 
 
 @pytest.fixture(scope="module")
@@ -450,6 +450,19 @@ def test_phase_series_is_the_per_phase_gram_matrices_property(p, unit):
     and H^2, whose d2 stencil carries eps / h^2 of rounding per node. The size, not the sum: where x moments
     cancel over the wings of a wide window (k3 -0.25: half-width 48), a fresh pass parts from itself at
     r + T_V by 1.3e-11 of the sum."""
+    _assert_phase_series_is_fresh_passes(p, unit)
+
+
+@pytest.mark.xfail(strict=True, raises=AssertionError,
+                   reason="ROADMAP item 17: the Simpson nodes mirror each other only to rounding, and on this "
+                   "drawn example the p^2 series parts from a fresh pass by 1.2e-11 of its size")
+def test_phase_series_is_the_per_phase_gram_matrices_on_the_recorded_example():
+    """The example the property test draws now and then, fixed, so that its failure shows on every run."""
+    p = systems.PTDynamicParams(k1=0.8654194180826517, k2=0.9109678085080544, k3=0.8203313379498132, alpha=0.0)
+    _assert_phase_series_is_fresh_passes(p, [0.0, 0.0, 0.75])
+
+
+def _assert_phase_series_is_fresh_passes(p, unit):
     system = systems.make_system(p)
     quad = QuadratureSpec(half_width=12.0 / system.min_k, nodes=4097)
     series, error, size = _series_error(system, quad, [u * system.periods().fundamental for u in unit])
