@@ -3,10 +3,10 @@
 This module is deliberately independent of the analytic machinery: it
 discretizes i d_z psi = (-d_x^2 + V) psi on a uniform grid and checks the
 closed-form solutions from the outside. Each Crank-Nicolson step is one
-call of LAPACK's tridiagonal solver zgtsv (`_gtsv`, from scipy's f2py module by
-`lapack.fortran`) through one kernel; a march keeps its buffers, `gtsv` and an
-off-diagonal per step size and solves into the next field's interior, bit for bit
-as `step` does. The power guard measures dx * sum |psi|^2 on the Dirichlet interior.
+call of LAPACK's tridiagonal solver zgtsv (bound from numpy's own OpenBLAS by
+`lapack`) through one kernel, `_Kernel`; a march keeps one kernel's buffers and
+solves into the next field's interior, bit for bit as `step` does. The power
+guard measures dx * sum |psi|^2 on the Dirichlet interior.
 Nothing here touches seed derivatives or mode decompositions; the residual
 oracles take their 4th-order stencils from `quadrature` and discard the two
 edge nodes per side that the stencils cannot reach.
@@ -22,7 +22,7 @@ from typing import Callable, Sequence
 import numpy as np
 from numpy.linalg import LinAlgError
 
-from .lapack import fortran
+from . import lapack
 from .quadrature import d1_five, d2_fourth, read_only
 
 __all__ = [
@@ -36,11 +36,6 @@ __all__ = [
 ]
 
 POWER_BLOWUP = 1e6
-
-
-def _gtsv():
-    """zgtsv, the tridiagonal solver `solve_banded((1, 1), ...)` dispatches to, without its wrappers."""
-    return fortran("_flapack").zgtsv
 
 
 class PropagationUnstable(RuntimeError):
@@ -80,41 +75,46 @@ class FieldSnapshot:
     samples: np.ndarray
 
 
-def _cn_solve(gtsv, inner, v_now, v_next, dx: float, dz: float, off, a, diag, rhs) -> None:
-    """The step's kernel: the new interior into rhs, a contiguous buffer (a, diag overwritten; `off` kept).
-    Each operation is one of the step's formula, in its order: the bits do not depend on the buffers."""
-    np.add(v_now[1:-1], v_next[1:-1], out=a)
-    if not np.isfinite(a).all():  # as V_half is: halving keeps a value finite or not
-        raise ValueError("potential must not contain infs or NaNs")
-    lam = 1j * dz / 2.0
-    np.multiply(lam, np.add(2.0 / dx**2, np.multiply(0.5, a, out=a), out=a), out=a)  # lam (2/dx^2 + V_half)
-    np.add(1.0, a, out=diag)
-    np.multiply(np.subtract(1.0, a, out=rhs), inner, out=rhs)
-    np.multiply(lam / dx**2, inner, out=a)  # c psi, added from the left neighbour, then the right
-    rhs[1:] += a[:-1]
-    rhs[:-1] += a[1:]
-    *_, info = gtsv(off, diag, off, rhs, overwrite_d=1, overwrite_b=1)  # solves in rhs; f2py copies off per band
-    if info > 0:
-        raise LinAlgError("singular matrix")
+class _Kernel:
+    """The step on n interior nodes by zgtsv (what `solve_banded((1, 1), ...)` calls), its buffers kept: a, diag, DL
+    and DU (filled afresh per solve: zgtsv overwrites DL, and DU where it pivots), and the int64 N, NRHS = 1, INFO."""
+
+    def __init__(self, n: int):
+        self.a, self.diag, *_ = rows = np.empty((4, n), dtype=complex)
+        self.bands, self.ints = rows[2:], np.array([n, 1, 0], dtype=np.int64)  # DL and DU; N, NRHS, INFO
+        (self.n, nrhs, self.info), (_, diag, dl, du) = lapack.addresses(self.ints), lapack.addresses(rows)
+        self.args = (self.n, nrhs, dl, diag, du)
+
+    def __call__(self, inner, v_now, v_next, dx: float, dz: float, rhs) -> None:
+        """The new interior into rhs, a contiguous buffer: the step's formula, each operation in its order."""
+        a, diag = self.a, self.diag
+        np.add(v_now[1:-1], v_next[1:-1], out=a)
+        if not np.isfinite(a).all():  # as V_half is: halving keeps a value finite or not
+            raise ValueError("potential must not contain infs or NaNs")
+        lam = 1j * dz / 2.0
+        np.multiply(lam, np.add(2.0 / dx**2, np.multiply(0.5, a, out=a), out=a), out=a)  # lam (2/dx^2 + V_half)
+        np.add(1.0, a, out=diag)
+        np.multiply(np.subtract(1.0, a, out=rhs), inner, out=rhs)
+        np.multiply(lam / dx**2, inner, out=a)  # c psi, added from the left neighbour, then the right
+        rhs[1:] += a[:-1]
+        rhs[:-1] += a[1:]
+        self.bands.fill(-(lam / dx**2))  # -i dz / (2 dx^2) beside each node
+        lapack.zgtsv(*self.args, rhs.ctypes.data, self.n, self.info)  # solves in rhs
+        if self.ints[2] > 0:
+            raise LinAlgError("singular matrix")
 
 
 def step(field: np.ndarray, v_now: np.ndarray, v_next: np.ndarray, dx: float, dz: float) -> np.ndarray:
     """One Crank-Nicolson step with the potential averaged at the half step.
 
     (1 + i dz/2 H) psi_new = (1 - i dz/2 H) psi_old, H = -d_x^2 + V_half,
-    solved by `gtsv` on the interior with hard-zero Dirichlet walls (which
+    solved by zgtsv on the interior with hard-zero Dirichlet walls (which
     keeps the scheme exactly unitary for real potentials). Second order in
     dz, dx.
     """
     out = np.zeros(field.shape, dtype=complex)
-    _cn_solve(_gtsv(), field[1:-1], np.asarray(v_now), np.asarray(v_next), dx, dz,
-              _off_diagonal(out.size - 2, dx, dz), *np.empty((2, out.size - 2), dtype=complex), out[1:-1])
+    _Kernel(out.size - 2)(field[1:-1], np.asarray(v_now), np.asarray(v_next), dx, dz, out[1:-1])
     return out
-
-
-def _off_diagonal(n: int, dx: float, dz: float) -> np.ndarray:
-    """-i dz / (2 dx^2) beside each of n interior nodes."""
-    return np.full(n - 1, -(1j * dz / 2.0 / dx**2))
 
 
 def propagate(
@@ -150,16 +150,13 @@ def propagate(
     while ti < len(targets) and targets[ti] <= z + grid.dz * 1e-9:
         out.append(FieldSnapshot(z=targets[ti], samples=psi.copy()))
         ti += 1
-    # kept for the march: the next field (its walls stay zero), the kernel's a and diag, the last off-diagonal, gtsv
-    nxt, (a, diag), off_dz, gtsv = np.zeros_like(psi), np.empty((2, psi.size - 2), dtype=complex), None, _gtsv()
+    nxt, kernel = np.zeros_like(psi), _Kernel(psi.size - 2)  # kept for the march: the next field's walls stay zero
     psi[0] = psi[-1] = 0.0  # the walls enter no step, and every step leaves them zero
     v_now = np.asarray(potential(x, z))
     while ti < len(targets):
         dz = min(grid.dz, targets[ti] - z)
-        if dz != off_dz:
-            off_dz, off = dz, _off_diagonal(psi.size - 2, dx, dz)
         v_next = np.asarray(potential(x, z + dz))
-        _cn_solve(gtsv, psi[1:-1], v_now, v_next, dx, dz, off, a, diag, nxt[1:-1])
+        kernel(psi[1:-1], v_now, v_next, dx, dz, nxt[1:-1])
         psi, nxt = nxt, psi
         z += dz
         v_now = v_next

@@ -12,10 +12,9 @@ the explicit pair, built here so that an ill-conditioned S is refused, else the 
 the calibration and `SystemKind.fit` its multistart grid) and the physics (orderings, the
 regularity bound and `certified`, the kind's mode kinds and wells, the closed forms' overflow
 window, and for p moments the run's `_resolution_guard` at z = 0), so a validated
-config is a runnable plan. A plan that calls LAPACK (a static system's TB spectrum, `bpm.enabled`)
-loads scipy's f2py modules here (`lapack.fortran`, never the `scipy.linalg` package), and a modulated
-one without BPM never does, so a run imports no module. The z grid is `z_grid.num` samples over
-`z_grid.periods` fundamental periods. Findings are aggregated and field-addressed.
+config is a runnable plan. The LAPACK a plan calls (a static system's TB spectrum, `bpm.enabled`)
+is numpy's own OpenBLAS, bound when `lapack` is imported: no plan loads scipy. The z grid is
+`z_grid.num` samples over `z_grid.periods` fundamental periods. Findings are aggregated and field-addressed.
 """
 
 from __future__ import annotations
@@ -26,11 +25,11 @@ import math
 from dataclasses import dataclass, fields
 from typing import Any, Callable, NamedTuple, Optional
 
-from .bpm import PropagationGrid, _gtsv
+from .bpm import PropagationGrid
 from .observables import OBSERVABLES, DerivativeResolutionError, ObservableRequest, _resolution_guard
 from .quadrature import QuadratureSpec, default_half_width
 from .systems import KINDS, ParameterError, WaveguideSystem, make_system
-from .tightbinding import COND_LIMIT, IllConditionedOverlap, TBModel, _lapack
+from .tightbinding import COND_LIMIT, IllConditionedOverlap, TBModel
 
 __all__ = ["ScenarioConfig", "ConfigError", "validate_config", "config_digest", "SCHEMA", "system_keys"]
 
@@ -252,10 +251,6 @@ def validate_config(text: str) -> ScenarioConfig:
             _resolution_guard(system.mode(mode_kind, x, z_values[0]), x[1] - x[0])
         except DerivativeResolutionError as exc:
             raise ConfigError([f"quadrature.nodes: {quad.nodes} do not resolve the {mode_kind} mode: {exc}"])
-    if not system.is_dynamic:  # the LAPACK a plan calls: scipy loads here, not inside the run
-        _lapack()
-    if bpm_enabled:
-        _gtsv()
     return ScenarioConfig(
         raw=raw, system=system, certified=certified, tb_explicit=tb_explicit,
         z_values=z_values, mode_kind=mode_kind, observables=list(observables), quad=quad,

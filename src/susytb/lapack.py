@@ -1,22 +1,38 @@
-"""LAPACK and BLAS straight from scipy's f2py modules: zggev and dznrm2 for a static TB spectrum
-(`tightbinding._lapack`), zgtsv for the Crank-Nicolson step (`bpm._gtsv`), without the `scipy.linalg`
-package `__init__` (85 modules, ~28 MB of RSS); they are the objects `get_lapack_funcs`/`get_blas_funcs` return."""
+"""LAPACK zggev and zgtsv and BLAS dznrm2, for `tightbinding.solve_spectrum` and the `bpm` step, from numpy's own
+OpenBLAS (scipy-openblas64: int64 integers, routines named `scipy_<name>_64_`), bound by ctypes on import: it is
+loaded already, so no second BLAS is. Arguments are addresses; zggev's last two are gfortran's hidden string lengths."""
 
-import importlib.machinery
-import importlib.util
-import os
-import sys
+import ctypes
+from pathlib import Path
+
+import numpy as np
+
+_DIRS = (Path(np.__file__).parent.with_suffix(".libs"), Path(np.__file__).parent / ".dylibs")
 
 
-def fortran(name: str):
-    """`scipy.linalg.<name>`, `_flapack` or `_fblas`: the one in sys.modules, else loaded by itself and put there,
-    so a later `import scipy.linalg` takes it; scipy loads on the first call."""
-    qualified = f"scipy.linalg.{name}"
-    if qualified not in sys.modules:
-        import scipy
-        spec = importlib.machinery.PathFinder.find_spec(qualified, [os.path.join(scipy.__path__[0], "linalg")])
-        if spec is None:
-            raise ImportError(f"scipy {scipy.__version__} has no {qualified}", name=qualified)
-        sys.modules[qualified] = module = importlib.util.module_from_spec(spec)
-        spec.loader.exec_module(module)
-    return sys.modules[qualified]
+def _library() -> ctypes.CDLL:
+    """numpy's OpenBLAS where its wheels put it: `numpy.libs` beside the package (Linux, Windows), `.dylibs` in it."""
+    found = sorted(path for folder in _DIRS for path in folder.glob("*openblas*"))
+    if not found:
+        raise ImportError(f"numpy {np.__version__} bundles no OpenBLAS in {' or '.join(map(str, _DIRS))}")
+    return ctypes.CDLL(str(found[0]))
+
+
+def routine(name: str, restype, *argtypes):
+    """`scipy_<name>_64_` of numpy's OpenBLAS, its argument and result types set; an ImportError naming it if absent."""
+    if not hasattr(_OPENBLAS, symbol := f"scipy_{name}_64_"):
+        raise ImportError(f"{_OPENBLAS._name} exports no {symbol}", name=symbol)
+    function = getattr(_OPENBLAS, symbol)
+    function.restype, function.argtypes = restype, argtypes
+    return function
+
+
+def addresses(array: np.ndarray) -> list[int]:
+    """The address of each row of `array` (each item of a 1-d one), for the routines' arguments."""
+    return [array.ctypes.data + array.strides[0] * i for i in range(len(array))]
+
+
+_OPENBLAS = _library()
+zggev = routine("zggev", None, *[ctypes.c_void_p] * 17, ctypes.c_size_t, ctypes.c_size_t)
+zgtsv = routine("zgtsv", None, *[ctypes.c_void_p] * 8)
+dznrm2 = routine("dznrm2", ctypes.c_double, *[ctypes.c_void_p] * 3)

@@ -10,8 +10,8 @@ Two kinds of single wells (both exactly solvable, eigenvalue -k^2):
 The centered mode is normalized under the model's metric (Dirac for
 hermitian, PT inner product for pt). The model is the pair of wells at +-x0: its rows
 and its well-sum pencil come from `pair_parts` through `_pair`, which the calibration's
-`pair_pencil` reads too. Stationary spectra take one LAPACK zggev solve (scipy's f2py
-module, loaded by `lapack.fortran` on `_lapack`'s first call); the z-dependent coupled
+`pair_pencil` reads too. Stationary spectra take one LAPACK zggev solve (bound from numpy's
+own OpenBLAS by `lapack`, its buffers kept per size by `_Ggev`); the z-dependent coupled
 equations, on numpy alone, use the bound exact potential, the only z-dependent object available.
 
 For a z-periodic H(z) one RK4 pass over one period serves the monodromy, the
@@ -28,13 +28,14 @@ from __future__ import annotations
 
 import functools
 import math
+import threading
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
 import numpy as np
 from numpy.linalg import LinAlgError
 
-from .lapack import fortran
+from . import lapack
 from .quadrature import NodeCache, PeriodicSeries, QuadratureSpec, fold_phases, localized_combos, quad_nodes, read_only
 
 __all__ = [
@@ -62,11 +63,6 @@ __all__ = [
     "IllConditionedOverlap",
     "DefectiveMonodromy",
 ]
-
-
-def _lapack():
-    """(zggev, BLAS dznrm2), loaded on first call: scipy loads only where a static spectrum is solved."""
-    return fortran("_flapack").zggev, fortran("_fblas").dznrm2  # a TB H is complex: eig(H, S) picks zggev too
 
 
 class IllConditionedOverlap(RuntimeError):
@@ -274,29 +270,49 @@ class SpectrumResult:
     vectors: np.ndarray
 
 
+@functools.lru_cache(maxsize=16)
+class _Ggev:
+    """zggev as `scipy.linalg.eig(H, S)` calls it for a complex H, on kept n x n buffers (column-major: each holds the
+    transpose), one per n and thread, its workspace queried once (JOBVL = JOBVR = 'V', as eig's query: it reads n)."""
+
+    def __init__(self, n: int, thread: int):
+        self.ints = np.array([n, 1, -1, 0], dtype=np.int64)  # N = LDA = LDB = LDVR, LDVL = INCX, LWORK, INFO
+        mats, vecs = np.empty((3, n, n), dtype=complex), np.empty((3, n), dtype=complex)  # A, B, VR; ALPHA, BETA, VL
+        (self.ab, self.vr), (self.alpha, self.beta) = (mats[:2], mats[2]), vecs[:2]
+        self.rwork, work = np.empty(8 * n), np.empty(1, dtype=complex)
+        (self.n, self.one, lwork, info), (a, b, vr), (alpha, beta, vl) = map(lapack.addresses, (self.ints, mats, vecs))
+        head, tail = (self.n, a, self.n, b, self.n, alpha, beta), (lwork, self.rwork.ctypes.data, info, 1, 1)
+        lapack.zggev(b"V", b"V", *head, vr, self.n, vr, self.n, work.ctypes.data, *tail)
+        self.ints[2], self.work = work[0].real, np.empty(int(work[0].real), dtype=complex)
+        self.call = (b"N", b"V", *head, vl, self.one, vr, self.n, self.work.ctypes.data, *tail)
+
+
 def solve_spectrum(model) -> SpectrumResult:
     """Eigenpairs of H c = E S c for a static model or an (H, S) pencil, sorted by Re E (then Im E).
 
     One QZ solve (Moler & Stewart 1973) by LAPACK zggev, called as `scipy.linalg.eig(H, S)` calls it for
-    a complex H, so both give the same bits: ValueError for a non-finite H or S, a workspace query,
+    a complex H, so both give the same bits: ValueError for a non-finite H or S, the queried workspace,
     E = alpha/beta (inf where only beta is 0, NaN where both are), and unit columns by BLAS nrm2."""
     if isinstance(model, TBModel):
         if model.dynamic:
             raise ValueError("solve_spectrum needs a static model")
         model = model.hamiltonian_matrix(), model.overlap_matrix()
     h, s = (np.asarray_chkfinite(m) for m in model)
-    ggev, nrm2 = _lapack()
-    lwork = ggev(h, s, lwork=-1)[-2][0].real.astype(np.int_)
-    alpha, beta, _, vecs, _, info = ggev(h, s, 0, 1, lwork, 0, 0)
-    if info:  # > 0: QZ did not converge (< 0, a bad argument, cannot come from two square arrays)
-        raise LinAlgError(f"generalized eig algorithm (ggev) did not converge (LAPACK info={info})")
+    if h.ndim != 2 or h.shape != s.shape or h.shape[0] != h.shape[1]:
+        raise ValueError(f"a pencil is two square matrices of one shape, got {h.shape} and {s.shape}")
+    ggev = _Ggev(len(h), threading.get_ident())
+    ggev.ab[:] = h.T, s.T
+    lapack.zggev(*ggev.call)
+    if ggev.ints[3]:  # > 0: QZ did not converge (< 0, a bad argument, cannot come from two square arrays)
+        raise LinAlgError(f"generalized eig algorithm (ggev) did not converge (LAPACK info={ggev.ints[3]})")
+    alpha, beta = ggev.alpha, ggev.beta
     vals, finite = np.full_like(alpha, np.inf), beta != 0
     vals[finite] = alpha[finite] / beta[finite]
     vals[~finite & (alpha == 0)] = np.nan if np.all(alpha.imag == 0) else complex(np.nan, np.nan)
-    for col in np.asarray_chkfinite(vecs).T:
-        col /= nrm2(col)
+    rows = np.asarray_chkfinite(ggev.vr.copy())  # row j: the eigenvector of alpha_j / beta_j
+    rows /= [[lapack.dznrm2(ggev.n, address, ggev.one)] for address in lapack.addresses(rows)]
     order = np.lexsort((vals.imag, vals.real))
-    return SpectrumResult(energies=vals[order], vectors=vecs[:, order])
+    return SpectrumResult(energies=vals[order], vectors=rows.T[:, order])
 
 
 def generalized_energies_2x2(h: np.ndarray, s: np.ndarray) -> np.ndarray:

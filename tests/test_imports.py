@@ -1,17 +1,17 @@
-"""Where scipy loads: only for the LAPACK a plan calls (a static system's TB spectrum, the BPM march),
-and then in `validate_config`, never inside a run, and only as far as its f2py modules (`lapack.fortran`):
-the `scipy.linalg` package is never imported.
+"""scipy never loads: the LAPACK a plan calls (zggev and dznrm2 for a static system's TB spectrum, zgtsv for
+the BPM march) is numpy's own OpenBLAS, bound by `susytb.lapack`, and the process maps no second one.
 
 Each (preset, `bpm.enabled`) plan runs once per session in one fresh interpreter (`_PLAN`), the four side
-by side. Each records, in order: scipy after `import susytb` and after `import susytb.cli`; scipy and the
-`scipy.linalg.*` modules before and after `validate_config`; the modules a validated run imports
-(`cli.run`, or `propagate` with BPM enabled); and scipy and the `scipy.linalg.*` modules after each of the
-plan's commands. The tests read those records. The cold page-fault counts and the two import-order checks
-need a cold or an ordered start, so each runs in a fresh interpreter of its own."""
+by side. Each records, in order: the `scipy*` modules after `import susytb` and after `import susytb.cli`,
+and before and after `validate_config`; the modules a validated run imports (`cli.run`, or `propagate` with
+BPM enabled); the `scipy*` modules after each of the plan's commands; and, on Linux, the OpenBLAS libraries
+in `/proc/self/maps`. The tests read those records. The cold page-fault counts and the two import-order
+checks need a cold or an ordered start, so each runs in a fresh interpreter of its own."""
 
 import inspect
 import json
 import os
+import re
 import subprocess
 import sys
 from concurrent.futures import ThreadPoolExecutor
@@ -22,7 +22,7 @@ import pytest
 import scipy.linalg as sla
 
 import susytb
-from susytb.lapack import fortran
+from susytb import lapack
 from susytb.presets import preset_config
 
 DYNAMIC = "pt-dynamic-fig1-5-6"
@@ -41,21 +41,20 @@ def _probe(code: str, *args: str):
 
 
 _PLAN = """
-import contextlib, io, json, sys
+import contextlib, io, json, os, sys
 import susytb
-record = {"import": {"susytb": "scipy" in sys.modules}}
+
+def scipy():
+    return sorted(m for m in sys.modules if m.startswith("scipy"))
+
+record = {"import": {"susytb": scipy()}}
 import susytb.cli as cli
 from susytb.config import validate_config
-record["import"]["susytb.cli"] = "scipy" in sys.modules
+record["import"]["susytb.cli"] = scipy()
 config, out, commands = sys.argv[1], sys.argv[2], sys.argv[3:]
-
-def loaded():
-    return {"scipy": "scipy" in sys.modules,
-            "scipy.linalg": sorted(m for m in sys.modules if m.startswith("scipy.linalg"))}
-
-before = loaded()
+before = scipy()
 cfg = validate_config(open(config).read())
-record["validation"] = [before, loaded()]
+record["validation"] = [before, scipy()]
 before = set(sys.modules)
 if cfg.bpm_enabled:
     with contextlib.redirect_stdout(io.StringIO()):
@@ -67,7 +66,10 @@ record["commands"] = {}
 for command in commands:
     with contextlib.redirect_stdout(io.StringIO()):
         assert cli.main([command, config, "--out", out]) == 0, command
-    record["commands"][command] = loaded()
+    record["commands"][command] = scipy()
+if os.path.exists("/proc/self/maps"):
+    with open("/proc/self/maps") as maps:
+        record["openblas"] = sorted({line.split()[-1] for line in maps if "openblas" in line.split()[-1].lower()})
 print(json.dumps(record))
 """
 
@@ -95,19 +97,22 @@ def plans(tmp_path_factory):
 
 @pytest.mark.parametrize("module", ["susytb", "susytb.cli"])
 def test_import_loads_no_scipy(plans, module):
-    assert plans[DYNAMIC, False]["import"][module] is False
+    assert plans[DYNAMIC, False]["import"][module] == []
 
 
 def test_modulated_commands_load_no_scipy(plans):
     commands = plans[DYNAMIC, False]["commands"]
-    loaded = {command: commands[command]["scipy"] for command in MODULATED_COMMANDS[:-1]}
-    assert loaded == dict.fromkeys(["validate", "compare", "calibrate", "spectrum", "modes", "potential"], False)
+    loaded = {command: commands[command] for command in MODULATED_COMMANDS[:-1]}
+    assert loaded == dict.fromkeys(["validate", "compare", "calibrate", "spectrum", "modes", "potential"], [])
 
 
 @pytest.mark.parametrize("name, bpm", [("hermitian-fig2", False), ("pt-static-fig3-4", False), (DYNAMIC, True)])
-def test_lapack_plans_load_scipy_in_validation(plans, name, bpm):
-    before, after = plans[name, bpm]["validation"]
-    assert [before["scipy"], after["scipy"]] == [False, True]
+def test_lapack_plans_load_no_scipy(plans, name, bpm):
+    """The plans that call LAPACK (zggev and dznrm2 for a static TB spectrum, zgtsv for the BPM march) take it
+    from numpy's own OpenBLAS: no `scipy*` module loads in validation or in the run."""
+    record = plans[name, bpm]
+    assert record["validation"] == [[], []]
+    assert [module for module in record["run"] if module.startswith("scipy")] == []
 
 
 def test_modulated_run_imports_no_module(plans):
@@ -125,13 +130,18 @@ def test_lapack_runs_import_no_module(plans, name, bpm):
 
 @pytest.mark.parametrize("name", [*STATIC, DYNAMIC])
 def test_commands_never_import_the_scipy_linalg_package(plans, name):
-    """LAPACK comes from scipy's f2py modules alone: no command imports `scipy.linalg` itself, and a static
-    preset's commands load `_flapack` and `_fblas` (its TB spectrum), `propagate` `_flapack` (zgtsv)."""
+    """Nor any other `scipy*` module: no command of any preset, `propagate` (the BPM march, zgtsv) included,
+    leaves one in sys.modules."""
     commands = plans[name, False]["commands"]
-    loaded = {command: commands[command]["scipy.linalg"] for command in STATIC_COMMANDS}
-    lapack = ["scipy.linalg._fblas", "scipy.linalg._flapack"] if name in STATIC else []
-    assert loaded == dict.fromkeys(("validate", "compare", "calibrate", "spectrum"), lapack) | {
-        "propagate": lapack or ["scipy.linalg._flapack"]}
+    assert commands == dict.fromkeys(MODULATED_COMMANDS if name == DYNAMIC else STATIC_COMMANDS, [])
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="reads /proc/self/maps")
+@pytest.mark.parametrize("name, bpm", PLANS)
+def test_one_openblas_in_the_process(plans, name, bpm):
+    """After every command of a plan (a static preset's `compare` calls zggev and dznrm2, its `propagate` then
+    zgtsv), the process maps one OpenBLAS: numpy's, which `susytb.lapack` binds."""
+    assert len(plans[name, bpm]["openblas"]) == 1
 
 
 @pytest.mark.skipif(not sys.platform.startswith("linux"), reason="glibc's allocator, whose trim threshold cli pins")
@@ -155,70 +165,116 @@ print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
 
 
 def _routine_results(routines, seed: int) -> list:
-    """zggev on random complex pencils, zgtsv on random tridiagonal systems and dznrm2 on random vectors;
-    every array as [re, im] pairs, so a fresh interpreter can print them as JSON, exactly (its source runs
-    there too, hence the import)."""
-    import numpy as np
+    """zggev (alpha, beta, VR) on random complex pencils, zgtsv (DL, D, DU, X) on random tridiagonal systems
+    and dznrm2 on random vectors, every array as [re, im] pairs."""
     ggev, gtsv, nrm2 = routines
     rng, out = np.random.default_rng(seed), []
     cplx = lambda *shape: rng.normal(size=(*shape, 2)) @ [1, 1j]
     for n in (2, 3, 7):
-        out += ggev(cplx(n, n), cplx(n, n), 0, 1, 4 * n, 0, 0)[:4]
-        out += gtsv(cplx(n - 1), cplx(n) + 4, cplx(n - 1), cplx(n))[:4]
+        out += ggev(cplx(n, n), cplx(n, n))
+        out += gtsv(cplx(n - 1), cplx(n) + 4, cplx(n - 1), cplx(n))
         out.append(nrm2(cplx(5 * n)))
     return [np.stack([np.real(r), np.imag(r)], axis=-1).tolist() for r in out]
 
 
 def _scipy_linalg_routines():
     z = np.zeros(1, complex)
-    return (*sla.get_lapack_funcs(("ggev", "gtsv"), (z,)), sla.get_blas_funcs("nrm2", dtype=complex, ilp64="preferred"))
+    ggev, gtsv = sla.get_lapack_funcs(("ggev", "gtsv"), (z,))
+    return ((lambda a, b: [ggev(a, b, 0, 1, 4 * len(a), 0, 0)[i] for i in (0, 1, 3)]),
+            (lambda *bands: list(gtsv(*bands)[:4])), sla.get_blas_funcs("nrm2", dtype=complex, ilp64="preferred"))
+
+
+def _bound_routines():
+    """`susytb.lapack`'s zggev (JOBVL = 'N', JOBVR = 'V', LWORK = 4n), zgtsv and dznrm2, called on fresh
+    buffers as `_scipy_linalg_routines` calls f2py's."""
+    def ints(*values):  # int64 arguments, kept alive with their addresses
+        array = np.array(values, dtype=np.int64)
+        return array, *lapack.addresses(array)
+
+    def ggev(a, b):
+        n = len(a)
+        a, b, vr = (np.array(m, dtype=complex, order="F") for m in (a, b, np.zeros((n, n))))
+        alpha, beta, vl = np.zeros((3, n), dtype=complex)
+        work, rwork = np.zeros(4 * n, dtype=complex), np.zeros(8 * n)
+        _, n_, one, lwork, info = kept = ints(n, 1, 4 * n, 0)
+        lapack.zggev(b"N", b"V", n_, a.ctypes.data, n_, b.ctypes.data, n_, alpha.ctypes.data, beta.ctypes.data,
+                     vl.ctypes.data, one, vr.ctypes.data, n_, work.ctypes.data, lwork, rwork.ctypes.data, info, 1, 1)
+        assert kept[0][3] == 0
+        return [alpha, beta, vr]
+
+    def gtsv(*bands):
+        dl, d, du, x = (np.array(band, dtype=complex) for band in bands)
+        kept, n_, one, info = ints(len(d), 1, 0)
+        lapack.zgtsv(n_, one, dl.ctypes.data, d.ctypes.data, du.ctypes.data, x.ctypes.data, n_, info)
+        assert kept[2] == 0
+        return [dl, d, du, x]
+
+    def nrm2(x):
+        x = np.array(x, dtype=complex)
+        _, n_, one = ints(len(x), 1)
+        return lapack.dznrm2(n_, x.ctypes.data, one)
+
+    return ggev, gtsv, nrm2
 
 
 def test_fortran_routines_are_scipy_linalgs():
-    """zggev, zgtsv and dznrm2 from `lapack.fortran` are the routines `get_lapack_funcs`/`get_blas_funcs`
-    pick for complex arrays, bit for bit on random input."""
-    mine = fortran("_flapack").zggev, fortran("_flapack").zgtsv, fortran("_fblas").dznrm2
+    """zggev, zgtsv and dznrm2 bound from numpy's OpenBLAS by `susytb.lapack` give, bit for bit on random input,
+    what the routines `get_lapack_funcs`/`get_blas_funcs` pick for complex arrays give."""
     for seed in range(5):
-        assert _routine_results(mine, seed) == _routine_results(_scipy_linalg_routines(), seed)
+        assert _routine_results(_bound_routines(), seed) == _routine_results(_scipy_linalg_routines(), seed)
 
 
-def test_missing_fortran_module_is_an_import_error():
-    with pytest.raises(ImportError, match="scipy.linalg._nonexistent"):
-        fortran("_nonexistent")
+def test_missing_symbol_is_an_import_error():
+    with pytest.raises(ImportError, match="exports no scipy_nonexistent_64_"):
+        lapack.routine("nonexistent", None)
+
+
+def test_missing_library_is_an_import_error(monkeypatch, tmp_path):
+    monkeypatch.setattr(lapack, "_DIRS", (tmp_path,))
+    with pytest.raises(ImportError, match=re.escape(f"bundles no OpenBLAS in {tmp_path}")):
+        lapack._library()
+
+
+def _solver_bits() -> str:
+    """sha256 of every bit of `solve_spectrum` on random pencils and on singular ones, and of a short
+    `propagate` march on a complex potential. Its source runs in fresh interpreters too, hence the imports."""
+    import hashlib
+
+    import numpy as np
+
+    from susytb.bpm import PropagationGrid, propagate
+    from susytb.tightbinding import solve_spectrum
+
+    rng, digest = np.random.default_rng(7), hashlib.sha256()
+    pencils = [[rng.normal(size=(n, n, 2)) @ [1, 1j] for _ in range(2)] for n in (1, 2, 3, 7)]
+    pencils += [(np.diag([1.0 + 0j, a]), np.diag([1.0, 0.0])) for a in (2.0, 0.0, 1j)]
+    for pencil in pencils:
+        spectrum = solve_spectrum(pencil)
+        digest.update(spectrum.energies.tobytes() + spectrum.vectors.tobytes())
+    grid = PropagationGrid(half_width=8.0, nx=256, dz=0.01, z_end=0.2)
+    potential = lambda x, z: -2.0 * (1 + 0.5j * np.sin(8 * z)) / np.cosh(x) ** 2
+    for snapshot in propagate(lambda x: np.exp(-(x - 1) ** 2), potential, grid, [0.1, 0.2]):
+        digest.update(snapshot.samples.tobytes())
+    return digest.hexdigest()
 
 
 def test_fortran_first_then_scipy_linalg():
-    """susytb loads the f2py modules first, and its routines give the bits scipy.linalg's give here; a later
-    `import scipy.linalg` takes those very modules, and `scipy.linalg.eig` still gives `solve_spectrum`'s pairs."""
-    before, after = _probe(inspect.getsource(_routine_results) + """
+    """`solve_spectrum` and `propagate` run first in a fresh interpreter, with no `scipy*` module loaded, then
+    after `import scipy.linalg`: each bit the same both times, and the same as in this process."""
+    first, loaded, then = _probe(inspect.getsource(_solver_bits) + """
 import json, sys
-import numpy as np
-from susytb.tightbinding import solve_spectrum
-from susytb.lapack import fortran
-flapack, fblas = fortran("_flapack"), fortran("_fblas")
-mine = [_routine_results((flapack.zggev, flapack.zgtsv, fblas.dznrm2), seed) for seed in range(3)]
-rng = np.random.default_rng(3)
-h, s = (rng.normal(size=(4, 4, 2)) @ [1, 1j] for _ in range(2))
-spectrum = solve_spectrum((h, s))
-package_before = "scipy.linalg" in sys.modules
-import scipy.linalg as sla
-vals, vecs = sla.eig(h, s)
-order = np.lexsort((vals.imag, vals.real))
-print(json.dumps([mine, [package_before, sla.lapack._flapack is flapack, sla.blas._fblas is fblas,
-                         np.array_equal(vals[order], spectrum.energies),
-                         np.array_equal(vecs[:, order], spectrum.vectors)]]))
+first = _solver_bits()
+loaded = sorted(m for m in sys.modules if m.startswith("scipy"))
+import scipy.linalg
+print(json.dumps([first, loaded, _solver_bits()]))
 """)
-    assert after == [False, True, True, True, True]
-    assert before == [_routine_results(_scipy_linalg_routines(), seed) for seed in range(3)]
+    assert loaded == [] and first == then == _solver_bits()
 
 
 def test_scipy_linalg_first_then_fortran():
-    """With `scipy.linalg` imported first, the helper takes its modules from sys.modules."""
-    assert _probe("""
-import json, sys
-import scipy.linalg as sla
-from susytb.bpm import _gtsv
-from susytb.tightbinding import _lapack
-print(json.dumps([_lapack()[0] is sla.lapack._flapack.zggev, _lapack()[1] is sla.blas._fblas.dznrm2,
-                  _gtsv() is sla.lapack._flapack.zgtsv]))
-""") == [True, True, True]
+    """With `scipy.linalg` imported before susytb, the same bits again."""
+    assert _probe(inspect.getsource(_solver_bits) + """
+import json
+import scipy.linalg
+print(json.dumps(_solver_bits()))
+""") == _solver_bits()

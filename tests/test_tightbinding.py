@@ -1,5 +1,8 @@
 import json
 import math
+import sys
+import threading
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -372,6 +375,52 @@ def test_solve_spectrum_keeps_scipy_eig_on_singular_pencils(h, s):
     spec = solve_spectrum((h, s))
     assert np.array_equal(spec.energies, vals, equal_nan=True)
     assert np.array_equal(spec.vectors, vecs, equal_nan=True)
+
+
+def test_solve_spectrum_queries_the_workspace_once_per_size():
+    """Each n's zggev buffers are built once, with the workspace size scipy's query (JOBVL = JOBVR = 'V')
+    returns; solves of interleaved sizes on those kept buffers still give scipy.linalg.eig's bits, singular
+    pencils among them, and a later solve leaves an earlier result as it was."""
+    rng = np.random.default_rng(11)
+    pencils = [tuple(rng.normal(size=(n, n, 2)) @ [1, 1j] for _ in range(2)) for n in (2, 3, 2, 5, 3, 2)]
+    pencils += [(np.diag([1.0 + 0j, a]), np.diag([1.0, 0.0])) for a in (2.0, 0.0, 1j)]
+    solved = [solve_spectrum(pencil) for pencil in pencils]
+    built = tightbinding._Ggev.cache_info().misses
+    for (h, s), first in zip(pencils, solved):
+        vals, vecs = reference_eig(h, s)
+        for spec in (first, solve_spectrum((h, s))):
+            assert np.array_equal(spec.energies, vals, equal_nan=True)
+            assert np.array_equal(spec.vectors, vecs, equal_nan=True)
+    assert tightbinding._Ggev.cache_info().misses == built
+    for n in (2, 3, 5):
+        z = np.zeros((n, n), dtype=complex)
+        lwork = sla.lapack.zggev(z, z, lwork=-1)[-2][0].real
+        assert tightbinding._Ggev(n, threading.get_ident()).ints[2] == int(lwork)
+
+
+def test_solve_spectrum_keeps_its_buffers_per_thread():
+    """Threads solving at once (with a short switch interval) get the pairs a lone caller gets: each thread
+    solves on buffers of its own."""
+    rng = np.random.default_rng(12)
+    pencils = [tuple(rng.normal(size=(n, n, 2)) @ [1, 1j] for _ in range(2)) for n in (2, 3) * 100]
+    alone = [solve_spectrum(pencil) for pencil in pencils]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(4) as pool:
+            futures = [pool.submit(lambda: [solve_spectrum(pencil) for pencil in pencils]) for _ in range(4)]
+            results = [future.result(timeout=60) for future in futures]
+    finally:
+        sys.setswitchinterval(interval)
+    for together in results:
+        for a, b in zip(alone, together):
+            assert np.array_equal(a.energies, b.energies) and np.array_equal(a.vectors, b.vectors)
+
+
+def test_solve_spectrum_refuses_a_pencil_that_is_not_two_square_matrices():
+    for h, s in ((np.eye(2), np.eye(3)), (np.ones((2, 3)), np.ones((2, 3))), (np.eye(2), np.ones(2))):
+        with pytest.raises(ValueError, match="two square matrices of one shape"):
+            solve_spectrum((h, s))
 
 
 @pytest.mark.parametrize("bad", [np.inf, np.nan])
