@@ -85,8 +85,8 @@ class _Kernel:
         (self.n, nrhs, self.info), (_, diag, dl, du) = lapack.addresses(self.ints), lapack.addresses(rows)
         self.args = (self.n, nrhs, dl, diag, du)
 
-    def __call__(self, inner, v_now, v_next, dx: float, dz: float, rhs) -> None:
-        """The new interior into rhs, a contiguous buffer: the step's formula, each operation in its order."""
+    def __call__(self, inner, v_now, v_next, dx: float, dz: float, rhs, at: int) -> None:
+        """The new interior into rhs, a contiguous buffer at `at`: the step's formula, each operation in its order."""
         a, diag = self.a, self.diag
         np.add(v_now[1:-1], v_next[1:-1], out=a)
         if not np.isfinite(a).all():  # as V_half is: halving keeps a value finite or not
@@ -99,7 +99,7 @@ class _Kernel:
         rhs[1:] += a[:-1]
         rhs[:-1] += a[1:]
         self.bands.fill(-(lam / dx**2))  # -i dz / (2 dx^2) beside each node
-        lapack.zgtsv(*self.args, rhs.ctypes.data, self.n, self.info)  # solves in rhs
+        lapack.zgtsv(*self.args, at, self.n, self.info)  # solves in rhs
         if self.ints[2] > 0:
             raise LinAlgError("singular matrix")
 
@@ -113,7 +113,7 @@ def step(field: np.ndarray, v_now: np.ndarray, v_next: np.ndarray, dx: float, dz
     dz, dx.
     """
     out = np.zeros(field.shape, dtype=complex)
-    _Kernel(out.size - 2)(field[1:-1], np.asarray(v_now), np.asarray(v_next), dx, dz, out[1:-1])
+    _Kernel(out.size - 2)(field[1:-1], np.asarray(v_now), np.asarray(v_next), dx, dz, out[1:-1], out[1:].ctypes.data)
     return out
 
 
@@ -150,17 +150,19 @@ def propagate(
     while ti < len(targets) and targets[ti] <= z + grid.dz * 1e-9:
         out.append(FieldSnapshot(z=targets[ti], samples=psi.copy()))
         ti += 1
-    nxt, kernel = np.zeros_like(psi), _Kernel(psi.size - 2)  # kept for the march: the next field's walls stay zero
+    # kept for the march: both fields (the next one's walls stay zero), each with its interior and that one's address
+    kernel, march = _Kernel(psi.size - 2), [(f, f[1:-1], f[1:-1].ctypes.data) for f in (psi, np.zeros_like(psi))]
     psi[0] = psi[-1] = 0.0  # the walls enter no step, and every step leaves them zero
     v_now = np.asarray(potential(x, z))
     while ti < len(targets):
         dz = min(grid.dz, targets[ti] - z)
         v_next = np.asarray(potential(x, z + dz))
-        kernel(psi[1:-1], v_now, v_next, dx, dz, nxt[1:-1])
-        psi, nxt = nxt, psi
+        (_, inner, _), (psi, new, at) = march
+        kernel(inner, v_now, v_next, dx, dz, new, at)
+        march.reverse()
         z += dz
         v_now = v_next
-        p = dx * np.vdot(psi[1:-1], psi[1:-1]).real  # the trapezoid rule: the walls are zeros
+        p = dx * np.vdot(new, new).real  # the trapezoid rule: the walls are zeros
         if not np.isfinite(p) or p > POWER_BLOWUP * p0:
             raise PropagationUnstable(f"power grew to {p / p0:.3e} x initial at z={z:.3f}")
         if targets[ti] - z <= grid.dz * 1e-9:

@@ -13,7 +13,6 @@ from __future__ import annotations
 import argparse
 import ctypes
 import json
-import locale  # noqa: F401  imported by gettext as `main` builds its parser: here, so that no run imports it
 import math
 import sys
 from dataclasses import asdict, dataclass

@@ -13,8 +13,9 @@ the calibration and `SystemKind.fit` its multistart grid) and the physics (order
 regularity bound and `certified`, the kind's mode kinds and wells, the closed forms' overflow
 window, and for p moments the run's `_resolution_guard` at z = 0), so a validated
 config is a runnable plan. The LAPACK a plan calls (a static system's TB spectrum, `bpm.enabled`)
-is numpy's own OpenBLAS, bound when `lapack` is imported: no plan loads scipy. The z grid is
-`z_grid.num` samples over `z_grid.periods` fundamental periods. Findings are aggregated and field-addressed.
+is numpy's own OpenBLAS, bound here by `lapack.bind`; no plan loads scipy, and a modulated one without
+BPM needs no LAPACK. The z grid is `z_grid.num` samples over `z_grid.periods` fundamental periods.
+Findings are aggregated and field-addressed.
 """
 
 from __future__ import annotations
@@ -25,6 +26,7 @@ import math
 from dataclasses import dataclass, fields
 from typing import Any, Callable, NamedTuple, Optional
 
+from . import lapack
 from .bpm import PropagationGrid
 from .observables import OBSERVABLES, DerivativeResolutionError, ObservableRequest, _resolution_guard
 from .quadrature import QuadratureSpec, default_half_width
@@ -251,6 +253,8 @@ def validate_config(text: str) -> ScenarioConfig:
             _resolution_guard(system.mode(mode_kind, x, z_values[0]), x[1] - x[0])
         except DerivativeResolutionError as exc:
             raise ConfigError([f"quadrature.nodes: {quad.nodes} do not resolve the {mode_kind} mode: {exc}"])
+    if not system.is_dynamic or bpm_enabled:  # the LAPACK the plan calls: an ImportError here, not in the run
+        lapack.bind()
     return ScenarioConfig(
         raw=raw, system=system, certified=certified, tb_explicit=tb_explicit,
         z_values=z_values, mode_kind=mode_kind, observables=list(observables), quad=quad,

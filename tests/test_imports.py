@@ -1,9 +1,11 @@
 """scipy never loads: the LAPACK a plan calls (zggev and dznrm2 for a static system's TB spectrum, zgtsv for
-the BPM march) is numpy's own OpenBLAS, bound by `susytb.lapack`, and the process maps no second one.
+the BPM march) is numpy's own OpenBLAS, bound by `susytb.lapack` on first use, and the process maps no second
+one; without that library, susytb still imports and the modulated pair still runs.
 
 Each (preset, `bpm.enabled`) plan runs once per session in one fresh interpreter (`_PLAN`), the four side
 by side. Each records, in order: the `scipy*` modules after `import susytb` and after `import susytb.cli`,
-and before and after `validate_config`; the modules a validated run imports (`cli.run`, or `propagate` with
+and before and after `validate_config`; the routines `susytb.lapack` has bound after the imports and after
+the validated run; the modules that run imports (`cli.run`, or the `propagate` command's own function with
 BPM enabled); the `scipy*` modules after each of the plan's commands; and, on Linux, the OpenBLAS libraries
 in `/proc/self/maps`. The tests read those records. The cold page-fault counts and the two import-order
 checks need a cold or an ordered start, so each runs in a fresh interpreter of its own."""
@@ -42,15 +44,20 @@ def _probe(code: str, *args: str):
 
 _PLAN = """
 import contextlib, io, json, os, sys
+from pathlib import Path
 import susytb
 
 def scipy():
     return sorted(m for m in sys.modules if m.startswith("scipy"))
 
+def bound():
+    return sorted(set(vars(susytb.lapack)) & {"zggev", "zgtsv", "dznrm2"})
+
 record = {"import": {"susytb": scipy()}}
 import susytb.cli as cli
 from susytb.config import validate_config
 record["import"]["susytb.cli"] = scipy()
+record["bound"] = [bound()]
 config, out, commands = sys.argv[1], sys.argv[2], sys.argv[3:]
 before = scipy()
 cfg = validate_config(open(config).read())
@@ -58,10 +65,11 @@ record["validation"] = [before, scipy()]
 before = set(sys.modules)
 if cfg.bpm_enabled:
     with contextlib.redirect_stdout(io.StringIO()):
-        assert cli.main(["propagate", config]) == 0
+        assert cli._cmd_propagate(cfg, Path(out)) == 0
 else:
     cli.run(cfg, out)
 record["run"] = sorted(set(sys.modules) - before)
+record["bound"].append(bound())
 record["commands"] = {}
 for command in commands:
     with contextlib.redirect_stdout(io.StringIO()):
@@ -100,6 +108,14 @@ def test_import_loads_no_scipy(plans, module):
     assert plans[DYNAMIC, False]["import"][module] == []
 
 
+@pytest.mark.parametrize("name, bpm", PLANS)
+def test_lapack_binds_only_where_a_plan_calls_it(plans, name, bpm):
+    """Importing susytb and susytb.cli binds no routine, so opens no library; validation binds all three for a
+    plan that calls LAPACK (a static TB spectrum, `bpm.enabled`), and a modulated run without BPM binds none."""
+    calls_lapack = name != DYNAMIC or bpm
+    assert plans[name, bpm]["bound"] == [[], ["dznrm2", "zggev", "zgtsv"] if calls_lapack else []]
+
+
 def test_modulated_commands_load_no_scipy(plans):
     commands = plans[DYNAMIC, False]["commands"]
     loaded = {command: commands[command] for command in MODULATED_COMMANDS[:-1]}
@@ -123,8 +139,8 @@ def test_modulated_run_imports_no_module(plans):
 
 @pytest.mark.parametrize("name, bpm", [(STATIC[0], False), (STATIC[1], False), (DYNAMIC, True)])
 def test_lapack_runs_import_no_module(plans, name, bpm):
-    """So do the runs that call LAPACK: `cli.run` of each static preset (zggev, dznrm2), and `propagate`
-    of the modulated one with BPM enabled (zgtsv), which validates its config again."""
+    """So do the runs that call LAPACK: `cli.run` of each static preset (zggev, dznrm2), and the `propagate`
+    command's function `_cmd_propagate` on the modulated one with BPM enabled (zgtsv)."""
     assert plans[name, bpm]["run"] == []
 
 
@@ -224,15 +240,32 @@ def test_fortran_routines_are_scipy_linalgs():
         assert _routine_results(_bound_routines(), seed) == _routine_results(_scipy_linalg_routines(), seed)
 
 
-def test_missing_symbol_is_an_import_error():
+def test_missing_symbol_is_an_import_error(monkeypatch):
+    monkeypatch.setitem(lapack._ROUTINES, "nonexistent", (None,))
     with pytest.raises(ImportError, match="exports no scipy_nonexistent_64_"):
-        lapack.routine("nonexistent", None)
+        lapack.bind()
 
 
 def test_missing_library_is_an_import_error(monkeypatch, tmp_path):
     monkeypatch.setattr(lapack, "_DIRS", (tmp_path,))
     with pytest.raises(ImportError, match=re.escape(f"bundles no OpenBLAS in {tmp_path}")):
         lapack._library()
+
+
+def test_without_numpys_openblas_only_the_lapack_plans_stop(monkeypatch, tmp_path, capsys):
+    """Where numpy bundles no OpenBLAS (conda-forge, distribution and source builds, its wheels for macOS 14 and
+    later), the modulated preset runs and writes its four files; a static preset stops in validation, before it
+    writes any, with exit 2 and the ImportError that says where the library was looked for."""
+    monkeypatch.setattr(lapack, "_DIRS", (tmp_path,))
+    for name in lapack._ROUTINES:
+        monkeypatch.delitem(vars(lapack), name, raising=False)
+    from susytb.cli import main
+
+    assert main(["preset", "run", DYNAMIC, "--out", str(tmp_path / "modulated")]) == 0
+    assert len(list((tmp_path / "modulated").iterdir())) == 4
+    assert main(["preset", "run", STATIC[0], "--out", str(tmp_path / "static")]) == 2
+    assert f"bundles no OpenBLAS in {tmp_path}" in capsys.readouterr().err
+    assert not (tmp_path / "static").exists()
 
 
 def _solver_bits() -> str:
