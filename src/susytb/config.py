@@ -195,7 +195,7 @@ def validate_config(text: str) -> ScenarioConfig:
     certified = system.params.certified if system.is_dynamic else None
     if certified is False:
         warnings.append("system: alpha exceeds the sufficient regularity bound "
-                        "(certified=false); nodelessness established by scan")
+                        f"(certified=false); nodeless by rho = {system.params.rho:.6g} < 1")
 
     tb, given = top["tb"], raw["tb"] if isinstance(raw.get("tb"), dict) else {}
     tb_explicit = None

@@ -21,12 +21,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .seeds import (
-    SeedSuperposition,
-    derivative_wronskian,
-    wronskian_bundle,
-    x_derivatives,
-)
+from .seeds import SeedSuperposition, stack_wronskian, x_derivatives
 
 __all__ = [
     "SingularPointError",
@@ -78,12 +73,17 @@ def first_order_potential(v: SeedSuperposition, x, *, z: float = 0.0):
     return -2.0 * (d[2] / d[0] - r1 * r1)
 
 
+def _wronskian(u1: SeedSuperposition, u2: SeedSuperposition, x, z: float):
+    """(W with its x-partials, d1, d2) from each seed's order-3 stack, evaluated once; refuses a node of W."""
+    d1, d2 = x_derivatives(u1, x, z, 3), x_derivatives(u2, x, z, 3)
+    wb = stack_wronskian(d1, d2)
+    _check_nodes(wb.value, _wronskian_scale(d1, d2), "Wronskian")
+    return wb, d1, d2
+
+
 def second_order_potential(u1: SeedSuperposition, u2: SeedSuperposition, x, z: float = 0.0):
     """V2 = -2 d_x^2 ln W(u1,u2) = -2 (W''/W - (W'/W)^2)."""
-    wb = wronskian_bundle(u1, u2, x, z)
-    d1 = x_derivatives(u1, x, z, 1)
-    d2 = x_derivatives(u2, x, z, 1)
-    _check_nodes(wb.value, _wronskian_scale(d1, d2), "Wronskian")
+    wb, _, _ = _wronskian(u1, u2, x, z)
     r1 = wb.d1x / wb.value
     return -2.0 * (wb.d2x / wb.value - r1 * r1)
 
@@ -98,12 +98,9 @@ def apply_A1(v: SeedSuperposition, f: SeedSuperposition, x, *, z: float = 0.0):
 
 def apply_L12(u1: SeedSuperposition, u2: SeedSuperposition, f: SeedSuperposition, x, z: float = 0.0):
     """Composite intertwiner: [W f'' - W' f' + W(u1',u2') f] / W."""
-    wb = wronskian_bundle(u1, u2, x, z)
-    wp = derivative_wronskian(u1, u2, x, z)
+    wb, d1, d2 = _wronskian(u1, u2, x, z)
+    wp = d1[1] * d2[2] - d1[2] * d2[1]  # W(u1', u2')
     df = x_derivatives(f, x, z, 2)
-    d1 = x_derivatives(u1, x, z, 1)
-    d2 = x_derivatives(u2, x, z, 1)
-    _check_nodes(wb.value, _wronskian_scale(d1, d2), "Wronskian")
     return (wb.value * df[2] - wb.d1x * df[1] + wp * df[0]) / wb.value
 
 

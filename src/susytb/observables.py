@@ -409,10 +409,8 @@ def comparison_metrics(exact: ObservableSeries, approx: ObservableSeries) -> Com
     # dominant period from the spectral peak of the exact series
     spec = np.abs(np.fft.rfft(am))
     spec[0] = 0.0
-    kbin = int(np.argmax(spec))
-    period = len(am) * dz / kbin if kbin > 0 else None
-    if period is None:
-        return ComparisonEntry(rmse=rmse, amplitude_ratio=ratio, phase_shift=None, period=None)
+    kbin = int(np.argmax(spec))  # > 0: a series that is not flat has a non-zero bin past DC
+    period = len(am) * dz / kbin
     xc = np.correlate(bm, am, mode="full")
     lags = np.arange(-len(am) + 1, len(am))
     j = int(np.argmax(xc))

@@ -98,22 +98,18 @@ def x_derivatives(u: SeedSuperposition, x, z: float, order: int) -> np.ndarray:
 
 
 def wronskian_bundle(u1: SeedSuperposition, u2: SeedSuperposition, x, z: float) -> DerivativeBundle:
-    """W(u1,u2) = u1 d_x u2 - (d_x u1) u2 with exact x-partials.
+    """W(u1,u2) = u1 d_x u2 - (d_x u1) u2 with exact x-partials."""
+    return stack_wronskian(x_derivatives(u1, x, z, 3), x_derivatives(u2, x, z, 3))
+
+
+def stack_wronskian(d1: np.ndarray, d2: np.ndarray) -> DerivativeBundle:
+    """W(u1,u2) and its x-partials from the seeds' order-3 `x_derivatives` stacks d1, d2.
 
     The x-partials collapse because the cross terms cancel:
         W'   = u1 u2'' - u1'' u2
         W''  = u1' u2'' + u1 u2''' - u1''' u2 - u1'' u2'
     """
-    d1 = x_derivatives(u1, x, z, 3)
-    d2 = x_derivatives(u2, x, z, 3)
     w = d1[0] * d2[1] - d1[1] * d2[0]
     wx = d1[0] * d2[2] - d1[2] * d2[0]
     wxx = d1[1] * d2[2] + d1[0] * d2[3] - d1[3] * d2[0] - d1[2] * d2[1]
     return DerivativeBundle(value=w, d1x=wx, d2x=wxx)
-
-
-def derivative_wronskian(u1: SeedSuperposition, u2: SeedSuperposition, x, z: float):
-    """W(u1', u2') = u1' u2'' - u1'' u2', needed by the composite intertwiner."""
-    d1 = x_derivatives(u1, x, z, 2)
-    d2 = x_derivatives(u2, x, z, 2)
-    return d1[1] * d2[2] - d1[2] * d2[1]

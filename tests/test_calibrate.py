@@ -46,6 +46,22 @@ def test_nelder_mead_never_worse_than_start():
     assert res.fun <= f(np.array([2.0]))
 
 
+def test_nelder_mead_shrinks_when_contraction_fails():
+    """f = 0 at x0 and 1 elsewhere: every reflection and contraction fails, so each iteration shrinks the
+    simplex toward x0 (n + 2 evaluations) until its diameter is below DIAM_TOL."""
+    x0 = np.array([0.5, -0.25])
+    calls = []
+
+    def f(x):
+        calls.append(x.copy())
+        return 0.0 if np.array_equal(x, x0) else 1.0
+
+    res = nelder_mead(f, x0, [0.3, 0.3])
+    assert res.converged and res.fun == 0.0 and np.array_equal(res.x, x0)
+    assert res.n_eval == len(calls) == 3 + 4 * res.n_iter
+    assert res.n_iter == math.ceil(math.log2(0.3 / calibrate.DIAM_TOL))
+
+
 def test_nelder_mead_deterministic():
     f = lambda x: float((x[0] - 0.3) ** 4 + abs(x[1]))
     a = nelder_mead(f, [1.0, 1.0], [0.2, 0.2])

@@ -663,7 +663,7 @@ def test_cli_refuses_the_pair_whose_mode_dz_overflows_in_its_window(tmp_path, ca
 def test_cli_refuses_a_pair_past_the_rho_gate(tmp_path, capsys):
     """rho = 1.02 at x = 15.2: nodes at |x| ~ 12.5 and 19.2, outside the |x| <= 10 regularity scan. validate
     refuses the record with one system error naming rho; the preset (rho 0.121) and alpha 0.8 (rho 0.971)
-    still validate, with the one uncertified warning."""
+    still validate, with the one uncertified warning, which names rho."""
     c = preset_config("pt-dynamic-fig1-5-6")
     c["system"].update(k1=0.2, k2=0.3, k3=0.19, alpha=1.1072)
     cfg = tmp_path / "past.json"
@@ -672,11 +672,28 @@ def test_cli_refuses_a_pair_past_the_rho_gate(tmp_path, capsys):
     errors = capsys.readouterr().err.splitlines()
     assert len(errors) == 1
     assert errors[0].startswith("error: system: rho = |alpha| sup|h2/h1| = 1.02001 (at x = +-15.17)")
-    for alpha in (0.1, 0.8):
+    for alpha, rho in ((0.1, "0.121358"), (0.8, "0.970867")):
         c = preset_config("pt-dynamic-fig1-5-6")
         c["system"]["alpha"] = alpha
         assert validate_config(json.dumps(c)).warnings == ["system: alpha exceeds the sufficient regularity bound "
-                                                           "(certified=false); nodelessness established by scan"]
+                                                           f"(certified=false); nodeless by rho = {rho} < 1"]
+
+
+@pytest.mark.parametrize("k3, alpha, rho", [(0.5, 2.7889984311581753e-05, "0.999"),
+                                            (0.3, 0.00012597396807908929, "0.9999")])
+def test_cli_accepts_a_pair_the_record_accepts_whatever_the_scan_reads(tmp_path, capsys, k3, alpha, rho):
+    """k1 1, k2 1.0000001: rho 0.999 and 0.9999, nodeless, yet near enough a node for the |x| <= 10 scan to
+    read `nodeless` false (min |W| 4.0e-3 and 2.9e-4). The record alone decides regularity: validate exits 0
+    with the uncertified warning naming rho, and the scan still ran at set-up, for the report's cross-check."""
+    c = preset_config("pt-dynamic-fig1-5-6")
+    c["system"].update(k1=1.0, k2=1.0000001, k3=k3, alpha=alpha)
+    path = tmp_path / "edge.json"
+    path.write_text(json.dumps(c))
+    assert main(["validate", str(path)]) == 0
+    assert capsys.readouterr().out == ("warning: system: alpha exceeds the sufficient regularity bound "
+                                       f"(certified=false); nodeless by rho = {rho} < 1\nOK\n")
+    system = validate_config(json.dumps(c)).system
+    assert "regularity" in system.__dict__ and not system.regularity.nodeless  # cached at set-up
 
 
 def test_cli_missing_file_is_runtime_error(tmp_path):
@@ -706,6 +723,13 @@ def test_cli_refuses_an_unknown_observable_key(tmp_path, capsys, command):
     assert capsys.readouterr().err == ("error: observables[0].normalization: unknown key; "
                                        "expected one of metric, name\n")
     assert not out.exists()
+
+
+def test_an_observable_that_is_neither_name_nor_object_is_refused(tmp_path, capsys):
+    path = tmp_path / "c.json"
+    path.write_text(json.dumps(_cfg(observables=[3])))
+    assert main(["validate", str(path)]) == 1
+    assert capsys.readouterr().err == "error: observables[0]: expected name or object\n"
 
 
 def test_an_empty_observable_list_is_refused(tmp_path, capsys):

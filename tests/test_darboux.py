@@ -19,7 +19,9 @@ from susytb.darboux import (
     second_order_potential,
     symmetry_residual,
 )
-from susytb.seeds import SeedSuperposition, x_derivatives
+import susytb.darboux as darboux
+import susytb.seeds as seeds
+from susytb.seeds import SeedSuperposition, wronskian_bundle, x_derivatives
 from susytb.systems import (PTDynamicParams, _sup_ratio, potential_hermitian_static,
                            potential_pt_dynamic)
 
@@ -130,6 +132,38 @@ def test_apply_L12_annihilates_both_seeds(dyn_system):
         scale = np.max(np.abs(np.cosh(1.1 * x)))
         assert np.max(np.abs(apply_L12(u1, u2, u1, x, z))) < 1e-10 * scale
         assert np.max(np.abs(apply_L12(u1, u2, u2, x, z))) < 1e-10 * scale
+
+
+def test_second_order_route_evaluates_each_seed_once(dyn_system, monkeypatch):
+    """`second_order_potential` and `apply_L12` take one order-3 stack per seed and read W, W', W'', W(u1', u2')
+    and the node scale from it. Its rows 0-2 are the order-1 and order-2 stacks bit for bit, so both equal
+    their composition from separate stacks exactly."""
+    u1, u2, f, _ = dyn_system.seeds()
+    x = np.linspace(-6.0, 6.0, 97)
+    calls = []
+
+    def counted(u, *args):
+        calls.append(u)
+        return x_derivatives(u, *args)
+
+    monkeypatch.setattr(darboux, "x_derivatives", counted)
+    monkeypatch.setattr(seeds, "x_derivatives", counted)
+    for z in (0.0, 0.37, 5.2):
+        calls.clear()
+        v = second_order_potential(u1, u2, x, z)
+        assert calls == [u1, u2]
+        calls.clear()
+        g = apply_L12(u1, u2, f, x, z)
+        assert calls == [u1, u2, f]
+        d1, d2, df = (x_derivatives(u, x, z, 2) for u in (u1, u2, f))
+        for d, u in ((d1, u1), (d2, u2)):
+            assert np.array_equal(x_derivatives(u, x, z, 3)[:3], d)
+            assert np.array_equal(x_derivatives(u, x, z, 1), d[:2])
+        wb = wronskian_bundle(u1, u2, x, z)
+        r1 = wb.d1x / wb.value
+        assert np.array_equal(v, -2.0 * (wb.d2x / wb.value - r1 * r1))
+        wp = d1[1] * d2[2] - d1[2] * d2[1]
+        assert np.array_equal(g, (wb.value * df[2] - wb.d1x * df[1] + wp * df[0]) / wb.value)
 
 
 def test_apply_L12_pde_residual(dyn_system):

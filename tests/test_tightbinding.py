@@ -245,6 +245,8 @@ def test_monodromy_matches_lu_solve_reference(dyn_system):
 
 
 def test_model_construction_errors(dyn_system):
+    with pytest.raises(ValueError, match="^hamiltonian_source must be 'well_sum' or 'system'$"):
+        two_well_model("hermitian", 1.0, 1.5, hamiltonian_source="bogus")
     with pytest.raises(ValueError):
         two_well_model("hermitian", 1.0, 1.5, hamiltonian_source="system")
     with pytest.raises(ValueError):
@@ -252,6 +254,11 @@ def test_model_construction_errors(dyn_system):
     for kind, k, at in (("square", 1.0, 0.0), ("hermitian", 0.0, 0.0), ("hermitian", 1.0, 0.1)):
         with pytest.raises(ValueError, match="well"):
             TBModel(kind, k, 1.5, at)
+
+
+def test_propagate_coefficients_refuses_an_empty_grid():
+    with pytest.raises(ValueError, match="^z_grid must not be empty$"):
+        propagate_coefficients(two_well_model("hermitian", 1.0, 1.5), [1.0, 0.0], [])
 
 
 @pytest.mark.parametrize("kind, alpha_tilde", [("hermitian", 0.0), ("pt", 0.2)])
