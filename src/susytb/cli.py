@@ -15,7 +15,7 @@ import ctypes
 import json
 import math
 import sys
-from dataclasses import asdict, dataclass
+from dataclasses import asdict
 from pathlib import Path
 from typing import Optional, Sequence
 
@@ -51,22 +51,6 @@ ENGINE_ORDER = ("exact", "tb")
 # tables free per z or phase goes back to the kernel, to be faulted in again on the next
 if hasattr(_libc := ctypes.CDLL(None) if sys.platform != "win32" else None, "mallopt"):
     _libc.mallopt(-1, 2 << 20)
-
-
-@dataclass
-class ComparisonReport:
-    system: dict
-    periods: dict
-    regularity: dict
-    calibration: dict
-    kappa: dict
-    tb_spectrum: dict
-    metrics: dict
-    oracle_residuals: dict
-    provenance: dict
-
-    def to_json(self) -> str:
-        return _json(asdict(self))
 
 
 def _json(obj) -> str:
@@ -229,7 +213,7 @@ def _bpm_check(cfg: ScenarioConfig) -> dict:
     return {"z_end": t_end, "l2_error": err / ref, "nx": grid.nx, "dz": grid.dz}
 
 
-def run(cfg: ScenarioConfig, outdir) -> tuple[ComparisonReport, list[Path]]:
+def run(cfg: ScenarioConfig, outdir) -> tuple[dict, list[Path]]:
     outdir = Path(outdir)
     outdir.mkdir(parents=True, exist_ok=True)
     system = cfg.system
@@ -260,16 +244,11 @@ def run(cfg: ScenarioConfig, outdir) -> tuple[ComparisonReport, list[Path]]:
     metrics: dict = {}
     for ex, tb in zip(exact_table, tb_table):
         all_series += [ex, tb]
-        m = comparison_metrics(ex, tb)
-        metrics[_column_name(ex)] = {
-            "rmse": m.rmse, "amplitude_ratio": m.amplitude_ratio,
-            "phase_shift": m.phase_shift, "period": m.period,
-            "engines": ["exact", "tb"],
-        }
+        metrics[_column_name(ex)] = {**asdict(comparison_metrics(ex, tb)), "engines": ["exact", "tb"]}
 
     # 6. oracles
     residuals = _oracle_residuals(cfg)
-    if cfg.bpm_enabled:
+    if cfg.bpm_options["enabled"]:
         residuals["bpm"] = _bpm_check(cfg)
 
     # 7. files
@@ -277,19 +256,19 @@ def run(cfg: ScenarioConfig, outdir) -> tuple[ComparisonReport, list[Path]]:
     periods_info = {"fundamental": per.fundamental}
     if per.repetition is not None:
         periods_info["repetition"] = asdict(per.repetition)
-    report = ComparisonReport(
-        system={"kind": system.kind, "params": asdict(system.params),
-                "mode_kind": cfg.mode_kind, "warnings": cfg.warnings},
-        periods=periods_info,
-        regularity=regularity,
-        calibration=calibration,
-        kappa=kappa,
-        tb_spectrum=tb_spectrum,
-        metrics=metrics,
-        oracle_residuals=residuals,
-        provenance={"config_sha256": config_digest(cfg.raw), "package": f"susytb {__version__}"},
-    )
-    report_text = report.to_json()  # first, so a non-finite value writes no file
+    report = {
+        "system": {"kind": system.kind, "params": asdict(system.params),
+                   "mode_kind": cfg.mode_kind, "warnings": cfg.warnings},
+        "periods": periods_info,
+        "regularity": regularity,
+        "calibration": calibration,
+        "kappa": kappa,
+        "tb_spectrum": tb_spectrum,
+        "metrics": metrics,
+        "oracle_residuals": residuals,
+        "provenance": {"config_sha256": config_digest(cfg.raw), "package": f"susytb {__version__}"},
+    }
+    report_text = _json(report)  # first, so a non-finite value writes no file
     csv_path = outdir / f"{cfg.basename}.csv"
     emit_csv(all_series, csv_path)
     _sidecar(csv_path, cfg, all_series, {"report": f"{cfg.basename}.report.json"})
@@ -297,7 +276,7 @@ def run(cfg: ScenarioConfig, outdir) -> tuple[ComparisonReport, list[Path]]:
     report_path = outdir / f"{cfg.basename}.report.json"
     report_path.write_text(report_text + "\n", encoding="utf-8")
     files.append(report_path)
-    if cfg.potential_dump_enabled:
+    if cfg.potential_dump["enabled"]:
         pot_path = outdir / f"{cfg.basename}.potential.csv"
         emit_potential_csv(system, cfg.potential_dump, pot_path)
         files.append(pot_path)

@@ -9,8 +9,8 @@ run something other than what the file asks. Each default lives only there.
 
 After the walk come the rules across keys: the `tb` route (any of k, x0, alpha_tilde is
 the explicit pair, built here so that an ill-conditioned S is refused, else the kind picks
-the calibration and `SystemKind.fit` its multistart grid) and the physics (orderings, the
-regularity bound and `certified`, the kind's mode kinds and wells, the closed forms' overflow
+the calibration and `SystemKind.fit` its multistart grid) and the physics (orderings, the regularity
+bound and `certified`, the modes' norms, the kind's mode kinds and wells, the closed forms' overflow
 window, and for p moments the run's `_resolution_guard` at z = 0), so a validated
 config is a runnable plan. The LAPACK a plan calls (a static system's TB spectrum, `bpm.enabled`)
 is numpy's own OpenBLAS, bound here by `lapack.bind`; no plan loads scipy, and a modulated one without
@@ -52,9 +52,7 @@ class ScenarioConfig:
     mode_kind: str
     observables: list[ObservableRequest]
     quad: QuadratureSpec
-    bpm_enabled: bool
     bpm_options: dict
-    potential_dump_enabled: bool
     potential_dump: dict
     basename: str
     warnings: list[str]
@@ -188,8 +186,11 @@ def validate_config(text: str) -> ScenarioConfig:
     if not system_errors:
         try:
             system = make_system(KINDS[values.pop("kind")].params(**values))
+            system.combination("left")  # the modes' norms, which every run takes: a valid record may lose them
         except ParameterError as exc:
             system_errors.append(f"system: {exc}")
+        except (ArithmeticError, RuntimeError) as exc:  # a PT static pair at huge |alpha|: its modes merge
+            system_errors.append(f"system.alpha: the pair's modes cannot be normalized ({exc})")
     if system_errors:
         raise ConfigError(errors + system_errors)
     certified = system.params.certified if system.is_dynamic else None
@@ -236,10 +237,8 @@ def validate_config(text: str) -> ScenarioConfig:
     if quad.half_width > system.x_limit:
         errors.append(_past_limit("quadrature.half_width", quad.half_width, system))
 
-    bpm_options, potential_dump = dict(top["bpm"]), dict(top["potential_dump"])
-    bpm_enabled, potential_dump_enabled = bpm_options.pop("enabled"), potential_dump.pop("enabled")
-    if potential_dump["x_half_width"] > system.x_limit:
-        errors.append(_past_limit("potential_dump.x_half_width", potential_dump["x_half_width"], system))
+    if top["potential_dump"]["x_half_width"] > system.x_limit:
+        errors.append(_past_limit("potential_dump.x_half_width", top["potential_dump"]["x_half_width"], system))
 
     if errors:
         raise ConfigError(errors)
@@ -253,13 +252,12 @@ def validate_config(text: str) -> ScenarioConfig:
             _resolution_guard(system.mode(mode_kind, x, z_values[0]), x[1] - x[0])
         except DerivativeResolutionError as exc:
             raise ConfigError([f"quadrature.nodes: {quad.nodes} do not resolve the {mode_kind} mode: {exc}"])
-    if not system.is_dynamic or bpm_enabled:  # the LAPACK the plan calls: an ImportError here, not in the run
+    if not system.is_dynamic or top["bpm"]["enabled"]:  # the LAPACK the plan calls: an ImportError here, not in the run
         lapack.bind()
     return ScenarioConfig(
         raw=raw, system=system, certified=certified, tb_explicit=tb_explicit,
         z_values=z_values, mode_kind=mode_kind, observables=list(observables), quad=quad,
-        bpm_enabled=bpm_enabled, bpm_options=bpm_options,
-        potential_dump_enabled=potential_dump_enabled, potential_dump=potential_dump,
+        bpm_options=top["bpm"], potential_dump=top["potential_dump"],
         basename=top["output"]["basename"], warnings=warnings)
 
 

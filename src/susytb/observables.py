@@ -98,10 +98,19 @@ class ExactState:
         self.kind = kind
 
     def __call__(self, x, z: float, order: int = 0):
-        """H^order psi at z; H psi = i d_z psi, as every exact mode solves the paraxial equation."""
+        """H^order psi at z; H psi = i d_z psi, as every exact mode solves the paraxial equation, and a static
+        pair's H^2 weights each stationary row by E_j^2 (a modulated pair's H^2 has no closed form)."""
+        system = self.system
         if order == 1:
-            return 1j * self.system.mode_dz(self.kind, x, z)
-        return (self.system.mode_h2 if order == 2 else self.system.mode)(self.kind, x, z)
+            return 1j * system.mode_dz(self.kind, x, z)
+        if order == 0:
+            return system.mode(self.kind, x, z)
+        if system.is_dynamic:
+            raise ValueError("exact H^2 is only available for static systems")
+        rows = system.pair(x, z)(0)
+        for e, row in zip(system.energies().values(), rows):
+            np.multiply(e**2, row, out=row)
+        return system.combined(self.kind, lambda: rows)
 
     def phase_series(self, x, w, h, keys, budget: float = 0) -> PeriodicSeries:
         """The `PeriodicSeries` of both Floquet modes' Gram stacks P(r) = G(r) e^{-i(E_i - E_j) r} under each key,

@@ -17,9 +17,8 @@ generic Darboux machinery so the two routes can cross-check each other:
 
 Each system evaluates both modes of its pair at (x, z) in one closed-form
 pass (`WaveguideSystem.pair`): (2, n) rows, even-like first, over one
-Wronskian, with their d/dz (and, for a static pair, H^2) read off the same
-pass. Nothing of a pass is kept; `mode`, `mode_dz` and `mode_h2` pick or
-combine its rows.
+Wronskian, with their d/dz read off the same pass. Nothing of a pass is
+kept; `combined` picks or combines its rows, for `mode` and `mode_dz`.
 
 Stationary modes are normalized to unit pseudo-norm magnitude (the sign
 of the PT self-product is recorded; for the Hermitian system this is
@@ -501,37 +500,30 @@ class WaveguideSystem:
     def pair(self, x, z: float = 0.0) -> Callable[[int], np.ndarray]:
         """Both normalized modes at (x, z) from one closed-form pass, even-like row first.
 
-        Returns `rows`: rows(0) the (2, n) fields, rows(1) their d/dz and, for a
-        static pair, rows(2) H^2 applied (E^2 weights). Every order reads the
-        same pass: the modulated pair's W, phases and numerators, or the static
-        pair's profiles.
+        Returns `rows`: rows(0) the (2, n) fields, rows(1) their d/dz. Both
+        orders read the same pass: the modulated pair's W, phases and
+        numerators, or the static pair's profiles.
         """
         kinds, norm = self.facts.stationary, self._norms[0]
         if self.is_dynamic:
             fields, dz = _floquet_pair(self.params, self._x_parts(x), z, [norm[k] for k in kinds])
-
-            def floquet_rows(order: int) -> np.ndarray:
-                if order == 2:
-                    raise ValueError("exact H^2 application is only available for static systems")
-                return fields if order == 0 else dz()
-            return floquet_rows
+            return lambda order: fields if order == 0 else dz()
         raw, e = self._x_parts(x), self.energies()
 
         def rows(order: int) -> np.ndarray:
             out = np.empty(raw.shape, dtype=complex)
             for k, f, o in zip(kinds, raw, out):
-                # N e^{-i E z} u, times -i E for d/dz (its scalars multiplied first), E^2 times it for H^2
+                # N e^{-i E z} u, times -i E for d/dz (its scalars multiplied first)
                 np.multiply((-1j * e[k] if order == 1 else 1) * norm[k] * np.exp(-1j * e[k] * z), f, out=o)
-                if order == 2:
-                    np.multiply(e[k] ** 2, o, out=o)
             return out
         return rows
 
-    def _combined(self, kind: str, x, z: float, order: int):
-        """One mode of `pair(x, z)(order)`, or the normalized left/right superposition of both."""
+    def combined(self, kind: str, rows: Callable[[], np.ndarray]):
+        """One row of the (2, n) stack `rows()`, or the normalized left/right superposition of both; an unknown
+        kind is refused before `rows` is called."""
         if kind not in self.mode_kinds:
             raise ValueError(f"a {self.kind} system has no mode {kind!r}")
-        rows = self.pair(x, z)(order)
+        rows = rows()
         if kind in ("left", "right"):
             sign, inv_n = self.combination(kind)
             return inv_n * (rows[0] + sign * rows[1])
@@ -539,15 +531,11 @@ class WaveguideSystem:
 
     def mode(self, kind: str, x, z: float = 0.0):
         """Normalized mode field at (x, z)."""
-        return self._combined(kind, x, z, 0)
+        return self.combined(kind, lambda: self.pair(x, z)(0))
 
     def mode_dz(self, kind: str, x, z: float = 0.0):
         """Exact d(mode)/dz; i * mode_dz is the Hamiltonian applied to the mode."""
-        return self._combined(kind, x, z, 1)
-
-    def mode_h2(self, kind: str, x, z: float = 0.0):
-        """H^2 applied to a stationary-system mode (exact, E^2 weights)."""
-        return self._combined(kind, x, z, 2)
+        return self.combined(kind, lambda: self.pair(x, z)(1))
 
 
 def make_system(params, *, verify_regularity: bool = True) -> WaveguideSystem:

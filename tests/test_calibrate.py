@@ -221,6 +221,22 @@ def test_multistart_without_a_feasible_point_fails(value):
     assert len(calls) == 9
 
 
+def test_refinement_scores_points_outside_the_box_inf():
+    """An objective minimised past the box's highs: Nelder-Mead steps outside, those points score inf without an
+    objective call, and the fit ends on the box corner nearest the minimum."""
+    calls = []
+
+    def objective(x):
+        calls.append(x.copy())
+        return float(np.sum((x - 3.0) ** 2))
+
+    box = {"k": (0.5, 1.0), "x0": (1.0, 2.0)}
+    res, trace = calibrate._multistart_then_refine(objective, ["k", "x0"], [np.linspace(*box[n], 3) for n in box], box)
+    assert all(lo <= v <= hi for x in calls for v, (lo, hi) in zip(x, box.values()))
+    assert trace["nm_evaluations"] > len(calls) - 9  # the refinement's out-of-box points called nothing
+    assert res.x == pytest.approx([1.0, 2.0], abs=1e-5)
+
+
 def test_objective_lets_programming_errors_through(herm_system, dyn_system, monkeypatch):
     def broken(*args):
         raise TypeError("a fault in the pencil, not a numerical failure")
@@ -260,6 +276,17 @@ def test_profile_match_self_target_is_exact():
     assert res.objective_value < 1e-8
     assert res.parameters["k"] == pytest.approx(k_true, abs=1e-4)
     assert res.parameters["x0"] == pytest.approx(x0_true, abs=1e-4)
+
+
+def test_profile_match_scores_a_zero_k_inf(dyn_system):
+    """A k box holding 0: the multistart column k = 0 makes no well (WellBasis refuses it), so those points score
+    inf and the fit goes on over the rest; a negative k is the same well as its |k|."""
+    problem = CalibrationProblem(system=dyn_system, box={"k": (-1.4, 1.4), "x0": (1.08, 2.48)}, seeds=(9, 9),
+                                 window=(-4.775, 0.0))
+    assert 0.0 in np.linspace(*problem.box["k"], 9)
+    res = profile_match(problem)
+    assert res.trace["n_feasible_starts"] == 8 * 9
+    assert abs(res.parameters["k"]) == pytest.approx(1.045, abs=0.02) and math.isfinite(res.objective_value)
 
 
 def test_profile_window_shrink_degrades_fit(dyn_system):

@@ -220,6 +220,25 @@ def test_the_widest_window_inside_the_overflow_limit_runs():
     assert np.all(np.isfinite(psi))
 
 
+@pytest.mark.parametrize("alpha, cause", [(1e19, "could not label left/right modes by <x>"),
+                                          (1e200, "float division by zero")])
+@pytest.mark.parametrize("observables", [None, ["x_mean"]])
+def test_a_pt_static_pair_whose_modes_cannot_be_normalized_exits_1(tmp_path, capsys, alpha, cause, observables):
+    """The record is valid at any finite alpha, but past ~1e19 the pair's two modes merge (left and right read
+    one <x> sign) and at 1e200 the excited mode's pseudo-norm underflows to 0. validate evaluates the norms, so
+    both observable sets are refused field-addressed with exit 1, not as a runtime error (exit 2)."""
+    raw = preset_config("pt-static-fig3-4")
+    raw["system"]["alpha"] = alpha
+    if observables is not None:
+        raw["observables"] = observables
+    path = tmp_path / "c.json"
+    path.write_text(json.dumps(raw))
+    for command in ("validate", "compare"):
+        assert main([command, str(path), "--out", str(tmp_path / "out")]) == 1
+        assert capsys.readouterr().err == f"error: system.alpha: the pair's modes cannot be normalized ({cause})\n"
+    assert not (tmp_path / "out").exists()
+
+
 @pytest.mark.parametrize("preset, mode_kind, kinds", [
     ("hermitian-fig2", "floquet1", ["ground", "excited", "left", "right"]),
     ("pt-static-fig3-4", "sideways", ["ground", "excited", "left", "right"]),
@@ -365,7 +384,7 @@ def test_pt_dynamic_preset_scans_regularity_once(tmp_path, monkeypatch):
     raw["z_grid"] = {"periods": 0.1, "num": 5}  # the scan covers two periods whatever the grid
     report, _ = run(validate_config(json.dumps(raw)), tmp_path)
     assert len(calls) == 1
-    assert report.regularity["nodeless"] is True and report.regularity["certified"] is False
+    assert report["regularity"]["nodeless"] is True and report["regularity"]["certified"] is False
 
 
 def _table_paths(table: dict, path: tuple = ()):
@@ -611,9 +630,9 @@ def test_run_pipeline_tiny(tmp_path):
     report, files = run(cfg, tmp_path)
     assert (tmp_path / "tiny.csv").exists()
     assert (tmp_path / "tiny.report.json").exists()
-    assert report.regularity["nodeless"] is True
-    assert report.kappa["value"].real == pytest.approx(0.4188, abs=1e-3)
-    assert "x_mean" in report.metrics
+    assert report["regularity"]["nodeless"] is True
+    assert report["kappa"]["value"].real == pytest.approx(0.4188, abs=1e-3)
+    assert "x_mean" in report["metrics"]
     meta = json.loads((tmp_path / "tiny.csv.meta.json").read_text())
     assert meta["config_sha256"] == config_digest(cfg.raw)
     engines = {s["engine"] for s in meta["series"]}
@@ -777,6 +796,14 @@ def test_written_json_is_strict(tmp_path):
     assert written["tiny.report.json"]["metrics"]["p_std_pt"]["amplitude_ratio"] is None
 
 
+def test_report_json_writes_complex_as_parts_and_refuses_other_objects():
+    assert json.loads(cli._json({"kappa": 1 + 2j})) == {"kappa": {"re": 1.0, "im": 2.0}}
+    with pytest.raises(TypeError, match="cannot serialize <class 'set'>"):
+        cli._json({"value": {1.0}})
+    with pytest.raises(ValueError, match="not JSON compliant"):
+        cli._json({"value": math.nan})
+
+
 def test_cli_calibrate_explicit(tmp_path, capsys):
     cfgp = tmp_path / "c.json"
     cfgp.write_text(json.dumps(BASE))
@@ -828,10 +855,10 @@ def test_run_pipeline_pt_static(tmp_path):
                output={"basename": "ptsmoke"})
     cfg = validate_config(json.dumps(raw))
     report, _ = run(cfg, tmp_path)
-    assert report.regularity["nodeless"] is True
-    hp = report.metrics["H_mean_pt"]
+    assert report["regularity"]["nodeless"] is True
+    hp = report["metrics"]["H_mean_pt"]
     assert hp["rmse"] < 0.05  # near-identical conserved constants
-    energies = [e.real for e in report.tb_spectrum["energies"]]
+    energies = [e.real for e in report["tb_spectrum"]["energies"]]
     assert energies[0] == pytest.approx(-1.44, abs=0.05)
 
 
@@ -846,11 +873,11 @@ def test_run_pipeline_dynamic(tmp_path):
     cfg = validate_config(json.dumps(raw))
     report, files = run(cfg, tmp_path)
     assert (tmp_path / "dynsmoke.potential.csv").exists()
-    assert report.regularity["certified"] is False and report.regularity["nodeless"] is True
-    q = [e.real for e in report.tb_spectrum["quasi_energies"]]
+    assert report["regularity"]["certified"] is False and report["regularity"]["nodeless"] is True
+    q = [e.real for e in report["tb_spectrum"]["quasi_energies"]]
     assert q[0] == pytest.approx(-1.21, abs=0.01)
     assert q[1] == pytest.approx(-1.0, abs=0.01)
-    assert report.oracle_residuals["pde_residual"]["floquet1"] < 1e-6
+    assert report["oracle_residuals"]["pde_residual"]["floquet1"] < 1e-6
     # the potential dump covers one modulation period on the requested window
     lines = (tmp_path / "dynsmoke.potential.csv").read_text().splitlines()
     assert lines[0] == "x,z,V_re,V_im"
@@ -917,7 +944,7 @@ def test_run_pipeline_with_bpm_check(tmp_path):
                output={"basename": "bpmsmoke"})
     cfg = validate_config(json.dumps(raw))
     report, _ = run(cfg, tmp_path)
-    assert report.oracle_residuals["bpm"]["l2_error"] < 5e-3
+    assert report["oracle_residuals"]["bpm"]["l2_error"] < 5e-3
 
 
 WARM_CASES = {

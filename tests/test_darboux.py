@@ -240,6 +240,12 @@ def test_scan_static_nodeless(herm_system):
     assert scan.nodeless
 
 
+def test_scan_needs_two_points_per_axis(herm_system):
+    u1, u2, _, _ = herm_system.seeds()
+    with pytest.raises(ValueError, match="n_points must be >= 2"):
+        regularity_scan(u1, u2, (-10.0, 10.0), (0.0, 0.0), 1)
+
+
 def test_scan_detects_ordering_violation():
     # |k2| < |k1| puts a node in the Wronskian
     u1 = SeedSuperposition.even(1.0, 0.9)

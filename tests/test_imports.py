@@ -63,7 +63,7 @@ before = scipy()
 cfg = validate_config(open(config).read())
 record["validation"] = [before, scipy()]
 before = set(sys.modules)
-if cfg.bpm_enabled:
+if cfg.bpm_options["enabled"]:
     with contextlib.redirect_stdout(io.StringIO()):
         assert cli._cmd_propagate(cfg, Path(out)) == 0
 else:

@@ -208,15 +208,16 @@ def test_tb_h_apply_is_the_evolution_generator(pt_tb_state, pt_quad):
 @pytest.mark.parametrize("system_name, wells, tb", [("herm_system", "hermitian", (0.7454, 1.66214)),
                                                      ("pt_system", "pt", (1.14, 1.65, 0.21))])
 def test_static_states_give_h_to_the_order_in_one_call(system_name, wells, tb, request):
-    """state(x, z, k) is H^k psi: the exact state's mode, i mode_dz and mode_h2, the TB state's assembled
-    H^k coefficients, each bit for bit."""
+    """state(x, z, k) is H^k psi: the exact state's mode, i mode_dz and E_j^2 times each row of the pair's
+    fields, the TB state's assembled H^k coefficients, each bit for bit."""
     system = request.getfixturevalue(system_name)
     model = two_well_model(wells, *tb)
     guided = static_guided_modes(model)
     x, z = np.linspace(-9.0, 9.0, 257), 1.3
     for kind in ("ground", "excited", "left", "right"):
         exact, approx = ExactState(system, kind), TBStaticState(model, guided, kind, system)
-        images = (system.mode(kind, x, z), 1j * system.mode_dz(kind, x, z), system.mode_h2(kind, x, z))
+        h2 = np.stack([e**2 * row for e, row in zip(system.energies().values(), system.pair(x, z)(0))])
+        images = (system.mode(kind, x, z), 1j * system.mode_dz(kind, x, z), system.combined(kind, lambda: h2))
         for order, image in enumerate(images):
             assert np.array_equal(exact(x, z, order), image), (kind, order)
             assert np.array_equal(approx(x, z, order),

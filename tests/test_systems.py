@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from susytb.bpm import PropagationGrid, eigen_residual, pde_residual
 from susytb.darboux import apply_L12, second_order_potential
+from susytb.observables import ExactState
 from susytb.quadrature import QuadratureSpec, default_half_width, quad_nodes, read_only
 from susytb.systems import (
     LOG_FLOAT_MAX,
@@ -48,6 +49,15 @@ def test_parameter_orderings():
         PTDynamicParams(k1=1.0, k2=1.1, k3=1.0, alpha=0.1)  # k3 = k1 degenerate
     with pytest.raises(ParameterError):
         PTDynamicParams(k1=1.2, k2=1.1, k3=0.9, alpha=0.1)
+    with pytest.raises(ParameterError, match="k1 must be nonzero"):
+        PTStaticParams(k1=0.0, k2=1.1, alpha=0.2)
+    with pytest.raises(ParameterError, match="k2 must be nonzero"):
+        PTDynamicParams(k1=1.0, k2=0.0, k3=0.5, alpha=0.1)
+
+
+def test_a_system_needs_a_known_parameter_record():
+    with pytest.raises(TypeError, match="unsupported parameter record"):
+        WaveguideSystem((1.0, 1.1))
 
 
 @pytest.mark.parametrize("make, field", [
@@ -434,6 +444,8 @@ def test_mode_kind_validation(herm_system, dyn_system):
         dyn_system.mode("ground", 0.0)
     with pytest.raises(ValueError):
         herm_system.mode("sideways", 0.0)
+    with pytest.raises(ValueError, match="no mode 'sideways'"):  # refused before its rows are evaluated
+        herm_system.combined("sideways", lambda: pytest.fail("rows evaluated"))
 
 
 def test_mode_dz_matches_finite_difference(dyn_system, pt_system):
@@ -584,14 +596,14 @@ def test_static_memo_matches_fresh_closed_forms(herm_system, pt_system):
                     e = system.energies()[kind]
                     closed = _stationary_closed_form(system, kind, x, z)
                     assert np.array_equal(system.mode(kind, x, z), closed)
-                    assert np.array_equal(system.mode_h2(kind, x, z), e**2 * closed)
+                    assert np.array_equal(ExactState(system, kind)(x, z, 2), e**2 * closed)
                     assert np.array_equal(system.mode_dz(kind, x, z),
                                           _stationary_closed_form(system, kind, x, z, pre=-1j * e))
                 for kind in ("left", "right"):
                     fresh = WaveguideSystem(system.params)
                     assert np.array_equal(system.mode(kind, x, z), fresh.mode(kind, x, z))
                     assert np.array_equal(system.mode_dz(kind, x, z), fresh.mode_dz(kind, x, z))
-                    assert np.array_equal(system.mode_h2(kind, x, z), fresh.mode_h2(kind, x, z))
+                    assert np.array_equal(ExactState(system, kind)(x, z, 2), ExactState(fresh, kind)(x, z, 2))
 
 
 def test_static_memo_keys_on_node_values(pt_system):
@@ -674,8 +686,7 @@ def test_pair_rows_are_the_per_kind_closed_forms_property(p, half_width, nodes, 
     if frozen:
         x = read_only(x)
     rows = system.pair(x, z)
-    evaluators = (system.mode, system.mode_dz) + (() if system.is_dynamic else (system.mode_h2,))
-    for order, evaluate in enumerate(evaluators):
+    for order, evaluate in enumerate((system.mode, system.mode_dz)):
         got = rows(order)
         assert got.shape == (2, nodes)
         for row, kind in zip(got, system.facts.stationary):
@@ -684,10 +695,13 @@ def test_pair_rows_are_the_per_kind_closed_forms_property(p, half_width, nodes, 
         for kind in ("left", "right"):
             sign, inv_n = system.combination(kind)
             assert np.array_equal(evaluate(kind, x, z), inv_n * (got[0] + sign * got[1]))
-    if system.is_dynamic:  # no exact H^2 for the modulated pair
-        for h2 in (lambda: rows(2), lambda: system.mode_h2("left", x, z)):
+    for kind in system.mode_kinds:  # the exact state's H^2: E_j^2 times each field row, for a static pair only
+        if system.is_dynamic:
             with pytest.raises(ValueError, match="only available for static systems"):
-                h2()
+                ExactState(system, kind)(x, z, 2)
+        else:
+            h2 = np.stack([reference_mode(system, k, x, z, 2) for k in system.facts.stationary])
+            assert np.array_equal(ExactState(system, kind)(x, z, 2), system.combined(kind, lambda: h2))
 
 
 # ---------------------------------------------------------------------------

@@ -19,6 +19,7 @@ from susytb.quadrature import PeriodicSeries, QuadratureSpec, fold_phases, quad_
 from susytb.systems import PTDynamicParams, make_system, potential_pt_dynamic
 from susytb.tightbinding import (
     COND_LIMIT,
+    DefectiveMonodromy,
     H_SERIES_MAX_SAMPLES,
     H_SERIES_TOL,
     IllConditionedOverlap,
@@ -139,6 +140,11 @@ def test_kappa_monotone_decreasing():
     assert all(a > b for a, b in zip(vals, vals[1:]))
     closed = [kappa_hermitian_closed_form(k, x0) for x0 in np.linspace(0.5, 4.0, 9)]
     assert np.allclose(vals, closed, atol=1e-10)
+
+
+def test_kappa_closed_form_is_one_at_zero_separation():
+    assert kappa_hermitian_closed_form(0.9, 0.0) == 1.0
+    assert kappa_hermitian_closed_form(0.9, 1e-9) == pytest.approx(1.0, abs=1e-15)
 
 
 def test_kappa_requires_positive_separation():
@@ -525,6 +531,16 @@ def test_constant_hamiltonian_quasi_energies():
     flq = floquet_monodromy(model, 7.0, StepControl(dz_max=0.01), targets=static)
     assert np.max(np.abs(flq.quasi_energies.real - static)) < 1e-8
     assert np.max(np.abs(flq.quasi_energies.imag)) < 1e-10
+
+
+def test_a_defective_monodromy_is_refused(monkeypatch):
+    """A Jordan-block monodromy has no eigenvector basis to read quasi-energies from: refused, not assigned."""
+    model = two_well_model("hermitian", CAL_HERM["k"], CAL_HERM["x0"])
+    jordan = np.array([[1.0, 1.0], [0.0, 1.0]], dtype=complex)
+    monkeypatch.setattr(tightbinding, "_propagators",
+                        lambda model, control, z0, z1, h=None: np.array([jordan] * len(z0)))
+    with pytest.raises(DefectiveMonodromy, match="near-defective"):
+        floquet_monodromy(model, 7.0, StepControl(dz_max=0.01), targets=solve_spectrum(model).energies.real)
 
 
 def test_dynamic_monodromy_power_neutral(dyn_system):
